@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .closedform import QuadratureError, RouteEvaluator
+from .closedform import RouteEvaluator
 from .model import Route, SystemParams
 from .optimize import build_normalization, solve_distributed, solve_global, weighted_objective
 from .routing import (
@@ -552,7 +552,6 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         ValueError,
         NoRouteError,
         GreedyLoopError,
-        QuadratureError,
         OSError,
         yaml.YAMLError,
     ) as exc:

@@ -14,10 +14,13 @@ directly:
   counts when all hops succeed, a maximum of exponential RSU waits when all
   hops fall back, and a capped minimum across both families for the mixture.
 
-The module also houses :class:`RouteEvaluator`, a vectorized evaluator that
-precomputes everything reusable for a fixed route so optimizers and sweeps
-can evaluate thousands of window positions cheaply.  Its outputs are checked
-against the direct quadrature forms in the test suite.
+The module also houses :class:`RouteEvaluator`, the one runtime
+implementation of the per-hop and joint-outcome algebra.  It precomputes
+everything reusable for a fixed route, and its kernel
+(:meth:`RouteEvaluator.series`) evaluates any number of window positions in
+one array pass; every one-window reading is a size-1 read of that kernel.
+The quadrature forms above are independent oracles: the runtime never calls
+them, and the test suite checks the kernel against them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from scipy import integrate
 from scipy.interpolate import CubicSpline
 
 from .model import (
-    Hop,
+    _FLOOR_NUDGE,
     Route,
     SystemParams,
     expected_hop_rate,
@@ -43,12 +46,8 @@ from .model import (
 
 __all__ = [
     "QuadratureError",
-    "HopCoefficients",
     "RateDecomposition",
-    "hop_coefficients",
-    "hop_latency_closed",
     "e2e_latency_closed",
-    "hop_rate_closed",
     "geometric_max_pmf",
     "expected_max_trial_time",
     "exponential_max_pdf",
@@ -77,102 +76,23 @@ class QuadratureError(RuntimeError):
     """A numerical integral failed to reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class HopCoefficients:
-    """Window-independent constants of one hop, given the scenario params.
-
-    Splitting a hop's expectations into these constants times simple window
-    functions is what makes the closed forms and the optimizer cheap.
-
-    Attributes:
-        forward_prob: chance the courier already heads to the next hop.
-        failure_excess: extra expected latency a fallback adds on top of the
-            dwell: one more dwell plus the mean RSU wait.
-        forward_rate_term: rate contribution of the forwarding branch,
-            forward_prob times the cellular rate.
-        success_rate_base: success-branch rate at a zero-length window with
-            the candidate wait at its mean.
-        success_rate_slope: per-second change of the success rate as the
-            window grows (cellular service displaced by probing).
-        failure_rate_base: fallback-branch rate at a zero-length window.
-        failure_rate_slope: per-second change of the fallback rate as the
-            window grows (V2I upload time traded for cellular service).
-        arrival_rate: candidate arrival rate, kept for the window functions.
-    """
-
-    forward_prob: float
-    failure_excess: float
-    forward_rate_term: float
-    success_rate_base: float
-    success_rate_slope: float
-    failure_rate_base: float
-    failure_rate_slope: float
-    arrival_rate: float
-
-    def p_no_arrival(self, t: float) -> float:
-        """Chance that no candidate shows up within the window."""
-        return math.exp(-self.arrival_rate * t)
-
-    def discovery_miss(self, t: float, params: SystemParams) -> float:
-        """Conditional failure probability given the courier is not forwarding.
-
-        Combines "nobody arrived" with "somebody arrived but every trial in
-        the window failed".
-        """
-        m = max_trials(t, params.trial_time)
-        beta = self.p_no_arrival(t)
-        theta = (1.0 - params.decode_ok_pair) ** m
-        return beta + theta - beta * theta
-
-
-def hop_coefficients(hop: Hop, params: SystemParams) -> HopCoefficients:
-    """Precompute the window-independent constants of one hop."""
-    T = params.hop_dwell
-    mean_wait = 1.0 / hop.arrival_rate
-    forward_prob = p_courier_forward(hop)
-    return HopCoefficients(
-        forward_prob=forward_prob,
-        failure_excess=T + mean_wait,
-        forward_rate_term=forward_prob * params.rate_cell,
-        success_rate_base=params.rate_v2v * (T - mean_wait) / T + params.rate_cell,
-        success_rate_slope=-params.rate_cell / T,
-        failure_rate_base=params.rate_v2i * T / (2.0 * T + mean_wait),
-        failure_rate_slope=(params.rate_cell - params.rate_v2i) / (2.0 * T + mean_wait),
-        arrival_rate=hop.arrival_rate,
-    )
-
-
-def hop_latency_closed(hop: Hop, t: float, params: SystemParams) -> float:
-    """Expected hop latency in coefficient form: T plus the failure excess."""
-    c = hop_coefficients(hop, params)
-    z = c.discovery_miss(t, params)
-    return params.hop_dwell + (1.0 - c.forward_prob) * c.failure_excess * z
-
-
 def e2e_latency_closed(route: Route, t: float, params: SystemParams) -> float:
     """Route latency: k dwells plus each hop's weighted failure excess.
 
+    Each hop adds T plus (1 - 1/deg)(T + 1/arrival_rate) z, where z is the
+    chance that discovery misses once the courier is not forwarding: nobody
+    arrives within the window, or somebody does and every trial fails.
     Algebraically identical to summing the branch-weighted hop latencies;
     the identity is enforced to 1e-9 by the acceptance suite.
     """
-    return sum(hop_latency_closed(h, t, params) for h in route.hops)
-
-
-def hop_rate_closed(hop: Hop, t: float, params: SystemParams) -> float:
-    """Expected hop rate in coefficient form.
-
-    Combines the three branches through the conditional miss probability z:
-    forwarding contributes its fixed term, success carries weight
-    (1 - forward_prob)(1 - z) and failure (1 - forward_prob) z, each with an
-    affine-in-window rate.  Matches
-    :func:`v2xdelivery.model.expected_hop_rate` exactly.
-    """
-    c = hop_coefficients(hop, params)
-    z = c.discovery_miss(t, params)
-    rest = 1.0 - c.forward_prob
-    succ = c.success_rate_base + c.success_rate_slope * t
-    fail = c.failure_rate_base + c.failure_rate_slope * t
-    return c.forward_rate_term + rest * (1.0 - z) * succ + rest * z * fail
+    T = params.hop_dwell
+    theta = (1.0 - params.decode_ok_pair) ** max_trials(t, params.trial_time)
+    total = 0.0
+    for hop in route.hops:
+        beta = math.exp(-hop.arrival_rate * t)
+        z = beta + theta - beta * theta
+        total += T + (1.0 - p_courier_forward(hop)) * (T + 1.0 / hop.arrival_rate) * z
+    return total
 
 
 def geometric_max_pmf(x: int | np.ndarray, n: int, p: float) -> float | np.ndarray:
@@ -494,9 +414,9 @@ class RouteEvaluator:
     Precomputes everything that does not depend on the window: the hop
     coefficient arrays, the geometric-max prefix sums, the exact expected
     exponential maximum, and a spline antiderivative that turns the mixture
-    integral into a table lookup.  Scalar calls are smooth to machine
-    precision inside each whole-trial piece, which the optimizer's
-    derivative probes rely on; agreement with the direct quadrature forms is
+    integral into a table lookup.  :meth:`series` is the kernel; the
+    one-window readings (:meth:`latency`, :meth:`rate_closed`, ...) read it
+    at a single window.  Agreement with the direct quadrature forms is
     pinned by tests.
     """
 
@@ -533,7 +453,6 @@ class RouteEvaluator:
         pmf = geometric_max_pmf(xs, self.k, self.trial_ok) if self.max_m >= 1 else np.empty(0)
         self._pmf_support = xs[: len(pmf)]
         self._pmf = pmf
-        self._pmf_cum = np.concatenate([[0.0], np.cumsum(pmf)])
         self._xf_cum = np.concatenate([[0.0], np.cumsum(self._pmf_support * pmf)])
 
         self.exp_max_wait = _expected_max_exponential_exact(self.lam)
@@ -552,9 +471,6 @@ class RouteEvaluator:
 
     # -- window pieces -----------------------------------------------------
 
-    def trial_count(self, t: float) -> int:
-        return max_trials(t, self.params.trial_time)
-
     def breakpoints(self) -> np.ndarray:
         """Window values where a new whole trial fits; includes 0 and T."""
         T = self.params.hop_dwell
@@ -564,95 +480,57 @@ class RouteEvaluator:
             js = np.append(js, T)
         return np.unique(js)
 
-    # -- scalar closed forms ------------------------------------------------
-
-    def _miss(self, t, m):
-        beta = np.exp(-self.lam * np.asarray(t))
-        theta = self.trial_fail ** np.asarray(m)
-        return beta + theta - beta * theta
-
-    def branch_probs(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-hop (forward, success, failure) probabilities at one window."""
-        z = self._miss(t, self.trial_count(t))
-        return self.fwd, self.rest * (1.0 - z), self.rest * z
+    # -- one-window readings: size-1 reads of the kernel ---------------------
 
     def hop_latencies(self, t: float) -> np.ndarray:
-        z = self._miss(t, self.trial_count(t))
-        return self.params.hop_dwell + self.rest * self.failure_excess * z
+        return self._hop_stage([t])[2]["hop_latency"][:, 0]
 
     def hop_rates(self, t: float) -> np.ndarray:
-        z = self._miss(t, self.trial_count(t))
-        succ = self.succ_base + self.succ_slope * t
-        fail = self.fail_base + self.fail_slope * t
-        return (
-            self.fwd * self.params.rate_cell
-            + self.rest * (1.0 - z) * succ
-            + self.rest * z * fail
-        )
+        return self._hop_stage([t])[2]["hop_rate"][:, 0]
 
     def latency(self, t: float) -> float:
-        return float(np.sum(self.hop_latencies(t)))
+        return float(self._hop_stage([t])[2]["latency"][0])
 
     def rate_min_of_means(self, t: float) -> float:
-        return float(np.min(self.hop_rates(t)))
-
-    def _mixture_fast(self, t: float, m: int) -> float:
-        """Table-lookup version of the mixture expectation."""
-        params = self.params
-        T = params.hop_dwell
-        amount = params.rate_v2i * (T - t) + params.rate_cell * t
-        sup = amount / (2.0 * T)
-        if sup <= 0.0:
-            return 0.0
-        cap = params.rate_cell
-        J = self._mixture_table
-        mm = min(m, len(self._pmf))
-        if mm >= 1:
-            xs = self._pmf_support[:mm]
-            pmf = self._pmf[:mm]
-            s_rates = (
-                params.rate_v2v * (T - xs * params.trial_time) / T
-                + params.rate_cell * (T - t) / T
-            )
-            leftover = 1.0 - (1.0 - self.trial_fail ** m) ** self.k
-            # Truncated support mass beyond mm is folded into the leftover.
-            leftover += float(self._pmf_cum[-1] - self._pmf_cum[mm]) if m > mm else 0.0
-            caps = np.clip(np.minimum(s_rates, cap), 0.0, sup) / sup
-            val = float(np.sum(pmf * J(caps)))
-        else:
-            leftover = 1.0
-            val = 0.0
-        val += leftover * float(J(min(cap / sup, 1.0)))
-        return sup * val
+        return float(self._hop_stage([t])[2]["rate_min_means"][0])
 
     def rate_closed(self, t: float) -> float:
         """Joint-outcome route rate, identical in value to e2e_rate_closed."""
-        params = self.params
-        if self.all_forward:
-            return params.rate_cell
-        if self.k == 1:
-            # No mixed outcome exists with one hop; the leftover probability
-            # is the courier-forward branch, so the hop mean is the value.
-            return float(self.hop_rates(t)[0])
-        T = params.hop_dwell
-        m = self.trial_count(t)
-        _, p_s, p_f = self.branch_probs(t)
-        p_as = float(np.prod(p_s))
-        p_af = float(np.prod(p_f))
-        p_mix = 1.0 - p_as - p_af
-        total = 0.0
-        if p_as > 0.0 and m >= 1:
-            wait = float(self._xf_cum[min(m, len(self._pmf))]) * params.trial_time
-            total += p_as * (params.rate_v2v * (T - wait) + params.rate_cell * (T - t)) / T
-        if p_af > 0.0:
-            total += p_af * (params.rate_v2i * (T - t) + params.rate_cell * t) / (
-                2.0 * T + self.exp_max_wait
-            )
-        if p_mix > 0.0:
-            total += p_mix * self._mixture_fast(t, m)
-        return total
+        return float(self.series([t])["rate_closed"][0])
 
-    # -- vectorized series ---------------------------------------------------
+    # -- the kernel ------------------------------------------------------------
+
+    def _hop_stage(self, ts) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+        """Per-hop stage of the kernel over a window grid.
+
+        Returns the whole-trial count of every window, the per-hop
+        conditional miss probabilities z as a (k, len(ts)) array, and every
+        reading of :meth:`series` except ``rate_closed``.  Per-hop callers
+        stop here and never pay for the joint-outcome mixture.
+        """
+        params = self.params
+        T = params.hop_dwell
+        ts = np.asarray(ts, dtype=float)
+        if not np.all((ts >= 0.0) & (ts <= T * (1 + 1e-12))):
+            raise ValueError("discovery window t must lie in [0, hop_dwell]")
+        ms = np.floor(ts / params.trial_time + _FLOOR_NUDGE).astype(int)
+        beta = np.exp(-self.lam[:, None] * ts)
+        theta = self.trial_fail ** ms[None, :]
+        z = beta + theta - beta * theta
+        hop_lat = T + self.rest[:, None] * self.failure_excess[:, None] * z
+        succ = self.succ_base[:, None] + self.succ_slope[:, None] * ts[None, :]
+        fail = self.fail_base[:, None] + self.fail_slope[:, None] * ts[None, :]
+        hop_rates = (
+            self.fwd[:, None] * params.rate_cell
+            + self.rest[:, None] * (1.0 - z) * succ
+            + self.rest[:, None] * z * fail
+        )
+        return ms, z, {
+            "latency": hop_lat.sum(axis=0),
+            "rate_min_means": hop_rates.min(axis=0),
+            "hop_latency": hop_lat,
+            "hop_rate": hop_rates,
+        }
 
     def series(self, ts: np.ndarray) -> dict[str, np.ndarray]:
         """Evaluate latency and both rate readings over a window grid.
@@ -668,38 +546,21 @@ class RouteEvaluator:
         params = self.params
         T = params.hop_dwell
         ts = np.asarray(ts, dtype=float)
-        ms = np.floor(ts / params.trial_time + 1e-9).astype(int)
-        beta = np.exp(-np.outer(self.lam, ts))
-        theta = self.trial_fail ** ms[None, :]
-        z = beta + theta - beta * theta
-        hop_lat = T + self.rest[:, None] * self.failure_excess[:, None] * z
-        lat = np.sum(hop_lat, axis=0)
-        succ = self.succ_base[:, None] + self.succ_slope[:, None] * ts[None, :]
-        fail = self.fail_base[:, None] + self.fail_slope[:, None] * ts[None, :]
-        hop_rates = (
-            self.fwd[:, None] * params.rate_cell
-            + self.rest[:, None] * (1.0 - z) * succ
-            + self.rest[:, None] * z * fail
-        )
-        rate_mm = np.min(hop_rates, axis=0)
+        ms, z, out = self._hop_stage(ts)
 
         if self.all_forward or self.k == 1:
             # Degenerate cases: all-forward routes always fall back to the
             # cellular rate; single-hop routes have no mixed outcome, so the
             # hop mean reading is already the joint-outcome value.
-            rate_cf = np.full_like(ts, params.rate_cell) if self.all_forward else hop_rates[0].copy()
-            return {
-                "latency": lat,
-                "rate_closed": rate_cf,
-                "rate_min_means": rate_mm,
-                "hop_latency": hop_lat,
-                "hop_rate": hop_rates,
-            }
+            out["rate_closed"] = (
+                np.full_like(ts, params.rate_cell) if self.all_forward else out["hop_rate"][0].copy()
+            )
+            return out
 
         p_s = self.rest[:, None] * (1.0 - z)
         p_f = self.rest[:, None] * z
-        p_as = np.prod(p_s, axis=0)
-        p_af = np.prod(p_f, axis=0)
+        p_as = p_s.prod(axis=0)
+        p_af = p_f.prod(axis=0)
         p_mix = 1.0 - p_as - p_af
         # all-success term
         mm = np.minimum(ms, len(self._pmf))
@@ -708,37 +569,29 @@ class RouteEvaluator:
         c_as = np.where(ms >= 1, c_as, 0.0)
         # all-failure term
         c_af = (params.rate_v2i * (T - ts) + params.rate_cell * ts) / (2.0 * T + self.exp_max_wait)
-        # mixture by m-piece, vectorized inside each piece
-        c_mix = np.empty_like(ts)
+        # Mixture by m-piece, vectorized inside each piece.  Where the
+        # fallback rate's supremum is zero the mixture rate is zero, and the
+        # table lookup, which divides by the supremum, is skipped.
+        c_mix = np.zeros_like(ts)
         J = self._mixture_table
         cap = params.rate_cell
         amount = params.rate_v2i * (T - ts) + params.rate_cell * ts
         sup = amount / (2.0 * T)
-        for m in np.unique(ms):
-            idx = np.nonzero(ms == m)[0]
+        live = sup > 0.0
+        for m in set(ms[live].tolist()):
+            idx = np.nonzero(live & (ms == m))[0]
             s = sup[idx]
-            mmi = int(min(m, len(self._pmf)))
-            if mmi >= 1:
-                xs = self._pmf_support[:mmi, None]
-                pmf = self._pmf[:mmi, None]
-                s_rates = (
-                    params.rate_v2v * (T - xs * params.trial_time) / T
-                    + params.rate_cell * (T - ts[idx][None, :]) / T
-                )
-                leftover = 1.0 - (1.0 - self.trial_fail ** int(m)) ** self.k
-                caps = np.clip(np.minimum(s_rates, cap), 0.0, s[None, :]) / s[None, :]
-                vals = np.sum(pmf * J(caps), axis=0)
-            else:
-                leftover = 1.0
-                vals = np.zeros(len(idx))
-            vals = vals + leftover * J(np.minimum(cap / s, 1.0))
+            xs = self._pmf_support[: min(m, len(self._pmf)), None]
+            s_rates = (
+                params.rate_v2v * (T - xs * params.trial_time) / T
+                + params.rate_cell * (T - ts[idx][None, :]) / T
+            )
+            # One table lookup per piece: a row per success-bottleneck cap
+            # (none when no whole trial fits), then the leftover mass's cap.
+            caps = np.vstack([np.clip(np.minimum(s_rates, cap), 0.0, s) / s, np.minimum(cap / s, 1.0)])
+            table = J(caps)
+            leftover = 1.0 - (1.0 - self.trial_fail**m) ** self.k
+            vals = (self._pmf[: len(xs), None] * table[:-1]).sum(axis=0) + leftover * table[-1]
             c_mix[idx] = s * vals
-        c_mix = np.where(sup > 0.0, c_mix, 0.0)
-        rate_cf = p_as * c_as + p_af * c_af + p_mix * c_mix
-        return {
-            "latency": lat,
-            "rate_closed": rate_cf,
-            "rate_min_means": rate_mm,
-            "hop_latency": hop_lat,
-            "hop_rate": hop_rates,
-        }
+        out["rate_closed"] = p_as * c_as + p_af * c_af + p_mix * c_mix
+        return out

@@ -7,16 +7,21 @@ The objective trades the end-to-end rate against the end-to-end latency:
     F(t) = weight * rate_norm(t) - (1 - weight) * latency_norm(t)
 
 where both readings are min-max normalized over a shared context so the
-trade-off weight is meaningful across routes.  The objective is piecewise
-smooth in t: every multiple of the trial time admits one more whole trial
-into the window, which moves probability mass between branches in a jump.
-The solver therefore works piece by piece, combining a vectorized
-derivative-sign scan with the piece endpoints and the jump points
-themselves; sign-change brackets are polished by bisection.
+trade-off weight is meaningful across routes.  F is written once, as a
+vectorized function of the readings; the route objective reads them from
+one :meth:`RouteEvaluator.series` call and the per-hop objective from the
+evaluator's hop stage, whether for a whole scan grid or one window.  The
+objective is piecewise smooth in t: every multiple of the trial time admits
+one more whole trial into the window, which moves probability mass between
+branches in a jump.  The solver therefore works piece by piece, combining a
+vectorized derivative-sign scan with the piece endpoints and the jump points
+themselves; sign-change brackets are polished by bisection, each
+central-difference probe being one 2-point read of the objective.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -172,6 +177,22 @@ def build_normalization(
     return NormalizationContext(lat_lo, lat_hi, rate_lo, rate_hi)
 
 
+def _trade_off(rate, latency, context: NormalizationContext, weight: float):
+    """F = weight * rate_norm - (1 - weight) * latency_norm, elementwise."""
+    return weight * context.rate_norm(rate) - (1.0 - weight) * context.latency_norm(latency)
+
+
+def _route_objective_series(
+    evaluator: RouteEvaluator,
+    ts: np.ndarray,
+    context: NormalizationContext,
+    weight: float,
+) -> np.ndarray:
+    """Route objective over a window grid: one kernel call."""
+    out = evaluator.series(ts)
+    return _trade_off(out["rate_closed"], out["latency"], context, weight)
+
+
 def weighted_objective(
     evaluator: RouteEvaluator,
     t: float,
@@ -180,9 +201,7 @@ def weighted_objective(
 ) -> float:
     """Normalized trade-off value at one window position."""
     w = evaluator.params.weight if weight is None else weight
-    rate = evaluator.rate_closed(t)
-    lat = evaluator.latency(t)
-    return w * context.rate_norm(rate) - (1.0 - w) * context.latency_norm(lat)
+    return float(_route_objective_series(evaluator, [t], context, w)[0])
 
 
 def _bisect_sign_change(
@@ -206,21 +225,23 @@ def _bisect_sign_change(
 def _maximize_scan(
     grid: _ScanGrid,
     values: np.ndarray,
-    scalar_value: Callable[[float], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     T: float,
 ) -> tuple[float, float]:
     """Best window from grid values plus bisection of interior sign changes.
 
-    ``values`` are the objective readings over ``grid.ts``; interior maxima
-    are bracketed by first differences of each piece's samples and polished
-    by bisection on the scalar objective.
+    ``values`` are the readings of ``objective``, which maps a window array
+    to objective values, over ``grid.ts``.  Interior maxima are bracketed by
+    first differences of each piece's samples and polished by bisection;
+    each central-difference probe is one 2-point read at (x - h, x + h).
     """
     h = grid.probe
     tol = _REL_T_TOL * T
     candidates: list[tuple[float, float]] = [(float(t), float(v)) for t, v in zip(grid.ts, values)]
 
     def deriv(x: float) -> float:
-        return (scalar_value(x + h) - scalar_value(x - h)) / (2 * h)
+        lo, hi = objective(np.array([x - h, x + h]))
+        return (hi - lo) / (2 * h)
 
     for row in grid.pieces:
         idx = row[row >= 0]
@@ -238,25 +259,13 @@ def _maximize_scan(
                 hi = min(float(xs[i + 2]), T - h)
                 if lo < hi:
                     t_star = _bisect_sign_change(deriv, lo, hi, tol)
-                    candidates.append((t_star, scalar_value(t_star)))
+                    candidates.append((t_star, float(objective(np.array([t_star]))[0])))
     best_t, best_val = 0.0, -math.inf
     for t, v in candidates:
         t = min(max(t, 0.0), T)
         if v > best_val + 1e-15 or (abs(v - best_val) <= 1e-15 and t < best_t):
             best_val, best_t = v, t
     return best_t, best_val
-
-
-def _route_objective_series(
-    evaluator: RouteEvaluator,
-    ts: np.ndarray,
-    context: NormalizationContext,
-    weight: float,
-) -> np.ndarray:
-    out = evaluator.series(ts)
-    return weight * context.rate_norm(out["rate_closed"]) - (1.0 - weight) * context.latency_norm(
-        out["latency"]
-    )
 
 
 def _best_window(
@@ -267,13 +276,8 @@ def _best_window(
 ) -> tuple[float, float]:
     """Best shared window and objective for one route under a context."""
     g = grid or _scan_grid(evaluator)
-    values = _route_objective_series(evaluator, g.ts, context, weight)
-    return _maximize_scan(
-        g,
-        values,
-        lambda t: weighted_objective(evaluator, t, context, weight),
-        evaluator.params.hop_dwell,
-    )
+    objective = functools.partial(_route_objective_series, evaluator, context=context, weight=weight)
+    return _maximize_scan(g, objective(g.ts), objective, evaluator.params.hop_dwell)
 
 
 def solve_global(
@@ -326,7 +330,7 @@ def _best_hop_windows(evaluator: RouteEvaluator, weight: float) -> tuple[float, 
     the rest of the route) and maximizes the same weighted trade-off.
     """
     grid = _scan_grid(evaluator)
-    out = evaluator.series(grid.ts)
+    out = evaluator._hop_stage(grid.ts)[2]
     T = evaluator.params.hop_dwell
     windows = []
     for hidx in range(evaluator.k):
@@ -335,14 +339,12 @@ def _best_hop_windows(evaluator: RouteEvaluator, weight: float) -> tuple[float, 
         ctx = NormalizationContext(
             float(lats.min()), float(lats.max()), float(rates.min()), float(rates.max())
         )
-        values = weight * ctx.rate_norm(rates) - (1.0 - weight) * ctx.latency_norm(lats)
 
-        def scalar_value(t: float, hidx=hidx, ctx=ctx) -> float:
-            lat = float(evaluator.hop_latencies(t)[hidx])
-            rate = float(evaluator.hop_rates(t)[hidx])
-            return weight * ctx.rate_norm(rate) - (1.0 - weight) * ctx.latency_norm(lat)
+        def objective(ts: np.ndarray, hidx=hidx, ctx=ctx) -> np.ndarray:
+            hop = evaluator._hop_stage(ts)[2]
+            return _trade_off(hop["hop_rate"][hidx], hop["hop_latency"][hidx], ctx, weight)
 
-        t_h, _ = _maximize_scan(grid, values, scalar_value, T)
+        t_h, _ = _maximize_scan(grid, _trade_off(rates, lats, ctx, weight), objective, T)
         windows.append(t_h)
     return tuple(windows)
 
@@ -371,8 +373,7 @@ def solve_distributed(
     def aggregate(ev: RouteEvaluator, windows: tuple[float, ...]) -> tuple[float, float, float]:
         lat = float(sum(ev.hop_latencies(t)[h] for h, t in enumerate(windows)))
         rate = float(min(ev.hop_rates(t)[h] for h, t in enumerate(windows)))
-        val = w * ctx.rate_norm(rate) - (1.0 - w) * ctx.latency_norm(lat)
-        return val, lat, rate
+        return _trade_off(rate, lat, ctx, w), lat, rate
 
     per_route: list[tuple[tuple[float, ...], float]] = []
     best = (-math.inf, -1)

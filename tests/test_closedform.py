@@ -2,7 +2,8 @@
 
 Every derived quantity is checked against an independent oracle: a frozen
 hand computation, a sampling experiment, or a second implementation route
-(quadrature vs. inclusion-exclusion, scalar vs. vectorized evaluator).
+(quadrature vs. inclusion-exclusion, the model's branch-weighted scalars
+and the quadrature forms vs. the evaluator's kernel).
 """
 
 import math
@@ -21,6 +22,7 @@ from v2xdelivery import (
     SystemParams,
     e2e_latency_closed,
     e2e_rate_closed,
+    e2e_rate_min_of_means,
     expectation_from_survival,
     expected_e2e_latency,
     expected_hop_latency,
@@ -32,8 +34,6 @@ from v2xdelivery import (
     expected_rate_mixture,
     exponential_max_pdf,
     geometric_max_pmf,
-    hop_latency_closed,
-    hop_rate_closed,
     max_trials,
     rate_decomposition,
     scenario_probabilities,
@@ -42,14 +42,15 @@ from v2xdelivery.closedform import _expected_max_exponential_exact
 
 
 class TestHopReformulation:
-    """The coefficient split must equal the direct branch-weighted forms."""
+    """The evaluator's coefficient split must equal the direct branch-weighted forms."""
 
     def test_latency_identity(self, coarse_params):
         rng = np.random.default_rng(3)
         for _ in range(10):
             hop = Hop(float(rng.uniform(0.05, 0.3)), int(rng.choice([1, 2, 3])))
+            ev = RouteEvaluator(Route(hops=(hop,)), coarse_params)
             for t in window_grid(coarse_params, 100):
-                assert hop_latency_closed(hop, t, coarse_params) == pytest.approx(
+                assert ev.hop_latencies(t)[0] == pytest.approx(
                     expected_hop_latency(hop, t, coarse_params), abs=1e-12
                 )
 
@@ -57,8 +58,9 @@ class TestHopReformulation:
         rng = np.random.default_rng(4)
         for _ in range(10):
             hop = Hop(float(rng.uniform(0.05, 0.3)), int(rng.choice([1, 2, 3])))
+            ev = RouteEvaluator(Route(hops=(hop,)), coarse_params)
             for t in window_grid(coarse_params, 100):
-                assert hop_rate_closed(hop, t, coarse_params) == pytest.approx(
+                assert ev.hop_rates(t)[0] == pytest.approx(
                     expected_hop_rate(hop, t, coarse_params), abs=1e-12
                 )
 
@@ -385,15 +387,39 @@ class TestRouteEvaluator:
         assert np.all(np.diff(edges) > 0)
 
     def test_scalar_calls_match_canonical_functions(self, params, grid_routes):
-        for route in grid_routes[:3]:
-            ev = RouteEvaluator(route, params)
-            for t in (0.0, 0.05, 3.7, 8.0, 19.99, 20.0):
-                assert ev.latency(t) == pytest.approx(
-                    expected_e2e_latency(route, t, params), abs=1e-9
-                )
-                assert ev.rate_closed(t) == pytest.approx(
-                    e2e_rate_closed(route, t, params), rel=1e-9, abs=1e-12
-                )
+        rng = np.random.default_rng(64)
+        all_forward = Route(hops=tuple(Hop(0.1, 1, rsu_id=f"d{i}") for i in range(3)))
+        single = Route(hops=(Hop(0.12, 3, rsu_id="solo"),))
+        stock_ts = (0.0, 0.05, 3.7, 8.0, 19.99, 20.0)
+        # (params, routes, extra windows): the stock case plus the parameter
+        # extremes whose degenerate branches the one-window readings now take.
+        cases = [
+            (params, grid_routes[:3], stock_ts),
+            (SystemParams(decode_error=0.0), [grid_routes[0]], stock_ts),
+            (SystemParams(trial_time=20.0), [grid_routes[0], single], (0.05, 10.0, 19.99)),
+            (SystemParams(rate_v2i=0.0), [grid_routes[0]], stock_ts),
+            (SystemParams(rate_cell=0.0), [grid_routes[0]], stock_ts),
+            (params, [all_forward, single], stock_ts),
+            (SystemParams(trial_time=2.5), [make_route(rng, k=4)], (1.0, 12.6)),
+        ]
+        for case_params, routes, extra in cases:
+            for route in routes:
+                ev = RouteEvaluator(route, case_params)
+                # Every whole-trial edge once the trials are coarse, a sample
+                # of them otherwise; the edges include both window ends.
+                edges = ev.breakpoints()
+                ts = np.union1d(edges[:: max(1, len(edges) // 8)], list(extra) + [float(edges[-1])])
+                for t in ts:
+                    t = float(t)
+                    assert ev.latency(t) == pytest.approx(
+                        expected_e2e_latency(route, t, case_params), abs=1e-9
+                    )
+                    assert ev.rate_closed(t) == pytest.approx(
+                        e2e_rate_closed(route, t, case_params), rel=1e-9, abs=1e-12
+                    )
+                    assert ev.rate_min_of_means(t) == pytest.approx(
+                        e2e_rate_min_of_means(route, t, case_params), abs=1e-12
+                    )
 
     def test_series_matches_scalar_calls(self, params):
         rng = np.random.default_rng(62)
@@ -402,13 +428,42 @@ class TestRouteEvaluator:
         # Mix of arbitrary points and exact whole-trial edges.
         ts = np.union1d(np.linspace(0.0, 20.0, 111), np.arange(0.0, 20.5, 2.5))
         out = ev.series(ts)
-        for i in (0, 17, 63, len(ts) - 1):
-            t = float(ts[i])
-            assert out["latency"][i] == pytest.approx(ev.latency(t), abs=1e-12)
-            assert out["rate_closed"][i] == pytest.approx(ev.rate_closed(t), abs=1e-10)
-            assert out["rate_min_means"][i] == pytest.approx(ev.rate_min_of_means(t), abs=1e-12)
-            np.testing.assert_allclose(out["hop_latency"][:, i], ev.hop_latencies(t), atol=1e-12)
-            np.testing.assert_allclose(out["hop_rate"][:, i], ev.hop_rates(t), atol=1e-12)
+        for i, t in enumerate(ts.tolist()):
+            assert out["latency"][i] == pytest.approx(expected_e2e_latency(route, t, params), abs=1e-12)
+            assert out["rate_closed"][i] == pytest.approx(
+                e2e_rate_closed(route, t, params), rel=1e-9, abs=1e-12
+            )
+            assert out["rate_min_means"][i] == pytest.approx(
+                e2e_rate_min_of_means(route, t, params), abs=1e-12
+            )
+            np.testing.assert_allclose(
+                out["hop_latency"][:, i], [expected_hop_latency(h, t, params) for h in route.hops], atol=1e-12
+            )
+            np.testing.assert_allclose(
+                out["hop_rate"][:, i], [expected_hop_rate(h, t, params) for h in route.hops], atol=1e-12
+            )
+
+    @pytest.mark.parametrize("override, t", [({"rate_v2i": 0.0}, 0.0), ({"rate_cell": 0.0}, 20.0)])
+    def test_zero_fallback_supremum_raises_no_warning(self, override, t):
+        # The mixture's table lookup divides by the fallback rate's supremum,
+        # which is zero here; the kernel must skip it rather than mask it.
+        params = SystemParams(**override)
+        route = make_route(np.random.default_rng(63), k=3)
+        ev = RouteEvaluator(route, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ev.series(np.array([t, 10.0]))
+            value = ev.rate_closed(t)
+        assert out["rate_closed"][0] == value
+        assert value == pytest.approx(e2e_rate_closed(route, t, params), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [-0.5, 20.5, math.nan])
+    def test_window_outside_the_dwell_rejected(self, params, t):
+        ev = RouteEvaluator(make_route(np.random.default_rng(65), k=3), params)
+        with pytest.raises(ValueError):
+            ev.series(np.array([0.0, t]))
+        with pytest.raises(ValueError):
+            ev.latency(t)
 
     def test_hop_readings_match_the_hop_model(self, params, grid_routes):
         route = grid_routes[0]
