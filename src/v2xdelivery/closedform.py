@@ -185,21 +185,19 @@ def expected_max_exponential(rates: Sequence[float]) -> float:
 
 def _expected_max_exponential_exact(rates: Sequence[float]) -> float:
     # Inclusion-exclusion over subsets; exact, used by RouteEvaluator and as
-    # a cross-check of the quadrature route.  Fine for the short routes here.
+    # a cross-check of the quadrature route.  O(2^k) in time and memory.
     mus = list(rates)
-    k = len(mus)
-    if k > 20:
+    if len(mus) > 20:
         raise ValueError("inclusion-exclusion limited to 20 rates")
-    total = 0.0
-    for mask in range(1, 1 << k):
-        s = 0.0
-        bits = 0
-        for i in range(k):
-            if mask >> i & 1:
-                s += mus[i]
-                bits += 1
-        total += (1.0 if bits % 2 else -1.0) / s
-    return total
+    # Entry `mask` belongs to the subset of mask's set bits: its rate sum,
+    # added in increasing bit order, and its inclusion-exclusion sign.
+    sums = np.zeros(1)
+    signs = -np.ones(1)
+    for mu in mus:
+        sums = np.concatenate([sums, sums + mu])
+        signs = np.concatenate([signs, -signs])
+    # cumsum adds the terms one at a time in mask order.
+    return float(np.cumsum(signs[1:] / sums[1:])[-1]) if mus else 0.0
 
 
 def expectation_from_survival(
@@ -408,6 +406,21 @@ def rate_decomposition(route: Route, t: float, params: SystemParams) -> RateDeco
     return RateDecomposition(p_as, p_af, p_mix, c_as, c_af, c_mix)
 
 
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Column sums added row by row: a column's bits never depend on the batch."""
+    return np.cumsum(a, axis=0)[-1].copy()  # a copy frees the running sums
+
+
+def _breakpoints(params: SystemParams) -> np.ndarray:
+    """Window values where a new whole trial fits; includes 0 and T."""
+    T = params.hop_dwell
+    js = np.arange(max_trials(T, params.trial_time) + 1, dtype=float) * params.trial_time
+    js = np.minimum(js, T)
+    if js[-1] < T:
+        js = np.append(js, T)
+    return np.unique(js)
+
+
 class RouteEvaluator:
     """Vectorized evaluator of one route's closed forms over many windows.
 
@@ -454,6 +467,10 @@ class RouteEvaluator:
         self._pmf_support = xs[: len(pmf)]
         self._pmf = pmf
         self._xf_cum = np.concatenate([[0.0], np.cumsum(self._pmf_support * pmf)])
+        # Mass of the max trial count beyond m, for every m the kernel takes,
+        # by Python's scalar ** (NumPy's array ** can differ in the last bit).
+        m_top = max_trials(T * (1 + 1e-12), params.trial_time)
+        self._leftover = np.array([1.0 - (1.0 - self.trial_fail**m) ** self.k for m in range(m_top + 1)])
 
         self.exp_max_wait = _expected_max_exponential_exact(self.lam)
 
@@ -473,12 +490,7 @@ class RouteEvaluator:
 
     def breakpoints(self) -> np.ndarray:
         """Window values where a new whole trial fits; includes 0 and T."""
-        T = self.params.hop_dwell
-        js = np.arange(self.max_m + 1, dtype=float) * self.params.trial_time
-        js = np.minimum(js, T)
-        if js[-1] < T:
-            js = np.append(js, T)
-        return np.unique(js)
+        return _breakpoints(self.params)
 
     # -- one-window readings: size-1 reads of the kernel ---------------------
 
@@ -526,7 +538,7 @@ class RouteEvaluator:
             + self.rest[:, None] * z * fail
         )
         return ms, z, {
-            "latency": hop_lat.sum(axis=0),
+            "latency": _sum_rows(hop_lat),
             "rate_min_means": hop_rates.min(axis=0),
             "hop_latency": hop_lat,
             "hop_rate": hop_rates,
@@ -557,10 +569,8 @@ class RouteEvaluator:
             )
             return out
 
-        p_s = self.rest[:, None] * (1.0 - z)
-        p_f = self.rest[:, None] * z
-        p_as = p_s.prod(axis=0)
-        p_af = p_f.prod(axis=0)
+        p_as = (self.rest[:, None] * (1.0 - z)).prod(axis=0)
+        p_af = (self.rest[:, None] * z).prod(axis=0)
         p_mix = 1.0 - p_as - p_af
         # all-success term
         mm = np.minimum(ms, len(self._pmf))
@@ -569,29 +579,25 @@ class RouteEvaluator:
         c_as = np.where(ms >= 1, c_as, 0.0)
         # all-failure term
         c_af = (params.rate_v2i * (T - ts) + params.rate_cell * ts) / (2.0 * T + self.exp_max_wait)
-        # Mixture by m-piece, vectorized inside each piece.  Where the
-        # fallback rate's supremum is zero the mixture rate is zero, and the
-        # table lookup, which divides by the supremum, is skipped.
+        # Mixture over every trial-count piece in one table lookup.  Row x
+        # caps the success bottleneck at x trials and counts where x <= m;
+        # the last row caps the leftover mass.  Where the fallback rate's
+        # supremum is zero the mixture rate is zero, and the lookup, which
+        # divides by the supremum, is skipped.
         c_mix = np.zeros_like(ts)
-        J = self._mixture_table
         cap = params.rate_cell
         amount = params.rate_v2i * (T - ts) + params.rate_cell * ts
         sup = amount / (2.0 * T)
         live = sup > 0.0
-        for m in set(ms[live].tolist()):
-            idx = np.nonzero(live & (ms == m))[0]
-            s = sup[idx]
-            xs = self._pmf_support[: min(m, len(self._pmf)), None]
-            s_rates = (
-                params.rate_v2v * (T - xs * params.trial_time) / T
-                + params.rate_cell * (T - ts[idx][None, :]) / T
-            )
-            # One table lookup per piece: a row per success-bottleneck cap
-            # (none when no whole trial fits), then the leftover mass's cap.
-            caps = np.vstack([np.clip(np.minimum(s_rates, cap), 0.0, s) / s, np.minimum(cap / s, 1.0)])
-            table = J(caps)
-            leftover = 1.0 - (1.0 - self.trial_fail**m) ** self.k
-            vals = (self._pmf[: len(xs), None] * table[:-1]).sum(axis=0) + leftover * table[-1]
-            c_mix[idx] = s * vals
+        s, m = sup[live], ms[live]
+        xs = self._pmf_support[:, None]
+        s_rates = (
+            params.rate_v2v * (T - xs * params.trial_time) / T
+            + params.rate_cell * (T - ts[live][None, :]) / T
+        )
+        caps = np.vstack([np.clip(np.minimum(s_rates, cap), 0.0, s) / s, np.minimum(cap / s, 1.0)])
+        table = self._mixture_table(caps)
+        terms = np.where(xs <= m, self._pmf[:, None] * table[:-1], 0.0)
+        c_mix[live] = s * (_sum_rows(terms) + self._leftover[m] * table[-1])
         out["rate_closed"] = p_as * c_as + p_af * c_af + p_mix * c_mix
         return out

@@ -13,10 +13,12 @@ one :meth:`RouteEvaluator.series` call and the per-hop objective from the
 evaluator's hop stage, whether for a whole scan grid or one window.  The
 objective is piecewise smooth in t: every multiple of the trial time admits
 one more whole trial into the window, which moves probability mass between
-branches in a jump.  The solver therefore works piece by piece, combining a
-vectorized derivative-sign scan with the piece endpoints and the jump points
-themselves; sign-change brackets are polished by bisection, each
-central-difference probe being one 2-point read of the objective.
+branches in a jump.  The pieces depend only on the parameters, so a solve
+builds one scan grid (piece edges, interiors, insets) for every route and
+reads each route's kernel over it once, for the envelope and the search
+alike.  Derivative-sign changes are bracketed over all pieces in one array
+pass and polished by bisection, each central-difference probe being one
+2-point read of the objective.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .closedform import RouteEvaluator
+from .closedform import RouteEvaluator, _breakpoints
 from .model import Route, SystemParams
 
 __all__ = [
@@ -49,6 +51,8 @@ _REL_T_TOL = 1e-9
 _REL_PROBE = 1e-4
 # Interior sample count per smooth piece in the scan grids.
 _PIECE_SAMPLES = 7
+# Objective values closer than this tie in the solvers' selection rules.
+_TIE = 1e-15
 
 
 @dataclass(frozen=True)
@@ -105,47 +109,44 @@ class DistributedOutcome:
 
 @dataclass(frozen=True)
 class _ScanGrid:
-    """Piecewise sample grid of one evaluator: edges, insets, interiors."""
+    """Piecewise sample grid over [0, T]: edges, insets, interiors."""
 
     ts: np.ndarray
     pieces: np.ndarray  # (pieces, _PIECE_SAMPLES + 2) indices, -1 where absent
-    edges: np.ndarray
     probe: float
 
 
-def _scan_grid(evaluator: RouteEvaluator) -> _ScanGrid:
+def _scan_grid(params: SystemParams) -> _ScanGrid:
     """Sample grid holding, per smooth piece [a, b): the left edge a, up to
     _PIECE_SAMPLES interior points, and the inset b - probe standing in for
-    the left limit at b; plus the domain end T."""
-    T = evaluator.params.hop_dwell
-    h = _REL_PROBE * evaluator.params.trial_time
-    edges = evaluator.breakpoints()
-    ts: list[float] = []
-    rows: list[list[int]] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        a, b = float(a), float(b)
-        # Row = [edge, interiors..., inset] so sign-change bracketing sees the
-        # whole piece; a peak between the edge and the first interior sample
-        # would otherwise never produce a rising difference.
-        row = [-1] * (_PIECE_SAMPLES + 2)
-        row[0] = len(ts)
-        ts.append(a)
-        if b - a >= 6 * h:
-            xs = np.linspace(a + 2 * h, b - 2 * h, _PIECE_SAMPLES)
-            for i, x in enumerate(xs):
-                row[1 + i] = len(ts)
-                ts.append(float(x))
-        if b - h > a:
-            row[-1] = len(ts)
-            ts.append(b - h)
-        rows.append(row)
-    ts.append(T)
-    return _ScanGrid(
-        ts=np.asarray(ts),
-        pieces=np.asarray(rows, dtype=int),
-        edges=np.asarray(edges, dtype=float),
-        probe=h,
-    )
+    the left limit at b; plus the domain end T.  It depends only on the
+    parameters, so one grid serves every route of a solve."""
+    h = _REL_PROBE * params.trial_time
+    edges = _breakpoints(params)
+    a, b = edges[:-1], edges[1:]
+    # Row = [edge, interiors..., inset] so sign-change bracketing sees the
+    # whole piece; a peak between the edge and the first interior sample
+    # would otherwise never produce a rising difference.
+    wide = b - a >= 6 * h
+    samples = np.empty((len(a), _PIECE_SAMPLES + 2))
+    samples[:, 0] = a
+    samples[wide, 1:-1] = np.linspace(a[wide] + 2 * h, b[wide] - 2 * h, _PIECE_SAMPLES, axis=1)
+    samples[:, -1] = b - h
+    present = np.ones(samples.shape, dtype=bool)
+    present[:, 1:-1] = wide[:, None]
+    present[:, -1] = b - h > a
+    pieces = np.where(present, np.cumsum(present).reshape(present.shape) - 1, -1)
+    return _ScanGrid(ts=np.append(samples[present], params.hop_dwell), pieces=pieces, probe=h)
+
+
+def _widen(envelope: list[float], out: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Widen [latency_min, latency_max, rate_min, rate_max] over one grid
+    read; return its (rate_closed, latency), all a search keeps of it."""
+    envelope[0] = min(envelope[0], float(out["latency"].min()))
+    envelope[1] = max(envelope[1], float(out["latency"].max()))
+    envelope[2] = min(envelope[2], float(out["rate_closed"].min()), float(out["hop_rate"].min()))
+    envelope[3] = max(envelope[3], float(out["rate_closed"].max()), float(out["hop_rate"].max()))
+    return out["rate_closed"], out["latency"]
 
 
 def build_normalization(
@@ -164,17 +165,11 @@ def build_normalization(
     if not routes:
         raise ValueError("need at least one route")
     evs = list(evaluators) if evaluators is not None else [RouteEvaluator(r, params) for r in routes]
-    lat_lo = math.inf
-    lat_hi = -math.inf
-    rate_lo = math.inf
-    rate_hi = -math.inf
+    ts = _scan_grid(params).ts
+    envelope = [math.inf, -math.inf, math.inf, -math.inf]
     for ev in evs:
-        out = ev.series(_scan_grid(ev).ts)
-        lat_lo = min(lat_lo, float(out["latency"].min()))
-        lat_hi = max(lat_hi, float(out["latency"].max()))
-        rate_lo = min(rate_lo, float(out["rate_closed"].min()), float(out["hop_rate"].min()))
-        rate_hi = max(rate_hi, float(out["rate_closed"].max()), float(out["hop_rate"].max()))
-    return NormalizationContext(lat_lo, lat_hi, rate_lo, rate_hi)
+        _widen(envelope, ev.series(ts))
+    return NormalizationContext(*envelope)
 
 
 def _trade_off(rate, latency, context: NormalizationContext, weight: float):
@@ -232,52 +227,56 @@ def _maximize_scan(
 
     ``values`` are the readings of ``objective``, which maps a window array
     to objective values, over ``grid.ts``.  Interior maxima are bracketed by
-    first differences of each piece's samples and polished by bisection;
-    each central-difference probe is one 2-point read at (x - h, x + h).
+    first differences of each piece's samples, all pieces in one array pass,
+    and polished by bisection; each central-difference probe is one 2-point
+    read at (x - h, x + h).
     """
     h = grid.probe
     tol = _REL_T_TOL * T
-    candidates: list[tuple[float, float]] = [(float(t), float(v)) for t, v in zip(grid.ts, values)]
 
     def deriv(x: float) -> float:
         lo, hi = objective(np.array([x - h, x + h]))
         return (hi - lo) / (2 * h)
 
-    for row in grid.pieces:
-        idx = row[row >= 0]
-        if len(idx) < 3:
-            continue
-        xs = grid.ts[idx]
-        vs = values[idx]
-        d = np.diff(vs)
-        for i in range(len(d) - 1):
-            if d[i] > 0.0 >= d[i + 1]:
-                # Keep the bracket one probe inside the domain so the central
-                # difference never reads past it; the raw samples already
-                # cover a peak hiding in that sliver.
-                lo = max(float(xs[i]), h)
-                hi = min(float(xs[i + 2]), T - h)
-                if lo < hi:
-                    t_star = _bisect_sign_change(deriv, lo, hi, tol)
-                    candidates.append((t_star, float(objective(np.array([t_star]))[0])))
+    # Rows with an absent sample hold at most two, too few to bracket.
+    rows = grid.pieces[(grid.pieces >= 0).all(axis=1)]
+    d = np.diff(values[rows], axis=1)
+    peaks: list[float] = []
+    for r, i in zip(*np.nonzero((d[:, :-1] > 0.0) & (d[:, 1:] <= 0.0))):
+        # Keep the bracket one probe inside the domain so the central
+        # difference never reads past it; the raw samples already cover a
+        # peak hiding in that sliver.
+        lo = max(float(grid.ts[rows[r, i]]), h)
+        hi = min(float(grid.ts[rows[r, i + 2]]), T - h)
+        if lo < hi:
+            peaks.append(_bisect_sign_change(deriv, lo, hi, tol))
+    if peaks:  # one read polishes them all; a window reads alike in any batch
+        values = np.append(values, objective(np.array(peaks)))
+    return _winner(np.append(grid.ts, peaks), values, T)
+
+
+def _winner(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float]:
+    """Window and value the tie-tolerant rule picks from candidates in order.
+
+    The rule walks the candidates and moves to one that beats the best so
+    far by more than _TIE, or ties it within _TIE at a smaller window.  It
+    runs on the candidates within (N + 2)(_TIE + d) of the top value M alone,
+    N being the candidate count and d a few ulps at M that absorb rounding.
+    Exact: at most N kept values split that width into at most N spans, so
+    one span, wider than _TIE + d, holds no value inside.  Every value above
+    it beats every value below it, and none below ties or beats one above;
+    so both walks, once at their first value above it, move only among the
+    values above it, alike.  A NaN value or cut keeps every candidate.
+    """
+    top = np.max(values)
+    cut = top - (len(values) + 2) * (_TIE + 4 * np.spacing(abs(top) + 1.0))
+    keep = ~(values < cut)
     best_t, best_val = 0.0, -math.inf
-    for t, v in candidates:
+    for t, v in zip(ts[keep].tolist(), values[keep].tolist()):
         t = min(max(t, 0.0), T)
-        if v > best_val + 1e-15 or (abs(v - best_val) <= 1e-15 and t < best_t):
+        if v > best_val + _TIE or (abs(v - best_val) <= _TIE and t < best_t):
             best_val, best_t = v, t
     return best_t, best_val
-
-
-def _best_window(
-    evaluator: RouteEvaluator,
-    context: NormalizationContext,
-    weight: float,
-    grid: _ScanGrid | None = None,
-) -> tuple[float, float]:
-    """Best shared window and objective for one route under a context."""
-    g = grid or _scan_grid(evaluator)
-    objective = functools.partial(_route_objective_series, evaluator, context=context, weight=weight)
-    return _maximize_scan(g, objective(g.ts), objective, evaluator.params.hop_dwell)
 
 
 def solve_global(
@@ -299,15 +298,18 @@ def solve_global(
     if not 0.0 <= w <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
     evaluators = [RouteEvaluator(r, params) for r in routes]
-    ctx = context or build_normalization(routes, params, evaluators)
+    grid = _scan_grid(params)
+    # One grid read per route serves both the envelope and the search.
+    envelope = [math.inf, -math.inf, math.inf, -math.inf]
+    reads = [_widen(envelope, ev.series(grid.ts)) for ev in evaluators]
+    ctx = context or NormalizationContext(*envelope)
     per_route: list[tuple[float, float]] = []
     best = (-math.inf, math.inf, -1)  # value, window, index
-    for i, ev in enumerate(evaluators):
-        t_i, val_i = _best_window(ev, ctx, w)
+    for i, (ev, (rate, lat)) in enumerate(zip(evaluators, reads)):
+        objective = functools.partial(_route_objective_series, ev, context=ctx, weight=w)
+        t_i, val_i = _maximize_scan(grid, _trade_off(rate, lat, ctx, w), objective, params.hop_dwell)
         per_route.append((t_i, val_i))
-        if val_i > best[0] + 1e-15 or (
-            abs(val_i - best[0]) <= 1e-15 and (t_i, i) < (best[1], best[2])
-        ):
+        if val_i > best[0] + _TIE or (abs(val_i - best[0]) <= _TIE and (t_i, i) < (best[1], best[2])):
             best = (val_i, t_i, i)
     val, t_star, idx = best
     ev = evaluators[idx]
@@ -323,19 +325,18 @@ def solve_global(
     )
 
 
-def _best_hop_windows(evaluator: RouteEvaluator, weight: float) -> tuple[float, ...]:
+def _best_hop_windows(
+    evaluator: RouteEvaluator, grid: _ScanGrid, read: dict[str, np.ndarray], weight: float
+) -> tuple[float, ...]:
     """Window each hop picks from its own readings alone.
 
-    Every hop normalizes over its own reading range (a hop knows nothing of
-    the rest of the route) and maximizes the same weighted trade-off.
+    ``read`` holds the evaluator's per-hop readings over ``grid.ts``.  Every
+    hop normalizes over its own reading range (a hop knows nothing of the
+    rest of the route) and maximizes the same weighted trade-off.
     """
-    grid = _scan_grid(evaluator)
-    out = evaluator._hop_stage(grid.ts)[2]
     T = evaluator.params.hop_dwell
     windows = []
-    for hidx in range(evaluator.k):
-        lats = out["hop_latency"][hidx]
-        rates = out["hop_rate"][hidx]
+    for hidx, (lats, rates) in enumerate(zip(read["hop_latency"], read["hop_rate"])):
         ctx = NormalizationContext(
             float(lats.min()), float(lats.max()), float(rates.min()), float(rates.max())
         )
@@ -368,20 +369,33 @@ def solve_distributed(
     if not 0.0 <= w <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
     evaluators = [RouteEvaluator(r, params) for r in routes]
-    ctx = context or build_normalization(routes, params, evaluators)
+    grid = _scan_grid(params)
+    # One grid read per route picks the hop windows and, without a given
+    # context, widens the envelope; with one, the hop stage alone is read.
+    envelope = [math.inf, -math.inf, math.inf, -math.inf]
+    hop_windows = []
+    for ev in evaluators:
+        if context is None:
+            read = ev.series(grid.ts)
+            _widen(envelope, read)
+        else:
+            read = ev._hop_stage(grid.ts)[2]
+        hop_windows.append(_best_hop_windows(ev, grid, read, w))
+    ctx = context or NormalizationContext(*envelope)
 
     def aggregate(ev: RouteEvaluator, windows: tuple[float, ...]) -> tuple[float, float, float]:
-        lat = float(sum(ev.hop_latencies(t)[h] for h, t in enumerate(windows)))
-        rate = float(min(ev.hop_rates(t)[h] for h, t in enumerate(windows)))
+        # One read at all k windows: hop h at its own window is entry (h, h).
+        hop = ev._hop_stage(windows)[2]
+        lat = float(sum(np.diagonal(hop["hop_latency"]).tolist()))
+        rate = float(min(np.diagonal(hop["hop_rate"]).tolist()))
         return _trade_off(rate, lat, ctx, w), lat, rate
 
     per_route: list[tuple[tuple[float, ...], float]] = []
     best = (-math.inf, -1)
-    for i, ev in enumerate(evaluators):
-        windows = _best_hop_windows(ev, w)
+    for i, (ev, windows) in enumerate(zip(evaluators, hop_windows)):
         val, _, _ = aggregate(ev, windows)
         per_route.append((windows, val))
-        if val > best[0] + 1e-15:
+        if val > best[0] + _TIE:
             best = (val, i)
     val, idx = best
     windows = per_route[idx][0]

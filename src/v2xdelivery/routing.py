@@ -29,7 +29,6 @@ from .optimize import (
     DistributedOutcome,
     NormalizationContext,
     OptimizationOutcome,
-    build_normalization,
     solve_distributed,
     solve_global,
 )
@@ -287,7 +286,5 @@ def distributed_routing(
 ) -> tuple[Route, DistributedOutcome]:
     """Best route under per-hop window selection, on the shared scale."""
     routes = enumerate_routes(topology, source, dest, max_hops)
-    if context is None:
-        context = build_normalization(routes, params)
     outcome = solve_distributed(routes, params, weight=weight, context=context)
     return routes[outcome.route_index], outcome

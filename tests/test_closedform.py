@@ -176,6 +176,24 @@ class TestExponentialMax:
             exact = _expected_max_exponential_exact(rates)
             assert quad_val == pytest.approx(exact, rel=1e-6)
 
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_exact_form_matches_the_subset_loop(self, k):
+        rates = np.random.default_rng(100 + k).uniform(0.05, 0.5, size=k)
+        # Reference: one pass per subset mask, rates added in bit order.
+        total = 0.0
+        for mask in range(1, 1 << k):
+            members = [rates[i] for i in range(k) if mask >> i & 1]
+            s = 0.0
+            for mu in members:
+                s += mu
+            total += (1.0 if len(members) % 2 else -1.0) / s
+        assert _expected_max_exponential_exact(rates) == total
+
+    def test_exact_form_limited_to_twenty_rates(self):
+        assert _expected_max_exponential_exact([0.1] * 20) > 0.0
+        with pytest.raises(ValueError, match="limited to 20 rates"):
+            _expected_max_exponential_exact([0.1] * 21)
+
     def test_matches_sampled_maxima(self):
         rates = np.array([0.05, 0.15, 0.3])
         draws = 1_000_000
@@ -420,6 +438,19 @@ class TestRouteEvaluator:
                     assert ev.rate_min_of_means(t) == pytest.approx(
                         e2e_rate_min_of_means(route, t, case_params), abs=1e-12
                     )
+
+    @pytest.mark.parametrize("decode_error", [1e-3, 0.3])
+    @pytest.mark.parametrize("k", [1, 8, 14])
+    def test_a_window_reads_the_same_bits_in_any_batch(self, k, decode_error):
+        # decode_error=0.3 gives a 53-row mixture table, the stock one 7 rows.
+        params = SystemParams(decode_error=decode_error)
+        ev = RouteEvaluator(make_route(np.random.default_rng(90 + k), k=k), params)
+        ts = np.union1d(np.linspace(0.0, params.hop_dwell, 41), [0.05, 0.1, 0.75, 1.2, 19.95])
+        batch = ev.series(ts)
+        for i, t in enumerate(ts):
+            one = ev.series([t])
+            for name, values in batch.items():
+                assert values[..., i].tobytes() == one[name][..., 0].tobytes(), (name, t)
 
     def test_series_matches_scalar_calls(self, params):
         rng = np.random.default_rng(62)

@@ -20,7 +20,7 @@ from v2xdelivery import (
     verify_concavity,
     weighted_objective,
 )
-from v2xdelivery.optimize import _route_objective_series, _scan_grid
+from v2xdelivery.optimize import _route_objective_series, _scan_grid, _winner
 
 
 def _objective_grid(routes, params, weight, context, n=10_000):
@@ -191,7 +191,7 @@ class TestSolveDistributed:
         ev = RouteEvaluator(route, params)
         weight = 0.5
         dist = solve_distributed([route], params, weight=weight)
-        grid = _scan_grid(ev)
+        grid = _scan_grid(ev.params)
         scan = ev.series(grid.ts)
         dense = ev.series(np.linspace(0.0, params.hop_dwell, 10_000))
         for h, t_h in enumerate(dist.windows):
@@ -273,3 +273,158 @@ class TestConcavityProbe:
         report = verify_concavity(RouteEvaluator(route, params), weight=0.5)
         assert report["concave"]
         assert report["points"] > 0
+
+
+def _scan_grid_per_piece(params):
+    """The scan grid built one piece at a time: the reference for _scan_grid."""
+    T = params.hop_dwell
+    h = 1e-4 * params.trial_time
+    edges = RouteEvaluator(Route(hops=(Hop(0.1, 2, rsu_id="a"),)), params).breakpoints()
+    ts, rows = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        a, b = float(a), float(b)
+        row = [-1] * 9
+        row[0] = len(ts)
+        ts.append(a)
+        if b - a >= 6 * h:
+            for i, x in enumerate(np.linspace(a + 2 * h, b - 2 * h, 7)):
+                row[1 + i] = len(ts)
+                ts.append(float(x))
+        if b - h > a:
+            row[-1] = len(ts)
+            ts.append(b - h)
+        rows.append(row)
+    ts.append(T)
+    return np.asarray(ts), np.asarray(rows, dtype=int)
+
+
+def _winner_sequential(ts, values, T):
+    """The tie-tolerant winner rule over every candidate, in order."""
+    best_t, best_val = 0.0, -math.inf
+    for t, v in zip(ts, values):
+        t = min(max(float(t), 0.0), T)
+        v = float(v)
+        if v > best_val + 1e-15 or (abs(v - best_val) <= 1e-15 and t < best_t):
+            best_val, best_t = v, t
+    return best_t, best_val
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize(
+        "trial_time",
+        [
+            0.1,
+            0.02,
+            1.0,
+            20.0,  # one piece: trial time equal to the dwell
+            0.3,  # does not divide the dwell; last piece 0.2 s wide
+            20.0 / (7 + 3e-4),  # last piece 3 probes wide: no interiors
+            20.0 / (7 + 0.5e-4),  # last piece half a probe wide: no inset
+        ],
+    )
+    def test_scan_grid_matches_the_per_piece_construction(self, trial_time):
+        params = SystemParams(trial_time=trial_time)
+        grid = _scan_grid(params)
+        ts, pieces = _scan_grid_per_piece(params)
+        assert grid.ts.tobytes() == ts.tobytes()
+        assert grid.pieces.dtype == pieces.dtype
+        assert np.array_equal(grid.pieces, pieces)
+        assert grid.probe == 1e-4 * trial_time
+
+    def test_scan_grid_covers_the_narrow_last_pieces(self):
+        # The parametrized cases above do reach the narrow branches.
+        for trial_time, present in ((20.0 / (7 + 3e-4), 2), (20.0 / (7 + 0.5e-4), 1)):
+            last = _scan_grid(SystemParams(trial_time=trial_time)).pieces[-1]
+            assert np.count_nonzero(last >= 0) == present
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_winner_matches_the_sequential_rule_on_near_tie_staircases(self, seed):
+        rng = np.random.default_rng(seed)
+        T = 20.0
+        n = int(rng.integers(2, 3000))
+        top = float(rng.choice([0.0, 0.37, -0.8, 1.0, 3.0]))
+        # Staircases descending or ascending in steps near the tie width,
+        # shuffled in blocks, over a floor of clearly lower values.
+        steps = rng.uniform(0.3e-15, 1.7e-15, size=n) * rng.choice([-1.0, 1.0])
+        values = top + np.cumsum(steps)
+        low = rng.random(n) < 0.5
+        values[low] -= rng.uniform(0.0, 1e-12, size=int(low.sum()))
+        values[rng.random(n) < 0.05] = top - 1.0
+        ts = rng.uniform(-1e-9, T + 1e-9, size=n)
+        ts[rng.random(n) < 0.3] = rng.choice(ts, size=1)
+        assert _winner(ts, values, T) == _winner_sequential(ts, values, T)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_winner_matches_the_sequential_rule_on_tie_ladders(self, seed):
+        # Values rise by just under the tie width at rising windows, so the
+        # rule moves on every second candidate: dropping the lowest one
+        # flips which candidate it ends on.  Small magnitudes keep the steps
+        # exact.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 600))
+        values = float(rng.choice([0.0, -2e-13, 5e-14])) + np.arange(n) * 0.999e-15
+        ts = np.sort(rng.uniform(0.0, 20.0, size=n))
+        assert _winner(ts, values, 20.0) == _winner_sequential(ts, values, 20.0)
+
+    def test_winner_keeps_nan_and_flat_candidates(self):
+        ts = np.array([3.0, 2.0, 1.0, 0.5])
+        for values in ([0.5, 0.5, 0.5, 0.5], [0.5, math.nan, 0.4, 0.5], [-math.inf] * 4):
+            values = np.array(values)
+            assert _winner(ts, values, 20.0) == _winner_sequential(ts, values, 20.0)
+
+    @pytest.mark.parametrize("weight", [0.0, 0.5, 0.8])
+    def test_distributed_with_its_own_context_is_unchanged(self, params, grid_routes, weight):
+        ctx = build_normalization(grid_routes, params)
+        with_ctx = solve_distributed(grid_routes, params, weight=weight, context=ctx)
+        without = solve_distributed(grid_routes, params, weight=weight)
+        assert with_ctx == without
+        assert repr(with_ctx) == repr(without)
+
+    def test_global_with_its_own_context_is_unchanged(self, params, grid_routes):
+        ctx = build_normalization(grid_routes, params)
+        assert repr(solve_global(grid_routes, params, context=ctx)) == repr(
+            solve_global(grid_routes, params)
+        )
+
+
+class TestWorkCounts:
+    """Deterministic guard on how often a solve builds the grid and reads it."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import v2xdelivery.optimize as opt
+
+        seen = {"grids": [], "reads": []}
+        make_grid, series = opt._scan_grid, RouteEvaluator.series
+
+        def counting_grid(p):
+            grid = make_grid(p)
+            seen["grids"].append(len(grid.ts))
+            return grid
+
+        def counting_series(self, ts):
+            seen["reads"].append(len(ts))
+            return series(self, ts)
+
+        monkeypatch.setattr(opt, "_scan_grid", counting_grid)
+        monkeypatch.setattr(RouteEvaluator, "series", counting_series)
+        return seen
+
+    def _grid_reads(self, seen):
+        return sum(1 for n in seen["reads"] if n == seen["grids"][0])
+
+    def test_global_builds_one_grid_and_reads_it_once_per_route(self, counts, params, grid_routes):
+        solve_global(grid_routes, params, weight=0.5)
+        assert len(counts["grids"]) == 1
+        assert self._grid_reads(counts) == len(grid_routes)
+
+    def test_distributed_without_context_reads_the_same(self, counts, params, grid_routes):
+        solve_distributed(grid_routes, params, weight=0.5)
+        assert len(counts["grids"]) == 1
+        assert self._grid_reads(counts) == len(grid_routes)
+
+    def test_a_given_context_reads_no_envelope(self, counts, params, grid_routes):
+        ctx = NormalizationContext(0.0, 1.0, 0.0, 1.0)
+        solve_distributed(grid_routes, params, weight=0.5, context=ctx)
+        assert len(counts["grids"]) == 1
+        assert self._grid_reads(counts) == 0
