@@ -34,7 +34,7 @@ import yaml
 
 from .closedform import RouteEvaluator
 from .model import Route, SystemParams
-from .optimize import build_normalization, solve_distributed, solve_global, weighted_objective
+from .optimize import _route_objective_series, solve_distributed, solve_global
 from .routing import (
     GreedyLoopError,
     NoRouteError,
@@ -112,19 +112,26 @@ def _backhaul(args) -> BackhaulConfig | None:
     return BackhaulConfig() if getattr(args, "backhaul", False) else None
 
 
+def _readings(route: Route, params: SystemParams, t: float) -> tuple[float, float, float]:
+    """Latency, joint-outcome rate and min-of-means rate: one kernel read."""
+    out = RouteEvaluator(route, params).series([t])
+    return float(out["latency"][0]), float(out["rate_closed"][0]), float(out["rate_min_means"][0])
+
+
+def _write_records(path: str, records: Sequence[dict]) -> None:
+    """CSV with one column per record key, in the records' key order."""
+    header = list(records[0])
+    _write_csv(path, header, [[record[key] for key in header] for record in records])
+
+
 def _cmd_analyze(args) -> int:
     scenario = _load(args)
     params = scenario.params
     t = params.hop_dwell / 2 if args.t is None else args.t
     routes = _routes(scenario, args)
-    rows = []
     records = []
     for i, route in enumerate(routes):
-        ev = RouteEvaluator(route, params)
-        lat = ev.latency(t)
-        rate = ev.rate_closed(t)
-        rate_mm = ev.rate_min_of_means(t)
-        rows.append([i, _nodes_label(route), len(route), lat, rate, rate_mm])
+        lat, rate, rate_mm = _readings(route, params, t)
         records.append(
             {
                 "route": i,
@@ -136,7 +143,7 @@ def _cmd_analyze(args) -> int:
             }
         )
     if args.out:
-        _write_csv(args.out, ["route", "nodes", "hops", "latency", "rate", "rate_min_means"], rows)
+        _write_records(args.out, records)
     best_rate = max(records, key=lambda r: r["rate"])
     best_latency = min(records, key=lambda r: r["latency"])
     _emit(
@@ -230,10 +237,7 @@ def _cmd_simulate(args) -> int:
     t = outcome.t_star if args.t is None else args.t
     config = SimConfig(snapshots=args.snapshots, seed=args.seed, mode=args.mode)
     result = simulate_route(route, t, params, config, backhaul=_backhaul(args))
-    ev = RouteEvaluator(route, params)
-    lat_closed = ev.latency(t)
-    rate_closed = ev.rate_closed(t)
-    rate_mm = ev.rate_min_of_means(t)
+    lat_closed, rate_closed, rate_mm = _readings(route, params, t)
     rel = lambda emp, ana: abs(emp - ana) / abs(ana) if ana != 0 else float("inf")
     p_fwd, p_succ, p_fail = _branch_fractions(result)
     if args.out:
@@ -279,44 +283,25 @@ def _cmd_compare(args) -> int:
     scenario = _load(args)
     params = scenario.params
     routes = _routes(scenario, args)
-    context = build_normalization(routes, params)
-    outcome = solve_global(routes, params, context=context, with_kkt=False)
-    entries = [
-        (
-            "global",
-            routes[outcome.route_index],
-            outcome.t_star,
-            outcome.objective,
-        )
-    ]
+    outcome = solve_global(routes, params, with_kkt=False)
+    entries = [("global", routes[outcome.route_index], outcome)]
     for name, pick in (("spr", spr_route), ("gpsr", gpsr_route)):
         route = pick(scenario.topology, scenario.source, scenario.destination)
-        sub = solve_global([route], params, context=context, with_kkt=False)
-        entries.append((name, route, sub.t_star, sub.objective))
-    rows = []
-    records = []
-    for name, route, t_star, objective in entries:
-        ev = RouteEvaluator(route, params)
-        rows.append(
-            [name, _nodes_label(route), len(route), t_star, objective, ev.latency(t_star), ev.rate_closed(t_star)]
-        )
-        records.append(
-            {
-                "strategy": name,
-                "nodes": _nodes_label(route),
-                "hops": len(route),
-                "t_star": t_star,
-                "objective": objective,
-                "latency": ev.latency(t_star),
-                "rate": ev.rate_closed(t_star),
-            }
-        )
+        entries.append((name, route, solve_global([route], params, context=outcome.context, with_kkt=False)))
+    records = [
+        {
+            "strategy": name,
+            "nodes": _nodes_label(route),
+            "hops": len(route),
+            "t_star": sub.t_star,
+            "objective": sub.objective,
+            "latency": sub.latency,
+            "rate": sub.rate,
+        }
+        for name, route, sub in entries
+    ]
     if args.out:
-        _write_csv(
-            args.out,
-            ["strategy", "nodes", "hops", "t_star", "objective", "latency", "rate"],
-            rows,
-        )
+        _write_records(args.out, records)
     _emit(
         _json_ready(
             {
@@ -348,16 +333,15 @@ def _sweep_t(args, scenario: Scenario) -> tuple[list[str], list[list], dict]:
     if np.any(grid < 0) or np.any(grid > T):
         raise ValueError("window grid must lie within [0, hop_dwell]")
     routes = _routes(scenario, args)
-    context = build_normalization(routes, params)
-    outcome = solve_global(routes, params, context=context, with_kkt=False)
+    outcome = solve_global(routes, params, with_kkt=False)
     route = routes[outcome.route_index]
     ev = RouteEvaluator(route, params)
     config = SimConfig(snapshots=args.snapshots, seed=args.seed, mode=args.mode)
     results = sweep_windows(route, [float(t) for t in grid], params, config, backhaul=_backhaul(args))
+    objectives = _route_objective_series(ev, grid, outcome.context, params.weight).tolist()
     rows = []
-    for t, res in zip(grid, results):
+    for t, res, objective in zip(grid, results, objectives):
         p_fwd, p_succ, p_fail = _branch_fractions(res)
-        objective = weighted_objective(ev, float(t), context)
         rows.append(
             [
                 float(t),
@@ -383,11 +367,10 @@ def _sweep_alpha(args, scenario: Scenario) -> tuple[list[str], list[list], dict]
     if np.any(grid < 0) or np.any(grid > 1):
         raise ValueError("alpha grid must lie within [0, 1]")
     routes = _routes(scenario, args)
-    context = build_normalization(routes, params)
     rows = []
     for alpha in grid:
-        g = solve_global(routes, params, weight=float(alpha), context=context, with_kkt=False)
-        d = solve_distributed(routes, params, weight=float(alpha), context=context)
+        g = solve_global(routes, params, weight=float(alpha), with_kkt=False)
+        d = solve_distributed(routes, params, weight=float(alpha), context=g.context)
         rows.append(
             [
                 float(alpha),

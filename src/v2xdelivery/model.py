@@ -78,6 +78,9 @@ class SystemParams:
     weight: float = 0.5
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not self.hop_dwell > 0:
             raise ValueError("hop_dwell must be positive")
         if not 0 < self.trial_time <= self.hop_dwell:
@@ -114,8 +117,8 @@ class Hop:
     rsu_id: str = ""
 
     def __post_init__(self) -> None:
-        if not self.arrival_rate > 0:
-            raise ValueError("arrival_rate must be positive")
+        if not 0 < self.arrival_rate < math.inf:
+            raise ValueError("arrival_rate must be positive and finite")
         if not (isinstance(self.deg, int) and self.deg >= 1):
             raise ValueError("deg must be an integer >= 1")
 

@@ -53,6 +53,8 @@ _REL_PROBE = 1e-4
 _PIECE_SAMPLES = 7
 # Objective values closer than this tie in the solvers' selection rules.
 _TIE = 1e-15
+# Sample count per smooth piece in the concavity probe.
+_CONCAVITY_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,7 @@ class OptimizationOutcome:
     rate: float
     per_route_best: tuple[tuple[float, float], ...] = ()
     kkt: dict = field(default_factory=dict)
+    context: NormalizationContext | None = None  # the scale every objective was scored on
 
 
 @dataclass(frozen=True)
@@ -149,11 +152,7 @@ def _widen(envelope: list[float], out: dict[str, np.ndarray]) -> tuple[np.ndarra
     return out["rate_closed"], out["latency"]
 
 
-def build_normalization(
-    routes: Sequence[Route],
-    params: SystemParams,
-    evaluators: Sequence[RouteEvaluator] | None = None,
-) -> NormalizationContext:
+def build_normalization(routes: Sequence[Route], params: SystemParams) -> NormalizationContext:
     """Min-max envelopes over all candidate routes and the whole window range.
 
     Latency extremes sit at the window ends, but the grid keeps every piece
@@ -164,11 +163,10 @@ def build_normalization(
     """
     if not routes:
         raise ValueError("need at least one route")
-    evs = list(evaluators) if evaluators is not None else [RouteEvaluator(r, params) for r in routes]
     ts = _scan_grid(params).ts
     envelope = [math.inf, -math.inf, math.inf, -math.inf]
-    for ev in evs:
-        _widen(envelope, ev.series(ts))
+    for route in routes:
+        _widen(envelope, RouteEvaluator(route, params).series(ts))
     return NormalizationContext(*envelope)
 
 
@@ -322,6 +320,7 @@ def solve_global(
         rate=ev.rate_closed(t_star),
         per_route_best=tuple(per_route),
         kkt=kkt,
+        context=ctx,
     )
 
 
@@ -429,19 +428,19 @@ def kkt_stationarity_check(
     T = params.hop_dwell
     h = _REL_PROBE * params.trial_time
 
-    def F(t: float) -> float:
-        return weighted_objective(evaluator, min(max(t, 0.0), T), context, w)
-
     edges = evaluator.breakpoints()
     near_edge = bool(np.any(np.abs(edges - t_star) < 2.5 * h))
     at_left = t_star < 2.5 * h
     at_right = t_star > T - 2.5 * h
 
     # Derivative scale from a coarse sweep, so the tolerance tracks the
-    # objective's actual variation.
+    # objective's actual variation.  One read serves the sweep and the
+    # probes F(t* - h), F(t*), F(t* + h), clamped into the domain.
     sweep = np.linspace(2 * h, T - 2 * h, 64)
-    lo = _route_objective_series(evaluator, sweep - h, context, w)
-    hi = _route_objective_series(evaluator, sweep + h, context, w)
+    probes = [min(max(t, 0.0), T) for t in (t_star - h, t_star, t_star + h)]
+    values = _route_objective_series(evaluator, np.concatenate([sweep - h, sweep + h, probes]), context, w)
+    lo, hi = values[:64], values[64:128]
+    f_left, f_mid, f_right = values[128:].tolist()
     scale = float(np.max(np.abs((hi - lo) / (2 * h))))
     tol = 1e-6 * max(scale, 1e-12)
 
@@ -449,19 +448,19 @@ def kkt_stationarity_check(
     if at_left:
         # t = 0 is also a trial-count edge; a value comparison is the robust
         # boundary condition there.
-        d_right = (F(t_star + h) - F(t_star)) / h
-        ok = F(t_star) >= F(t_star + h) - tol
+        d_right = (f_right - f_mid) / h
+        ok = f_mid >= f_right - tol
         report.update(kind="boundary_left", derivative=d_right, ok=bool(ok))
     elif at_right:
-        d_left = (F(t_star) - F(t_star - h)) / h
+        d_left = (f_mid - f_left) / h
         report.update(kind="boundary_right", derivative=d_left, ok=bool(d_left >= -tol))
     elif near_edge:
         # Jump point: the point must beat its immediate neighborhood on both
         # sides; a two-sided derivative across the jump is meaningless.
-        left_ok = F(t_star) >= F(t_star - h) - tol
-        right_ok = F(t_star) >= F(t_star + h) - tol
-        d_left = (F(t_star) - F(t_star - h)) / h
-        d_right = (F(t_star + h) - F(t_star)) / h
+        left_ok = f_mid >= f_left - tol
+        right_ok = f_mid >= f_right - tol
+        d_left = (f_mid - f_left) / h
+        d_right = (f_right - f_mid) / h
         report.update(
             kind="piece_edge",
             derivative_left=d_left,
@@ -469,7 +468,7 @@ def kkt_stationarity_check(
             ok=bool(left_ok and right_ok),
         )
     else:
-        d = (F(t_star + h) - F(t_star - h)) / (2 * h)
+        d = (f_right - f_left) / (2 * h)
         report.update(kind="interior", derivative=d, ok=bool(abs(d) < tol))
     return report
 
@@ -478,7 +477,6 @@ def verify_concavity(
     evaluator: RouteEvaluator,
     weight: float | None = None,
     context: NormalizationContext | None = None,
-    points_per_piece: int = 16,
 ) -> dict:
     """Second-difference probe of the trade-off inside each smooth piece.
 
@@ -489,14 +487,14 @@ def verify_concavity(
     """
     params = evaluator.params
     w = params.weight if weight is None else weight
-    ctx = context or build_normalization([evaluator.route], params, [evaluator])
+    ctx = context or build_normalization([evaluator.route], params)
     edges = evaluator.breakpoints()
     h = _REL_PROBE * params.trial_time
     xs = []
     for a, b in zip(edges[:-1], edges[1:]):
         if b - a < 8 * h:
             continue
-        xs.append(np.linspace(float(a) + 2 * h, float(b) - 2 * h, points_per_piece))
+        xs.append(np.linspace(float(a) + 2 * h, float(b) - 2 * h, _CONCAVITY_SAMPLES))
     if not xs:
         return {
             "max_second_difference": -math.inf,

@@ -9,6 +9,7 @@ reproduces the scenario field for field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -75,16 +76,17 @@ def build_grid_scenario(
     platforms.
 
     Raises:
-        ValueError: dimensions below 2x2, a bad arrival interval, or
-            coinciding endpoints.
+        ValueError: dimensions below 2x2, a block length or arrival
+            interval that is not positive and finite, or coinciding
+            endpoints.
     """
     if rows < 2 or cols < 2:
         raise ValueError("grid needs at least 2 rows and 2 columns")
-    if block_length <= 0:
-        raise ValueError("block length must be positive")
+    if not 0 < block_length < math.inf:
+        raise ValueError("block length must be positive and finite")
     low, high = arrival_interval
-    if not 0 < low <= high:
-        raise ValueError("arrival interval must satisfy 0 < low <= high")
+    if not 0 < low <= high < math.inf:
+        raise ValueError("arrival interval must satisfy 0 < low <= high < inf")
     p = params or SystemParams()
     src = 0 if source is None else source
     dst = rows * cols - 1 if destination is None else destination
@@ -181,5 +183,5 @@ def load_scenario(path: str | Path) -> Scenario:
             destination=endpoints.get("destination"),
             route_filter=raw.get("route_filter"),
         )
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -24,10 +24,9 @@ smooth and paired comparisons exact.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +43,6 @@ __all__ = [
     "sweep_windows",
     "physical_branch_probs",
     "delta_t_for_scheme",
-    "DEFAULT_SCHEME_TABLE",
 ]
 
 
@@ -401,10 +399,10 @@ def physical_branch_probs(hop: Hop, t: float, params: SystemParams) -> tuple[flo
     return p_fwd, p_succ, p_fail
 
 
-#: Trial duration per discovery scheduling scheme, as (base, per_beam)
-#: pairs: duration = base * (1 + per_beam * beams).  Synthetic defaults; the
-#: table is meant to be overridden from measured hardware numbers.
-DEFAULT_SCHEME_TABLE: Mapping[str, tuple[float, float]] = {
+# Trial duration per discovery scheduling scheme, as (base, per_beam)
+# pairs: duration = base * (1 + per_beam * beams).  Synthetic values; TD is
+# the fastest and FD and CD pair.
+_SCHEME_TABLE = {
     "TD": (0.1, 0.0),
     "SD": (0.1, 0.05),
     "FD": (0.1, 0.1),
@@ -412,55 +410,23 @@ DEFAULT_SCHEME_TABLE: Mapping[str, tuple[float, float]] = {
 }
 
 
-def delta_t_for_scheme(
-    scheme: str,
-    beams: int = 1,
-    table: Mapping[str, tuple[float, float]] | None = None,
-) -> float:
+def delta_t_for_scheme(scheme: str, beams: int = 1) -> float:
     """Per-trial duration of a discovery scheduling scheme.
 
     Args:
-        scheme: one of the table's schemes (``TD``, ``SD``, ``FD``, ``CD``
-            by default), case-insensitive.
+        scheme: ``TD``, ``SD``, ``FD`` or ``CD``, case-insensitive.
         beams: antenna beam count, a positive integer; ``TD`` sweeps beams
             one at a time and therefore accepts only ``beams=1``.
-        table: optional scheme table overriding the synthetic defaults.
 
     Returns:
         The trial duration in seconds.
-
-    Warns:
-        UserWarning: when the configured table breaks the expected ordering
-            (TD no longer minimal, or FD and CD diverging).
     """
     if not isinstance(beams, int) or isinstance(beams, bool) or beams < 1:
         raise ValueError("beams must be a positive integer")
-    tbl = DEFAULT_SCHEME_TABLE if table is None else table
     s = scheme.upper()
-    if s not in tbl:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(tbl)}")
+    if s not in _SCHEME_TABLE:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_SCHEME_TABLE)}")
     if s == "TD" and beams != 1:
         raise ValueError("TD probes a single beam; beams must be 1")
-
-    def duration(name: str, m: int) -> float:
-        base, per_beam = tbl[name]
-        return base * (1.0 + per_beam * m)
-
-    value = duration(s, beams)
-    if "TD" in tbl and value < duration("TD", 1) - 1e-15:
-        warnings.warn(
-            f"scheme table gives {s}@{beams} a shorter trial than TD@1; "
-            "single-beam scanning is expected to be the fastest",
-            UserWarning,
-            stacklevel=2,
-        )
-    if "FD" in tbl and "CD" in tbl and not math.isclose(
-        duration("FD", beams), duration("CD", beams), rel_tol=1e-12
-    ):
-        warnings.warn(
-            f"scheme table decouples FD and CD at beams={beams}; "
-            "they are expected to pair",
-            UserWarning,
-            stacklevel=2,
-        )
-    return value
+    base, per_beam = _SCHEME_TABLE[s]
+    return base * (1.0 + per_beam * beams)

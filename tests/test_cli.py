@@ -221,6 +221,24 @@ class TestErrorHandling:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            "params: {rate_v2v: .nan}",
+            "params: {hop_dwell: .inf}",
+            "arrival: {high: .inf}",
+            "grid: {block_length: .inf}",
+            "grid: {rows: .inf}",
+        ],
+    )
+    def test_non_finite_recipe_values(self, capsys, tmp_path, recipe):
+        path = tmp_path / "bad.yaml"
+        path.write_text(recipe + "\n", encoding="utf-8")
+        for command in ("optimize-global", "compare"):
+            code, out, err = _run(capsys, [command, "--scenario", str(path)])
+            assert (code, out) == (1, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+
     def test_td_with_multiple_beams(self, capsys):
         code, _, err = _run(capsys, ["analyze", "--scheme", "TD", "--beams", "4"])
         assert code == 1

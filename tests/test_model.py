@@ -36,13 +36,30 @@ class TestValidation:
             {"decode_error": -0.1},
             {"rate_v2v": -1.0},
             {"weight": 1.5},
+            # Non-finite values, which every range check above lets through
+            # somewhere: NaN rates compare as non-negative, inf dwells pass
+            # "positive".
+            {"hop_dwell": math.inf},
+            {"hop_dwell": math.nan},
+            {"trial_time": math.nan},
+            {"decode_error": math.nan},
+            {"rate_v2v": math.nan},
+            {"rate_v2v": math.inf},
+            {"rate_v2i": math.nan},
+            {"rate_v2i": math.inf},
+            {"rate_cell": math.nan},
+            {"rate_cell": math.inf},
+            {"weight": math.nan},
         ],
     )
     def test_bad_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"arrival_rate": 0.0}, {"arrival_rate": -0.1}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"arrival_rate": 0.0}, {"arrival_rate": -0.1}, {"arrival_rate": math.inf}, {"arrival_rate": math.nan}],
+    )
     def test_bad_arrival_rate_rejected(self, kwargs):
         with pytest.raises(ValueError):
             Hop(deg=2, **kwargs)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from v2xdelivery import (
     verify_concavity,
     weighted_objective,
 )
+from v2xdelivery.cli import run_command
 from v2xdelivery.optimize import _route_objective_series, _scan_grid, _winner
 
 
@@ -394,8 +396,25 @@ class TestWorkCounts:
     def counts(self, monkeypatch):
         import v2xdelivery.optimize as opt
 
-        seen = {"grids": [], "reads": []}
+        seen = {"grids": [], "reads": [], "__init__": 0, "_hop_stage": 0, "build_normalization": 0}
         make_grid, series = opt._scan_grid, RouteEvaluator.series
+        build = opt.build_normalization
+
+        def tally(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                seen[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        tally(RouteEvaluator, "__init__")
+        tally(RouteEvaluator, "_hop_stage")  # every reading passes through it
+        # A module that imports the function by name holds its own reference.
+        for key, module in list(sys.modules.items()):
+            if key.startswith("v2xdelivery") and getattr(module, "build_normalization", None) is build:
+                tally(module, "build_normalization")
 
         def counting_grid(p):
             grid = make_grid(p)
@@ -428,3 +447,27 @@ class TestWorkCounts:
         solve_distributed(grid_routes, params, weight=0.5, context=ctx)
         assert len(counts["grids"]) == 1
         assert self._grid_reads(counts) == 0
+
+    def test_compare_reads_each_route_once(self, counts, capsys, grid_routes):
+        # n routes in the coordinated solve, plus the SPR and GPSR routes
+        # scored on its scale.
+        assert run_command(["compare"]) == 0
+        assert counts["__init__"] == len(grid_routes) + 2
+        assert self._grid_reads(counts) == len(grid_routes) + 2
+
+    def test_alpha_sweep_reads_each_route_once_per_weight(self, counts, capsys, grid_routes):
+        assert run_command(["sweep", "--variable", "alpha", "--grid", "0,0.5,1"]) == 0
+        assert self._grid_reads(counts) == 3 * len(grid_routes)
+        assert counts["build_normalization"] == 0
+
+    def test_analyze_reads_the_kernel_once_per_route(self, counts, capsys, grid_routes):
+        assert run_command(["analyze"]) == 0
+        assert counts["__init__"] == counts["_hop_stage"] == len(grid_routes)
+
+    @pytest.mark.parametrize("t_star", [0.0, 0.05, 8.0, 12.34, 20.0])
+    def test_stationarity_check_reads_the_kernel_once(self, counts, params, grid_routes, t_star):
+        ev = RouteEvaluator(grid_routes[0], params)
+        ctx = NormalizationContext(50.0, 150.0, 0.0, 2.0)
+        reads, stages = len(counts["reads"]), counts["_hop_stage"]
+        kkt_stationarity_check(ev, t_star, ctx)
+        assert (len(counts["reads"]) - reads, counts["_hop_stage"] - stages) == (1, 1)

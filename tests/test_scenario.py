@@ -1,6 +1,7 @@
 """Tests of grid scenario construction and YAML recipe round-trips."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -57,8 +58,13 @@ class TestGridConstruction:
             dict(rows=1, cols=3),
             dict(rows=3, cols=1),
             dict(block_length=0.0),
+            dict(block_length=math.inf),
+            dict(block_length=math.nan),
             dict(arrival_interval=(0.0, 0.3)),
             dict(arrival_interval=(0.4, 0.3)),
+            dict(arrival_interval=(0.05, math.inf)),
+            dict(arrival_interval=(math.nan, 0.3)),
+            dict(arrival_interval=(0.05, math.nan)),
             dict(source=5, destination=5),
             dict(destination=99),
         ],

@@ -23,7 +23,6 @@ from v2xdelivery import (
     simulate_route,
     sweep_windows,
 )
-from v2xdelivery.simulate import DEFAULT_SCHEME_TABLE
 
 N = 100_000
 
@@ -268,11 +267,3 @@ class TestSchemeTable:
             delta_t_for_scheme("SD", beams=0)
         with pytest.raises(ValueError):
             delta_t_for_scheme("SD", beams=True)
-
-    def test_misordered_tables_warn(self):
-        fast = {**DEFAULT_SCHEME_TABLE, "SD": (0.01, 0.0)}
-        with pytest.warns(UserWarning, match="TD"):
-            delta_t_for_scheme("SD", beams=1, table=fast)
-        split = {**DEFAULT_SCHEME_TABLE, "CD": (0.1, 0.2)}
-        with pytest.warns(UserWarning, match="FD and CD"):
-            delta_t_for_scheme("CD", beams=3, table=split)
