@@ -39,6 +39,7 @@ from .model import (
     SystemParams,
     expected_hop_rate,
     max_trials,
+    mean_rates,
     p_courier_forward,
     p_failure,
     p_success,
@@ -394,12 +395,19 @@ def e2e_rate_closed(route: Route, t: float, params: SystemParams) -> float:
 
 
 def rate_decomposition(route: Route, t: float, params: SystemParams) -> RateDecomposition:
-    """Full joint-outcome breakdown of the route rate at one window."""
+    """Full joint-outcome breakdown of the route rate at one window.
+
+    A single hop takes its success and failure rates from
+    :func:`v2xdelivery.model.mean_rates`, as its closed-form rate does.
+    """
     p_as, p_af, p_mix = scenario_probabilities(route, t, params)
+    if len(route.hops) == 1:
+        _, c_as, c_af = mean_rates(route.hops[0], t, params)
+        return RateDecomposition(p_as, p_af, p_mix, c_as, c_af, params.rate_cell)
     m = max_trials(t, params.trial_time)
     c_as = expected_rate_all_success(route, t, params) if (p_as > 0 and m >= 1) else 0.0
     c_af = expected_rate_all_failure(route, t, params) if p_af > 0 else 0.0
-    if all(h.deg == 1 for h in route.hops) or len(route.hops) < 2:
+    if all(h.deg == 1 for h in route.hops):
         c_mix = params.rate_cell
     else:
         c_mix = expected_rate_mixture(route, t, params)
@@ -426,11 +434,11 @@ class RouteEvaluator:
 
     Precomputes everything that does not depend on the window: the hop
     coefficient arrays, the geometric-max prefix sums, the exact expected
-    exponential maximum, and a spline antiderivative that turns the mixture
-    integral into a table lookup.  :meth:`series` is the kernel; the
-    one-window readings (:meth:`latency`, :meth:`rate_closed`, ...) read it
-    at a single window.  Agreement with the direct quadrature forms is
-    pinned by tests.
+    exponential maximum, and, for routes with a mixed outcome, a spline
+    antiderivative that turns the mixture integral into a table lookup.
+    :meth:`series` is the kernel; the one-window readings
+    (:meth:`latency`, :meth:`rate_closed`, ...) read it at a single window.
+    Agreement with the direct quadrature forms is pinned by tests.
     """
 
     #: v-grid resolution of the mixture antiderivative table.
@@ -473,6 +481,8 @@ class RouteEvaluator:
         self._leftover = np.array([1.0 - (1.0 - self.trial_fail**m) ** self.k for m in range(m_top + 1)])
 
         self.exp_max_wait = _expected_max_exponential_exact(self.lam)
+        if self.all_forward or self.k == 1:
+            return  # series has no mixture to read for these routes
 
         # Mixture antiderivative: J(c) = integral_0^c W(v) dv where W is the
         # fallback bottleneck's survival in normalized rate coordinates

@@ -8,9 +8,10 @@ The objective trades the end-to-end rate against the end-to-end latency:
 
 where both readings are min-max normalized over a shared context so the
 trade-off weight is meaningful across routes.  F is written once, as a
-vectorized function of the readings; the route objective reads them from
-one :meth:`RouteEvaluator.series` call and the per-hop objective from the
-evaluator's hop stage, whether for a whole scan grid or one window.  The
+vectorized function of the readings, which the objective takes from one
+:meth:`RouteEvaluator.series` call, whether for a whole scan grid or one
+window.  There is one search: the distributed solve runs it once per
+distinct hop, on that hop as a one-hop route on its own scale.  The
 objective is piecewise smooth in t: every multiple of the trial time admits
 one more whole trial into the window, which moves probability mass between
 branches in a jump.  The pieces depend only on the parameters, so a solve
@@ -26,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -142,14 +143,22 @@ def _scan_grid(params: SystemParams) -> _ScanGrid:
     return _ScanGrid(ts=np.append(samples[present], params.hop_dwell), pieces=pieces, probe=h)
 
 
-def _widen(envelope: list[float], out: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Widen [latency_min, latency_max, rate_min, rate_max] over one grid
-    read; return its (rate_closed, latency), all a search keeps of it."""
-    envelope[0] = min(envelope[0], float(out["latency"].min()))
-    envelope[1] = max(envelope[1], float(out["latency"].max()))
-    envelope[2] = min(envelope[2], float(out["rate_closed"].min()), float(out["hop_rate"].min()))
-    envelope[3] = max(envelope[3], float(out["rate_closed"].max()), float(out["hop_rate"].max()))
-    return out["rate_closed"], out["latency"]
+def _envelope(
+    evaluators: Iterable[RouteEvaluator], ts: np.ndarray
+) -> tuple[NormalizationContext, list[tuple[np.ndarray, np.ndarray]]]:
+    """Envelope of the routes' reads over ``ts`` (see build_normalization),
+    and each read's (rate_closed, latency), all a search keeps of it."""
+    envelope = [math.inf, -math.inf, math.inf, -math.inf]
+    reads = []
+    for ev in evaluators:
+        out = ev.series(ts)
+        envelope[0] = min(envelope[0], float(out["latency"].min()))
+        envelope[1] = max(envelope[1], float(out["latency"].max()))
+        envelope[2] = min(envelope[2], float(out["rate_closed"].min()), float(out["hop_rate"].min()))
+        envelope[3] = max(envelope[3], float(out["rate_closed"].max()), float(out["hop_rate"].max()))
+        reads.append((out["rate_closed"], out["latency"]))
+        del out  # free the per-hop rows before the next read
+    return NormalizationContext(*envelope), reads
 
 
 def build_normalization(routes: Sequence[Route], params: SystemParams) -> NormalizationContext:
@@ -163,11 +172,7 @@ def build_normalization(routes: Sequence[Route], params: SystemParams) -> Normal
     """
     if not routes:
         raise ValueError("need at least one route")
-    ts = _scan_grid(params).ts
-    envelope = [math.inf, -math.inf, math.inf, -math.inf]
-    for route in routes:
-        _widen(envelope, RouteEvaluator(route, params).series(ts))
-    return NormalizationContext(*envelope)
+    return _envelope((RouteEvaluator(route, params) for route in routes), _scan_grid(params).ts)[0]
 
 
 def _trade_off(rate, latency, context: NormalizationContext, weight: float):
@@ -277,6 +282,26 @@ def _winner(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float]
     return best_t, best_val
 
 
+def _search(
+    evaluators: Sequence[RouteEvaluator],
+    grid: _ScanGrid,
+    weight: float,
+    context: NormalizationContext | None,
+) -> tuple[list[tuple[float, float]], NormalizationContext]:
+    """Best (window, value) of every route, and the scale it scored on.
+
+    One grid read per route serves both the envelope, which is the scale
+    unless a ``context`` is given, and the search.
+    """
+    scale, reads = _envelope(evaluators, grid.ts)
+    ctx = context or scale
+    best = []
+    for ev, (rate, lat) in zip(evaluators, reads):
+        objective = functools.partial(_route_objective_series, ev, context=ctx, weight=weight)
+        best.append(_maximize_scan(grid, _trade_off(rate, lat, ctx, weight), objective, ev.params.hop_dwell))
+    return best, ctx
+
+
 def solve_global(
     routes: Sequence[Route],
     params: SystemParams,
@@ -296,57 +321,25 @@ def solve_global(
     if not 0.0 <= w <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
     evaluators = [RouteEvaluator(r, params) for r in routes]
-    grid = _scan_grid(params)
-    # One grid read per route serves both the envelope and the search.
-    envelope = [math.inf, -math.inf, math.inf, -math.inf]
-    reads = [_widen(envelope, ev.series(grid.ts)) for ev in evaluators]
-    ctx = context or NormalizationContext(*envelope)
-    per_route: list[tuple[float, float]] = []
+    per_route, ctx = _search(evaluators, _scan_grid(params), w, context)
     best = (-math.inf, math.inf, -1)  # value, window, index
-    for i, (ev, (rate, lat)) in enumerate(zip(evaluators, reads)):
-        objective = functools.partial(_route_objective_series, ev, context=ctx, weight=w)
-        t_i, val_i = _maximize_scan(grid, _trade_off(rate, lat, ctx, w), objective, params.hop_dwell)
-        per_route.append((t_i, val_i))
+    for i, (t_i, val_i) in enumerate(per_route):
         if val_i > best[0] + _TIE or (abs(val_i - best[0]) <= _TIE and (t_i, i) < (best[1], best[2])):
             best = (val_i, t_i, i)
     val, t_star, idx = best
     ev = evaluators[idx]
     kkt = kkt_stationarity_check(ev, t_star, ctx, w) if with_kkt else {}
+    out = ev.series([t_star])
     return OptimizationOutcome(
         t_star=t_star,
         objective=val,
         route_index=idx,
-        latency=ev.latency(t_star),
-        rate=ev.rate_closed(t_star),
+        latency=float(out["latency"][0]),
+        rate=float(out["rate_closed"][0]),
         per_route_best=tuple(per_route),
         kkt=kkt,
         context=ctx,
     )
-
-
-def _best_hop_windows(
-    evaluator: RouteEvaluator, grid: _ScanGrid, read: dict[str, np.ndarray], weight: float
-) -> tuple[float, ...]:
-    """Window each hop picks from its own readings alone.
-
-    ``read`` holds the evaluator's per-hop readings over ``grid.ts``.  Every
-    hop normalizes over its own reading range (a hop knows nothing of the
-    rest of the route) and maximizes the same weighted trade-off.
-    """
-    T = evaluator.params.hop_dwell
-    windows = []
-    for hidx, (lats, rates) in enumerate(zip(read["hop_latency"], read["hop_rate"])):
-        ctx = NormalizationContext(
-            float(lats.min()), float(lats.max()), float(rates.min()), float(rates.max())
-        )
-
-        def objective(ts: np.ndarray, hidx=hidx, ctx=ctx) -> np.ndarray:
-            hop = evaluator._hop_stage(ts)[2]
-            return _trade_off(hop["hop_rate"][hidx], hop["hop_latency"][hidx], ctx, weight)
-
-        t_h, _ = _maximize_scan(grid, _trade_off(rates, lats, ctx, weight), objective, T)
-        windows.append(t_h)
-    return tuple(windows)
 
 
 def solve_distributed(
@@ -357,10 +350,12 @@ def solve_distributed(
 ) -> DistributedOutcome:
     """Uncoordinated search: every hop picks its own window locally.
 
-    Each hop optimizes the trade-off over its own normalized readings; the
-    route-level outcome aggregates the hops' choices (latency sums, rate is
-    the weakest hop's mean reading) and is scored on the shared context so
-    it can be compared with the coordinated solution.
+    A hop knows nothing of the rest of its route, so its window is the
+    coordinated search on that hop alone, as a one-hop route on its own
+    scale; each distinct hop is searched once.  The route-level outcome
+    aggregates the hops' choices (latency sums, rate is the weakest hop's
+    mean reading) and is scored on the shared context, so it can be
+    compared with the coordinated solution.
     """
     if not routes:
         raise ValueError("need at least one route")
@@ -369,29 +364,24 @@ def solve_distributed(
         raise ValueError("weight must lie in [0, 1]")
     evaluators = [RouteEvaluator(r, params) for r in routes]
     grid = _scan_grid(params)
-    # One grid read per route picks the hop windows and, without a given
-    # context, widens the envelope; with one, the hop stage alone is read.
-    envelope = [math.inf, -math.inf, math.inf, -math.inf]
-    hop_windows = []
-    for ev in evaluators:
-        if context is None:
-            read = ev.series(grid.ts)
-            _widen(envelope, read)
-        else:
-            read = ev._hop_stage(grid.ts)[2]
-        hop_windows.append(_best_hop_windows(ev, grid, read, w))
-    ctx = context or NormalizationContext(*envelope)
+    if context is None:
+        context, _ = _envelope(evaluators, grid.ts)
+    hop_window = {}
+    for hop in dict.fromkeys(h for r in routes for h in r.hops):
+        best, _ = _search([RouteEvaluator(Route(hops=(hop,)), params)], grid, w, None)
+        hop_window[hop] = best[0][0]
 
     def aggregate(ev: RouteEvaluator, windows: tuple[float, ...]) -> tuple[float, float, float]:
         # One read at all k windows: hop h at its own window is entry (h, h).
         hop = ev._hop_stage(windows)[2]
         lat = float(sum(np.diagonal(hop["hop_latency"]).tolist()))
         rate = float(min(np.diagonal(hop["hop_rate"]).tolist()))
-        return _trade_off(rate, lat, ctx, w), lat, rate
+        return _trade_off(rate, lat, context, w), lat, rate
 
     per_route: list[tuple[tuple[float, ...], float]] = []
     best = (-math.inf, -1)
-    for i, (ev, windows) in enumerate(zip(evaluators, hop_windows)):
+    for i, ev in enumerate(evaluators):
+        windows = tuple(hop_window[h] for h in ev.route.hops)
         val, _, _ = aggregate(ev, windows)
         per_route.append((windows, val))
         if val > best[0] + _TIE:

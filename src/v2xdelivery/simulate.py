@@ -34,11 +34,9 @@ from .model import Hop, Route, SystemParams, max_trials
 
 __all__ = [
     "Branch",
-    "HopOutcome",
     "SimConfig",
     "BackhaulConfig",
     "SimulationResult",
-    "simulate_hop",
     "simulate_route",
     "sweep_windows",
     "physical_branch_probs",
@@ -53,21 +51,6 @@ class Branch(IntEnum):
     DISCOVERY_SUCCESS = 1
     DISCOVERY_FAILURE = 2
     BACKHAUL_FORWARD = 3
-
-
-@dataclass(frozen=True)
-class HopOutcome:
-    """One sampled hop traversal.
-
-    ``discovery_time`` is the successful trial's completion time on
-    discovery success, the sampled RSU wait on failure, and zero when the
-    courier forwards the content itself.
-    """
-
-    branch: Branch
-    latency: float
-    discovery_time: float
-    hop_rate: float
 
 
 @dataclass(frozen=True)
@@ -218,41 +201,6 @@ def _evaluate_hop(
         rate_ms[failure] = wired_rate
 
     return branch, latency, rate, rate_ms
-
-
-def simulate_hop(
-    hop: Hop,
-    t: float,
-    params: SystemParams,
-    rng: np.random.Generator,
-) -> HopOutcome:
-    """Sample a single hop traversal under physical discovery timing.
-
-    Args:
-        hop: the hop to traverse.
-        t: discovery window in [0, hop_dwell].
-        params: scenario parameters.
-        rng: any numpy generator; one fixed draw block is consumed.
-
-    Returns:
-        The sampled branch with its realized latency, wait, and rate.
-    """
-    T = params.hop_dwell
-    if not 0.0 <= t <= T * (1 + 1e-12):
-        raise ValueError("window must lie within the hop dwell")
-    t = min(t, T)
-    draws = _draw_hop(rng, hop, params, 1)
-    branch, latency, rate, _ = _evaluate_hop(draws, hop, t, params, "physical", False, 0.0)
-    b = Branch(int(branch[0]))
-    if b is Branch.COURIER_FORWARD:
-        disc = 0.0
-    elif b is Branch.DISCOVERY_SUCCESS:
-        _, arrival, trials, _ = draws
-        slot = math.ceil(float(arrival[0]) / params.trial_time)
-        disc = (slot + float(trials[0]) - 1.0) * params.trial_time
-    else:
-        disc = float(draws[3][0])
-    return HopOutcome(branch=b, latency=float(latency[0]), discovery_time=disc, hop_rate=float(rate[0]))
 
 
 def _as_window_vector(t, k: int, T: float) -> np.ndarray:

@@ -385,7 +385,11 @@ class TestE2ERateClosed:
         )
 
     def test_decomposition_reassembles_the_rate(self, params, grid_routes):
-        for route in grid_routes[:3]:
+        one_hop = [
+            Route(hops=(Hop(lam, deg, rsu_id="a"),)) for lam, deg in ((0.15, 3), (0.06, 2), (0.2, 1))
+        ]
+        all_forward = Route(hops=tuple(Hop(0.1, 1, rsu_id=f"d{i}") for i in range(3)))
+        for route in [*grid_routes[:3], *one_hop, all_forward]:
             for t in (0.5, 8.0, 20.0):
                 dec = rate_decomposition(route, t, params)
                 assert dec.p_all_success + dec.p_all_failure + dec.p_mixture == pytest.approx(

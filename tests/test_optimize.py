@@ -14,7 +14,9 @@ from v2xdelivery import (
     Route,
     RouteEvaluator,
     SystemParams,
+    build_grid_scenario,
     build_normalization,
+    enumerate_routes,
     kkt_stationarity_check,
     solve_distributed,
     solve_global,
@@ -22,7 +24,13 @@ from v2xdelivery import (
     weighted_objective,
 )
 from v2xdelivery.cli import run_command
-from v2xdelivery.optimize import _route_objective_series, _scan_grid, _winner
+from v2xdelivery.optimize import (
+    _maximize_scan,
+    _route_objective_series,
+    _scan_grid,
+    _trade_off,
+    _winner,
+)
 
 
 def _objective_grid(routes, params, weight, context, n=10_000):
@@ -197,7 +205,7 @@ class TestSolveDistributed:
         scan = ev.series(grid.ts)
         dense = ev.series(np.linspace(0.0, params.hop_dwell, 10_000))
         for h, t_h in enumerate(dist.windows):
-            # Rebuild the hop's private normalization exactly as the solver does.
+            # The hop's private normalization: its own reading range on the grid.
             lats, rates = scan["hop_latency"][h], scan["hop_rate"][h]
             ctx = NormalizationContext(lats.min(), lats.max(), rates.min(), rates.max())
             chosen = weight * ctx.rate_norm(float(ev.hop_rates(t_h)[h])) - (
@@ -389,6 +397,39 @@ class TestBatchedScan:
         )
 
 
+def _best_hop_windows_reference(evaluator, grid, read, weight):
+    """Per-hop window search inside the route: each hop normalizes over its
+    own rows of the route's hop-stage grid read and probes that stage."""
+    T = evaluator.params.hop_dwell
+    windows = []
+    for hidx, (lats, rates) in enumerate(zip(read["hop_latency"], read["hop_rate"])):
+        ctx = NormalizationContext(
+            float(lats.min()), float(lats.max()), float(rates.min()), float(rates.max())
+        )
+
+        def objective(ts, hidx=hidx, ctx=ctx):
+            hop = evaluator._hop_stage(ts)[2]
+            return _trade_off(hop["hop_rate"][hidx], hop["hop_latency"][hidx], ctx, weight)
+
+        t_h, _ = _maximize_scan(grid, _trade_off(rates, lats, ctx, weight), objective, T)
+        windows.append(t_h)
+    return tuple(windows)
+
+
+class TestHopSearch:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_windows_match_the_per_hop_reference_bit_for_bit(self, params, seed):
+        scenario = build_grid_scenario(params=params, seed=seed)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        grid = _scan_grid(params)
+        for weight in (0.0, 0.5, 1.0):
+            dist = solve_distributed(routes, params, weight=weight)
+            for route, (windows, _) in zip(routes, dist.per_route):
+                ev = RouteEvaluator(route, params)
+                ref = _best_hop_windows_reference(ev, grid, ev._hop_stage(grid.ts)[2], weight)
+                assert repr(windows) == repr(ref)
+
+
 class TestWorkCounts:
     """Deterministic guard on how often a solve builds the grid and reads it."""
 
@@ -396,8 +437,8 @@ class TestWorkCounts:
     def counts(self, monkeypatch):
         import v2xdelivery.optimize as opt
 
-        seen = {"grids": [], "reads": [], "__init__": 0, "_hop_stage": 0, "build_normalization": 0}
-        make_grid, series = opt._scan_grid, RouteEvaluator.series
+        seen = {"grids": [], "reads": [], "stages": [], "__init__": 0, "build_normalization": 0}
+        make_grid, series, hop_stage = opt._scan_grid, RouteEvaluator.series, RouteEvaluator._hop_stage
         build = opt.build_normalization
 
         def tally(owner, name):
@@ -410,7 +451,6 @@ class TestWorkCounts:
             monkeypatch.setattr(owner, name, counted)
 
         tally(RouteEvaluator, "__init__")
-        tally(RouteEvaluator, "_hop_stage")  # every reading passes through it
         # A module that imports the function by name holds its own reference.
         for key, module in list(sys.modules.items()):
             if key.startswith("v2xdelivery") and getattr(module, "build_normalization", None) is build:
@@ -422,15 +462,31 @@ class TestWorkCounts:
             return grid
 
         def counting_series(self, ts):
-            seen["reads"].append(len(ts))
+            seen["reads"].append((len(ts), self.k))
             return series(self, ts)
+
+        def counting_stage(self, ts):  # every reading passes through it
+            seen["stages"].append(len(ts))
+            return hop_stage(self, ts)
 
         monkeypatch.setattr(opt, "_scan_grid", counting_grid)
         monkeypatch.setattr(RouteEvaluator, "series", counting_series)
+        monkeypatch.setattr(RouteEvaluator, "_hop_stage", counting_stage)
         return seen
 
-    def _grid_reads(self, seen):
-        return sum(1 for n in seen["reads"] if n == seen["grids"][0])
+    def _grid_reads(self, seen, k=None):
+        """Grid-size series reads, only those of k-hop routes if k is given."""
+        n = seen["grids"][0]
+        return sum(1 for size, hops in seen["reads"] if size == n and k in (None, hops))
+
+    def _stages_outside_series(self, seen):
+        """Grid-size hop-stage reads not made by a series read."""
+        return seen["stages"].count(seen["grids"][0]) - self._grid_reads(seen)
+
+    @staticmethod
+    def _distinct_hops(routes):
+        assert min(len(r) for r in routes) > 1  # one-hop reads are the hop searches
+        return len(set(h for r in routes for h in r.hops))
 
     def test_global_builds_one_grid_and_reads_it_once_per_route(self, counts, params, grid_routes):
         solve_global(grid_routes, params, weight=0.5)
@@ -438,15 +494,23 @@ class TestWorkCounts:
         assert self._grid_reads(counts) == len(grid_routes)
 
     def test_distributed_without_context_reads_the_same(self, counts, params, grid_routes):
+        # The global solve's n route reads, plus one search per distinct hop.
+        d = self._distinct_hops(grid_routes)
+        assert d == 16
         solve_distributed(grid_routes, params, weight=0.5)
         assert len(counts["grids"]) == 1
-        assert self._grid_reads(counts) == len(grid_routes)
+        assert self._grid_reads(counts) == len(grid_routes) + d
+        assert self._grid_reads(counts, k=1) == d
+        assert self._stages_outside_series(counts) == 0
 
     def test_a_given_context_reads_no_envelope(self, counts, params, grid_routes):
+        # No route read; each distinct hop is read once, for its own search.
+        d = self._distinct_hops(grid_routes)
         ctx = NormalizationContext(0.0, 1.0, 0.0, 1.0)
         solve_distributed(grid_routes, params, weight=0.5, context=ctx)
         assert len(counts["grids"]) == 1
-        assert self._grid_reads(counts) == 0
+        assert self._grid_reads(counts) == self._grid_reads(counts, k=1) == d
+        assert self._stages_outside_series(counts) == 0
 
     def test_compare_reads_each_route_once(self, counts, capsys, grid_routes):
         # n routes in the coordinated solve, plus the SPR and GPSR routes
@@ -456,18 +520,21 @@ class TestWorkCounts:
         assert self._grid_reads(counts) == len(grid_routes) + 2
 
     def test_alpha_sweep_reads_each_route_once_per_weight(self, counts, capsys, grid_routes):
+        d = self._distinct_hops(grid_routes)
         assert run_command(["sweep", "--variable", "alpha", "--grid", "0,0.5,1"]) == 0
-        assert self._grid_reads(counts) == 3 * len(grid_routes)
+        assert self._grid_reads(counts) == 3 * len(grid_routes) + 3 * d
+        assert self._grid_reads(counts, k=1) == 3 * d
+        assert self._stages_outside_series(counts) == 0
         assert counts["build_normalization"] == 0
 
     def test_analyze_reads_the_kernel_once_per_route(self, counts, capsys, grid_routes):
         assert run_command(["analyze"]) == 0
-        assert counts["__init__"] == counts["_hop_stage"] == len(grid_routes)
+        assert counts["__init__"] == len(counts["stages"]) == len(grid_routes)
 
     @pytest.mark.parametrize("t_star", [0.0, 0.05, 8.0, 12.34, 20.0])
     def test_stationarity_check_reads_the_kernel_once(self, counts, params, grid_routes, t_star):
         ev = RouteEvaluator(grid_routes[0], params)
         ctx = NormalizationContext(50.0, 150.0, 0.0, 2.0)
-        reads, stages = len(counts["reads"]), counts["_hop_stage"]
+        reads, stages = len(counts["reads"]), len(counts["stages"])
         kkt_stationarity_check(ev, t_star, ctx)
-        assert (len(counts["reads"]) - reads, counts["_hop_stage"] - stages) == (1, 1)
+        assert (len(counts["reads"]) - reads, len(counts["stages"]) - stages) == (1, 1)

@@ -19,7 +19,6 @@ from v2xdelivery import (
     p_failure,
     p_success,
     physical_branch_probs,
-    simulate_hop,
     simulate_route,
     sweep_windows,
 )
@@ -49,31 +48,6 @@ class TestConfigValidation:
             simulate_route(route, -1.0, params, cfg)
         with pytest.raises(ValueError):
             simulate_route(route, params.hop_dwell + 1.0, params, cfg)
-
-
-class TestSingleHopSampler:
-    def test_branch_consistent_fields(self, params):
-        rng = np.random.Generator(np.random.Philox(key=5))
-        T = params.hop_dwell
-        seen = set()
-        for _ in range(400):
-            out = simulate_hop(Hop(0.15, 2, rsu_id="x"), 6.0, params, rng)
-            seen.add(out.branch)
-            if out.branch is Branch.COURIER_FORWARD:
-                assert out.latency == T and out.discovery_time == 0.0
-                assert out.hop_rate == params.rate_cell
-            elif out.branch is Branch.DISCOVERY_SUCCESS:
-                assert out.latency == T
-                assert 0.0 < out.discovery_time
-                assert out.hop_rate > 0.0
-            else:
-                assert out.latency == pytest.approx(2.0 * T + out.discovery_time)
-        assert {Branch.COURIER_FORWARD, Branch.DISCOVERY_SUCCESS, Branch.DISCOVERY_FAILURE} <= seen
-
-    def test_window_validation(self, params):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            simulate_hop(Hop(0.1, 2), -0.5, params, rng)
 
 
 class TestAnalyticModeMatchesTheModel:
