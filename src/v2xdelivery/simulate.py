@@ -19,11 +19,16 @@ Sampling uses counter-based Philox streams, one jump per hop, and draws a
 fixed block of variates per hop regardless of branch outcomes.  Evaluations
 at different windows therefore share sample paths, which makes sweep curves
 smooth and paired comparisons exact.
+
+Each hop is drawn and its window-independent arrays prepared once per
+call; a window then costs two comparisons for its branch masks and one
+gather per reading from the hop's branch tables.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Sequence
@@ -58,8 +63,10 @@ class SimConfig:
     """Sampling settings.
 
     Attributes:
-        snapshots: number of independent route snapshots.
-        seed: Philox key; equal seeds give identical sample paths.
+        snapshots: number of independent route snapshots, a positive
+            integer.
+        seed: Philox key, an integer in [0, 2**128); equal seeds give
+            identical sample paths.
         mode: ``physical`` or ``analytic`` discovery timing.
     """
 
@@ -68,8 +75,14 @@ class SimConfig:
     mode: str = "physical"
 
     def __post_init__(self):
+        for name in ("snapshots", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.snapshots < 1:
             raise ValueError("snapshots must be positive")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError("seed must lie in [0, 2**128)")
         if self.mode not in ("physical", "analytic"):
             raise ValueError("mode must be 'physical' or 'analytic'")
 
@@ -86,11 +99,16 @@ class BackhaulConfig:
     Attributes:
         links: directed (rsu_a, rsu_b) pairs that are wired; None wires
             every consecutive pair of the simulated route.
-        rate: wire throughput; None defaults to four times the V2I rate.
+        rate: wire throughput, positive and finite; None defaults to four
+            times the V2I rate.
     """
 
     links: frozenset | None = None
     rate: float | None = None
+
+    def __post_init__(self):
+        if self.rate is not None and not 0.0 < self.rate < math.inf:
+            raise ValueError(f"wire rate must be positive and finite, got {self.rate!r}")
 
     def wire_rate(self, params: SystemParams) -> float:
         return 4.0 * params.rate_v2i if self.rate is None else self.rate
@@ -149,58 +167,136 @@ def _draw_hop(gen: np.random.Generator, hop: Hop, params: SystemParams, n: int):
     return u, arrival, trials, rsu_wait
 
 
-def _evaluate_hop(
-    draws,
+@dataclass(frozen=True)
+class _PreparedHop:
+    """Window-independent arrays of one hop's draw block.
+
+    A candidate (a snapshot whose courier does not forward) succeeds at
+    window t iff it arrives by t and ``need <= max_trials(t)``; ``need`` is
+    the trial count in analytic mode and the arrival slot plus the trial
+    count minus one in physical mode.
+
+    Per-snapshot values are read from branch-major tables of three rows of
+    n, in :class:`Branch` order (forward, success, failure): snapshot i's
+    entry on its branch sits at ``base[i] + n * failure[i]``.
+    """
+
+    candidate: np.ndarray
+    forwards: int
+    arrival: np.ndarray
+    need: np.ndarray
+    # i + n for a candidate, i for a forward: its success or forward entry.
+    base: np.ndarray
+    # Latency table: T, T, and 2T + rsu_wait (2T on a wired hop); on an
+    # unwired hop the failure row is also the failure-rate divisor.
+    latency: np.ndarray
+    # rate_v2v * (T - need * dt): the V2V share of a success's rate numerator.
+    v2v: np.ndarray
+    mean_wait: float
+    # Throughput of the wire to the next RSU; None on an unwired hop.
+    wire_rate: float | None
+
+
+def _prepare_hop(
+    gen: np.random.Generator,
     hop: Hop,
-    t: float,
     params: SystemParams,
+    n: int,
     mode: str,
-    wired: bool,
-    wire_rate: float,
-):
-    """Branch index, latency, realized rate, mean-substituted rate arrays."""
-    u, arrival, trials, rsu_wait = draws
+    wire_rate: float | None,
+) -> _PreparedHop:
+    """Draw one hop's block and do its window-independent work once."""
     T = params.hop_dwell
     dt = params.trial_time
-    m = max_trials(t, dt)
-
-    forward = u < 1.0 / hop.deg
-    if mode == "physical":
-        slot = np.ceil(arrival / dt)
-        done = slot + trials - 1
-        success = ~forward & (arrival <= t) & (done <= m)
-        tau = done * dt
+    # Each draw is dropped once read, to keep the peak at a few arrays.
+    u, arrival, trials, rsu_wait = _draw_hop(gen, hop, params, n)
+    candidate = ~(u < 1.0 / hop.deg)
+    del u
+    latency = np.empty(3 * n)
+    latency[: 2 * n] = T
+    if wire_rate is None:
+        np.add(2.0 * T, rsu_wait, out=latency[2 * n :])
     else:
-        success = ~forward & (arrival <= t) & (trials <= m)
-        tau = trials * dt
-    failure = ~forward & ~success
+        latency[2 * n :] = 2.0 * T
+    del rsu_wait
+    if mode == "physical":
+        need = arrival / dt
+        np.ceil(need, out=need)
+        need += trials
+        need -= 1
+    else:
+        need = trials
+    del trials
+    v2v = need * dt
+    np.subtract(T, v2v, out=v2v)
+    v2v *= params.rate_v2v
+    base = np.multiply(candidate, n, dtype=np.intp)
+    base += np.arange(n)
+    return _PreparedHop(
+        candidate=candidate,
+        forwards=n - int(np.count_nonzero(candidate)),
+        arrival=arrival,
+        need=need,
+        base=base,
+        latency=latency,
+        v2v=v2v,
+        mean_wait=1.0 / hop.arrival_rate,
+        wire_rate=wire_rate,
+    )
 
-    branch = np.full(len(u), int(Branch.DISCOVERY_FAILURE), dtype=np.int8)
-    branch[forward] = int(Branch.COURIER_FORWARD)
-    branch[success] = int(Branch.DISCOVERY_SUCCESS)
 
-    latency = np.full(len(u), T)
-    latency[failure] = 2.0 * T + rsu_wait[failure]
+def _add_window(
+    hop: _PreparedHop,
+    t: float,
+    params: SystemParams,
+    scratch,
+    lat_sum: np.ndarray,
+    rate_min: np.ndarray,
+    rate_ms_min: np.ndarray,
+) -> int:
+    """Fold one hop at window t into one window's sums and minima.
 
-    rate = np.full(len(u), params.rate_cell)
-    succ_rate = (params.rate_v2v * (T - tau) + params.rate_cell * (T - t)) / T
-    rate[success] = succ_rate[success]
-    fail_rate = (params.rate_v2i * (T - t) + params.rate_cell * t) / (2.0 * T + rsu_wait)
-    rate[failure] = fail_rate[failure]
+    ``scratch`` is (success, failure, pick, table, value): two boolean
+    masks, an index and a float array of snapshot length, and a three-row
+    rate table whose forward row holds ``rate_cell``.  Returns the number
+    of successes.
+    """
+    success, failure, pick, table, value = scratch
+    n = len(success)
+    T = params.hop_dwell
+    cell = params.rate_cell
+    m = max_trials(t, params.trial_time)
 
-    mean_wait = 1.0 / hop.arrival_rate
-    rate_ms = np.full(len(u), params.rate_cell)
-    rate_ms[success] = params.rate_v2v * (T - mean_wait) / T + params.rate_cell * (T - t) / T
-    rate_ms[failure] = (params.rate_v2i * (T - t) + params.rate_cell * t) / (2.0 * T + mean_wait)
+    np.less_equal(hop.arrival, t, out=success)
+    np.less_equal(hop.need, m, out=failure)
+    success &= failure
+    success &= hop.candidate
+    # success implies candidate, so xor leaves candidate & ~success.
+    np.logical_xor(hop.candidate, success, out=failure)
+    np.multiply(failure, n, out=pick, dtype=np.intp)
+    pick += hop.base
 
-    if wired:
-        branch[failure] = int(Branch.BACKHAUL_FORWARD)
-        latency[failure] = 2.0 * T
-        wired_rate = (min(params.rate_v2i, wire_rate) * (T - t) + params.rate_cell * t) / (2.0 * T)
-        rate[failure] = wired_rate
-        rate_ms[failure] = wired_rate
+    # Every index is in range by construction; "clip" skips the check.
+    hop.latency.take(pick, out=value, mode="clip")
+    lat_sum += value
 
-    return branch, latency, rate, rate_ms
+    succ_row, fail_row = table[n : 2 * n], table[2 * n :]
+    np.add(hop.v2v, cell * (T - t), out=succ_row)
+    succ_row /= T
+    if hop.wire_rate is None:
+        np.divide(params.rate_v2i * (T - t) + cell * t, hop.latency[2 * n :], out=fail_row)
+        fail_ms = (params.rate_v2i * (T - t) + cell * t) / (2.0 * T + hop.mean_wait)
+    else:
+        fail_ms = (min(params.rate_v2i, hop.wire_rate) * (T - t) + cell * t) / (2.0 * T)
+        fail_row.fill(fail_ms)
+    table.take(pick, out=value, mode="clip")
+    np.minimum(rate_min, value, out=rate_min)
+
+    succ_row.fill(params.rate_v2v * (T - hop.mean_wait) / T + cell * (T - t) / T)
+    fail_row.fill(fail_ms)
+    table.take(pick, out=value, mode="clip")
+    np.minimum(rate_ms_min, value, out=rate_ms_min)
+    return int(np.count_nonzero(success))
 
 
 def _as_window_vector(t, k: int, T: float) -> np.ndarray:
@@ -254,22 +350,31 @@ def _simulate_windows(
     rate_min = np.full((nt, n), np.inf)
     rate_ms_min = np.full((nt, n), np.inf)
     counts = np.zeros((nt, k, len(Branch)), dtype=np.int64)
-    wire = backhaul.wire_rate(params) if backhaul is not None else 0.0
+    scratch = (
+        np.empty(n, dtype=bool),
+        np.empty(n, dtype=bool),
+        np.empty(n, dtype=np.intp),
+        np.full(3 * n, params.rate_cell),
+        np.empty(n),
+    )
     for h, hop in enumerate(route.hops):
-        draws = _draw_hop(_hop_stream(config.seed, h), hop, params, n)
         wired = (
             backhaul is not None
             and h + 1 < k
             and backhaul.linked(hop.rsu_id, route.hops[h + 1].rsu_id)
         )
+        wire_rate = backhaul.wire_rate(params) if wired else None
+        prepared = _prepare_hop(_hop_stream(config.seed, h), hop, params, n, config.mode, wire_rate)
+        fallback = Branch.BACKHAUL_FORWARD if wired else Branch.DISCOVERY_FAILURE
+        counts[:, h, Branch.COURIER_FORWARD] = prepared.forwards
         for i, row in enumerate(window_rows):
-            branch, latency, rate, rate_ms = _evaluate_hop(
-                draws, hop, float(row[h]), params, config.mode, wired, wire
+            successes = _add_window(
+                prepared, float(row[h]), params, scratch, lat_sum[i], rate_min[i], rate_ms_min[i]
             )
-            lat_sum[i] += latency
-            np.minimum(rate_min[i], rate, out=rate_min[i])
-            np.minimum(rate_ms_min[i], rate_ms, out=rate_ms_min[i])
-            counts[i, h] = np.bincount(branch, minlength=len(Branch))
+            counts[i, h, Branch.DISCOVERY_SUCCESS] = successes
+            counts[i, h, fallback] = n - prepared.forwards - successes
+        # Free this hop's arrays before the next hop draws its own.
+        del prepared
     return [
         _summary(row, config, lat_sum[i], rate_min[i], rate_ms_min[i], counts[i])
         for i, row in enumerate(window_rows)

@@ -39,6 +39,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(mode="precise")
 
+    @pytest.mark.parametrize("snapshots", [1.5, True, "10"])
+    def test_snapshot_count_must_be_an_integer(self, snapshots):
+        with pytest.raises(ValueError, match="snapshots"):
+            SimConfig(snapshots=snapshots)
+
+    @pytest.mark.parametrize("seed", [1.5, False, -1, 2**128])
+    def test_seed_must_be_a_philox_key(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=seed)
+
+    def test_numpy_integers_and_the_largest_key_are_accepted(self):
+        assert SimConfig(snapshots=np.int64(5), seed=np.uint64(3)).seed == 3
+        assert SimConfig(seed=2**128 - 1).seed == 2**128 - 1
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_wire_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="wire rate"):
+            BackhaulConfig(rate=rate)
+
     def test_window_vector_shape_and_range(self, params):
         route = Route(hops=(Hop(0.1, 2, rsu_id="a"), Hop(0.1, 3, rsu_id="b")))
         cfg = SimConfig(snapshots=10)
@@ -142,12 +161,16 @@ class TestDeterminism:
 
     def test_sweep_shares_sample_paths_with_single_runs(self, params, grid_routes):
         route = grid_routes[2]
-        cfg = SimConfig(snapshots=2_000, seed=7)
-        swept = sweep_windows(route, [2.0, 9.5, 17.0], params, cfg)
-        for t, entry in zip((2.0, 9.5, 17.0), swept):
-            single = simulate_route(route, t, params, cfg)
-            assert np.array_equal(entry.latencies, single.latencies)
-            assert np.array_equal(entry.rates, single.rates)
+        grid = [2.0, 9.5, 17.0, [1.0, 4.0, 12.5, 20.0]]
+        for mode, backhaul in (("physical", None), ("analytic", None), ("physical", BackhaulConfig())):
+            cfg = SimConfig(snapshots=2_000, seed=7, mode=mode)
+            swept = sweep_windows(route, grid, params, cfg, backhaul=backhaul)
+            for t, entry in zip(grid, swept):
+                single = simulate_route(route, t, params, cfg, backhaul=backhaul)
+                assert np.array_equal(entry.latencies, single.latencies)
+                assert np.array_equal(entry.rates, single.rates)
+                assert np.array_equal(entry.branch_counts, single.branch_counts)
+                assert entry.mean_rate_mean_subst == single.mean_rate_mean_subst
 
     def test_scalar_window_equals_constant_vector(self, params, grid_routes):
         route = grid_routes[0]
@@ -156,6 +179,109 @@ class TestDeterminism:
         b = simulate_route(route, [6.0] * len(route.hops), params, cfg)
         assert np.array_equal(a.latencies, b.latencies)
         assert a.windows == b.windows
+
+
+# Exact outputs of the 8-hop stock route 0 at 3000 snapshots, seed 29, as
+# the per-window evaluation computed them: (mode, backhaul, t) ->
+# ((mean_latency, se_latency, mean_rate, se_rate, mean_rate_mean_subst,
+# se_rate_mean_subst), branch_counts).  t = 2.0 sits on a trial edge.  Any
+# change to the draw order or to an elementwise operation shows here.
+PINNED = {
+    ("physical", False, 0.0): (
+        (236.5288686628306, 0.68692612432268, 0.5711254162772692,
+         0.002523547277525964, 0.5734083770666596, 0.0017080493542929295),
+        [[1446, 0, 1554, 0], [3000, 0, 0, 0], [1481, 0, 1519, 0], [1048, 0, 1952, 0],
+         [1507, 0, 1493, 0], [3000, 0, 0, 0], [1504, 0, 1496, 0], [3000, 0, 0, 0]],
+    ),
+    ("physical", False, 2.0): (
+        (216.27920048396743, 0.6529740906218013, 0.5902450759143971,
+         0.003128058514186634, 0.5867642025538976, 0.0025906329261219862),
+        [[1446, 154, 1400, 0], [3000, 0, 0, 0], [1481, 650, 869, 0], [1048, 706, 1246, 0],
+         [1507, 214, 1279, 0], [3000, 0, 0, 0], [1504, 652, 844, 0], [3000, 0, 0, 0]],
+    ),
+    ("physical", False, 8.0): (
+        (186.81594819930382, 0.5241371657853118, 0.69186680990372,
+         0.004783446487496776, 0.6544297628043353, 0.004278847119101973),
+        [[1446, 512, 1042, 0], [3000, 0, 0, 0], [1481, 1361, 158, 0], [1048, 1674, 278, 0],
+         [1507, 743, 750, 0], [3000, 0, 0, 0], [1504, 1343, 153, 0], [3000, 0, 0, 0]],
+    ),
+    ("physical", False, 20.0): (
+        (170.34613002358964, 0.36553488853091703, 0.7163088884042936,
+         0.005828346006268463, 0.505261579077962, 0.0066367235135176795),
+        [[1446, 1026, 528, 0], [3000, 0, 0, 0], [1481, 1512, 7, 0], [1048, 1936, 16, 0],
+         [1507, 1203, 290, 0], [3000, 0, 0, 0], [1504, 1492, 4, 0], [3000, 0, 0, 0]],
+    ),
+    ("analytic", False, 0.0): (
+        (236.5288686628306, 0.68692612432268, 0.5711254162772692,
+         0.002523547277525964, 0.5734083770666596, 0.0017080493542929295),
+        [[1446, 0, 1554, 0], [3000, 0, 0, 0], [1481, 0, 1519, 0], [1048, 0, 1952, 0],
+         [1507, 0, 1493, 0], [3000, 0, 0, 0], [1504, 0, 1496, 0], [3000, 0, 0, 0]],
+    ),
+    ("analytic", False, 2.0): (
+        (216.27920048396743, 0.6529740906218013, 0.5902450759143971,
+         0.003128058514186634, 0.5867642025538976, 0.0025906329261219862),
+        [[1446, 154, 1400, 0], [3000, 0, 0, 0], [1481, 650, 869, 0], [1048, 706, 1246, 0],
+         [1507, 214, 1279, 0], [3000, 0, 0, 0], [1504, 652, 844, 0], [3000, 0, 0, 0]],
+    ),
+    ("analytic", False, 8.0): (
+        (186.81594819930382, 0.5241371657853118, 0.69186680990372,
+         0.004783446487496776, 0.6544297628043353, 0.004278847119101973),
+        [[1446, 512, 1042, 0], [3000, 0, 0, 0], [1481, 1361, 158, 0], [1048, 1674, 278, 0],
+         [1507, 743, 750, 0], [3000, 0, 0, 0], [1504, 1343, 153, 0], [3000, 0, 0, 0]],
+    ),
+    ("analytic", False, 20.0): (
+        (170.34613002358964, 0.36553488853091703, 0.8350056688205717,
+         0.005102957748922256, 0.505261579077962, 0.0066367235135176795),
+        [[1446, 1026, 528, 0], [3000, 0, 0, 0], [1481, 1512, 7, 0], [1048, 1936, 16, 0],
+         [1507, 1203, 290, 0], [3000, 0, 0, 0], [1504, 1492, 4, 0], [3000, 0, 0, 0]],
+    ),
+    ("physical", True, 0.0): (
+        (213.42666666666668, 0.4075498820711392, 0.7556666666666667,
+         0.0006794647962342316, 0.7556666666666667, 0.0006794647962342316),
+        [[1446, 0, 0, 1554], [3000, 0, 0, 0], [1481, 0, 0, 1519], [1048, 0, 0, 1952],
+         [1507, 0, 0, 1493], [3000, 0, 0, 0], [1504, 0, 0, 1496], [3000, 0, 0, 0]],
+    ),
+    ("physical", True, 2.0): (
+        (197.58666666666667, 0.3867494440222996, 0.7484666666666665,
+         0.001402927545597311, 0.7484666666666665, 0.001402927545597311),
+        [[1446, 154, 0, 1400], [3000, 0, 0, 0], [1481, 650, 0, 869], [1048, 706, 0, 1246],
+         [1507, 214, 0, 1279], [3000, 0, 0, 0], [1504, 652, 0, 844], [3000, 0, 0, 0]],
+    ),
+    ("physical", True, 8.0): (
+        (175.87333333333333, 0.27711655137541064, 0.78685,
+         0.0031187232395455716, 0.7571848334431234, 0.00284482311240879),
+        [[1446, 512, 0, 1042], [3000, 0, 0, 0], [1481, 1361, 0, 158], [1048, 1674, 0, 278],
+         [1507, 743, 0, 750], [3000, 0, 0, 0], [1504, 1343, 0, 153], [3000, 0, 0, 0]],
+    ),
+    ("physical", True, 20.0): (
+        (165.63333333333333, 0.17878993390384226, 0.7474533333333332,
+         0.005217419624779303, 0.5395273450926925, 0.006464793783569336),
+        [[1446, 1026, 0, 528], [3000, 0, 0, 0], [1481, 1512, 0, 7], [1048, 1936, 0, 16],
+         [1507, 1203, 0, 290], [3000, 0, 0, 0], [1504, 1492, 0, 4], [3000, 0, 0, 0]],
+    ),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("key", sorted(PINNED), ids=lambda key: "-".join(map(str, key)))
+    def test_route_statistics_are_bit_identical(self, params, grid_routes, key):
+        mode, wired, t = key
+        route = grid_routes[0]
+        assert len(route) == 8
+        result = simulate_route(
+            route, t, params, SimConfig(snapshots=3_000, seed=29, mode=mode),
+            backhaul=BackhaulConfig() if wired else None,
+        )
+        stats = (
+            result.mean_latency,
+            result.se_latency,
+            result.mean_rate,
+            result.se_rate,
+            result.mean_rate_mean_subst,
+            result.se_rate_mean_subst,
+        )
+        assert stats == PINNED[key][0]
+        assert result.branch_counts.tolist() == PINNED[key][1]
 
 
 class TestDegenerateRoutes:
