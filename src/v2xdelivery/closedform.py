@@ -19,12 +19,15 @@ implementation of the per-hop and joint-outcome algebra.  It precomputes
 everything reusable for a fixed route, and its kernel
 (:meth:`RouteEvaluator.series`) evaluates any number of window positions in
 one array pass; every one-window reading is a size-1 read of that kernel.
+The same kernel reads (route, window) probes of many routes at once
+(:class:`_RouteStack`), of which ``series`` is the one-route case.
 The quadrature forms above are independent oracles: the runtime never calls
 them, and the test suite checks the kernel against them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -429,16 +432,31 @@ def _breakpoints(params: SystemParams) -> np.ndarray:
     return np.unique(js)
 
 
+@dataclass(frozen=True)
+class _JointTables:
+    """Joint-outcome tables of one or more mixed routes, routes along the last axis."""
+
+    support: np.ndarray  # (pieces,) trial counts x of the geometric-max table
+    pmf: np.ndarray  # (pieces, routes) P(max trial count = x)
+    xf_cum: np.ndarray  # (pieces + 1, routes) prefix sums of x * pmf
+    leftover: np.ndarray  # (m_top + 1, routes) mass of the max trial count beyond m
+    exp_max_wait: np.ndarray  # (routes,) exact E[max] of the hops' exponential waits
+    mixtures: tuple  # per route, the mixture antiderivative spline
+
+
 class RouteEvaluator:
     """Vectorized evaluator of one route's closed forms over many windows.
 
-    Precomputes everything that does not depend on the window: the hop
-    coefficient arrays, the geometric-max prefix sums, the exact expected
-    exponential maximum, and, for routes with a mixed outcome, a spline
-    antiderivative that turns the mixture integral into a table lookup.
-    :meth:`series` is the kernel; the one-window readings
-    (:meth:`latency`, :meth:`rate_closed`, ...) read it at a single window.
-    Agreement with the direct quadrature forms is pinned by tests.
+    Building one precomputes the per-hop coefficient arrays.  The
+    joint-outcome tables (the geometric-max prefix sums, the exact expected
+    exponential maximum, and a spline antiderivative that turns the mixture
+    integral into a table lookup) are built on the first :meth:`series`
+    read that needs them, so a caller that reads only per-hop values never
+    pays for them; all-forward and one-hop routes never need them.
+    :meth:`series` is the kernel's one-route case (see :class:`_RouteStack`);
+    the one-window readings (:meth:`latency`, :meth:`rate_closed`, ...) read
+    it at a single window.  Agreement with the direct quadrature forms is
+    pinned by tests.
     """
 
     #: v-grid resolution of the mixture antiderivative table.
@@ -449,40 +467,45 @@ class RouteEvaluator:
         self.params = params
         T = params.hop_dwell
         self.lam = np.array([h.arrival_rate for h in route.hops], dtype=float)
-        self.deg = np.array([h.deg for h in route.hops], dtype=float)
+        deg = np.array([h.deg for h in route.hops], dtype=float)
         self.k = len(route.hops)
-        self.fwd = 1.0 / self.deg
-        self.rest = 1.0 - self.fwd
-        self.mean_wait = 1.0 / self.lam
-        self.failure_excess = T + self.mean_wait
-        self.succ_base = params.rate_v2v * (T - self.mean_wait) / T + params.rate_cell
-        self.succ_slope = np.full(self.k, -params.rate_cell / T)
-        self.fail_base = params.rate_v2i * T / (2.0 * T + self.mean_wait)
-        self.fail_slope = (params.rate_cell - params.rate_v2i) / (2.0 * T + self.mean_wait)
-        self.trial_ok = params.decode_ok_pair
-        self.trial_fail = 1.0 - self.trial_ok
-        self.max_m = max_trials(T, params.trial_time)
-        self.all_forward = bool(np.all(self.deg == 1))
+        fwd = 1.0 / deg
+        mean_wait = 1.0 / self.lam
+        # Per-hop coefficient rows, in the order _hop_rows unpacks them.
+        self._coef = np.array(
+            [
+                self.lam,
+                fwd,
+                1.0 - fwd,  # the hop does not forward
+                T + mean_wait,  # failure excess
+                params.rate_v2v * (T - mean_wait) / T + params.rate_cell,  # success rate at t = 0
+                np.full(self.k, -params.rate_cell / T),  # ... and its slope in t
+                params.rate_v2i * T / (2.0 * T + mean_wait),  # fallback rate at t = 0
+                (params.rate_cell - params.rate_v2i) / (2.0 * T + mean_wait),  # ... and its slope
+            ]
+        )
+        self.all_forward = bool(np.all(deg == 1))
 
+    @functools.cached_property
+    def _joint(self) -> _JointTables:
+        """This route's joint-outcome tables, built on the first read that needs them."""
+        params = self.params
+        T = params.hop_dwell
+        trial_fail = 1.0 - params.decode_ok_pair
+        max_m = max_trials(T, params.trial_time)
         # Geometric-max table, truncated where the tail mass dies.
-        if self.trial_fail > 0.0:
-            tail = int(math.ceil(math.log(_PMF_TAIL_CUTOFF) / math.log(self.trial_fail))) + 1
-            hi = max(1, min(self.max_m, tail))
+        if trial_fail > 0.0:
+            tail = int(math.ceil(math.log(_PMF_TAIL_CUTOFF) / math.log(trial_fail))) + 1
+            hi = max(1, min(max_m, tail))
         else:
             hi = 1
         xs = np.arange(1, hi + 1, dtype=float)
-        pmf = geometric_max_pmf(xs, self.k, self.trial_ok) if self.max_m >= 1 else np.empty(0)
-        self._pmf_support = xs[: len(pmf)]
-        self._pmf = pmf
-        self._xf_cum = np.concatenate([[0.0], np.cumsum(self._pmf_support * pmf)])
+        pmf = geometric_max_pmf(xs, self.k, params.decode_ok_pair) if max_m >= 1 else np.empty(0)
+        support = xs[: len(pmf)]
         # Mass of the max trial count beyond m, for every m the kernel takes,
         # by Python's scalar ** (NumPy's array ** can differ in the last bit).
         m_top = max_trials(T * (1 + 1e-12), params.trial_time)
-        self._leftover = np.array([1.0 - (1.0 - self.trial_fail**m) ** self.k for m in range(m_top + 1)])
-
-        self.exp_max_wait = _expected_max_exponential_exact(self.lam)
-        if self.all_forward or self.k == 1:
-            return  # series has no mixture to read for these routes
+        leftover = [1.0 - (1.0 - trial_fail**m) ** self.k for m in range(m_top + 1)]
 
         # Mixture antiderivative: J(c) = integral_0^c W(v) dv where W is the
         # fallback bottleneck's survival in normalized rate coordinates
@@ -494,7 +517,14 @@ class RouteEvaluator:
         for mu in self.lam:
             W *= 1.0 - np.exp(-mu * wait)
         W[0] = 1.0
-        self._mixture_table = CubicSpline(v, W).antiderivative()
+        return _JointTables(
+            support=support,
+            pmf=pmf[:, None],
+            xf_cum=np.concatenate([[0.0], np.cumsum(support * pmf)])[:, None],
+            leftover=np.array(leftover)[:, None],
+            exp_max_wait=np.array([_expected_max_exponential_exact(self.lam)]),
+            mixtures=(CubicSpline(v, W).antiderivative(),),
+        )
 
     # -- window pieces -----------------------------------------------------
 
@@ -520,39 +550,15 @@ class RouteEvaluator:
         """Joint-outcome route rate, identical in value to e2e_rate_closed."""
         return float(self.series([t])["rate_closed"][0])
 
-    # -- the kernel ------------------------------------------------------------
+    # -- the kernel, one route -------------------------------------------------
 
-    def _hop_stage(self, ts) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-        """Per-hop stage of the kernel over a window grid.
+    def _hop_stage(self, ts) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
+        """Per-hop stage of the kernel over a window grid (see _hop_rows).
 
-        Returns the whole-trial count of every window, the per-hop
-        conditional miss probabilities z as a (k, len(ts)) array, and every
-        reading of :meth:`series` except ``rate_closed``.  Per-hop callers
-        stop here and never pay for the joint-outcome mixture.
+        Per-hop callers stop here and never pay for the joint-outcome
+        mixture.
         """
-        params = self.params
-        T = params.hop_dwell
-        ts = np.asarray(ts, dtype=float)
-        if not np.all((ts >= 0.0) & (ts <= T * (1 + 1e-12))):
-            raise ValueError("discovery window t must lie in [0, hop_dwell]")
-        ms = np.floor(ts / params.trial_time + _FLOOR_NUDGE).astype(int)
-        beta = np.exp(-self.lam[:, None] * ts)
-        theta = self.trial_fail ** ms[None, :]
-        z = beta + theta - beta * theta
-        hop_lat = T + self.rest[:, None] * self.failure_excess[:, None] * z
-        succ = self.succ_base[:, None] + self.succ_slope[:, None] * ts[None, :]
-        fail = self.fail_base[:, None] + self.fail_slope[:, None] * ts[None, :]
-        hop_rates = (
-            self.fwd[:, None] * params.rate_cell
-            + self.rest[:, None] * (1.0 - z) * succ
-            + self.rest[:, None] * z * fail
-        )
-        return ms, z, {
-            "latency": _sum_rows(hop_lat),
-            "rate_min_means": hop_rates.min(axis=0),
-            "hop_latency": hop_lat,
-            "hop_rate": hop_rates,
-        }
+        return _hop_rows(self.params, self._coef[:, :, None], None, ts)
 
     def series(self, ts: np.ndarray) -> dict[str, np.ndarray]:
         """Evaluate latency and both rate readings over a window grid.
@@ -565,49 +571,168 @@ class RouteEvaluator:
             ``rate_min_means`` and per-hop (k, len(ts)) arrays under
             ``hop_latency``, ``hop_rate``.
         """
+        ts = np.asarray(ts, dtype=float)
+        ms, probs, out = self._hop_stage(ts)
+        # One column index shared by every window: the stack's one route.
+        shared = np.zeros(1, dtype=np.intp)
+        out["rate_closed"] = _RouteStack((self,)).rate(shared, ts, ms, probs, out["hop_rate"][0])
+        return out
+
+
+def _hop_rows(
+    params: SystemParams, coef: np.ndarray, pad: np.ndarray | None, ts
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
+    """Per-hop stage of the kernel at windows ``ts``.
+
+    ``coef`` holds RouteEvaluator's coefficient rows, each (hops, 1) for one
+    route or (hops, len(ts)) with one route's column per window; ``pad``
+    marks padded hops, which read 0 latency, +inf rate and probabilities 1.
+    Returns the whole-trial count of every window, each hop's probabilities
+    of discovery success and of fallback, and every reading of ``series`` except
+    ``rate_closed``.
+    """
+    T = params.hop_dwell
+    ts = np.asarray(ts, dtype=float)
+    if not np.all((ts >= 0.0) & (ts <= T * (1 + 1e-12))):
+        raise ValueError("discovery window t must lie in [0, hop_dwell]")
+    ms = np.floor(ts / params.trial_time + _FLOOR_NUDGE).astype(int)
+    lam, fwd, rest, failure_excess, succ_base, succ_slope, fail_base, fail_slope = coef
+    beta = np.exp(-lam * ts)
+    theta = (1.0 - params.decode_ok_pair) ** ms
+    z = beta + theta - beta * theta  # discovery misses, given no forward
+    hop_lat = T + rest * failure_excess * z
+    success = rest * (1.0 - z)
+    failure = rest * z
+    hop_rates = (
+        fwd * params.rate_cell
+        + success * (succ_base + succ_slope * ts)
+        + failure * (fail_base + fail_slope * ts)
+    )
+    if pad is not None:
+        hop_lat[pad] = 0.0
+        hop_rates[pad] = np.inf
+        success[pad] = 1.0
+        failure[pad] = 1.0
+    return ms, (success, failure), {
+        "latency": _sum_rows(hop_lat),
+        "rate_min_means": hop_rates.min(axis=0),
+        "hop_latency": hop_lat,
+        "hop_rate": hop_rates,
+    }
+
+
+class _RouteStack:
+    """Several routes read by one kernel call: window i of route cols[i].
+
+    Per-hop coefficients are stacked to (k_max, routes).  A route shorter
+    than k_max is padded with trailing neutral hops, which add 0 to the
+    latency sum, 1 to the survival products and +inf to the minimum; the
+    sums and products run row by row, so a padded column reads the same
+    bits as its route alone.  The joint-outcome tables are stacked on the
+    first read that needs them, and each mixed route keeps its own mixture
+    spline, evaluated on that route's windows only.  Windows grouped by
+    route make the fewest spline calls.
+    """
+
+    def __init__(self, evaluators: Sequence[RouteEvaluator]):
+        self.evaluators = tuple(evaluators)
+        self.params = self.evaluators[0].params
+        # All-forward routes carry at the cellular rate and a one-hop route
+        # at its hop's mean; the rest read the joint-outcome mixture.
+        self.forward = np.array([ev.all_forward for ev in self.evaluators])
+        self.mixed = ~self.forward & (np.array([ev.k for ev in self.evaluators]) > 1)
+
+    @functools.cached_property
+    def _hops(self) -> tuple[np.ndarray, np.ndarray | None]:
+        ks = np.array([ev.k for ev in self.evaluators])
+        coef = np.zeros((len(self.evaluators[0]._coef), ks.max(), len(ks)))
+        for j, ev in enumerate(self.evaluators):
+            coef[:, : ev.k, j] = ev._coef
+        pad = np.arange(ks.max())[:, None] >= ks
+        return coef, pad if pad.any() else None
+
+    @functools.cached_property
+    def _tables(self) -> _JointTables:
+        joint = [ev._joint if mixed else None for ev, mixed in zip(self.evaluators, self.mixed)]
+        ref = next(j for j in joint if j is not None)
+
+        def stacked(name: str) -> np.ndarray:
+            # Routes without a mixture read none of it: zeros hold their place.
+            parts = [np.zeros_like(getattr(ref, name)) if j is None else getattr(j, name) for j in joint]
+            return np.concatenate(parts, axis=-1)
+
+        return _JointTables(
+            support=ref.support,
+            pmf=stacked("pmf"),
+            xf_cum=stacked("xf_cum"),
+            leftover=stacked("leftover"),
+            exp_max_wait=stacked("exp_max_wait"),
+            mixtures=tuple(None if j is None else j.mixtures[0] for j in joint),
+        )
+
+    def read(self, cols: np.ndarray, ts: np.ndarray) -> dict[str, np.ndarray]:
+        """Every reading of ``series`` at window ts[i] of route cols[i].
+
+        Per-hop arrays are (k_max, len(ts)) and include the padded hops.
+        """
+        coef, pad = self._hops
+        ts = np.asarray(ts, dtype=float)
+        ms, probs, out = _hop_rows(self.params, coef[:, :, cols], None if pad is None else pad[:, cols], ts)
+        out["rate_closed"] = self.rate(cols, ts, ms, probs, out["hop_rate"][0])
+        return out
+
+    def rate(self, cols, ts, ms, probs, first_hop_rate) -> np.ndarray:
+        """Joint-outcome stage: the route rate at window ts[i] of route cols[i].
+
+        ``cols`` may also be a single index shared by every window; ``ms``,
+        ``probs`` and the first hop's rate come from the windows' per-hop
+        stage.
+        """
+        params = self.params
+        rate = np.where(self.forward[cols], params.rate_cell, first_hop_rate)
+        mixed = self.mixed[cols]
+        sel = slice(None) if mixed.all() else np.flatnonzero(mixed)
+        if isinstance(sel, slice) or sel.size:
+            success, failure = probs
+            rate[sel] = self._mixed_rate(cols[sel], ts[sel], ms[sel], success[:, sel], failure[:, sel])
+        return rate
+
+    def _mixed_rate(self, cols, ts, ms, success, failure) -> np.ndarray:
         params = self.params
         T = params.hop_dwell
-        ts = np.asarray(ts, dtype=float)
-        ms, z, out = self._hop_stage(ts)
-
-        if self.all_forward or self.k == 1:
-            # Degenerate cases: all-forward routes always fall back to the
-            # cellular rate; single-hop routes have no mixed outcome, so the
-            # hop mean reading is already the joint-outcome value.
-            out["rate_closed"] = (
-                np.full_like(ts, params.rate_cell) if self.all_forward else out["hop_rate"][0].copy()
-            )
-            return out
-
-        p_as = (self.rest[:, None] * (1.0 - z)).prod(axis=0)
-        p_af = (self.rest[:, None] * z).prod(axis=0)
+        tables = self._tables
+        p_as = success.prod(axis=0)
+        p_af = failure.prod(axis=0)
         p_mix = 1.0 - p_as - p_af
         # all-success term
-        mm = np.minimum(ms, len(self._pmf))
-        waits = self._xf_cum[mm] * params.trial_time
+        mm = np.minimum(ms, len(tables.support))
+        waits = tables.xf_cum[mm, cols] * params.trial_time
         c_as = (params.rate_v2v * (T - waits) + params.rate_cell * (T - ts)) / T
         c_as = np.where(ms >= 1, c_as, 0.0)
         # all-failure term
-        c_af = (params.rate_v2i * (T - ts) + params.rate_cell * ts) / (2.0 * T + self.exp_max_wait)
-        # Mixture over every trial-count piece in one table lookup.  Row x
-        # caps the success bottleneck at x trials and counts where x <= m;
-        # the last row caps the leftover mass.  Where the fallback rate's
-        # supremum is zero the mixture rate is zero, and the lookup, which
-        # divides by the supremum, is skipped.
+        c_af = (params.rate_v2i * (T - ts) + params.rate_cell * ts) / (2.0 * T + tables.exp_max_wait[cols])
+        # Mixture over every trial-count piece in one table lookup per route.
+        # Row x caps the success bottleneck at x trials and counts where
+        # x <= m; the last row caps the leftover mass.  Where the fallback
+        # rate's supremum is zero the mixture rate is zero, and the lookup,
+        # which divides by the supremum, is skipped.
         c_mix = np.zeros_like(ts)
         cap = params.rate_cell
         amount = params.rate_v2i * (T - ts) + params.rate_cell * ts
         sup = amount / (2.0 * T)
         live = sup > 0.0
         s, m = sup[live], ms[live]
-        xs = self._pmf_support[:, None]
+        owner = cols if cols.size == 1 else cols[live]
+        xs = tables.support[:, None]
         s_rates = (
             params.rate_v2v * (T - xs * params.trial_time) / T
             + params.rate_cell * (T - ts[live][None, :]) / T
         )
         caps = np.vstack([np.clip(np.minimum(s_rates, cap), 0.0, s) / s, np.minimum(cap / s, 1.0)])
-        table = self._mixture_table(caps)
-        terms = np.where(xs <= m, self._pmf[:, None] * table[:-1], 0.0)
-        c_mix[live] = s * (_sum_rows(terms) + self._leftover[m] * table[-1])
-        out["rate_closed"] = p_as * c_as + p_af * c_af + p_mix * c_mix
-        return out
+        table = np.empty_like(caps)
+        runs = (np.flatnonzero(np.diff(owner)) + 1).tolist()
+        for a, b in zip([0, *runs], [*runs, caps.shape[1]]):
+            table[:, a:b] = tables.mixtures[owner[a]](caps[:, a:b])
+        terms = np.where(xs <= m, tables.pmf[:, owner] * table[:-1], 0.0)
+        c_mix[live] = s * (_sum_rows(terms) + tables.leftover[m, owner] * table[-1])
+        return p_as * c_as + p_af * c_af + p_mix * c_mix

@@ -10,28 +10,29 @@ where both readings are min-max normalized over a shared context so the
 trade-off weight is meaningful across routes.  F is written once, as a
 vectorized function of the readings, which the objective takes from one
 :meth:`RouteEvaluator.series` call, whether for a whole scan grid or one
-window.  There is one search: the distributed solve runs it once per
-distinct hop, on that hop as a one-hop route on its own scale.  The
+window.  There is one search: the distributed solve runs it over every
+distinct hop at once, each hop a one-hop route on its own scale.  The
 objective is piecewise smooth in t: every multiple of the trial time admits
 one more whole trial into the window, which moves probability mass between
 branches in a jump.  The pieces depend only on the parameters, so a solve
 builds one scan grid (piece edges, interiors, insets) for every route and
 reads each route's kernel over it once, for the envelope and the search
 alike.  Derivative-sign changes are bracketed over all pieces in one array
-pass and polished by bisection, each central-difference probe being one
-2-point read of the objective.
+pass per route, and every bracket of every route is polished by one
+bisection in lockstep: a step reads the central-difference probes of all
+open brackets in one route-stacked kernel call, so a solve makes at most 81
+such calls whatever its route count.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import astuple, dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .closedform import RouteEvaluator, _breakpoints
+from .closedform import RouteEvaluator, _breakpoints, _RouteStack
 from .model import Route, SystemParams
 
 __all__ = [
@@ -73,16 +74,24 @@ class NormalizationContext:
     rate_max: float
 
     def latency_norm(self, value):
-        span = self.latency_max - self.latency_min
-        if span <= 0.0:
-            return np.zeros_like(value, dtype=float) if isinstance(value, np.ndarray) else 0.0
-        return (value - self.latency_min) / span
+        return _unit(value, self.latency_min, self.latency_max)
 
     def rate_norm(self, value):
-        span = self.rate_max - self.rate_min
-        if span <= 0.0:
-            return np.zeros_like(value, dtype=float) if isinstance(value, np.ndarray) else 0.0
-        return (value - self.rate_min) / span
+        return _unit(value, self.rate_min, self.rate_max)
+
+
+def _unit(value, low, high):
+    """(value - low) / (high - low), or 0 where that span is not positive.
+
+    The bounds may be arrays, one pair per value: a lockstep search scores
+    each probe on its own route's scale.
+    """
+    span = high - low
+    if np.ndim(span):
+        return np.divide(value - low, span, out=np.zeros(np.shape(span)), where=span > 0.0)
+    if span <= 0.0:
+        return np.zeros_like(value, dtype=float) if isinstance(value, np.ndarray) else 0.0
+    return (value - low) / span
 
 
 @dataclass(frozen=True)
@@ -145,20 +154,34 @@ def _scan_grid(params: SystemParams) -> _ScanGrid:
 
 def _envelope(
     evaluators: Iterable[RouteEvaluator], ts: np.ndarray
-) -> tuple[NormalizationContext, list[tuple[np.ndarray, np.ndarray]]]:
-    """Envelope of the routes' reads over ``ts`` (see build_normalization),
-    and each read's (rate_closed, latency), all a search keeps of it."""
-    envelope = [math.inf, -math.inf, math.inf, -math.inf]
-    reads = []
+) -> tuple[list[NormalizationContext], list[tuple[np.ndarray, np.ndarray]]]:
+    """Each route's envelope over ``ts`` (see build_normalization), and each
+    read's (rate_closed, latency), all a search keeps of it."""
+    scales, reads = [], []
     for ev in evaluators:
         out = ev.series(ts)
-        envelope[0] = min(envelope[0], float(out["latency"].min()))
-        envelope[1] = max(envelope[1], float(out["latency"].max()))
-        envelope[2] = min(envelope[2], float(out["rate_closed"].min()), float(out["hop_rate"].min()))
-        envelope[3] = max(envelope[3], float(out["rate_closed"].max()), float(out["hop_rate"].max()))
-        reads.append((out["rate_closed"], out["latency"]))
-        del out  # free the per-hop rows before the next read
-    return NormalizationContext(*envelope), reads
+        lat, rate, hop_rate = out["latency"], out["rate_closed"], out["hop_rate"]
+        scales.append(
+            NormalizationContext(
+                float(lat.min()),
+                float(lat.max()),
+                min(float(rate.min()), float(hop_rate.min())),
+                max(float(rate.max()), float(hop_rate.max())),
+            )
+        )
+        reads.append((rate, lat))
+        del out, hop_rate  # free the per-hop rows before the next read
+    return scales, reads
+
+
+def _hull(scales: Sequence[NormalizationContext]) -> NormalizationContext:
+    """The smallest envelope holding every one of ``scales``."""
+    return NormalizationContext(
+        min(s.latency_min for s in scales),
+        max(s.latency_max for s in scales),
+        min(s.rate_min for s in scales),
+        max(s.rate_max for s in scales),
+    )
 
 
 def build_normalization(routes: Sequence[Route], params: SystemParams) -> NormalizationContext:
@@ -172,7 +195,7 @@ def build_normalization(routes: Sequence[Route], params: SystemParams) -> Normal
     """
     if not routes:
         raise ValueError("need at least one route")
-    return _envelope((RouteEvaluator(route, params) for route in routes), _scan_grid(params).ts)[0]
+    return _hull(_envelope((RouteEvaluator(route, params) for route in routes), _scan_grid(params).ts)[0])
 
 
 def _trade_off(rate, latency, context: NormalizationContext, weight: float):
@@ -202,60 +225,24 @@ def weighted_objective(
     return float(_route_objective_series(evaluator, [t], context, w)[0])
 
 
-def _bisect_sign_change(
-    deriv: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-) -> float:
-    # Precondition: deriv(lo) > 0 >= deriv(hi); the function is smooth here.
-    for _ in range(80):
-        if hi - lo < tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _brackets(
+    grid: _ScanGrid, rows: np.ndarray, values: np.ndarray, T: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets (lo, hi) of the interior maxima in one route's grid values.
 
-
-def _maximize_scan(
-    grid: _ScanGrid,
-    values: np.ndarray,
-    objective: Callable[[np.ndarray], np.ndarray],
-    T: float,
-) -> tuple[float, float]:
-    """Best window from grid values plus bisection of interior sign changes.
-
-    ``values`` are the readings of ``objective``, which maps a window array
-    to objective values, over ``grid.ts``.  Interior maxima are bracketed by
-    first differences of each piece's samples, all pieces in one array pass,
-    and polished by bisection; each central-difference probe is one 2-point
-    read at (x - h, x + h).
+    A bracket spans two first differences of a piece's samples, rising then
+    not rising; ``rows`` are the pieces holding every sample, all bracketed
+    in one array pass.  The bracket stays one probe inside the domain so the
+    central difference never reads past it; the raw samples already cover a
+    peak hiding in that sliver.
     """
     h = grid.probe
-    tol = _REL_T_TOL * T
-
-    def deriv(x: float) -> float:
-        lo, hi = objective(np.array([x - h, x + h]))
-        return (hi - lo) / (2 * h)
-
-    # Rows with an absent sample hold at most two, too few to bracket.
-    rows = grid.pieces[(grid.pieces >= 0).all(axis=1)]
     d = np.diff(values[rows], axis=1)
-    peaks: list[float] = []
-    for r, i in zip(*np.nonzero((d[:, :-1] > 0.0) & (d[:, 1:] <= 0.0))):
-        # Keep the bracket one probe inside the domain so the central
-        # difference never reads past it; the raw samples already cover a
-        # peak hiding in that sliver.
-        lo = max(float(grid.ts[rows[r, i]]), h)
-        hi = min(float(grid.ts[rows[r, i + 2]]), T - h)
-        if lo < hi:
-            peaks.append(_bisect_sign_change(deriv, lo, hi, tol))
-    if peaks:  # one read polishes them all; a window reads alike in any batch
-        values = np.append(values, objective(np.array(peaks)))
-    return _winner(np.append(grid.ts, peaks), values, T)
+    r, i = np.nonzero((d[:, :-1] > 0.0) & (d[:, 1:] <= 0.0))
+    lo = np.maximum(grid.ts[rows[r, i]], h)
+    hi = np.minimum(grid.ts[rows[r, i + 2]], T - h)
+    keep = lo < hi
+    return lo[keep], hi[keep]
 
 
 def _winner(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float]:
@@ -285,21 +272,58 @@ def _winner(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float]
 def _search(
     evaluators: Sequence[RouteEvaluator],
     grid: _ScanGrid,
+    reads: Sequence[tuple[np.ndarray, np.ndarray]],
+    scales: Sequence[NormalizationContext],
     weight: float,
-    context: NormalizationContext | None,
-) -> tuple[list[tuple[float, float]], NormalizationContext]:
-    """Best (window, value) of every route, and the scale it scored on.
+) -> list[tuple[float, float]]:
+    """Best (window, value) of every route, route i scored on ``scales[i]``.
 
-    One grid read per route serves both the envelope, which is the scale
-    unless a ``context`` is given, and the search.
+    ``reads`` are the routes' (rate_closed, latency) grid reads.  Interior
+    maxima are bracketed per route and polished by one bisection over every
+    bracket of every route in lockstep: each step reads the derivative
+    probes (mid - h, mid + h) of all brackets still open in one stacked
+    kernel call, and one more call reads every peak.  A bracket closes once
+    narrower than the window tolerance or after 80 steps.
     """
-    scale, reads = _envelope(evaluators, grid.ts)
-    ctx = context or scale
-    best = []
-    for ev, (rate, lat) in zip(evaluators, reads):
-        objective = functools.partial(_route_objective_series, ev, context=ctx, weight=weight)
-        best.append(_maximize_scan(grid, _trade_off(rate, lat, ctx, weight), objective, ev.params.hop_dwell))
-    return best, ctx
+    T = evaluators[0].params.hop_dwell
+    h = grid.probe
+    # Rows with an absent sample hold at most two, too few to bracket.
+    rows = grid.pieces[(grid.pieces >= 0).all(axis=1)]
+    values, lo, hi = [], [], []
+    for (rate, lat), scale in zip(reads, scales):
+        values.append(_trade_off(rate, lat, scale, weight))
+        a, b = _brackets(grid, rows, values[-1], T)
+        lo.append(a)
+        hi.append(b)
+    owner = np.repeat(np.arange(len(evaluators)), [len(a) for a in lo])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+
+    stack = _RouteStack(evaluators)
+    bounds = np.array([astuple(s) for s in scales])
+
+    def objective(cols: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        out = stack.read(cols, ts)
+        return _trade_off(out["rate_closed"], out["latency"], NormalizationContext(*bounds[cols].T), weight)
+
+    tol = _REL_T_TOL * T
+    active = np.arange(len(lo))
+    for _ in range(80):
+        active = active[~(hi[active] - lo[active] < tol)]
+        if not active.size:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        f = objective(np.repeat(owner[active], 2), np.column_stack([mid - h, mid + h]).ravel())
+        up = (f[1::2] - f[::2]) / (2 * h) > 0.0
+        lo[active[up]] = mid[up]
+        hi[active[~up]] = mid[~up]
+    peaks = 0.5 * (lo + hi)
+    # One read polishes them all; a window reads alike in any batch.
+    peak_values = objective(owner, peaks) if peaks.size else peaks
+    cut = np.searchsorted(owner, np.arange(len(evaluators) + 1))
+    return [
+        _winner(np.append(grid.ts, peaks[a:b]), np.append(v, peak_values[a:b]), T)
+        for v, a, b in zip(values, cut[:-1], cut[1:])
+    ]
 
 
 def solve_global(
@@ -321,7 +345,11 @@ def solve_global(
     if not 0.0 <= w <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
     evaluators = [RouteEvaluator(r, params) for r in routes]
-    per_route, ctx = _search(evaluators, _scan_grid(params), w, context)
+    grid = _scan_grid(params)
+    scales, reads = _envelope(evaluators, grid.ts)
+    ctx = context or _hull(scales)
+    per_route = _search(evaluators, grid, reads, [ctx] * len(evaluators), w)
+    del reads
     best = (-math.inf, math.inf, -1)  # value, window, index
     for i, (t_i, val_i) in enumerate(per_route):
         if val_i > best[0] + _TIE or (abs(val_i - best[0]) <= _TIE and (t_i, i) < (best[1], best[2])):
@@ -365,11 +393,14 @@ def solve_distributed(
     evaluators = [RouteEvaluator(r, params) for r in routes]
     grid = _scan_grid(params)
     if context is None:
-        context, _ = _envelope(evaluators, grid.ts)
-    hop_window = {}
-    for hop in dict.fromkeys(h for r in routes for h in r.hops):
-        best, _ = _search([RouteEvaluator(Route(hops=(hop,)), params)], grid, w, None)
-        hop_window[hop] = best[0][0]
+        context = _hull(_envelope(evaluators, grid.ts)[0])
+    # Every distinct hop is a one-hop route on its own scale, all searched
+    # in one lockstep.
+    hops = list(dict.fromkeys(h for r in routes for h in r.hops))
+    hop_evaluators = [RouteEvaluator(Route(hops=(hop,)), params) for hop in hops]
+    scales, reads = _envelope(hop_evaluators, grid.ts)
+    best = _search(hop_evaluators, grid, reads, scales, w)
+    hop_window = {hop: t for hop, (t, _) in zip(hops, best)}
 
     def aggregate(ev: RouteEvaluator, windows: tuple[float, ...]) -> tuple[float, float, float]:
         # One read at all k windows: hop h at its own window is entry (h, h).

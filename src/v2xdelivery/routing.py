@@ -67,6 +67,10 @@ class Topology:
     positions: dict[int, tuple[float, float]]
     edges: frozenset[tuple[int, int]]
     arrival_rates: dict[tuple[int, int], float] = field(default_factory=dict)
+    # Adjacency, built once from ``edges``: both directions of every
+    # segment, and each intersection's neighbors in ascending id order.
+    _directed: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _adjacent: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a, b in self.edges:
@@ -74,27 +78,27 @@ class Topology:
                 raise ValueError(f"edge ({a}, {b}) references unknown intersection")
             if a == b:
                 raise ValueError("self-loops are not roads")
+        directed = frozenset(self.edges) | frozenset((b, a) for a, b in self.edges)
+        adjacent: dict[int, list[int]] = {}
+        for a, b in directed:
+            adjacent.setdefault(a, []).append(b)
+        object.__setattr__(self, "_directed", directed)
+        object.__setattr__(self, "_adjacent", {node: tuple(sorted(out)) for node, out in adjacent.items()})
         for (a, b), rate in self.arrival_rates.items():
-            if (a, b) not in self.directed_edges():
+            if (a, b) not in directed:
                 raise ValueError(f"rate given for non-edge ({a}, {b})")
             if rate <= 0:
                 raise ValueError("arrival rates must be positive")
 
     def directed_edges(self) -> set[tuple[int, int]]:
-        out = set()
-        for a, b in self.edges:
-            out.add((a, b))
-            out.add((b, a))
-        return out
+        return set(self._directed)
 
     def neighbors(self, node: int) -> list[int]:
         """Adjacent intersections in ascending id order."""
-        out = [b for a, b in self.edges if a == node]
-        out += [a for a, b in self.edges if b == node]
-        return sorted(set(out))
+        return list(self._adjacent.get(node, ()))
 
     def degree(self, node: int) -> int:
-        return len(self.neighbors(node))
+        return len(self._adjacent.get(node, ()))
 
     def hop_for(self, a: int, b: int) -> Hop:
         """Hop along the directed edge (a, b).
@@ -102,7 +106,7 @@ class Topology:
         The branch degree counts the ways out of b other than turning back
         toward a, floored at one so dead ends still forward.
         """
-        if (a, b) not in self.directed_edges():
+        if (a, b) not in self._directed:
             raise ValueError(f"({a}, {b}) is not a road segment")
         rate = self.arrival_rates.get((a, b))
         if rate is None:

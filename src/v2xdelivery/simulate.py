@@ -21,8 +21,9 @@ at different windows therefore share sample paths, which makes sweep curves
 smooth and paired comparisons exact.
 
 Each hop is drawn and its window-independent arrays prepared once per
-call; a window then costs two comparisons for its branch masks and one
-gather per reading from the hop's branch tables.
+call, into buffers every hop of the call reuses; a window then costs two
+comparisons for its branch masks and one gather per reading from the hop's
+branch tables.  Each window's result owns its snapshot arrays.
 """
 
 from __future__ import annotations
@@ -158,13 +159,39 @@ def _hop_stream(seed: int, hop_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(hop_index))
 
 
-def _draw_hop(gen: np.random.Generator, hop: Hop, params: SystemParams, n: int):
-    """Fixed draw block of one hop: direction, arrival, trials, RSU wait."""
-    u = gen.random(n)
-    arrival = gen.exponential(scale=1.0 / hop.arrival_rate, size=n)
-    trials = gen.geometric(p=params.decode_ok_pair, size=n)
-    rsu_wait = gen.exponential(scale=1.0 / hop.arrival_rate, size=n)
-    return u, arrival, trials, rsu_wait
+@dataclass(frozen=True)
+class _HopBuffers:
+    """Snapshot-length arrays every hop of one call is drawn and prepared into.
+
+    Allocated once per call and reused hop after hop.  Freed and allocated
+    again per hop, arrays this size can go back to the system and be
+    faulted in afresh, which at 3e5 snapshots costs more than the
+    arithmetic on them.
+    """
+
+    draw: np.ndarray  # the direction variate, then the RSU wait
+    arrival: np.ndarray
+    candidate: np.ndarray
+    latency: np.ndarray  # rows T, T, and the failure row each hop writes
+    need: np.ndarray
+    v2v: np.ndarray
+    base: np.ndarray
+    index: np.ndarray  # 0, 1, ..., n - 1
+
+
+def _hop_buffers(n: int, T: float) -> _HopBuffers:
+    latency = np.empty(3 * n)
+    latency[: 2 * n] = T
+    return _HopBuffers(
+        draw=np.empty(n),
+        arrival=np.empty(n),
+        candidate=np.empty(n, dtype=bool),
+        latency=latency,
+        need=np.empty(n),
+        v2v=np.empty(n),
+        base=np.empty(n, dtype=np.intp),
+        index=np.arange(n),
+    )
 
 
 @dataclass(frozen=True)
@@ -201,37 +228,45 @@ def _prepare_hop(
     gen: np.random.Generator,
     hop: Hop,
     params: SystemParams,
-    n: int,
     mode: str,
     wire_rate: float | None,
+    buffers: _HopBuffers,
 ) -> _PreparedHop:
-    """Draw one hop's block and do its window-independent work once."""
+    """Draw one hop's block into ``buffers`` and do its window-independent
+    work once; the result lives in ``buffers`` until the next hop."""
     T = params.hop_dwell
     dt = params.trial_time
-    # Each draw is dropped once read, to keep the peak at a few arrays.
-    u, arrival, trials, rsu_wait = _draw_hop(gen, hop, params, n)
-    candidate = ~(u < 1.0 / hop.deg)
-    del u
-    latency = np.empty(3 * n)
-    latency[: 2 * n] = T
+    n = len(buffers.index)
+    # The fixed draw block, in stream order: direction, arrival, trials,
+    # RSU wait.  An exponential is drawn standard and scaled in place, the
+    # same product numpy's exponential(scale) forms.
+    u = gen.random(out=buffers.draw)
+    candidate = np.less(u, 1.0 / hop.deg, out=buffers.candidate)
+    np.logical_not(candidate, out=candidate)
+    arrival = gen.standard_exponential(out=buffers.arrival)
+    arrival *= 1.0 / hop.arrival_rate
+    trials = gen.geometric(p=params.decode_ok_pair, size=n)
+    rsu_wait = gen.standard_exponential(out=buffers.draw)
+    rsu_wait *= 1.0 / hop.arrival_rate
+    latency = buffers.latency
     if wire_rate is None:
         np.add(2.0 * T, rsu_wait, out=latency[2 * n :])
     else:
         latency[2 * n :] = 2.0 * T
-    del rsu_wait
+    need = buffers.need
     if mode == "physical":
-        need = arrival / dt
+        np.divide(arrival, dt, out=need)
         np.ceil(need, out=need)
         need += trials
         need -= 1
     else:
-        need = trials
+        need[:] = trials
     del trials
-    v2v = need * dt
+    v2v = np.multiply(need, dt, out=buffers.v2v)
     np.subtract(T, v2v, out=v2v)
     v2v *= params.rate_v2v
-    base = np.multiply(candidate, n, dtype=np.intp)
-    base += np.arange(n)
+    base = np.multiply(candidate, n, dtype=np.intp, out=buffers.base)
+    base += buffers.index
     return _PreparedHop(
         candidate=candidate,
         forwards=n - int(np.count_nonzero(candidate)),
@@ -346,9 +381,10 @@ def _simulate_windows(
     n = config.snapshots
     k = len(route.hops)
     nt = len(window_rows)
-    lat_sum = np.zeros((nt, n))
-    rate_min = np.full((nt, n), np.inf)
-    rate_ms_min = np.full((nt, n), np.inf)
+    # One array per window, so a kept result holds only its own snapshots.
+    lat_sum = [np.zeros(n) for _ in range(nt)]
+    rate_min = [np.full(n, np.inf) for _ in range(nt)]
+    rate_ms_min = [np.full(n, np.inf) for _ in range(nt)]
     counts = np.zeros((nt, k, len(Branch)), dtype=np.int64)
     scratch = (
         np.empty(n, dtype=bool),
@@ -357,6 +393,7 @@ def _simulate_windows(
         np.full(3 * n, params.rate_cell),
         np.empty(n),
     )
+    buffers = _hop_buffers(n, params.hop_dwell)
     for h, hop in enumerate(route.hops):
         wired = (
             backhaul is not None
@@ -364,7 +401,7 @@ def _simulate_windows(
             and backhaul.linked(hop.rsu_id, route.hops[h + 1].rsu_id)
         )
         wire_rate = backhaul.wire_rate(params) if wired else None
-        prepared = _prepare_hop(_hop_stream(config.seed, h), hop, params, n, config.mode, wire_rate)
+        prepared = _prepare_hop(_hop_stream(config.seed, h), hop, params, config.mode, wire_rate, buffers)
         fallback = Branch.BACKHAUL_FORWARD if wired else Branch.DISCOVERY_FAILURE
         counts[:, h, Branch.COURIER_FORWARD] = prepared.forwards
         for i, row in enumerate(window_rows):
@@ -373,8 +410,6 @@ def _simulate_windows(
             )
             counts[i, h, Branch.DISCOVERY_SUCCESS] = successes
             counts[i, h, fallback] = n - prepared.forwards - successes
-        # Free this hop's arrays before the next hop draws its own.
-        del prepared
     return [
         _summary(row, config, lat_sum[i], rate_min[i], rate_ms_min[i], counts[i])
         for i, row in enumerate(window_rows)

@@ -38,7 +38,7 @@ from v2xdelivery import (
     rate_decomposition,
     scenario_probabilities,
 )
-from v2xdelivery.closedform import _expected_max_exponential_exact
+from v2xdelivery.closedform import _expected_max_exponential_exact, _RouteStack
 
 
 class TestHopReformulation:
@@ -508,6 +508,76 @@ class TestRouteEvaluator:
             expected_rate = [expected_hop_rate(h, t, params) for h in route.hops]
             np.testing.assert_allclose(ev.hop_latencies(t), expected_lat, atol=1e-12)
             np.testing.assert_allclose(ev.hop_rates(t), expected_rate, atol=1e-12)
+
+
+class TestRouteStack:
+    """A route-stacked read reads every window with the bits of its route's
+    own one-route ``series`` read."""
+
+    @staticmethod
+    def _routes():
+        rng = np.random.default_rng(66)
+        return [
+            Route(hops=(Hop(0.12, 3, rsu_id="solo"),)),
+            make_route(rng, k=2),
+            make_route(rng, k=14),
+            Route(hops=tuple(Hop(0.1, 1, rsu_id=f"d{i}") for i in range(3))),  # every deg = 1
+            make_route(rng, k=8, degs=(1, 2, 3)),
+            Route(hops=(Hop(0.2, 1, rsu_id="fwd"),)),
+            make_route(rng, k=5),
+        ]
+
+    @pytest.mark.parametrize(
+        "override",
+        [{}, {"decode_error": 0.3}, {"trial_time": 2.5}, {"trial_time": 20.0}, {"rate_v2i": 0.0}],
+    )
+    @pytest.mark.parametrize("order", ["by_route", "shuffled"])
+    def test_stacked_read_matches_one_route_series_bit_for_bit(self, override, order):
+        params = SystemParams(**override)
+        T = params.hop_dwell
+        routes = self._routes()
+        evaluators = [RouteEvaluator(r, params) for r in routes]
+        rng = np.random.default_rng(67)
+        edges = RouteEvaluator(routes[0], params).breakpoints()
+        # Both window ends, piece edges and their insets, and random windows.
+        ts = np.concatenate([[0.0, T], edges, np.maximum(edges - 1e-4 * params.trial_time, 0.0)])
+        ts = np.concatenate([ts, rng.uniform(0.0, T, size=40)])
+        cols = np.repeat(np.arange(len(routes)), len(ts))
+        ts = np.tile(ts, len(routes))
+        if order == "shuffled":
+            perm = rng.permutation(len(ts))
+            cols, ts = cols[perm], ts[perm]
+        out = _RouteStack(evaluators).read(cols, ts)
+        k_max = max(ev.k for ev in evaluators)
+        assert out["hop_latency"].shape == out["hop_rate"].shape == (k_max, len(ts))
+        for i, (c, t) in enumerate(zip(cols.tolist(), ts.tolist())):
+            ev = evaluators[c]
+            one = ev.series([t])
+            for name in ("latency", "rate_closed", "rate_min_means"):
+                assert out[name][i].tobytes() == one[name][0].tobytes(), (name, c, t)
+            for name in ("hop_latency", "hop_rate"):
+                assert out[name][: ev.k, i].tobytes() == one[name][:, 0].tobytes(), (name, c, t)
+            # Padded hops are neutral.
+            assert np.all(out["hop_latency"][ev.k :, i] == 0.0)
+            assert np.all(out["hop_rate"][ev.k :, i] == np.inf)
+
+    def test_per_hop_readers_build_no_joint_tables(self, params):
+        # The joint-outcome tables wait for the first read that needs them;
+        # all-forward and one-hop routes never need them.
+        rng = np.random.default_rng(68)
+        mixed = RouteEvaluator(make_route(rng, k=4), params)
+        mixed.hop_rates(8.0)
+        mixed.latency(8.0)
+        assert "_joint" not in vars(mixed)
+        mixed.rate_closed(8.0)
+        assert "_joint" in vars(mixed)
+        for route in (
+            Route(hops=(Hop(0.12, 3, rsu_id="solo"),)),
+            Route(hops=tuple(Hop(0.1, 1, rsu_id=f"d{i}") for i in range(3))),
+        ):
+            ev = RouteEvaluator(route, params)
+            ev.series(np.linspace(0.0, params.hop_dwell, 11))
+            assert "_joint" not in vars(ev)
 
 
 def test_joint_rate_sits_below_the_bottleneck_of_means(params, grid_routes):

@@ -24,8 +24,9 @@ from v2xdelivery import (
     weighted_objective,
 )
 from v2xdelivery.cli import run_command
+import v2xdelivery.optimize as opt
+from v2xdelivery.closedform import _RouteStack
 from v2xdelivery.optimize import (
-    _maximize_scan,
     _route_objective_series,
     _scan_grid,
     _trade_off,
@@ -397,6 +398,108 @@ class TestBatchedScan:
         )
 
 
+def _bisect_sign_change(deriv, lo, hi, tol):
+    """One bracket's bisection, one derivative probe at a time: the
+    reference for the lockstep search.  Precondition: deriv(lo) > 0 >=
+    deriv(hi); the function is smooth here."""
+    for _ in range(80):
+        if hi - lo < tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if deriv(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _maximize_scan(grid, values, objective, T):
+    """One route's best window from its grid values plus bisection of each
+    interior sign change, every central-difference probe a 2-point read of
+    ``objective`` at (x - h, x + h): the reference for the lockstep search."""
+    h = grid.probe
+    tol = 1e-9 * T
+
+    def deriv(x):
+        lo, hi = objective(np.array([x - h, x + h]))
+        return (hi - lo) / (2 * h)
+
+    rows = grid.pieces[(grid.pieces >= 0).all(axis=1)]
+    d = np.diff(values[rows], axis=1)
+    peaks = []
+    for r, i in zip(*np.nonzero((d[:, :-1] > 0.0) & (d[:, 1:] <= 0.0))):
+        lo = max(float(grid.ts[rows[r, i]]), h)
+        hi = min(float(grid.ts[rows[r, i + 2]]), T - h)
+        if lo < hi:
+            peaks.append(_bisect_sign_change(deriv, lo, hi, tol))
+    if peaks:
+        values = np.append(values, objective(np.array(peaks)))
+    return _winner(np.append(grid.ts, peaks), values, T)
+
+
+def _reference_search(evaluators, grid, reads, scales, weight):
+    """``optimize._search`` route by route and probe by probe, each probe a
+    ``series`` read of its own route."""
+    best = []
+    for ev, (rate, lat), scale in zip(evaluators, reads, scales):
+        def objective(ts, ev=ev, scale=scale):
+            return _route_objective_series(ev, ts, scale, weight)
+
+        values = _trade_off(rate, lat, scale, weight)
+        best.append(_maximize_scan(grid, values, objective, ev.params.hop_dwell))
+    return best
+
+
+class TestLockstepSearch:
+    """The lockstep search polishes every bracket to the per-probe
+    reference's bits, so every solver outcome keeps its repr."""
+
+    @staticmethod
+    def _both(monkeypatch, solve):
+        lockstep = solve()
+        with monkeypatch.context() as m:
+            m.setattr(opt, "_search", _reference_search)
+            reference = solve()
+        return lockstep, reference
+
+    @pytest.mark.parametrize("trial_time", [0.02, 0.3, 1.0, 20.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_outcomes_match_the_per_probe_reference(self, monkeypatch, seed, trial_time):
+        scenario = build_grid_scenario(seed=seed)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        params = dataclasses.replace(scenario.params, trial_time=trial_time)
+        for weight in (0.0, 0.5, 1.0):
+            lockstep, reference = self._both(monkeypatch, lambda: solve_global(routes, params, weight=weight))
+            assert repr(lockstep) == repr(reference)
+            lockstep, reference = self._both(
+                monkeypatch, lambda: solve_distributed(routes, params, weight=weight)
+            )
+            assert repr(lockstep) == repr(reference)
+
+    def test_outcomes_match_the_per_probe_reference_on_4x4(self, monkeypatch):
+        # 184 routes of 6 to 14 hops: the stack pads up to 8 hops per route.
+        scenario = build_grid_scenario(rows=4, cols=4, seed=2)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        params = dataclasses.replace(scenario.params, trial_time=1.0)
+        assert len(routes) == 184
+        lockstep, reference = self._both(monkeypatch, lambda: solve_global(routes, params, weight=0.5))
+        assert repr(lockstep) == repr(reference)
+        assert len(set(t for t, _ in lockstep.per_route_best)) > 1
+        lockstep, reference = self._both(
+            monkeypatch, lambda: solve_distributed(routes, params, weight=0.5, context=lockstep.context)
+        )
+        assert repr(lockstep) == repr(reference)
+
+    def test_mixed_route_kinds_match_the_reference(self, monkeypatch, params, grid_routes):
+        # One-hop and all-forward routes read no joint-outcome mixture.
+        one_hop = Route(hops=(Hop(0.12, 3, rsu_id="solo"),))
+        all_forward = Route(hops=tuple(Hop(0.1, 1, rsu_id=f"d{i}") for i in range(3)))
+        routes = [one_hop, *grid_routes[:4], all_forward]
+        for weight in (0.3, 0.7):
+            lockstep, reference = self._both(monkeypatch, lambda: solve_global(routes, params, weight=weight))
+            assert repr(lockstep) == repr(reference)
+
+
 def _best_hop_windows_reference(evaluator, grid, read, weight):
     """Per-hop window search inside the route: each hop normalizes over its
     own rows of the route's hop-stage grid read and probes that stage."""
@@ -530,6 +633,47 @@ class TestWorkCounts:
     def test_analyze_reads_the_kernel_once_per_route(self, counts, capsys, grid_routes):
         assert run_command(["analyze"]) == 0
         assert counts["__init__"] == len(counts["stages"]) == len(grid_routes)
+
+    @pytest.mark.parametrize("grid_size, trial_time", [(3, 0.1), (3, 0.02), (4, 1.0)])
+    def test_a_solve_makes_at_most_81_bisection_reads(self, monkeypatch, grid_size, trial_time):
+        # 80 lockstep steps and one read of every peak, for 12 routes or 184.
+        scenario = build_grid_scenario(rows=grid_size, cols=grid_size, seed=1)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        params = dataclasses.replace(scenario.params, trial_time=trial_time)
+        reads = []
+        read = _RouteStack.read
+
+        def counting_read(self, cols, ts):
+            reads.append(len(ts))
+            return read(self, cols, ts)
+
+        monkeypatch.setattr(_RouteStack, "read", counting_read)
+        outcome = solve_global(routes, params, weight=0.5, with_kkt=False)
+        interior = sum(0.0 < t < params.hop_dwell for t, _ in outcome.per_route_best)
+        assert interior > 1  # many routes polished their brackets together
+        assert 1 < len(reads) <= 81
+        assert max(reads) >= 2 * interior
+        del reads[:]
+        solve_distributed(routes, params, weight=0.5, context=outcome.context)
+        assert 1 < len(reads) <= 81
+
+    def test_distributed_with_a_context_builds_no_joint_tables(self, monkeypatch, params, grid_routes):
+        # With a context, solve_distributed reads only hop stages: no mixture
+        # spline and no exact E[max wait] is built.
+        import v2xdelivery.closedform as cf
+
+        built = []
+        for name in ("CubicSpline", "_expected_max_exponential_exact"):
+            original = getattr(cf, name)
+            monkeypatch.setattr(
+                cf, name, lambda *a, name=name, original=original: built.append(name) or original(*a)
+            )
+        ctx = build_normalization(grid_routes, params)
+        del built[:]
+        solve_distributed(grid_routes, params, weight=0.5, context=ctx)
+        assert built == []
+        solve_global(grid_routes, params, weight=0.5, with_kkt=False)
+        assert sorted(set(built)) == ["CubicSpline", "_expected_max_exponential_exact"]
 
     @pytest.mark.parametrize("t_star", [0.0, 0.05, 8.0, 12.34, 20.0])
     def test_stationarity_check_reads_the_kernel_once(self, counts, params, grid_routes, t_star):

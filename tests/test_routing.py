@@ -9,6 +9,7 @@ from v2xdelivery import (
     NoRouteError,
     SystemParams,
     Topology,
+    build_grid_scenario,
     build_normalization,
     distributed_routing,
     enumerate_routes,
@@ -59,6 +60,16 @@ class TestTopology:
         assert topo.neighbors(4) == [1, 3, 5, 7]
         assert topo.neighbors(0) == [1, 3]
         assert topo.degree(4) == 4
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_adjacency_matches_a_scan_of_the_edges(self, size):
+        topo = build_grid_scenario(rows=size, cols=size, seed=0).topology
+        directed = {(a, b) for a, b in topo.edges} | {(b, a) for a, b in topo.edges}
+        assert topo.directed_edges() == directed
+        for node in [*topo.positions, -1]:
+            expected = sorted({b for a, b in directed if a == node})
+            assert topo.neighbors(node) == expected
+            assert topo.degree(node) == len(expected)
 
     def test_hop_branch_degree_discounts_the_entry_direction(self, scenario):
         topo = scenario.topology

@@ -172,6 +172,14 @@ class TestDeterminism:
                 assert np.array_equal(entry.branch_counts, single.branch_counts)
                 assert entry.mean_rate_mean_subst == single.mean_rate_mean_subst
 
+    def test_sweep_results_own_their_snapshot_arrays(self, params, grid_routes):
+        # A kept result must not keep the other windows' snapshots alive.
+        swept = sweep_windows(grid_routes[0], [2.0, 8.0, 16.0], params, SimConfig(snapshots=1_000, seed=3))
+        for entry in swept:
+            for values in (entry.latencies, entry.rates):
+                assert values.base is None or values.flags.owndata
+                assert values.shape == (1_000,)
+
     def test_scalar_window_equals_constant_vector(self, params, grid_routes):
         route = grid_routes[0]
         cfg = SimConfig(snapshots=2_000, seed=5)
