@@ -22,7 +22,9 @@ one array pass; every one-window reading is a size-1 read of that kernel.
 The same kernel reads (route, window) probes of many routes at once
 (:class:`_RouteStack`), of which ``series`` is the one-route case.
 The quadrature forms above are independent oracles: the runtime never calls
-them, and the test suite checks the kernel against them.
+them, and the test suite checks the kernel against them.  They alone need
+scipy, and import it on first call; the kernel's mixture integral is a
+native Hermite table (:func:`_mixture_table`).
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
 
 from .model import (
     _FLOOR_NUDGE,
+    _check_window,
     Route,
     SystemParams,
     expected_hop_rate,
@@ -89,6 +90,7 @@ def e2e_latency_closed(route: Route, t: float, params: SystemParams) -> float:
     Algebraically identical to summing the branch-weighted hop latencies;
     the identity is enforced to 1e-9 by the acceptance suite.
     """
+    t = _check_window(t, params)
     T = params.hop_dwell
     theta = (1.0 - params.decode_ok_pair) ** max_trials(t, params.trial_time)
     total = 0.0
@@ -174,6 +176,8 @@ def expected_max_exponential(rates: Sequence[float]) -> float:
     1e-9; the quadrature is adaptive Gauss-Kronrod with absolute tolerance
     1e-8.
     """
+    from scipy import integrate  # the oracles alone need scipy; the runtime never loads it
+
     upper = _exp_max_upper(rates)
     val, err = integrate.quad(
         lambda x: x * exponential_max_pdf(rates, x),
@@ -225,6 +229,8 @@ def expectation_from_survival(
         raise ValueError("upper must be non-negative")
     if upper == 0:
         return 0.0
+    from scipy import integrate
+
     pts = [p for p in (points or []) if 0.0 < p < upper] or None
     val, err = integrate.quad(
         lambda x: 1.0 - cdf(x),
@@ -274,6 +280,7 @@ def expected_rate_all_success(route: Route, t: float, params: SystemParams) -> f
     window holds no whole trial, because the all-success outcome then has
     probability zero.
     """
+    t = _check_window(t, params)
     m = max_trials(t, params.trial_time)
     if m < 1:
         raise ValueError("window shorter than one trial: all-success outcome impossible")
@@ -288,6 +295,7 @@ def expected_rate_all_failure(route: Route, t: float, params: SystemParams) -> f
     The binding wait is the slowest RSU's wait for an outbound vehicle, the
     maximum of the hops' exponential waits, evaluated by quadrature.
     """
+    t = _check_window(t, params)
     T = params.hop_dwell
     wait = expected_max_exponential([h.arrival_rate for h in route.hops])
     return (params.rate_v2i * (T - t) + params.rate_cell * t) / (2.0 * T + wait)
@@ -352,6 +360,7 @@ def expected_rate_mixture(route: Route, t: float, params: SystemParams) -> float
     """
     if len(route.hops) < 2:
         raise ValueError("mixture outcome needs at least two hops")
+    t = _check_window(t, params)
     T = params.hop_dwell
     m = max_trials(t, params.trial_time)
     s_rates, s_probs, s_leftover = _success_support(len(route.hops), m, t, params)
@@ -380,6 +389,7 @@ def e2e_rate_closed(route: Route, t: float, params: SystemParams) -> float:
     forwards just carries at the cellular rate, and a single-hop route has
     no mixed outcome beyond plain forwarding.
     """
+    _check_window(t, params)
     if all(h.deg == 1 for h in route.hops):
         return params.rate_cell
     if len(route.hops) == 1:
@@ -432,6 +442,92 @@ def _breakpoints(params: SystemParams) -> np.ndarray:
     return np.unique(js)
 
 
+#: Intervals of the mixture table's v grid, v_i = i / _TABLE_INTERVALS.
+_TABLE_INTERVALS = 4000
+#: Rows of a mixture table: J at each interval's left node, six coefficients.
+_TABLE_COLUMNS = 7
+
+
+def _mixture_table(lam: np.ndarray, T: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Hermite table of J(c), the integral over [0, c] of the fallback survival W.
+
+    W(v) = prod_h (1 - exp(-lam_h w)), w = 2T(1 - v)/v, is the survival of a
+    route's fallback bottleneck rate in coordinates v = rate / supremum,
+    where it does not depend on the window.  J integrates W's quintic
+    Hermite interpolant on the v grid, which matches W, W' and W'' at every
+    node.  Both derivatives are analytic, so no linear solve is needed (de
+    Boor, A Practical Guide to Splines, 1978): with a_h = lam_h / expm1(lam_h w)
+    and A = sum_h a_h,
+
+        W' = W A w',   W'' = W ((A^2 - sum_h a_h (a_h + lam_h)) w'^2 + A w''),
+
+    w' = -2T/v^2 and w'' = 4T/v^3.  At v = 0 both vanish; at v = 1, where
+    W ~ prod_h lam_h w^k, so does W' (k >= 2 hops), and W'' = 8 T^2 lam_1
+    lam_2 for k = 2, 0 for more.  Column i holds J(v_i) and the coefficients
+    of J(v_i + s / _TABLE_INTERVALS) - J(v_i), a sextic in s in [0, 1] with
+    no constant term, lowest power first; :func:`_mixture_integral` reads
+    it.  ``out``, if given, receives the (_TABLE_COLUMNS, _TABLE_INTERVALS)
+    table.
+    """
+    n = _TABLE_INTERVALS
+    v = np.arange(1, n) / n  # the interior nodes
+    wait = 2.0 * T * (1.0 - v) / v
+    dwait = -2.0 * T / v**2
+    W = np.zeros(n + 1)
+    W[:-1] = 1.0
+    A = np.zeros(n - 1)
+    B = np.zeros(n - 1)
+    with np.errstate(over="ignore"):  # expm1 overflows to inf where a hop's factor is 1
+        for mu in lam:
+            a = mu / np.expm1(mu * wait)
+            W[1:-1] /= 1.0 + a / mu  # 1 - exp(-x) = 1 / (1 + 1 / expm1(x))
+            A += a
+            B += a * (a + mu)
+    # Derivatives in the unit coordinate s = n v of each interval.
+    m = np.zeros(n + 1)
+    q = np.zeros(n + 1)
+    m[1:-1] = W[1:-1] * A * dwait / n
+    q[1:-1] = W[1:-1] * ((A * A - B) * dwait**2 - 2.0 * A * dwait / v) / n**2
+    if len(lam) == 2:
+        q[-1] = 8.0 * T * T * lam[0] * lam[1] / n**2
+    y0, y1, m0, m1, q0, q1 = W[:-1], W[1:], m[:-1], m[1:], q[:-1], q[1:]
+    rise = y1 - y0
+    out = np.empty((_TABLE_COLUMNS, n)) if out is None else out
+    out[1] = y0 / n
+    out[2] = m0 / (2 * n)
+    out[3] = q0 / (6 * n)
+    out[4] = (10.0 * rise - 6.0 * m0 - 4.0 * m1 - 1.5 * q0 + 0.5 * q1) / (4 * n)
+    out[5] = (-15.0 * rise + 8.0 * m0 + 7.0 * m1 + 1.5 * q0 - q1) / (5 * n)
+    out[6] = (6.0 * rise - 3.0 * m0 - 3.0 * m1 - 0.5 * q0 + 0.5 * q1) / (6 * n)
+    area = 0.5 * (y0 + y1) + (m0 - m1) / 10.0 + (q0 + q1) / 120.0
+    # Running sums in blocks of 80 intervals, offset by the running sum of
+    # the block totals: about 130 roundings on any path, not 4000.
+    inside = np.cumsum((area / n).reshape(-1, 80), axis=1)
+    before = np.concatenate([[0.0], np.cumsum(inside[:-1, -1])])
+    out[0, 0] = 0.0
+    out[0, 1:] = (before[:, None] + inside).ravel()[:-1]
+    return out
+
+
+def _mixture_integral(table: np.ndarray, first: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """J(c) of a route stack's mixture tables: one index for every cell,
+    gathered from each coefficient row, then Horner.
+
+    ``table`` holds the routes' :func:`_mixture_table` tables side by side,
+    (_TABLE_COLUMNS, routes * _TABLE_INTERVALS); cell c[..., j] reads the
+    route whose table starts at column ``first[j]``, and c lies in [0, 1].
+    """
+    u = c * _TABLE_INTERVALS
+    i = np.minimum(u.astype(np.intp), _TABLE_INTERVALS - 1)
+    s = u - i
+    at = first + i
+    poly = table[-1].take(at)
+    for j in range(_TABLE_COLUMNS - 2, 0, -1):
+        poly *= s
+        poly += table[j].take(at)
+    return table[0].take(at) + s * poly
+
+
 @dataclass(frozen=True)
 class _JointTables:
     """Joint-outcome tables of one or more mixed routes, routes along the last axis."""
@@ -441,7 +537,6 @@ class _JointTables:
     xf_cum: np.ndarray  # (pieces + 1, routes) prefix sums of x * pmf
     leftover: np.ndarray  # (m_top + 1, routes) mass of the max trial count beyond m
     exp_max_wait: np.ndarray  # (routes,) exact E[max] of the hops' exponential waits
-    mixtures: tuple  # per route, the mixture antiderivative spline
 
 
 class RouteEvaluator:
@@ -449,18 +544,18 @@ class RouteEvaluator:
 
     Building one precomputes the per-hop coefficient arrays.  The
     joint-outcome tables (the geometric-max prefix sums, the exact expected
-    exponential maximum, and a spline antiderivative that turns the mixture
-    integral into a table lookup) are built on the first :meth:`series`
-    read that needs them, so a caller that reads only per-hop values never
-    pays for them; all-forward and one-hop routes never need them.
+    exponential maximum, and a Hermite table of the antiderivative that
+    turns the mixture integral into a table lookup) are built on the first
+    :meth:`series` read that needs them, so a caller that reads only
+    per-hop values never pays for them; all-forward and one-hop routes
+    never need them.  A route stack that builds its routes' mixture tables
+    in one array hands each route a view of its part (see
+    :meth:`_RouteStack.share_tables`).
     :meth:`series` is the kernel's one-route case (see :class:`_RouteStack`);
     the one-window readings (:meth:`latency`, :meth:`rate_closed`, ...) read
     it at a single window.  Agreement with the direct quadrature forms is
     pinned by tests.
     """
-
-    #: v-grid resolution of the mixture antiderivative table.
-    _TABLE_POINTS = 4001
 
     def __init__(self, route: Route, params: SystemParams):
         self.route = route
@@ -506,25 +601,18 @@ class RouteEvaluator:
         # by Python's scalar ** (NumPy's array ** can differ in the last bit).
         m_top = max_trials(T * (1 + 1e-12), params.trial_time)
         leftover = [1.0 - (1.0 - trial_fail**m) ** self.k for m in range(m_top + 1)]
-
-        # Mixture antiderivative: J(c) = integral_0^c W(v) dv where W is the
-        # fallback bottleneck's survival in normalized rate coordinates
-        # v = x / sup.  The coordinate change makes W window-independent.
-        v = np.linspace(0.0, 1.0, self._TABLE_POINTS)
-        with np.errstate(divide="ignore", over="ignore"):
-            wait = np.where(v > 0.0, 2.0 * T * (1.0 - v) / np.maximum(v, 1e-300), np.inf)
-        W = np.ones_like(v)
-        for mu in self.lam:
-            W *= 1.0 - np.exp(-mu * wait)
-        W[0] = 1.0
         return _JointTables(
             support=support,
             pmf=pmf[:, None],
             xf_cum=np.concatenate([[0.0], np.cumsum(support * pmf)])[:, None],
             leftover=np.array(leftover)[:, None],
             exp_max_wait=np.array([_expected_max_exponential_exact(self.lam)]),
-            mixtures=(CubicSpline(v, W).antiderivative(),),
         )
+
+    @functools.cached_property
+    def _mixture(self) -> np.ndarray:
+        """This route's mixture table (see _mixture_table), or its part of a stack's."""
+        return _mixture_table(self.lam, self.params.hop_dwell)
 
     # -- window pieces -----------------------------------------------------
 
@@ -629,9 +717,10 @@ class _RouteStack:
     latency sum, 1 to the survival products and +inf to the minimum; the
     sums and products run row by row, so a padded column reads the same
     bits as its route alone.  The joint-outcome tables are stacked on the
-    first read that needs them, and each mixed route keeps its own mixture
-    spline, evaluated on that route's windows only.  Windows grouped by
-    route make the fewest spline calls.
+    first read that needs them.  The mixed routes' mixture tables lie side
+    by side in one array, each route's table a view of it, and every
+    (trial-count row, window) cell of a read takes its coefficients from it
+    through one index.
     """
 
     def __init__(self, evaluators: Sequence[RouteEvaluator]):
@@ -667,8 +756,33 @@ class _RouteStack:
             xf_cum=stacked("xf_cum"),
             leftover=stacked("leftover"),
             exp_max_wait=stacked("exp_max_wait"),
-            mixtures=tuple(None if j is None else j.mixtures[0] for j in joint),
         )
+
+    @functools.cached_property
+    def _mixture(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mixed routes' mixture tables side by side in one
+        (_TABLE_COLUMNS, routes * _TABLE_INTERVALS) array, and each route's
+        first column in it (routes without a mixture point at column 0)."""
+        mixed = [ev for ev, m in zip(self.evaluators, self.mixed) if m]
+        if len(mixed) == 1:
+            table = mixed[0]._mixture[:, None]  # a view: one route needs no copy
+        else:
+            table = np.empty((_TABLE_COLUMNS, len(mixed), _TABLE_INTERVALS))
+            for r, ev in enumerate(mixed):
+                if "_mixture" in vars(ev):
+                    table[:, r] = ev._mixture
+                else:
+                    _mixture_table(ev.lam, self.params.hop_dwell, out=table[:, r])
+                vars(ev)["_mixture"] = table[:, r]  # the route's own reads share it
+        first = np.maximum(np.cumsum(self.mixed) - 1, 0) * _TABLE_INTERVALS
+        return table.reshape(_TABLE_COLUMNS, -1), first
+
+    def share_tables(self) -> None:
+        """Build the joint-outcome tables now, so that every mixed route reads
+        its mixture table from the stack's array, one copy for the stack's
+        reads and the routes' own :meth:`RouteEvaluator.series` reads alike."""
+        if self.mixed.any():
+            _ = self._tables, self._mixture
 
     def read(self, cols: np.ndarray, ts: np.ndarray) -> dict[str, np.ndarray]:
         """Every reading of ``series`` at window ts[i] of route cols[i].
@@ -711,11 +825,11 @@ class _RouteStack:
         c_as = np.where(ms >= 1, c_as, 0.0)
         # all-failure term
         c_af = (params.rate_v2i * (T - ts) + params.rate_cell * ts) / (2.0 * T + tables.exp_max_wait[cols])
-        # Mixture over every trial-count piece in one table lookup per route.
-        # Row x caps the success bottleneck at x trials and counts where
-        # x <= m; the last row caps the leftover mass.  Where the fallback
-        # rate's supremum is zero the mixture rate is zero, and the lookup,
-        # which divides by the supremum, is skipped.
+        # Mixture over every trial-count piece in one table gather.  Row x
+        # caps the success bottleneck at x trials and counts where x <= m;
+        # the last row caps the leftover mass.  Where the fallback rate's
+        # supremum is zero the mixture rate is zero, and the lookup, which
+        # divides by the supremum, is skipped.
         c_mix = np.zeros_like(ts)
         cap = params.rate_cell
         amount = params.rate_v2i * (T - ts) + params.rate_cell * ts
@@ -729,10 +843,8 @@ class _RouteStack:
             + params.rate_cell * (T - ts[live][None, :]) / T
         )
         caps = np.vstack([np.clip(np.minimum(s_rates, cap), 0.0, s) / s, np.minimum(cap / s, 1.0)])
-        table = np.empty_like(caps)
-        runs = (np.flatnonzero(np.diff(owner)) + 1).tolist()
-        for a, b in zip([0, *runs], [*runs, caps.shape[1]]):
-            table[:, a:b] = tables.mixtures[owner[a]](caps[:, a:b])
-        terms = np.where(xs <= m, tables.pmf[:, owner] * table[:-1], 0.0)
-        c_mix[live] = s * (_sum_rows(terms) + tables.leftover[m, owner] * table[-1])
+        table, first = self._mixture
+        integral = _mixture_integral(table, first[owner], caps)
+        terms = np.where(xs <= m, tables.pmf[:, owner] * integral[:-1], 0.0)
+        c_mix[live] = s * (_sum_rows(terms) + tables.leftover[m, owner] * integral[-1])
         return p_as * c_as + p_af * c_af + p_mix * c_mix

@@ -119,7 +119,8 @@ class Hop:
     def __post_init__(self) -> None:
         if not 0 < self.arrival_rate < math.inf:
             raise ValueError("arrival_rate must be positive and finite")
-        if not (isinstance(self.deg, int) and self.deg >= 1):
+        # bool is an int subclass: a YAML ``deg: true`` must not read as 1.
+        if not (isinstance(self.deg, int) and not isinstance(self.deg, bool) and self.deg >= 1):
             raise ValueError("deg must be an integer >= 1")
 
 
@@ -178,7 +179,8 @@ def max_trials(t: float, trial_time: float) -> int:
 
 
 def _check_window(t: float, params: SystemParams) -> float:
-    if t < 0 or t > params.hop_dwell * (1 + 1e-12):
+    # Written so that NaN fails it too.
+    if not 0 <= t <= params.hop_dwell * (1 + 1e-12):
         raise ValueError("discovery window t must lie in [0, hop_dwell]")
     return min(t, params.hop_dwell)
 

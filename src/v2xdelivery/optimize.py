@@ -270,13 +270,14 @@ def _winner(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float]
 
 
 def _search(
-    evaluators: Sequence[RouteEvaluator],
+    stack: _RouteStack,
     grid: _ScanGrid,
     reads: Sequence[tuple[np.ndarray, np.ndarray]],
     scales: Sequence[NormalizationContext],
     weight: float,
 ) -> list[tuple[float, float]]:
-    """Best (window, value) of every route, route i scored on ``scales[i]``.
+    """Best (window, value) of every route of ``stack``, route i scored on
+    ``scales[i]``.
 
     ``reads`` are the routes' (rate_closed, latency) grid reads.  Interior
     maxima are bracketed per route and polished by one bisection over every
@@ -285,7 +286,8 @@ def _search(
     kernel call, and one more call reads every peak.  A bracket closes once
     narrower than the window tolerance or after 80 steps.
     """
-    T = evaluators[0].params.hop_dwell
+    evaluators = stack.evaluators
+    T = stack.params.hop_dwell
     h = grid.probe
     # Rows with an absent sample hold at most two, too few to bracket.
     rows = grid.pieces[(grid.pieces >= 0).all(axis=1)]
@@ -298,7 +300,6 @@ def _search(
     owner = np.repeat(np.arange(len(evaluators)), [len(a) for a in lo])
     lo, hi = np.concatenate(lo), np.concatenate(hi)
 
-    stack = _RouteStack(evaluators)
     bounds = np.array([astuple(s) for s in scales])
 
     def objective(cols: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -345,10 +346,14 @@ def solve_global(
     if not 0.0 <= w <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
     evaluators = [RouteEvaluator(r, params) for r in routes]
+    stack = _RouteStack(evaluators)
+    # The grid reads, the lockstep and the winner's reads share one copy of
+    # every mixture table: the stack's.
+    stack.share_tables()
     grid = _scan_grid(params)
     scales, reads = _envelope(evaluators, grid.ts)
     ctx = context or _hull(scales)
-    per_route = _search(evaluators, grid, reads, [ctx] * len(evaluators), w)
+    per_route = _search(stack, grid, reads, [ctx] * len(evaluators), w)
     del reads
     best = (-math.inf, math.inf, -1)  # value, window, index
     for i, (t_i, val_i) in enumerate(per_route):
@@ -399,7 +404,7 @@ def solve_distributed(
     hops = list(dict.fromkeys(h for r in routes for h in r.hops))
     hop_evaluators = [RouteEvaluator(Route(hops=(hop,)), params) for hop in hops]
     scales, reads = _envelope(hop_evaluators, grid.ts)
-    best = _search(hop_evaluators, grid, reads, scales, w)
+    best = _search(_RouteStack(hop_evaluators), grid, reads, scales, w)
     hop_window = {hop: t for hop, (t, _) in zip(hops, best)}
 
     def aggregate(ev: RouteEvaluator, windows: tuple[float, ...]) -> tuple[float, float, float]:

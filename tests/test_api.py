@@ -8,7 +8,10 @@ entry points and ``RouteEvaluator`` methods by name.  A rename or an
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,3 +79,44 @@ def test_tracer_installs_and_restores_every_attribute(monkeypatch, params):
         assert not changed, f"{key}: {changed} not restored"
     assert {span[1] for span in tracer.spans} >= {"optimize.solve", "closedform.series", "closedform.scalar"}
 
+
+_SCIPY_FREE_RUN = """
+import contextlib, io, json, sys
+import v2xdelivery
+from v2xdelivery.cli import run_command
+
+commands = [
+    ["analyze"], ["optimize-global"], ["optimize-distributed"], ["compare"], ["simulate"],
+    ["sweep", "--variable", "alpha"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run_command(argv + ["--out", argv[0] + ".csv"]) for argv in commands]
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+params = v2xdelivery.SystemParams()
+route = v2xdelivery.Route(hops=(v2xdelivery.Hop(0.15, 3, rsu_id="A"), v2xdelivery.Hop(0.25, 4, rsu_id="B")))
+oracle = v2xdelivery.e2e_rate_closed(route, 8.0, params)
+kernel = v2xdelivery.RouteEvaluator(route, params).rate_closed(8.0)
+print(json.dumps({"codes": codes, "loaded": loaded, "oracle": oracle, "kernel": kernel,
+                  "scipy_after": "scipy" in sys.modules}))
+"""
+
+
+def test_runtime_never_loads_scipy(tmp_path):
+    """The package, the CLI, both solvers and the simulator run without
+    scipy; only the quadrature oracles import it, on first call."""
+    package_root = str(Path(v2xdelivery.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUN],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 6
+    assert result["loaded"] == []
+    assert result["scipy_after"]
+    assert abs(result["oracle"] - result["kernel"]) <= 1e-9 * abs(result["kernel"])

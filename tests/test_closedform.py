@@ -38,7 +38,13 @@ from v2xdelivery import (
     rate_decomposition,
     scenario_probabilities,
 )
-from v2xdelivery.closedform import _expected_max_exponential_exact, _RouteStack
+from v2xdelivery.closedform import (
+    _TABLE_INTERVALS,
+    _expected_max_exponential_exact,
+    _mixture_integral,
+    _mixture_table,
+    _RouteStack,
+)
 
 
 class TestHopReformulation:
@@ -93,6 +99,22 @@ class TestE2ELatencyClosed:
             for h in route.hops
         )
         assert e2e_latency_closed(route, 0.0, params) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [-0.5, 25.0, math.nan])
+    def test_window_outside_the_dwell_rejected(self, params, grid_routes, t):
+        # The route readings raise like the kernel and the hop model do.
+        forward = Route(hops=tuple(Hop(0.1, 1, rsu_id=f"d{i}") for i in range(3)))
+        readings = (
+            e2e_latency_closed,
+            e2e_rate_closed,
+            expected_rate_all_success,
+            expected_rate_all_failure,
+            expected_rate_mixture,
+        )
+        for route in (grid_routes[0], forward):
+            for reading in readings:
+                with pytest.raises(ValueError, match=r"discovery window t must lie in \[0, hop_dwell\]"):
+                    reading(route, t, params)
 
 
 class TestGeometricMaxPmf:
@@ -578,6 +600,67 @@ class TestRouteStack:
             ev = RouteEvaluator(route, params)
             ev.series(np.linspace(0.0, params.hop_dwell, 11))
             assert "_joint" not in vars(ev)
+
+
+class TestMixtureTable:
+    """The Hermite table's J(c) = integral of W over [0, c] against adaptive
+    quadrature of W itself, W(v) = prod_h (1 - exp(-lam_h 2T(1 - v)/v))."""
+
+    @staticmethod
+    def _survival(lam, T):
+        def W(v):
+            return 1.0 if v <= 0.0 else float(np.prod(-np.expm1(-lam * 2.0 * T * (1.0 - v) / v)))
+
+        return W
+
+    @pytest.mark.parametrize("k", [2, 8, 14])
+    @pytest.mark.parametrize("rates", ["slow", "fast", "spread", "random"])
+    def test_integral_matches_quadrature(self, params, k, rates):
+        T = params.hop_dwell
+        rng = np.random.default_rng(69)
+        lam = {
+            "slow": np.full(k, 0.01),
+            "fast": np.full(k, 2.0),
+            "spread": np.geomspace(0.01, 2.0, k),
+            "random": rng.uniform(0.01, 2.0, k),
+        }[rates]
+        n = _TABLE_INTERVALS
+        nodes = np.arange(0, n + 1, 40) / n
+        mids = (np.arange(0, n, 40) + 0.5) / n
+        near_one = 1.0 - np.arange(1, 21) / (3 * n)  # where fast rates make W steep
+        cs = np.unique(np.concatenate([[0.0, 1.0], nodes, mids, near_one, rng.uniform(0.0, 1.0, 40)]))
+        assert len(cs) >= 200
+        got = _mixture_integral(_mixture_table(lam, T), np.zeros(1, dtype=np.intp), cs)
+        # Quadrature piece by piece between consecutive points, summed exactly.
+        W = self._survival(lam, T)
+        pieces = [integrate.quad(W, a, b, epsabs=1e-15, epsrel=0.0, limit=200)[0] for a, b in zip(cs[:-1], cs[1:])]
+        want = np.array([math.fsum(pieces[:i]) for i in range(len(cs))])
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_table_rows_join_up(self, params):
+        # Each row read at s = 1 lands on the next row's J.
+        table = _mixture_table(np.array([0.05, 0.3, 2.0]), params.hop_dwell)
+        ends = table[0] + table[1:].sum(axis=0)
+        np.testing.assert_allclose(ends[:-1], table[0, 1:], rtol=0.0, atol=1e-15)
+        assert table[0, 0] == 0.0
+
+    def test_a_stack_holds_one_copy_its_routes_read(self, params):
+        # A stack builds its mixed routes' tables side by side in one array,
+        # and each route's own reads use its part.
+        rng = np.random.default_rng(70)
+        evaluators = [RouteEvaluator(make_route(rng, k=k), params) for k in (2, 5, 9)]
+        evaluators.insert(1, RouteEvaluator(Route(hops=(Hop(0.12, 3, rsu_id="solo"),)), params))
+        before = evaluators[2].rate_closed(8.0)  # built on its own before stacking
+        stack = _RouteStack(evaluators)
+        stack.share_tables()
+        table, first = stack._mixture
+        assert table.shape[1] == 3 * _TABLE_INTERVALS
+        for ev, row in zip([evaluators[i] for i in (0, 2, 3)], range(3)):
+            assert np.shares_memory(ev._mixture, table)
+            assert ev._mixture.tobytes() == _mixture_table(ev.lam, params.hop_dwell).tobytes()
+            assert first[evaluators.index(ev)] == row * _TABLE_INTERVALS
+        assert "_mixture" not in vars(evaluators[1])
+        assert evaluators[2].rate_closed(8.0) == before
 
 
 def test_joint_rate_sits_below_the_bottleneck_of_means(params, grid_routes):

@@ -64,7 +64,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             Hop(deg=2, **kwargs)
 
-    @pytest.mark.parametrize("deg", [0, -1, 1.5])
+    # True is an int subclass: a YAML "deg: true" must not read as 1.
+    @pytest.mark.parametrize("deg", [0, -1, 1.5, True])
     def test_bad_deg_rejected(self, deg):
         with pytest.raises(ValueError):
             Hop(arrival_rate=0.1, deg=deg)
@@ -78,10 +79,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="loop-free"):
             Route(hops=(hop, hop))
 
-    @pytest.mark.parametrize("t", [-0.5, 20.1])
+    # NaN fails every comparison: it must fail the window check itself, not
+    # a float-to-int conversion further on.
+    @pytest.mark.parametrize("t", [-0.5, 20.1, math.nan, math.inf, -math.inf])
     def test_window_outside_dwell_rejected(self, params, t):
-        with pytest.raises(ValueError):
-            p_success(Hop(0.1, 2), t, params)
+        for reading in (p_success, p_failure, expected_hop_latency, expected_hop_rate):
+            with pytest.raises(ValueError, match=r"discovery window t must lie in \[0, hop_dwell\]"):
+                reading(Hop(0.1, 2), t, params)
 
     def test_decode_ok_pair(self, params):
         assert params.decode_ok_pair == pytest.approx((1.0 - 1e-3) ** 2, abs=0.0)

@@ -437,11 +437,11 @@ def _maximize_scan(grid, values, objective, T):
     return _winner(np.append(grid.ts, peaks), values, T)
 
 
-def _reference_search(evaluators, grid, reads, scales, weight):
+def _reference_search(stack, grid, reads, scales, weight):
     """``optimize._search`` route by route and probe by probe, each probe a
     ``series`` read of its own route."""
     best = []
-    for ev, (rate, lat), scale in zip(evaluators, reads, scales):
+    for ev, (rate, lat), scale in zip(stack.evaluators, reads, scales):
         def objective(ts, ev=ev, scale=scale):
             return _route_objective_series(ev, ts, scale, weight)
 
@@ -659,21 +659,35 @@ class TestWorkCounts:
 
     def test_distributed_with_a_context_builds_no_joint_tables(self, monkeypatch, params, grid_routes):
         # With a context, solve_distributed reads only hop stages: no mixture
-        # spline and no exact E[max wait] is built.
+        # table and no exact E[max wait] is built.
         import v2xdelivery.closedform as cf
 
         built = []
-        for name in ("CubicSpline", "_expected_max_exponential_exact"):
+        for name in ("_mixture_table", "_expected_max_exponential_exact"):
             original = getattr(cf, name)
             monkeypatch.setattr(
-                cf, name, lambda *a, name=name, original=original: built.append(name) or original(*a)
+                cf, name, lambda *a, name=name, original=original, **kw: built.append(name) or original(*a, **kw)
             )
         ctx = build_normalization(grid_routes, params)
         del built[:]
         solve_distributed(grid_routes, params, weight=0.5, context=ctx)
         assert built == []
         solve_global(grid_routes, params, weight=0.5, with_kkt=False)
-        assert sorted(set(built)) == ["CubicSpline", "_expected_max_exponential_exact"]
+        assert sorted(set(built)) == ["_expected_max_exponential_exact", "_mixture_table"]
+
+    def test_global_builds_each_mixture_table_once(self, monkeypatch, params, grid_routes):
+        # The envelope, the lockstep and the winner's reads share each mixed
+        # route's table: one build per route, straight into the stack's array.
+        import v2xdelivery.closedform as cf
+
+        built = []
+        original = cf._mixture_table
+        monkeypatch.setattr(cf, "_mixture_table", lambda *a, **kw: built.append(kw) or original(*a, **kw))
+        mixed = [r for r in grid_routes if len(r) > 1 and any(h.deg > 1 for h in r.hops)]
+        assert len(mixed) > 1
+        solve_global(grid_routes, params, weight=0.5)
+        assert len(built) == len(mixed)
+        assert all(kw.get("out") is not None for kw in built)
 
     @pytest.mark.parametrize("t_star", [0.0, 0.05, 8.0, 12.34, 20.0])
     def test_stationarity_check_reads_the_kernel_once(self, counts, params, grid_routes, t_star):
