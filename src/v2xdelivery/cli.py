@@ -34,7 +34,13 @@ import yaml
 
 from .closedform import RouteEvaluator
 from .model import Route, SystemParams
-from .optimize import _route_objective_series, solve_distributed, solve_global
+from .optimize import (
+    _route_objective_series,
+    _solve_distributed,
+    _solve_global,
+    solve_distributed,
+    solve_global,
+)
 from .routing import (
     GreedyLoopError,
     NoRouteError,
@@ -320,6 +326,8 @@ def _parse_grid(args, default: np.ndarray) -> np.ndarray:
         values = np.array([float(v) for v in args.grid.split(",")], dtype=float)
         if len(values) == 0:
             raise ValueError("empty sweep grid")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("sweep grid values must be finite")
         if np.any(np.diff(values) < 0):
             raise ValueError("sweep grid must be sorted ascending")
         return values
@@ -329,6 +337,8 @@ def _parse_grid(args, default: np.ndarray) -> np.ndarray:
 def _sweep_t(args, scenario: Scenario) -> tuple[list[str], list[list], dict]:
     params = scenario.params
     T = params.hop_dwell
+    if args.points < 1:
+        raise ValueError("--points must be at least 1")
     grid = _parse_grid(args, np.linspace(0.0, T, args.points))
     if np.any(grid < 0) or np.any(grid > T):
         raise ValueError("window grid must lie within [0, hop_dwell]")
@@ -367,22 +377,15 @@ def _sweep_alpha(args, scenario: Scenario) -> tuple[list[str], list[list], dict]
     if np.any(grid < 0) or np.any(grid > 1):
         raise ValueError("alpha grid must lie within [0, 1]")
     routes = _routes(scenario, args)
-    rows = []
-    for alpha in grid:
-        g = solve_global(routes, params, weight=float(alpha), with_kkt=False)
-        d = solve_distributed(routes, params, weight=float(alpha), context=g.context)
-        rows.append(
-            [
-                float(alpha),
-                g.t_star,
-                g.objective,
-                g.latency,
-                g.rate,
-                d.objective,
-                d.latency,
-                d.rate,
-            ]
-        )
+    weights = [float(alpha) for alpha in grid]
+    # Each solver runs once for every weight: the grid reads, envelopes and
+    # tables do not depend on the weight.
+    coordinated = _solve_global(routes, params, weights, None, with_kkt=False)
+    distributed = _solve_distributed(routes, params, weights, coordinated[0].context)
+    rows = [
+        [alpha, g.t_star, g.objective, g.latency, g.rate, d.objective, d.latency, d.rate]
+        for alpha, g, d in zip(weights, coordinated, distributed)
+    ]
     header = [
         "alpha",
         "t_star_global",

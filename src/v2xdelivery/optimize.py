@@ -17,11 +17,13 @@ one more whole trial into the window, which moves probability mass between
 branches in a jump.  The pieces depend only on the parameters, so a solve
 builds one scan grid (piece edges, interiors, insets) for every route and
 reads each route's kernel over it once, for the envelope and the search
-alike.  Derivative-sign changes are bracketed over all pieces in one array
-pass per route, and every bracket of every route is polished by one
-bisection in lockstep: a step reads the central-difference probes of all
-open brackets in one route-stacked kernel call, so a solve makes at most 81
-such calls whatever its route count.
+alike.  None of that depends on the weight, so one solve serves many
+weights: a search task is a (route, scale, weight) triple, and every task
+reads the same grid read.  Derivative-sign changes are bracketed over all
+pieces in one array pass per task, and every bracket of every task is
+polished by one bisection in lockstep: a step reads the central-difference
+probes of all open brackets in one route-stacked kernel call, so a solve
+makes at most 81 such calls whatever its route and weight count.
 """
 
 from __future__ import annotations
@@ -198,8 +200,12 @@ def build_normalization(routes: Sequence[Route], params: SystemParams) -> Normal
     return _hull(_envelope((RouteEvaluator(route, params) for route in routes), _scan_grid(params).ts)[0])
 
 
-def _trade_off(rate, latency, context: NormalizationContext, weight: float):
-    """F = weight * rate_norm - (1 - weight) * latency_norm, elementwise."""
+def _trade_off(rate, latency, context: NormalizationContext, weight):
+    """F = weight * rate_norm - (1 - weight) * latency_norm, elementwise.
+
+    ``weight`` may be an array, one per value: the same IEEE operations
+    as one weight for all, so a probe reads alike either way.
+    """
     return weight * context.rate_norm(rate) - (1.0 - weight) * context.latency_norm(latency)
 
 
@@ -257,12 +263,24 @@ def _winner(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float]
     it beats every value below it, and none below ties or beats one above;
     so both walks, once at their first value above it, move only among the
     values above it, alike.  A NaN value or cut keeps every candidate.
+
+    When the kept values are all equal and finite (a hop that always
+    forwards reads one value at every window) the walk moves only to a
+    strictly smaller window, so it ends on the first candidate at the
+    smallest clamped window, and that is read off without the walk.
     """
     top = np.max(values)
     cut = top - (len(values) + 2) * (_TIE + 4 * np.spacing(abs(top) + 1.0))
     keep = ~(values < cut)
+    kept = values[keep]
+    if np.isfinite(kept[0]) and (kept == kept[0]).all():
+        # Clamped as the walk clamps: min(max(t, 0.0), T) keeps a -0.0 window.
+        clamped = np.where(ts[keep] < 0.0, 0.0, ts[keep])
+        clamped = np.where(clamped > T, T, clamped)
+        i = int(np.argmin(clamped))
+        return float(clamped[i]), float(kept[i])
     best_t, best_val = 0.0, -math.inf
-    for t, v in zip(ts[keep].tolist(), values[keep].tolist()):
+    for t, v in zip(ts[keep].tolist(), kept.tolist()):
         t = min(max(t, 0.0), T)
         if v > best_val + _TIE or (abs(v - best_val) <= _TIE and t < best_t):
             best_val, best_t = v, t
@@ -273,38 +291,44 @@ def _search(
     stack: _RouteStack,
     grid: _ScanGrid,
     reads: Sequence[tuple[np.ndarray, np.ndarray]],
-    scales: Sequence[NormalizationContext],
-    weight: float,
+    tasks: Sequence[tuple[int, NormalizationContext, float]],
 ) -> list[tuple[float, float]]:
-    """Best (window, value) of every route of ``stack``, route i scored on
-    ``scales[i]``.
+    """Best (window, value) of every task (col, scale, weight): route col of
+    ``stack`` scored on ``scale`` at ``weight``.
 
-    ``reads`` are the routes' (rate_closed, latency) grid reads.  Interior
-    maxima are bracketed per route and polished by one bisection over every
-    bracket of every route in lockstep: each step reads the derivative
-    probes (mid - h, mid + h) of all brackets still open in one stacked
-    kernel call, and one more call reads every peak.  A bracket closes once
-    narrower than the window tolerance or after 80 steps.
+    ``reads`` are the routes' (rate_closed, latency) grid reads, which every
+    task of a route shares.  Interior maxima are bracketed per task and
+    polished by one bisection over every bracket of every task in lockstep:
+    each step reads the derivative probes (mid - h, mid + h) of all brackets
+    still open in one stacked kernel call, and one more call reads every
+    peak, so a search makes at most 81 such calls whatever its route and
+    weight count.  A bracket closes once narrower than the window tolerance
+    or after 80 steps.
     """
-    evaluators = stack.evaluators
     T = stack.params.hop_dwell
     h = grid.probe
     # Rows with an absent sample hold at most two, too few to bracket.
     rows = grid.pieces[(grid.pieces >= 0).all(axis=1)]
-    values, lo, hi = [], [], []
-    for (rate, lat), scale in zip(reads, scales):
-        values.append(_trade_off(rate, lat, scale, weight))
-        a, b = _brackets(grid, rows, values[-1], T)
-        lo.append(a)
-        hi.append(b)
-    owner = np.repeat(np.arange(len(evaluators)), [len(a) for a in lo])
+
+    def grid_values(task: tuple[int, NormalizationContext, float]) -> np.ndarray:
+        col, scale, weight = task
+        rate, lat = reads[col]
+        return _trade_off(rate, lat, scale, weight)
+
+    # Grid values are computed again for the winners rather than kept: one
+    # per task would hold (routes x weights x grid) floats through the search.
+    lo, hi = zip(*(_brackets(grid, rows, grid_values(task), T) for task in tasks))
+    owner = np.repeat(np.arange(len(tasks)), [len(a) for a in lo])
     lo, hi = np.concatenate(lo), np.concatenate(hi)
 
-    bounds = np.array([astuple(s) for s in scales])
+    cols = np.array([col for col, _, _ in tasks])
+    bounds = np.array([astuple(scale) for _, scale, _ in tasks])
+    weights = np.array([weight for _, _, weight in tasks], dtype=float)
 
-    def objective(cols: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        out = stack.read(cols, ts)
-        return _trade_off(out["rate_closed"], out["latency"], NormalizationContext(*bounds[cols].T), weight)
+    def objective(owners: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        out = stack.read(cols[owners], ts)
+        scales = NormalizationContext(*bounds[owners].T)
+        return _trade_off(out["rate_closed"], out["latency"], scales, weights[owners])
 
     tol = _REL_T_TOL * T
     active = np.arange(len(lo))
@@ -320,11 +344,18 @@ def _search(
     peaks = 0.5 * (lo + hi)
     # One read polishes them all; a window reads alike in any batch.
     peak_values = objective(owner, peaks) if peaks.size else peaks
-    cut = np.searchsorted(owner, np.arange(len(evaluators) + 1))
+    cut = np.searchsorted(owner, np.arange(len(tasks) + 1))
     return [
-        _winner(np.append(grid.ts, peaks[a:b]), np.append(v, peak_values[a:b]), T)
-        for v, a, b in zip(values, cut[:-1], cut[1:])
+        _winner(np.append(grid.ts, peaks[a:b]), np.append(grid_values(task), peak_values[a:b]), T)
+        for task, a, b in zip(tasks, cut[:-1], cut[1:])
     ]
+
+
+def _check_inputs(routes: Sequence[Route], weights: Sequence[float]) -> None:
+    if not routes:
+        raise ValueError("need at least one route")
+    if not all(0.0 <= w <= 1.0 for w in weights):
+        raise ValueError("weight must lie in [0, 1]")
 
 
 def solve_global(
@@ -340,39 +371,59 @@ def solve_global(
     route index.  The returned outcome carries a first-order optimality
     report for the winning point.
     """
-    if not routes:
-        raise ValueError("need at least one route")
     w = params.weight if weight is None else weight
-    if not 0.0 <= w <= 1.0:
-        raise ValueError("weight must lie in [0, 1]")
+    return _solve_global(routes, params, [w], context, with_kkt)[0]
+
+
+def _solve_global(
+    routes: Sequence[Route],
+    params: SystemParams,
+    weights: Sequence[float],
+    context: NormalizationContext | None,
+    with_kkt: bool,
+) -> list[OptimizationOutcome]:
+    """:func:`solve_global` at each of ``weights``, one outcome per weight.
+
+    The evaluators, their mixture tables, the scan grid and the route
+    envelope serve every weight; each (route, weight) pair is one task of
+    one lockstep search.
+    """
+    _check_inputs(routes, weights)
     evaluators = [RouteEvaluator(r, params) for r in routes]
     stack = _RouteStack(evaluators)
-    # The grid reads, the lockstep and the winner's reads share one copy of
+    # The grid reads, the lockstep and the winners' reads share one copy of
     # every mixture table: the stack's.
     stack.share_tables()
     grid = _scan_grid(params)
     scales, reads = _envelope(evaluators, grid.ts)
     ctx = context or _hull(scales)
-    per_route = _search(stack, grid, reads, [ctx] * len(evaluators), w)
+    n = len(evaluators)
+    found = _search(stack, grid, reads, [(i, ctx, w) for w in weights for i in range(n)])
     del reads
-    best = (-math.inf, math.inf, -1)  # value, window, index
-    for i, (t_i, val_i) in enumerate(per_route):
-        if val_i > best[0] + _TIE or (abs(val_i - best[0]) <= _TIE and (t_i, i) < (best[1], best[2])):
-            best = (val_i, t_i, i)
-    val, t_star, idx = best
-    ev = evaluators[idx]
-    kkt = kkt_stationarity_check(ev, t_star, ctx, w) if with_kkt else {}
-    out = ev.series([t_star])
-    return OptimizationOutcome(
-        t_star=t_star,
-        objective=val,
-        route_index=idx,
-        latency=float(out["latency"][0]),
-        rate=float(out["rate_closed"][0]),
-        per_route_best=tuple(per_route),
-        kkt=kkt,
-        context=ctx,
-    )
+    outcomes = []
+    for j, w in enumerate(weights):
+        per_route = found[j * n : (j + 1) * n]
+        best = (-math.inf, math.inf, -1)  # value, window, index
+        for i, (t_i, val_i) in enumerate(per_route):
+            if val_i > best[0] + _TIE or (abs(val_i - best[0]) <= _TIE and (t_i, i) < (best[1], best[2])):
+                best = (val_i, t_i, i)
+        val, t_star, idx = best
+        ev = evaluators[idx]
+        kkt = kkt_stationarity_check(ev, t_star, ctx, w) if with_kkt else {}
+        out = ev.series([t_star])
+        outcomes.append(
+            OptimizationOutcome(
+                t_star=t_star,
+                objective=val,
+                route_index=idx,
+                latency=float(out["latency"][0]),
+                rate=float(out["rate_closed"][0]),
+                per_route_best=tuple(per_route),
+                kkt=kkt,
+                context=ctx,
+            )
+        )
+    return outcomes
 
 
 def solve_distributed(
@@ -390,49 +441,63 @@ def solve_distributed(
     mean reading) and is scored on the shared context, so it can be
     compared with the coordinated solution.
     """
-    if not routes:
-        raise ValueError("need at least one route")
     w = params.weight if weight is None else weight
-    if not 0.0 <= w <= 1.0:
-        raise ValueError("weight must lie in [0, 1]")
+    return _solve_distributed(routes, params, [w], context)[0]
+
+
+def _solve_distributed(
+    routes: Sequence[Route],
+    params: SystemParams,
+    weights: Sequence[float],
+    context: NormalizationContext | None,
+) -> list[DistributedOutcome]:
+    """:func:`solve_distributed` at each of ``weights``, one outcome per weight.
+
+    The scan grid, the route envelope, the distinct hops and their envelope
+    serve every weight; each (hop, weight) pair is one task of one lockstep
+    search.
+    """
+    _check_inputs(routes, weights)
     evaluators = [RouteEvaluator(r, params) for r in routes]
     grid = _scan_grid(params)
     if context is None:
         context = _hull(_envelope(evaluators, grid.ts)[0])
-    # Every distinct hop is a one-hop route on its own scale, all searched
-    # in one lockstep.
+    # Every distinct hop is a one-hop route on its own scale.
     hops = list(dict.fromkeys(h for r in routes for h in r.hops))
     hop_evaluators = [RouteEvaluator(Route(hops=(hop,)), params) for hop in hops]
     scales, reads = _envelope(hop_evaluators, grid.ts)
-    best = _search(_RouteStack(hop_evaluators), grid, reads, scales, w)
-    hop_window = {hop: t for hop, (t, _) in zip(hops, best)}
-
-    def aggregate(ev: RouteEvaluator, windows: tuple[float, ...]) -> tuple[float, float, float]:
-        # One read at all k windows: hop h at its own window is entry (h, h).
-        hop = ev._hop_stage(windows)[2]
-        lat = float(sum(np.diagonal(hop["hop_latency"]).tolist()))
-        rate = float(min(np.diagonal(hop["hop_rate"]).tolist()))
-        return _trade_off(rate, lat, context, w), lat, rate
-
-    per_route: list[tuple[tuple[float, ...], float]] = []
-    best = (-math.inf, -1)
-    for i, ev in enumerate(evaluators):
-        windows = tuple(hop_window[h] for h in ev.route.hops)
-        val, _, _ = aggregate(ev, windows)
-        per_route.append((windows, val))
-        if val > best[0] + _TIE:
-            best = (val, i)
-    val, idx = best
-    windows = per_route[idx][0]
-    _, lat, rate = aggregate(evaluators[idx], windows)
-    return DistributedOutcome(
-        windows=windows,
-        objective=val,
-        route_index=idx,
-        latency=lat,
-        rate=rate,
-        per_route=tuple(per_route),
-    )
+    tasks = [(i, scale, w) for w in weights for i, scale in enumerate(scales)]
+    found = _search(_RouteStack(hop_evaluators), grid, reads, tasks)
+    outcomes = []
+    for j, w in enumerate(weights):
+        hop_window = {hop: t for hop, (t, _) in zip(hops, found[j * len(hops) :])}
+        per_route: list[tuple[tuple[float, ...], float]] = []
+        readings = []
+        best = (-math.inf, -1)
+        for i, ev in enumerate(evaluators):
+            windows = tuple(hop_window[h] for h in ev.route.hops)
+            # One read at all k windows: hop h at its own window is entry (h, h).
+            hop = ev._hop_stage(windows)[2]
+            lat = float(sum(np.diagonal(hop["hop_latency"]).tolist()))
+            rate = float(min(np.diagonal(hop["hop_rate"]).tolist()))
+            val = _trade_off(rate, lat, context, w)
+            per_route.append((windows, val))
+            readings.append((lat, rate))
+            if val > best[0] + _TIE:
+                best = (val, i)
+        val, idx = best
+        lat, rate = readings[idx]
+        outcomes.append(
+            DistributedOutcome(
+                windows=per_route[idx][0],
+                objective=val,
+                route_index=idx,
+                latency=lat,
+                rate=rate,
+                per_route=tuple(per_route),
+            )
+        )
+    return outcomes
 
 
 def kkt_stationarity_check(

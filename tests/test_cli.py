@@ -222,6 +222,27 @@ class TestErrorHandling:
         assert "error:" in err
 
     @pytest.mark.parametrize(
+        "variable, grid",
+        [
+            ("scheme_beams", "1e400"),
+            ("t", "0,nan"),
+            ("t", "inf"),
+            ("alpha", "0,nan,1"),
+            ("lambda_scale", "1,1e400"),
+        ],
+    )
+    def test_non_finite_sweep_grid(self, capsys, variable, grid):
+        code, out, err = _run(capsys, ["sweep", "--variable", variable, "--grid", grid])
+        assert (code, out) == (1, "")
+        assert err == "error: sweep grid values must be finite\n"
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_window_sweep_needs_a_point(self, capsys, points):
+        code, out, err = _run(capsys, ["sweep", "--variable", "t", "--points", points])
+        assert (code, out) == (1, "")
+        assert err == "error: --points must be at least 1\n"
+
+    @pytest.mark.parametrize(
         "recipe",
         [
             "params: {rate_v2v: .nan}",

@@ -377,6 +377,27 @@ class TestBatchedScan:
         ts = np.sort(rng.uniform(0.0, 20.0, size=n))
         assert _winner(ts, values, 20.0) == _winner_sequential(ts, values, 20.0)
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_winner_matches_the_sequential_rule_on_flat_runs(self, seed):
+        # A flat run takes the shortcut: the first candidate at the smallest
+        # clamped window.  Signed zeros, in values and windows, must come out
+        # as the walk leaves them; a NaN value bars the shortcut and a -inf
+        # one falls below the cut.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 2000))
+        values = np.full(n, float(rng.choice([0.0, 0.37, -0.8, 1e20])))
+        if values[0] == 0.0:
+            values[rng.random(n) < 0.5] = -0.0
+        ts = rng.uniform(-1e-9, 20.0 + 1e-9, size=n)
+        ts[rng.random(n) < 0.3] = rng.choice([0.0, -0.0, 20.0])
+        ts[rng.random(n) < 0.1] = rng.choice(ts, size=1)
+        odd = rng.integers(n)
+        if seed % 3 == 1:
+            values[odd] = math.nan
+        elif seed % 3 == 2:
+            values[odd] = -math.inf
+        assert repr(_winner(ts, values, 20.0)) == repr(_winner_sequential(ts, values, 20.0))
+
     def test_winner_keeps_nan_and_flat_candidates(self):
         ts = np.array([3.0, 2.0, 1.0, 0.5])
         for values in ([0.5, 0.5, 0.5, 0.5], [0.5, math.nan, 0.4, 0.5], [-math.inf] * 4):
@@ -396,6 +417,47 @@ class TestBatchedScan:
         assert repr(solve_global(grid_routes, params, context=ctx)) == repr(
             solve_global(grid_routes, params)
         )
+
+
+class TestManyWeights:
+    """One solve over many weights gives each weight's one-weight outcome,
+    bit for bit: a window reads alike in any batch."""
+
+    WEIGHTS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+
+    def _check(self, routes, params, own_context):
+        coordinated = opt._solve_global(routes, params, self.WEIGHTS, None, True)
+        distributed = opt._solve_distributed(routes, params, self.WEIGHTS, coordinated[0].context)
+        assert len(coordinated) == len(distributed) == len(self.WEIGHTS)
+        for weight, g, d in zip(self.WEIGHTS, coordinated, distributed):
+            single = solve_global(routes, params, weight=weight)
+            assert repr(g) == repr(single)
+            assert repr(d) == repr(solve_distributed(routes, params, weight=weight, context=single.context))
+        if own_context:
+            for weight, d in zip(self.WEIGHTS, opt._solve_distributed(routes, params, self.WEIGHTS, None)):
+                assert repr(d) == repr(solve_distributed(routes, params, weight=weight))
+
+    @pytest.mark.parametrize("trial_time", [0.02, 0.1, 1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_outcomes_match_one_weight_solves(self, seed, trial_time):
+        scenario = build_grid_scenario(seed=seed)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        self._check(routes, dataclasses.replace(scenario.params, trial_time=trial_time), own_context=True)
+
+    def test_outcomes_match_one_weight_solves_on_4x4(self):
+        scenario = build_grid_scenario(rows=4, cols=4, seed=2)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        self._check(routes, dataclasses.replace(scenario.params, trial_time=1.0), own_context=False)
+
+    @pytest.mark.parametrize(
+        "solve", [lambda *a: opt._solve_global(*a, False), lambda *a: opt._solve_distributed(*a)]
+    )
+    def test_every_weight_is_checked(self, params, grid_routes, solve):
+        for weights in ([0.5, 1.5], [math.nan], [-0.1, 0.5]):
+            with pytest.raises(ValueError, match="weight"):
+                solve(grid_routes, params, weights, None)
+        with pytest.raises(ValueError, match="route"):
+            solve([], params, [0.5], None)
 
 
 def _bisect_sign_change(deriv, lo, hi, tol):
@@ -437,12 +499,14 @@ def _maximize_scan(grid, values, objective, T):
     return _winner(np.append(grid.ts, peaks), values, T)
 
 
-def _reference_search(stack, grid, reads, scales, weight):
-    """``optimize._search`` route by route and probe by probe, each probe a
-    ``series`` read of its own route."""
+def _reference_search(stack, grid, reads, tasks):
+    """``optimize._search`` task by task and probe by probe, each probe a
+    ``series`` read of its task's route."""
     best = []
-    for ev, (rate, lat), scale in zip(stack.evaluators, reads, scales):
-        def objective(ts, ev=ev, scale=scale):
+    for col, scale, weight in tasks:
+        ev, (rate, lat) = stack.evaluators[col], reads[col]
+
+        def objective(ts, ev=ev, scale=scale, weight=weight):
             return _route_objective_series(ev, ts, scale, weight)
 
         values = _trade_off(rate, lat, scale, weight)
@@ -498,6 +562,20 @@ class TestLockstepSearch:
         for weight in (0.3, 0.7):
             lockstep, reference = self._both(monkeypatch, lambda: solve_global(routes, params, weight=weight))
             assert repr(lockstep) == repr(reference)
+
+    @pytest.mark.parametrize("trial_time", [0.1, 0.3])
+    def test_many_weights_match_the_reference(self, monkeypatch, trial_time):
+        # Every (route, weight) task of one solve shares the lockstep.
+        scenario = build_grid_scenario(seed=1)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        params = dataclasses.replace(scenario.params, trial_time=trial_time)
+        weights = [0.0, 0.3, 0.5, 0.8, 1.0]
+        lockstep, reference = self._both(monkeypatch, lambda: opt._solve_global(routes, params, weights, None, True))
+        assert repr(lockstep) == repr(reference)
+        assert len({g.t_star for g in lockstep}) > 1
+        ctx = lockstep[0].context
+        lockstep, reference = self._both(monkeypatch, lambda: opt._solve_distributed(routes, params, weights, ctx))
+        assert repr(lockstep) == repr(reference)
 
 
 def _best_hop_windows_reference(evaluator, grid, read, weight):
@@ -622,11 +700,13 @@ class TestWorkCounts:
         assert counts["__init__"] == len(grid_routes) + 2
         assert self._grid_reads(counts) == len(grid_routes) + 2
 
-    def test_alpha_sweep_reads_each_route_once_per_weight(self, counts, capsys, grid_routes):
+    def test_alpha_sweep_reads_each_route_once(self, counts, capsys, grid_routes):
+        # One solve per solver serves every weight: n route reads for the
+        # coordinated solve, one per distinct hop for the distributed one.
         d = self._distinct_hops(grid_routes)
         assert run_command(["sweep", "--variable", "alpha", "--grid", "0,0.5,1"]) == 0
-        assert self._grid_reads(counts) == 3 * len(grid_routes) + 3 * d
-        assert self._grid_reads(counts, k=1) == 3 * d
+        assert self._grid_reads(counts) == len(grid_routes) + d
+        assert self._grid_reads(counts, k=1) == d
         assert self._stages_outside_series(counts) == 0
         assert counts["build_normalization"] == 0
 
@@ -656,6 +736,21 @@ class TestWorkCounts:
         del reads[:]
         solve_distributed(routes, params, weight=0.5, context=outcome.context)
         assert 1 < len(reads) <= 81
+
+    @pytest.mark.parametrize("grid", [["--grid", "0,0.5,1"], []])
+    def test_alpha_sweep_makes_at_most_81_bisection_reads_per_solver(self, monkeypatch, capsys, grid):
+        # Every weight's brackets share each solver's lockstep, for the
+        # 3 weights of a grid or the 11 of the default.
+        reads = []
+        read = _RouteStack.read
+
+        def counting_read(self, cols, ts):
+            reads.append(len(ts))
+            return read(self, cols, ts)
+
+        monkeypatch.setattr(_RouteStack, "read", counting_read)
+        assert run_command(["sweep", "--variable", "alpha", *grid]) == 0
+        assert 2 < len(reads) <= 2 * 81
 
     def test_distributed_with_a_context_builds_no_joint_tables(self, monkeypatch, params, grid_routes):
         # With a context, solve_distributed reads only hop stages: no mixture
