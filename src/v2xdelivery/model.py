@@ -171,8 +171,9 @@ def max_trials(t: float, trial_time: float) -> int:
         are exact multiples of the trial duration are not truncated by
         floating-point representation.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    # Written so that NaN fails it too.
+    if not t >= 0:
+        raise ValueError(f"t must be non-negative, got {t!r}")
     if not trial_time > 0:
         raise ValueError("trial_time must be positive")
     return int(math.floor(t / trial_time + _FLOOR_NUDGE))

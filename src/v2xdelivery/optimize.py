@@ -455,7 +455,7 @@ def _solve_distributed(
 
     The scan grid, the route envelope, the distinct hops and their envelope
     serve every weight; each (hop, weight) pair is one task of one lockstep
-    search.
+    search, and each route reads its hops once, at every weight's windows.
     """
     _check_inputs(routes, weights)
     evaluators = [RouteEvaluator(r, params) for r in routes]
@@ -468,28 +468,36 @@ def _solve_distributed(
     scales, reads = _envelope(hop_evaluators, grid.ts)
     tasks = [(i, scale, w) for w in weights for i, scale in enumerate(scales)]
     found = _search(_RouteStack(hop_evaluators), grid, reads, tasks)
+    hop_windows = [
+        {hop: t for hop, (t, _) in zip(hops, found[j * len(hops) :])} for j in range(len(weights))
+    ]
+    # aggregates[i][j]: route i's (hop windows, latency, rate) at weight j.
+    aggregates = []
+    for ev in evaluators:
+        windows = [tuple(hop_window[h] for h in ev.route.hops) for hop_window in hop_windows]
+        # One read at every weight's k windows: hop h at weight j's window
+        # is entry (h, j, h) of the rows reshaped to (k, weights, k).
+        hop = ev._hop_stage(np.ravel(windows))[2]
+        lat, rate = (
+            np.diagonal(hop[name].reshape(ev.k, -1, ev.k), axis1=0, axis2=2).tolist()
+            for name in ("hop_latency", "hop_rate")
+        )
+        aggregates.append([(wj, float(sum(a)), float(min(b))) for wj, a, b in zip(windows, lat, rate)])
     outcomes = []
     for j, w in enumerate(weights):
-        hop_window = {hop: t for hop, (t, _) in zip(hops, found[j * len(hops) :])}
-        per_route: list[tuple[tuple[float, ...], float]] = []
-        readings = []
+        per_route = []
         best = (-math.inf, -1)
-        for i, ev in enumerate(evaluators):
-            windows = tuple(hop_window[h] for h in ev.route.hops)
-            # One read at all k windows: hop h at its own window is entry (h, h).
-            hop = ev._hop_stage(windows)[2]
-            lat = float(sum(np.diagonal(hop["hop_latency"]).tolist()))
-            rate = float(min(np.diagonal(hop["hop_rate"]).tolist()))
+        for i, route_aggregates in enumerate(aggregates):
+            windows, lat, rate = route_aggregates[j]
             val = _trade_off(rate, lat, context, w)
             per_route.append((windows, val))
-            readings.append((lat, rate))
             if val > best[0] + _TIE:
                 best = (val, i)
         val, idx = best
-        lat, rate = readings[idx]
+        windows, lat, rate = aggregates[idx][j]
         outcomes.append(
             DistributedOutcome(
-                windows=per_route[idx][0],
+                windows=windows,
                 objective=val,
                 route_index=idx,
                 latency=lat,

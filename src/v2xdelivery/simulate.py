@@ -16,14 +16,18 @@ Two discovery timings are available:
   this mode to validate them.
 
 Sampling uses counter-based Philox streams, one jump per hop, and draws a
-fixed block of variates per hop regardless of branch outcomes.  Evaluations
-at different windows therefore share sample paths, which makes sweep curves
-smooth and paired comparisons exact.
+fixed block of variates per hop that has candidates, regardless of branch
+outcomes.  Evaluations at different windows therefore share sample paths,
+which makes sweep curves smooth and paired comparisons exact.  A hop with
+``deg = 1`` always forwards, so it draws nothing: every snapshot adds the
+dwell to its latency and caps its rate at ``rate_cell``, and no other hop's
+stream moves.
 
-Each hop is drawn and its window-independent arrays prepared once per
-call, into buffers every hop of the call reuses; a window then costs two
-comparisons for its branch masks and one gather per reading from the hop's
-branch tables.  Each window's result owns its snapshot arrays.
+Each hop with candidates is drawn and its window-independent arrays
+prepared once per call, into buffers every such hop of the call reuses; a
+window then costs two comparisons for its branch masks and one gather per
+reading from the hop's branch tables.  Each window's result owns its
+snapshot arrays.
 """
 
 from __future__ import annotations
@@ -161,12 +165,13 @@ def _hop_stream(seed: int, hop_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class _HopBuffers:
-    """Snapshot-length arrays every hop of one call is drawn and prepared into.
+    """Snapshot-length arrays every hop of one call that has candidates is
+    drawn and prepared into.
 
-    Allocated once per call and reused hop after hop.  Freed and allocated
-    again per hop, arrays this size can go back to the system and be
-    faulted in afresh, which at 3e5 snapshots costs more than the
-    arithmetic on them.
+    Allocated once per call, only if some hop has ``deg > 1``, and reused
+    hop after hop.  Freed and allocated again per hop, arrays this size can
+    go back to the system and be faulted in afresh, which at 3e5 snapshots
+    costs more than the arithmetic on them.
     """
 
     draw: np.ndarray  # the direction variate, then the RSU wait
@@ -340,6 +345,9 @@ def _as_window_vector(t, k: int, T: float) -> np.ndarray:
         ts = np.full(k, float(ts))
     if ts.shape != (k,):
         raise ValueError(f"expected a scalar window or one per hop ({k}), got shape {ts.shape}")
+    # Checked here, not per hop: a forward-only hop never reads its window.
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"windows must be finite, got {ts.tolist()}")
     if np.any(ts < 0) or np.any(ts > T * (1 + 1e-12)):
         raise ValueError("windows must lie within the hop dwell")
     return np.minimum(ts, T)
@@ -386,15 +394,26 @@ def _simulate_windows(
     rate_min = [np.full(n, np.inf) for _ in range(nt)]
     rate_ms_min = [np.full(n, np.inf) for _ in range(nt)]
     counts = np.zeros((nt, k, len(Branch)), dtype=np.int64)
-    scratch = (
-        np.empty(n, dtype=bool),
-        np.empty(n, dtype=bool),
-        np.empty(n, dtype=np.intp),
-        np.full(3 * n, params.rate_cell),
-        np.empty(n),
-    )
-    buffers = _hop_buffers(n, params.hop_dwell)
+    if any(hop.deg > 1 for hop in route.hops):
+        scratch = (
+            np.empty(n, dtype=bool),
+            np.empty(n, dtype=bool),
+            np.empty(n, dtype=np.intp),
+            np.full(3 * n, params.rate_cell),
+            np.empty(n),
+        )
+        buffers = _hop_buffers(n, params.hop_dwell)
     for h, hop in enumerate(route.hops):
+        if hop.deg == 1:
+            # Every snapshot forwards (random() < 1 always holds): latency T
+            # and rate rate_cell, the values the gathers would read.  The
+            # hop's stream is never opened; other hops' streams do not move.
+            counts[:, h, Branch.COURIER_FORWARD] = n
+            for i in range(nt):
+                lat_sum[i] += params.hop_dwell
+                np.minimum(rate_min[i], params.rate_cell, out=rate_min[i])
+                np.minimum(rate_ms_min[i], params.rate_cell, out=rate_ms_min[i])
+            continue
         wired = (
             backhaul is not None
             and h + 1 < k

@@ -107,6 +107,11 @@ class TestMaxTrials:
         with pytest.raises(ValueError):
             max_trials(-1.0, 0.1)
 
+    def test_nan_window_rejected(self):
+        # Not "cannot convert float NaN to integer" from deep inside.
+        with pytest.raises(ValueError, match="t must be non-negative"):
+            max_trials(math.nan, 0.1)
+
 
 @pytest.mark.parametrize("lam", [0.05, 0.12, 0.3])
 @pytest.mark.parametrize("deg", [1, 2, 3])

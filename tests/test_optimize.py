@@ -710,6 +710,19 @@ class TestWorkCounts:
         assert self._stages_outside_series(counts) == 0
         assert counts["build_normalization"] == 0
 
+    @pytest.mark.parametrize("weights", [[0.5], [0.0, 0.5, 1.0], [i / 10 for i in range(11)]])
+    def test_distributed_aggregates_each_route_with_one_hop_stage_read(
+        self, counts, params, grid_routes, weights
+    ):
+        # Besides the d one-hop grid reads of the hop searches, route i is
+        # read once, at its k_i windows of every weight.
+        import v2xdelivery.optimize as opt
+
+        ctx = NormalizationContext(0.0, 1.0, 0.0, 1.0)
+        opt._solve_distributed(grid_routes, params, weights, ctx)
+        aggregates = [size for size in counts["stages"] if size != counts["grids"][0]]
+        assert aggregates == [len(r) * len(weights) for r in grid_routes]
+
     def test_analyze_reads_the_kernel_once_per_route(self, counts, capsys, grid_routes):
         assert run_command(["analyze"]) == 0
         assert counts["__init__"] == len(counts["stages"]) == len(grid_routes)

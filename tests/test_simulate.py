@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import v2xdelivery.simulate as simulate
 from v2xdelivery import (
     BackhaulConfig,
     Branch,
@@ -67,6 +68,19 @@ class TestConfigValidation:
             simulate_route(route, -1.0, params, cfg)
         with pytest.raises(ValueError):
             simulate_route(route, params.hop_dwell + 1.0, params, cfg)
+
+    @pytest.mark.parametrize("degs", [(2, 3), (1, 1)], ids=["with-candidates", "forward-only"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_windows_rejected(self, params, degs, bad):
+        # A forward-only hop never reads its window, so the check cannot be
+        # left to the hops: NaN would otherwise come back as a NaN window.
+        route = Route(hops=(Hop(0.1, degs[0], rsu_id="a"), Hop(0.1, degs[1], rsu_id="b")))
+        cfg = SimConfig(snapshots=10)
+        for t in (bad, [1.0, bad]):
+            with pytest.raises(ValueError, match="windows must be finite"):
+                simulate_route(route, t, params, cfg)
+            with pytest.raises(ValueError, match="windows must be finite"):
+                sweep_windows(route, [2.0, t], params, cfg)
 
 
 class TestAnalyticModeMatchesTheModel:
@@ -292,6 +306,20 @@ class TestPinnedOutputs:
         assert result.branch_counts.tolist() == PINNED[key][1]
 
 
+@pytest.fixture
+def streams(monkeypatch):
+    """Hop indices whose Philox stream a simulation opens, in order."""
+    opened = []
+    hop_stream = simulate._hop_stream
+
+    def recording(seed, hop_index):
+        opened.append(hop_index)
+        return hop_stream(seed, hop_index)
+
+    monkeypatch.setattr(simulate, "_hop_stream", recording)
+    return opened
+
+
 class TestDegenerateRoutes:
     def test_pure_forwarding_route_is_deterministic(self, params):
         hops = tuple(Hop(0.1, 1, rsu_id=f"f{i}") for i in range(3))
@@ -300,6 +328,46 @@ class TestDegenerateRoutes:
         assert result.se_latency == 0.0
         assert np.all(result.rates == params.rate_cell)
         assert result.branch_counts[:, Branch.COURIER_FORWARD].sum() == 3 * 500
+
+    @pytest.mark.parametrize("mode", ["physical", "analytic"])
+    @pytest.mark.parametrize("backhaul", [None, BackhaulConfig()])
+    def test_pure_forwarding_route_draws_nothing(self, params, streams, monkeypatch, mode, backhaul):
+        allocated = []
+        monkeypatch.setattr(simulate, "_hop_buffers", lambda *a: allocated.append(a))
+        hops = tuple(Hop(0.1 * (i + 1), 1, rsu_id=f"f{i}") for i in range(3))
+        n, T = 400, params.hop_dwell
+        cfg = SimConfig(snapshots=n, seed=7, mode=mode)
+        results = sweep_windows(Route(hops=hops), [0.0, [1.0, 5.0, 20.0], T], params, cfg, backhaul=backhaul)
+        assert streams == [] and allocated == []
+        for result in results:
+            assert np.all(result.latencies == 3.0 * T)
+            assert np.all(result.rates == params.rate_cell)
+            assert (result.mean_latency, result.se_latency) == (3.0 * T, 0.0)
+            assert (result.mean_rate, result.se_rate) == (params.rate_cell, 0.0)
+            assert (result.mean_rate_mean_subst, result.se_rate_mean_subst) == (params.rate_cell, 0.0)
+            assert result.branch_counts.tolist() == [[n, 0, 0, 0]] * 3
+
+    @pytest.mark.parametrize("mode", ["physical", "analytic"])
+    def test_only_hops_with_candidates_open_a_stream(self, params, grid_routes, streams, mode):
+        route = grid_routes[0]
+        assert [h for h, hop in enumerate(route.hops) if hop.deg > 1] == [0, 2, 3, 4, 6]
+        cfg = SimConfig(snapshots=300, seed=29, mode=mode)
+        simulate_route(route, 8.0, params, cfg)
+        sweep_windows(route, [0.0, 8.0], params, cfg, backhaul=BackhaulConfig())
+        assert streams == [0, 2, 3, 4, 6] * 2
+
+    def test_a_forwarding_hop_moves_no_other_hop(self, params):
+        # Each hop draws from its own stream, so what a forward-only hop
+        # would have drawn shapes nothing: its arrival rate is never read.
+        def route(lam):
+            return Route(hops=(Hop(0.2, 2, rsu_id="a"), Hop(lam, 1, rsu_id="b"), Hop(0.1, 3, rsu_id="c")))
+
+        cfg = SimConfig(snapshots=2_000, seed=4)
+        a = sweep_windows(route(0.05), [0.0, 6.0, 20.0], params, cfg)
+        b = sweep_windows(route(0.9), [0.0, 6.0, 20.0], params, cfg)
+        for x, y in zip(a, b):
+            assert repr(x) == repr(y)
+            assert np.array_equal(x.latencies, y.latencies) and np.array_equal(x.rates, y.rates)
 
 
 class TestBackhaul:
@@ -342,6 +410,13 @@ class TestBackhaul:
         wire = BackhaulConfig().wire_rate(params)
         wired_rate = (min(params.rate_v2i, wire) * (T - t) + params.rate_cell * t) / (2.0 * T)
         assert set(np.unique(result.rates)) <= {wired_rate, params.rate_cell}
+
+    def test_a_wired_forwarding_hop_never_uses_the_wire(self, params):
+        hops = (Hop(0.4, 1, rsu_id="a"), Hop(0.4, 2, rsu_id="b"), Hop(0.4, 2, rsu_id="c"))
+        cfg = SimConfig(snapshots=2_000, seed=8)
+        result = simulate_route(Route(hops=hops), 0.0, params, cfg, backhaul=BackhaulConfig())
+        assert result.branch_counts[0].tolist() == [2_000, 0, 0, 0]
+        assert result.branch_counts[1][Branch.BACKHAUL_FORWARD] > 0
 
     def test_wire_rate_default_and_override(self, params):
         assert BackhaulConfig().wire_rate(params) == 4.0 * params.rate_v2i
