@@ -14,13 +14,14 @@ directly:
   counts when all hops succeed, a maximum of exponential RSU waits when all
   hops fall back, and a capped minimum across both families for the mixture.
 
-The module also houses :class:`RouteEvaluator`, the one runtime
-implementation of the per-hop and joint-outcome algebra.  It precomputes
-everything reusable for a fixed route, and its kernel
-(:meth:`RouteEvaluator.series`) evaluates any number of window positions in
-one array pass; every one-window reading is a size-1 read of that kernel.
-The same kernel reads (route, window) probes of many routes at once
-(:class:`_RouteStack`), of which ``series`` is the one-route case.
+The one runtime implementation of the per-hop and joint-outcome algebra is
+a route stack (:class:`_RouteStack`), which reads (route, window) probes of
+many routes in one array pass.  It owns every coefficient and table of its
+routes: the per-hop coefficients, stacked when it is built, and the mixed
+routes' joint-outcome tables, built into stacked arrays on the first read
+that needs them.  :class:`RouteEvaluator` is a view of one route of a stack;
+its :meth:`RouteEvaluator.series` is the one-route read, and every
+one-window reading is a size-1 read of it.
 The quadrature forms above are independent oracles: the runtime never calls
 them, and the test suite checks the kernel against them.  They alone need
 scipy, and import it on first call; the kernel's mixture integral is a
@@ -530,89 +531,42 @@ def _mixture_integral(table: np.ndarray, first: np.ndarray, c: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class _JointTables:
-    """Joint-outcome tables of one or more mixed routes, routes along the last axis."""
+    """Joint-outcome tables of a route stack, routes along the last axis;
+    routes without a mixture read none of them and hold zeros."""
 
     support: np.ndarray  # (pieces,) trial counts x of the geometric-max table
     pmf: np.ndarray  # (pieces, routes) P(max trial count = x)
     xf_cum: np.ndarray  # (pieces + 1, routes) prefix sums of x * pmf
     leftover: np.ndarray  # (m_top + 1, routes) mass of the max trial count beyond m
     exp_max_wait: np.ndarray  # (routes,) exact E[max] of the hops' exponential waits
+    mixture: np.ndarray  # (_TABLE_COLUMNS, mixed * _TABLE_INTERVALS) _mixture_table tables side by side
+    first: np.ndarray  # (routes,) each route's first column in ``mixture``, 0 if it has none
 
 
 class RouteEvaluator:
     """Vectorized evaluator of one route's closed forms over many windows.
 
-    Building one precomputes the per-hop coefficient arrays.  The
-    joint-outcome tables (the geometric-max prefix sums, the exact expected
-    exponential maximum, and a Hermite table of the antiderivative that
-    turns the mixture integral into a table lookup) are built on the first
-    :meth:`series` read that needs them, so a caller that reads only
-    per-hop values never pays for them; all-forward and one-hop routes
-    never need them.  A route stack that builds its routes' mixture tables
-    in one array hands each route a view of its part (see
-    :meth:`_RouteStack.share_tables`).
-    :meth:`series` is the kernel's one-route case (see :class:`_RouteStack`);
-    the one-window readings (:meth:`latency`, :meth:`rate_closed`, ...) read
-    it at a single window.  Agreement with the direct quadrature forms is
-    pinned by tests.
+    An evaluator is a view of one route of a :class:`_RouteStack`, which
+    owns every coefficient and table the view reads.  Built alone, it is
+    the one route of its own stack; a solve reads the views of one stack of
+    all its routes (:meth:`_RouteStack.evaluators`), so a route's grid
+    reads, its stacked reads and its one-window reads share one copy of its
+    tables.  :meth:`series` is the kernel's one-route case (see
+    :class:`_RouteStack`); the one-window readings (:meth:`latency`,
+    :meth:`rate_closed`, ...) read it at a single window.  Agreement with
+    the direct quadrature forms is pinned by tests.
     """
 
     def __init__(self, route: Route, params: SystemParams):
-        self.route = route
-        self.params = params
-        T = params.hop_dwell
-        self.lam = np.array([h.arrival_rate for h in route.hops], dtype=float)
-        deg = np.array([h.deg for h in route.hops], dtype=float)
-        self.k = len(route.hops)
-        fwd = 1.0 / deg
-        mean_wait = 1.0 / self.lam
-        # Per-hop coefficient rows, in the order _hop_rows unpacks them.
-        self._coef = np.array(
-            [
-                self.lam,
-                fwd,
-                1.0 - fwd,  # the hop does not forward
-                T + mean_wait,  # failure excess
-                params.rate_v2v * (T - mean_wait) / T + params.rate_cell,  # success rate at t = 0
-                np.full(self.k, -params.rate_cell / T),  # ... and its slope in t
-                params.rate_v2i * T / (2.0 * T + mean_wait),  # fallback rate at t = 0
-                (params.rate_cell - params.rate_v2i) / (2.0 * T + mean_wait),  # ... and its slope
-            ]
-        )
-        self.all_forward = bool(np.all(deg == 1))
+        self._bind(_RouteStack((route,), params), 0)
 
-    @functools.cached_property
-    def _joint(self) -> _JointTables:
-        """This route's joint-outcome tables, built on the first read that needs them."""
-        params = self.params
-        T = params.hop_dwell
-        trial_fail = 1.0 - params.decode_ok_pair
-        max_m = max_trials(T, params.trial_time)
-        # Geometric-max table, truncated where the tail mass dies.
-        if trial_fail > 0.0:
-            tail = int(math.ceil(math.log(_PMF_TAIL_CUTOFF) / math.log(trial_fail))) + 1
-            hi = max(1, min(max_m, tail))
-        else:
-            hi = 1
-        xs = np.arange(1, hi + 1, dtype=float)
-        pmf = geometric_max_pmf(xs, self.k, params.decode_ok_pair) if max_m >= 1 else np.empty(0)
-        support = xs[: len(pmf)]
-        # Mass of the max trial count beyond m, for every m the kernel takes,
-        # by Python's scalar ** (NumPy's array ** can differ in the last bit).
-        m_top = max_trials(T * (1 + 1e-12), params.trial_time)
-        leftover = [1.0 - (1.0 - trial_fail**m) ** self.k for m in range(m_top + 1)]
-        return _JointTables(
-            support=support,
-            pmf=pmf[:, None],
-            xf_cum=np.concatenate([[0.0], np.cumsum(support * pmf)])[:, None],
-            leftover=np.array(leftover)[:, None],
-            exp_max_wait=np.array([_expected_max_exponential_exact(self.lam)]),
-        )
-
-    @functools.cached_property
-    def _mixture(self) -> np.ndarray:
-        """This route's mixture table (see _mixture_table), or its part of a stack's."""
-        return _mixture_table(self.lam, self.params.hop_dwell)
+    def _bind(self, stack: _RouteStack, col: int) -> RouteEvaluator:
+        self.route = stack.routes[col]
+        self.params = stack.params
+        self.k = len(self.route.hops)
+        self._stack = stack
+        self._col = np.array([col])  # one column index shared by every window
+        return self
 
     # -- window pieces -----------------------------------------------------
 
@@ -641,12 +595,13 @@ class RouteEvaluator:
     # -- the kernel, one route -------------------------------------------------
 
     def _hop_stage(self, ts) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
-        """Per-hop stage of the kernel over a window grid (see _hop_rows).
+        """Per-hop stage of the kernel over a window grid on this route's own
+        k hop rows (see _hop_rows).
 
         Per-hop callers stop here and never pay for the joint-outcome
         mixture.
         """
-        return _hop_rows(self.params, self._coef[:, :, None], None, ts)
+        return _hop_rows(self.params, self._stack.coef[:, : self.k, self._col], None, ts)
 
     def series(self, ts: np.ndarray) -> dict[str, np.ndarray]:
         """Evaluate latency and both rate readings over a window grid.
@@ -661,9 +616,7 @@ class RouteEvaluator:
         """
         ts = np.asarray(ts, dtype=float)
         ms, probs, out = self._hop_stage(ts)
-        # One column index shared by every window: the stack's one route.
-        shared = np.zeros(1, dtype=np.intp)
-        out["rate_closed"] = _RouteStack((self,)).rate(shared, ts, ms, probs, out["hop_rate"][0])
+        out["rate_closed"] = self._stack.rate(self._col, ts, ms, probs, out["hop_rate"][0])
         return out
 
 
@@ -672,7 +625,7 @@ def _hop_rows(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
     """Per-hop stage of the kernel at windows ``ts``.
 
-    ``coef`` holds RouteEvaluator's coefficient rows, each (hops, 1) for one
+    ``coef`` holds a route stack's coefficient rows, each (hops, 1) for one
     route or (hops, len(ts)) with one route's column per window; ``pad``
     marks padded hops, which read 0 latency, +inf rate and probabilities 1.
     Returns the whole-trial count of every window, each hop's probabilities
@@ -712,86 +665,106 @@ def _hop_rows(
 class _RouteStack:
     """Several routes read by one kernel call: window i of route cols[i].
 
-    Per-hop coefficients are stacked to (k_max, routes).  A route shorter
-    than k_max is padded with trailing neutral hops, which add 0 to the
-    latency sum, 1 to the survival products and +inf to the minimum; the
-    sums and products run row by row, so a padded column reads the same
-    bits as its route alone.  The joint-outcome tables are stacked on the
-    first read that needs them.  The mixed routes' mixture tables lie side
-    by side in one array, each route's table a view of it, and every
-    (trial-count row, window) cell of a read takes its coefficients from it
-    through one index.
+    The stack owns every closed-form coefficient and table of its routes.
+    Per-hop coefficients are stacked to (k_max, routes) when it is built.
+    A route shorter than k_max is padded with trailing neutral hops, which
+    add 0 to the latency sum, 1 to the survival products and +inf to the
+    minimum; the sums and products run row by row, so a padded column reads
+    the same bits as its route alone.  The joint-outcome tables of every
+    mixed route are built on the first read that needs them, straight into
+    stacked arrays (see _JointTables), and every (trial-count row, window)
+    cell of a read takes its mixture coefficients through one index.
     """
 
-    def __init__(self, evaluators: Sequence[RouteEvaluator]):
-        self.evaluators = tuple(evaluators)
-        self.params = self.evaluators[0].params
+    def __init__(self, routes: Sequence[Route], params: SystemParams):
+        self.routes = tuple(routes)
+        self.params = params
+        T = params.hop_dwell
+        self.ks = np.array([len(r.hops) for r in self.routes])
+        # Padded hops hold lam = deg = 1, finite rows that _hop_rows overrides.
+        lam = np.ones((self.ks.max(), len(self.ks)))
+        deg = np.ones_like(lam)
+        for j, route in enumerate(self.routes):
+            lam[: self.ks[j], j] = [h.arrival_rate for h in route.hops]
+            deg[: self.ks[j], j] = [h.deg for h in route.hops]
+        fwd = 1.0 / deg
+        mean_wait = 1.0 / lam
+        # Per-hop coefficient rows, in the order _hop_rows unpacks them.
+        self.coef = np.array(
+            [
+                lam,
+                fwd,
+                1.0 - fwd,  # the hop does not forward
+                T + mean_wait,  # failure excess
+                params.rate_v2v * (T - mean_wait) / T + params.rate_cell,  # success rate at t = 0
+                np.full(lam.shape, -params.rate_cell / T),  # ... and its slope in t
+                params.rate_v2i * T / (2.0 * T + mean_wait),  # fallback rate at t = 0
+                (params.rate_cell - params.rate_v2i) / (2.0 * T + mean_wait),  # ... and its slope
+            ]
+        )
+        pad = np.arange(len(lam))[:, None] >= self.ks
+        self.pad = pad if pad.any() else None
         # All-forward routes carry at the cellular rate and a one-hop route
         # at its hop's mean; the rest read the joint-outcome mixture.
-        self.forward = np.array([ev.all_forward for ev in self.evaluators])
-        self.mixed = ~self.forward & (np.array([ev.k for ev in self.evaluators]) > 1)
+        self.forward = np.all(deg == 1, axis=0)
+        self.mixed = ~self.forward & (self.ks > 1)
 
-    @functools.cached_property
-    def _hops(self) -> tuple[np.ndarray, np.ndarray | None]:
-        ks = np.array([ev.k for ev in self.evaluators])
-        coef = np.zeros((len(self.evaluators[0]._coef), ks.max(), len(ks)))
-        for j, ev in enumerate(self.evaluators):
-            coef[:, : ev.k, j] = ev._coef
-        pad = np.arange(ks.max())[:, None] >= ks
-        return coef, pad if pad.any() else None
+    def evaluators(self) -> list[RouteEvaluator]:
+        """A view of every route, in order; each reads this stack's tables."""
+        return [RouteEvaluator.__new__(RouteEvaluator)._bind(self, j) for j in range(len(self.routes))]
 
     @functools.cached_property
     def _tables(self) -> _JointTables:
-        joint = [ev._joint if mixed else None for ev, mixed in zip(self.evaluators, self.mixed)]
-        ref = next(j for j in joint if j is not None)
-
-        def stacked(name: str) -> np.ndarray:
-            # Routes without a mixture read none of it: zeros hold their place.
-            parts = [np.zeros_like(getattr(ref, name)) if j is None else getattr(j, name) for j in joint]
-            return np.concatenate(parts, axis=-1)
-
-        return _JointTables(
-            support=ref.support,
-            pmf=stacked("pmf"),
-            xf_cum=stacked("xf_cum"),
-            leftover=stacked("leftover"),
-            exp_max_wait=stacked("exp_max_wait"),
-        )
-
-    @functools.cached_property
-    def _mixture(self) -> tuple[np.ndarray, np.ndarray]:
-        """The mixed routes' mixture tables side by side in one
-        (_TABLE_COLUMNS, routes * _TABLE_INTERVALS) array, and each route's
-        first column in it (routes without a mixture point at column 0)."""
-        mixed = [ev for ev, m in zip(self.evaluators, self.mixed) if m]
-        if len(mixed) == 1:
-            table = mixed[0]._mixture[:, None]  # a view: one route needs no copy
+        params = self.params
+        T = params.hop_dwell
+        trial_fail = 1.0 - params.decode_ok_pair
+        max_m = max_trials(T, params.trial_time)
+        # Geometric-max table, truncated where the tail mass dies.
+        if trial_fail > 0.0:
+            tail = int(math.ceil(math.log(_PMF_TAIL_CUTOFF) / math.log(trial_fail))) + 1
+            hi = max(1, min(max_m, tail))
         else:
-            table = np.empty((_TABLE_COLUMNS, len(mixed), _TABLE_INTERVALS))
-            for r, ev in enumerate(mixed):
-                if "_mixture" in vars(ev):
-                    table[:, r] = ev._mixture
-                else:
-                    _mixture_table(ev.lam, self.params.hop_dwell, out=table[:, r])
-                vars(ev)["_mixture"] = table[:, r]  # the route's own reads share it
-        first = np.maximum(np.cumsum(self.mixed) - 1, 0) * _TABLE_INTERVALS
-        return table.reshape(_TABLE_COLUMNS, -1), first
-
-    def share_tables(self) -> None:
-        """Build the joint-outcome tables now, so that every mixed route reads
-        its mixture table from the stack's array, one copy for the stack's
-        reads and the routes' own :meth:`RouteEvaluator.series` reads alike."""
-        if self.mixed.any():
-            _ = self._tables, self._mixture
+            hi = 1
+        support = np.arange(1, hi + 1, dtype=float) if max_m >= 1 else np.empty(0)
+        m_top = max_trials(T * (1 + 1e-12), params.trial_time)
+        n = len(self.routes)
+        pmf = np.zeros((len(support), n))
+        xf_cum = np.zeros((len(support) + 1, n))
+        leftover = np.zeros((m_top + 1, n))
+        exp_max_wait = np.zeros(n)
+        mixed = np.flatnonzero(self.mixed)
+        # The tables of the geometric max depend on the hop count alone.
+        for k in np.unique(self.ks[mixed]).tolist():
+            cols = mixed[self.ks[mixed] == k]
+            f = geometric_max_pmf(support, k, params.decode_ok_pair)
+            pmf[:, cols] = f[:, None]
+            xf_cum[1:, cols] = np.cumsum(support * f)[:, None]
+            # Mass beyond every m the kernel takes, by Python's scalar **
+            # (NumPy's array ** can differ in the last bit).
+            leftover[:, cols] = np.array([1.0 - (1.0 - trial_fail**m) ** k for m in range(m_top + 1)])[:, None]
+        mixture = np.empty((_TABLE_COLUMNS, len(mixed), _TABLE_INTERVALS))
+        for r, j in enumerate(mixed.tolist()):
+            lam = self.coef[0, : self.ks[j], j]
+            exp_max_wait[j] = _expected_max_exponential_exact(lam)
+            _mixture_table(lam, T, out=mixture[:, r])
+        return _JointTables(
+            support=support,
+            pmf=pmf,
+            xf_cum=xf_cum,
+            leftover=leftover,
+            exp_max_wait=exp_max_wait,
+            mixture=mixture.reshape(_TABLE_COLUMNS, -1),
+            first=np.maximum(np.cumsum(self.mixed) - 1, 0) * _TABLE_INTERVALS,
+        )
 
     def read(self, cols: np.ndarray, ts: np.ndarray) -> dict[str, np.ndarray]:
         """Every reading of ``series`` at window ts[i] of route cols[i].
 
         Per-hop arrays are (k_max, len(ts)) and include the padded hops.
         """
-        coef, pad = self._hops
         ts = np.asarray(ts, dtype=float)
-        ms, probs, out = _hop_rows(self.params, coef[:, :, cols], None if pad is None else pad[:, cols], ts)
+        pad = None if self.pad is None else self.pad[:, cols]
+        ms, probs, out = _hop_rows(self.params, self.coef[:, :, cols], pad, ts)
         out["rate_closed"] = self.rate(cols, ts, ms, probs, out["hop_rate"][0])
         return out
 
@@ -843,8 +816,7 @@ class _RouteStack:
             + params.rate_cell * (T - ts[live][None, :]) / T
         )
         caps = np.vstack([np.clip(np.minimum(s_rates, cap), 0.0, s) / s, np.minimum(cap / s, 1.0)])
-        table, first = self._mixture
-        integral = _mixture_integral(table, first[owner], caps)
+        integral = _mixture_integral(tables.mixture, tables.first[owner], caps)
         terms = np.where(xs <= m, tables.pmf[:, owner] * integral[:-1], 0.0)
         c_mix[live] = s * (_sum_rows(terms) + tables.leftover[m, owner] * integral[-1])
         return p_as * c_as + p_af * c_af + p_mix * c_mix

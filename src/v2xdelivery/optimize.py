@@ -29,7 +29,7 @@ makes at most 81 such calls whatever its route and weight count.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -322,7 +322,7 @@ def _search(
     lo, hi = np.concatenate(lo), np.concatenate(hi)
 
     cols = np.array([col for col, _, _ in tasks])
-    bounds = np.array([astuple(scale) for _, scale, _ in tasks])
+    bounds = np.array([(s.latency_min, s.latency_max, s.rate_min, s.rate_max) for _, s, _ in tasks])
     weights = np.array([weight for _, _, weight in tasks], dtype=float)
 
     def objective(owners: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -384,16 +384,14 @@ def _solve_global(
 ) -> list[OptimizationOutcome]:
     """:func:`solve_global` at each of ``weights``, one outcome per weight.
 
-    The evaluators, their mixture tables, the scan grid and the route
-    envelope serve every weight; each (route, weight) pair is one task of
-    one lockstep search.
+    The route stack, its tables, the scan grid and the route envelope
+    serve every weight; each (route, weight) pair is one task of one
+    lockstep search.  The grid reads, the lockstep and the winners' reads
+    all read the stack, so each mixed route's tables are built once.
     """
     _check_inputs(routes, weights)
-    evaluators = [RouteEvaluator(r, params) for r in routes]
-    stack = _RouteStack(evaluators)
-    # The grid reads, the lockstep and the winners' reads share one copy of
-    # every mixture table: the stack's.
-    stack.share_tables()
+    stack = _RouteStack(routes, params)
+    evaluators = stack.evaluators()
     grid = _scan_grid(params)
     scales, reads = _envelope(evaluators, grid.ts)
     ctx = context or _hull(scales)
@@ -458,16 +456,16 @@ def _solve_distributed(
     search, and each route reads its hops once, at every weight's windows.
     """
     _check_inputs(routes, weights)
-    evaluators = [RouteEvaluator(r, params) for r in routes]
+    evaluators = _RouteStack(routes, params).evaluators()
     grid = _scan_grid(params)
     if context is None:
         context = _hull(_envelope(evaluators, grid.ts)[0])
     # Every distinct hop is a one-hop route on its own scale.
     hops = list(dict.fromkeys(h for r in routes for h in r.hops))
-    hop_evaluators = [RouteEvaluator(Route(hops=(hop,)), params) for hop in hops]
-    scales, reads = _envelope(hop_evaluators, grid.ts)
+    hop_stack = _RouteStack([Route(hops=(hop,)) for hop in hops], params)
+    scales, reads = _envelope(hop_stack.evaluators(), grid.ts)
     tasks = [(i, scale, w) for w in weights for i, scale in enumerate(scales)]
-    found = _search(_RouteStack(hop_evaluators), grid, reads, tasks)
+    found = _search(hop_stack, grid, reads, tasks)
     hop_windows = [
         {hop: t for hop, (t, _) in zip(hops, found[j * len(hops) :])} for j in range(len(weights))
     ]
@@ -603,9 +601,8 @@ def verify_concavity(
             "concave": True,
         }
     x = np.concatenate(xs)
-    f0 = _route_objective_series(evaluator, x - h, ctx, w)
-    f1 = _route_objective_series(evaluator, x, ctx, w)
-    f2 = _route_objective_series(evaluator, x + h, ctx, w)
+    # One read of the three probe rows; a window reads alike in any batch.
+    f0, f1, f2 = _route_objective_series(evaluator, np.concatenate([x - h, x, x + h]), ctx, w).reshape(3, -1)
     second = f2 - 2 * f1 + f0
     i = int(np.argmax(second))
     fraction = float(np.mean(second <= 1e-9))

@@ -10,6 +10,7 @@ reproduces the scenario field for field.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -55,6 +56,15 @@ class Scenario:
     topology: Topology
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integral value names ``name``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def build_grid_scenario(
     rows: int = 3,
     cols: int = 3,
@@ -77,9 +87,15 @@ def build_grid_scenario(
 
     Raises:
         ValueError: dimensions below 2x2, a block length or arrival
-            interval that is not positive and finite, or coinciding
-            endpoints.
+            interval that is not positive and finite, coinciding
+            endpoints, a bool or non-integral ``rows``, ``cols``, ``seed``
+            or ``route_filter``, or a ``route_filter`` below 1.
     """
+    rows, cols, seed = _integer("rows", rows), _integer("cols", cols), _integer("seed", seed)
+    if route_filter is not None:
+        route_filter = _integer("route_filter", route_filter)
+        if route_filter < 1:
+            raise ValueError(f"route_filter must be at least 1, got {route_filter}")
     if rows < 2 or cols < 2:
         raise ValueError("grid needs at least 2 rows and 2 columns")
     if not 0 < block_length < math.inf:
@@ -170,11 +186,11 @@ def load_scenario(path: str | Path) -> Scenario:
         arrival = raw.get("arrival", {})
         params = SystemParams(**raw.get("params", {}))
         return build_grid_scenario(
-            rows=int(grid.get("rows", 3)),
-            cols=int(grid.get("cols", 3)),
+            rows=grid.get("rows", 3),
+            cols=grid.get("cols", 3),
             block_length=float(grid.get("block_length", 250.0)),
             params=params,
-            seed=int(raw.get("seed", 0)),
+            seed=raw.get("seed", 0),
             arrival_interval=(
                 float(arrival.get("low", 0.05)),
                 float(arrival.get("high", 0.3)),

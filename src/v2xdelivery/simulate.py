@@ -166,55 +166,26 @@ def _hop_stream(seed: int, hop_index: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class _HopBuffers:
     """Snapshot-length arrays every hop of one call that has candidates is
-    drawn and prepared into.
+    drawn, prepared and read into.
 
     Allocated once per call, only if some hop has ``deg > 1``, and reused
     hop after hop.  Freed and allocated again per hop, arrays this size can
     go back to the system and be faulted in afresh, which at 3e5 snapshots
     costs more than the arithmetic on them.
+
+    After :func:`_prepare_hop`, the first block holds the hop's
+    window-independent arrays.  A candidate (a snapshot whose courier does
+    not forward) succeeds at window t iff it arrives by t and
+    ``need <= max_trials(t)``; ``need`` is the trial count in analytic mode
+    and the arrival slot plus the trial count minus one in physical mode.
+    Per-snapshot values are read from branch-major tables of three rows of
+    n, in :class:`Branch` order (forward, success, failure): snapshot i's
+    entry on its branch sits at ``base[i] + n * failure[i]``.  The second
+    block is :func:`_add_window`'s scratch.
     """
 
     draw: np.ndarray  # the direction variate, then the RSU wait
-    arrival: np.ndarray
     candidate: np.ndarray
-    latency: np.ndarray  # rows T, T, and the failure row each hop writes
-    need: np.ndarray
-    v2v: np.ndarray
-    base: np.ndarray
-    index: np.ndarray  # 0, 1, ..., n - 1
-
-
-def _hop_buffers(n: int, T: float) -> _HopBuffers:
-    latency = np.empty(3 * n)
-    latency[: 2 * n] = T
-    return _HopBuffers(
-        draw=np.empty(n),
-        arrival=np.empty(n),
-        candidate=np.empty(n, dtype=bool),
-        latency=latency,
-        need=np.empty(n),
-        v2v=np.empty(n),
-        base=np.empty(n, dtype=np.intp),
-        index=np.arange(n),
-    )
-
-
-@dataclass(frozen=True)
-class _PreparedHop:
-    """Window-independent arrays of one hop's draw block.
-
-    A candidate (a snapshot whose courier does not forward) succeeds at
-    window t iff it arrives by t and ``need <= max_trials(t)``; ``need`` is
-    the trial count in analytic mode and the arrival slot plus the trial
-    count minus one in physical mode.
-
-    Per-snapshot values are read from branch-major tables of three rows of
-    n, in :class:`Branch` order (forward, success, failure): snapshot i's
-    entry on its branch sits at ``base[i] + n * failure[i]``.
-    """
-
-    candidate: np.ndarray
-    forwards: int
     arrival: np.ndarray
     need: np.ndarray
     # i + n for a candidate, i for a forward: its success or forward entry.
@@ -224,9 +195,32 @@ class _PreparedHop:
     latency: np.ndarray
     # rate_v2v * (T - need * dt): the V2V share of a success's rate numerator.
     v2v: np.ndarray
-    mean_wait: float
-    # Throughput of the wire to the next RSU; None on an unwired hop.
-    wire_rate: float | None
+    index: np.ndarray  # 0, 1, ..., n - 1
+    success: np.ndarray
+    failure: np.ndarray
+    pick: np.ndarray  # each snapshot's entry in the branch tables
+    rate: np.ndarray  # rate table; its forward row holds rate_cell
+    value: np.ndarray  # the gathered entries
+
+
+def _hop_buffers(n: int, params: SystemParams) -> _HopBuffers:
+    latency = np.empty(3 * n)
+    latency[: 2 * n] = params.hop_dwell
+    return _HopBuffers(
+        draw=np.empty(n),
+        candidate=np.empty(n, dtype=bool),
+        arrival=np.empty(n),
+        need=np.empty(n),
+        base=np.empty(n, dtype=np.intp),
+        latency=latency,
+        v2v=np.empty(n),
+        index=np.arange(n),
+        success=np.empty(n, dtype=bool),
+        failure=np.empty(n, dtype=bool),
+        pick=np.empty(n, dtype=np.intp),
+        rate=np.full(3 * n, params.rate_cell),
+        value=np.empty(n),
+    )
 
 
 def _prepare_hop(
@@ -236,9 +230,10 @@ def _prepare_hop(
     mode: str,
     wire_rate: float | None,
     buffers: _HopBuffers,
-) -> _PreparedHop:
+) -> int:
     """Draw one hop's block into ``buffers`` and do its window-independent
-    work once; the result lives in ``buffers`` until the next hop."""
+    work once; the arrays live in ``buffers`` until the next hop.  Returns
+    the number of snapshots whose courier forwards."""
     T = params.hop_dwell
     dt = params.trial_time
     n = len(buffers.index)
@@ -272,69 +267,59 @@ def _prepare_hop(
     v2v *= params.rate_v2v
     base = np.multiply(candidate, n, dtype=np.intp, out=buffers.base)
     base += buffers.index
-    return _PreparedHop(
-        candidate=candidate,
-        forwards=n - int(np.count_nonzero(candidate)),
-        arrival=arrival,
-        need=need,
-        base=base,
-        latency=latency,
-        v2v=v2v,
-        mean_wait=1.0 / hop.arrival_rate,
-        wire_rate=wire_rate,
-    )
+    return n - int(np.count_nonzero(candidate))
 
 
 def _add_window(
-    hop: _PreparedHop,
+    buffers: _HopBuffers,
+    hop: Hop,
+    wire_rate: float | None,
     t: float,
     params: SystemParams,
-    scratch,
     lat_sum: np.ndarray,
     rate_min: np.ndarray,
     rate_ms_min: np.ndarray,
 ) -> int:
-    """Fold one hop at window t into one window's sums and minima.
+    """Fold one prepared hop at window t into one window's sums and minima.
 
-    ``scratch`` is (success, failure, pick, table, value): two boolean
-    masks, an index and a float array of snapshot length, and a three-row
-    rate table whose forward row holds ``rate_cell``.  Returns the number
-    of successes.
+    ``wire_rate`` is the throughput of the hop's wire to the next RSU, None
+    on an unwired hop.  Returns the number of successes.
     """
-    success, failure, pick, table, value = scratch
-    n = len(success)
+    n = len(buffers.index)
     T = params.hop_dwell
     cell = params.rate_cell
     m = max_trials(t, params.trial_time)
+    mean_wait = 1.0 / hop.arrival_rate
 
-    np.less_equal(hop.arrival, t, out=success)
-    np.less_equal(hop.need, m, out=failure)
+    success, failure, pick, value = buffers.success, buffers.failure, buffers.pick, buffers.value
+    np.less_equal(buffers.arrival, t, out=success)
+    np.less_equal(buffers.need, m, out=failure)
     success &= failure
-    success &= hop.candidate
+    success &= buffers.candidate
     # success implies candidate, so xor leaves candidate & ~success.
-    np.logical_xor(hop.candidate, success, out=failure)
+    np.logical_xor(buffers.candidate, success, out=failure)
     np.multiply(failure, n, out=pick, dtype=np.intp)
-    pick += hop.base
+    pick += buffers.base
 
     # Every index is in range by construction; "clip" skips the check.
-    hop.latency.take(pick, out=value, mode="clip")
+    buffers.latency.take(pick, out=value, mode="clip")
     lat_sum += value
 
-    succ_row, fail_row = table[n : 2 * n], table[2 * n :]
-    np.add(hop.v2v, cell * (T - t), out=succ_row)
+    succ_row, fail_row = buffers.rate[n : 2 * n], buffers.rate[2 * n :]
+    np.add(buffers.v2v, cell * (T - t), out=succ_row)
     succ_row /= T
-    if hop.wire_rate is None:
-        np.divide(params.rate_v2i * (T - t) + cell * t, hop.latency[2 * n :], out=fail_row)
-        fail_ms = (params.rate_v2i * (T - t) + cell * t) / (2.0 * T + hop.mean_wait)
+    if wire_rate is None:
+        np.divide(params.rate_v2i * (T - t) + cell * t, buffers.latency[2 * n :], out=fail_row)
+        fail_ms = (params.rate_v2i * (T - t) + cell * t) / (2.0 * T + mean_wait)
     else:
-        fail_ms = (min(params.rate_v2i, hop.wire_rate) * (T - t) + cell * t) / (2.0 * T)
+        fail_ms = (min(params.rate_v2i, wire_rate) * (T - t) + cell * t) / (2.0 * T)
         fail_row.fill(fail_ms)
-    table.take(pick, out=value, mode="clip")
+    buffers.rate.take(pick, out=value, mode="clip")
     np.minimum(rate_min, value, out=rate_min)
 
-    succ_row.fill(params.rate_v2v * (T - hop.mean_wait) / T + cell * (T - t) / T)
+    succ_row.fill(params.rate_v2v * (T - mean_wait) / T + cell * (T - t) / T)
     fail_row.fill(fail_ms)
-    table.take(pick, out=value, mode="clip")
+    buffers.rate.take(pick, out=value, mode="clip")
     np.minimum(rate_ms_min, value, out=rate_ms_min)
     return int(np.count_nonzero(success))
 
@@ -395,14 +380,7 @@ def _simulate_windows(
     rate_ms_min = [np.full(n, np.inf) for _ in range(nt)]
     counts = np.zeros((nt, k, len(Branch)), dtype=np.int64)
     if any(hop.deg > 1 for hop in route.hops):
-        scratch = (
-            np.empty(n, dtype=bool),
-            np.empty(n, dtype=bool),
-            np.empty(n, dtype=np.intp),
-            np.full(3 * n, params.rate_cell),
-            np.empty(n),
-        )
-        buffers = _hop_buffers(n, params.hop_dwell)
+        buffers = _hop_buffers(n, params)
     for h, hop in enumerate(route.hops):
         if hop.deg == 1:
             # Every snapshot forwards (random() < 1 always holds): latency T
@@ -420,15 +398,15 @@ def _simulate_windows(
             and backhaul.linked(hop.rsu_id, route.hops[h + 1].rsu_id)
         )
         wire_rate = backhaul.wire_rate(params) if wired else None
-        prepared = _prepare_hop(_hop_stream(config.seed, h), hop, params, config.mode, wire_rate, buffers)
+        forwards = _prepare_hop(_hop_stream(config.seed, h), hop, params, config.mode, wire_rate, buffers)
         fallback = Branch.BACKHAUL_FORWARD if wired else Branch.DISCOVERY_FAILURE
-        counts[:, h, Branch.COURIER_FORWARD] = prepared.forwards
+        counts[:, h, Branch.COURIER_FORWARD] = forwards
         for i, row in enumerate(window_rows):
             successes = _add_window(
-                prepared, float(row[h]), params, scratch, lat_sum[i], rate_min[i], rate_ms_min[i]
+                buffers, hop, wire_rate, float(row[h]), params, lat_sum[i], rate_min[i], rate_ms_min[i]
             )
             counts[i, h, Branch.DISCOVERY_SUCCESS] = successes
-            counts[i, h, fallback] = n - prepared.forwards - successes
+            counts[i, h, fallback] = n - forwards - successes
     return [
         _summary(row, config, lat_sum[i], rate_min[i], rate_ms_min[i], counts[i])
         for i, row in enumerate(window_rows)

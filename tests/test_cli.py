@@ -250,6 +250,12 @@ class TestErrorHandling:
             "arrival: {high: .inf}",
             "grid: {block_length: .inf}",
             "grid: {rows: .inf}",
+            "grid: {rows: 2.7}",
+            "seed: 1.9",
+            "route_filter: abc",
+            "route_filter: 2.5",
+            "route_filter: true",
+            "route_filter: 0",
         ],
     )
     def test_non_finite_recipe_values(self, capsys, tmp_path, recipe):

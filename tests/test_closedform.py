@@ -38,7 +38,9 @@ from v2xdelivery import (
     rate_decomposition,
     scenario_probabilities,
 )
+from v2xdelivery import closedform
 from v2xdelivery.closedform import (
+    _TABLE_COLUMNS,
     _TABLE_INTERVALS,
     _expected_max_exponential_exact,
     _mixture_integral,
@@ -532,6 +534,17 @@ class TestRouteEvaluator:
             np.testing.assert_allclose(ev.hop_rates(t), expected_rate, atol=1e-12)
 
 
+def _count_table_builds(monkeypatch) -> list[str]:
+    """Names of the joint-outcome table builders called, one entry a call."""
+    built = []
+    for name in ("_mixture_table", "_expected_max_exponential_exact"):
+        original = getattr(closedform, name)
+        monkeypatch.setattr(
+            closedform, name, lambda *a, name=name, original=original, **kw: built.append(name) or original(*a, **kw)
+        )
+    return built
+
+
 class TestRouteStack:
     """A route-stacked read reads every window with the bits of its route's
     own one-route ``series`` read."""
@@ -569,7 +582,16 @@ class TestRouteStack:
         if order == "shuffled":
             perm = rng.permutation(len(ts))
             cols, ts = cols[perm], ts[perm]
-        out = _RouteStack(evaluators).read(cols, ts)
+        stack = _RouteStack(routes, params)
+        # Each view of the stack reads its route's bits, its first read
+        # building every route's tables at once.
+        grid = np.unique(ts)
+        for view, ev in zip(stack.evaluators(), evaluators):
+            alone, stacked = ev.series(grid), view.series(grid)
+            assert stacked.keys() == alone.keys()
+            for name, values in alone.items():
+                assert stacked[name].tobytes() == values.tobytes(), (name, ev.k)
+        out = stack.read(cols, ts)
         k_max = max(ev.k for ev in evaluators)
         assert out["hop_latency"].shape == out["hop_rate"].shape == (k_max, len(ts))
         for i, (c, t) in enumerate(zip(cols.tolist(), ts.tolist())):
@@ -583,23 +605,25 @@ class TestRouteStack:
             assert np.all(out["hop_latency"][ev.k :, i] == 0.0)
             assert np.all(out["hop_rate"][ev.k :, i] == np.inf)
 
-    def test_per_hop_readers_build_no_joint_tables(self, params):
+    def test_per_hop_readers_build_no_joint_tables(self, monkeypatch, params):
         # The joint-outcome tables wait for the first read that needs them;
         # all-forward and one-hop routes never need them.
+        built = _count_table_builds(monkeypatch)
         rng = np.random.default_rng(68)
         mixed = RouteEvaluator(make_route(rng, k=4), params)
         mixed.hop_rates(8.0)
         mixed.latency(8.0)
-        assert "_joint" not in vars(mixed)
+        assert built == []
         mixed.rate_closed(8.0)
-        assert "_joint" in vars(mixed)
+        assert sorted(built) == ["_expected_max_exponential_exact", "_mixture_table"]
+        del built[:]
         for route in (
             Route(hops=(Hop(0.12, 3, rsu_id="solo"),)),
             Route(hops=tuple(Hop(0.1, 1, rsu_id=f"d{i}") for i in range(3))),
         ):
             ev = RouteEvaluator(route, params)
             ev.series(np.linspace(0.0, params.hop_dwell, 11))
-            assert "_joint" not in vars(ev)
+        assert built == []
 
 
 class TestMixtureTable:
@@ -644,23 +668,29 @@ class TestMixtureTable:
         np.testing.assert_allclose(ends[:-1], table[0, 1:], rtol=0.0, atol=1e-15)
         assert table[0, 0] == 0.0
 
-    def test_a_stack_holds_one_copy_its_routes_read(self, params):
-        # A stack builds its mixed routes' tables side by side in one array,
-        # and each route's own reads use its part.
+    def test_a_stack_holds_one_copy_its_routes_read(self, monkeypatch, params):
+        # A stack builds its mixed routes' tables once, side by side in one
+        # array, on the first read that needs them, and every view reads it.
         rng = np.random.default_rng(70)
-        evaluators = [RouteEvaluator(make_route(rng, k=k), params) for k in (2, 5, 9)]
-        evaluators.insert(1, RouteEvaluator(Route(hops=(Hop(0.12, 3, rsu_id="solo"),)), params))
-        before = evaluators[2].rate_closed(8.0)  # built on its own before stacking
-        stack = _RouteStack(evaluators)
-        stack.share_tables()
-        table, first = stack._mixture
-        assert table.shape[1] == 3 * _TABLE_INTERVALS
-        for ev, row in zip([evaluators[i] for i in (0, 2, 3)], range(3)):
-            assert np.shares_memory(ev._mixture, table)
-            assert ev._mixture.tobytes() == _mixture_table(ev.lam, params.hop_dwell).tobytes()
-            assert first[evaluators.index(ev)] == row * _TABLE_INTERVALS
-        assert "_mixture" not in vars(evaluators[1])
-        assert evaluators[2].rate_closed(8.0) == before
+        routes = [make_route(rng, k=k) for k in (2, 5, 9)]
+        routes.insert(1, Route(hops=(Hop(0.12, 3, rsu_id="solo"),)))
+        before = RouteEvaluator(routes[2], params).rate_closed(8.0)  # its own stack's tables
+        built = _count_table_builds(monkeypatch)
+        stack = _RouteStack(routes, params)
+        views = stack.evaluators()
+        assert views[2].rate_closed(8.0) == before
+        assert sorted(built) == ["_expected_max_exponential_exact"] * 3 + ["_mixture_table"] * 3
+        for view in views:
+            view.series(np.linspace(0.0, params.hop_dwell, 11))
+        assert len(built) == 6
+        tables = stack._tables
+        assert tables.mixture.shape == (_TABLE_COLUMNS, 3 * _TABLE_INTERVALS)
+        for row, j in enumerate((0, 2, 3)):
+            lam = np.array([h.arrival_rate for h in routes[j].hops])
+            part = tables.mixture[:, row * _TABLE_INTERVALS : (row + 1) * _TABLE_INTERVALS]
+            assert part.tobytes() == _mixture_table(lam, params.hop_dwell).tobytes()
+            assert tables.first[j] == row * _TABLE_INTERVALS
+        assert tables.first[1] == 0
 
 
 def test_joint_rate_sits_below_the_bottleneck_of_means(params, grid_routes):

@@ -503,8 +503,9 @@ def _reference_search(stack, grid, reads, tasks):
     """``optimize._search`` task by task and probe by probe, each probe a
     ``series`` read of its task's route."""
     best = []
+    evaluators = stack.evaluators()
     for col, scale, weight in tasks:
-        ev, (rate, lat) = stack.evaluators[col], reads[col]
+        ev, (rate, lat) = evaluators[col], reads[col]
 
         def objective(ts, ev=ev, scale=scale, weight=weight):
             return _route_objective_series(ev, ts, scale, weight)
@@ -693,11 +694,21 @@ class TestWorkCounts:
         assert self._grid_reads(counts) == self._grid_reads(counts, k=1) == d
         assert self._stages_outside_series(counts) == 0
 
-    def test_compare_reads_each_route_once(self, counts, capsys, grid_routes):
+    def test_compare_reads_each_route_once(self, counts, monkeypatch, capsys, grid_routes):
         # n routes in the coordinated solve, plus the SPR and GPSR routes
-        # scored on its scale.
+        # scored on its scale: each route is stacked once, and a solve's
+        # routes are views of its stack, so no evaluator is built alone.
+        stacked = []
+        init = _RouteStack.__init__
+
+        def counting_init(self, routes, params):
+            stacked.append(len(routes))
+            init(self, routes, params)
+
+        monkeypatch.setattr(_RouteStack, "__init__", counting_init)
         assert run_command(["compare"]) == 0
-        assert counts["__init__"] == len(grid_routes) + 2
+        assert stacked == [len(grid_routes), 1, 1]
+        assert counts["__init__"] == 0
         assert self._grid_reads(counts) == len(grid_routes) + 2
 
     def test_alpha_sweep_reads_each_route_once(self, counts, capsys, grid_routes):
@@ -804,3 +815,10 @@ class TestWorkCounts:
         reads, stages = len(counts["reads"]), len(counts["stages"])
         kkt_stationarity_check(ev, t_star, ctx)
         assert (len(counts["reads"]) - reads, len(counts["stages"]) - stages) == (1, 1)
+
+    def test_concavity_probe_reads_the_kernel_once(self, counts, params, grid_routes):
+        ev = RouteEvaluator(grid_routes[0], params)
+        ctx = NormalizationContext(50.0, 150.0, 0.0, 2.0)
+        report = verify_concavity(ev, weight=0.5, context=ctx)
+        assert (len(counts["reads"]), len(counts["stages"])) == (1, 1)
+        assert counts["reads"][0][0] == 3 * report["points"]

@@ -67,11 +67,42 @@ class TestGridConstruction:
             dict(arrival_interval=(0.05, math.nan)),
             dict(source=5, destination=5),
             dict(destination=99),
+            dict(rows=2.7),
+            dict(cols=True),
+            dict(seed=1.9),
+            dict(seed=math.nan),
+            dict(route_filter="abc"),
+            dict(route_filter=2.5),
+            dict(route_filter=True),
+            dict(route_filter=0),
         ],
     )
     def test_bad_recipes_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
             build_grid_scenario(**kwargs)
+
+    @pytest.mark.parametrize(
+        "recipe, key",
+        [
+            ("grid: {rows: 2.7}", "rows"),
+            ("grid: {cols: true}", "cols"),
+            ("seed: 1.9", "seed"),
+            ("route_filter: abc", "route_filter"),
+            ("route_filter: 2.5", "route_filter"),
+            ("route_filter: true", "route_filter"),
+            ("route_filter: 0", "route_filter"),
+        ],
+    )
+    def test_recipe_integers_are_checked_by_name(self, tmp_path, recipe, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(recipe + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=key):
+            load_scenario(path)
+
+    def test_integral_floats_are_whole_numbers(self):
+        sc = build_grid_scenario(rows=3.0, cols=4, seed=2.0, route_filter=5.0)
+        assert (sc.rows, sc.cols, sc.seed, sc.route_filter) == (3, 4, 2, 5)
+        assert all(type(v) is int for v in (sc.rows, sc.seed, sc.route_filter))
 
 
 class TestYamlRoundTrip:
