@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .closedform import RouteEvaluator
-from .model import Route, SystemParams
+from .closedform import RouteEvaluator, _RouteStack
+from .model import Route
 from .optimize import (
     _route_objective_series,
     _solve_distributed,
@@ -74,7 +74,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
 
 
 def _emit(record: dict) -> None:
-    print(json.dumps(record, separators=(", ", ": ")))
+    print(json.dumps(record, separators=(", ", ": "), allow_nan=False))
 
 
 def _json_ready(value):
@@ -118,12 +118,6 @@ def _backhaul(args) -> BackhaulConfig | None:
     return BackhaulConfig() if getattr(args, "backhaul", False) else None
 
 
-def _readings(route: Route, params: SystemParams, t: float) -> tuple[float, float, float]:
-    """Latency, joint-outcome rate and min-of-means rate: one kernel read."""
-    out = RouteEvaluator(route, params).series([t])
-    return float(out["latency"][0]), float(out["rate_closed"][0]), float(out["rate_min_means"][0])
-
-
 def _write_records(path: str, records: Sequence[dict]) -> None:
     """CSV with one column per record key, in the records' key order."""
     header = list(records[0])
@@ -135,19 +129,20 @@ def _cmd_analyze(args) -> int:
     params = scenario.params
     t = params.hop_dwell / 2 if args.t is None else args.t
     routes = _routes(scenario, args)
-    records = []
-    for i, route in enumerate(routes):
-        lat, rate, rate_mm = _readings(route, params, t)
-        records.append(
-            {
-                "route": i,
-                "nodes": _nodes_label(route),
-                "hops": len(route),
-                "latency": lat,
-                "rate": rate,
-                "rate_min_means": rate_mm,
-            }
-        )
+    # Every route at t in one kernel read.
+    out = _RouteStack(routes, params).read(np.arange(len(routes)), np.full(len(routes), t))
+    readings = zip(*(out[name].tolist() for name in ("latency", "rate_closed", "rate_min_means")))
+    records = [
+        {
+            "route": i,
+            "nodes": _nodes_label(route),
+            "hops": len(route),
+            "latency": lat,
+            "rate": rate,
+            "rate_min_means": rate_mm,
+        }
+        for i, (route, (lat, rate, rate_mm)) in enumerate(zip(routes, readings))
+    ]
     if args.out:
         _write_records(args.out, records)
     best_rate = max(records, key=lambda r: r["rate"])
@@ -243,8 +238,10 @@ def _cmd_simulate(args) -> int:
     t = outcome.t_star if args.t is None else args.t
     config = SimConfig(snapshots=args.snapshots, seed=args.seed, mode=args.mode)
     result = simulate_route(route, t, params, config, backhaul=_backhaul(args))
-    lat_closed, rate_closed, rate_mm = _readings(route, params, t)
-    rel = lambda emp, ana: abs(emp - ana) / abs(ana) if ana != 0 else float("inf")
+    out = RouteEvaluator(route, params).series([t])
+    lat_closed, rate_closed, rate_mm = (float(out[name][0]) for name in ("latency", "rate_closed", "rate_min_means"))
+    # No relative error against an analytic reading of 0: JSON has no infinity.
+    rel = lambda emp, ana: abs(emp - ana) / abs(ana) if ana != 0 else None
     p_fwd, p_succ, p_fail = _branch_fractions(result)
     if args.out:
         _write_csv(

@@ -19,9 +19,10 @@ a route stack (:class:`_RouteStack`), which reads (route, window) probes of
 many routes in one array pass.  It owns every coefficient and table of its
 routes: the per-hop coefficients, stacked when it is built, and the mixed
 routes' joint-outcome tables, built into stacked arrays on the first read
-that needs them.  :class:`RouteEvaluator` is a view of one route of a stack;
-its :meth:`RouteEvaluator.series` is the one-route read, and every
-one-window reading is a size-1 read of it.
+that needs them.  Its :meth:`_RouteStack.read` is the kernel's one entry,
+and its per-hop stage :meth:`_RouteStack.hops` the first half of it.
+:class:`RouteEvaluator` is a view of one route of a stack: every reading of
+a view is a read of its stack at the view's column.
 The quadrature forms above are independent oracles: the runtime never calls
 them, and the test suite checks the kernel against them.  They alone need
 scipy, and import it on first call; the kernel's mixture integral is a
@@ -565,7 +566,7 @@ class RouteEvaluator:
         self.params = stack.params
         self.k = len(self.route.hops)
         self._stack = stack
-        self._col = np.array([col])  # one column index shared by every window
+        self._col = col
         return self
 
     # -- window pieces -----------------------------------------------------
@@ -592,16 +593,11 @@ class RouteEvaluator:
         """Joint-outcome route rate, identical in value to e2e_rate_closed."""
         return float(self.series([t])["rate_closed"][0])
 
-    # -- the kernel, one route -------------------------------------------------
+    # -- the kernel, one route: reads of this route's stack column ----------
 
     def _hop_stage(self, ts) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
-        """Per-hop stage of the kernel over a window grid on this route's own
-        k hop rows (see _hop_rows).
-
-        Per-hop callers stop here and never pay for the joint-outcome
-        mixture.
-        """
-        return _hop_rows(self.params, self._stack.coef[:, : self.k, self._col], None, ts)
+        """Per-hop stage of this route's kernel read (see _RouteStack.hops)."""
+        return self._stack.hops(self._col, ts)
 
     def series(self, ts: np.ndarray) -> dict[str, np.ndarray]:
         """Evaluate latency and both rate readings over a window grid.
@@ -614,56 +610,12 @@ class RouteEvaluator:
             ``rate_min_means`` and per-hop (k, len(ts)) arrays under
             ``hop_latency``, ``hop_rate``.
         """
-        ts = np.asarray(ts, dtype=float)
-        ms, probs, out = self._hop_stage(ts)
-        out["rate_closed"] = self._stack.rate(self._col, ts, ms, probs, out["hop_rate"][0])
-        return out
-
-
-def _hop_rows(
-    params: SystemParams, coef: np.ndarray, pad: np.ndarray | None, ts
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
-    """Per-hop stage of the kernel at windows ``ts``.
-
-    ``coef`` holds a route stack's coefficient rows, each (hops, 1) for one
-    route or (hops, len(ts)) with one route's column per window; ``pad``
-    marks padded hops, which read 0 latency, +inf rate and probabilities 1.
-    Returns the whole-trial count of every window, each hop's probabilities
-    of discovery success and of fallback, and every reading of ``series`` except
-    ``rate_closed``.
-    """
-    T = params.hop_dwell
-    ts = np.asarray(ts, dtype=float)
-    if not np.all((ts >= 0.0) & (ts <= T * (1 + 1e-12))):
-        raise ValueError("discovery window t must lie in [0, hop_dwell]")
-    ms = np.floor(ts / params.trial_time + _FLOOR_NUDGE).astype(int)
-    lam, fwd, rest, failure_excess, succ_base, succ_slope, fail_base, fail_slope = coef
-    beta = np.exp(-lam * ts)
-    theta = (1.0 - params.decode_ok_pair) ** ms
-    z = beta + theta - beta * theta  # discovery misses, given no forward
-    hop_lat = T + rest * failure_excess * z
-    success = rest * (1.0 - z)
-    failure = rest * z
-    hop_rates = (
-        fwd * params.rate_cell
-        + success * (succ_base + succ_slope * ts)
-        + failure * (fail_base + fail_slope * ts)
-    )
-    if pad is not None:
-        hop_lat[pad] = 0.0
-        hop_rates[pad] = np.inf
-        success[pad] = 1.0
-        failure[pad] = 1.0
-    return ms, (success, failure), {
-        "latency": _sum_rows(hop_lat),
-        "rate_min_means": hop_rates.min(axis=0),
-        "hop_latency": hop_lat,
-        "hop_rate": hop_rates,
-    }
+        return self._stack.read(self._col, ts)
 
 
 class _RouteStack:
-    """Several routes read by one kernel call: window i of route cols[i].
+    """Several routes read by one kernel call, the kernel's one entry:
+    window i of route cols[i].
 
     The stack owns every closed-form coefficient and table of its routes.
     Per-hop coefficients are stacked to (k_max, routes) when it is built.
@@ -681,7 +633,7 @@ class _RouteStack:
         self.params = params
         T = params.hop_dwell
         self.ks = np.array([len(r.hops) for r in self.routes])
-        # Padded hops hold lam = deg = 1, finite rows that _hop_rows overrides.
+        # Padded hops hold lam = deg = 1, finite rows that hops() overrides.
         lam = np.ones((self.ks.max(), len(self.ks)))
         deg = np.ones_like(lam)
         for j, route in enumerate(self.routes):
@@ -689,7 +641,7 @@ class _RouteStack:
             deg[: self.ks[j], j] = [h.deg for h in route.hops]
         fwd = 1.0 / deg
         mean_wait = 1.0 / lam
-        # Per-hop coefficient rows, in the order _hop_rows unpacks them.
+        # Per-hop coefficient rows, in the order hops() unpacks them.
         self.coef = np.array(
             [
                 lam,
@@ -757,32 +709,68 @@ class _RouteStack:
             first=np.maximum(np.cumsum(self.mixed) - 1, 0) * _TABLE_INTERVALS,
         )
 
-    def read(self, cols: np.ndarray, ts: np.ndarray) -> dict[str, np.ndarray]:
-        """Every reading of ``series`` at window ts[i] of route cols[i].
+    def hops(self, cols, ts) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
+        """Per-hop stage of the kernel at window ts[i] of route cols[i].
 
-        Per-hop arrays are (k_max, len(ts)) and include the padded hops.
-        """
-        ts = np.asarray(ts, dtype=float)
-        pad = None if self.pad is None else self.pad[:, cols]
-        ms, probs, out = _hop_rows(self.params, self.coef[:, :, cols], pad, ts)
-        out["rate_closed"] = self.rate(cols, ts, ms, probs, out["hop_rate"][0])
-        return out
-
-    def rate(self, cols, ts, ms, probs, first_hop_rate) -> np.ndarray:
-        """Joint-outcome stage: the route rate at window ts[i] of route cols[i].
-
-        ``cols`` may also be a single index shared by every window; ``ms``,
-        ``probs`` and the first hop's rate come from the windows' per-hop
-        stage.
+        ``cols`` is one route index shared by every window, or one index per
+        window.  The coefficient rows are sliced to the longest route read,
+        and padded hops, which read 0 latency, +inf rate and probabilities 1,
+        are overridden only where that slice holds any.  Returns the
+        whole-trial count of every window, each hop's probabilities of
+        discovery success and of fallback, and every reading of ``read``
+        except ``rate_closed``; per-hop callers stop here and never pay for
+        the joint-outcome mixture.
         """
         params = self.params
-        rate = np.where(self.forward[cols], params.rate_cell, first_hop_rate)
+        T = params.hop_dwell
+        ts = np.asarray(ts, dtype=float)
+        if not np.all((ts >= 0.0) & (ts <= T * (1 + 1e-12))):
+            raise ValueError("discovery window t must lie in [0, hop_dwell]")
+        cols = np.atleast_1d(cols)
+        k = self.ks[cols].max(initial=1)  # every route has a hop; 1 serves an empty read
+        ms = np.floor(ts / params.trial_time + _FLOOR_NUDGE).astype(int)
+        lam, fwd, rest, failure_excess, succ_base, succ_slope, fail_base, fail_slope = self.coef[:, :k, cols]
+        beta = np.exp(-lam * ts)
+        theta = (1.0 - params.decode_ok_pair) ** ms
+        z = beta + theta - beta * theta  # discovery misses, given no forward
+        hop_lat = T + rest * failure_excess * z
+        success = rest * (1.0 - z)
+        failure = rest * z
+        hop_rates = (
+            fwd * params.rate_cell
+            + success * (succ_base + succ_slope * ts)
+            + failure * (fail_base + fail_slope * ts)
+        )
+        pad = None if self.pad is None else self.pad[:k, cols]
+        if pad is not None and pad.any():
+            hop_lat[pad] = 0.0
+            hop_rates[pad] = np.inf
+            success[pad] = 1.0
+            failure[pad] = 1.0
+        return ms, (success, failure), {
+            "latency": _sum_rows(hop_lat),
+            "rate_min_means": hop_rates.min(axis=0),
+            "hop_latency": hop_lat,
+            "hop_rate": hop_rates,
+        }
+
+    def read(self, cols, ts) -> dict[str, np.ndarray]:
+        """Every reading of ``series`` at window ts[i] of route cols[i]: the
+        per-hop stage (see hops), then the joint-outcome route rate.
+
+        Per-hop arrays are (k, len(ts)), k the longest route read, and
+        include its padded hops.
+        """
+        cols = np.atleast_1d(cols)
+        ts = np.asarray(ts, dtype=float)
+        ms, (success, failure), out = self.hops(cols, ts)
+        rate = np.where(self.forward[cols], self.params.rate_cell, out["hop_rate"][0])
         mixed = self.mixed[cols]
         sel = slice(None) if mixed.all() else np.flatnonzero(mixed)
         if isinstance(sel, slice) or sel.size:
-            success, failure = probs
             rate[sel] = self._mixed_rate(cols[sel], ts[sel], ms[sel], success[:, sel], failure[:, sel])
-        return rate
+        out["rate_closed"] = rate
+        return out
 
     def _mixed_rate(self, cols, ts, ms, success, failure) -> np.ndarray:
         params = self.params

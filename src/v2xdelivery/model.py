@@ -22,6 +22,7 @@ counterpart in :mod:`v2xdelivery.simulate` keeps the randomness.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -78,9 +79,15 @@ class SystemParams:
     weight: float = 0.5
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
+        # Every field is stored as a float, so an integer-valued recipe reads
+        # as its float twin; bool is an int subclass, so ``weight: true`` is
+        # named, not read as 1.
+        for name, value in list(vars(self).items()):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, float(value))
         if not self.hop_dwell > 0:
             raise ValueError("hop_dwell must be positive")
         if not 0 < self.trial_time <= self.hop_dwell:

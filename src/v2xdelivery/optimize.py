@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .closedform import RouteEvaluator, _breakpoints, _RouteStack
+from .closedform import RouteEvaluator, _breakpoints, _RouteStack, _sum_rows
 from .model import Route, SystemParams
 
 __all__ = [
@@ -197,7 +197,7 @@ def build_normalization(routes: Sequence[Route], params: SystemParams) -> Normal
     """
     if not routes:
         raise ValueError("need at least one route")
-    return _hull(_envelope((RouteEvaluator(route, params) for route in routes), _scan_grid(params).ts)[0])
+    return _hull(_envelope(_RouteStack(routes, params).evaluators(), _scan_grid(params).ts)[0])
 
 
 def _trade_off(rate, latency, context: NormalizationContext, weight):
@@ -453,54 +453,46 @@ def _solve_distributed(
 
     The scan grid, the route envelope, the distinct hops and their envelope
     serve every weight; each (hop, weight) pair is one task of one lockstep
-    search, and each route reads its hops once, at every weight's windows.
+    search.  One read of the hop stack at every (hop, weight) window then
+    aggregates every route at every weight.
     """
     _check_inputs(routes, weights)
-    evaluators = _RouteStack(routes, params).evaluators()
     grid = _scan_grid(params)
     if context is None:
-        context = _hull(_envelope(evaluators, grid.ts)[0])
+        context = _hull(_envelope(_RouteStack(routes, params).evaluators(), grid.ts)[0])
     # Every distinct hop is a one-hop route on its own scale.
     hops = list(dict.fromkeys(h for r in routes for h in r.hops))
     hop_stack = _RouteStack([Route(hops=(hop,)) for hop in hops], params)
     scales, reads = _envelope(hop_stack.evaluators(), grid.ts)
     tasks = [(i, scale, w) for w in weights for i, scale in enumerate(scales)]
-    found = _search(hop_stack, grid, reads, tasks)
-    hop_windows = [
-        {hop: t for hop, (t, _) in zip(hops, found[j * len(hops) :])} for j in range(len(weights))
-    ]
-    # aggregates[i][j]: route i's (hop windows, latency, rate) at weight j.
-    aggregates = []
-    for ev in evaluators:
-        windows = [tuple(hop_window[h] for h in ev.route.hops) for hop_window in hop_windows]
-        # One read at every weight's k windows: hop h at weight j's window
-        # is entry (h, j, h) of the rows reshaped to (k, weights, k).
-        hop = ev._hop_stage(np.ravel(windows))[2]
-        lat, rate = (
-            np.diagonal(hop[name].reshape(ev.k, -1, ev.k), axis1=0, axis2=2).tolist()
-            for name in ("hop_latency", "hop_rate")
-        )
-        aggregates.append([(wj, float(sum(a)), float(min(b))) for wj, a, b in zip(windows, lat, rate)])
+    found = np.array([t for t, _ in _search(hop_stack, grid, reads, tasks)]).reshape(len(weights), len(hops))
+    out = hop_stack.read(np.tile(np.arange(len(hops)), len(weights)), found.ravel())
+    # Route i reads its hops through the columns at[:, i], in hop order; the
+    # padding column is neutral (0 latency, +inf rate).  Sums add row by row.
+    column = {hop: i for i, hop in enumerate(hops)}
+    at = np.full((max(len(r.hops) for r in routes), len(routes)), len(hops))
+    for i, route in enumerate(routes):
+        at[: len(route.hops), i] = [column[h] for h in route.hops]
+    lat = np.vstack([out["latency"].reshape(found.shape).T, np.zeros(len(weights))])[at]
+    rate = np.vstack([out["rate_min_means"].reshape(found.shape).T, np.full(len(weights), np.inf)])[at]
+    lat, rate = _sum_rows(lat), rate.min(axis=0)  # (routes, weights)
     outcomes = []
     for j, w in enumerate(weights):
-        per_route = []
+        windows = [tuple(found[j, at[: len(r.hops), i]].tolist()) for i, r in enumerate(routes)]
+        values = _trade_off(rate[:, j], lat[:, j], context, w).tolist()
         best = (-math.inf, -1)
-        for i, route_aggregates in enumerate(aggregates):
-            windows, lat, rate = route_aggregates[j]
-            val = _trade_off(rate, lat, context, w)
-            per_route.append((windows, val))
+        for i, val in enumerate(values):
             if val > best[0] + _TIE:
                 best = (val, i)
         val, idx = best
-        windows, lat, rate = aggregates[idx][j]
         outcomes.append(
             DistributedOutcome(
-                windows=windows,
+                windows=windows[idx],
                 objective=val,
                 route_index=idx,
-                latency=lat,
-                rate=rate,
-                per_route=tuple(per_route),
+                latency=float(lat[idx, j]),
+                rate=float(rate[idx, j]),
+                per_route=tuple(zip(windows, values)),
             )
         )
     return outcomes
@@ -584,7 +576,7 @@ def verify_concavity(
     """
     params = evaluator.params
     w = params.weight if weight is None else weight
-    ctx = context or build_normalization([evaluator.route], params)
+    ctx = context or _hull(_envelope([evaluator], _scan_grid(params).ts)[0])
     edges = evaluator.breakpoints()
     h = _REL_PROBE * params.trial_time
     xs = []

@@ -158,10 +158,13 @@ def enumerate_routes(
         max_hops: optional cap on hop count; None enumerates everything.
 
     Raises:
+        ValueError: coinciding endpoints, or a ``max_hops`` below 1.
         NoRouteError: when no loop-free path exists under the cap.
     """
     if source == dest:
         raise ValueError("source and destination coincide")
+    if max_hops is not None and max_hops < 1:
+        raise ValueError(f"max_hops must be at least 1, got {max_hops}")
     routes = [topology.path_route(p) for p in _simple_paths(topology, source, dest, max_hops)]
     if not routes:
         raise NoRouteError(f"no path from {source} to {dest}")

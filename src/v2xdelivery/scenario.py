@@ -88,8 +88,9 @@ def build_grid_scenario(
     Raises:
         ValueError: dimensions below 2x2, a block length or arrival
             interval that is not positive and finite, coinciding
-            endpoints, a bool or non-integral ``rows``, ``cols``, ``seed``
-            or ``route_filter``, or a ``route_filter`` below 1.
+            endpoints, a bool or non-integral ``rows``, ``cols``, ``seed``,
+            ``source``, ``destination`` or ``route_filter``, or a
+            ``route_filter`` below 1.
     """
     rows, cols, seed = _integer("rows", rows), _integer("cols", cols), _integer("seed", seed)
     if route_filter is not None:
@@ -104,8 +105,8 @@ def build_grid_scenario(
     if not 0 < low <= high < math.inf:
         raise ValueError("arrival interval must satisfy 0 < low <= high < inf")
     p = params or SystemParams()
-    src = 0 if source is None else source
-    dst = rows * cols - 1 if destination is None else destination
+    src = 0 if source is None else _integer("source", source)
+    dst = rows * cols - 1 if destination is None else _integer("destination", destination)
     if src == dst:
         raise ValueError("source and destination coincide")
 
@@ -171,6 +172,16 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
 
 
+def _section(raw: dict, name: str, path) -> dict:
+    """Recipe section ``name`` as a mapping; an absent or empty one is {}."""
+    section = raw.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ValueError(f"{path}: section {name} must be a mapping, got {section!r}")
+    return section
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Rebuild a scenario from its YAML recipe.
 
@@ -180,11 +191,9 @@ def load_scenario(path: str | Path) -> Scenario:
     raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scenario file must hold a mapping")
+    grid, endpoints, arrival, params = (_section(raw, name, path) for name in ("grid", "endpoints", "arrival", "params"))
     try:
-        grid = raw.get("grid", {})
-        endpoints = raw.get("endpoints", {})
-        arrival = raw.get("arrival", {})
-        params = SystemParams(**raw.get("params", {}))
+        params = SystemParams(**params)
         return build_grid_scenario(
             rows=grid.get("rows", 3),
             cols=grid.get("cols", 3),

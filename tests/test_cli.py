@@ -104,6 +104,22 @@ class TestSimulateCommand:
         assert record["relative_error"]["latency"] < 0.05
         assert set(record["empirical"]) == {"latency", "se_latency", "rate", "se_rate", "rate_mean_subst"}
 
+    def test_a_zero_analytic_reading_has_no_relative_error(self, capsys, tmp_path):
+        # JSON has no infinity: stdout stays strict JSON when every rate is 0.
+        path = tmp_path / "zero.yaml"
+        path.write_text("params: {rate_v2v: 0.0, rate_v2i: 0.0, rate_cell: 0.0}\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["simulate", "--scenario", str(path), "--snapshots", "200"])
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        record = json.loads(out, parse_constant=reject)
+        assert record["analytic"]["rate"] == 0.0
+        assert record["relative_error"]["rate"] is None
+        assert record["relative_error"]["rate_mean_subst_vs_min_means"] is None
+        assert record["relative_error"]["latency"] >= 0.0
+
     def test_backhaul_flag_reported(self, capsys):
         record = _run_json(capsys, ["simulate", "--t", "2", "--snapshots", "500", "--backhaul"])
         assert record["backhaul"] is True
@@ -199,6 +215,39 @@ class TestDeterminism:
         assert a == b
 
 
+class TestIntegerRecipes:
+    COMMANDS = [
+        ["analyze"],
+        ["optimize-global"],
+        ["optimize-distributed"],
+        ["simulate", "--snapshots", "300"],
+        ["compare"],
+        ["sweep", "--variable", "t", "--points", "3", "--snapshots", "200"],
+        ["sweep", "--variable", "alpha", "--grid", "0,1"],
+        ["sweep", "--variable", "lambda_scale", "--grid", "1"],
+        ["sweep", "--variable", "scheme_beams", "--grid", "1,2"],
+    ]
+
+    def test_integer_params_read_as_their_floats(self, capsys, tmp_path):
+        # An integer-valued parameter once reached the simulator as an int.
+        floats = tmp_path / "floats.yaml"
+        save_scenario(build_grid_scenario(rows=2, cols=3, seed=3, route_filter=5), floats)
+        text = floats.read_text(encoding="utf-8")
+        ints = tmp_path / "ints.yaml"
+        for name, value in (("hop_dwell", "20"), ("rate_v2v", "2"), ("rate_cell", "1")):
+            assert f"{name}: {value}.0\n" in text
+            text = text.replace(f"{name}: {value}.0\n", f"{name}: {value}\n")
+        ints.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        for command in self.COMMANDS:
+            runs = []
+            for recipe in (floats, ints):
+                code, stdout, err = _run(capsys, [*command, "--scenario", str(recipe), "--out", str(out)])
+                assert (code, err) == (0, ""), command
+                runs.append((stdout, out.read_bytes()))
+            assert runs[0] == runs[1], command
+
+
 class TestErrorHandling:
     def test_missing_scenario_file(self, capsys):
         code, out, err = _run(capsys, ["analyze", "--scenario", "/nonexistent/path.yaml"])
@@ -256,6 +305,13 @@ class TestErrorHandling:
             "route_filter: 2.5",
             "route_filter: true",
             "route_filter: 0",
+            "grid: [1, 2]",
+            "endpoints: 5",
+            "arrival: x",
+            "params: [1]",
+            "endpoints: {source: true}",
+            "endpoints: {destination: 2.5}",
+            "params: {weight: true}",
         ],
     )
     def test_non_finite_recipe_values(self, capsys, tmp_path, recipe):
@@ -265,6 +321,11 @@ class TestErrorHandling:
             code, out, err = _run(capsys, [command, "--scenario", str(path)])
             assert (code, out) == (1, "")
             assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_a_hop_cap_below_one_is_named(self, capsys):
+        code, out, err = _run(capsys, ["analyze", "--max-hops", "0"])
+        assert (code, out) == (1, "")
+        assert err == "error: max_hops must be at least 1, got 0\n"
 
     def test_td_with_multiple_beams(self, capsys):
         code, _, err = _run(capsys, ["analyze", "--scheme", "TD", "--beams", "4"])

@@ -625,6 +625,36 @@ class TestRouteStack:
             ev.series(np.linspace(0.0, params.hop_dwell, 11))
         assert built == []
 
+    def test_a_view_reads_only_through_its_stack(self, monkeypatch, params):
+        # The stack's read is the kernel's one entry, its per-hop stage the
+        # first half: every reading of a view is one call of either, at the
+        # view's column, and no other copy of the kernel is left.
+        assert not hasattr(_RouteStack, "rate") and not hasattr(closedform, "_hop_rows")
+        calls = []
+        for name in ("read", "hops"):
+            original = getattr(_RouteStack, name)
+
+            def counted(self, cols, ts, name=name, original=original):
+                calls.append((name, np.atleast_1d(cols).tolist()))
+                return original(self, cols, ts)
+
+            monkeypatch.setattr(_RouteStack, name, counted)
+        view = _RouteStack(self._routes(), params).evaluators()[4]
+        t = 8.0
+        readings = {
+            "series": lambda: view.series([t]),
+            "rate_closed": lambda: view.rate_closed(t),
+            "latency": lambda: view.latency(t),
+            "rate_min_of_means": lambda: view.rate_min_of_means(t),
+            "hop_latencies": lambda: view.hop_latencies(t),
+            "hop_rates": lambda: view.hop_rates(t),
+        }
+        for reading, call in readings.items():
+            del calls[:]
+            call()
+            entry = [("read", [4])] if reading in ("series", "rate_closed") else []
+            assert calls == entry + [("hops", [4])], reading
+
 
 class TestMixtureTable:
     """The Hermite table's J(c) = integral of W over [0, c] against adaptive

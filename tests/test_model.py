@@ -56,6 +56,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
 
+    def test_integer_params_are_stored_as_floats(self):
+        # An int rate_cell once filled an int64 simulator buffer.
+        p = SystemParams(hop_dwell=20, rate_v2v=2, rate_cell=1, weight=0)
+        assert all(type(v) is float for v in vars(p).values())
+        assert repr(p) == repr(SystemParams(hop_dwell=20.0, rate_v2v=2.0, rate_cell=1.0, weight=0.0))
+
+    @pytest.mark.parametrize("name, value", [("weight", True), ("rate_cell", False), ("hop_dwell", "20")])
+    def test_non_numbers_are_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SystemParams(**{name: value})
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"arrival_rate": 0.0}, {"arrival_rate": -0.1}, {"arrival_rate": math.inf}, {"arrival_rate": math.nan}],

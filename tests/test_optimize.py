@@ -1,5 +1,6 @@
 """Tests of normalization, the weighted objective, and both window solvers."""
 
+import contextlib
 import dataclasses
 import math
 import sys
@@ -612,15 +613,47 @@ class TestHopSearch:
                 assert repr(windows) == repr(ref)
 
 
+@contextlib.contextmanager
+def _inside(seen: dict, where: str):
+    """Mark the calls made while the block runs as made inside ``where``."""
+    seen[where] = seen.get(where, 0) + 1
+    try:
+        yield
+    finally:
+        seen[where] -= 1
+
+
+def _count_stack_reads(monkeypatch, seen: dict | None = None) -> dict:
+    """Sizes of the route-stack reads made by the lockstep search
+    (``searched``) and of those made by neither the search nor a view's
+    ``series`` (``direct``)."""
+    seen = {"searched": [], "direct": []} if seen is None else seen
+    read, search = _RouteStack.read, opt._search
+
+    def counting_read(self, cols, ts):
+        if seen.get("_search"):
+            seen["searched"].append(len(ts))
+        elif not seen.get("series"):
+            seen["direct"].append(len(ts))
+        return read(self, cols, ts)
+
+    def counting_search(*args):
+        with _inside(seen, "_search"):
+            return search(*args)
+
+    monkeypatch.setattr(_RouteStack, "read", counting_read)
+    monkeypatch.setattr(opt, "_search", counting_search)
+    return seen
+
+
 class TestWorkCounts:
     """Deterministic guard on how often a solve builds the grid and reads it."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        import v2xdelivery.optimize as opt
-
-        seen = {"grids": [], "reads": [], "stages": [], "__init__": 0, "build_normalization": 0}
-        make_grid, series, hop_stage = opt._scan_grid, RouteEvaluator.series, RouteEvaluator._hop_stage
+        seen = {"grids": [], "reads": [], "stages": [], "searched": [], "direct": [], "__init__": 0,
+                "build_normalization": 0}
+        make_grid, series, hops = opt._scan_grid, RouteEvaluator.series, _RouteStack.hops
         build = opt.build_normalization
 
         def tally(owner, name):
@@ -645,15 +678,17 @@ class TestWorkCounts:
 
         def counting_series(self, ts):
             seen["reads"].append((len(ts), self.k))
-            return series(self, ts)
+            with _inside(seen, "series"):
+                return series(self, ts)
 
-        def counting_stage(self, ts):  # every reading passes through it
+        def counting_hops(self, cols, ts):  # every reading passes through it
             seen["stages"].append(len(ts))
-            return hop_stage(self, ts)
+            return hops(self, cols, ts)
 
         monkeypatch.setattr(opt, "_scan_grid", counting_grid)
         monkeypatch.setattr(RouteEvaluator, "series", counting_series)
-        monkeypatch.setattr(RouteEvaluator, "_hop_stage", counting_stage)
+        monkeypatch.setattr(_RouteStack, "hops", counting_hops)
+        _count_stack_reads(monkeypatch, seen)
         return seen
 
     def _grid_reads(self, seen, k=None):
@@ -722,21 +757,31 @@ class TestWorkCounts:
         assert counts["build_normalization"] == 0
 
     @pytest.mark.parametrize("weights", [[0.5], [0.0, 0.5, 1.0], [i / 10 for i in range(11)]])
-    def test_distributed_aggregates_each_route_with_one_hop_stage_read(
-        self, counts, params, grid_routes, weights
-    ):
-        # Besides the d one-hop grid reads of the hop searches, route i is
-        # read once, at its k_i windows of every weight.
-        import v2xdelivery.optimize as opt
-
+    def test_distributed_aggregates_every_route_in_one_read(self, counts, params, grid_routes, weights):
+        # Besides the d one-hop grid reads and the lockstep of the hop
+        # searches, one read of the hop stack at every (hop, weight) window
+        # aggregates every route; no route is read on its own.
+        d = self._distinct_hops(grid_routes)
         ctx = NormalizationContext(0.0, 1.0, 0.0, 1.0)
         opt._solve_distributed(grid_routes, params, weights, ctx)
-        aggregates = [size for size in counts["stages"] if size != counts["grids"][0]]
-        assert aggregates == [len(r) * len(weights) for r in grid_routes]
+        assert counts["direct"] == [d * len(weights)]
+        assert counts["reads"] == [(counts["grids"][0], 1)] * d
+        assert len(counts["stages"]) == d + len(counts["searched"]) + 1
 
-    def test_analyze_reads_the_kernel_once_per_route(self, counts, capsys, grid_routes):
+    def test_analyze_reads_every_route_in_one_kernel_read(self, counts, monkeypatch, capsys, grid_routes):
+        # One stack of all n routes, read once at t; no evaluator is built.
+        stacked = []
+        init = _RouteStack.__init__
+
+        def counting_init(self, routes, p):
+            stacked.append(len(routes))
+            init(self, routes, p)
+
+        monkeypatch.setattr(_RouteStack, "__init__", counting_init)
         assert run_command(["analyze"]) == 0
-        assert counts["__init__"] == len(counts["stages"]) == len(grid_routes)
+        assert stacked == [len(grid_routes)]
+        assert counts["__init__"] == 0 and counts["reads"] == []
+        assert counts["direct"] == counts["stages"] == [len(grid_routes)]
 
     @pytest.mark.parametrize("grid_size, trial_time", [(3, 0.1), (3, 0.02), (4, 1.0)])
     def test_a_solve_makes_at_most_81_bisection_reads(self, monkeypatch, grid_size, trial_time):
@@ -744,14 +789,7 @@ class TestWorkCounts:
         scenario = build_grid_scenario(rows=grid_size, cols=grid_size, seed=1)
         routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
         params = dataclasses.replace(scenario.params, trial_time=trial_time)
-        reads = []
-        read = _RouteStack.read
-
-        def counting_read(self, cols, ts):
-            reads.append(len(ts))
-            return read(self, cols, ts)
-
-        monkeypatch.setattr(_RouteStack, "read", counting_read)
+        reads = _count_stack_reads(monkeypatch)["searched"]
         outcome = solve_global(routes, params, weight=0.5, with_kkt=False)
         interior = sum(0.0 < t < params.hop_dwell for t, _ in outcome.per_route_best)
         assert interior > 1  # many routes polished their brackets together
@@ -765,14 +803,7 @@ class TestWorkCounts:
     def test_alpha_sweep_makes_at_most_81_bisection_reads_per_solver(self, monkeypatch, capsys, grid):
         # Every weight's brackets share each solver's lockstep, for the
         # 3 weights of a grid or the 11 of the default.
-        reads = []
-        read = _RouteStack.read
-
-        def counting_read(self, cols, ts):
-            reads.append(len(ts))
-            return read(self, cols, ts)
-
-        monkeypatch.setattr(_RouteStack, "read", counting_read)
+        reads = _count_stack_reads(monkeypatch)["searched"]
         assert run_command(["sweep", "--variable", "alpha", *grid]) == 0
         assert 2 < len(reads) <= 2 * 81
 

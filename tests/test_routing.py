@@ -127,6 +127,11 @@ class TestEnumerateRoutes:
         with pytest.raises(NoRouteError):
             enumerate_routes(topo, 0, 8, max_hops=3)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_a_cap_below_one_is_rejected_by_name(self, scenario, cap):
+        with pytest.raises(ValueError, match=f"max_hops must be at least 1, got {cap}"):
+            enumerate_routes(scenario.topology, 0, 8, max_hops=cap)
+
     def test_two_node_line_has_one_route(self):
         routes = enumerate_routes(_line(0, 1), 0, 1)
         assert len(routes) == 1

@@ -75,6 +75,8 @@ class TestGridConstruction:
             dict(route_filter=2.5),
             dict(route_filter=True),
             dict(route_filter=0),
+            dict(source=True),
+            dict(destination=2.5),
         ],
     )
     def test_bad_recipes_are_rejected(self, kwargs):
@@ -91,6 +93,13 @@ class TestGridConstruction:
             ("route_filter: 2.5", "route_filter"),
             ("route_filter: true", "route_filter"),
             ("route_filter: 0", "route_filter"),
+            ("grid: [1, 2]", "grid"),
+            ("endpoints: 5", "endpoints"),
+            ("arrival: x", "arrival"),
+            ("params: [1]", "params"),
+            ("endpoints: {source: true}", "source"),
+            ("endpoints: {destination: 2.5}", "destination"),
+            ("params: {weight: true}", "weight"),
         ],
     )
     def test_recipe_integers_are_checked_by_name(self, tmp_path, recipe, key):
