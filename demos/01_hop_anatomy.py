@@ -15,8 +15,8 @@ from v2xdelivery import (
     Hop,
     RegimeWarning,
     Route,
+    RouteEvaluator,
     SystemParams,
-    delivery_estimate,
     expected_hop_latency,
     expected_hop_rate,
     max_trials,
@@ -82,8 +82,8 @@ route = Route(
     destination="D",
     nodes=("S", "A", "B", "C"),
 )
-est = delivery_estimate(route, 8.0, params)
+ev = RouteEvaluator(route, params)
 print("\n3-hop route at t=8:")
-print("  per-hop latency: %s" % np.round(est.per_hop_latency, 3).tolist())
-print("  per-hop rate:    %s" % np.round(est.per_hop_rate, 4).tolist())
-print("  end-to-end latency %.3f s (sum), rate %.4f (bottleneck)" % (est.e2e_latency, est.e2e_rate))
+print("  per-hop latency: %s" % np.round(ev.hop_latencies(8.0), 3).tolist())
+print("  per-hop rate:    %s" % np.round(ev.hop_rates(8.0), 4).tolist())
+print("  end-to-end latency %.3f s (sum), rate %.4f (bottleneck)" % (ev.latency(8.0), ev.rate_min_of_means(8.0)))

@@ -9,31 +9,22 @@ routes, and validates everything against a seeded Monte Carlo simulator.
 """
 
 from .closedform import (
-    QuadratureError,
-    RateDecomposition,
     RouteEvaluator,
     e2e_latency_closed,
     e2e_rate_closed,
-    expectation_from_survival,
     expected_max_exponential,
     expected_max_trial_time,
-    expected_rate_all_failure,
-    expected_rate_all_success,
-    expected_rate_mixture,
     exponential_max_pdf,
     geometric_max_pmf,
     rate_decomposition,
     scenario_probabilities,
 )
 from .model import (
-    DeliveryEstimate,
     Hop,
     RegimeWarning,
     Route,
     SystemParams,
-    delivery_estimate,
     e2e_rate_min_of_means,
-    expected_e2e_latency,
     expected_hop_latency,
     expected_hop_rate,
     max_trials,
@@ -43,20 +34,15 @@ from .model import (
     p_success,
 )
 from .optimize import (
-    DistributedOutcome,
-    NormalizationContext,
-    OptimizationOutcome,
     build_normalization,
     kkt_stationarity_check,
     solve_distributed,
     solve_global,
     verify_concavity,
-    weighted_objective,
 )
 from .routing import (
     GreedyLoopError,
     NoRouteError,
-    Topology,
     distributed_routing,
     enumerate_routes,
     global_routing,
@@ -74,7 +60,6 @@ from .simulate import (
     BackhaulConfig,
     Branch,
     SimConfig,
-    SimulationResult,
     delta_t_for_scheme,
     physical_branch_probs,
     simulate_route,
@@ -86,42 +71,28 @@ __version__ = "0.1.0"
 __all__ = [
     "BackhaulConfig",
     "Branch",
-    "DeliveryEstimate",
-    "DistributedOutcome",
     "GreedyLoopError",
     "Hop",
     "NoRouteError",
-    "NormalizationContext",
-    "OptimizationOutcome",
-    "QuadratureError",
-    "RateDecomposition",
     "RegimeWarning",
     "Route",
     "RouteEvaluator",
     "Scenario",
     "SimConfig",
-    "SimulationResult",
     "SystemParams",
-    "Topology",
     "build_grid_scenario",
     "build_normalization",
     "default_scenario",
-    "delivery_estimate",
     "delta_t_for_scheme",
     "distributed_routing",
     "e2e_latency_closed",
     "e2e_rate_closed",
     "e2e_rate_min_of_means",
     "enumerate_routes",
-    "expectation_from_survival",
-    "expected_e2e_latency",
     "expected_hop_latency",
     "expected_hop_rate",
     "expected_max_exponential",
     "expected_max_trial_time",
-    "expected_rate_all_failure",
-    "expected_rate_all_success",
-    "expected_rate_mixture",
     "exponential_max_pdf",
     "geometric_max_pmf",
     "global_routing",
@@ -143,5 +114,4 @@ __all__ = [
     "spr_route",
     "sweep_windows",
     "verify_concavity",
-    "weighted_objective",
 ]

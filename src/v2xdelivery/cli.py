@@ -100,17 +100,17 @@ def _load(args) -> Scenario:
         if not 0.0 <= args.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         params = replace(params, weight=args.alpha)
-    if getattr(args, "scheme", None) is not None:
-        params = replace(params, trial_time=delta_t_for_scheme(args.scheme, args.beams))
+    if args.scheme is not None:
+        params = replace(params, trial_time=delta_t_for_scheme(args.scheme, 1 if args.beams is None else args.beams))
+    elif args.beams is not None:
+        raise ValueError("--beams needs --scheme")
     if params is not scenario.params:
         scenario = replace(scenario, params=params)
     return scenario
 
 
 def _routes(scenario: Scenario, args) -> list[Route]:
-    max_hops = getattr(args, "max_hops", None)
-    if max_hops is None:
-        max_hops = scenario.route_filter
+    max_hops = scenario.route_filter if args.max_hops is None else args.max_hops
     return enumerate_routes(scenario.topology, scenario.source, scenario.destination, max_hops)
 
 
@@ -334,16 +334,18 @@ def _parse_grid(args, default: np.ndarray) -> np.ndarray:
 def _sweep_t(args, scenario: Scenario) -> tuple[list[str], list[list], dict]:
     params = scenario.params
     T = params.hop_dwell
-    if args.points < 1:
+    given = ((args.points, 41), (args.snapshots, 2_000), (args.seed, 0))
+    points, snapshots, seed = (default if value is None else value for value, default in given)
+    if points < 1:
         raise ValueError("--points must be at least 1")
-    grid = _parse_grid(args, np.linspace(0.0, T, args.points))
+    grid = _parse_grid(args, np.linspace(0.0, T, points))
     if np.any(grid < 0) or np.any(grid > T):
         raise ValueError("window grid must lie within [0, hop_dwell]")
     routes = _routes(scenario, args)
     outcome = solve_global(routes, params, with_kkt=False)
     route = routes[outcome.route_index]
     ev = RouteEvaluator(route, params)
-    config = SimConfig(snapshots=args.snapshots, seed=args.seed, mode=args.mode)
+    config = SimConfig(snapshots=snapshots, seed=seed, mode=args.mode or "physical")
     results = sweep_windows(route, [float(t) for t in grid], params, config, backhaul=_backhaul(args))
     objectives = _route_objective_series(ev, grid, outcome.context, params.weight).tolist()
     rows = []
@@ -445,6 +447,13 @@ def _sweep_scheme_beams(args, scenario: Scenario) -> tuple[list[str], list[list]
 
 
 def _cmd_sweep(args) -> int:
+    # A flag the swept variable does not read, or overrides, is an error.
+    for flag in ("backhaul", "mode", "snapshots", "seed", "points"):
+        if getattr(args, flag) is not None and args.variable != "t":
+            raise ValueError(f"--{flag} applies only to --variable t")
+    for flag, variable in (("alpha", "alpha"), ("scheme", "scheme_beams")):
+        if getattr(args, flag) is not None and args.variable == variable:
+            raise ValueError(f"--{flag} is swept by --variable {variable}")
     scenario = _load(args)
     runner = {
         "t": _sweep_t,
@@ -474,19 +483,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, alpha=True, out=True) -> None:
+    def common(p: argparse.ArgumentParser, *, alpha=True) -> None:
         p.add_argument("--scenario", help="scenario YAML recipe; omit for the stock 3x3 grid")
         p.add_argument("--max-hops", type=int, default=None, help="route length cap")
         p.add_argument("--scheme", choices=["TD", "SD", "FD", "CD"], default=None,
                        help="derive the trial duration from a discovery scheme")
-        p.add_argument("--beams", type=int, default=1, help="beam count for --scheme")
+        p.add_argument("--beams", type=int, default=None, help="beam count for --scheme; default 1")
         if alpha:
             p.add_argument("--alpha", type=float, default=None, help="trade-off weight in [0, 1]")
-        if out:
-            p.add_argument("--out", default=None, help="CSV output path")
+        p.add_argument("--out", default=None, help="CSV output path")
 
     p = sub.add_parser("analyze", help="closed-form readings per route at one window")
-    common(p)
+    common(p, alpha=False)
     p.add_argument("--t", type=float, default=None, help="window position; default half the dwell")
     p.set_defaults(func=_cmd_analyze)
 
@@ -515,11 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--variable", choices=["t", "alpha", "lambda_scale", "scheme_beams"], default="t")
     p.add_argument("--grid", default=None, help="comma-separated ascending grid values")
-    p.add_argument("--points", type=int, default=41, help="grid size for --variable t when --grid is omitted")
-    p.add_argument("--snapshots", type=int, default=2_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["physical", "analytic"], default="physical")
-    p.add_argument("--backhaul", action="store_true")
+    # --variable t's flags default to None, so other variables can reject them.
+    p.add_argument("--points", type=int, default=None, help="grid size when --grid is omitted; default 41")
+    p.add_argument("--snapshots", type=int, default=None, help="default 2000")
+    p.add_argument("--seed", type=int, default=None, help="default 0")
+    p.add_argument("--mode", choices=["physical", "analytic"], default=None, help="default physical")
+    p.add_argument("--backhaul", action="store_true", default=None)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -31,7 +31,6 @@ __all__ = [
     "SystemParams",
     "Hop",
     "Route",
-    "DeliveryEstimate",
     "p_courier_forward",
     "max_trials",
     "p_success",
@@ -40,7 +39,6 @@ __all__ = [
     "expected_e2e_latency",
     "expected_hop_rate",
     "e2e_rate_min_of_means",
-    "delivery_estimate",
 ]
 
 # Absolute nudge used when flooring t / trial_time.  Binary floats make exact
@@ -149,16 +147,6 @@ class Route:
 
     def __len__(self) -> int:
         return len(self.hops)
-
-
-@dataclass(frozen=True)
-class DeliveryEstimate:
-    """Analytical end-to-end summary of one route at one discovery window."""
-
-    e2e_latency: float
-    e2e_rate: float
-    per_hop_latency: tuple[float, ...]
-    per_hop_rate: tuple[float, ...]
 
 
 def p_courier_forward(hop: Hop) -> float:
@@ -309,14 +297,3 @@ def e2e_rate_min_of_means(route: Route, t: float, params: SystemParams) -> float
     """
     return min(expected_hop_rate(h, t, params) for h in route.hops)
 
-
-def delivery_estimate(route: Route, t: float, params: SystemParams) -> DeliveryEstimate:
-    """Bundle the per-hop and end-to-end expectations for one window."""
-    lats = tuple(expected_hop_latency(h, t, params) for h in route.hops)
-    rates = tuple(expected_hop_rate(h, t, params) for h in route.hops)
-    return DeliveryEstimate(
-        e2e_latency=sum(lats),
-        e2e_rate=min(rates),
-        per_hop_latency=lats,
-        per_hop_rate=rates,
-    )

@@ -42,7 +42,6 @@ __all__ = [
     "OptimizationOutcome",
     "DistributedOutcome",
     "build_normalization",
-    "weighted_objective",
     "solve_global",
     "solve_distributed",
     "kkt_stationarity_check",
@@ -218,17 +217,6 @@ def _route_objective_series(
     """Route objective over a window grid: one kernel call."""
     out = evaluator.series(ts)
     return _trade_off(out["rate_closed"], out["latency"], context, weight)
-
-
-def weighted_objective(
-    evaluator: RouteEvaluator,
-    t: float,
-    context: NormalizationContext,
-    weight: float | None = None,
-) -> float:
-    """Normalized trade-off value at one window position."""
-    w = evaluator.params.weight if weight is None else weight
-    return float(_route_objective_series(evaluator, [t], context, w)[0])
 
 
 def _brackets(

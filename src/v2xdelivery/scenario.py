@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,13 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool or a non-number names ``name``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def build_grid_scenario(
     rows: int = 3,
     cols: int = 3,
@@ -87,9 +94,9 @@ def build_grid_scenario(
 
     Raises:
         ValueError: dimensions below 2x2, a block length or arrival
-            interval that is not positive and finite, coinciding
-            endpoints, a bool or non-integral ``rows``, ``cols``, ``seed``,
-            ``source``, ``destination`` or ``route_filter``, or a
+            interval that is not positive and finite or not a real number,
+            coinciding endpoints, a bool or non-integral ``rows``, ``cols``,
+            ``seed``, ``source``, ``destination`` or ``route_filter``, or a
             ``route_filter`` below 1.
     """
     rows, cols, seed = _integer("rows", rows), _integer("cols", cols), _integer("seed", seed)
@@ -99,9 +106,10 @@ def build_grid_scenario(
             raise ValueError(f"route_filter must be at least 1, got {route_filter}")
     if rows < 2 or cols < 2:
         raise ValueError("grid needs at least 2 rows and 2 columns")
+    block_length = _real("block_length", block_length)
     if not 0 < block_length < math.inf:
         raise ValueError("block length must be positive and finite")
-    low, high = arrival_interval
+    low, high = (_real(f"arrival {end}", v) for end, v in zip(("low", "high"), arrival_interval, strict=True))
     if not 0 < low <= high < math.inf:
         raise ValueError("arrival interval must satisfy 0 < low <= high < inf")
     p = params or SystemParams()
@@ -172,6 +180,22 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
 
 
+# The keys of each recipe section; the top level holds these and two scalars.
+_SECTION_KEYS = {
+    "grid": ("rows", "cols", "block_length"),
+    "endpoints": ("source", "destination"),
+    "arrival": ("low", "high"),
+    "params": tuple(f.name for f in fields(SystemParams)),
+}
+
+
+def _known(mapping: dict, keys, where: str, path) -> None:
+    """Name the first key of ``mapping`` that ``keys`` does not hold."""
+    unknown = [key for key in mapping if key not in keys]
+    if unknown:
+        raise ValueError(f"{path}: unknown key {unknown[0]!r} {where}")
+
+
 def _section(raw: dict, name: str, path) -> dict:
     """Recipe section ``name`` as a mapping; an absent or empty one is {}."""
     section = raw.get(name)
@@ -179,6 +203,7 @@ def _section(raw: dict, name: str, path) -> dict:
         return {}
     if not isinstance(section, dict):
         raise ValueError(f"{path}: section {name} must be a mapping, got {section!r}")
+    _known(section, _SECTION_KEYS[name], f"in section {name}", path)
     return section
 
 
@@ -186,24 +211,22 @@ def load_scenario(path: str | Path) -> Scenario:
     """Rebuild a scenario from its YAML recipe.
 
     Raises:
-        ValueError: missing or malformed sections.
+        ValueError: malformed sections, or an unknown key in any of them.
     """
     raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scenario file must hold a mapping")
-    grid, endpoints, arrival, params = (_section(raw, name, path) for name in ("grid", "endpoints", "arrival", "params"))
+    _known(raw, (*_SECTION_KEYS, "seed", "route_filter"), "at the top level", path)
+    grid, endpoints, arrival, params = (_section(raw, name, path) for name in _SECTION_KEYS)
     try:
         params = SystemParams(**params)
         return build_grid_scenario(
             rows=grid.get("rows", 3),
             cols=grid.get("cols", 3),
-            block_length=float(grid.get("block_length", 250.0)),
+            block_length=grid.get("block_length", 250.0),
             params=params,
             seed=raw.get("seed", 0),
-            arrival_interval=(
-                float(arrival.get("low", 0.05)),
-                float(arrival.get("high", 0.3)),
-            ),
+            arrival_interval=(arrival.get("low", 0.05), arrival.get("high", 0.3)),
             source=endpoints.get("source"),
             destination=endpoints.get("destination"),
             route_filter=raw.get("route_filter"),

@@ -147,11 +147,6 @@ class SimulationResult:
     rates: np.ndarray = field(repr=False)
 
     @property
-    def t(self) -> float:
-        """Shared window when every hop uses the same one."""
-        return self.windows[0]
-
-    @property
     def branch_fractions(self) -> np.ndarray:
         """Per-hop branch frequencies, rows summing to one."""
         return self.branch_counts / self.snapshots

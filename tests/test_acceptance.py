@@ -30,7 +30,6 @@ from v2xdelivery import (
     build_normalization,
     e2e_latency_closed,
     enumerate_routes,
-    expected_e2e_latency,
     expected_hop_latency,
     expected_max_exponential,
     expected_max_trial_time,
@@ -46,9 +45,9 @@ from v2xdelivery import (
     solve_global,
     spr_route,
     verify_concavity,
-    weighted_objective,
 )
 from v2xdelivery.cli import run_command
+from v2xdelivery.model import expected_e2e_latency
 
 
 @pytest.fixture
@@ -220,7 +219,7 @@ def test_criterion_4_optimizer_matches_exhaustive_grids(verdict):
             dist = solve_distributed([route], params, weight=alpha, context=ctx)
             for h, t_h in enumerate(dist.windows):
                 vals_h = _objective_series(hop_evs[h], ts, hop_ctxs[h], alpha)
-                v_h = weighted_objective(hop_evs[h], t_h, hop_ctxs[h], alpha)
+                v_h = _objective_series(hop_evs[h], [t_h], hop_ctxs[h], alpha)[0]
                 top_h = vals_h.max()
                 worst_gap = max(worst_gap, top_h - v_h)
                 near_h = ts[vals_h >= top_h - 1e-12]

@@ -3,11 +3,14 @@
 The README's quick start and the benchmark's workloads reach the package
 only through names on ``v2xdelivery``, and the benchmark's tracer patches
 entry points and ``RouteEvaluator`` methods by name.  A rename or an
-``__all__`` cut that breaks either should fail here.
+``__all__`` cut that breaks either should fail here, and so should a public
+name that none of the quick start, the demos, the CLI and the benchmark
+reads.  The declared runtime dependencies are checked against what runs.
 """
 
 import ast
 import importlib
+import importlib.metadata
 import json
 import os
 import re
@@ -15,44 +18,106 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import v2xdelivery
 import v2xdelivery.cli  # noqa: F401  (binds v2xdelivery.cli, as the benchmark does)
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _quick_start_imports() -> set[str]:
+def _quick_start() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Quick start", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    names = set()
-    for node in ast.walk(ast.parse(code)):
-        if isinstance(node, ast.ImportFrom) and node.module == "v2xdelivery":
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _package_names(code: str) -> set[str]:
+    """Names ``code`` imports from the package or its modules, or reads as
+    attributes of a name bound to the package."""
+    tree = ast.parse(code)
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "v2xdelivery"):
             names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname or "v2xdelivery" for a in node.names if a.name.split(".")[0] == "v2xdelivery")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            names.add(node.attr)
     return names
 
 
-def _workload_names() -> set[str]:
-    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
-    return {
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "v2x"
-    }
+def _read(path: Path) -> str:
+    return path.read_text(encoding="utf-8")
+
+
+def _tracer_entry_points() -> dict:
+    """``tracing.FUNCTION_LAYERS``, read from the source as a literal."""
+    tree = ast.parse(_read(ROOT / "perfbench" / "tracing.py"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["FUNCTION_LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("no FUNCTION_LAYERS in perfbench/tracing.py")
 
 
 def test_quick_start_names_resolve():
-    names = _quick_start_imports()
+    names = _package_names(_quick_start())
     assert names, "no v2xdelivery import found in the README quick start"
     missing = sorted(n for n in names if not hasattr(v2xdelivery, n))
     assert not missing
 
 
 def test_benchmark_workload_names_resolve():
-    names = _workload_names()
+    names = _package_names(_read(ROOT / "perfbench" / "workloads.py"))
     assert "solve_global" in names
     missing = sorted(n for n in names if not hasattr(v2xdelivery, n))
     assert not missing
+
+
+def test_tracer_entry_points_resolve():
+    names = _tracer_entry_points()
+    assert "solve_global" in names and "run_command" in names
+    missing = sorted(n for n in names if not (hasattr(v2xdelivery, n) or hasattr(v2xdelivery.cli, n)))
+    assert not missing
+
+
+def test_every_public_name_has_a_caller():
+    """Each name in ``__all__`` is read by the README quick start, a demo,
+    the CLI, or the benchmark: its workloads and the entry points its tracer
+    patches by name."""
+    sources = [
+        _quick_start(),
+        _read(ROOT / "src" / "v2xdelivery" / "cli.py"),
+        *map(_read, sorted((ROOT / "demos").glob("*.py"))),
+        *map(_read, sorted((ROOT / "perfbench").glob("*.py"))),
+    ]
+    used = set(_tracer_entry_points()).union(*map(_package_names, sources))
+    assert sorted(set(v2xdelivery.__all__) - used) == []
+
+
+def test_public_surface_size():
+    assert len(v2xdelivery.__all__) == len(set(v2xdelivery.__all__)) == 45
+
+
+def _python(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    package_root = str(Path(v2xdelivery.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_quick_start_runs_without_scipy(tmp_path):
+    """The quick start needs only the runtime dependencies."""
+    proc = _python('import sys\nsys.modules["scipy"] = None\n' + _quick_start(), tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _surface() -> dict:
@@ -82,6 +147,7 @@ def test_tracer_installs_and_restores_every_attribute(monkeypatch, params):
 
 _SCIPY_FREE_RUN = """
 import contextlib, io, json, sys
+startup = {name.split(".")[0] for name in sys.modules}
 import v2xdelivery
 from v2xdelivery.cli import run_command
 
@@ -92,31 +158,41 @@ commands = [
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [run_command(argv + ["--out", argv[0] + ".csv"]) for argv in commands]
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+# Top-level modules the run imported through a finder, outside the
+# standard library; extension-made shims such as cython_runtime have no spec.
+imported = sorted(
+    name for name, module in sys.modules.items()
+    if "." not in name and name not in startup and name not in sys.stdlib_module_names
+    and name != "v2xdelivery" and getattr(module, "__spec__", None) is not None
+)
 params = v2xdelivery.SystemParams()
 route = v2xdelivery.Route(hops=(v2xdelivery.Hop(0.15, 3, rsu_id="A"), v2xdelivery.Hop(0.25, 4, rsu_id="B")))
 oracle = v2xdelivery.e2e_rate_closed(route, 8.0, params)
 kernel = v2xdelivery.RouteEvaluator(route, params).rate_closed(8.0)
 print(json.dumps({"codes": codes, "loaded": loaded, "oracle": oracle, "kernel": kernel,
-                  "scipy_after": "scipy" in sys.modules}))
+                  "scipy_after": "scipy" in sys.modules, "imported": imported}))
 """
+
+
+def _dist_key(name: str) -> str:
+    """A distribution name in its normalized form (PEP 503)."""
+    return re.sub(r"[-_.]+", "-", name).lower()
 
 
 def test_runtime_never_loads_scipy(tmp_path):
     """The package, the CLI, both solvers and the simulator run without
     scipy; only the quadrature oracles import it, on first call."""
-    package_root = str(Path(v2xdelivery.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_RUN],
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = _python(_SCIPY_FREE_RUN, tmp_path)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * 6
     assert result["loaded"] == []
     assert result["scipy_after"]
     assert abs(result["oracle"] - result["kernel"]) <= 1e-9 * abs(result["kernel"])
+    # The third-party modules the runtime loads are declared dependencies.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {_dist_key(re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0]) for dep in project["dependencies"]}
+    dists = importlib.metadata.packages_distributions()
+    runtime = {_dist_key(d) for name in result["imported"] for d in dists.get(name, [name])}
+    assert runtime <= declared, sorted(runtime - declared)

@@ -312,6 +312,11 @@ class TestErrorHandling:
             "endpoints: {source: true}",
             "endpoints: {destination: 2.5}",
             "params: {weight: true}",
+            "grid: {row: 4, cols: 4}",
+            "sed: 3",
+            "endpoints: {destinaton: 5}",
+            "grid: {block_length: true}",
+            "arrival: {low: true, high: true}",
         ],
     )
     def test_non_finite_recipe_values(self, capsys, tmp_path, recipe):
@@ -331,6 +336,40 @@ class TestErrorHandling:
         code, _, err = _run(capsys, ["analyze", "--scheme", "TD", "--beams", "4"])
         assert code == 1
         assert "beams" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["optimize-global", "--beams", "7"], "--beams"),
+            (["sweep", "--variable", "alpha", "--backhaul"], "--backhaul"),
+            (["sweep", "--variable", "alpha", "--mode", "analytic"], "--mode"),
+            (["sweep", "--variable", "lambda_scale", "--snapshots", "5"], "--snapshots"),
+            (["sweep", "--variable", "scheme_beams", "--seed", "0"], "--seed"),
+            (["sweep", "--variable", "alpha", "--points", "3"], "--points"),
+            (["sweep", "--variable", "alpha", "--alpha", "0.9"], "--alpha"),
+            (["sweep", "--variable", "scheme_beams", "--scheme", "SD"], "--scheme"),
+        ],
+    )
+    def test_a_flag_that_changes_nothing_is_an_error(self, capsys, argv, flag):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+    def test_analyze_takes_no_alpha(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_command(["analyze", "--t", "8", "--alpha", "0.9"])
+        assert exc.value.code == 2
+        assert "--alpha" in capsys.readouterr().err
+
+    def test_window_sweep_flags_given_at_their_defaults_change_nothing(self, capsys, tmp_path):
+        argv = ["sweep", "--variable", "t", "--grid", "0,8,20", "--snapshots", "200"]
+        stock, given = tmp_path / "stock.csv", tmp_path / "given.csv"
+        _run_json(capsys, [*argv, "--out", str(stock)])
+        _run_json(capsys, [*argv, "--points", "41", "--seed", "0", "--mode", "physical", "--out", str(given)])
+        assert given.read_bytes() == stock.read_bytes()
+        other = tmp_path / "other.csv"
+        _run_json(capsys, [*argv, "--seed", "1", "--out", str(other)])
+        assert other.read_bytes() != stock.read_bytes()
 
 
 class TestParser:

@@ -16,22 +16,16 @@ from scipy import integrate
 from support import make_route, window_grid
 from v2xdelivery import (
     Hop,
-    QuadratureError,
     Route,
     RouteEvaluator,
     SystemParams,
     e2e_latency_closed,
     e2e_rate_closed,
     e2e_rate_min_of_means,
-    expectation_from_survival,
-    expected_e2e_latency,
     expected_hop_latency,
     expected_hop_rate,
     expected_max_exponential,
     expected_max_trial_time,
-    expected_rate_all_failure,
-    expected_rate_all_success,
-    expected_rate_mixture,
     exponential_max_pdf,
     geometric_max_pmf,
     max_trials,
@@ -40,13 +34,19 @@ from v2xdelivery import (
 )
 from v2xdelivery import closedform
 from v2xdelivery.closedform import (
+    QuadratureError,
     _TABLE_COLUMNS,
     _TABLE_INTERVALS,
     _expected_max_exponential_exact,
     _mixture_integral,
     _mixture_table,
     _RouteStack,
+    expectation_from_survival,
+    expected_rate_all_failure,
+    expected_rate_all_success,
+    expected_rate_mixture,
 )
+from v2xdelivery.model import expected_e2e_latency
 
 
 class TestHopReformulation:

@@ -11,9 +11,7 @@ from v2xdelivery import (
     RegimeWarning,
     Route,
     SystemParams,
-    delivery_estimate,
     e2e_rate_min_of_means,
-    expected_e2e_latency,
     expected_hop_latency,
     expected_hop_rate,
     max_trials,
@@ -21,7 +19,7 @@ from v2xdelivery import (
     p_failure,
     p_success,
 )
-from v2xdelivery.model import mean_rates
+from v2xdelivery.model import expected_e2e_latency, mean_rates
 
 
 class TestValidation:
@@ -226,10 +224,6 @@ def test_route_level_values_aggregate_hop_values(params):
             assert expected_e2e_latency(route, t, params) == pytest.approx(lat, abs=0.0)
             rate = min(expected_hop_rate(h, t, params) for h in route.hops)
             assert e2e_rate_min_of_means(route, t, params) == pytest.approx(rate, abs=0.0)
-            est = delivery_estimate(route, t, params)
-            assert est.e2e_latency == pytest.approx(lat)
-            assert est.e2e_rate == pytest.approx(rate)
-            assert len(est.per_hop_latency) == len(route.hops)
 
 
 def test_min_of_means_picks_the_congested_hop(params):

@@ -11,7 +11,6 @@ import pytest
 from support import make_route
 from v2xdelivery import (
     Hop,
-    NormalizationContext,
     Route,
     RouteEvaluator,
     SystemParams,
@@ -22,12 +21,12 @@ from v2xdelivery import (
     solve_distributed,
     solve_global,
     verify_concavity,
-    weighted_objective,
 )
 from v2xdelivery.cli import run_command
 import v2xdelivery.optimize as opt
 from v2xdelivery.closedform import _RouteStack
 from v2xdelivery.optimize import (
+    NormalizationContext,
     _route_objective_series,
     _scan_grid,
     _trade_off,
@@ -90,7 +89,7 @@ class TestBuildNormalization:
         ctx = build_normalization([route], params)
         ev = RouteEvaluator(route, params)
         for t in (0.0, 8.0, 20.0):
-            assert weighted_objective(ev, t, ctx, 0.7) == 0.0
+            assert _route_objective_series(ev, [t], ctx, 0.7)[0] == 0.0
 
 
 class TestWeightedObjective:
@@ -101,12 +100,12 @@ class TestWeightedObjective:
             expected = w * ctx.rate_norm(ev.rate_closed(t)) - (1.0 - w) * ctx.latency_norm(
                 ev.latency(t)
             )
-            assert weighted_objective(ev, t, ctx, w) == pytest.approx(expected, abs=1e-15)
+            assert _route_objective_series(ev, [t], ctx, w)[0] == pytest.approx(expected, abs=1e-15)
 
     def test_pure_latency_weight_ignores_rate(self, params, grid_routes):
         ctx = build_normalization(grid_routes, params)
         ev = RouteEvaluator(grid_routes[0], params)
-        assert weighted_objective(ev, 8.0, ctx, 0.0) == pytest.approx(
+        assert _route_objective_series(ev, [8.0], ctx, 0.0)[0] == pytest.approx(
             -ctx.latency_norm(ev.latency(8.0)), abs=1e-15
         )
 

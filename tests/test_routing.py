@@ -8,7 +8,6 @@ from v2xdelivery import (
     GreedyLoopError,
     NoRouteError,
     SystemParams,
-    Topology,
     build_grid_scenario,
     build_normalization,
     distributed_routing,
@@ -18,6 +17,7 @@ from v2xdelivery import (
     solve_global,
     spr_route,
 )
+from v2xdelivery.routing import Topology
 
 
 def _line(*nodes):

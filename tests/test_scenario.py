@@ -77,6 +77,10 @@ class TestGridConstruction:
             dict(route_filter=0),
             dict(source=True),
             dict(destination=2.5),
+            dict(block_length=True),
+            dict(block_length="250"),
+            dict(arrival_interval=(True, 0.3)),
+            dict(arrival_interval=(0.05, "0.3")),
         ],
     )
     def test_bad_recipes_are_rejected(self, kwargs):
@@ -100,6 +104,15 @@ class TestGridConstruction:
             ("endpoints: {source: true}", "source"),
             ("endpoints: {destination: 2.5}", "destination"),
             ("params: {weight: true}", "weight"),
+            ("grid: {row: 4, cols: 4}", "'row'"),
+            ("sed: 3", "'sed'"),
+            ("endpoints: {destinaton: 5}", "'destinaton'"),
+            ("arrival: {lo: 0.1}", "'lo'"),
+            ("params: {weigth: 0.3}", "'weigth'"),
+            ("grid: {block_length: true}", "block_length"),
+            ("grid: {block_length: abc}", "block_length"),
+            ("arrival: {low: true, high: true}", "low"),
+            ("arrival: {high: abc}", "high"),
         ],
     )
     def test_recipe_integers_are_checked_by_name(self, tmp_path, recipe, key):

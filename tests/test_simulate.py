@@ -14,7 +14,6 @@ from v2xdelivery import (
     SimConfig,
     SystemParams,
     delta_t_for_scheme,
-    expected_e2e_latency,
     expected_hop_rate,
     p_courier_forward,
     p_failure,
@@ -23,6 +22,7 @@ from v2xdelivery import (
     simulate_route,
     sweep_windows,
 )
+from v2xdelivery.model import expected_e2e_latency
 
 N = 100_000
 
