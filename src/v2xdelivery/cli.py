@@ -451,6 +451,8 @@ def _cmd_sweep(args) -> int:
     for flag in ("backhaul", "mode", "snapshots", "seed", "points"):
         if getattr(args, flag) is not None and args.variable != "t":
             raise ValueError(f"--{flag} applies only to --variable t")
+    if args.points is not None and args.grid:
+        raise ValueError("--points sizes the grid only when --grid is omitted")
     for flag, variable in (("alpha", "alpha"), ("scheme", "scheme_beams")):
         if getattr(args, flag) is not None and args.variable == variable:
             raise ValueError(f"--{flag} is swept by --variable {variable}")

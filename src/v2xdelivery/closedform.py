@@ -17,16 +17,19 @@ directly:
 The one runtime implementation of the per-hop and joint-outcome algebra is
 a route stack (:class:`_RouteStack`), which reads (route, window) probes of
 many routes in one array pass.  It owns every coefficient and table of its
-routes: the per-hop coefficients, stacked when it is built, and the mixed
-routes' joint-outcome tables, built into stacked arrays on the first read
-that needs them.  Its :meth:`_RouteStack.read` is the kernel's one entry,
-and its per-hop stage :meth:`_RouteStack.hops` the first half of it.
+routes: the per-hop coefficients, stacked when it is built; the mixed
+routes' joint-outcome sums and J(1), built into stacked arrays on the first
+read that needs them; and their mixture tables, built only on the first
+read where a cap on the mixture binds.  Its :meth:`_RouteStack.read` is
+the kernel's one entry, and its per-hop stage :meth:`_RouteStack.hops` the
+first half of it.
 :class:`RouteEvaluator` is a view of one route of a stack: every reading of
 a view is a read of its stack at the view's column.
 The quadrature forms above are independent oracles: the runtime never calls
 them, and the test suite checks the kernel against them.  They alone need
-scipy, and import it on first call; the kernel's mixture integral is a
-native Hermite table (:func:`_mixture_table`).
+scipy, and import it on first call; the kernel's mixture integral is J(1)
+where no cap binds and a native Hermite table (:func:`_mixture_table`)
+where one does.
 """
 
 from __future__ import annotations
@@ -450,7 +453,73 @@ _TABLE_INTERVALS = 4000
 _TABLE_COLUMNS = 7
 
 
-def _mixture_table(lam: np.ndarray, T: float, out: np.ndarray | None = None) -> np.ndarray:
+def _hop_factors(mu: float, wait: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One hop's factors of W, W' and W'' at the interior nodes of the v grid:
+    1 + a / mu, a and a (a + mu), with a = mu / expm1(mu w)."""
+    with np.errstate(over="ignore"):  # expm1 overflows to inf where a hop's factor is 1
+        a = mu / np.expm1(mu * wait)
+    return 1.0 + a / mu, a, a * (a + mu)  # 1 - exp(-x) = 1 / (1 + 1 / expm1(x))
+
+
+def _mixture_nodes(lam: np.ndarray, T: float, factors: dict) -> tuple[np.ndarray, ...]:
+    """The node pass of a mixture table: W, W' and W'' at the nodes, and J at
+    each interval's left node (see :func:`_mixture_table`).
+
+    ``factors`` maps an arrival rate to its :func:`_hop_factors`; a rate
+    missing from it is computed and added, so routes that share a rate
+    share its factors.
+    """
+    n = _TABLE_INTERVALS
+    v = np.arange(1, n) / n  # the interior nodes
+    wait = 2.0 * T * (1.0 - v) / v
+    dwait = -2.0 * T / v**2
+    W = np.zeros(n + 1)
+    W[:-1] = 1.0
+    A = np.zeros(n - 1)
+    B = np.zeros(n - 1)
+    for mu in lam:
+        if mu not in factors:
+            factors[mu] = _hop_factors(mu, wait)
+        f, a, b = factors[mu]
+        W[1:-1] /= f
+        A += a
+        B += b
+    # Derivatives in the unit coordinate s = n v of each interval.
+    m = np.zeros(n + 1)
+    q = np.zeros(n + 1)
+    m[1:-1] = W[1:-1] * A * dwait / n
+    q[1:-1] = W[1:-1] * ((A * A - B) * dwait**2 - 2.0 * A * dwait / v) / n**2
+    if len(lam) == 2:
+        q[-1] = 8.0 * T * T * lam[0] * lam[1] / n**2
+    area = 0.5 * (W[:-1] + W[1:]) + (m[:-1] - m[1:]) / 10.0 + (q[:-1] + q[1:]) / 120.0
+    # Running sums in blocks of 80 intervals, offset by the running sum of
+    # the block totals: about 130 roundings on any path, not 4000.
+    inside = np.cumsum((area / n).reshape(-1, 80), axis=1)
+    before = np.concatenate([[0.0], np.cumsum(inside[:-1, -1])])
+    J = np.zeros(n)
+    J[1:] = (before[:, None] + inside).ravel()[:-1]
+    return W, m, q, J
+
+
+def _hermite_rows(W: np.ndarray, m: np.ndarray, q: np.ndarray, J: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the table columns of the intervals between
+    consecutive nodes of W, m and q, whose left nodes hold J."""
+    n = _TABLE_INTERVALS
+    y0, y1, m0, m1, q0, q1 = W[:-1], W[1:], m[:-1], m[1:], q[:-1], q[1:]
+    rise = y1 - y0
+    out[0] = J
+    out[1] = y0 / n
+    out[2] = m0 / (2 * n)
+    out[3] = q0 / (6 * n)
+    out[4] = (10.0 * rise - 6.0 * m0 - 4.0 * m1 - 1.5 * q0 + 0.5 * q1) / (4 * n)
+    out[5] = (-15.0 * rise + 8.0 * m0 + 7.0 * m1 + 1.5 * q0 - q1) / (5 * n)
+    out[6] = (6.0 * rise - 3.0 * m0 - 3.0 * m1 - 0.5 * q0 + 0.5 * q1) / (6 * n)
+    return out
+
+
+def _mixture_table(
+    lam: np.ndarray, T: float, out: np.ndarray | None = None, factors: dict | None = None
+) -> np.ndarray:
     """Hermite table of J(c), the integral over [0, c] of the fallback survival W.
 
     W(v) = prod_h (1 - exp(-lam_h w)), w = 2T(1 - v)/v, is the survival of a
@@ -469,46 +538,18 @@ def _mixture_table(lam: np.ndarray, T: float, out: np.ndarray | None = None) -> 
     of J(v_i + s / _TABLE_INTERVALS) - J(v_i), a sextic in s in [0, 1] with
     no constant term, lowest power first; :func:`_mixture_integral` reads
     it.  ``out``, if given, receives the (_TABLE_COLUMNS, _TABLE_INTERVALS)
-    table.
+    table; ``factors`` is as in :func:`_mixture_nodes`.
     """
-    n = _TABLE_INTERVALS
-    v = np.arange(1, n) / n  # the interior nodes
-    wait = 2.0 * T * (1.0 - v) / v
-    dwait = -2.0 * T / v**2
-    W = np.zeros(n + 1)
-    W[:-1] = 1.0
-    A = np.zeros(n - 1)
-    B = np.zeros(n - 1)
-    with np.errstate(over="ignore"):  # expm1 overflows to inf where a hop's factor is 1
-        for mu in lam:
-            a = mu / np.expm1(mu * wait)
-            W[1:-1] /= 1.0 + a / mu  # 1 - exp(-x) = 1 / (1 + 1 / expm1(x))
-            A += a
-            B += a * (a + mu)
-    # Derivatives in the unit coordinate s = n v of each interval.
-    m = np.zeros(n + 1)
-    q = np.zeros(n + 1)
-    m[1:-1] = W[1:-1] * A * dwait / n
-    q[1:-1] = W[1:-1] * ((A * A - B) * dwait**2 - 2.0 * A * dwait / v) / n**2
-    if len(lam) == 2:
-        q[-1] = 8.0 * T * T * lam[0] * lam[1] / n**2
-    y0, y1, m0, m1, q0, q1 = W[:-1], W[1:], m[:-1], m[1:], q[:-1], q[1:]
-    rise = y1 - y0
-    out = np.empty((_TABLE_COLUMNS, n)) if out is None else out
-    out[1] = y0 / n
-    out[2] = m0 / (2 * n)
-    out[3] = q0 / (6 * n)
-    out[4] = (10.0 * rise - 6.0 * m0 - 4.0 * m1 - 1.5 * q0 + 0.5 * q1) / (4 * n)
-    out[5] = (-15.0 * rise + 8.0 * m0 + 7.0 * m1 + 1.5 * q0 - q1) / (5 * n)
-    out[6] = (6.0 * rise - 3.0 * m0 - 3.0 * m1 - 0.5 * q0 + 0.5 * q1) / (6 * n)
-    area = 0.5 * (y0 + y1) + (m0 - m1) / 10.0 + (q0 + q1) / 120.0
-    # Running sums in blocks of 80 intervals, offset by the running sum of
-    # the block totals: about 130 roundings on any path, not 4000.
-    inside = np.cumsum((area / n).reshape(-1, 80), axis=1)
-    before = np.concatenate([[0.0], np.cumsum(inside[:-1, -1])])
-    out[0, 0] = 0.0
-    out[0, 1:] = (before[:, None] + inside).ravel()[:-1]
-    return out
+    out = np.empty((_TABLE_COLUMNS, _TABLE_INTERVALS)) if out is None else out
+    return _hermite_rows(*_mixture_nodes(lam, T, {} if factors is None else factors), out)
+
+
+def _mixture_j1(lam: np.ndarray, T: float, factors: dict) -> float:
+    """J(1) of ``_mixture_table(lam, T)``, read from its last interval as
+    :func:`_mixture_integral` reads c = 1, without building the table."""
+    W, m, q, J = _mixture_nodes(lam, T, factors)
+    last = _hermite_rows(W[-2:], m[-2:], q[-2:], J[-1:], np.empty((_TABLE_COLUMNS, 1)))
+    return float(_hermite_read(last, np.zeros(1, dtype=np.intp), 1.0)[0])
 
 
 def _mixture_integral(table: np.ndarray, first: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -521,8 +562,11 @@ def _mixture_integral(table: np.ndarray, first: np.ndarray, c: np.ndarray) -> np
     """
     u = c * _TABLE_INTERVALS
     i = np.minimum(u.astype(np.intp), _TABLE_INTERVALS - 1)
-    s = u - i
-    at = first + i
+    return _hermite_read(table, first + i, u - i)
+
+
+def _hermite_read(table: np.ndarray, at: np.ndarray, s) -> np.ndarray:
+    """Table columns ``at`` read at s in [0, 1] of their intervals, by Horner."""
     poly = table[-1].take(at)
     for j in range(_TABLE_COLUMNS - 2, 0, -1):
         poly *= s
@@ -533,15 +577,21 @@ def _mixture_integral(table: np.ndarray, first: np.ndarray, c: np.ndarray) -> np
 @dataclass(frozen=True)
 class _JointTables:
     """Joint-outcome tables of a route stack, routes along the last axis;
-    routes without a mixture read none of them and hold zeros."""
+    routes without a mixture read none of them and hold zeros.
+
+    They hold what every mixed cell reads, J(1) of each route among it; the
+    mixture tables themselves, read only where a cap binds, are the stack's
+    separate ``_mixture``.
+    """
 
     support: np.ndarray  # (pieces,) trial counts x of the geometric-max table
     pmf: np.ndarray  # (pieces, routes) P(max trial count = x)
     xf_cum: np.ndarray  # (pieces + 1, routes) prefix sums of x * pmf
     leftover: np.ndarray  # (m_top + 1, routes) mass of the max trial count beyond m
     exp_max_wait: np.ndarray  # (routes,) exact E[max] of the hops' exponential waits
-    mixture: np.ndarray  # (_TABLE_COLUMNS, mixed * _TABLE_INTERVALS) _mixture_table tables side by side
-    first: np.ndarray  # (routes,) each route's first column in ``mixture``, 0 if it has none
+    j1: np.ndarray  # (routes,) J(1) of each route's _mixture_table
+    pmf_j1_cum: np.ndarray  # (pieces + 1, routes) prefix sums of pmf * j1, added row by row
+    first: np.ndarray  # (routes,) each route's first column in _RouteStack._mixture, 0 if it has none
 
 
 class RouteEvaluator:
@@ -624,8 +674,12 @@ class _RouteStack:
     minimum; the sums and products run row by row, so a padded column reads
     the same bits as its route alone.  The joint-outcome tables of every
     mixed route are built on the first read that needs them, straight into
-    stacked arrays (see _JointTables), and every (trial-count row, window)
-    cell of a read takes its mixture coefficients through one index.
+    stacked arrays (see _JointTables), sharing each distinct arrival rate's
+    factors.  A window whose mixture caps do not bind, as every window does
+    at the stock rates, reads its route's J(1) through a prefix sum; the
+    mixture tables wait for the first window where a cap binds, and each of
+    its (trial-count row, window) cells then takes its coefficients through
+    one index.
     """
 
     def __init__(self, routes: Sequence[Route], params: SystemParams):
@@ -684,6 +738,7 @@ class _RouteStack:
         xf_cum = np.zeros((len(support) + 1, n))
         leftover = np.zeros((m_top + 1, n))
         exp_max_wait = np.zeros(n)
+        j1 = np.zeros(n)
         mixed = np.flatnonzero(self.mixed)
         # The tables of the geometric max depend on the hop count alone.
         for k in np.unique(self.ks[mixed]).tolist():
@@ -694,20 +749,36 @@ class _RouteStack:
             # Mass beyond every m the kernel takes, by Python's scalar **
             # (NumPy's array ** can differ in the last bit).
             leftover[:, cols] = np.array([1.0 - (1.0 - trial_fail**m) ** k for m in range(m_top + 1)])[:, None]
-        mixture = np.empty((_TABLE_COLUMNS, len(mixed), _TABLE_INTERVALS))
-        for r, j in enumerate(mixed.tolist()):
+        factors = {}
+        for j in mixed.tolist():
             lam = self.coef[0, : self.ks[j], j]
             exp_max_wait[j] = _expected_max_exponential_exact(lam)
-            _mixture_table(lam, T, out=mixture[:, r])
+            j1[j] = _mixture_j1(lam, T, factors)
+        pmf_j1_cum = np.zeros_like(xf_cum)
+        pmf_j1_cum[1:] = np.cumsum(pmf * j1, axis=0)
         return _JointTables(
             support=support,
             pmf=pmf,
             xf_cum=xf_cum,
             leftover=leftover,
             exp_max_wait=exp_max_wait,
-            mixture=mixture.reshape(_TABLE_COLUMNS, -1),
+            j1=j1,
+            pmf_j1_cum=pmf_j1_cum,
             first=np.maximum(np.cumsum(self.mixed) - 1, 0) * _TABLE_INTERVALS,
         )
+
+    @functools.cached_property
+    def _mixture(self) -> np.ndarray:
+        """The mixed routes' :func:`_mixture_table` tables side by side,
+        (_TABLE_COLUMNS, mixed * _TABLE_INTERVALS), built on the first read
+        where a cap binds."""
+        mixed = np.flatnonzero(self.mixed)
+        tables = np.empty((_TABLE_COLUMNS, len(mixed), _TABLE_INTERVALS))
+        factors = {}
+        for r, j in enumerate(mixed.tolist()):
+            lam = self.coef[0, : self.ks[j], j]
+            _mixture_table(lam, self.params.hop_dwell, out=tables[:, r], factors=factors)
+        return tables.reshape(_TABLE_COLUMNS, -1)
 
     def hops(self, cols, ts) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
         """Per-hop stage of the kernel at window ts[i] of route cols[i].
@@ -779,32 +850,44 @@ class _RouteStack:
         p_as = success.prod(axis=0)
         p_af = failure.prod(axis=0)
         p_mix = 1.0 - p_as - p_af
-        # all-success term
+        # all-success term; mm is a window's last trial count the pmf table counts
         mm = np.minimum(ms, len(tables.support))
         waits = tables.xf_cum[mm, cols] * params.trial_time
         c_as = (params.rate_v2v * (T - waits) + params.rate_cell * (T - ts)) / T
         c_as = np.where(ms >= 1, c_as, 0.0)
         # all-failure term
         c_af = (params.rate_v2i * (T - ts) + params.rate_cell * ts) / (2.0 * T + tables.exp_max_wait[cols])
-        # Mixture over every trial-count piece in one table gather.  Row x
-        # caps the success bottleneck at x trials and counts where x <= m;
-        # the last row caps the leftover mass.  Where the fallback rate's
-        # supremum is zero the mixture rate is zero, and the lookup, which
-        # divides by the supremum, is skipped.
+        # Mixture: row x of a cell caps the success bottleneck at x trials
+        # and counts where x <= m; the last row caps the leftover mass.  The
+        # cells fall in three classes.  Where the fallback rate's supremum
+        # is zero the mixture rate is zero, and nothing divides by the
+        # supremum.  Where no cap binds (the cellular rate and the success
+        # rate at the last counted trial, the lowest of the counted rows,
+        # both reach the supremum) every row reads J(1), so the cell reads
+        # its route's prefix sum of pmf * J(1).  The rest read the mixture
+        # tables, every trial-count row in one table gather.
         c_mix = np.zeros_like(ts)
         cap = params.rate_cell
         amount = params.rate_v2i * (T - ts) + params.rate_cell * ts
         sup = amount / (2.0 * T)
+        lowest = params.rate_v2v * (T - mm * params.trial_time) / T + params.rate_cell * (T - ts) / T
         live = sup > 0.0
-        s, m = sup[live], ms[live]
-        owner = cols if cols.size == 1 else cols[live]
-        xs = tables.support[:, None]
-        s_rates = (
-            params.rate_v2v * (T - xs * params.trial_time) / T
-            + params.rate_cell * (T - ts[live][None, :]) / T
+        free = live & (cap >= sup) & ((mm == 0) | (lowest >= sup))
+        owner = cols if cols.size == 1 else cols[free]
+        c_mix[free] = sup[free] * (
+            tables.pmf_j1_cum[mm[free], owner] + tables.leftover[ms[free], owner] * tables.j1[owner]
         )
-        caps = np.vstack([np.clip(np.minimum(s_rates, cap), 0.0, s) / s, np.minimum(cap / s, 1.0)])
-        integral = _mixture_integral(tables.mixture, tables.first[owner], caps)
-        terms = np.where(xs <= m, tables.pmf[:, owner] * integral[:-1], 0.0)
-        c_mix[live] = s * (_sum_rows(terms) + tables.leftover[m, owner] * integral[-1])
+        bind = live & ~free
+        if bind.any():
+            s, m = sup[bind], ms[bind]
+            owner = cols if cols.size == 1 else cols[bind]
+            xs = tables.support[:, None]
+            s_rates = (
+                params.rate_v2v * (T - xs * params.trial_time) / T
+                + params.rate_cell * (T - ts[bind][None, :]) / T
+            )
+            caps = np.vstack([np.clip(np.minimum(s_rates, cap), 0.0, s) / s, np.minimum(cap / s, 1.0)])
+            integral = _mixture_integral(self._mixture, tables.first[owner], caps)
+            terms = np.where(xs <= m, tables.pmf[:, owner] * integral[:-1], 0.0)
+            c_mix[bind] = s * (_sum_rows(terms) + tables.leftover[m, owner] * integral[-1])
         return p_as * c_as + p_af * c_af + p_mix * c_mix

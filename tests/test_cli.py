@@ -346,6 +346,8 @@ class TestErrorHandling:
             (["sweep", "--variable", "lambda_scale", "--snapshots", "5"], "--snapshots"),
             (["sweep", "--variable", "scheme_beams", "--seed", "0"], "--seed"),
             (["sweep", "--variable", "alpha", "--points", "3"], "--points"),
+            (["sweep", "--variable", "t", "--grid", "0,10", "--points", "5"], "--points"),
+            (["sweep", "--variable", "t", "--grid", "0,10", "--points", "0"], "--points"),
             (["sweep", "--variable", "alpha", "--alpha", "0.9"], "--alpha"),
             (["sweep", "--variable", "scheme_beams", "--scheme", "SD"], "--scheme"),
         ],
@@ -365,7 +367,11 @@ class TestErrorHandling:
         argv = ["sweep", "--variable", "t", "--grid", "0,8,20", "--snapshots", "200"]
         stock, given = tmp_path / "stock.csv", tmp_path / "given.csv"
         _run_json(capsys, [*argv, "--out", str(stock)])
-        _run_json(capsys, [*argv, "--points", "41", "--seed", "0", "--mode", "physical", "--out", str(given)])
+        _run_json(capsys, [*argv, "--seed", "0", "--mode", "physical", "--out", str(given)])
+        assert given.read_bytes() == stock.read_bytes()
+        # --points sizes the grid only when --grid is omitted.
+        _run_json(capsys, [*argv[:3], "--snapshots", "200", "--out", str(stock)])
+        _run_json(capsys, [*argv[:3], "--snapshots", "200", "--points", "41", "--out", str(given)])
         assert given.read_bytes() == stock.read_bytes()
         other = tmp_path / "other.csv"
         _run_json(capsys, [*argv, "--seed", "1", "--out", str(other)])

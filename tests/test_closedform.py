@@ -502,6 +502,23 @@ class TestRouteEvaluator:
                 out["hop_rate"][:, i], [expected_hop_rate(h, t, params) for h in route.hops], atol=1e-12
             )
 
+    def test_one_read_across_the_binding_split(self):
+        # At rate_cell=0.6 the fallback supremum (30 - 0.9 t) / 40 exceeds
+        # the cellular cap below t = 20/3 and no cap binds above it, so one
+        # read holds cells of both kinds; a one-window read builds the
+        # mixture table only below the split.
+        params = SystemParams(rate_cell=0.6)
+        route = make_route(np.random.default_rng(71), k=5)
+        ts = np.union1d(np.linspace(0.0, params.hop_dwell, 21), [6.6, 6.66, 6.67, 6.7])
+        batch = RouteEvaluator(route, params).series(ts)
+        for i, t in enumerate(ts.tolist()):
+            ev = RouteEvaluator(route, params)
+            one = ev.series([t])
+            assert ("_mixture" in vars(ev._stack)) == (t < 20.0 / 3.0), t
+            for name, values in batch.items():
+                assert values[..., i].tobytes() == one[name][..., 0].tobytes(), (name, t)
+            assert one["rate_closed"][0] == pytest.approx(e2e_rate_closed(route, t, params), rel=1e-9, abs=1e-12)
+
     @pytest.mark.parametrize("override, t", [({"rate_v2i": 0.0}, 0.0), ({"rate_cell": 0.0}, 20.0)])
     def test_zero_fallback_supremum_raises_no_warning(self, override, t):
         # The mixture's table lookup divides by the fallback rate's supremum,
@@ -537,7 +554,7 @@ class TestRouteEvaluator:
 def _count_table_builds(monkeypatch) -> list[str]:
     """Names of the joint-outcome table builders called, one entry a call."""
     built = []
-    for name in ("_mixture_table", "_expected_max_exponential_exact"):
+    for name in ("_mixture_table", "_mixture_j1", "_expected_max_exponential_exact"):
         original = getattr(closedform, name)
         monkeypatch.setattr(
             closedform, name, lambda *a, name=name, original=original, **kw: built.append(name) or original(*a, **kw)
@@ -605,9 +622,13 @@ class TestRouteStack:
             assert np.all(out["hop_latency"][ev.k :, i] == 0.0)
             assert np.all(out["hop_rate"][ev.k :, i] == np.inf)
 
-    def test_per_hop_readers_build_no_joint_tables(self, monkeypatch, params):
+    @pytest.mark.parametrize("rate_cell, table", [(1.0, []), (0.3, ["_mixture_table"])])
+    def test_per_hop_readers_build_no_joint_tables(self, monkeypatch, rate_cell, table):
         # The joint-outcome tables wait for the first read that needs them;
-        # all-forward and one-hop routes never need them.
+        # all-forward and one-hop routes never need them.  The mixture table
+        # waits for a read where a cap binds: none does at stock, and at
+        # rate_cell=0.3 the cellular cap binds at t = 8.
+        params = SystemParams(rate_cell=rate_cell)
         built = _count_table_builds(monkeypatch)
         rng = np.random.default_rng(68)
         mixed = RouteEvaluator(make_route(rng, k=4), params)
@@ -615,8 +636,10 @@ class TestRouteStack:
         mixed.latency(8.0)
         assert built == []
         mixed.rate_closed(8.0)
-        assert sorted(built) == ["_expected_max_exponential_exact", "_mixture_table"]
+        assert sorted(built) == sorted(["_expected_max_exponential_exact", "_mixture_j1", *table])
         del built[:]
+        mixed.series(np.linspace(0.0, params.hop_dwell, 11))
+        assert built == []
         for route in (
             Route(hops=(Hop(0.12, 3, rsu_id="solo"),)),
             Route(hops=tuple(Hop(0.1, 1, rsu_id=f"d{i}") for i in range(3))),
@@ -698,9 +721,14 @@ class TestMixtureTable:
         np.testing.assert_allclose(ends[:-1], table[0, 1:], rtol=0.0, atol=1e-15)
         assert table[0, 0] == 0.0
 
-    def test_a_stack_holds_one_copy_its_routes_read(self, monkeypatch, params):
-        # A stack builds its mixed routes' tables once, side by side in one
-        # array, on the first read that needs them, and every view reads it.
+    @pytest.mark.parametrize("rate_cell, tables", [(1.0, 0), (0.3, 3)])
+    def test_a_stack_holds_one_copy_its_routes_read(self, monkeypatch, rate_cell, tables):
+        # A stack computes its mixed routes' J(1) once, on the first read
+        # that needs it, and every view reads it.  The mixture tables wait
+        # for the first read where a cap binds (none does at stock; at
+        # rate_cell=0.3 the cellular cap binds at t = 8), and are then built
+        # once, side by side in one array.
+        params = SystemParams(rate_cell=rate_cell)
         rng = np.random.default_rng(70)
         routes = [make_route(rng, k=k) for k in (2, 5, 9)]
         routes.insert(1, Route(hops=(Hop(0.12, 3, rsu_id="solo"),)))
@@ -709,18 +737,34 @@ class TestMixtureTable:
         stack = _RouteStack(routes, params)
         views = stack.evaluators()
         assert views[2].rate_closed(8.0) == before
-        assert sorted(built) == ["_expected_max_exponential_exact"] * 3 + ["_mixture_table"] * 3
+        want = ["_expected_max_exponential_exact"] * 3 + ["_mixture_j1"] * 3 + ["_mixture_table"] * tables
+        assert sorted(built) == sorted(want)
         for view in views:
             view.series(np.linspace(0.0, params.hop_dwell, 11))
-        assert len(built) == 6
-        tables = stack._tables
-        assert tables.mixture.shape == (_TABLE_COLUMNS, 3 * _TABLE_INTERVALS)
-        for row, j in enumerate((0, 2, 3)):
-            lam = np.array([h.arrival_rate for h in routes[j].hops])
-            part = tables.mixture[:, row * _TABLE_INTERVALS : (row + 1) * _TABLE_INTERVALS]
-            assert part.tobytes() == _mixture_table(lam, params.hop_dwell).tobytes()
-            assert tables.first[j] == row * _TABLE_INTERVALS
-        assert tables.first[1] == 0
+        assert sorted(built) == sorted(want)
+        assert ("_mixture" in vars(stack)) == (tables > 0)
+        if tables:
+            mixture = stack._mixture
+            assert mixture.shape == (_TABLE_COLUMNS, 3 * _TABLE_INTERVALS)
+            for row, j in enumerate((0, 2, 3)):
+                lam = np.array([h.arrival_rate for h in routes[j].hops])
+                part = mixture[:, row * _TABLE_INTERVALS : (row + 1) * _TABLE_INTERVALS]
+                assert part.tobytes() == _mixture_table(lam, params.hop_dwell).tobytes()
+                assert stack._tables.first[j] == row * _TABLE_INTERVALS
+            assert stack._tables.first[1] == 0
+
+    def test_a_stack_reads_j1_as_the_table_reads_c_1(self, params):
+        # Each mixed route's J(1), read without its table, is the table's
+        # reading at c = 1 bit for bit, also where routes share hops and so
+        # share their factors.
+        rng = np.random.default_rng(72)
+        hops = make_route(rng, k=14).hops
+        routes = [Route(hops=hops[:2]), Route(hops=hops[3:11]), Route(hops=hops), Route(hops=hops[5:7])]
+        stack = _RouteStack(routes, params)
+        for j, route in enumerate(routes):
+            lam = np.array([h.arrival_rate for h in route.hops])
+            want = _mixture_integral(_mixture_table(lam, params.hop_dwell), np.zeros(1, dtype=np.intp), np.ones(1))
+            assert stack._tables.j1[j].tobytes() == want[0].tobytes(), len(lam)
 
 
 def test_joint_rate_sits_below_the_bottleneck_of_means(params, grid_routes):

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -806,13 +807,18 @@ class TestWorkCounts:
         assert run_command(["sweep", "--variable", "alpha", *grid]) == 0
         assert 2 < len(reads) <= 2 * 81
 
-    def test_distributed_with_a_context_builds_no_joint_tables(self, monkeypatch, params, grid_routes):
-        # With a context, solve_distributed reads only hop stages: no mixture
-        # table and no exact E[max wait] is built.
+    @pytest.mark.parametrize("rate_cell, table", [(1.0, []), (0.3, ["_mixture_table"])])
+    def test_distributed_with_a_context_builds_no_joint_tables(self, monkeypatch, params, grid_routes, rate_cell, table):
+        # With a context, solve_distributed reads only hop stages: no J(1),
+        # no mixture table and no exact E[max wait] is built.  solve_global
+        # builds the mixture tables only where a cap binds: nowhere at stock,
+        # and at rate_cell=0.3 wherever the cellular cap is below the
+        # fallback supremum.
         import v2xdelivery.closedform as cf
 
+        params = dataclasses.replace(params, rate_cell=rate_cell)
         built = []
-        for name in ("_mixture_table", "_expected_max_exponential_exact"):
+        for name in ("_mixture_table", "_mixture_j1", "_expected_max_exponential_exact"):
             original = getattr(cf, name)
             monkeypatch.setattr(
                 cf, name, lambda *a, name=name, original=original, **kw: built.append(name) or original(*a, **kw)
@@ -822,21 +828,52 @@ class TestWorkCounts:
         solve_distributed(grid_routes, params, weight=0.5, context=ctx)
         assert built == []
         solve_global(grid_routes, params, weight=0.5, with_kkt=False)
-        assert sorted(set(built)) == ["_expected_max_exponential_exact", "_mixture_table"]
+        assert sorted(set(built)) == sorted(["_expected_max_exponential_exact", "_mixture_j1", *table])
 
-    def test_global_builds_each_mixture_table_once(self, monkeypatch, params, grid_routes):
+    @pytest.mark.parametrize("rate_cell, builds_tables", [(1.0, False), (0.3, True)])
+    def test_global_builds_each_mixture_table_once(self, monkeypatch, params, grid_routes, rate_cell, builds_tables):
         # The envelope, the lockstep and the winner's reads share each mixed
-        # route's table: one build per route, straight into the stack's array.
+        # route's J(1) and, once a cap binds, its table: one build per
+        # route, the tables straight into the stack's array.
         import v2xdelivery.closedform as cf
 
-        built = []
-        original = cf._mixture_table
-        monkeypatch.setattr(cf, "_mixture_table", lambda *a, **kw: built.append(kw) or original(*a, **kw))
+        params = dataclasses.replace(params, rate_cell=rate_cell)
+        built = {"_mixture_table": [], "_mixture_j1": []}
+        for name, calls in built.items():
+            original = getattr(cf, name)
+            monkeypatch.setattr(
+                cf, name, lambda *a, calls=calls, original=original, **kw: calls.append(kw) or original(*a, **kw)
+            )
         mixed = [r for r in grid_routes if len(r) > 1 and any(h.deg > 1 for h in r.hops)]
         assert len(mixed) > 1
         solve_global(grid_routes, params, weight=0.5)
-        assert len(built) == len(mixed)
-        assert all(kw.get("out") is not None for kw in built)
+        assert len(built["_mixture_j1"]) == len(mixed)
+        assert len(built["_mixture_table"]) == (len(mixed) if builds_tables else 0)
+        assert all(kw.get("out") is not None for kw in built["_mixture_table"])
+
+    def test_a_stock_4x4_solve_builds_no_mixture_table(self, monkeypatch):
+        # No cap binds at stock, so the 184-route solve reads each mixed
+        # route's J(1), computes each distinct arrival rate's factors once,
+        # and holds no (7, 4000) mixture table.
+        import v2xdelivery.closedform as cf
+
+        scenario = build_grid_scenario(rows=4, cols=4, seed=2)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        tables, factors = [], []
+        original_table, original_factors = cf._mixture_table, cf._hop_factors
+        monkeypatch.setattr(cf, "_mixture_table", lambda *a, **kw: tables.append(a) or original_table(*a, **kw))
+        monkeypatch.setattr(cf, "_hop_factors", lambda mu, wait: factors.append(float(mu)) or original_factors(mu, wait))
+        tracemalloc.start()
+        try:
+            solve_global(routes, scenario.params, weight=0.5, with_kkt=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tables == []
+        mixed = [r for r in routes if len(r.hops) > 1 and any(h.deg > 1 for h in r.hops)]
+        assert len(mixed) > 100
+        assert sorted(factors) == sorted({h.arrival_rate for r in mixed for h in r.hops})
+        assert peak <= 16e6
 
     @pytest.mark.parametrize("t_star", [0.0, 0.05, 8.0, 12.34, 20.0])
     def test_stationarity_check_reads_the_kernel_once(self, counts, params, grid_routes, t_star):
