@@ -15,14 +15,17 @@ directly:
   hops fall back, and a capped minimum across both families for the mixture.
 
 The one runtime implementation of the per-hop and joint-outcome algebra is
-a route stack (:class:`_RouteStack`), which reads (route, window) probes of
-many routes in one array pass.  It owns every coefficient and table of its
-routes: the per-hop coefficients, stacked when it is built; the mixed
+a route stack (:class:`_RouteStack`), which reads many routes in one array
+pass.  It owns every coefficient and table of its routes: one per-hop
+coefficient column per distinct hop, built with the stack; the mixed
 routes' joint-outcome sums and J(1), built into stacked arrays on the first
 read that needs them; and their mixture tables, built only on the first
-read where a cap on the mixture binds.  Its :meth:`_RouteStack.read` is
-the kernel's one entry, and its per-hop stage :meth:`_RouteStack.hops` the
-first half of it.
+read where a cap on the mixture binds.  It has two reads, which run one
+per-hop stage: :meth:`_RouteStack.read` takes (route, window) probes, one
+route per window, with its per-hop stage :meth:`_RouteStack.hops` as the
+first half; :meth:`_RouteStack.grid` takes routes over one shared window
+grid, runs the per-hop stage once per distinct hop, and builds each
+route's sums and products from those rows.
 :class:`RouteEvaluator` is a view of one route of a stack: every reading of
 a view is a read of its stack at the view's column.
 The quadrature forms above are independent oracles: the runtime never calls
@@ -432,9 +435,15 @@ def rate_decomposition(route: Route, t: float, params: SystemParams) -> RateDeco
     return RateDecomposition(p_as, p_af, p_mix, c_as, c_af, c_mix)
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """Column sums added row by row: a column's bits never depend on the batch."""
-    return np.cumsum(a, axis=0)[-1].copy()  # a copy frees the running sums
+def _sum_rows(rows, op=np.add) -> np.ndarray:
+    """The rows of ``rows`` (an array or an iterable of arrays) folded in
+    place, one at a time and in order, by ``op``, a sum unless told
+    otherwise: a column's bits never depend on the batch."""
+    rows = iter(rows)
+    total = np.array(next(rows))
+    for row in rows:
+        op(total, row, out=total)
+    return total
 
 
 def _breakpoints(params: SystemParams) -> np.ndarray:
@@ -447,6 +456,8 @@ def _breakpoints(params: SystemParams) -> np.ndarray:
     return np.unique(js)
 
 
+#: Most cells one array of a grid read's block, or of a binding mixture pass, holds.
+_BLOCK_CELLS = 1 << 13
 #: Intervals of the mixture table's v grid, v_i = i / _TABLE_INTERVALS.
 _TABLE_INTERVALS = 4000
 #: Rows of a mixture table: J at each interval's left node, six coefficients.
@@ -602,10 +613,10 @@ class RouteEvaluator:
     the one route of its own stack; a solve reads the views of one stack of
     all its routes (:meth:`_RouteStack.evaluators`), so a route's grid
     reads, its stacked reads and its one-window reads share one copy of its
-    tables.  :meth:`series` is the kernel's one-route case (see
-    :class:`_RouteStack`); the one-window readings (:meth:`latency`,
-    :meth:`rate_closed`, ...) read it at a single window.  Agreement with
-    the direct quadrature forms is pinned by tests.
+    tables.  :meth:`series` is the one-route case of the stack's grid read
+    (see :class:`_RouteStack`); the one-window readings (:meth:`latency`,
+    :meth:`rate_closed`, ...) are one-window reads of the stack.  Agreement
+    with the direct quadrature forms is pinned by tests.
     """
 
     def __init__(self, route: Route, params: SystemParams):
@@ -641,7 +652,7 @@ class RouteEvaluator:
 
     def rate_closed(self, t: float) -> float:
         """Joint-outcome route rate, identical in value to e2e_rate_closed."""
-        return float(self.series([t])["rate_closed"][0])
+        return float(self._stack.read(self._col, [t])["rate_closed"][0])
 
     # -- the kernel, one route: reads of this route's stack column ----------
 
@@ -660,26 +671,46 @@ class RouteEvaluator:
             ``rate_min_means`` and per-hop (k, len(ts)) arrays under
             ``hop_latency``, ``hop_rate``.
         """
-        return self._stack.read(self._col, ts)
+        out = self._stack.grid(ts, [self._col], keep_hops=True)
+        rows = out["hop_index"][:, 0]
+        hop_rate = out["hop_rate"][rows]
+        return {
+            "latency": out["latency"][0],
+            "rate_min_means": hop_rate.min(axis=0),
+            "hop_latency": out["hop_latency"][rows],
+            "hop_rate": hop_rate,
+            "rate_closed": out["rate_closed"][0],
+        }
 
 
 class _RouteStack:
-    """Several routes read by one kernel call, the kernel's one entry:
-    window i of route cols[i].
+    """Several routes read by one kernel, which owns every closed-form
+    coefficient and table of its routes.
 
-    The stack owns every closed-form coefficient and table of its routes.
-    Per-hop coefficients are stacked to (k_max, routes) when it is built.
-    A route shorter than k_max is padded with trailing neutral hops, which
-    add 0 to the latency sum, 1 to the survival products and +inf to the
-    minimum; the sums and products run row by row, so a padded column reads
-    the same bits as its route alone.  The joint-outcome tables of every
-    mixed route are built on the first read that needs them, straight into
-    stacked arrays (see _JointTables), sharing each distinct arrival rate's
-    factors.  A window whose mixture caps do not bind, as every window does
-    at the stock rates, reads its route's J(1) through a prefix sum; the
-    mixture tables wait for the first window where a cap binds, and each of
-    its (trial-count row, window) cells then takes its coefficients through
-    one index.
+    The stack records its distinct hops by (arrival rate, deg), one
+    coefficient column each (``distinct``), plus one padding column, and
+    each route's column at every hop, ``at`` (k_max, routes); a route
+    shorter than k_max reads the padding column past its last hop.  Padded hops are neutral:
+    they add 0 to the latency sum, 1 to the survival products and +inf to
+    the minimum, and the sums and products run row by row in hop order, so
+    a padded route reads the same bits as its route alone.
+
+    There are two reads, and both run one per-hop stage (:meth:`_stage`) on
+    coefficient columns.  :meth:`read` takes window i of route cols[i] (the
+    lockstep search and ``analyze``); its per-hop stage :meth:`hops` is the
+    first half of it.  :meth:`grid` takes routes over one shared window
+    grid (the envelope, and :meth:`RouteEvaluator.series`): it runs the
+    per-hop stage once on the distinct hops those routes hold, and each
+    route adds and multiplies its hops' rows.  A cell reads the same bits
+    in either.
+
+    The joint-outcome tables of every mixed route are built on the first
+    read that needs them, straight into stacked arrays (see _JointTables),
+    sharing each distinct arrival rate's factors.  A window whose mixture
+    caps do not bind, as every window does at the stock rates, reads its
+    route's J(1) through a prefix sum; the mixture tables wait for the
+    first window where a cap binds, and each of its (trial-count row,
+    window) cells then takes its coefficients through one index.
     """
 
     def __init__(self, routes: Sequence[Route], params: SystemParams):
@@ -687,15 +718,20 @@ class _RouteStack:
         self.params = params
         T = params.hop_dwell
         self.ks = np.array([len(r.hops) for r in self.routes])
-        # Padded hops hold lam = deg = 1, finite rows that hops() overrides.
-        lam = np.ones((self.ks.max(), len(self.ks)))
-        deg = np.ones_like(lam)
+        first = {}
+        for route in self.routes:
+            for h in route.hops:
+                first.setdefault((h.arrival_rate, h.deg), h)
+        self.distinct = list(first.values())
+        column = {key: i for i, key in enumerate(first)}
+        self.at = np.full((self.ks.max(), len(self.ks)), len(column))
         for j, route in enumerate(self.routes):
-            lam[: self.ks[j], j] = [h.arrival_rate for h in route.hops]
-            deg[: self.ks[j], j] = [h.deg for h in route.hops]
+            self.at[: self.ks[j], j] = [column[h.arrival_rate, h.deg] for h in route.hops]
+        # The padding column holds lam = deg = 1, finite rows that the reads override.
+        lam, deg = np.array([*column, (1.0, 1)], dtype=float).T
         fwd = 1.0 / deg
         mean_wait = 1.0 / lam
-        # Per-hop coefficient rows, in the order hops() unpacks them.
+        # Per-hop coefficient rows, (8, distinct hops + 1), in the order _stage unpacks them.
         self.coef = np.array(
             [
                 lam,
@@ -708,16 +744,20 @@ class _RouteStack:
                 (params.rate_cell - params.rate_v2i) / (2.0 * T + mean_wait),  # ... and its slope
             ]
         )
-        pad = np.arange(len(lam))[:, None] >= self.ks
+        pad = self.at == len(column)
         self.pad = pad if pad.any() else None
         # All-forward routes carry at the cellular rate and a one-hop route
         # at its hop's mean; the rest read the joint-outcome mixture.
-        self.forward = np.all(deg == 1, axis=0)
+        self.forward = np.all((deg == 1)[self.at], axis=0)
         self.mixed = ~self.forward & (self.ks > 1)
 
     def evaluators(self) -> list[RouteEvaluator]:
         """A view of every route, in order; each reads this stack's tables."""
         return [RouteEvaluator.__new__(RouteEvaluator)._bind(self, j) for j in range(len(self.routes))]
+
+    def _arrival_rates(self, j: int) -> np.ndarray:
+        """Route j's arrival rates, in hop order."""
+        return self.coef[0, self.at[: self.ks[j], j]]
 
     @functools.cached_property
     def _tables(self) -> _JointTables:
@@ -751,7 +791,7 @@ class _RouteStack:
             leftover[:, cols] = np.array([1.0 - (1.0 - trial_fail**m) ** k for m in range(m_top + 1)])[:, None]
         factors = {}
         for j in mixed.tolist():
-            lam = self.coef[0, : self.ks[j], j]
+            lam = self._arrival_rates(j)
             exp_max_wait[j] = _expected_max_exponential_exact(lam)
             j1[j] = _mixture_j1(lam, T, factors)
         pmf_j1_cum = np.zeros_like(xf_cum)
@@ -776,33 +816,26 @@ class _RouteStack:
         tables = np.empty((_TABLE_COLUMNS, len(mixed), _TABLE_INTERVALS))
         factors = {}
         for r, j in enumerate(mixed.tolist()):
-            lam = self.coef[0, : self.ks[j], j]
-            _mixture_table(lam, self.params.hop_dwell, out=tables[:, r], factors=factors)
+            _mixture_table(self._arrival_rates(j), self.params.hop_dwell, out=tables[:, r], factors=factors)
         return tables.reshape(_TABLE_COLUMNS, -1)
 
-    def hops(self, cols, ts) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
-        """Per-hop stage of the kernel at window ts[i] of route cols[i].
+    def _windows(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Checked windows, their whole-trial counts m and theta = (1 - p)^m."""
+        params = self.params
+        ts = np.asarray(ts, dtype=float)
+        if not np.all((ts >= 0.0) & (ts <= params.hop_dwell * (1 + 1e-12))):
+            raise ValueError("discovery window t must lie in [0, hop_dwell]")
+        ms = np.floor(ts / params.trial_time + _FLOOR_NUDGE).astype(int)
+        return ts, ms, (1.0 - params.decode_ok_pair) ** ms
 
-        ``cols`` is one route index shared by every window, or one index per
-        window.  The coefficient rows are sliced to the longest route read,
-        and padded hops, which read 0 latency, +inf rate and probabilities 1,
-        are overridden only where that slice holds any.  Returns the
-        whole-trial count of every window, each hop's probabilities of
-        discovery success and of fallback, and every reading of ``read``
-        except ``rate_closed``; per-hop callers stop here and never pay for
-        the joint-outcome mixture.
-        """
+    def _stage(self, coef, ts, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The per-hop algebra: each hop's latency, probabilities of discovery
+        success and of fallback, and mean rate, for coefficient columns
+        ``coef`` (8, ...) broadcast against windows ``ts`` and their theta."""
         params = self.params
         T = params.hop_dwell
-        ts = np.asarray(ts, dtype=float)
-        if not np.all((ts >= 0.0) & (ts <= T * (1 + 1e-12))):
-            raise ValueError("discovery window t must lie in [0, hop_dwell]")
-        cols = np.atleast_1d(cols)
-        k = self.ks[cols].max(initial=1)  # every route has a hop; 1 serves an empty read
-        ms = np.floor(ts / params.trial_time + _FLOOR_NUDGE).astype(int)
-        lam, fwd, rest, failure_excess, succ_base, succ_slope, fail_base, fail_slope = self.coef[:, :k, cols]
+        lam, fwd, rest, failure_excess, succ_base, succ_slope, fail_base, fail_slope = coef
         beta = np.exp(-lam * ts)
-        theta = (1.0 - params.decode_ok_pair) ** ms
         z = beta + theta - beta * theta  # discovery misses, given no forward
         hop_lat = T + rest * failure_excess * z
         success = rest * (1.0 - z)
@@ -812,6 +845,23 @@ class _RouteStack:
             + success * (succ_base + succ_slope * ts)
             + failure * (fail_base + fail_slope * ts)
         )
+        return hop_lat, success, failure, hop_rates
+
+    def hops(self, cols, ts) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
+        """Per-hop stage of the kernel at window ts[i] of route cols[i].
+
+        The coefficient columns are gathered for the longest route read, and
+        padded hops, which read 0 latency, +inf rate and probabilities 1,
+        are overridden only where that slice holds any.  Returns the
+        whole-trial count of every window, each hop's probabilities of
+        discovery success and of fallback, and every reading of ``read``
+        except ``rate_closed``; per-hop callers stop here and never pay for
+        the joint-outcome mixture.
+        """
+        ts, ms, theta = self._windows(ts)
+        cols = np.atleast_1d(cols)
+        k = self.ks[cols].max(initial=1)  # every route has a hop; 1 serves an empty read
+        hop_lat, success, failure, hop_rates = self._stage(self.coef[:, self.at[:k, cols]], ts, theta)
         pad = None if self.pad is None else self.pad[:k, cols]
         if pad is not None and pad.any():
             hop_lat[pad] = 0.0
@@ -839,16 +889,87 @@ class _RouteStack:
         mixed = self.mixed[cols]
         sel = slice(None) if mixed.all() else np.flatnonzero(mixed)
         if isinstance(sel, slice) or sel.size:
-            rate[sel] = self._mixed_rate(cols[sel], ts[sel], ms[sel], success[:, sel], failure[:, sel])
+            p_as, p_af = (_sum_rows(p[:, sel], np.multiply) for p in (success, failure))
+            rate[sel] = self._mixed_rate(cols[sel], ts[sel], ms[sel], p_as, p_af)
         out["rate_closed"] = rate
         return out
 
-    def _mixed_rate(self, cols, ts, ms, success, failure) -> np.ndarray:
+    def grid(self, ts, cols=None, keep_hops: bool = False) -> dict[str, np.ndarray]:
+        """Routes ``cols`` (default: all) over one shared window grid ``ts``.
+
+        The per-hop stage runs once on the distinct hops those routes hold,
+        and their trial counts and theta once on the grid.  Each route then
+        adds its hops' latency rows and multiplies their success and
+        failure rows in place, in hop order, and each hop's rate row is
+        reduced to its min and max as it is computed.  The grid is taken
+        in blocks of windows, so each scratch array of a block holds about
+        _BLOCK_CELLS cells; every cell reads the bits of its own one-window
+        ``read``.
+
+        Returns (routes, len(ts)) arrays under ``latency`` and
+        ``rate_closed``, and each route's lowest and highest hop rate over
+        the grid under ``hop_rate_min`` and ``hop_rate_max``.  With
+        ``keep_hops`` it also returns the (hops, len(ts)) rows of the
+        distinct hops read under ``hop_latency`` and ``hop_rate``: hop h of
+        route r is row ``hop_index[h, r]``.
+        """
+        params = self.params
+        ts, ms, theta = self._windows(ts)
+        cols = np.arange(len(self.routes)) if cols is None else np.asarray(cols)
+        ks = self.ks[cols]
+        # The distinct hops read, and the padding column last: hop h of
+        # route r is row index[h, r] of the stage.
+        hops = np.union1d(self.at[: ks.max(), cols], [self.coef.shape[1] - 1])
+        index = np.searchsorted(hops, self.at[: ks.max(), cols])
+        coef = self.coef[:, hops, None]
+        single = np.flatnonzero(~self.forward[cols] & (ks == 1))
+        mixed = np.flatnonzero(self.mixed[cols])
+        mixed_index = index[: ks[mixed].max(initial=1), mixed]
+        if mixed.size:
+            self._tables  # built, and its scratch freed, before the rows below exist
+        n = len(ts)
+        latency = np.empty((len(cols), n))
+        rate = np.empty((len(cols), n))
+        rate[self.forward[cols]] = params.rate_cell
+        low = np.full(len(hops), np.inf)
+        high = np.full(len(hops), -np.inf)
+        kept = [np.empty((len(hops), n)), np.empty((len(hops), n))] if keep_hops else []
+        blocks = max(1, -(-n * max(len(hops), len(cols)) // _BLOCK_CELLS))
+        step = max(1, -(-n // blocks))
+        for a in range(0, n, step):
+            b = slice(a, a + step)
+            hop_lat, success, failure, hop_rate = self._stage(coef, ts[b], theta[b])
+            hop_lat[-1], success[-1], failure[-1], hop_rate[-1] = 0.0, 1.0, 1.0, np.inf  # the padding row
+            np.minimum(low[:-1], hop_rate[:-1].min(axis=1), out=low[:-1])
+            np.maximum(high[:-1], hop_rate[:-1].max(axis=1), out=high[:-1])
+            for rows, row in zip(kept, (hop_lat, hop_rate)):
+                rows[:, b] = row
+            latency[:, b] = _sum_rows(hop_lat[i] for i in index)
+            rate[single, b] = hop_rate[index[0, single]]
+            if mixed.size:
+                p_as, p_af = (_sum_rows((p[i] for i in mixed_index), np.multiply) for p in (success, failure))
+                w = p_as.shape[1]
+                rate[mixed, b] = self._mixed_rate(
+                    np.repeat(cols[mixed], w), np.tile(ts[b], len(mixed)), np.tile(ms[b], len(mixed)),
+                    p_as.ravel(), p_af.ravel(),
+                ).reshape(len(mixed), w)
+        out = {
+            "latency": latency,
+            "rate_closed": rate,
+            "hop_rate_min": low[index].min(axis=0),
+            "hop_rate_max": high[index].max(axis=0),
+        }
+        if keep_hops:
+            out.update(hop_latency=kept[0], hop_rate=kept[1], hop_index=index)
+        return out
+
+    def _mixed_rate(self, cols, ts, ms, p_as, p_af) -> np.ndarray:
+        """Joint-outcome rate of mixed route cols[i] at window ts[i], given
+        the window's trial count and its route's success and failure
+        products."""
         params = self.params
         T = params.hop_dwell
         tables = self._tables
-        p_as = success.prod(axis=0)
-        p_af = failure.prod(axis=0)
         p_mix = 1.0 - p_as - p_af
         # all-success term; mm is a window's last trial count the pmf table counts
         mm = np.minimum(ms, len(tables.support))
@@ -865,7 +986,8 @@ class _RouteStack:
         # rate at the last counted trial, the lowest of the counted rows,
         # both reach the supremum) every row reads J(1), so the cell reads
         # its route's prefix sum of pmf * J(1).  The rest read the mixture
-        # tables, every trial-count row in one table gather.
+        # tables, every trial-count row of a cell in one table gather, in
+        # passes of at most _BLOCK_CELLS (row, cell) pairs.
         c_mix = np.zeros_like(ts)
         cap = params.rate_cell
         amount = params.rate_v2i * (T - ts) + params.rate_cell * ts
@@ -873,21 +995,23 @@ class _RouteStack:
         lowest = params.rate_v2v * (T - mm * params.trial_time) / T + params.rate_cell * (T - ts) / T
         live = sup > 0.0
         free = live & (cap >= sup) & ((mm == 0) | (lowest >= sup))
-        owner = cols if cols.size == 1 else cols[free]
+        owner = cols[free]
         c_mix[free] = sup[free] * (
             tables.pmf_j1_cum[mm[free], owner] + tables.leftover[ms[free], owner] * tables.j1[owner]
         )
-        bind = live & ~free
-        if bind.any():
-            s, m = sup[bind], ms[bind]
-            owner = cols if cols.size == 1 else cols[bind]
-            xs = tables.support[:, None]
+        bind = np.flatnonzero(live & ~free)
+        xs = tables.support[:, None]
+        step = max(1, _BLOCK_CELLS // (len(xs) + 1))
+        for a in range(0, bind.size, step):
+            cells = bind[a : a + step]
+            s, m = sup[cells], ms[cells]
+            owner = cols[cells]
             s_rates = (
                 params.rate_v2v * (T - xs * params.trial_time) / T
-                + params.rate_cell * (T - ts[bind][None, :]) / T
+                + params.rate_cell * (T - ts[cells][None, :]) / T
             )
             caps = np.vstack([np.clip(np.minimum(s_rates, cap), 0.0, s) / s, np.minimum(cap / s, 1.0)])
             integral = _mixture_integral(self._mixture, tables.first[owner], caps)
             terms = np.where(xs <= m, tables.pmf[:, owner] * integral[:-1], 0.0)
-            c_mix[bind] = s * (_sum_rows(terms) + tables.leftover[m, owner] * integral[-1])
+            c_mix[cells] = s * (_sum_rows(terms) + tables.leftover[m, owner] * integral[-1])
         return p_as * c_as + p_af * c_af + p_mix * c_mix

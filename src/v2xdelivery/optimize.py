@@ -8,18 +8,18 @@ The objective trades the end-to-end rate against the end-to-end latency:
 
 where both readings are min-max normalized over a shared context so the
 trade-off weight is meaningful across routes.  F is written once, as a
-vectorized function of the readings, which the objective takes from one
-:meth:`RouteEvaluator.series` call, whether for a whole scan grid or one
+vectorized function of the readings, whether for a whole scan grid or one
 window.  There is one search: the distributed solve runs it over every
 distinct hop at once, each hop a one-hop route on its own scale.  The
 objective is piecewise smooth in t: every multiple of the trial time admits
 one more whole trial into the window, which moves probability mass between
 branches in a jump.  The pieces depend only on the parameters, so a solve
 builds one scan grid (piece edges, interiors, insets) for every route and
-reads each route's kernel over it once, for the envelope and the search
-alike.  None of that depends on the weight, so one solve serves many
-weights: a search task is a (route, scale, weight) triple, and every task
-reads the same grid read.  Derivative-sign changes are bracketed over all
+reads all its routes over it in one grid read of their stack, which runs
+the per-hop stage once per distinct hop; that read serves the envelope and
+the search alike.  None of that depends on the weight, so one solve serves
+many weights: a search task is a (route, scale, weight) triple, and every
+task reads the same grid read.  Derivative-sign changes are bracketed over all
 pieces in one array pass per task, and every bracket of every task is
 polished by one bisection in lockstep: a step reads the central-difference
 probes of all open brackets in one route-stacked kernel call, so a solve
@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .closedform import RouteEvaluator, _breakpoints, _RouteStack, _sum_rows
-from .model import Route, SystemParams
+from .model import _check_window, Route, SystemParams
 
 __all__ = [
     "NormalizationContext",
@@ -154,25 +154,18 @@ def _scan_grid(params: SystemParams) -> _ScanGrid:
 
 
 def _envelope(
-    evaluators: Iterable[RouteEvaluator], ts: np.ndarray
+    stack: _RouteStack, ts: np.ndarray, cols: Sequence[int] | None = None
 ) -> tuple[list[NormalizationContext], list[tuple[np.ndarray, np.ndarray]]]:
-    """Each route's envelope over ``ts`` (see build_normalization), and each
-    read's (rate_closed, latency), all a search keeps of it."""
-    scales, reads = [], []
-    for ev in evaluators:
-        out = ev.series(ts)
-        lat, rate, hop_rate = out["latency"], out["rate_closed"], out["hop_rate"]
-        scales.append(
-            NormalizationContext(
-                float(lat.min()),
-                float(lat.max()),
-                min(float(rate.min()), float(hop_rate.min())),
-                max(float(rate.max()), float(hop_rate.max())),
-            )
-        )
-        reads.append((rate, lat))
-        del out, hop_rate  # free the per-hop rows before the next read
-    return scales, reads
+    """The envelope over ``ts`` of each route of ``stack`` (or of ``cols``),
+    see build_normalization, from one grid read, and each route's
+    (rate_closed, latency) rows, all a search keeps of that read."""
+    out = stack.grid(ts, cols)
+    rate, lat = out["rate_closed"], out["latency"]
+    scales = [
+        NormalizationContext(float(lt.min()), float(lt.max()), min(float(rt.min()), lo), max(float(rt.max()), hi))
+        for lt, rt, lo, hi in zip(lat, rate, out["hop_rate_min"].tolist(), out["hop_rate_max"].tolist())
+    ]
+    return scales, list(zip(rate, lat))
 
 
 def _hull(scales: Sequence[NormalizationContext]) -> NormalizationContext:
@@ -196,7 +189,7 @@ def build_normalization(routes: Sequence[Route], params: SystemParams) -> Normal
     """
     if not routes:
         raise ValueError("need at least one route")
-    return _hull(_envelope(_RouteStack(routes, params).evaluators(), _scan_grid(params).ts)[0])
+    return _hull(_envelope(_RouteStack(routes, params), _scan_grid(params).ts)[0])
 
 
 def _trade_off(rate, latency, context: NormalizationContext, weight):
@@ -284,7 +277,7 @@ def _search(
     """Best (window, value) of every task (col, scale, weight): route col of
     ``stack`` scored on ``scale`` at ``weight``.
 
-    ``reads`` are the routes' (rate_closed, latency) grid reads, which every
+    ``reads`` are the routes' (rate_closed, latency) grid rows, which every
     task of a route shares.  Interior maxima are bracketed per task and
     polished by one bisection over every bracket of every task in lockstep:
     each step reads the derivative probes (mid - h, mid + h) of all brackets
@@ -339,11 +332,16 @@ def _search(
     ]
 
 
+def _check_weight(weight: float) -> None:
+    if not 0.0 <= weight <= 1.0:  # NaN fails it too
+        raise ValueError("weight must lie in [0, 1]")
+
+
 def _check_inputs(routes: Sequence[Route], weights: Sequence[float]) -> None:
     if not routes:
         raise ValueError("need at least one route")
-    if not all(0.0 <= w <= 1.0 for w in weights):
-        raise ValueError("weight must lie in [0, 1]")
+    for w in weights:
+        _check_weight(w)
 
 
 def solve_global(
@@ -374,14 +372,14 @@ def _solve_global(
 
     The route stack, its tables, the scan grid and the route envelope
     serve every weight; each (route, weight) pair is one task of one
-    lockstep search.  The grid reads, the lockstep and the winners' reads
+    lockstep search.  The grid read, the lockstep and the winners' reads
     all read the stack, so each mixed route's tables are built once.
     """
     _check_inputs(routes, weights)
     stack = _RouteStack(routes, params)
     evaluators = stack.evaluators()
     grid = _scan_grid(params)
-    scales, reads = _envelope(evaluators, grid.ts)
+    scales, reads = _envelope(stack, grid.ts)
     ctx = context or _hull(scales)
     n = len(evaluators)
     found = _search(stack, grid, reads, [(i, ctx, w) for w in weights for i in range(n)])
@@ -442,25 +440,26 @@ def _solve_distributed(
     The scan grid, the route envelope, the distinct hops and their envelope
     serve every weight; each (hop, weight) pair is one task of one lockstep
     search.  One read of the hop stack at every (hop, weight) window then
-    aggregates every route at every weight.
+    aggregates every route at every weight.  The route stack names the
+    distinct hops and indexes each route's hops into them; it is read only
+    for the envelope, when no context is given.
     """
     _check_inputs(routes, weights)
     grid = _scan_grid(params)
+    stack = _RouteStack(routes, params)
     if context is None:
-        context = _hull(_envelope(_RouteStack(routes, params).evaluators(), grid.ts)[0])
+        context = _hull(_envelope(stack, grid.ts)[0])
     # Every distinct hop is a one-hop route on its own scale.
-    hops = list(dict.fromkeys(h for r in routes for h in r.hops))
-    hop_stack = _RouteStack([Route(hops=(hop,)) for hop in hops], params)
-    scales, reads = _envelope(hop_stack.evaluators(), grid.ts)
+    d = len(stack.distinct)
+    hop_stack = _RouteStack([Route(hops=(hop,)) for hop in stack.distinct], params)
+    scales, reads = _envelope(hop_stack, grid.ts)
     tasks = [(i, scale, w) for w in weights for i, scale in enumerate(scales)]
-    found = np.array([t for t, _ in _search(hop_stack, grid, reads, tasks)]).reshape(len(weights), len(hops))
-    out = hop_stack.read(np.tile(np.arange(len(hops)), len(weights)), found.ravel())
-    # Route i reads its hops through the columns at[:, i], in hop order; the
-    # padding column is neutral (0 latency, +inf rate).  Sums add row by row.
-    column = {hop: i for i, hop in enumerate(hops)}
-    at = np.full((max(len(r.hops) for r in routes), len(routes)), len(hops))
-    for i, route in enumerate(routes):
-        at[: len(route.hops), i] = [column[h] for h in route.hops]
+    found = np.array([t for t, _ in _search(hop_stack, grid, reads, tasks)]).reshape(len(weights), d)
+    out = hop_stack.read(np.tile(np.arange(d), len(weights)), found.ravel())
+    # Route i reads its hops through the stack's columns at[:, i], in hop
+    # order; the padding column d is neutral (0 latency, +inf rate).  Sums
+    # add row by row.
+    at = stack.at
     lat = np.vstack([out["latency"].reshape(found.shape).T, np.zeros(len(weights))])[at]
     rate = np.vstack([out["rate_min_means"].reshape(found.shape).T, np.full(len(weights), np.inf)])[at]
     lat, rate = _sum_rows(lat), rate.min(axis=0)  # (routes, weights)
@@ -498,10 +497,13 @@ def kkt_stationarity_check(
     derivative; jump points and the domain ends are checked through
     one-sided differences and local value comparison instead.  The report
     carries the classification, the measured derivatives, and a boolean
-    verdict under ``ok``.
+    verdict under ``ok``.  A weight outside [0, 1] or a window outside
+    [0, hop_dwell] is a ValueError.
     """
     params = evaluator.params
     w = params.weight if weight is None else weight
+    _check_weight(w)
+    _check_window(t_star, params)
     T = params.hop_dwell
     h = _REL_PROBE * params.trial_time
 
@@ -561,10 +563,12 @@ def verify_concavity(
     second central difference stays at or below +1e-9 (a per-piece concavity
     witness) along with the worst offender.  The objective is only piecewise
     concave at best; jumps between pieces are excluded by construction.
+    A weight outside [0, 1] is a ValueError.
     """
     params = evaluator.params
     w = params.weight if weight is None else weight
-    ctx = context or _hull(_envelope([evaluator], _scan_grid(params).ts)[0])
+    _check_weight(w)
+    ctx = context or _hull(_envelope(evaluator._stack, _scan_grid(params).ts, [evaluator._col])[0])
     edges = evaluator.breakpoints()
     h = _REL_PROBE * params.trial_time
     xs = []

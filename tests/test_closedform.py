@@ -6,6 +6,7 @@ hand computation, a sampling experiment, or a second implementation route
 and the quadrature forms vs. the evaluator's kernel).
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -19,9 +20,11 @@ from v2xdelivery import (
     Route,
     RouteEvaluator,
     SystemParams,
+    build_grid_scenario,
     e2e_latency_closed,
     e2e_rate_closed,
     e2e_rate_min_of_means,
+    enumerate_routes,
     expected_hop_latency,
     expected_hop_rate,
     expected_max_exponential,
@@ -47,6 +50,7 @@ from v2xdelivery.closedform import (
     expected_rate_mixture,
 )
 from v2xdelivery.model import expected_e2e_latency
+from v2xdelivery.optimize import NormalizationContext, _envelope, _scan_grid
 
 
 class TestHopReformulation:
@@ -649,19 +653,23 @@ class TestRouteStack:
         assert built == []
 
     def test_a_view_reads_only_through_its_stack(self, monkeypatch, params):
-        # The stack's read is the kernel's one entry, its per-hop stage the
-        # first half: every reading of a view is one call of either, at the
-        # view's column, and no other copy of the kernel is left.
+        # The stack's two reads are the kernel's entries, and both run the
+        # one per-hop stage: every reading of a view is one call of either
+        # read, or of the per-window read's per-hop half, at the view's
+        # column, and makes one stage; no other copy of the kernel is left.
         assert not hasattr(_RouteStack, "rate") and not hasattr(closedform, "_hop_rows")
         calls = []
-        for name in ("read", "hops"):
+        for name in ("read", "hops", "grid"):
             original = getattr(_RouteStack, name)
 
-            def counted(self, cols, ts, name=name, original=original):
+            def counted(self, *args, name=name, original=original, **kwargs):
+                cols = args[0] if name != "grid" else args[1]
                 calls.append((name, np.atleast_1d(cols).tolist()))
-                return original(self, cols, ts)
+                return original(self, *args, **kwargs)
 
             monkeypatch.setattr(_RouteStack, name, counted)
+        stage = _RouteStack._stage
+        monkeypatch.setattr(_RouteStack, "_stage", lambda *a: calls.append("_stage") or stage(*a))
         view = _RouteStack(self._routes(), params).evaluators()[4]
         t = 8.0
         readings = {
@@ -675,8 +683,71 @@ class TestRouteStack:
         for reading, call in readings.items():
             del calls[:]
             call()
-            entry = [("read", [4])] if reading in ("series", "rate_closed") else []
-            assert calls == entry + [("hops", [4])], reading
+            if reading == "series":
+                assert calls == [("grid", [4]), "_stage"], reading
+            else:
+                entry = [("read", [4])] if reading == "rate_closed" else []
+                assert calls == entry + [("hops", [4]), "_stage"], reading
+
+    @staticmethod
+    def _grid_cases():
+        """(label, scenario routes plus a one-hop, an all-forward and a
+        mixed route with deg = 1 hops, params) of every grid-read identity
+        case.  The mixed route holds one (arrival rate, deg) at two hops."""
+        extra = [
+            Route(hops=(Hop(0.12, 3, rsu_id="solo"),)),
+            Route(hops=tuple(Hop(0.1, 1, rsu_id=f"d{i}") for i in range(3))),
+            Route(hops=(Hop(0.15, 1, "m0"), Hop(0.2, 3, "m1"), Hop(0.08, 2, "m2"), Hop(0.15, 1, "m3"))),
+        ]
+        scenarios = [(3, seed, tt) for seed in range(3) for tt in (0.02, 0.1, 1.0)] + [(4, 2, 1.0)]
+        for size, seed, trial_time in scenarios:
+            scenario = build_grid_scenario(rows=size, cols=size, seed=seed)
+            routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination) + extra
+            for override in ({}, {"rate_cell": 0.3}, {"decode_error": 0.3}):
+                params = dataclasses.replace(scenario.params, trial_time=trial_time, **override)
+                yield f"{size}x{size} seed {seed} trial {trial_time} {override}", routes, params
+
+    def test_a_grid_read_holds_the_bits_of_per_window_reads(self):
+        # Every cell of a grid read of all routes, and of each route's own
+        # one-route grid read (series), reads the bits of a per-window read
+        # of that route at that window; each route's hop-rate range is the
+        # range of its per-window hop rows.
+        for label, routes, params in self._grid_cases():
+            stack = _RouteStack(routes, params)
+            ts = _scan_grid(params).ts
+            out = stack.grid(ts)
+            for j, view in enumerate(stack.evaluators()):
+                ref = stack.read(np.full(len(ts), j), ts)
+                one = view.series(ts)
+                for name in ("latency", "rate_closed"):
+                    assert np.array_equal(out[name][j], ref[name]), (label, j, name)
+                for name in ("latency", "rate_closed", "rate_min_means", "hop_latency", "hop_rate"):
+                    assert np.array_equal(one[name], ref[name]), (label, j, name)
+                assert out["hop_rate_min"][j] == ref["hop_rate"].min(), (label, j)
+                assert out["hop_rate_max"][j] == ref["hop_rate"].max(), (label, j)
+
+    def test_the_envelope_matches_one_read_per_route(self):
+        # The reference is the envelope as one per-window read per route
+        # computed it; the grid read's scales must print the same.
+        def per_route_envelope(stack, ts):
+            scales = []
+            for j in range(len(stack.routes)):
+                out = stack.read(np.full(len(ts), j), ts)
+                lat, rate, hop_rate = out["latency"], out["rate_closed"], out["hop_rate"]
+                scales.append(
+                    NormalizationContext(
+                        float(lat.min()),
+                        float(lat.max()),
+                        min(float(rate.min()), float(hop_rate.min())),
+                        max(float(rate.max()), float(hop_rate.max())),
+                    )
+                )
+            return scales
+
+        for label, routes, params in self._grid_cases():
+            stack = _RouteStack(routes, params)
+            ts = _scan_grid(params).ts
+            assert repr(_envelope(stack, ts)[0]) == repr(per_route_envelope(stack, ts)), label
 
 
 class TestMixtureTable:

@@ -265,6 +265,21 @@ class TestStationarityCheck:
         assert report["kind"] == "interior"
         assert not report["ok"]
 
+    @pytest.mark.parametrize(
+        "t_star, weight, message",
+        [
+            (-5.0, 0.5, "discovery window"),  # read as boundary_left, ok, before
+            (25.0, 0.5, "discovery window"),  # read as boundary_right, ok, before
+            (8.0, 3.0, "weight must"),
+            (8.0, math.nan, "weight must"),
+        ],
+    )
+    def test_inputs_outside_their_ranges_are_rejected(self, params, grid_routes, t_star, weight, message):
+        ev = RouteEvaluator(grid_routes[0], params)
+        ctx = NormalizationContext(50.0, 150.0, 0.0, 2.0)
+        with pytest.raises(ValueError, match=message):
+            kkt_stationarity_check(ev, t_star, ctx, weight)
+
 
 class TestConcavityProbe:
     def test_pure_latency_is_concave_on_every_stock_route(self, params, grid_routes):
@@ -285,6 +300,14 @@ class TestConcavityProbe:
         report = verify_concavity(RouteEvaluator(route, params), weight=0.5)
         assert report["concave"]
         assert report["points"] > 0
+
+    @pytest.mark.parametrize("weight", [3.0, math.nan])  # nan read as concave: False before
+    def test_a_weight_outside_the_unit_interval_is_rejected(self, params, grid_routes, weight):
+        ev = RouteEvaluator(grid_routes[0], params)
+        with pytest.raises(ValueError, match="weight must lie in"):
+            verify_concavity(ev, weight=weight)
+        with pytest.raises(ValueError, match="weight must lie in"):
+            verify_concavity(ev, weight=weight, context=NormalizationContext(50.0, 150.0, 0.0, 2.0))
 
 
 def _scan_grid_per_piece(params):
@@ -625,16 +648,12 @@ def _inside(seen: dict, where: str):
 
 def _count_stack_reads(monkeypatch, seen: dict | None = None) -> dict:
     """Sizes of the route-stack reads made by the lockstep search
-    (``searched``) and of those made by neither the search nor a view's
-    ``series`` (``direct``)."""
+    (``searched``) and of those made outside it (``direct``)."""
     seen = {"searched": [], "direct": []} if seen is None else seen
     read, search = _RouteStack.read, opt._search
 
     def counting_read(self, cols, ts):
-        if seen.get("_search"):
-            seen["searched"].append(len(ts))
-        elif not seen.get("series"):
-            seen["direct"].append(len(ts))
+        seen["searched" if seen.get("_search") else "direct"].append(len(ts))
         return read(self, cols, ts)
 
     def counting_search(*args):
@@ -651,9 +670,11 @@ class TestWorkCounts:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        seen = {"grids": [], "reads": [], "stages": [], "searched": [], "direct": [], "__init__": 0,
-                "build_normalization": 0}
-        make_grid, series, hops = opt._scan_grid, RouteEvaluator.series, _RouteStack.hops
+        # reads: (windows, routes, stage rows) of each grid read; stages:
+        # windows of each per-hop stage, and stage_rows its coefficient columns.
+        seen = {"grids": [], "reads": [], "stages": [], "stage_rows": [], "grid_stages": 0, "searched": [],
+                "direct": [], "__init__": 0, "build_normalization": 0}
+        make_grid, grid, stage = opt._scan_grid, _RouteStack.grid, _RouteStack._stage
         build = opt.build_normalization
 
         def tally(owner, name):
@@ -672,33 +693,43 @@ class TestWorkCounts:
                 tally(module, "build_normalization")
 
         def counting_grid(p):
-            grid = make_grid(p)
-            seen["grids"].append(len(grid.ts))
-            return grid
+            scan = make_grid(p)
+            seen["grids"].append(len(scan.ts))
+            return scan
 
-        def counting_series(self, ts):
-            seen["reads"].append((len(ts), self.k))
-            with _inside(seen, "series"):
-                return series(self, ts)
+        def counting_grid_read(self, ts, cols=None, keep_hops=False):
+            first = len(seen["stages"])
+            out = grid(self, ts, cols, keep_hops)
+            # A grid read takes its windows in blocks, each one stage of the
+            # same distinct hops, and covers every window once.
+            assert sum(seen["stages"][first:]) == len(ts)
+            rows = sorted(set(seen["stage_rows"][first:]))
+            seen["grid_stages"] += len(seen["stages"]) - first
+            seen["reads"].append((len(ts), len(self.routes) if cols is None else len(cols), rows))
+            return out
 
-        def counting_hops(self, cols, ts):  # every reading passes through it
+        def counting_stage(self, coef, ts, theta):  # every reading passes through it
             seen["stages"].append(len(ts))
-            return hops(self, cols, ts)
+            seen["stage_rows"].append(coef.shape[1])
+            return stage(self, coef, ts, theta)
 
         monkeypatch.setattr(opt, "_scan_grid", counting_grid)
-        monkeypatch.setattr(RouteEvaluator, "series", counting_series)
-        monkeypatch.setattr(_RouteStack, "hops", counting_hops)
+        monkeypatch.setattr(_RouteStack, "grid", counting_grid_read)
+        monkeypatch.setattr(_RouteStack, "_stage", counting_stage)
         _count_stack_reads(monkeypatch, seen)
         return seen
 
-    def _grid_reads(self, seen, k=None):
-        """Grid-size series reads, only those of k-hop routes if k is given."""
+    @staticmethod
+    def _grid_reads(seen):
+        """Routes read by each grid read of the whole scan grid."""
         n = seen["grids"][0]
-        return sum(1 for size, hops in seen["reads"] if size == n and k in (None, hops))
+        return [routes for size, routes, _ in seen["reads"] if size == n]
 
-    def _stages_outside_series(self, seen):
-        """Grid-size hop-stage reads not made by a series read."""
-        return seen["stages"].count(seen["grids"][0]) - self._grid_reads(seen)
+    @staticmethod
+    def _grid_stages(seen):
+        """Stage rows of each grid read of the whole scan grid."""
+        n = seen["grids"][0]
+        return [rows for size, _, rows in seen["reads"] if size == n]
 
     @staticmethod
     def _distinct_hops(routes):
@@ -706,28 +737,42 @@ class TestWorkCounts:
         return len(set(h for r in routes for h in r.hops))
 
     def test_global_builds_one_grid_and_reads_it_once_per_route(self, counts, params, grid_routes):
+        # One grid read of every route, whose per-hop stage runs once on the
+        # 16 distinct hops and the padding row, not once per hop of a route.
+        assert self._distinct_hops(grid_routes) == 16
         solve_global(grid_routes, params, weight=0.5)
         assert len(counts["grids"]) == 1
-        assert self._grid_reads(counts) == len(grid_routes)
+        assert self._grid_reads(counts) == [len(grid_routes)]
+        assert self._grid_stages(counts) == [[16 + 1]]
+
+    def test_a_4x4_solve_stages_each_distinct_hop_once(self, counts):
+        # 184 routes hold 1912 hops but 36 distinct ones: the grid read's
+        # stage has 36 rows and the padding row, in every block.
+        scenario = build_grid_scenario(rows=4, cols=4, seed=2)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        assert (len(routes), sum(len(r) for r in routes), self._distinct_hops(routes)) == (184, 1912, 36)
+        solve_global(routes, scenario.params, weight=0.5, with_kkt=False)
+        assert self._grid_reads(counts) == [184]
+        assert self._grid_stages(counts) == [[36 + 1]]
 
     def test_distributed_without_context_reads_the_same(self, counts, params, grid_routes):
-        # The global solve's n route reads, plus one search per distinct hop.
+        # The global solve's one route read, plus one read of the distinct
+        # hops for their searches; each stage runs once per distinct hop.
         d = self._distinct_hops(grid_routes)
         assert d == 16
         solve_distributed(grid_routes, params, weight=0.5)
         assert len(counts["grids"]) == 1
-        assert self._grid_reads(counts) == len(grid_routes) + d
-        assert self._grid_reads(counts, k=1) == d
-        assert self._stages_outside_series(counts) == 0
+        assert self._grid_reads(counts) == [len(grid_routes), d]
+        assert self._grid_stages(counts) == [[d + 1], [d + 1]]
 
     def test_a_given_context_reads_no_envelope(self, counts, params, grid_routes):
-        # No route read; each distinct hop is read once, for its own search.
+        # No route read; the distinct hops are read once, for their searches.
         d = self._distinct_hops(grid_routes)
         ctx = NormalizationContext(0.0, 1.0, 0.0, 1.0)
         solve_distributed(grid_routes, params, weight=0.5, context=ctx)
         assert len(counts["grids"]) == 1
-        assert self._grid_reads(counts) == self._grid_reads(counts, k=1) == d
-        assert self._stages_outside_series(counts) == 0
+        assert self._grid_reads(counts) == [d]
+        assert self._grid_stages(counts) == [[d + 1]]
 
     def test_compare_reads_each_route_once(self, counts, monkeypatch, capsys, grid_routes):
         # n routes in the coordinated solve, plus the SPR and GPSR routes
@@ -744,29 +789,30 @@ class TestWorkCounts:
         assert run_command(["compare"]) == 0
         assert stacked == [len(grid_routes), 1, 1]
         assert counts["__init__"] == 0
-        assert self._grid_reads(counts) == len(grid_routes) + 2
+        assert self._grid_reads(counts) == [len(grid_routes), 1, 1]
 
     def test_alpha_sweep_reads_each_route_once(self, counts, capsys, grid_routes):
-        # One solve per solver serves every weight: n route reads for the
-        # coordinated solve, one per distinct hop for the distributed one.
+        # One solve per solver serves every weight: one read of the n routes
+        # for the coordinated solve, one of the d distinct hops for the
+        # distributed one, and no other per-hop stage of the whole grid.
         d = self._distinct_hops(grid_routes)
         assert run_command(["sweep", "--variable", "alpha", "--grid", "0,0.5,1"]) == 0
-        assert self._grid_reads(counts) == len(grid_routes) + d
-        assert self._grid_reads(counts, k=1) == d
-        assert self._stages_outside_series(counts) == 0
+        assert self._grid_reads(counts) == [len(grid_routes), d]
+        assert self._grid_stages(counts) == [[d + 1], [d + 1]]
         assert counts["build_normalization"] == 0
 
     @pytest.mark.parametrize("weights", [[0.5], [0.0, 0.5, 1.0], [i / 10 for i in range(11)]])
     def test_distributed_aggregates_every_route_in_one_read(self, counts, params, grid_routes, weights):
-        # Besides the d one-hop grid reads and the lockstep of the hop
-        # searches, one read of the hop stack at every (hop, weight) window
-        # aggregates every route; no route is read on its own.
+        # Besides the one grid read of the d hops and the lockstep of the
+        # hop searches, one read of the hop stack at every (hop, weight)
+        # window aggregates every route; no route is read on its own.
         d = self._distinct_hops(grid_routes)
         ctx = NormalizationContext(0.0, 1.0, 0.0, 1.0)
         opt._solve_distributed(grid_routes, params, weights, ctx)
         assert counts["direct"] == [d * len(weights)]
-        assert counts["reads"] == [(counts["grids"][0], 1)] * d
-        assert len(counts["stages"]) == d + len(counts["searched"]) + 1
+        n = counts["grids"][0]
+        assert counts["reads"] == [(n, d, [d + 1])]
+        assert len(counts["stages"]) - counts["grid_stages"] == len(counts["searched"]) + 1
 
     def test_analyze_reads_every_route_in_one_kernel_read(self, counts, monkeypatch, capsys, grid_routes):
         # One stack of all n routes, read once at t; no evaluator is built.
@@ -875,6 +921,21 @@ class TestWorkCounts:
         assert sorted(factors) == sorted({h.arrival_rate for r in mixed for h in r.hops})
         assert peak <= 16e6
 
+    @pytest.mark.parametrize("trial_time, bound", [(0.02, 6.32e6), (0.005, 25.18e6)])
+    def test_a_fine_trial_solve_peaks_below_one_read_per_route(self, params, grid_routes, trial_time, bound):
+        # The envelope's grid read takes its windows in blocks, so a solve
+        # holds little beyond the grid rows its search keeps.  One read per
+        # route, each holding its route's (hops, windows) rows, peaked at
+        # 6.32 MB on the 9001-window grid and 25.18 MB on the 36001-window one.
+        params = dataclasses.replace(params, trial_time=trial_time)
+        tracemalloc.start()
+        try:
+            solve_global(grid_routes, params, weight=0.5, with_kkt=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
     @pytest.mark.parametrize("t_star", [0.0, 0.05, 8.0, 12.34, 20.0])
     def test_stationarity_check_reads_the_kernel_once(self, counts, params, grid_routes, t_star):
         ev = RouteEvaluator(grid_routes[0], params)
@@ -887,5 +948,5 @@ class TestWorkCounts:
         ev = RouteEvaluator(grid_routes[0], params)
         ctx = NormalizationContext(50.0, 150.0, 0.0, 2.0)
         report = verify_concavity(ev, weight=0.5, context=ctx)
-        assert (len(counts["reads"]), len(counts["stages"])) == (1, 1)
-        assert counts["reads"][0][0] == 3 * report["points"]
+        assert len(counts["reads"]) == 1  # and its stages are every stage made
+        assert sum(counts["stages"]) == counts["reads"][0][0] == 3 * report["points"]
