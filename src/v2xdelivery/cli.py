@@ -1,10 +1,15 @@
 """Command-line entry points: analysis, optimization, simulation, sweeps.
 
 Every command reads a scenario (a YAML recipe, or the stock 3x3 grid when
-none is given), prints one JSON summary line to stdout, and optionally
-writes a CSV artifact.  CSV output is UTF-8, comma-separated, decimal
-point, 12 significant digits; runs are single-threaded and seeded, so a
-fixed command line reproduces its artifacts byte for byte.
+none is given) and returns its JSON record and its CSV table
+(:data:`Output`); it writes nothing.  :func:`run_command` is the one
+writer: it writes the table to ``--out`` when that is given, then prints
+the record as one JSON line, so a failed write prints no line.  Every
+record starts with ``"command"`` and ends with ``"out"`` (the CSV path or
+null), except that a ``sweep`` record's variable-specific keys follow
+``"out"``.  Floats are rendered at 12 significant digits in both; CSV
+output is UTF-8, comma-separated, decimal point.  Runs are single-threaded
+and seeded, so a fixed command line reproduces its artifacts byte for byte.
 
 Commands:
 
@@ -59,6 +64,9 @@ from .simulate import (
 )
 
 __all__ = ["run_command", "main"]
+
+# What every command returns: its JSON record, its CSV header and rows.
+Output = tuple[dict, list[str], list[list]]
 
 
 def _fmt(value) -> str:
@@ -118,13 +126,13 @@ def _backhaul(args) -> BackhaulConfig | None:
     return BackhaulConfig() if getattr(args, "backhaul", False) else None
 
 
-def _write_records(path: str, records: Sequence[dict]) -> None:
-    """CSV with one column per record key, in the records' key order."""
+def _table(records: Sequence[dict]) -> tuple[list[str], list[list]]:
+    """One CSV column per record key, in the records' key order."""
     header = list(records[0])
-    _write_csv(path, header, [[record[key] for key in header] for record in records])
+    return header, [[record[key] for key in header] for record in records]
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> Output:
     scenario = _load(args)
     params = scenario.params
     t = params.hop_dwell / 2 if args.t is None else args.t
@@ -143,93 +151,78 @@ def _cmd_analyze(args) -> int:
         }
         for i, (route, (lat, rate, rate_mm)) in enumerate(zip(routes, readings))
     ]
-    if args.out:
-        _write_records(args.out, records)
-    best_rate = max(records, key=lambda r: r["rate"])
-    best_latency = min(records, key=lambda r: r["latency"])
-    _emit(
-        _json_ready(
-            {
-                "command": "analyze",
-                "t": t,
-                "routes": records,
-                "best_rate_route": best_rate["route"],
-                "best_latency_route": best_latency["route"],
-                "out": args.out,
-            }
-        )
-    )
-    return 0
+    record = {
+        "command": "analyze",
+        "t": t,
+        "routes": records,
+        "best_rate_route": max(records, key=lambda r: r["rate"])["route"],
+        "best_latency_route": min(records, key=lambda r: r["latency"])["route"],
+        "out": args.out,
+    }
+    return (record, *_table(records))
 
 
-def _cmd_optimize_global(args) -> int:
+def _cmd_optimize_global(args) -> Output:
     scenario = _load(args)
     routes = _routes(scenario, args)
     outcome = solve_global(routes, scenario.params)
-    route = routes[outcome.route_index]
-    if args.out:
-        rows = [
-            [i, _nodes_label(r), t_i, val_i]
-            for i, (r, (t_i, val_i)) in enumerate(zip(routes, outcome.per_route_best))
-        ]
-        _write_csv(args.out, ["route", "nodes", "t_star", "objective"], rows)
-    _emit(
-        _json_ready(
-            {
-                "command": "optimize-global",
-                "alpha": scenario.params.weight,
-                "t_star": outcome.t_star,
-                "objective": outcome.objective,
-                "route": outcome.route_index,
-                "nodes": _nodes_label(route),
-                "latency": outcome.latency,
-                "rate": outcome.rate,
-                "stationarity_ok": bool(outcome.kkt.get("ok", False)),
-                "out": args.out,
-            }
-        )
-    )
-    return 0
+    record = {
+        "command": "optimize-global",
+        "alpha": scenario.params.weight,
+        "t_star": outcome.t_star,
+        "objective": outcome.objective,
+        "route": outcome.route_index,
+        "nodes": _nodes_label(routes[outcome.route_index]),
+        "latency": outcome.latency,
+        "rate": outcome.rate,
+        "stationarity_ok": bool(outcome.kkt.get("ok", False)),
+        "out": args.out,
+    }
+    rows = [
+        [i, _nodes_label(r), t_i, val_i]
+        for i, (r, (t_i, val_i)) in enumerate(zip(routes, outcome.per_route_best))
+    ]
+    return record, ["route", "nodes", "t_star", "objective"], rows
 
 
-def _cmd_optimize_distributed(args) -> int:
+def _cmd_optimize_distributed(args) -> Output:
     scenario = _load(args)
     routes = _routes(scenario, args)
     outcome = solve_distributed(routes, scenario.params)
-    route = routes[outcome.route_index]
-    if args.out:
-        rows = []
-        for i, (windows, val) in enumerate(outcome.per_route):
-            for h, w in enumerate(windows):
-                rows.append([i, _nodes_label(routes[i]), h, w, val])
-        _write_csv(args.out, ["route", "nodes", "hop", "window", "objective"], rows)
-    _emit(
-        _json_ready(
-            {
-                "command": "optimize-distributed",
-                "alpha": scenario.params.weight,
-                "windows": list(outcome.windows),
-                "objective": outcome.objective,
-                "route": outcome.route_index,
-                "nodes": _nodes_label(route),
-                "latency": outcome.latency,
-                "rate": outcome.rate,
-                "out": args.out,
-            }
-        )
-    )
-    return 0
+    record = {
+        "command": "optimize-distributed",
+        "alpha": scenario.params.weight,
+        "windows": list(outcome.windows),
+        "objective": outcome.objective,
+        "route": outcome.route_index,
+        "nodes": _nodes_label(routes[outcome.route_index]),
+        "latency": outcome.latency,
+        "rate": outcome.rate,
+        "out": args.out,
+    }
+    rows = [
+        [i, _nodes_label(routes[i]), h, w, val]
+        for i, (windows, val) in enumerate(outcome.per_route)
+        for h, w in enumerate(windows)
+    ]
+    return record, ["route", "nodes", "hop", "window", "objective"], rows
 
 
-def _branch_fractions(result) -> tuple[float, float, float]:
+_SIM_COLUMNS = ["t", "mean_latency", "se_latency", "mean_rate", "se_rate", "p_fwd", "p_succ", "p_fail"]
+
+
+def _sim_row(t: float, result) -> list:
+    """A simulation's _SIM_COLUMNS: the window, the means and their standard
+    errors, and the shares of hop outcomes that forward, discover and fail."""
     frac = result.branch_counts.sum(axis=0) / (result.snapshots * len(result.branch_counts))
     forward = float(frac[Branch.COURIER_FORWARD])
     success = float(frac[Branch.DISCOVERY_SUCCESS])
     failure = float(frac[Branch.DISCOVERY_FAILURE] + frac[Branch.BACKHAUL_FORWARD])
-    return forward, success, failure
+    means = [result.mean_latency, result.se_latency, result.mean_rate, result.se_rate]
+    return [t, *means, forward, success, failure]
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> Output:
     scenario = _load(args)
     params = scenario.params
     routes = _routes(scenario, args)
@@ -242,47 +235,32 @@ def _cmd_simulate(args) -> int:
     lat_closed, rate_closed, rate_mm = (float(out[name][0]) for name in ("latency", "rate_closed", "rate_min_means"))
     # No relative error against an analytic reading of 0: JSON has no infinity.
     rel = lambda emp, ana: abs(emp - ana) / abs(ana) if ana != 0 else None
-    p_fwd, p_succ, p_fail = _branch_fractions(result)
-    if args.out:
-        _write_csv(
-            args.out,
-            ["t", "mean_latency", "se_latency", "mean_rate", "se_rate", "p_fwd", "p_succ", "p_fail"],
-            [[t, result.mean_latency, result.se_latency, result.mean_rate, result.se_rate, p_fwd, p_succ, p_fail]],
-        )
-    _emit(
-        _json_ready(
-            {
-                "command": "simulate",
-                "t": t,
-                "nodes": _nodes_label(route),
-                "snapshots": result.snapshots,
-                "mode": result.mode,
-                "backhaul": bool(args.backhaul),
-                "empirical": {
-                    "latency": result.mean_latency,
-                    "se_latency": result.se_latency,
-                    "rate": result.mean_rate,
-                    "se_rate": result.se_rate,
-                    "rate_mean_subst": result.mean_rate_mean_subst,
-                },
-                "analytic": {
-                    "latency": lat_closed,
-                    "rate": rate_closed,
-                    "rate_min_means": rate_mm,
-                },
-                "relative_error": {
-                    "latency": rel(result.mean_latency, lat_closed),
-                    "rate": rel(result.mean_rate, rate_closed),
-                    "rate_mean_subst_vs_min_means": rel(result.mean_rate_mean_subst, rate_mm),
-                },
-                "out": args.out,
-            }
-        )
-    )
-    return 0
+    record = {
+        "command": "simulate",
+        "t": t,
+        "nodes": _nodes_label(route),
+        "snapshots": result.snapshots,
+        "mode": result.mode,
+        "backhaul": bool(args.backhaul),
+        "empirical": {
+            "latency": result.mean_latency,
+            "se_latency": result.se_latency,
+            "rate": result.mean_rate,
+            "se_rate": result.se_rate,
+            "rate_mean_subst": result.mean_rate_mean_subst,
+        },
+        "analytic": {"latency": lat_closed, "rate": rate_closed, "rate_min_means": rate_mm},
+        "relative_error": {
+            "latency": rel(result.mean_latency, lat_closed),
+            "rate": rel(result.mean_rate, rate_closed),
+            "rate_mean_subst_vs_min_means": rel(result.mean_rate_mean_subst, rate_mm),
+        },
+        "out": args.out,
+    }
+    return record, _SIM_COLUMNS, [_sim_row(t, result)]
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> Output:
     scenario = _load(args)
     params = scenario.params
     routes = _routes(scenario, args)
@@ -303,19 +281,8 @@ def _cmd_compare(args) -> int:
         }
         for name, route, sub in entries
     ]
-    if args.out:
-        _write_records(args.out, records)
-    _emit(
-        _json_ready(
-            {
-                "command": "compare",
-                "alpha": params.weight,
-                "strategies": records,
-                "out": args.out,
-            }
-        )
-    )
-    return 0
+    record = {"command": "compare", "alpha": params.weight, "strategies": records, "out": args.out}
+    return (record, *_table(records))
 
 
 def _parse_grid(args, default: np.ndarray) -> np.ndarray:
@@ -339,7 +306,8 @@ def _sweep_t(args, scenario: Scenario) -> tuple[list[str], list[list], dict]:
     if points < 1:
         raise ValueError("--points must be at least 1")
     grid = _parse_grid(args, np.linspace(0.0, T, points))
-    if np.any(grid < 0) or np.any(grid > T):
+    # The kernel's and the simulator's window rule: up to T(1 + 1e-12), read as T.
+    if np.any(grid < 0) or np.any(grid > T * (1 + 1e-12)):
         raise ValueError("window grid must lie within [0, hop_dwell]")
     routes = _routes(scenario, args)
     outcome = solve_global(routes, params, with_kkt=False)
@@ -348,26 +316,9 @@ def _sweep_t(args, scenario: Scenario) -> tuple[list[str], list[list], dict]:
     config = SimConfig(snapshots=snapshots, seed=seed, mode=args.mode or "physical")
     results = sweep_windows(route, [float(t) for t in grid], params, config, backhaul=_backhaul(args))
     objectives = _route_objective_series(ev, grid, outcome.context, params.weight).tolist()
-    rows = []
-    for t, res, objective in zip(grid, results, objectives):
-        p_fwd, p_succ, p_fail = _branch_fractions(res)
-        rows.append(
-            [
-                float(t),
-                res.mean_latency,
-                res.se_latency,
-                res.mean_rate,
-                res.se_rate,
-                p_fwd,
-                p_succ,
-                p_fail,
-                objective,
-            ]
-        )
-    header = ["t", "mean_latency", "se_latency", "mean_rate", "se_rate", "p_fwd", "p_succ", "p_fail", "objective"]
+    rows = [[*_sim_row(float(t), res), objective] for t, res, objective in zip(grid, results, objectives)]
     best = max(rows, key=lambda r: r[-1])
-    summary = {"nodes": _nodes_label(route), "argmax_objective_t": best[0]}
-    return header, rows, summary
+    return [*_SIM_COLUMNS, "objective"], rows, {"nodes": _nodes_label(route), "argmax_objective_t": best[0]}
 
 
 def _sweep_alpha(args, scenario: Scenario) -> tuple[list[str], list[list], dict]:
@@ -446,7 +397,7 @@ def _sweep_scheme_beams(args, scenario: Scenario) -> tuple[list[str], list[list]
     return header, rows, {"routes": len(routes)}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> Output:
     # A flag the swept variable does not read, or overrides, is an error.
     for flag in ("backhaul", "mode", "snapshots", "seed", "points"):
         if getattr(args, flag) is not None and args.variable != "t":
@@ -464,18 +415,8 @@ def _cmd_sweep(args) -> int:
         "scheme_beams": _sweep_scheme_beams,
     }[args.variable]
     header, rows, extra = runner(args, scenario)
-    if args.out:
-        _write_csv(args.out, header, rows)
-    record = {
-        "command": "sweep",
-        "variable": args.variable,
-        "rows": len(rows),
-        "columns": header,
-        "out": args.out,
-    }
-    record.update(extra)
-    _emit(_json_ready(record))
-    return 0
+    record = {"command": "sweep", "variable": args.variable, "rows": len(rows), "columns": header}
+    return {**record, "out": args.out, **extra}, header, rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,11 +478,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: Sequence[str] | None = None) -> int:
-    """Parse and run one command; returns the process exit status."""
+    """Parse and run one command and write its output, the CSV table before
+    the JSON line (see the module docstring); returns the exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        record, header, rows = args.func(args)
+        if args.out:
+            _write_csv(args.out, header, rows)
+        _emit(_json_ready(record))
+        return 0
     except (
         ValueError,
         NoRouteError,

@@ -820,11 +820,18 @@ class _RouteStack:
         return tables.reshape(_TABLE_COLUMNS, -1)
 
     def _windows(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Checked windows, their whole-trial counts m and theta = (1 - p)^m."""
+        """Checked windows, their whole-trial counts m and theta = (1 - p)^m.
+
+        A window passes up to hop_dwell * (1 + 1e-12) and is then clamped to
+        hop_dwell, as the one-window checks and the simulator clamp it, so
+        it reads the bits of hop_dwell; a window inside [0, hop_dwell]
+        comes back unchanged.
+        """
         params = self.params
         ts = np.asarray(ts, dtype=float)
         if not np.all((ts >= 0.0) & (ts <= params.hop_dwell * (1 + 1e-12))):
             raise ValueError("discovery window t must lie in [0, hop_dwell]")
+        ts = np.minimum(ts, params.hop_dwell)
         ms = np.floor(ts / params.trial_time + _FLOOR_NUDGE).astype(int)
         return ts, ms, (1.0 - params.decode_ok_pair) ** ms
 
@@ -853,10 +860,10 @@ class _RouteStack:
         The coefficient columns are gathered for the longest route read, and
         padded hops, which read 0 latency, +inf rate and probabilities 1,
         are overridden only where that slice holds any.  Returns the
-        whole-trial count of every window, each hop's probabilities of
-        discovery success and of fallback, and every reading of ``read``
-        except ``rate_closed``; per-hop callers stop here and never pay for
-        the joint-outcome mixture.
+        checked windows and the whole-trial count of every window, each
+        hop's probabilities of discovery success and of fallback, and every
+        reading of ``read`` except ``rate_closed``; per-hop callers stop
+        here and never pay for the joint-outcome mixture.
         """
         ts, ms, theta = self._windows(ts)
         cols = np.atleast_1d(cols)
@@ -868,7 +875,7 @@ class _RouteStack:
             hop_rates[pad] = np.inf
             success[pad] = 1.0
             failure[pad] = 1.0
-        return ms, (success, failure), {
+        return (ts, ms), (success, failure), {
             "latency": _sum_rows(hop_lat),
             "rate_min_means": hop_rates.min(axis=0),
             "hop_latency": hop_lat,
@@ -880,11 +887,11 @@ class _RouteStack:
         per-hop stage (see hops), then the joint-outcome route rate.
 
         Per-hop arrays are (k, len(ts)), k the longest route read, and
-        include its padded hops.
+        include its padded hops.  One route index reads every window.
         """
-        cols = np.atleast_1d(cols)
-        ts = np.asarray(ts, dtype=float)
-        ms, (success, failure), out = self.hops(cols, ts)
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        cols = np.broadcast_to(cols, ts.shape)
+        (ts, ms), (success, failure), out = self.hops(cols, ts)
         rate = np.where(self.forward[cols], self.params.rate_cell, out["hop_rate"][0])
         mixed = self.mixed[cols]
         sel = slice(None) if mixed.all() else np.flatnonzero(mixed)

@@ -372,8 +372,8 @@ def _solve_global(
 
     The route stack, its tables, the scan grid and the route envelope
     serve every weight; each (route, weight) pair is one task of one
-    lockstep search.  The grid read, the lockstep and the winners' reads
-    all read the stack, so each mixed route's tables are built once.
+    lockstep search.  The grid read, the lockstep and the one read of all
+    the winners read the stack, so each mixed route's tables are built once.
     """
     _check_inputs(routes, weights)
     stack = _RouteStack(routes, params)
@@ -384,30 +384,31 @@ def _solve_global(
     n = len(evaluators)
     found = _search(stack, grid, reads, [(i, ctx, w) for w in weights for i in range(n)])
     del reads
-    outcomes = []
-    for j, w in enumerate(weights):
-        per_route = found[j * n : (j + 1) * n]
+    per_weight = [tuple(found[j * n : (j + 1) * n]) for j in range(len(weights))]
+    winners = []
+    for per_route in per_weight:
         best = (-math.inf, math.inf, -1)  # value, window, index
         for i, (t_i, val_i) in enumerate(per_route):
             if val_i > best[0] + _TIE or (abs(val_i - best[0]) <= _TIE and (t_i, i) < (best[1], best[2])):
                 best = (val_i, t_i, i)
-        val, t_star, idx = best
-        ev = evaluators[idx]
-        kkt = kkt_stationarity_check(ev, t_star, ctx, w) if with_kkt else {}
-        out = ev.series([t_star])
-        outcomes.append(
-            OptimizationOutcome(
-                t_star=t_star,
-                objective=val,
-                route_index=idx,
-                latency=float(out["latency"][0]),
-                rate=float(out["rate_closed"][0]),
-                per_route_best=tuple(per_route),
-                kkt=kkt,
-                context=ctx,
-            )
+        winners.append(best)
+    # One read of the stack gives every winner's latency and rate.
+    _, t_stars, cols = zip(*winners)
+    out = stack.read(list(cols), list(t_stars))
+    readings = zip(out["latency"].tolist(), out["rate_closed"].tolist())
+    return [
+        OptimizationOutcome(
+            t_star=t_star,
+            objective=val,
+            route_index=idx,
+            latency=lat,
+            rate=rate,
+            per_route_best=per_route,
+            kkt=kkt_stationarity_check(evaluators[idx], t_star, ctx, w) if with_kkt else {},
+            context=ctx,
         )
-    return outcomes
+        for w, per_route, (val, t_star, idx), (lat, rate) in zip(weights, per_weight, winners, readings)
+    ]
 
 
 def solve_distributed(

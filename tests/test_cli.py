@@ -248,6 +248,45 @@ class TestIntegerRecipes:
             assert runs[0] == runs[1], command
 
 
+class TestOutputPath:
+    """Every command's CSV is written before its one JSON line, only with
+    ``--out``."""
+
+    @pytest.mark.parametrize("command", TestIntegerRecipes.COMMANDS, ids=" ".join)
+    def test_a_failed_write_prints_no_record(self, capsys, tmp_path, scenario_file, command):
+        out = tmp_path / "missing" / "out.csv"
+        code, stdout, err = _run(capsys, [*command, "--scenario", scenario_file, "--out", str(out)])
+        assert (code, stdout) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+    @pytest.mark.parametrize("command", TestIntegerRecipes.COMMANDS, ids=" ".join)
+    def test_without_out_no_file_is_written(self, capsys, tmp_path, monkeypatch, scenario_file, command):
+        monkeypatch.chdir(tmp_path)
+        record = _run_json(capsys, [*command, "--scenario", scenario_file])
+        assert "out" in record and record["out"] is None
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestWindowRule:
+    @pytest.mark.parametrize(
+        "argv, at, past",
+        [
+            (["analyze", "--t"], "20", "20.00000000001"),
+            (["sweep", "--variable", "t", "--snapshots", "200", "--grid"], "0,20", "0,20.00000000001"),
+        ],
+    )
+    def test_a_window_just_past_the_dwell_reads_the_dwell(self, capsys, tmp_path, argv, at, past):
+        # The stock dwell is 20; a window up to 20(1 + 1e-12) reads as 20.
+        runs = []
+        for name, value in (("at", at), ("past", past)):
+            out = tmp_path / f"{name}.csv"
+            code, stdout, err = _run(capsys, [*argv, value, "--out", str(out)])
+            assert (code, err) == (0, "")
+            runs.append((stdout.replace(str(out), "X"), out.read_bytes()))
+        assert runs[0] == runs[1]
+
+
 class TestErrorHandling:
     def test_missing_scenario_file(self, capsys):
         code, out, err = _run(capsys, ["analyze", "--scenario", "/nonexistent/path.yaml"])

@@ -689,6 +689,37 @@ class TestRouteStack:
                 entry = [("read", [4])] if reading == "rate_closed" else []
                 assert calls == entry + [("hops", [4]), "_stage"], reading
 
+    @pytest.mark.parametrize("rate_cell", [1.0, 0.3])
+    def test_one_route_index_reads_every_window(self, rate_cell):
+        # One index broadcasts against the windows, as the per-hop stage
+        # broadcasts it; at rate_cell=0.3 the mixture caps bind.
+        params = SystemParams(rate_cell=rate_cell)
+        ts = np.linspace(0.0, params.hop_dwell, 41)
+        stack = _RouteStack(self._routes(), params)
+        for j in range(len(stack.routes)):
+            one, ref = stack.read(j, ts), stack.read(np.full(len(ts), j), ts)
+            assert one.keys() == ref.keys()
+            for name, values in ref.items():
+                assert one[name].tobytes() == values.tobytes(), (j, name)
+
+    @pytest.mark.parametrize("rate_cell", [1.0, 0.3])
+    def test_a_window_just_past_the_dwell_reads_the_dwell(self, rate_cell):
+        # Windows up to T(1 + 1e-12) pass the check and read as T, in both
+        # reads; past that bound they are rejected.
+        params = SystemParams(rate_cell=rate_cell)
+        T = params.hop_dwell
+        past = T * (1 + 5e-13)
+        assert past > T
+        stack = _RouteStack(self._routes(), params)
+        cols = np.arange(len(stack.routes))
+        for read in (lambda t: stack.read(cols, np.full(len(cols), t)), lambda t: stack.grid([0.0, t])):
+            at, beyond = read(T), read(past)
+            assert at.keys() == beyond.keys()
+            for name, values in at.items():
+                assert beyond[name].tobytes() == values.tobytes(), name
+        with pytest.raises(ValueError, match="hop_dwell"):
+            stack.read(cols, np.full(len(cols), T * (1 + 2e-12)))
+
     @staticmethod
     def _grid_cases():
         """(label, scenario routes plus a one-hop, an all-forward and a
