@@ -38,7 +38,7 @@ import numpy as np
 import yaml
 
 from .closedform import RouteEvaluator, _RouteStack
-from .model import Route
+from .model import _windows, Route
 from .optimize import (
     _route_objective_series,
     _solve_distributed,
@@ -305,10 +305,8 @@ def _sweep_t(args, scenario: Scenario) -> tuple[list[str], list[list], dict]:
     points, snapshots, seed = (default if value is None else value for value, default in given)
     if points < 1:
         raise ValueError("--points must be at least 1")
-    grid = _parse_grid(args, np.linspace(0.0, T, points))
-    # The kernel's and the simulator's window rule: up to T(1 + 1e-12), read as T.
-    if np.any(grid < 0) or np.any(grid > T * (1 + 1e-12)):
-        raise ValueError("window grid must lie within [0, hop_dwell]")
+    # Read by the window rule before the solve, so a bad grid fails early.
+    grid, _ = _windows(_parse_grid(args, np.linspace(0.0, T, points)), params)
     routes = _routes(scenario, args)
     outcome = solve_global(routes, params, with_kkt=False)
     route = routes[outcome.route_index]

@@ -45,8 +45,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import (
-    _FLOOR_NUDGE,
-    _check_window,
+    _window,
+    _windows,
     Route,
     SystemParams,
     expected_hop_rate,
@@ -98,9 +98,9 @@ def e2e_latency_closed(route: Route, t: float, params: SystemParams) -> float:
     Algebraically identical to summing the branch-weighted hop latencies;
     the identity is enforced to 1e-9 by the acceptance suite.
     """
-    t = _check_window(t, params)
+    t, m = _window(t, params)
     T = params.hop_dwell
-    theta = (1.0 - params.decode_ok_pair) ** max_trials(t, params.trial_time)
+    theta = (1.0 - params.decode_ok_pair) ** m
     total = 0.0
     for hop in route.hops:
         beta = math.exp(-hop.arrival_rate * t)
@@ -288,8 +288,7 @@ def expected_rate_all_success(route: Route, t: float, params: SystemParams) -> f
     window holds no whole trial, because the all-success outcome then has
     probability zero.
     """
-    t = _check_window(t, params)
-    m = max_trials(t, params.trial_time)
+    t, m = _window(t, params)
     if m < 1:
         raise ValueError("window shorter than one trial: all-success outcome impossible")
     T = params.hop_dwell
@@ -303,7 +302,7 @@ def expected_rate_all_failure(route: Route, t: float, params: SystemParams) -> f
     The binding wait is the slowest RSU's wait for an outbound vehicle, the
     maximum of the hops' exponential waits, evaluated by quadrature.
     """
-    t = _check_window(t, params)
+    t, _ = _window(t, params)
     T = params.hop_dwell
     wait = expected_max_exponential([h.arrival_rate for h in route.hops])
     return (params.rate_v2i * (T - t) + params.rate_cell * t) / (2.0 * T + wait)
@@ -368,9 +367,8 @@ def expected_rate_mixture(route: Route, t: float, params: SystemParams) -> float
     """
     if len(route.hops) < 2:
         raise ValueError("mixture outcome needs at least two hops")
-    t = _check_window(t, params)
+    t, m = _window(t, params)
     T = params.hop_dwell
-    m = max_trials(t, params.trial_time)
     s_rates, s_probs, s_leftover = _success_support(len(route.hops), m, t, params)
     f_survival, f_sup = _failure_min_survival(route, t, params)
     cap = params.rate_cell
@@ -397,7 +395,7 @@ def e2e_rate_closed(route: Route, t: float, params: SystemParams) -> float:
     forwards just carries at the cellular rate, and a single-hop route has
     no mixed outcome beyond plain forwarding.
     """
-    _check_window(t, params)
+    t, _ = _window(t, params)
     if all(h.deg == 1 for h in route.hops):
         return params.rate_cell
     if len(route.hops) == 1:
@@ -421,11 +419,11 @@ def rate_decomposition(route: Route, t: float, params: SystemParams) -> RateDeco
     A single hop takes its success and failure rates from
     :func:`v2xdelivery.model.mean_rates`, as its closed-form rate does.
     """
+    t, m = _window(t, params)
     p_as, p_af, p_mix = scenario_probabilities(route, t, params)
     if len(route.hops) == 1:
         _, c_as, c_af = mean_rates(route.hops[0], t, params)
         return RateDecomposition(p_as, p_af, p_mix, c_as, c_af, params.rate_cell)
-    m = max_trials(t, params.trial_time)
     c_as = expected_rate_all_success(route, t, params) if (p_as > 0 and m >= 1) else 0.0
     c_af = expected_rate_all_failure(route, t, params) if p_af > 0 else 0.0
     if all(h.deg == 1 for h in route.hops):
@@ -598,7 +596,7 @@ class _JointTables:
     support: np.ndarray  # (pieces,) trial counts x of the geometric-max table
     pmf: np.ndarray  # (pieces, routes) P(max trial count = x)
     xf_cum: np.ndarray  # (pieces + 1, routes) prefix sums of x * pmf
-    leftover: np.ndarray  # (m_top + 1, routes) mass of the max trial count beyond m
+    leftover: np.ndarray  # (max_trials(T) + 1, routes) mass of the max trial count beyond m
     exp_max_wait: np.ndarray  # (routes,) exact E[max] of the hops' exponential waits
     j1: np.ndarray  # (routes,) J(1) of each route's _mixture_table
     pmf_j1_cum: np.ndarray  # (pieces + 1, routes) prefix sums of pmf * j1, added row by row
@@ -772,11 +770,10 @@ class _RouteStack:
         else:
             hi = 1
         support = np.arange(1, hi + 1, dtype=float) if max_m >= 1 else np.empty(0)
-        m_top = max_trials(T * (1 + 1e-12), params.trial_time)
         n = len(self.routes)
         pmf = np.zeros((len(support), n))
         xf_cum = np.zeros((len(support) + 1, n))
-        leftover = np.zeros((m_top + 1, n))
+        leftover = np.zeros((max_m + 1, n))
         exp_max_wait = np.zeros(n)
         j1 = np.zeros(n)
         mixed = np.flatnonzero(self.mixed)
@@ -788,7 +785,7 @@ class _RouteStack:
             xf_cum[1:, cols] = np.cumsum(support * f)[:, None]
             # Mass beyond every m the kernel takes, by Python's scalar **
             # (NumPy's array ** can differ in the last bit).
-            leftover[:, cols] = np.array([1.0 - (1.0 - trial_fail**m) ** k for m in range(m_top + 1)])[:, None]
+            leftover[:, cols] = np.array([1.0 - (1.0 - trial_fail**m) ** k for m in range(max_m + 1)])[:, None]
         factors = {}
         for j in mixed.tolist():
             lam = self._arrival_rates(j)
@@ -819,29 +816,15 @@ class _RouteStack:
             _mixture_table(self._arrival_rates(j), self.params.hop_dwell, out=tables[:, r], factors=factors)
         return tables.reshape(_TABLE_COLUMNS, -1)
 
-    def _windows(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Checked windows, their whole-trial counts m and theta = (1 - p)^m.
-
-        A window passes up to hop_dwell * (1 + 1e-12) and is then clamped to
-        hop_dwell, as the one-window checks and the simulator clamp it, so
-        it reads the bits of hop_dwell; a window inside [0, hop_dwell]
-        comes back unchanged.
-        """
-        params = self.params
-        ts = np.asarray(ts, dtype=float)
-        if not np.all((ts >= 0.0) & (ts <= params.hop_dwell * (1 + 1e-12))):
-            raise ValueError("discovery window t must lie in [0, hop_dwell]")
-        ts = np.minimum(ts, params.hop_dwell)
-        ms = np.floor(ts / params.trial_time + _FLOOR_NUDGE).astype(int)
-        return ts, ms, (1.0 - params.decode_ok_pair) ** ms
-
-    def _stage(self, coef, ts, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _stage(self, coef, ts, ms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The per-hop algebra: each hop's latency, probabilities of discovery
         success and of fallback, and mean rate, for coefficient columns
-        ``coef`` (8, ...) broadcast against windows ``ts`` and their theta."""
+        ``coef`` (8, ...) broadcast against windows ``ts`` and their
+        whole-trial counts ``ms``, as the window rule reads them."""
         params = self.params
         T = params.hop_dwell
         lam, fwd, rest, failure_excess, succ_base, succ_slope, fail_base, fail_slope = coef
+        theta = (1.0 - params.decode_ok_pair) ** ms  # all m trials fail
         beta = np.exp(-lam * ts)
         z = beta + theta - beta * theta  # discovery misses, given no forward
         hop_lat = T + rest * failure_excess * z
@@ -860,15 +843,16 @@ class _RouteStack:
         The coefficient columns are gathered for the longest route read, and
         padded hops, which read 0 latency, +inf rate and probabilities 1,
         are overridden only where that slice holds any.  Returns the
-        checked windows and the whole-trial count of every window, each
-        hop's probabilities of discovery success and of fallback, and every
+        windows and their whole-trial counts as the window rule
+        (:func:`v2xdelivery.model._windows`) reads them, each hop's
+        probabilities of discovery success and of fallback, and every
         reading of ``read`` except ``rate_closed``; per-hop callers stop
         here and never pay for the joint-outcome mixture.
         """
-        ts, ms, theta = self._windows(ts)
+        ts, ms = _windows(ts, self.params)
         cols = np.atleast_1d(cols)
         k = self.ks[cols].max(initial=1)  # every route has a hop; 1 serves an empty read
-        hop_lat, success, failure, hop_rates = self._stage(self.coef[:, self.at[:k, cols]], ts, theta)
+        hop_lat, success, failure, hop_rates = self._stage(self.coef[:, self.at[:k, cols]], ts, ms)
         pad = None if self.pad is None else self.pad[:k, cols]
         if pad is not None and pad.any():
             hop_lat[pad] = 0.0
@@ -905,7 +889,7 @@ class _RouteStack:
         """Routes ``cols`` (default: all) over one shared window grid ``ts``.
 
         The per-hop stage runs once on the distinct hops those routes hold,
-        and their trial counts and theta once on the grid.  Each route then
+        and their trial counts once on the grid.  Each route then
         adds its hops' latency rows and multiplies their success and
         failure rows in place, in hop order, and each hop's rate row is
         reduced to its min and max as it is computed.  The grid is taken
@@ -921,7 +905,7 @@ class _RouteStack:
         route r is row ``hop_index[h, r]``.
         """
         params = self.params
-        ts, ms, theta = self._windows(ts)
+        ts, ms = _windows(ts, params)
         cols = np.arange(len(self.routes)) if cols is None else np.asarray(cols)
         ks = self.ks[cols]
         # The distinct hops read, and the padding column last: hop h of
@@ -945,7 +929,7 @@ class _RouteStack:
         step = max(1, -(-n // blocks))
         for a in range(0, n, step):
             b = slice(a, a + step)
-            hop_lat, success, failure, hop_rate = self._stage(coef, ts[b], theta[b])
+            hop_lat, success, failure, hop_rate = self._stage(coef, ts[b], ms[b])
             hop_lat[-1], success[-1], failure[-1], hop_rate[-1] = 0.0, 1.0, 1.0, np.inf  # the padding row
             np.minimum(low[:-1], hop_rate[:-1].min(axis=1), out=low[:-1])
             np.maximum(high[:-1], hop_rate[:-1].max(axis=1), out=high[:-1])

@@ -26,6 +26,8 @@ import numbers
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "RegimeWarning",
     "SystemParams",
@@ -40,12 +42,6 @@ __all__ = [
     "expected_hop_rate",
     "e2e_rate_min_of_means",
 ]
-
-# Absolute nudge used when flooring t / trial_time.  Binary floats make exact
-# multiples like 8.0 / 0.1 land a hair below the integer; the nudge keeps a
-# discovery window of 8 s worth exactly 80 trials of 0.1 s.
-_FLOOR_NUDGE = 1e-9
-
 
 class RegimeWarning(UserWarning):
     """Parameters left the regime the analytical shortcuts assume."""
@@ -154,11 +150,19 @@ def p_courier_forward(hop: Hop) -> float:
     return 1.0 / hop.deg
 
 
+def _floor_trials(t, trial_time: float):
+    """floor(t / trial_time), a float or an array of floats.  Binary floats
+    make exact multiples like 8.0 / 0.1 land a hair below the integer; an
+    absolute nudge of 1e-9 keeps a window of 8 s worth exactly 80 trials of
+    0.1 s."""
+    return np.floor(t / trial_time + 1e-9)
+
+
 def max_trials(t: float, trial_time: float) -> int:
     """Number of whole discovery trials that fit into a window of t seconds.
 
     Args:
-        t: discovery window length, seconds, >= 0.
+        t: discovery window length, seconds, >= 0 and finite.
         trial_time: duration of one trial, seconds, > 0.
 
     Returns:
@@ -171,14 +175,29 @@ def max_trials(t: float, trial_time: float) -> int:
         raise ValueError(f"t must be non-negative, got {t!r}")
     if not trial_time > 0:
         raise ValueError("trial_time must be positive")
-    return int(math.floor(t / trial_time + _FLOOR_NUDGE))
+    trials = _floor_trials(t, trial_time)
+    if not math.isfinite(trials):
+        raise ValueError(f"t / trial_time must be finite, got t={t!r}, trial_time={trial_time!r}")
+    return int(trials)
 
 
-def _check_window(t: float, params: SystemParams) -> float:
+def _windows(ts, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """The window rule, which every closed form, both solvers and the
+    simulator read: each window in [0, hop_dwell * (1 + 1e-12)], clamped to
+    hop_dwell (one inside [0, hop_dwell] comes back unchanged), and its
+    whole-trial count.  Any other window, NaN included, is a ValueError."""
+    ts = np.asarray(ts, dtype=float)
     # Written so that NaN fails it too.
-    if not 0 <= t <= params.hop_dwell * (1 + 1e-12):
+    if not np.all((ts >= 0.0) & (ts <= params.hop_dwell * (1 + 1e-12))):
         raise ValueError("discovery window t must lie in [0, hop_dwell]")
-    return min(t, params.hop_dwell)
+    ts = np.minimum(ts, params.hop_dwell)
+    return ts, _floor_trials(ts, params.trial_time).astype(int)
+
+
+def _window(t: float, params: SystemParams) -> tuple[float, int]:
+    """:func:`_windows` of one window: t clamped to hop_dwell, its trial count."""
+    ts, ms = _windows(t, params)
+    return ts.item(), ms.item()
 
 
 def _p_all_trials_fail(m: int, params: SystemParams) -> float:
@@ -204,8 +223,7 @@ def p_success(hop: Hop, t: float, params: SystemParams) -> float:
     Returns:
         A probability in [0, 1).
     """
-    t = _check_window(t, params)
-    m = max_trials(t, params.trial_time)
+    t, m = _window(t, params)
     p_arrival = 1.0 - math.exp(-hop.arrival_rate * t)
     p_trials = 1.0 - _p_all_trials_fail(m, params)
     return (1.0 - p_courier_forward(hop)) * p_arrival * p_trials
@@ -217,8 +235,7 @@ def p_failure(hop: Hop, t: float, params: SystemParams) -> float:
     Either no candidate arrives within the window, or one does but every
     trial in the window fails to decode.
     """
-    t = _check_window(t, params)
-    m = max_trials(t, params.trial_time)
+    t, m = _window(t, params)
     no_arrival = math.exp(-hop.arrival_rate * t)
     all_fail = _p_all_trials_fail(m, params)
     return (1.0 - p_courier_forward(hop)) * ((1.0 - no_arrival) * all_fail + no_arrival)
@@ -256,7 +273,7 @@ def mean_rates(hop: Hop, t: float, params: SystemParams) -> tuple[float, float, 
         the remainder of the dwell plus cellular service during the window,
         spread over two dwells and the mean RSU wait.
     """
-    t = _check_window(t, params)
+    t, _ = _window(t, params)
     T = params.hop_dwell
     mean_wait = 1.0 / hop.arrival_rate
     if T - mean_wait < 0:

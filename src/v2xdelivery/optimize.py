@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .closedform import RouteEvaluator, _breakpoints, _RouteStack, _sum_rows
-from .model import _check_window, Route, SystemParams
+from .model import _window, Route, SystemParams
 
 __all__ = [
     "NormalizationContext",
@@ -340,6 +340,8 @@ def _check_weight(weight: float) -> None:
 def _check_inputs(routes: Sequence[Route], weights: Sequence[float]) -> None:
     if not routes:
         raise ValueError("need at least one route")
+    if not weights:
+        raise ValueError("need at least one weight")
     for w in weights:
         _check_weight(w)
 
@@ -504,7 +506,7 @@ def kkt_stationarity_check(
     params = evaluator.params
     w = params.weight if weight is None else weight
     _check_weight(w)
-    _check_window(t_star, params)
+    t_star, _ = _window(t_star, params)
     T = params.hop_dwell
     h = _REL_PROBE * params.trial_time
 

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Hop, Route, SystemParams, max_trials
+from .model import _window, _windows, Hop, Route, SystemParams
 
 __all__ = [
     "Branch",
@@ -270,12 +270,14 @@ def _add_window(
     hop: Hop,
     wire_rate: float | None,
     t: float,
+    m: int,
     params: SystemParams,
     lat_sum: np.ndarray,
     rate_min: np.ndarray,
     rate_ms_min: np.ndarray,
 ) -> int:
-    """Fold one prepared hop at window t into one window's sums and minima.
+    """Fold one prepared hop at window t, of m whole trials, into one
+    window's sums and minima.
 
     ``wire_rate`` is the throughput of the hop's wire to the next RSU, None
     on an unwired hop.  Returns the number of successes.
@@ -283,7 +285,6 @@ def _add_window(
     n = len(buffers.index)
     T = params.hop_dwell
     cell = params.rate_cell
-    m = max_trials(t, params.trial_time)
     mean_wait = 1.0 / hop.arrival_rate
 
     success, failure, pick, value = buffers.success, buffers.failure, buffers.pick, buffers.value
@@ -319,7 +320,8 @@ def _add_window(
     return int(np.count_nonzero(success))
 
 
-def _as_window_vector(t, k: int, T: float) -> np.ndarray:
+def _as_window_vector(t, k: int, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """One window per hop and its whole-trial count, by the window rule."""
     ts = np.asarray(t, dtype=float)
     if ts.ndim == 0:
         ts = np.full(k, float(ts))
@@ -328,9 +330,7 @@ def _as_window_vector(t, k: int, T: float) -> np.ndarray:
     # Checked here, not per hop: a forward-only hop never reads its window.
     if not np.all(np.isfinite(ts)):
         raise ValueError(f"windows must be finite, got {ts.tolist()}")
-    if np.any(ts < 0) or np.any(ts > T * (1 + 1e-12)):
-        raise ValueError("windows must lie within the hop dwell")
-    return np.minimum(ts, T)
+    return _windows(ts, params)
 
 
 def _summary(
@@ -361,7 +361,7 @@ def _summary(
 
 def _simulate_windows(
     route: Route,
-    window_rows: Sequence[np.ndarray],
+    window_rows: Sequence[tuple[np.ndarray, np.ndarray]],
     params: SystemParams,
     config: SimConfig,
     backhaul: BackhaulConfig | None,
@@ -396,15 +396,16 @@ def _simulate_windows(
         forwards = _prepare_hop(_hop_stream(config.seed, h), hop, params, config.mode, wire_rate, buffers)
         fallback = Branch.BACKHAUL_FORWARD if wired else Branch.DISCOVERY_FAILURE
         counts[:, h, Branch.COURIER_FORWARD] = forwards
-        for i, row in enumerate(window_rows):
+        for i, (row, trials) in enumerate(window_rows):
             successes = _add_window(
-                buffers, hop, wire_rate, float(row[h]), params, lat_sum[i], rate_min[i], rate_ms_min[i]
+                buffers, hop, wire_rate, float(row[h]), int(trials[h]), params,
+                lat_sum[i], rate_min[i], rate_ms_min[i],
             )
             counts[i, h, Branch.DISCOVERY_SUCCESS] = successes
             counts[i, h, fallback] = n - forwards - successes
     return [
         _summary(row, config, lat_sum[i], rate_min[i], rate_ms_min[i], counts[i])
-        for i, row in enumerate(window_rows)
+        for i, (row, _) in enumerate(window_rows)
     ]
 
 
@@ -429,7 +430,7 @@ def simulate_route(
         Aggregated :class:`SimulationResult` for the window assignment.
     """
     cfg = config or SimConfig()
-    row = _as_window_vector(t, len(route.hops), params.hop_dwell)
+    row = _as_window_vector(t, len(route.hops), params)
     return _simulate_windows(route, [row], params, cfg, backhaul)[0]
 
 
@@ -446,7 +447,7 @@ def sweep_windows(
     between entries carry no resampling noise.
     """
     cfg = config or SimConfig()
-    rows = [_as_window_vector(t, len(route.hops), params.hop_dwell) for t in ts]
+    rows = [_as_window_vector(t, len(route.hops), params) for t in ts]
     return _simulate_windows(route, rows, params, cfg, backhaul)
 
 
@@ -460,12 +461,8 @@ def physical_branch_probs(hop: Hop, t: float, params: SystemParams) -> tuple[flo
     Returns:
         (forward, success, failure) probabilities.
     """
-    T = params.hop_dwell
-    if not 0.0 <= t <= T * (1 + 1e-12):
-        raise ValueError("window must lie within the hop dwell")
-    t = min(t, T)
+    t, m = _window(t, params)
     dt = params.trial_time
-    m = max_trials(t, dt)
     lam = hop.arrival_rate
     q = 1.0 - params.decode_ok_pair
     p_fwd = 1.0 / hop.deg

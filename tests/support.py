@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import v2xdelivery
 from v2xdelivery import Hop, Route, SystemParams
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """This process's environment for a child interpreter, with the root of
+    the package under test first on its PYTHONPATH, plus ``overrides``."""
+    package_root = str(Path(v2xdelivery.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def window_grid(params: SystemParams, n: int) -> np.ndarray:

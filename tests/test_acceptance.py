@@ -8,7 +8,6 @@ stated runtime budget enforce it.
 import contextlib
 import io
 import math
-import os
 import subprocess
 import sys
 import time
@@ -18,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from support import make_route, window_grid
+from support import child_env, make_route, window_grid
 from v2xdelivery import (
     BackhaulConfig,
     Hop,
@@ -382,9 +381,8 @@ def _run_inprocess(argv) -> str:
 
 
 def _run_subprocess(argv, threads: int) -> None:
-    env = dict(os.environ)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(threads)
+    n = str(threads)
+    env = child_env(OMP_NUM_THREADS=n, OPENBLAS_NUM_THREADS=n, MKL_NUM_THREADS=n)
     script = "import sys; from v2xdelivery.cli import run_command; sys.exit(run_command(sys.argv[1:]))"
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv],

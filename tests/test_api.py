@@ -12,7 +12,6 @@ import ast
 import importlib
 import importlib.metadata
 import json
-import os
 import re
 import subprocess
 import sys
@@ -22,6 +21,7 @@ import pytest
 
 import v2xdelivery
 import v2xdelivery.cli  # noqa: F401  (binds v2xdelivery.cli, as the benchmark does)
+from support import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,12 +102,10 @@ def test_public_surface_size():
 
 def _python(code: str, cwd: Path) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this package."""
-    package_root = str(Path(v2xdelivery.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-c", code],
         cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=300,

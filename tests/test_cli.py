@@ -273,6 +273,7 @@ class TestWindowRule:
         "argv, at, past",
         [
             (["analyze", "--t"], "20", "20.00000000001"),
+            (["simulate", "--snapshots", "200", "--t"], "20", "20.00000000001"),
             (["sweep", "--variable", "t", "--snapshots", "200", "--grid"], "0,20", "0,20.00000000001"),
         ],
     )

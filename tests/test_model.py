@@ -1,5 +1,6 @@
 """Unit tests of the per-hop branch model and its latency/rate expectations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,16 +11,26 @@ from v2xdelivery import (
     Hop,
     RegimeWarning,
     Route,
+    RouteEvaluator,
+    SimConfig,
     SystemParams,
+    build_normalization,
+    e2e_latency_closed,
+    e2e_rate_closed,
     e2e_rate_min_of_means,
     expected_hop_latency,
     expected_hop_rate,
+    kkt_stationarity_check,
     max_trials,
     p_courier_forward,
     p_failure,
     p_success,
+    physical_branch_probs,
+    rate_decomposition,
+    simulate_route,
+    sweep_windows,
 )
-from v2xdelivery.model import expected_e2e_latency, mean_rates
+from v2xdelivery.model import _windows, expected_e2e_latency, mean_rates
 
 
 class TestValidation:
@@ -120,6 +131,78 @@ class TestMaxTrials:
         # Not "cannot convert float NaN to integer" from deep inside.
         with pytest.raises(ValueError, match="t must be non-negative"):
             max_trials(math.nan, 0.1)
+
+    @pytest.mark.parametrize("t, trial_time", [(math.inf, 0.1), (1e308, 1e-10)])
+    def test_non_finite_trial_count_rejected(self, t, trial_time):
+        # Not "cannot convert float infinity to integer" from deep inside.
+        with pytest.raises(ValueError, match="t / trial_time must be finite"):
+            max_trials(t, trial_time)
+
+
+class TestWindowRule:
+    """Every entry point reads its windows through the one rule in
+    ``model._windows``: a window up to hop_dwell * (1 + 1e-12) reads as
+    hop_dwell, and anything else outside [0, hop_dwell] is rejected."""
+
+    MESSAGE = r"discovery window t must lie in \[0, hop_dwell\]"
+
+    @staticmethod
+    def _readings(routes, params):
+        route, hop = routes[0], routes[0].hops[0]
+        ev = RouteEvaluator(route, params)
+        context = build_normalization(routes, params)
+        config = SimConfig(snapshots=200, seed=1)
+        per_hop = lambda t: [1.0] * (len(route) - 1) + [t]
+        return {
+            "p_success": lambda t: p_success(hop, t, params),
+            "mean_rates": lambda t: mean_rates(hop, t, params),
+            "e2e_latency_closed": lambda t: e2e_latency_closed(route, t, params),
+            "e2e_rate_closed": lambda t: e2e_rate_closed(route, t, params),
+            "rate_decomposition": lambda t: rate_decomposition(route, t, params),
+            "evaluator.latency": ev.latency,
+            "evaluator.rate_closed": ev.rate_closed,
+            "evaluator.rate_min_of_means": ev.rate_min_of_means,
+            "evaluator.hop_latencies": ev.hop_latencies,
+            "evaluator.hop_rates": ev.hop_rates,
+            "evaluator.series": lambda t: ev.series([t]),
+            "simulate_route": lambda t: simulate_route(route, t, params, config),
+            "simulate_route per hop": lambda t: simulate_route(route, per_hop(t), params, config),
+            "sweep_windows": lambda t: sweep_windows(route, [3.0, per_hop(t), t], params, config),
+            "physical_branch_probs": lambda t: physical_branch_probs(hop, t, params),
+            "kkt_stationarity_check": lambda t: kkt_stationarity_check(ev, t, context, 0.5),
+        }
+
+    @staticmethod
+    def _bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if dataclasses.is_dataclass(value):
+            value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+        if isinstance(value, dict):
+            return {key: TestWindowRule._bits(v) for key, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [TestWindowRule._bits(v) for v in value]
+        return repr(value)
+
+    def test_every_entry_point_reads_the_one_rule(self, params, grid_routes):
+        T = params.hop_dwell
+        for name, reading in self._readings(grid_routes, params).items():
+            assert self._bits(reading(T * (1 + 5e-13))) == self._bits(reading(T)), name
+            for t in (T * (1 + 2e-12), -1e-300):
+                with pytest.raises(ValueError, match=self.MESSAGE):
+                    reading(t)
+            # The simulator names a non-finite window before the range.
+            for t in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{self.MESSAGE}|windows must be finite"):
+                    reading(t)
+
+    @pytest.mark.parametrize("trial_time", [0.1, 0.02, 0.3])
+    def test_trial_counts_match_max_trials(self, trial_time):
+        params = SystemParams(trial_time=trial_time)
+        ts = np.linspace(0.0, params.hop_dwell, 200_001)
+        windows, counts = _windows(ts, params)
+        assert windows.tobytes() == ts.tobytes()
+        assert counts.tolist() == [max_trials(t, trial_time) for t in ts.tolist()]
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.12, 0.3])

@@ -482,6 +482,8 @@ class TestManyWeights:
                 solve(grid_routes, params, weights, None)
         with pytest.raises(ValueError, match="route"):
             solve([], params, [0.5], None)
+        with pytest.raises(ValueError, match="need at least one weight"):
+            solve(grid_routes, params, [], None)
 
 
 def _bisect_sign_change(deriv, lo, hi, tol):
@@ -708,10 +710,10 @@ class TestWorkCounts:
             seen["reads"].append((len(ts), len(self.routes) if cols is None else len(cols), rows))
             return out
 
-        def counting_stage(self, coef, ts, theta):  # every reading passes through it
+        def counting_stage(self, coef, ts, ms):  # every reading passes through it
             seen["stages"].append(len(ts))
             seen["stage_rows"].append(coef.shape[1])
-            return stage(self, coef, ts, theta)
+            return stage(self, coef, ts, ms)
 
         monkeypatch.setattr(opt, "_scan_grid", counting_grid)
         monkeypatch.setattr(_RouteStack, "grid", counting_grid_read)
