@@ -40,7 +40,7 @@ import yaml
 from .closedform import RouteEvaluator, _RouteStack
 from .model import _windows, Route
 from .optimize import (
-    _route_objective_series,
+    _objective,
     _solve_distributed,
     _solve_global,
     solve_distributed,
@@ -138,7 +138,7 @@ def _cmd_analyze(args) -> Output:
     t = params.hop_dwell / 2 if args.t is None else args.t
     routes = _routes(scenario, args)
     # Every route at t in one kernel read.
-    out = _RouteStack(routes, params).read(np.arange(len(routes)), np.full(len(routes), t))
+    out = _RouteStack(routes, params).read(np.arange(len(routes)), t)
     readings = zip(*(out[name].tolist() for name in ("latency", "rate_closed", "rate_min_means")))
     records = [
         {
@@ -310,10 +310,9 @@ def _sweep_t(args, scenario: Scenario) -> tuple[list[str], list[list], dict]:
     routes = _routes(scenario, args)
     outcome = solve_global(routes, params, with_kkt=False)
     route = routes[outcome.route_index]
-    ev = RouteEvaluator(route, params)
     config = SimConfig(snapshots=snapshots, seed=seed, mode=args.mode or "physical")
     results = sweep_windows(route, [float(t) for t in grid], params, config, backhaul=_backhaul(args))
-    objectives = _route_objective_series(ev, grid, outcome.context, params.weight).tolist()
+    objectives = _objective(_RouteStack([route], params), 0, grid, outcome.context, params.weight).tolist()
     rows = [[*_sim_row(float(t), res), objective] for t, res, objective in zip(grid, results, objectives)]
     best = max(rows, key=lambda r: r[-1])
     return [*_SIM_COLUMNS, "objective"], rows, {"nodes": _nodes_label(route), "argmax_objective_t": best[0]}

@@ -21,11 +21,12 @@ coefficient column per distinct hop, built with the stack; the mixed
 routes' joint-outcome sums and J(1), built into stacked arrays on the first
 read that needs them; and their mixture tables, built only on the first
 read where a cap on the mixture binds.  It has two reads, which run one
-per-hop stage: :meth:`_RouteStack.read` takes (route, window) probes, one
-route per window, with its per-hop stage :meth:`_RouteStack.hops` as the
-first half; :meth:`_RouteStack.grid` takes routes over one shared window
-grid, runs the per-hop stage once per distinct hop, and builds each
-route's sums and products from those rows.
+per-hop stage: :meth:`_RouteStack.read` serves every reading at given
+(route, window) cells, in bounded blocks, with its per-hop stage
+:meth:`_RouteStack.hops` as the first half; :meth:`_RouteStack.grid`, the
+envelope's read, takes every route over one shared window grid, runs the
+per-hop stage once per distinct hop, and builds each route's sums and
+products from those rows.
 :class:`RouteEvaluator` is a view of one route of a stack: every reading of
 a view is a read of its stack at the view's column.
 The quadrature forms above are independent oracles: the runtime never calls
@@ -454,7 +455,7 @@ def _breakpoints(params: SystemParams) -> np.ndarray:
     return np.unique(js)
 
 
-#: Most cells one array of a grid read's block, or of a binding mixture pass, holds.
+#: Most cells one array of a read's block, or of a binding mixture pass, holds.
 _BLOCK_CELLS = 1 << 13
 #: Intervals of the mixture table's v grid, v_i = i / _TABLE_INTERVALS.
 _TABLE_INTERVALS = 4000
@@ -611,10 +612,10 @@ class RouteEvaluator:
     the one route of its own stack; a solve reads the views of one stack of
     all its routes (:meth:`_RouteStack.evaluators`), so a route's grid
     reads, its stacked reads and its one-window reads share one copy of its
-    tables.  :meth:`series` is the one-route case of the stack's grid read
-    (see :class:`_RouteStack`); the one-window readings (:meth:`latency`,
-    :meth:`rate_closed`, ...) are one-window reads of the stack.  Agreement
-    with the direct quadrature forms is pinned by tests.
+    tables.  :meth:`series` is one read of the stack at the view's column
+    (see :class:`_RouteStack`), and the one-window readings (:meth:`latency`,
+    :meth:`rate_closed`, ...) are one-window reads of it.  Agreement with
+    the direct quadrature forms is pinned by tests.
     """
 
     def __init__(self, route: Route, params: SystemParams):
@@ -635,28 +636,24 @@ class RouteEvaluator:
         return _breakpoints(self.params)
 
     # -- one-window readings: size-1 reads of the kernel ---------------------
+    # The per-hop readings stop at the per-hop stage, so they build no
+    # joint-outcome tables and read routes of any length.
 
     def hop_latencies(self, t: float) -> np.ndarray:
-        return self._hop_stage([t])[2]["hop_latency"][:, 0]
+        return self._stack.hops(self._col, [t])[2]["hop_latency"][:, 0]
 
     def hop_rates(self, t: float) -> np.ndarray:
-        return self._hop_stage([t])[2]["hop_rate"][:, 0]
+        return self._stack.hops(self._col, [t])[2]["hop_rate"][:, 0]
 
     def latency(self, t: float) -> float:
-        return float(self._hop_stage([t])[2]["latency"][0])
+        return float(self._stack.hops(self._col, [t])[2]["latency"][0])
 
     def rate_min_of_means(self, t: float) -> float:
-        return float(self._hop_stage([t])[2]["rate_min_means"][0])
+        return float(self._stack.hops(self._col, [t])[2]["rate_min_means"][0])
 
     def rate_closed(self, t: float) -> float:
         """Joint-outcome route rate, identical in value to e2e_rate_closed."""
-        return float(self._stack.read(self._col, [t])["rate_closed"][0])
-
-    # -- the kernel, one route: reads of this route's stack column ----------
-
-    def _hop_stage(self, ts) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
-        """Per-hop stage of this route's kernel read (see _RouteStack.hops)."""
-        return self._stack.hops(self._col, ts)
+        return float(self._stack.read(self._col, t)["rate_closed"][0])
 
     def series(self, ts: np.ndarray) -> dict[str, np.ndarray]:
         """Evaluate latency and both rate readings over a window grid.
@@ -665,20 +662,11 @@ class RouteEvaluator:
             ts: array of window values inside [0, hop_dwell].
 
         Returns:
-            dict with route-level arrays under ``latency``, ``rate_closed``,
-            ``rate_min_means`` and per-hop (k, len(ts)) arrays under
-            ``hop_latency``, ``hop_rate``.
+            dict with route-level arrays under ``latency``,
+            ``rate_min_means`` and ``rate_closed``, and per-hop (k, len(ts))
+            arrays under ``hop_latency``, ``hop_rate``.
         """
-        out = self._stack.grid(ts, [self._col], keep_hops=True)
-        rows = out["hop_index"][:, 0]
-        hop_rate = out["hop_rate"][rows]
-        return {
-            "latency": out["latency"][0],
-            "rate_min_means": hop_rate.min(axis=0),
-            "hop_latency": out["hop_latency"][rows],
-            "hop_rate": hop_rate,
-            "rate_closed": out["rate_closed"][0],
-        }
+        return self._stack.read(self._col, ts)
 
 
 class _RouteStack:
@@ -694,11 +682,12 @@ class _RouteStack:
     a padded route reads the same bits as its route alone.
 
     There are two reads, and both run one per-hop stage (:meth:`_stage`) on
-    coefficient columns.  :meth:`read` takes window i of route cols[i] (the
-    lockstep search and ``analyze``); its per-hop stage :meth:`hops` is the
-    first half of it.  :meth:`grid` takes routes over one shared window
-    grid (the envelope, and :meth:`RouteEvaluator.series`): it runs the
-    per-hop stage once on the distinct hops those routes hold, and each
+    coefficient columns.  :meth:`read` takes window i of route cols[i]: it
+    serves every reading at given windows (the lockstep search, the
+    optimality checks, ``analyze`` and :meth:`RouteEvaluator.series`), and
+    its per-hop stage :meth:`hops` is the first half of it.  :meth:`grid`
+    takes every route over one shared window grid, for the envelope alone:
+    it runs the per-hop stage once on the stack's distinct hops, and each
     route adds and multiplies its hops' rows.  A cell reads the same bits
     in either.
 
@@ -870,62 +859,73 @@ class _RouteStack:
         """Every reading of ``series`` at window ts[i] of route cols[i]: the
         per-hop stage (see hops), then the joint-outcome route rate.
 
-        Per-hop arrays are (k, len(ts)), k the longest route read, and
-        include its padded hops.  One route index reads every window.
+        ``cols`` and ``ts`` broadcast against each other, so one route
+        index reads every window and one window every route.  Per-hop
+        arrays are (k, len(ts)), k the longest route read, and include its
+        padded hops.  The cells are taken in blocks of about _BLOCK_CELLS
+        per-hop entries, each written into the outputs, so a read holds
+        little beyond what it returns.
         """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        cols = np.broadcast_to(cols, ts.shape)
-        (ts, ms), (success, failure), out = self.hops(cols, ts)
-        rate = np.where(self.forward[cols], self.params.rate_cell, out["hop_rate"][0])
-        mixed = self.mixed[cols]
-        sel = slice(None) if mixed.all() else np.flatnonzero(mixed)
-        if isinstance(sel, slice) or sel.size:
-            p_as, p_af = (_sum_rows(p[:, sel], np.multiply) for p in (success, failure))
-            rate[sel] = self._mixed_rate(cols[sel], ts[sel], ms[sel], p_as, p_af)
-        out["rate_closed"] = rate
+        cols, ts = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(cols, dtype=np.intp)), np.atleast_1d(np.asarray(ts, dtype=float))
+        )
+        n = len(ts)
+        k = self.ks[cols].max(initial=1)
+        out = {
+            "latency": np.empty(n),
+            "rate_min_means": np.empty(n),
+            "hop_latency": np.zeros((k, n)),  # padded hops read 0 latency ...
+            "hop_rate": np.full((k, n), np.inf),  # ... and +inf rate
+            "rate_closed": np.empty(n),
+        }
+        step = max(1, _BLOCK_CELLS // k)
+        for a in range(0, n, step):
+            b = slice(a, a + step)
+            c = cols[b]
+            (t, m), (success, failure), block = self.hops(c, ts[b])
+            for name, values in block.items():
+                out[name][..., b][: len(values)] = values  # a hop array takes the block's k rows
+            rate = out["rate_closed"][b]
+            rate[:] = np.where(self.forward[c], self.params.rate_cell, block["hop_rate"][0])
+            sel = np.flatnonzero(self.mixed[c])
+            if sel.size:
+                p_as, p_af = (_sum_rows(p[:, sel], np.multiply) for p in (success, failure))
+                rate[sel] = self._mixed_rate(c[sel], t[sel], m[sel], p_as, p_af)
         return out
 
-    def grid(self, ts, cols=None, keep_hops: bool = False) -> dict[str, np.ndarray]:
-        """Routes ``cols`` (default: all) over one shared window grid ``ts``.
+    def grid(self, ts) -> dict[str, np.ndarray]:
+        """Every route of the stack over one shared window grid ``ts``: the
+        envelope's read.
 
-        The per-hop stage runs once on the distinct hops those routes hold,
-        and their trial counts once on the grid.  Each route then
-        adds its hops' latency rows and multiplies their success and
-        failure rows in place, in hop order, and each hop's rate row is
-        reduced to its min and max as it is computed.  The grid is taken
-        in blocks of windows, so each scratch array of a block holds about
-        _BLOCK_CELLS cells; every cell reads the bits of its own one-window
-        ``read``.
+        The per-hop stage runs once on the stack's coefficient columns,
+        one per distinct hop and the padding column, and their trial counts
+        once on the grid.  Each route then adds its hops' latency rows and
+        multiplies their success and failure rows in place, in hop order,
+        through ``at``, and each hop's rate row is reduced to its min and
+        max as it is computed.  The grid is taken in blocks of windows, so
+        each scratch array of a block holds about _BLOCK_CELLS cells; every
+        cell reads the bits of its own one-window ``read``.
 
         Returns (routes, len(ts)) arrays under ``latency`` and
         ``rate_closed``, and each route's lowest and highest hop rate over
-        the grid under ``hop_rate_min`` and ``hop_rate_max``.  With
-        ``keep_hops`` it also returns the (hops, len(ts)) rows of the
-        distinct hops read under ``hop_latency`` and ``hop_rate``: hop h of
-        route r is row ``hop_index[h, r]``.
+        the grid under ``hop_rate_min`` and ``hop_rate_max``.
         """
         params = self.params
         ts, ms = _windows(ts, params)
-        cols = np.arange(len(self.routes)) if cols is None else np.asarray(cols)
-        ks = self.ks[cols]
-        # The distinct hops read, and the padding column last: hop h of
-        # route r is row index[h, r] of the stage.
-        hops = np.union1d(self.at[: ks.max(), cols], [self.coef.shape[1] - 1])
-        index = np.searchsorted(hops, self.at[: ks.max(), cols])
-        coef = self.coef[:, hops, None]
-        single = np.flatnonzero(~self.forward[cols] & (ks == 1))
-        mixed = np.flatnonzero(self.mixed[cols])
-        mixed_index = index[: ks[mixed].max(initial=1), mixed]
+        coef = self.coef[:, :, None]
+        single = np.flatnonzero(~self.forward & (self.ks == 1))
+        mixed = np.flatnonzero(self.mixed)
+        mixed_at = self.at[: self.ks[mixed].max(initial=1), mixed]
         if mixed.size:
             self._tables  # built, and its scratch freed, before the rows below exist
         n = len(ts)
-        latency = np.empty((len(cols), n))
-        rate = np.empty((len(cols), n))
-        rate[self.forward[cols]] = params.rate_cell
-        low = np.full(len(hops), np.inf)
-        high = np.full(len(hops), -np.inf)
-        kept = [np.empty((len(hops), n)), np.empty((len(hops), n))] if keep_hops else []
-        blocks = max(1, -(-n * max(len(hops), len(cols)) // _BLOCK_CELLS))
+        routes = len(self.routes)
+        latency = np.empty((routes, n))
+        rate = np.empty((routes, n))
+        rate[self.forward] = params.rate_cell
+        low = np.full(coef.shape[1], np.inf)
+        high = np.full(coef.shape[1], -np.inf)
+        blocks = max(1, -(-n * max(coef.shape[1], routes) // _BLOCK_CELLS))
         step = max(1, -(-n // blocks))
         for a in range(0, n, step):
             b = slice(a, a + step)
@@ -933,26 +933,21 @@ class _RouteStack:
             hop_lat[-1], success[-1], failure[-1], hop_rate[-1] = 0.0, 1.0, 1.0, np.inf  # the padding row
             np.minimum(low[:-1], hop_rate[:-1].min(axis=1), out=low[:-1])
             np.maximum(high[:-1], hop_rate[:-1].max(axis=1), out=high[:-1])
-            for rows, row in zip(kept, (hop_lat, hop_rate)):
-                rows[:, b] = row
-            latency[:, b] = _sum_rows(hop_lat[i] for i in index)
-            rate[single, b] = hop_rate[index[0, single]]
+            latency[:, b] = _sum_rows(hop_lat[i] for i in self.at)
+            rate[single, b] = hop_rate[self.at[0, single]]
             if mixed.size:
-                p_as, p_af = (_sum_rows((p[i] for i in mixed_index), np.multiply) for p in (success, failure))
+                p_as, p_af = (_sum_rows((p[i] for i in mixed_at), np.multiply) for p in (success, failure))
                 w = p_as.shape[1]
                 rate[mixed, b] = self._mixed_rate(
-                    np.repeat(cols[mixed], w), np.tile(ts[b], len(mixed)), np.tile(ms[b], len(mixed)),
+                    np.repeat(mixed, w), np.tile(ts[b], len(mixed)), np.tile(ms[b], len(mixed)),
                     p_as.ravel(), p_af.ravel(),
                 ).reshape(len(mixed), w)
-        out = {
+        return {
             "latency": latency,
             "rate_closed": rate,
-            "hop_rate_min": low[index].min(axis=0),
-            "hop_rate_max": high[index].max(axis=0),
+            "hop_rate_min": low[self.at].min(axis=0),
+            "hop_rate_max": high[self.at].max(axis=0),
         }
-        if keep_hops:
-            out.update(hop_latency=kept[0], hop_rate=kept[1], hop_index=index)
-        return out
 
     def _mixed_rate(self, cols, ts, ms, p_as, p_af) -> np.ndarray:
         """Joint-outcome rate of mixed route cols[i] at window ts[i], given

@@ -23,7 +23,9 @@ task reads the same grid read.  Derivative-sign changes are bracketed over all
 pieces in one array pass per task, and every bracket of every task is
 polished by one bisection in lockstep: a step reads the central-difference
 probes of all open brackets in one route-stacked kernel call, so a solve
-makes at most 81 such calls whatever its route and weight count.
+makes at most 81 such calls whatever its route and weight count.  Those
+probes, the optimality checks and ``sweep --variable t`` score given
+windows through one objective read of the stack (:func:`_objective`).
 """
 
 from __future__ import annotations
@@ -154,12 +156,12 @@ def _scan_grid(params: SystemParams) -> _ScanGrid:
 
 
 def _envelope(
-    stack: _RouteStack, ts: np.ndarray, cols: Sequence[int] | None = None
+    stack: _RouteStack, ts: np.ndarray
 ) -> tuple[list[NormalizationContext], list[tuple[np.ndarray, np.ndarray]]]:
-    """The envelope over ``ts`` of each route of ``stack`` (or of ``cols``),
-    see build_normalization, from one grid read, and each route's
+    """The envelope over ``ts`` of each route of ``stack``, see
+    build_normalization, from one grid read, and each route's
     (rate_closed, latency) rows, all a search keeps of that read."""
-    out = stack.grid(ts, cols)
+    out = stack.grid(ts)
     rate, lat = out["rate_closed"], out["latency"]
     scales = [
         NormalizationContext(float(lt.min()), float(lt.max()), min(float(rt.min()), lo), max(float(rt.max()), hi))
@@ -201,14 +203,13 @@ def _trade_off(rate, latency, context: NormalizationContext, weight):
     return weight * context.rate_norm(rate) - (1.0 - weight) * context.latency_norm(latency)
 
 
-def _route_objective_series(
-    evaluator: RouteEvaluator,
-    ts: np.ndarray,
-    context: NormalizationContext,
-    weight: float,
-) -> np.ndarray:
-    """Route objective over a window grid: one kernel call."""
-    out = evaluator.series(ts)
+def _objective(stack: _RouteStack, cols, ts, context: NormalizationContext, weight) -> np.ndarray:
+    """Objective of route cols[i] of ``stack`` at window ts[i]: one read.
+
+    ``cols`` and ``ts`` broadcast as :meth:`_RouteStack.read` takes them;
+    ``context`` and ``weight`` as :func:`_trade_off` takes them.
+    """
+    out = stack.read(cols, ts)
     return _trade_off(out["rate_closed"], out["latency"], context, weight)
 
 
@@ -302,14 +303,10 @@ def _search(
     owner = np.repeat(np.arange(len(tasks)), [len(a) for a in lo])
     lo, hi = np.concatenate(lo), np.concatenate(hi)
 
-    cols = np.array([col for col, _, _ in tasks])
-    bounds = np.array([(s.latency_min, s.latency_max, s.rate_min, s.rate_max) for _, s, _ in tasks])
-    weights = np.array([weight for _, _, weight in tasks], dtype=float)
-
-    def objective(owners: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        out = stack.read(cols[owners], ts)
-        scales = NormalizationContext(*bounds[owners].T)
-        return _trade_off(out["rate_closed"], out["latency"], scales, weights[owners])
+    # Each bracket's route, scale and weight, which its probes read.
+    cols = np.array([col for col, _, _ in tasks])[owner]
+    bounds = np.array([(s.latency_min, s.latency_max, s.rate_min, s.rate_max) for _, s, _ in tasks])[owner]
+    weights = np.array([weight for _, _, weight in tasks], dtype=float)[owner]
 
     tol = _REL_T_TOL * T
     active = np.arange(len(lo))
@@ -318,13 +315,15 @@ def _search(
         if not active.size:
             break
         mid = 0.5 * (lo[active] + hi[active])
-        f = objective(np.repeat(owner[active], 2), np.column_stack([mid - h, mid + h]).ravel())
+        two = np.repeat(active, 2)
+        probes = np.column_stack([mid - h, mid + h]).ravel()
+        f = _objective(stack, cols[two], probes, NormalizationContext(*bounds[two].T), weights[two])
         up = (f[1::2] - f[::2]) / (2 * h) > 0.0
         lo[active[up]] = mid[up]
         hi[active[~up]] = mid[~up]
     peaks = 0.5 * (lo + hi)
     # One read polishes them all; a window reads alike in any batch.
-    peak_values = objective(owner, peaks) if peaks.size else peaks
+    peak_values = _objective(stack, cols, peaks, NormalizationContext(*bounds.T), weights)
     cut = np.searchsorted(owner, np.arange(len(tasks) + 1))
     return [
         _winner(np.append(grid.ts, peaks[a:b]), np.append(grid_values(task), peak_values[a:b]), T)
@@ -520,7 +519,7 @@ def kkt_stationarity_check(
     # probes F(t* - h), F(t*), F(t* + h), clamped into the domain.
     sweep = np.linspace(2 * h, T - 2 * h, 64)
     probes = [min(max(t, 0.0), T) for t in (t_star - h, t_star, t_star + h)]
-    values = _route_objective_series(evaluator, np.concatenate([sweep - h, sweep + h, probes]), context, w)
+    values = _objective(evaluator._stack, evaluator._col, np.concatenate([sweep - h, sweep + h, probes]), context, w)
     lo, hi = values[:64], values[64:128]
     f_left, f_mid, f_right = values[128:].tolist()
     scale = float(np.max(np.abs((hi - lo) / (2 * h))))
@@ -571,7 +570,7 @@ def verify_concavity(
     params = evaluator.params
     w = params.weight if weight is None else weight
     _check_weight(w)
-    ctx = context or _hull(_envelope(evaluator._stack, _scan_grid(params).ts, [evaluator._col])[0])
+    ctx = context or build_normalization([evaluator.route], params)
     edges = evaluator.breakpoints()
     h = _REL_PROBE * params.trial_time
     xs = []
@@ -589,7 +588,8 @@ def verify_concavity(
         }
     x = np.concatenate(xs)
     # One read of the three probe rows; a window reads alike in any batch.
-    f0, f1, f2 = _route_objective_series(evaluator, np.concatenate([x - h, x, x + h]), ctx, w).reshape(3, -1)
+    probes = np.concatenate([x - h, x, x + h])
+    f0, f1, f2 = _objective(evaluator._stack, evaluator._col, probes, ctx, w).reshape(3, -1)
     second = f2 - 2 * f1 + f0
     i = int(np.argmax(second))
     fraction = float(np.mean(second <= 1e-9))

@@ -327,9 +327,6 @@ def _as_window_vector(t, k: int, params: SystemParams) -> tuple[np.ndarray, np.n
         ts = np.full(k, float(ts))
     if ts.shape != (k,):
         raise ValueError(f"expected a scalar window or one per hop ({k}), got shape {ts.shape}")
-    # Checked here, not per hop: a forward-only hop never reads its window.
-    if not np.all(np.isfinite(ts)):
-        raise ValueError(f"windows must be finite, got {ts.tolist()}")
     return _windows(ts, params)
 
 

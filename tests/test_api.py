@@ -134,7 +134,9 @@ def test_tracer_installs_and_restores_every_attribute(monkeypatch, params):
         assert v2xdelivery.RouteEvaluator.__dict__["series"] is not before["RouteEvaluator"]["series"]
         route = v2xdelivery.Route(hops=(v2xdelivery.Hop(0.1, 2, rsu_id="a"), v2xdelivery.Hop(0.2, 3, rsu_id="b")))
         v2xdelivery.solve_global([route], params)
-        v2xdelivery.RouteEvaluator(route, params).latency(1.0)
+        evaluator = v2xdelivery.RouteEvaluator(route, params)
+        evaluator.latency(1.0)
+        evaluator.series([1.0])
     after = _surface()
     assert after.keys() == before.keys()
     for key in before:

@@ -287,6 +287,13 @@ class TestWindowRule:
             runs.append((stdout.replace(str(out), "X"), out.read_bytes()))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_a_bad_window_prints_the_rule_s_one_error(self, capsys, value):
+        # simulate reads its window by the one rule, as analyze does.
+        commands = (["analyze", "--t"], ["simulate", "--snapshots", "10", "--t"])
+        errors = {_run(capsys, [*argv, value]) for argv in commands}
+        assert errors == {(1, "", "error: discovery window t must lie in [0, hop_dwell]\n")}
+
 
 class TestErrorHandling:
     def test_missing_scenario_file(self, capsys):

@@ -8,6 +8,7 @@ and the quadrature forms vs. the evaluator's kernel).
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -654,17 +655,18 @@ class TestRouteStack:
 
     def test_a_view_reads_only_through_its_stack(self, monkeypatch, params):
         # The stack's two reads are the kernel's entries, and both run the
-        # one per-hop stage: every reading of a view is one call of either
-        # read, or of the per-window read's per-hop half, at the view's
-        # column, and makes one stage; no other copy of the kernel is left.
+        # one per-hop stage: every reading of a view is one call of the
+        # per-window read, or of its per-hop half, at the view's column,
+        # and makes one stage; the grid read serves the envelope alone, and
+        # no other copy of the kernel is left.
         assert not hasattr(_RouteStack, "rate") and not hasattr(closedform, "_hop_rows")
+        assert not hasattr(RouteEvaluator, "_hop_stage")
         calls = []
         for name in ("read", "hops", "grid"):
             original = getattr(_RouteStack, name)
 
             def counted(self, *args, name=name, original=original, **kwargs):
-                cols = args[0] if name != "grid" else args[1]
-                calls.append((name, np.atleast_1d(cols).tolist()))
+                calls.append((name, np.atleast_1d(args[0]).tolist() if name != "grid" else None))
                 return original(self, *args, **kwargs)
 
             monkeypatch.setattr(_RouteStack, name, counted)
@@ -683,24 +685,57 @@ class TestRouteStack:
         for reading, call in readings.items():
             del calls[:]
             call()
-            if reading == "series":
-                assert calls == [("grid", [4]), "_stage"], reading
-            else:
-                entry = [("read", [4])] if reading == "rate_closed" else []
-                assert calls == entry + [("hops", [4]), "_stage"], reading
+            entry = [("read", [4])] if reading in ("series", "rate_closed") else []
+            assert calls == entry + [("hops", [4]), "_stage"], reading
 
     @pytest.mark.parametrize("rate_cell", [1.0, 0.3])
-    def test_one_route_index_reads_every_window(self, rate_cell):
-        # One index broadcasts against the windows, as the per-hop stage
-        # broadcasts it; at rate_cell=0.3 the mixture caps bind.
+    def test_one_route_index_reads_every_window(self, monkeypatch, rate_cell):
+        # Route indices and windows broadcast both ways: one index reads
+        # every window, and one window every route.  An empty read builds
+        # no joint-outcome tables.  At rate_cell=0.3 the mixture caps bind.
         params = SystemParams(rate_cell=rate_cell)
         ts = np.linspace(0.0, params.hop_dwell, 41)
         stack = _RouteStack(self._routes(), params)
-        for j in range(len(stack.routes)):
-            one, ref = stack.read(j, ts), stack.read(np.full(len(ts), j), ts)
+        n = len(stack.routes)
+        built = _count_table_builds(monkeypatch)
+        empty = stack.read([], [])
+        assert built == []
+        assert {name: v.shape for name, v in empty.items()} == {
+            "latency": (0,), "rate_min_means": (0,), "hop_latency": (1, 0), "hop_rate": (1, 0), "rate_closed": (0,)
+        }
+        cases = [((j, ts), (np.full(len(ts), j), ts)) for j in range(n)]
+        cases += [((np.arange(3), 8.0), (np.arange(3), np.full(3, 8.0)))]
+        cases += [((np.arange(n), 8.0), (np.arange(n), np.full(n, 8.0)))]
+        for (cols, windows), (ref_cols, ref_ts) in cases:
+            one, ref = stack.read(cols, windows), stack.read(ref_cols, ref_ts)
             assert one.keys() == ref.keys()
             for name, values in ref.items():
-                assert one[name].tobytes() == values.tobytes(), (j, name)
+                assert one[name].tobytes() == values.tobytes(), (cols, name)
+
+    def test_a_long_read_holds_little_beyond_its_output(self, params, grid_routes):
+        # A read takes its cells in blocks, so 2e5 windows of the stock
+        # 8-hop route peak near the 30 MB they return.  Its rows are the
+        # grid read's and the per-hop stage's, byte for byte.
+        route = max(grid_routes, key=len)
+        assert len(route) == 8
+        ts = np.linspace(0.0, params.hop_dwell, 200_000)
+        stack = _RouteStack([route], params)
+        stack.read(0, 8.0)  # the joint-outcome tables, which every read shares
+        tracemalloc.start()
+        try:
+            out = stack.read(0, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sum(v.nbytes for v in out.values())
+        series = RouteEvaluator(route, params).series(ts)
+        grid, hops = _RouteStack([route], params).grid(ts), stack.hops(0, ts)[2]
+        for name, values in series.items():
+            assert values.tobytes() == out[name].tobytes(), name
+        for name in ("latency", "rate_closed"):
+            assert series[name].tobytes() == grid[name][0].tobytes(), name
+        for name in ("hop_latency", "hop_rate"):
+            assert series[name].tobytes() == hops[name].tobytes(), name
 
     @pytest.mark.parametrize("rate_cell", [1.0, 0.3])
     def test_a_window_just_past_the_dwell_reads_the_dwell(self, rate_cell):
@@ -739,10 +774,10 @@ class TestRouteStack:
                 yield f"{size}x{size} seed {seed} trial {trial_time} {override}", routes, params
 
     def test_a_grid_read_holds_the_bits_of_per_window_reads(self):
-        # Every cell of a grid read of all routes, and of each route's own
-        # one-route grid read (series), reads the bits of a per-window read
-        # of that route at that window; each route's hop-rate range is the
-        # range of its per-window hop rows.
+        # Every cell of a grid read of all routes, and of each route's
+        # ``series`` (one read at one route index), reads the bits of a
+        # per-window read of that route at that window; each route's
+        # hop-rate range is the range of its per-window hop rows.
         for label, routes, params in self._grid_cases():
             stack = _RouteStack(routes, params)
             ts = _scan_grid(params).ts

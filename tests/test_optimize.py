@@ -28,7 +28,7 @@ import v2xdelivery.optimize as opt
 from v2xdelivery.closedform import _RouteStack
 from v2xdelivery.optimize import (
     NormalizationContext,
-    _route_objective_series,
+    _objective,
     _scan_grid,
     _trade_off,
     _winner,
@@ -39,7 +39,7 @@ def _objective_grid(routes, params, weight, context, n=10_000):
     """Objective readings of every route over a uniform window grid."""
     ts = np.linspace(0.0, params.hop_dwell, n)
     rows = [
-        _route_objective_series(RouteEvaluator(r, params), ts, context, weight)
+        _objective(_RouteStack([r], params), 0, ts, context, weight)
         for r in routes
     ]
     return ts, np.vstack(rows)
@@ -90,7 +90,7 @@ class TestBuildNormalization:
         ctx = build_normalization([route], params)
         ev = RouteEvaluator(route, params)
         for t in (0.0, 8.0, 20.0):
-            assert _route_objective_series(ev, [t], ctx, 0.7)[0] == 0.0
+            assert _objective(ev._stack, ev._col, t, ctx, 0.7)[0] == 0.0
 
 
 class TestWeightedObjective:
@@ -101,12 +101,12 @@ class TestWeightedObjective:
             expected = w * ctx.rate_norm(ev.rate_closed(t)) - (1.0 - w) * ctx.latency_norm(
                 ev.latency(t)
             )
-            assert _route_objective_series(ev, [t], ctx, w)[0] == pytest.approx(expected, abs=1e-15)
+            assert _objective(ev._stack, ev._col, t, ctx, w)[0] == pytest.approx(expected, abs=1e-15)
 
     def test_pure_latency_weight_ignores_rate(self, params, grid_routes):
         ctx = build_normalization(grid_routes, params)
         ev = RouteEvaluator(grid_routes[0], params)
-        assert _route_objective_series(ev, [8.0], ctx, 0.0)[0] == pytest.approx(
+        assert _objective(ev._stack, ev._col, 8.0, ctx, 0.0)[0] == pytest.approx(
             -ctx.latency_norm(ev.latency(8.0)), abs=1e-15
         )
 
@@ -527,17 +527,16 @@ def _maximize_scan(grid, values, objective, T):
 
 def _reference_search(stack, grid, reads, tasks):
     """``optimize._search`` task by task and probe by probe, each probe a
-    ``series`` read of its task's route."""
+    read of its task's route alone."""
     best = []
-    evaluators = stack.evaluators()
     for col, scale, weight in tasks:
-        ev, (rate, lat) = evaluators[col], reads[col]
+        rate, lat = reads[col]
 
-        def objective(ts, ev=ev, scale=scale, weight=weight):
-            return _route_objective_series(ev, ts, scale, weight)
+        def objective(ts, col=col, scale=scale, weight=weight):
+            return _objective(stack, col, ts, scale, weight)
 
         values = _trade_off(rate, lat, scale, weight)
-        best.append(_maximize_scan(grid, values, objective, ev.params.hop_dwell))
+        best.append(_maximize_scan(grid, values, objective, stack.params.hop_dwell))
     return best
 
 
@@ -616,7 +615,7 @@ def _best_hop_windows_reference(evaluator, grid, read, weight):
         )
 
         def objective(ts, hidx=hidx, ctx=ctx):
-            hop = evaluator._hop_stage(ts)[2]
+            hop = evaluator._stack.hops(evaluator._col, ts)[2]
             return _trade_off(hop["hop_rate"][hidx], hop["hop_latency"][hidx], ctx, weight)
 
         t_h, _ = _maximize_scan(grid, _trade_off(rates, lats, ctx, weight), objective, T)
@@ -634,7 +633,7 @@ class TestHopSearch:
             dist = solve_distributed(routes, params, weight=weight)
             for route, (windows, _) in zip(routes, dist.per_route):
                 ev = RouteEvaluator(route, params)
-                ref = _best_hop_windows_reference(ev, grid, ev._hop_stage(grid.ts)[2], weight)
+                ref = _best_hop_windows_reference(ev, grid, ev._stack.hops(ev._col, grid.ts)[2], weight)
                 assert repr(windows) == repr(ref)
 
 
@@ -654,8 +653,8 @@ def _count_stack_reads(monkeypatch, seen: dict | None = None) -> dict:
     seen = {"searched": [], "direct": []} if seen is None else seen
     read, search = _RouteStack.read, opt._search
 
-    def counting_read(self, cols, ts):
-        seen["searched" if seen.get("_search") else "direct"].append(len(ts))
+    def counting_read(self, cols, ts):  # records each read's cell count
+        seen["searched" if seen.get("_search") else "direct"].append(np.broadcast(cols, ts).size)
         return read(self, cols, ts)
 
     def counting_search(*args):
@@ -699,15 +698,15 @@ class TestWorkCounts:
             seen["grids"].append(len(scan.ts))
             return scan
 
-        def counting_grid_read(self, ts, cols=None, keep_hops=False):
+        def counting_grid_read(self, ts):
             first = len(seen["stages"])
-            out = grid(self, ts, cols, keep_hops)
+            out = grid(self, ts)
             # A grid read takes its windows in blocks, each one stage of the
             # same distinct hops, and covers every window once.
             assert sum(seen["stages"][first:]) == len(ts)
             rows = sorted(set(seen["stage_rows"][first:]))
             seen["grid_stages"] += len(seen["stages"]) - first
-            seen["reads"].append((len(ts), len(self.routes) if cols is None else len(cols), rows))
+            seen["reads"].append((len(ts), len(self.routes), rows))
             return out
 
         def counting_stage(self, coef, ts, ms):  # every reading passes through it
@@ -817,17 +816,20 @@ class TestWorkCounts:
         assert len(counts["stages"]) - counts["grid_stages"] == len(counts["searched"]) + 1
 
     def test_analyze_reads_every_route_in_one_kernel_read(self, counts, monkeypatch, capsys, grid_routes):
-        # One stack of all n routes, read once at t; no evaluator is built.
-        stacked = []
-        init = _RouteStack.__init__
+        # One stack of all n routes, read once at the one window t, which
+        # the read broadcasts; no evaluator is built.
+        stacked, windows = [], []
+        init, read = _RouteStack.__init__, _RouteStack.read
 
         def counting_init(self, routes, p):
             stacked.append(len(routes))
             init(self, routes, p)
 
         monkeypatch.setattr(_RouteStack, "__init__", counting_init)
+        monkeypatch.setattr(_RouteStack, "read", lambda self, cols, ts: windows.append(ts) or read(self, cols, ts))
         assert run_command(["analyze"]) == 0
         assert stacked == [len(grid_routes)]
+        assert windows == [10.0]
         assert counts["__init__"] == 0 and counts["reads"] == []
         assert counts["direct"] == counts["stages"] == [len(grid_routes)]
 
@@ -940,15 +942,19 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("t_star", [0.0, 0.05, 8.0, 12.34, 20.0])
     def test_stationarity_check_reads_the_kernel_once(self, counts, params, grid_routes, t_star):
+        # One read of the 64-point sweep's probe pairs and the three probes
+        # at t*, in one block: one stage, and no grid read.
         ev = RouteEvaluator(grid_routes[0], params)
         ctx = NormalizationContext(50.0, 150.0, 0.0, 2.0)
-        reads, stages = len(counts["reads"]), len(counts["stages"])
         kkt_stationarity_check(ev, t_star, ctx)
-        assert (len(counts["reads"]) - reads, len(counts["stages"]) - stages) == (1, 1)
+        assert counts["reads"] == []
+        assert counts["direct"] == counts["stages"] == [2 * 64 + 3]
 
     def test_concavity_probe_reads_the_kernel_once(self, counts, params, grid_routes):
+        # One read of the three probe rows, whose blocks are every stage
+        # made, and no grid read.
         ev = RouteEvaluator(grid_routes[0], params)
         ctx = NormalizationContext(50.0, 150.0, 0.0, 2.0)
         report = verify_concavity(ev, weight=0.5, context=ctx)
-        assert len(counts["reads"]) == 1  # and its stages are every stage made
-        assert sum(counts["stages"]) == counts["reads"][0][0] == 3 * report["points"]
+        assert counts["reads"] == []
+        assert counts["direct"] == [sum(counts["stages"])] == [3 * report["points"]]

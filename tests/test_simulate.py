@@ -72,14 +72,14 @@ class TestConfigValidation:
     @pytest.mark.parametrize("degs", [(2, 3), (1, 1)], ids=["with-candidates", "forward-only"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_windows_rejected(self, params, degs, bad):
-        # A forward-only hop never reads its window, so the check cannot be
-        # left to the hops: NaN would otherwise come back as a NaN window.
+        # The window rule reads every hop's window, a forward-only hop's
+        # too, so NaN and inf fail with its one message.
         route = Route(hops=(Hop(0.1, degs[0], rsu_id="a"), Hop(0.1, degs[1], rsu_id="b")))
         cfg = SimConfig(snapshots=10)
         for t in (bad, [1.0, bad]):
-            with pytest.raises(ValueError, match="windows must be finite"):
+            with pytest.raises(ValueError, match="discovery window t must lie in"):
                 simulate_route(route, t, params, cfg)
-            with pytest.raises(ValueError, match="windows must be finite"):
+            with pytest.raises(ValueError, match="discovery window t must lie in"):
                 sweep_windows(route, [2.0, t], params, cfg)
 
 
