@@ -286,16 +286,16 @@ def _cmd_compare(args) -> Output:
 
 
 def _parse_grid(args, default: np.ndarray) -> np.ndarray:
-    if args.grid:
-        values = np.array([float(v) for v in args.grid.split(",")], dtype=float)
-        if len(values) == 0:
-            raise ValueError("empty sweep grid")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sweep grid values must be finite")
-        if np.any(np.diff(values) < 0):
-            raise ValueError("sweep grid must be sorted ascending")
-        return values
-    return default
+    if args.grid is None:
+        return default
+    if not args.grid.strip():
+        raise ValueError("empty sweep grid")
+    values = np.array([float(v) for v in args.grid.split(",")], dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("sweep grid values must be finite")
+    if np.any(np.diff(values) < 0):
+        raise ValueError("sweep grid must be sorted ascending")
+    return values
 
 
 def _sweep_t(args, scenario: Scenario) -> tuple[list[str], list[list], dict]:
@@ -399,7 +399,7 @@ def _cmd_sweep(args) -> Output:
     for flag in ("backhaul", "mode", "snapshots", "seed", "points"):
         if getattr(args, flag) is not None and args.variable != "t":
             raise ValueError(f"--{flag} applies only to --variable t")
-    if args.points is not None and args.grid:
+    if args.points is not None and args.grid is not None:
         raise ValueError("--points sizes the grid only when --grid is omitted")
     for flag, variable in (("alpha", "alpha"), ("scheme", "scheme_beams")):
         if getattr(args, flag) is not None and args.variable == variable:

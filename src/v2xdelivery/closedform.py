@@ -18,7 +18,8 @@ The one runtime implementation of the per-hop and joint-outcome algebra is
 a route stack (:class:`_RouteStack`), which reads many routes in one array
 pass.  It owns every coefficient and table of its routes: one per-hop
 coefficient column per distinct hop, built with the stack; the mixed
-routes' joint-outcome sums and J(1), built into stacked arrays on the first
+routes' geometric-max sums, and their J(1) and E[max wait] from one node
+pass each (:func:`_mixture_nodes`), built into stacked arrays on the first
 read that needs them; and their mixture tables, built only on the first
 read where a cap on the mixture binds.  It has two reads, which run one
 per-hop stage: :meth:`_RouteStack.read` serves every reading at given
@@ -31,8 +32,9 @@ products from those rows.
 a view is a read of its stack at the view's column.
 The quadrature forms above are independent oracles: the runtime never calls
 them, and the test suite checks the kernel against them.  They alone need
-scipy, and import it on first call; the kernel's mixture integral is J(1)
-where no cap binds and a native Hermite table (:func:`_mixture_table`)
+scipy, and import it on first call.  The kernel integrates on one v grid
+by one quintic Hermite rule: E[max wait] and the mixture integral, which is
+J(1) where no cap binds and read from a table (:func:`_mixture_table`)
 where one does.
 """
 
@@ -198,23 +200,6 @@ def expected_max_exponential(rates: Sequence[float]) -> float:
     if err > 100 * _QUAD_ABS_TOL * max(1.0, abs(val)):
         raise QuadratureError(f"E[max exponential] error estimate {err:g} too large")
     return val
-
-
-def _expected_max_exponential_exact(rates: Sequence[float]) -> float:
-    # Inclusion-exclusion over subsets; exact, used by RouteEvaluator and as
-    # a cross-check of the quadrature route.  O(2^k) in time and memory.
-    mus = list(rates)
-    if len(mus) > 20:
-        raise ValueError("inclusion-exclusion limited to 20 rates")
-    # Entry `mask` belongs to the subset of mask's set bits: its rate sum,
-    # added in increasing bit order, and its inclusion-exclusion sign.
-    sums = np.zeros(1)
-    signs = -np.ones(1)
-    for mu in mus:
-        sums = np.concatenate([sums, sums + mu])
-        signs = np.concatenate([signs, -signs])
-    # cumsum adds the terms one at a time in mask order.
-    return float(np.cumsum(signs[1:] / sums[1:])[-1]) if mus else 0.0
 
 
 def expectation_from_survival(
@@ -471,17 +456,44 @@ def _hop_factors(mu: float, wait: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return 1.0 + a / mu, a, a * (a + mu)  # 1 - exp(-x) = 1 / (1 + 1 / expm1(x))
 
 
-def _mixture_nodes(lam: np.ndarray, T: float, factors: dict) -> tuple[np.ndarray, ...]:
-    """The node pass of a mixture table: W, W' and W'' at the nodes, and J at
-    each interval's left node (see :func:`_mixture_table`).
+def _running_integral(y: np.ndarray, m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The integral from v = 0 to every node of the quintic Hermite
+    interpolant of y on the v grid, m and q its first and second derivatives
+    in each interval's unit coordinate s = n v: running sums of the interval
+    areas in blocks of 80, offset by the running sum of the block totals,
+    so about 130 roundings lie on any path, not 4000."""
+    n = _TABLE_INTERVALS
+    area = 0.5 * (y[:-1] + y[1:]) + (m[:-1] - m[1:]) / 10.0 + (q[:-1] + q[1:]) / 120.0
+    inside = np.cumsum((area / n).reshape(-1, 80), axis=1)
+    before = np.concatenate([[0.0], np.cumsum(inside[:-1, -1])])
+    out = np.zeros(n + 1)
+    out[1:] = (before[:, None] + inside).ravel()
+    return out
+
+
+def _mixture_nodes(lam: np.ndarray, T: float, factors: dict) -> tuple:
+    """The node pass of a mixed route: W, W' and W'' at the nodes, J at every
+    node (J(1) last; see :func:`_mixture_table`), and E[max] of the hops'
+    exponential RSU waits.
+
+    E[max wait], the integral over w > 0 of 1 - prod_h (1 - exp(-lam_h w)),
+    is in v the integral over [0, 1] of g = -w'(1 - W) = 2T(1 - W)/v^2,
+    taken by the rule that takes J, from the W' and W'' of the pass:
+
+        g' = (2w'/v)(1 - W) + w'W',   g'' = -(6w'/v^2)(1 - W) - (4w'/v)W' + w'W''.
+
+    g and both derivatives vanish at v = 0; at v = 1, where W = W' = 0, they
+    are 2T, -4T and 12T - 2T W''(1).  W'(1) = 0 needs k >= 2 hops, which
+    every mixed route has.
 
     ``factors`` maps an arrival rate to its :func:`_hop_factors`; a rate
     missing from it is computed and added, so routes that share a rate
     share its factors.
     """
     n = _TABLE_INTERVALS
-    v = np.arange(1, n) / n  # the interior nodes
-    wait = 2.0 * T * (1.0 - v) / v
+    v = np.arange(1, n + 1) / n  # every node but v = 0
+    inner = v[:-1]
+    wait = 2.0 * T * (1.0 - inner) / inner
     dwait = -2.0 * T / v**2
     W = np.zeros(n + 1)
     W[:-1] = 1.0
@@ -497,34 +509,18 @@ def _mixture_nodes(lam: np.ndarray, T: float, factors: dict) -> tuple[np.ndarray
     # Derivatives in the unit coordinate s = n v of each interval.
     m = np.zeros(n + 1)
     q = np.zeros(n + 1)
-    m[1:-1] = W[1:-1] * A * dwait / n
-    q[1:-1] = W[1:-1] * ((A * A - B) * dwait**2 - 2.0 * A * dwait / v) / n**2
+    m[1:-1] = W[1:-1] * A * dwait[:-1] / n
+    q[1:-1] = W[1:-1] * ((A * A - B) * dwait[:-1] ** 2 - 2.0 * A * dwait[:-1] / inner) / n**2
     if len(lam) == 2:
         q[-1] = 8.0 * T * T * lam[0] * lam[1] / n**2
-    area = 0.5 * (W[:-1] + W[1:]) + (m[:-1] - m[1:]) / 10.0 + (q[:-1] + q[1:]) / 120.0
-    # Running sums in blocks of 80 intervals, offset by the running sum of
-    # the block totals: about 130 roundings on any path, not 4000.
-    inside = np.cumsum((area / n).reshape(-1, 80), axis=1)
-    before = np.concatenate([[0.0], np.cumsum(inside[:-1, -1])])
-    J = np.zeros(n)
-    J[1:] = (before[:, None] + inside).ravel()[:-1]
-    return W, m, q, J
-
-
-def _hermite_rows(W: np.ndarray, m: np.ndarray, q: np.ndarray, J: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the table columns of the intervals between
-    consecutive nodes of W, m and q, whose left nodes hold J."""
-    n = _TABLE_INTERVALS
-    y0, y1, m0, m1, q0, q1 = W[:-1], W[1:], m[:-1], m[1:], q[:-1], q[1:]
-    rise = y1 - y0
-    out[0] = J
-    out[1] = y0 / n
-    out[2] = m0 / (2 * n)
-    out[3] = q0 / (6 * n)
-    out[4] = (10.0 * rise - 6.0 * m0 - 4.0 * m1 - 1.5 * q0 + 0.5 * q1) / (4 * n)
-    out[5] = (-15.0 * rise + 8.0 * m0 + 7.0 * m1 + 1.5 * q0 - q1) / (5 * n)
-    out[6] = (6.0 * rise - 3.0 * m0 - 3.0 * m1 - 0.5 * q0 + 0.5 * q1) / (6 * n)
-    return out
+    # g, g' and g'' in s at the nodes v > 0, where 1 / (n v) = e.
+    rest = 1.0 - W[1:]
+    e = 1.0 / np.arange(1, n + 1)
+    g = np.zeros((3, n + 1))
+    g[0, 1:] = -dwait * rest
+    g[1, 1:] = dwait * (2.0 * e * rest + m[1:])
+    g[2, 1:] = dwait * (q[1:] - e * (6.0 * e * rest + 4.0 * m[1:]))
+    return W, m, q, _running_integral(W, m, q), float(_running_integral(*g)[-1])
 
 
 def _mixture_table(
@@ -551,15 +547,18 @@ def _mixture_table(
     table; ``factors`` is as in :func:`_mixture_nodes`.
     """
     out = np.empty((_TABLE_COLUMNS, _TABLE_INTERVALS)) if out is None else out
-    return _hermite_rows(*_mixture_nodes(lam, T, {} if factors is None else factors), out)
-
-
-def _mixture_j1(lam: np.ndarray, T: float, factors: dict) -> float:
-    """J(1) of ``_mixture_table(lam, T)``, read from its last interval as
-    :func:`_mixture_integral` reads c = 1, without building the table."""
-    W, m, q, J = _mixture_nodes(lam, T, factors)
-    last = _hermite_rows(W[-2:], m[-2:], q[-2:], J[-1:], np.empty((_TABLE_COLUMNS, 1)))
-    return float(_hermite_read(last, np.zeros(1, dtype=np.intp), 1.0)[0])
+    W, m, q, J, _ = _mixture_nodes(lam, T, {} if factors is None else factors)
+    n = _TABLE_INTERVALS
+    y0, y1, m0, m1, q0, q1 = W[:-1], W[1:], m[:-1], m[1:], q[:-1], q[1:]
+    rise = y1 - y0
+    out[0] = J[:-1]
+    out[1] = y0 / n
+    out[2] = m0 / (2 * n)
+    out[3] = q0 / (6 * n)
+    out[4] = (10.0 * rise - 6.0 * m0 - 4.0 * m1 - 1.5 * q0 + 0.5 * q1) / (4 * n)
+    out[5] = (-15.0 * rise + 8.0 * m0 + 7.0 * m1 + 1.5 * q0 - q1) / (5 * n)
+    out[6] = (6.0 * rise - 3.0 * m0 - 3.0 * m1 - 0.5 * q0 + 0.5 * q1) / (6 * n)
+    return out
 
 
 def _mixture_integral(table: np.ndarray, first: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -572,11 +571,7 @@ def _mixture_integral(table: np.ndarray, first: np.ndarray, c: np.ndarray) -> np
     """
     u = c * _TABLE_INTERVALS
     i = np.minimum(u.astype(np.intp), _TABLE_INTERVALS - 1)
-    return _hermite_read(table, first + i, u - i)
-
-
-def _hermite_read(table: np.ndarray, at: np.ndarray, s) -> np.ndarray:
-    """Table columns ``at`` read at s in [0, 1] of their intervals, by Horner."""
+    at, s = first + i, u - i
     poly = table[-1].take(at)
     for j in range(_TABLE_COLUMNS - 2, 0, -1):
         poly *= s
@@ -589,7 +584,8 @@ class _JointTables:
     """Joint-outcome tables of a route stack, routes along the last axis;
     routes without a mixture read none of them and hold zeros.
 
-    They hold what every mixed cell reads, J(1) of each route among it; the
+    They hold what every mixed cell reads, J(1) and E[max wait] of each
+    route among them, both from one :func:`_mixture_nodes` pass; the
     mixture tables themselves, read only where a cap binds, are the stack's
     separate ``_mixture``.
     """
@@ -598,9 +594,8 @@ class _JointTables:
     pmf: np.ndarray  # (pieces, routes) P(max trial count = x)
     xf_cum: np.ndarray  # (pieces + 1, routes) prefix sums of x * pmf
     leftover: np.ndarray  # (max_trials(T) + 1, routes) mass of the max trial count beyond m
-    exp_max_wait: np.ndarray  # (routes,) exact E[max] of the hops' exponential waits
-    j1: np.ndarray  # (routes,) J(1) of each route's _mixture_table
-    pmf_j1_cum: np.ndarray  # (pieces + 1, routes) prefix sums of pmf * j1, added row by row
+    exp_max_wait: np.ndarray  # (routes,) E[max] of the hops' exponential waits
+    j1: np.ndarray  # (routes,) J(1), the integral of each route's fallback survival W
     first: np.ndarray  # (routes,) each route's first column in _RouteStack._mixture, 0 if it has none
 
 
@@ -652,7 +647,7 @@ class RouteEvaluator:
         return float(self._stack.hops(self._col, [t])[2]["rate_min_means"][0])
 
     def rate_closed(self, t: float) -> float:
-        """Joint-outcome route rate, identical in value to e2e_rate_closed."""
+        """Joint-outcome route rate; agrees with e2e_rate_closed within the oracle tolerance."""
         return float(self._stack.read(self._col, t)["rate_closed"][0])
 
     def series(self, ts: np.ndarray) -> dict[str, np.ndarray]:
@@ -695,9 +690,9 @@ class _RouteStack:
     read that needs them, straight into stacked arrays (see _JointTables),
     sharing each distinct arrival rate's factors.  A window whose mixture
     caps do not bind, as every window does at the stock rates, reads its
-    route's J(1) through a prefix sum; the mixture tables wait for the
-    first window where a cap binds, and each of its (trial-count row,
-    window) cells then takes its coefficients through one index.
+    route's J(1); the mixture tables wait for the first window where a cap
+    binds, and each of its (trial-count row, window) cells then takes its
+    coefficients through one index.
     """
 
     def __init__(self, routes: Sequence[Route], params: SystemParams):
@@ -777,11 +772,8 @@ class _RouteStack:
             leftover[:, cols] = np.array([1.0 - (1.0 - trial_fail**m) ** k for m in range(max_m + 1)])[:, None]
         factors = {}
         for j in mixed.tolist():
-            lam = self._arrival_rates(j)
-            exp_max_wait[j] = _expected_max_exponential_exact(lam)
-            j1[j] = _mixture_j1(lam, T, factors)
-        pmf_j1_cum = np.zeros_like(xf_cum)
-        pmf_j1_cum[1:] = np.cumsum(pmf * j1, axis=0)
+            *_, J, exp_max_wait[j] = _mixture_nodes(self._arrival_rates(j), T, factors)
+            j1[j] = J[-1]
         return _JointTables(
             support=support,
             pmf=pmf,
@@ -789,7 +781,6 @@ class _RouteStack:
             leftover=leftover,
             exp_max_wait=exp_max_wait,
             j1=j1,
-            pmf_j1_cum=pmf_j1_cum,
             first=np.maximum(np.cumsum(self.mixed) - 1, 0) * _TABLE_INTERVALS,
         )
 
@@ -970,10 +961,12 @@ class _RouteStack:
         # is zero the mixture rate is zero, and nothing divides by the
         # supremum.  Where no cap binds (the cellular rate and the success
         # rate at the last counted trial, the lowest of the counted rows,
-        # both reach the supremum) every row reads J(1), so the cell reads
-        # its route's prefix sum of pmf * J(1).  The rest read the mixture
-        # tables, every trial-count row of a cell in one table gather, in
-        # passes of at most _BLOCK_CELLS (row, cell) pairs.
+        # both reach the supremum) every row reads J(1), and the rows'
+        # weights, the pmf up to m and the leftover mass, add up to 1 (less
+        # the pmf table's dropped tail, at most k * 1e-15), so the cell
+        # reads J(1).  The rest read the mixture tables, every trial-count
+        # row of a cell in one table gather, in passes of at most
+        # _BLOCK_CELLS (row, cell) pairs.
         c_mix = np.zeros_like(ts)
         cap = params.rate_cell
         amount = params.rate_v2i * (T - ts) + params.rate_cell * ts
@@ -981,10 +974,7 @@ class _RouteStack:
         lowest = params.rate_v2v * (T - mm * params.trial_time) / T + params.rate_cell * (T - ts) / T
         live = sup > 0.0
         free = live & (cap >= sup) & ((mm == 0) | (lowest >= sup))
-        owner = cols[free]
-        c_mix[free] = sup[free] * (
-            tables.pmf_j1_cum[mm[free], owner] + tables.leftover[ms[free], owner] * tables.j1[owner]
-        )
+        c_mix[free] = sup[free] * tables.j1[cols[free]]
         bind = np.flatnonzero(live & ~free)
         xs = tables.support[:, None]
         step = max(1, _BLOCK_CELLS // (len(xs) + 1))

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from v2xdelivery import SystemParams, build_grid_scenario, save_scenario
+from v2xdelivery import (
+    SystemParams,
+    build_grid_scenario,
+    e2e_latency_closed,
+    e2e_rate_closed,
+    enumerate_routes,
+    load_scenario,
+    save_scenario,
+)
 from v2xdelivery.cli import build_parser, run_command
 
 
@@ -91,6 +99,23 @@ class TestOptimizeCommands:
         g = _run_json(capsys, ["optimize-global", "--alpha", "0.5"])
         d = _run_json(capsys, ["optimize-distributed", "--alpha", "0.5"])
         assert d["objective"] >= g["objective"] - 1e-9
+
+    def test_routes_past_twenty_hops(self, capsys, tmp_path):
+        # The 2x11 grid's 1024 routes run up to 21 hops; no hop count walls
+        # the commands off, and each winner reads its oracles.
+        path = tmp_path / "long.yaml"
+        path.write_text("grid: {rows: 2, cols: 11}\nseed: 1\n", encoding="utf-8")
+        sc = load_scenario(path)
+        routes = enumerate_routes(sc.topology, sc.source, sc.destination)
+        assert (len(routes), max(len(r) for r in routes)) == (1024, 21)
+        analyzed = _run_json(capsys, ["analyze", "--scenario", str(path)])
+        assert len(analyzed["routes"]) == 1024
+        best = analyzed["routes"][analyzed["best_rate_route"]]
+        solved = _run_json(capsys, ["optimize-global", "--scenario", str(path)])
+        for record, t in ((best, analyzed["t"]), (solved, solved["t_star"])):
+            route = routes[record["route"]]
+            assert record["latency"] == pytest.approx(e2e_latency_closed(route, t, sc.params), rel=1e-9, abs=0.0)
+            assert record["rate"] == pytest.approx(e2e_rate_closed(route, t, sc.params), rel=1e-9, abs=0.0)
 
 
 class TestSimulateCommand:
@@ -332,6 +357,14 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert err == "error: sweep grid values must be finite\n"
 
+    @pytest.mark.parametrize("variable", ["t", "alpha"])
+    @pytest.mark.parametrize("grid", ["", "  "])
+    def test_empty_sweep_grid(self, capsys, variable, grid):
+        # An empty or blank --grid is an error, not the default grid.
+        code, out, err = _run(capsys, ["sweep", "--variable", variable, "--grid", grid])
+        assert (code, out) == (1, "")
+        assert err == "error: empty sweep grid\n"
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_window_sweep_needs_a_point(self, capsys, points):
         code, out, err = _run(capsys, ["sweep", "--variable", "t", "--points", points])
@@ -395,6 +428,7 @@ class TestErrorHandling:
             (["sweep", "--variable", "alpha", "--points", "3"], "--points"),
             (["sweep", "--variable", "t", "--grid", "0,10", "--points", "5"], "--points"),
             (["sweep", "--variable", "t", "--grid", "0,10", "--points", "0"], "--points"),
+            (["sweep", "--variable", "t", "--grid", "", "--points", "5"], "--points"),
             (["sweep", "--variable", "alpha", "--alpha", "0.9"], "--alpha"),
             (["sweep", "--variable", "scheme_beams", "--scheme", "SD"], "--scheme"),
         ],

@@ -2,8 +2,8 @@
 
 Every derived quantity is checked against an independent oracle: a frozen
 hand computation, a sampling experiment, or a second implementation route
-(quadrature vs. inclusion-exclusion, the model's branch-weighted scalars
-and the quadrature forms vs. the evaluator's kernel).
+(quadrature and inclusion-exclusion vs. the kernel's node pass, the model's
+branch-weighted scalars and the quadrature forms vs. the evaluator's kernel).
 """
 
 import dataclasses
@@ -41,7 +41,6 @@ from v2xdelivery.closedform import (
     QuadratureError,
     _TABLE_COLUMNS,
     _TABLE_INTERVALS,
-    _expected_max_exponential_exact,
     _mixture_integral,
     _mixture_table,
     _RouteStack,
@@ -176,6 +175,26 @@ class TestExpectedMaxTrialTime:
         assert abs(vals.mean() - expected_max_trial_time(k, m, p, dt)) <= 3.0 * se
 
 
+def _subset_loop_expected_max(rates) -> float:
+    """E[max] of independent exponentials by inclusion-exclusion: one pass
+    per subset mask, rates added in bit order."""
+    k = len(rates)
+    total = 0.0
+    for mask in range(1, 1 << k):
+        members = [rates[i] for i in range(k) if mask >> i & 1]
+        s = 0.0
+        for mu in members:
+            s += mu
+        total += (1.0 if len(members) % 2 else -1.0) / s
+    return total
+
+
+def _stack_expected_max(rates, params=SystemParams()) -> float:
+    """The kernel's E[max wait] of a mixed route whose hops arrive at ``rates``."""
+    route = Route(hops=tuple(Hop(float(mu), 2, rsu_id=f"r{i}") for i, mu in enumerate(rates)))
+    return float(_RouteStack([route], params)._tables.exp_max_wait[0])
+
+
 class TestExponentialMax:
     def test_single_rate_is_plain_exponential_density(self):
         for x in (0.0, 0.3, 2.0, 11.0):
@@ -202,26 +221,21 @@ class TestExponentialMax:
         for _ in range(10):
             rates = list(rng.uniform(0.05, 0.5, size=int(rng.integers(1, 7))))
             quad_val = expected_max_exponential(rates)
-            exact = _expected_max_exponential_exact(rates)
+            exact = _subset_loop_expected_max(rates)
             assert quad_val == pytest.approx(exact, rel=1e-6)
 
-    @pytest.mark.parametrize("k", range(1, 15))
-    def test_exact_form_matches_the_subset_loop(self, k):
+    @pytest.mark.parametrize("k", range(2, 15))
+    def test_node_pass_matches_the_subset_loop(self, k):
         rates = np.random.default_rng(100 + k).uniform(0.05, 0.5, size=k)
-        # Reference: one pass per subset mask, rates added in bit order.
-        total = 0.0
-        for mask in range(1, 1 << k):
-            members = [rates[i] for i in range(k) if mask >> i & 1]
-            s = 0.0
-            for mu in members:
-                s += mu
-            total += (1.0 if len(members) % 2 else -1.0) / s
-        assert _expected_max_exponential_exact(rates) == total
+        assert _stack_expected_max(rates) == pytest.approx(_subset_loop_expected_max(rates), rel=1e-13, abs=0.0)
 
-    def test_exact_form_limited_to_twenty_rates(self):
-        assert _expected_max_exponential_exact([0.1] * 20) > 0.0
-        with pytest.raises(ValueError, match="limited to 20 rates"):
-            _expected_max_exponential_exact([0.1] * 21)
+    @pytest.mark.parametrize("k", range(15, 25))
+    def test_node_pass_matches_quadrature_past_fourteen_hops(self, k):
+        # The node pass has no hop limit.  The subset loop is too slow to
+        # check it past 14 hops; the quadrature oracle is not, and its own
+        # truncation error stays near 1e-9 there.
+        rates = np.random.default_rng(100 + k).uniform(0.05, 0.5, size=k)
+        assert _stack_expected_max(rates) == pytest.approx(expected_max_exponential(rates), rel=1e-8, abs=0.0)
 
     def test_matches_sampled_maxima(self):
         rates = np.array([0.05, 0.15, 0.3])
@@ -524,6 +538,17 @@ class TestRouteEvaluator:
                 assert values[..., i].tobytes() == one[name][..., 0].tobytes(), (name, t)
             assert one["rate_closed"][0] == pytest.approx(e2e_rate_closed(route, t, params), rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("rate_cell", [1.0, 0.3])
+    @pytest.mark.parametrize("k", [21, 24])
+    def test_a_route_past_twenty_hops_reads_its_rate(self, k, rate_cell):
+        # No hop count walls the kernel off.  At rate_cell=0.3 the cellular
+        # cap binds below t = 15, so t = 20 reads J(1) and the rest a table.
+        params = SystemParams(rate_cell=rate_cell)
+        route = make_route(np.random.default_rng(73), k=k)
+        ev = RouteEvaluator(route, params)
+        for t in (0.0, 2.0, 8.0, 20.0):
+            assert ev.rate_closed(t) == pytest.approx(e2e_rate_closed(route, t, params), rel=1e-9, abs=0.0), t
+
     @pytest.mark.parametrize("override, t", [({"rate_v2i": 0.0}, 0.0), ({"rate_cell": 0.0}, 20.0)])
     def test_zero_fallback_supremum_raises_no_warning(self, override, t):
         # The mixture's table lookup divides by the fallback rate's supremum,
@@ -557,9 +582,11 @@ class TestRouteEvaluator:
 
 
 def _count_table_builds(monkeypatch) -> list[str]:
-    """Names of the joint-outcome table builders called, one entry a call."""
+    """Names of the joint-outcome table builders called, one entry a call:
+    the node pass, once per mixed route for its J(1) and E[max wait] and
+    once more inside each mixture table."""
     built = []
-    for name in ("_mixture_table", "_mixture_j1", "_expected_max_exponential_exact"):
+    for name in ("_mixture_table", "_mixture_nodes"):
         original = getattr(closedform, name)
         monkeypatch.setattr(
             closedform, name, lambda *a, name=name, original=original, **kw: built.append(name) or original(*a, **kw)
@@ -641,7 +668,7 @@ class TestRouteStack:
         mixed.latency(8.0)
         assert built == []
         mixed.rate_closed(8.0)
-        assert sorted(built) == sorted(["_expected_max_exponential_exact", "_mixture_j1", *table])
+        assert sorted(built) == sorted(["_mixture_nodes"] + ["_mixture_table", "_mixture_nodes"] * len(table))
         del built[:]
         mixed.series(np.linspace(0.0, params.hop_dwell, 11))
         assert built == []
@@ -874,7 +901,7 @@ class TestMixtureTable:
         stack = _RouteStack(routes, params)
         views = stack.evaluators()
         assert views[2].rate_closed(8.0) == before
-        want = ["_expected_max_exponential_exact"] * 3 + ["_mixture_j1"] * 3 + ["_mixture_table"] * tables
+        want = ["_mixture_nodes"] * 3 + ["_mixture_table", "_mixture_nodes"] * tables
         assert sorted(built) == sorted(want)
         for view in views:
             view.series(np.linspace(0.0, params.hop_dwell, 11))

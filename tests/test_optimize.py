@@ -859,16 +859,16 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("rate_cell, table", [(1.0, []), (0.3, ["_mixture_table"])])
     def test_distributed_with_a_context_builds_no_joint_tables(self, monkeypatch, params, grid_routes, rate_cell, table):
-        # With a context, solve_distributed reads only hop stages: no J(1),
-        # no mixture table and no exact E[max wait] is built.  solve_global
-        # builds the mixture tables only where a cap binds: nowhere at stock,
-        # and at rate_cell=0.3 wherever the cellular cap is below the
-        # fallback supremum.
+        # With a context, solve_distributed reads only hop stages: no node
+        # pass runs, for J(1) and E[max wait] or for a mixture table.
+        # solve_global builds the mixture tables only where a cap binds:
+        # nowhere at stock, and at rate_cell=0.3 wherever the cellular cap
+        # is below the fallback supremum.
         import v2xdelivery.closedform as cf
 
         params = dataclasses.replace(params, rate_cell=rate_cell)
         built = []
-        for name in ("_mixture_table", "_mixture_j1", "_expected_max_exponential_exact"):
+        for name in ("_mixture_table", "_mixture_nodes"):
             original = getattr(cf, name)
             monkeypatch.setattr(
                 cf, name, lambda *a, name=name, original=original, **kw: built.append(name) or original(*a, **kw)
@@ -878,17 +878,18 @@ class TestWorkCounts:
         solve_distributed(grid_routes, params, weight=0.5, context=ctx)
         assert built == []
         solve_global(grid_routes, params, weight=0.5, with_kkt=False)
-        assert sorted(set(built)) == sorted(["_expected_max_exponential_exact", "_mixture_j1", *table])
+        assert sorted(set(built)) == sorted(["_mixture_nodes", *table])
 
     @pytest.mark.parametrize("rate_cell, builds_tables", [(1.0, False), (0.3, True)])
     def test_global_builds_each_mixture_table_once(self, monkeypatch, params, grid_routes, rate_cell, builds_tables):
         # The envelope, the lockstep and the winner's reads share each mixed
-        # route's J(1) and, once a cap binds, its table: one build per
-        # route, the tables straight into the stack's array.
+        # route's J(1) and E[max wait], one node pass per route, and, once a
+        # cap binds, its table, one more node pass per route, the tables
+        # straight into the stack's array.
         import v2xdelivery.closedform as cf
 
         params = dataclasses.replace(params, rate_cell=rate_cell)
-        built = {"_mixture_table": [], "_mixture_j1": []}
+        built = {"_mixture_table": [], "_mixture_nodes": []}
         for name, calls in built.items():
             original = getattr(cf, name)
             monkeypatch.setattr(
@@ -897,21 +898,23 @@ class TestWorkCounts:
         mixed = [r for r in grid_routes if len(r) > 1 and any(h.deg > 1 for h in r.hops)]
         assert len(mixed) > 1
         solve_global(grid_routes, params, weight=0.5)
-        assert len(built["_mixture_j1"]) == len(mixed)
+        assert len(built["_mixture_nodes"]) == len(mixed) * (2 if builds_tables else 1)
         assert len(built["_mixture_table"]) == (len(mixed) if builds_tables else 0)
         assert all(kw.get("out") is not None for kw in built["_mixture_table"])
 
     def test_a_stock_4x4_solve_builds_no_mixture_table(self, monkeypatch):
-        # No cap binds at stock, so the 184-route solve reads each mixed
-        # route's J(1), computes each distinct arrival rate's factors once,
-        # and holds no (7, 4000) mixture table.
+        # No cap binds at stock, so the 184-route solve makes one node pass
+        # per mixed route for its J(1) and E[max wait], computes each
+        # distinct arrival rate's factors once, and holds no (7, 4000)
+        # mixture table.
         import v2xdelivery.closedform as cf
 
         scenario = build_grid_scenario(rows=4, cols=4, seed=2)
         routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
-        tables, factors = [], []
-        original_table, original_factors = cf._mixture_table, cf._hop_factors
+        tables, nodes, factors = [], [], []
+        original_table, original_nodes, original_factors = cf._mixture_table, cf._mixture_nodes, cf._hop_factors
         monkeypatch.setattr(cf, "_mixture_table", lambda *a, **kw: tables.append(a) or original_table(*a, **kw))
+        monkeypatch.setattr(cf, "_mixture_nodes", lambda *a: nodes.append(a) or original_nodes(*a))
         monkeypatch.setattr(cf, "_hop_factors", lambda mu, wait: factors.append(float(mu)) or original_factors(mu, wait))
         tracemalloc.start()
         try:
@@ -922,6 +925,7 @@ class TestWorkCounts:
         assert tables == []
         mixed = [r for r in routes if len(r.hops) > 1 and any(h.deg > 1 for h in r.hops)]
         assert len(mixed) > 100
+        assert len(nodes) == len(mixed)
         assert sorted(factors) == sorted({h.arrival_rate for r in mixed for h in r.hops})
         assert peak <= 16e6
 
