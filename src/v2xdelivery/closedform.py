@@ -18,8 +18,8 @@ The one runtime implementation of the per-hop and joint-outcome algebra is
 a route stack (:class:`_RouteStack`), which reads many routes in one array
 pass.  It owns every coefficient and table of its routes: one per-hop
 coefficient column per distinct hop, built with the stack; the mixed
-routes' geometric-max sums, and their J(1) and E[max wait] from one node
-pass each (:func:`_mixture_nodes`), built into stacked arrays on the first
+routes' geometric-max sums, and their J(1) and E[max wait], two node sums
+each (:func:`_mixture_totals`), built into stacked arrays on the first
 read that needs them; and their mixture tables, built only on the first
 read where a cap on the mixture binds.  It has two reads, which run one
 per-hop stage: :meth:`_RouteStack.read` serves every reading at given
@@ -34,8 +34,8 @@ The quadrature forms above are independent oracles: the runtime never calls
 them, and the test suite checks the kernel against them.  They alone need
 scipy, and import it on first call.  The kernel integrates on one v grid
 by one quintic Hermite rule: E[max wait] and the mixture integral, which is
-J(1) where no cap binds and read from a table (:func:`_mixture_table`)
-where one does.
+J(1), the rule's total, where no cap binds or a row's cap is 1, and read
+from a table of its running integral (:func:`_mixture_table`) elsewhere.
 """
 
 from __future__ import annotations
@@ -456,71 +456,97 @@ def _hop_factors(mu: float, wait: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return 1.0 + a / mu, a, a * (a + mu)  # 1 - exp(-x) = 1 / (1 + 1 / expm1(x))
 
 
-def _running_integral(y: np.ndarray, m: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The integral from v = 0 to every node of the quintic Hermite
-    interpolant of y on the v grid, m and q its first and second derivatives
-    in each interval's unit coordinate s = n v: running sums of the interval
-    areas in blocks of 80, offset by the running sum of the block totals,
-    so about 130 roundings lie on any path, not 4000."""
-    n = _TABLE_INTERVALS
-    area = 0.5 * (y[:-1] + y[1:]) + (m[:-1] - m[1:]) / 10.0 + (q[:-1] + q[1:]) / 120.0
-    inside = np.cumsum((area / n).reshape(-1, 80), axis=1)
-    before = np.concatenate([[0.0], np.cumsum(inside[:-1, -1])])
-    out = np.zeros(n + 1)
-    out[1:] = (before[:, None] + inside).ravel()
-    return out
+def _v_nodes(T: float) -> tuple[np.ndarray, ...]:
+    """Constants of the interior nodes v_i = i / n, 0 < i < n =
+    _TABLE_INTERVALS, of the v grid, which depend on the dwell T alone: v,
+    the wait w = 2T(1 - v)/v, its derivative w' = -2T/v^2, w'^2, and
+    e = 1 / (n v)."""
+    i = np.arange(1, _TABLE_INTERVALS)
+    v = i / _TABLE_INTERVALS
+    dwait = -2.0 * T / v**2
+    return v, 2.0 * T * (1.0 - v) / v, dwait, dwait**2, 1.0 / i
 
 
-def _mixture_nodes(lam: np.ndarray, T: float, factors: dict) -> tuple:
-    """The node pass of a mixed route: W, W' and W'' at the nodes, J at every
-    node (J(1) last; see :func:`_mixture_table`), and E[max] of the hops'
-    exponential RSU waits.
+def _node_fold(lam: np.ndarray, T: float, nodes: tuple, factors: dict) -> tuple:
+    """W and its derivatives m and q, in each interval's unit coordinate
+    s = n v, at the interior nodes of the v grid, and q at v = 1 (see
+    :func:`_mixture_table`): each hop's factors are folded in, in hop order.
 
-    E[max wait], the integral over w > 0 of 1 - prod_h (1 - exp(-lam_h w)),
-    is in v the integral over [0, 1] of g = -w'(1 - W) = 2T(1 - W)/v^2,
-    taken by the rule that takes J, from the W' and W'' of the pass:
-
-        g' = (2w'/v)(1 - W) + w'W',   g'' = -(6w'/v^2)(1 - W) - (4w'/v)W' + w'W''.
-
-    g and both derivatives vanish at v = 0; at v = 1, where W = W' = 0, they
-    are 2T, -4T and 12T - 2T W''(1).  W'(1) = 0 needs k >= 2 hops, which
-    every mixed route has.
-
-    ``factors`` maps an arrival rate to its :func:`_hop_factors`; a rate
-    missing from it is computed and added, so routes that share a rate
-    share its factors.
+    ``nodes`` is :func:`_v_nodes` of T.  ``factors`` maps an arrival rate to
+    its :func:`_hop_factors`; a rate missing from it is computed and added,
+    so routes that share a rate share its factors.
     """
     n = _TABLE_INTERVALS
-    v = np.arange(1, n + 1) / n  # every node but v = 0
-    inner = v[:-1]
-    wait = 2.0 * T * (1.0 - inner) / inner
-    dwait = -2.0 * T / v**2
-    W = np.zeros(n + 1)
-    W[:-1] = 1.0
+    v, wait, dwait, dwait2, _ = nodes
+    W = np.ones(n - 1)
     A = np.zeros(n - 1)
     B = np.zeros(n - 1)
     for mu in lam:
         if mu not in factors:
             factors[mu] = _hop_factors(mu, wait)
         f, a, b = factors[mu]
-        W[1:-1] /= f
+        W /= f
         A += a
         B += b
-    # Derivatives in the unit coordinate s = n v of each interval.
-    m = np.zeros(n + 1)
-    q = np.zeros(n + 1)
-    m[1:-1] = W[1:-1] * A * dwait[:-1] / n
-    q[1:-1] = W[1:-1] * ((A * A - B) * dwait[:-1] ** 2 - 2.0 * A * dwait[:-1] / inner) / n**2
-    if len(lam) == 2:
-        q[-1] = 8.0 * T * T * lam[0] * lam[1] / n**2
-    # g, g' and g'' in s at the nodes v > 0, where 1 / (n v) = e.
-    rest = 1.0 - W[1:]
-    e = 1.0 / np.arange(1, n + 1)
-    g = np.zeros((3, n + 1))
-    g[0, 1:] = -dwait * rest
-    g[1, 1:] = dwait * (2.0 * e * rest + m[1:])
-    g[2, 1:] = dwait * (q[1:] - e * (6.0 * e * rest + 4.0 * m[1:]))
-    return W, m, q, _running_integral(W, m, q), float(_running_integral(*g)[-1])
+    m = W * A * dwait / n
+    q = W * ((A * A - B) * dwait2 - 2.0 * A * dwait / v) / n**2
+    q_end = 8.0 * T * T * lam[0] * lam[1] / n**2 if len(lam) == 2 else 0.0
+    return W, m, q, q_end
+
+
+def _mixture_nodes(lam: np.ndarray, T: float, factors: dict) -> tuple:
+    """What a mixture table is built from: W, m and q at every node of the
+    v grid (see :func:`_node_fold`), and J at every node, J(1) last: the
+    running sums of the Hermite interval areas in blocks of 80, offset by
+    the running sum of the block totals, so about 130 roundings lie on any
+    path, not 4000.  ``factors`` is as in :func:`_node_fold`."""
+    n = _TABLE_INTERVALS
+    W, m, q, q_end = _node_fold(lam, T, _v_nodes(T), factors)
+    W = np.concatenate([[1.0], W, [0.0]])
+    m = np.concatenate([[0.0], m, [0.0]])
+    q = np.concatenate([[0.0], q, [q_end]])
+    area = 0.5 * (W[:-1] + W[1:]) + (m[:-1] - m[1:]) / 10.0 + (q[:-1] + q[1:]) / 120.0
+    inside = np.cumsum((area / n).reshape(-1, 80), axis=1)
+    before = np.concatenate([[0.0], np.cumsum(inside[:-1, -1])])
+    J = np.zeros(n + 1)
+    J[1:] = (before[:, None] + inside).ravel()
+    return W, m, q, J
+
+
+def _mixture_totals(lam: np.ndarray, T: float, nodes: tuple, factors: dict) -> tuple[float, float]:
+    """J(1) and E[max wait] of a mixed route: the two totals of the quintic
+    Hermite rule on the v grid, each one sum over the interior nodes.
+
+    The rule's total of y is the sum over intervals of
+    [(y_i + y_i+1)/2 + (m_i - m_i+1)/10 + (q_i + q_i+1)/120] / n, in which
+    the m terms telescope to (m_0 - m_n)/10.  With W(0) = 1, W(1) = 0 and
+    W's m and q zero at v = 0, and m zero at v = 1 (see :func:`_mixture_table`),
+
+        J(1) = (1/2 + sum_i (W_i + q_i/60) + q_n/120) / n.
+
+    E[max wait], the integral over w > 0 of 1 - prod_h (1 - exp(-lam_h w)),
+    is in v the integral over [0, 1] of g = -w'(1 - W) = 2T(1 - W)/v^2,
+    taken by the same rule.  In s, with e = 1/(n v),
+
+        g_s = w'(2e(1 - W) + m),   g_ss = w'(q - e(6e(1 - W) + 4m)).
+
+    g and both derivatives vanish at v = 0; at v = 1, where W = m = 0, they
+    are 2T, -4T/n and -2T(q_n - 6/n^2), so
+
+        E[max wait] = (sum_i (g_i + g_ss,i/60) + T + 0.4T/n - 2T(q_n - 6/n^2)/120) / n.
+
+    Both need k >= 2 hops, which every mixed route has.  Each sum is one
+    pairwise ``ndarray.sum`` of a per-node value.  ``nodes`` is
+    :func:`_v_nodes` of T and ``factors`` is as in :func:`_node_fold`.
+    """
+    n = _TABLE_INTERVALS
+    W, m, q, q_end = _node_fold(lam, T, nodes, factors)
+    j1 = (0.5 + (W + q / 60.0).sum() + q_end / 120.0) / n
+    dwait, e = nodes[2], nodes[4]
+    rest = 1.0 - W
+    g = -dwait * rest + dwait * (q - e * (6.0 * e * rest + 4.0 * m)) / 60.0
+    wait_max = (g.sum() + T + 0.4 * T / n - 2.0 * T * (q_end - 6.0 / n**2) / 120.0) / n
+    return float(j1), float(wait_max)
 
 
 def _mixture_table(
@@ -544,10 +570,10 @@ def _mixture_table(
     of J(v_i + s / _TABLE_INTERVALS) - J(v_i), a sextic in s in [0, 1] with
     no constant term, lowest power first; :func:`_mixture_integral` reads
     it.  ``out``, if given, receives the (_TABLE_COLUMNS, _TABLE_INTERVALS)
-    table; ``factors`` is as in :func:`_mixture_nodes`.
+    table; ``factors`` is as in :func:`_node_fold`.
     """
     out = np.empty((_TABLE_COLUMNS, _TABLE_INTERVALS)) if out is None else out
-    W, m, q, J, _ = _mixture_nodes(lam, T, {} if factors is None else factors)
+    W, m, q, J = _mixture_nodes(lam, T, {} if factors is None else factors)
     n = _TABLE_INTERVALS
     y0, y1, m0, m1, q0, q1 = W[:-1], W[1:], m[:-1], m[1:], q[:-1], q[1:]
     rise = y1 - y0
@@ -585,9 +611,9 @@ class _JointTables:
     routes without a mixture read none of them and hold zeros.
 
     They hold what every mixed cell reads, J(1) and E[max wait] of each
-    route among them, both from one :func:`_mixture_nodes` pass; the
-    mixture tables themselves, read only where a cap binds, are the stack's
-    separate ``_mixture``.
+    route among them, both from one :func:`_mixture_totals` call; the
+    mixture tables themselves, read only where a cap binds below 1, are the
+    stack's separate ``_mixture``.
     """
 
     support: np.ndarray  # (pieces,) trial counts x of the geometric-max table
@@ -688,11 +714,12 @@ class _RouteStack:
 
     The joint-outcome tables of every mixed route are built on the first
     read that needs them, straight into stacked arrays (see _JointTables),
-    sharing each distinct arrival rate's factors.  A window whose mixture
-    caps do not bind, as every window does at the stock rates, reads its
-    route's J(1); the mixture tables wait for the first window where a cap
-    binds, and each of its (trial-count row, window) cells then takes its
-    coefficients through one index.
+    sharing each distinct arrival rate's factors and the v grid's node
+    constants.  A window whose mixture caps do not bind, as every window
+    does at the stock rates, reads its route's J(1); the mixture tables
+    wait for the first window where a cap binds, and each of its
+    (trial-count row, window) cells then takes its coefficients through one
+    index, save a row capped at 1, which reads J(1) as a free window does.
     """
 
     def __init__(self, routes: Sequence[Route], params: SystemParams):
@@ -770,10 +797,9 @@ class _RouteStack:
             # Mass beyond every m the kernel takes, by Python's scalar **
             # (NumPy's array ** can differ in the last bit).
             leftover[:, cols] = np.array([1.0 - (1.0 - trial_fail**m) ** k for m in range(max_m + 1)])[:, None]
-        factors = {}
+        nodes, factors = _v_nodes(T), {}
         for j in mixed.tolist():
-            *_, J, exp_max_wait[j] = _mixture_nodes(self._arrival_rates(j), T, factors)
-            j1[j] = J[-1]
+            j1[j], exp_max_wait[j] = _mixture_totals(self._arrival_rates(j), T, nodes, factors)
         return _JointTables(
             support=support,
             pmf=pmf,
@@ -820,10 +846,11 @@ class _RouteStack:
     def hops(self, cols, ts) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], dict[str, np.ndarray]]:
         """Per-hop stage of the kernel at window ts[i] of route cols[i].
 
-        The coefficient columns are gathered for the longest route read, and
-        padded hops, which read 0 latency, +inf rate and probabilities 1,
-        are overridden only where that slice holds any.  Returns the
-        windows and their whole-trial counts as the window rule
+        The coefficient columns are gathered for the longest route read, or
+        once for all windows where every cell reads one route, and padded
+        hops, which read 0 latency, +inf rate and probabilities 1, are
+        overridden only where that slice holds any.  Returns the windows and
+        their whole-trial counts as the window rule
         (:func:`v2xdelivery.model._windows`) reads them, each hop's
         probabilities of discovery success and of fallback, and every
         reading of ``read`` except ``rate_closed``; per-hop callers stop
@@ -832,6 +859,8 @@ class _RouteStack:
         ts, ms = _windows(ts, self.params)
         cols = np.atleast_1d(cols)
         k = self.ks[cols].max(initial=1)  # every route has a hop; 1 serves an empty read
+        if cols.size and (cols == cols[0]).all():
+            cols = cols[:1]  # one route: its (k, 1) columns, gathered once, broadcast over the windows
         hop_lat, success, failure, hop_rates = self._stage(self.coef[:, self.at[:k, cols]], ts, ms)
         pad = None if self.pad is None else self.pad[:k, cols]
         if pad is not None and pad.any():
@@ -966,7 +995,8 @@ class _RouteStack:
         # the pmf table's dropped tail, at most k * 1e-15), so the cell
         # reads J(1).  The rest read the mixture tables, every trial-count
         # row of a cell in one table gather, in passes of at most
-        # _BLOCK_CELLS (row, cell) pairs.
+        # _BLOCK_CELLS (row, cell) pairs, and a row capped at 1 reads J(1)
+        # as a free cell does.
         c_mix = np.zeros_like(ts)
         cap = params.rate_cell
         amount = params.rate_v2i * (T - ts) + params.rate_cell * ts
@@ -988,6 +1018,7 @@ class _RouteStack:
             )
             caps = np.vstack([np.clip(np.minimum(s_rates, cap), 0.0, s) / s, np.minimum(cap / s, 1.0)])
             integral = _mixture_integral(self._mixture, tables.first[owner], caps)
+            integral = np.where(caps == 1.0, tables.j1[owner], integral)
             terms = np.where(xs <= m, tables.pmf[:, owner] * integral[:-1], 0.0)
             c_mix[cells] = s * (_sum_rows(terms) + tables.leftover[m, owner] * integral[-1])
         return p_as * c_as + p_af * c_af + p_mix * c_mix

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import v2xdelivery
 from v2xdelivery import Hop, Route, SystemParams
+from v2xdelivery import closedform
 
 
 def child_env(**overrides: str) -> dict[str, str]:
@@ -51,3 +53,22 @@ def make_route(rng: np.random.Generator, k: int | None = None, degs=(2, 3)) -> R
     )
     nodes = tuple(str(i) for i in range(k + 1))
     return Route(hops=hops, source=nodes[0], destination=nodes[-1], nodes=nodes)
+
+
+def count_table_builds(monkeypatch) -> list[str]:
+    """Names of the joint-outcome builders called, one entry a call:
+    ``_mixture_totals``, J(1) and E[max wait] of one mixed route, and
+    ``_mixture_table``, with the ``_mixture_nodes`` pass it makes.  A node
+    pass made anywhere but inside a table is entered as
+    "_mixture_nodes from <caller>", which no expected count holds."""
+    built = []
+    for name in ("_mixture_totals", "_mixture_table", "_mixture_nodes"):
+        original = getattr(closedform, name)
+
+        def spy(*args, name=name, original=original, **kwargs):
+            caller = sys._getframe(1).f_code.co_name
+            built.append(f"{name} from {caller}" if name == "_mixture_nodes" and caller != "_mixture_table" else name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(closedform, name, spy)
+    return built

@@ -2,7 +2,7 @@
 
 Every derived quantity is checked against an independent oracle: a frozen
 hand computation, a sampling experiment, or a second implementation route
-(quadrature and inclusion-exclusion vs. the kernel's node pass, the model's
+(quadrature and inclusion-exclusion vs. the kernel's node sums, the model's
 branch-weighted scalars and the quadrature forms vs. the evaluator's kernel).
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from support import make_route, window_grid
+from support import count_table_builds, make_route, window_grid
 from v2xdelivery import (
     Hop,
     Route,
@@ -36,14 +36,16 @@ from v2xdelivery import (
     rate_decomposition,
     scenario_probabilities,
 )
-from v2xdelivery import closedform
+from v2xdelivery import closedform, model
 from v2xdelivery.closedform import (
     QuadratureError,
     _TABLE_COLUMNS,
     _TABLE_INTERVALS,
     _mixture_integral,
     _mixture_table,
+    _mixture_totals,
     _RouteStack,
+    _v_nodes,
     expectation_from_survival,
     expected_rate_all_failure,
     expected_rate_all_success,
@@ -231,8 +233,8 @@ class TestExponentialMax:
 
     @pytest.mark.parametrize("k", range(15, 25))
     def test_node_pass_matches_quadrature_past_fourteen_hops(self, k):
-        # The node pass has no hop limit.  The subset loop is too slow to
-        # check it past 14 hops; the quadrature oracle is not, and its own
+        # The node sums have no hop limit.  The subset loop is too slow to
+        # check them past 14 hops; the quadrature oracle is not, and its own
         # truncation error stays near 1e-9 there.
         rates = np.random.default_rng(100 + k).uniform(0.05, 0.5, size=k)
         assert _stack_expected_max(rates) == pytest.approx(expected_max_exponential(rates), rel=1e-8, abs=0.0)
@@ -581,19 +583,6 @@ class TestRouteEvaluator:
             np.testing.assert_allclose(ev.hop_rates(t), expected_rate, atol=1e-12)
 
 
-def _count_table_builds(monkeypatch) -> list[str]:
-    """Names of the joint-outcome table builders called, one entry a call:
-    the node pass, once per mixed route for its J(1) and E[max wait] and
-    once more inside each mixture table."""
-    built = []
-    for name in ("_mixture_table", "_mixture_nodes"):
-        original = getattr(closedform, name)
-        monkeypatch.setattr(
-            closedform, name, lambda *a, name=name, original=original, **kw: built.append(name) or original(*a, **kw)
-        )
-    return built
-
-
 class TestRouteStack:
     """A route-stacked read reads every window with the bits of its route's
     own one-route ``series`` read."""
@@ -654,21 +643,23 @@ class TestRouteStack:
             assert np.all(out["hop_latency"][ev.k :, i] == 0.0)
             assert np.all(out["hop_rate"][ev.k :, i] == np.inf)
 
-    @pytest.mark.parametrize("rate_cell, table", [(1.0, []), (0.3, ["_mixture_table"])])
+    @pytest.mark.parametrize("rate_cell, table", [(1.0, []), (0.3, ["_mixture_table", "_mixture_nodes"])])
     def test_per_hop_readers_build_no_joint_tables(self, monkeypatch, rate_cell, table):
         # The joint-outcome tables wait for the first read that needs them;
-        # all-forward and one-hop routes never need them.  The mixture table
-        # waits for a read where a cap binds: none does at stock, and at
-        # rate_cell=0.3 the cellular cap binds at t = 8.
+        # all-forward and one-hop routes never need them.  A mixed route's
+        # J(1) and E[max wait] are one _mixture_totals call; the mixture
+        # table, with its node pass, waits for a read where a cap binds:
+        # none does at stock, and at rate_cell=0.3 the cellular cap binds at
+        # t = 8.
         params = SystemParams(rate_cell=rate_cell)
-        built = _count_table_builds(monkeypatch)
+        built = count_table_builds(monkeypatch)
         rng = np.random.default_rng(68)
         mixed = RouteEvaluator(make_route(rng, k=4), params)
         mixed.hop_rates(8.0)
         mixed.latency(8.0)
         assert built == []
         mixed.rate_closed(8.0)
-        assert sorted(built) == sorted(["_mixture_nodes"] + ["_mixture_table", "_mixture_nodes"] * len(table))
+        assert sorted(built) == sorted(["_mixture_totals", *table])
         del built[:]
         mixed.series(np.linspace(0.0, params.hop_dwell, 11))
         assert built == []
@@ -724,7 +715,7 @@ class TestRouteStack:
         ts = np.linspace(0.0, params.hop_dwell, 41)
         stack = _RouteStack(self._routes(), params)
         n = len(stack.routes)
-        built = _count_table_builds(monkeypatch)
+        built = count_table_builds(monkeypatch)
         empty = stack.read([], [])
         assert built == []
         assert {name: v.shape for name, v in empty.items()} == {
@@ -854,17 +845,21 @@ class TestMixtureTable:
 
         return W
 
+    @staticmethod
+    def _rates(kind, k, rng):
+        return {
+            "slow": lambda: np.full(k, 0.01),
+            "fast": lambda: np.full(k, 2.0),
+            "spread": lambda: np.geomspace(0.01, 2.0, k),
+            "random": lambda: rng.uniform(0.01, 2.0, k),
+        }[kind]()
+
     @pytest.mark.parametrize("k", [2, 8, 14])
     @pytest.mark.parametrize("rates", ["slow", "fast", "spread", "random"])
     def test_integral_matches_quadrature(self, params, k, rates):
         T = params.hop_dwell
         rng = np.random.default_rng(69)
-        lam = {
-            "slow": np.full(k, 0.01),
-            "fast": np.full(k, 2.0),
-            "spread": np.geomspace(0.01, 2.0, k),
-            "random": rng.uniform(0.01, 2.0, k),
-        }[rates]
+        lam = self._rates(rates, k, rng)
         n = _TABLE_INTERVALS
         nodes = np.arange(0, n + 1, 40) / n
         mids = (np.arange(0, n, 40) + 0.5) / n
@@ -878,6 +873,22 @@ class TestMixtureTable:
         want = np.array([math.fsum(pieces[:i]) for i in range(len(cs))])
         assert np.max(np.abs(got - want)) <= 1e-14
 
+    @pytest.mark.parametrize("k", [2, 8, 14, 24])
+    @pytest.mark.parametrize("rates", ["slow", "fast", "spread", "random"])
+    def test_totals_read_j1_of_quadrature(self, params, k, rates):
+        # J(1) as the Hermite rule's total, one sum over the nodes, against
+        # quadrature of W piece by piece; the node sums raise no warning.
+        T = params.hop_dwell
+        lam = self._rates(rates, k, np.random.default_rng(73))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            j1, _ = _mixture_totals(lam, T, _v_nodes(T), {})
+        n = _TABLE_INTERVALS
+        edges = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101), 1.0 - np.arange(1, 21) / (3 * n)]))
+        W = self._survival(lam, T)
+        pieces = [integrate.quad(W, a, b, epsabs=1e-15, epsrel=0.0, limit=200)[0] for a, b in zip(edges[:-1], edges[1:])]
+        assert abs(j1 - math.fsum(pieces)) <= 1e-14
+
     def test_table_rows_join_up(self, params):
         # Each row read at s = 1 lands on the next row's J.
         table = _mixture_table(np.array([0.05, 0.3, 2.0]), params.hop_dwell)
@@ -887,21 +898,22 @@ class TestMixtureTable:
 
     @pytest.mark.parametrize("rate_cell, tables", [(1.0, 0), (0.3, 3)])
     def test_a_stack_holds_one_copy_its_routes_read(self, monkeypatch, rate_cell, tables):
-        # A stack computes its mixed routes' J(1) once, on the first read
-        # that needs it, and every view reads it.  The mixture tables wait
-        # for the first read where a cap binds (none does at stock; at
-        # rate_cell=0.3 the cellular cap binds at t = 8), and are then built
-        # once, side by side in one array.
+        # A stack computes its mixed routes' J(1) and E[max wait] once, one
+        # _mixture_totals call each, on the first read that needs them, and
+        # every view reads them.  The mixture tables wait for the first read
+        # where a cap binds (none does at stock; at rate_cell=0.3 the
+        # cellular cap binds at t = 8), and are then built once, side by
+        # side in one array, each with its one node pass.
         params = SystemParams(rate_cell=rate_cell)
         rng = np.random.default_rng(70)
         routes = [make_route(rng, k=k) for k in (2, 5, 9)]
         routes.insert(1, Route(hops=(Hop(0.12, 3, rsu_id="solo"),)))
         before = RouteEvaluator(routes[2], params).rate_closed(8.0)  # its own stack's tables
-        built = _count_table_builds(monkeypatch)
+        built = count_table_builds(monkeypatch)
         stack = _RouteStack(routes, params)
         views = stack.evaluators()
         assert views[2].rate_closed(8.0) == before
-        want = ["_mixture_nodes"] * 3 + ["_mixture_table", "_mixture_nodes"] * tables
+        want = ["_mixture_totals"] * 3 + ["_mixture_table", "_mixture_nodes"] * tables
         assert sorted(built) == sorted(want)
         for view in views:
             view.series(np.linspace(0.0, params.hop_dwell, 11))
@@ -917,18 +929,49 @@ class TestMixtureTable:
                 assert stack._tables.first[j] == row * _TABLE_INTERVALS
             assert stack._tables.first[1] == 0
 
-    def test_a_stack_reads_j1_as_the_table_reads_c_1(self, params):
-        # Each mixed route's J(1), read without its table, is the table's
-        # reading at c = 1 bit for bit, also where routes share hops and so
-        # share their factors.
+    def test_a_stack_reads_j1_as_the_table_reads_c_1(self, monkeypatch):
+        # Every mixture row capped at c = 1 reads its route's J(1), as a free
+        # cell does, bit for bit, and not the table at c = 1; also where
+        # routes share hops and so share their factors.  At rate_cell=0.3
+        # alone every binding cap is the cellular one and no row reaches 1;
+        # the slow V2V link makes the success cap bind where the cellular
+        # one reaches the fallback supremum (t >= 15), and there the
+        # leftover row and the small trial counts read c = 1.
+        params = SystemParams(rate_cell=0.3, rate_v2v=0.2)
+        T, n = params.hop_dwell, _TABLE_INTERVALS
         rng = np.random.default_rng(72)
         hops = make_route(rng, k=14).hops
         routes = [Route(hops=hops[:2]), Route(hops=hops[3:11]), Route(hops=hops), Route(hops=hops[5:7])]
-        stack = _RouteStack(routes, params)
+        ts, ms = model._windows(np.tile(np.linspace(0.0, T, 400), len(routes)), params)
+        cols = np.repeat(np.arange(len(routes)), 400)
+        none = np.zeros(len(ts))  # p_as = p_af = 0: the mixture rate alone
+        late = params.rate_cell >= (params.rate_v2i * (T - ts) + params.rate_cell * ts) / (2.0 * T)
+        assert 0 < np.count_nonzero(late) < len(ts)
+        stack, blind = _RouteStack(routes, params), _RouteStack(routes, params)
+        want = stack._mixed_rate(cols, ts, ms, none, none)
+        # Each route's last table interval, which a read at c = 1 takes, is
+        # NaN in the blind stack: every cell keeps its bits.
+        reads = []
+        read = closedform._mixture_integral
+        monkeypatch.setattr(closedform, "_mixture_integral", lambda t, f, c: reads.append(c.ravel()) or read(t, f, c))
+        blind._mixture = stack._mixture.copy()
+        blind._mixture[:, n - 1 :: n] = np.nan
+        assert blind._mixed_rate(cols, ts, ms, none, none).tobytes() == want.tobytes()
+        caps = np.concatenate(reads)
+        assert np.count_nonzero(caps == 1.0) > 100
+        assert not np.any((caps >= 1.0 - 1.0 / n) & (caps < 1.0))  # no other read takes the last interval
+        # With J(1) NaN, exactly the cells from t = 15 on, free or binding,
+        # turn NaN, and the rest keep their bits.
+        blind._tables = dataclasses.replace(stack._tables, j1=np.full(len(routes), np.nan))
+        got = blind._mixed_rate(cols, ts, ms, none, none)
+        assert np.array_equal(np.isnan(got), late)
+        assert got[~late].tobytes() == want[~late].tobytes()
         for j, route in enumerate(routes):
+            # The table's running sum lands within a few ulp of the rule's total.
             lam = np.array([h.arrival_rate for h in route.hops])
-            want = _mixture_integral(_mixture_table(lam, params.hop_dwell), np.zeros(1, dtype=np.intp), np.ones(1))
-            assert stack._tables.j1[j].tobytes() == want[0].tobytes(), len(lam)
+            j1 = stack._tables.j1[j]
+            table = _mixture_integral(_mixture_table(lam, T), np.zeros(1, dtype=np.intp), np.ones(1))
+            assert abs(table[0] - j1) <= 4 * np.spacing(j1), len(lam)
 
 
 def test_joint_rate_sits_below_the_bottleneck_of_means(params, grid_routes):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from support import make_route
+from support import count_table_builds, make_route
 from v2xdelivery import (
     Hop,
     Route,
@@ -857,64 +857,54 @@ class TestWorkCounts:
         assert run_command(["sweep", "--variable", "alpha", *grid]) == 0
         assert 2 < len(reads) <= 2 * 81
 
-    @pytest.mark.parametrize("rate_cell, table", [(1.0, []), (0.3, ["_mixture_table"])])
+    @pytest.mark.parametrize("rate_cell, table", [(1.0, []), (0.3, ["_mixture_table", "_mixture_nodes"])])
     def test_distributed_with_a_context_builds_no_joint_tables(self, monkeypatch, params, grid_routes, rate_cell, table):
-        # With a context, solve_distributed reads only hop stages: no node
-        # pass runs, for J(1) and E[max wait] or for a mixture table.
-        # solve_global builds the mixture tables only where a cap binds:
-        # nowhere at stock, and at rate_cell=0.3 wherever the cellular cap
-        # is below the fallback supremum.
-        import v2xdelivery.closedform as cf
-
+        # With a context, solve_distributed reads only hop stages: it takes
+        # no J(1) and E[max wait] and builds no mixture table.  solve_global
+        # builds the mixture tables, each with its node pass, only where a
+        # cap binds: nowhere at stock, and at rate_cell=0.3 wherever the
+        # cellular cap is below the fallback supremum.
         params = dataclasses.replace(params, rate_cell=rate_cell)
-        built = []
-        for name in ("_mixture_table", "_mixture_nodes"):
-            original = getattr(cf, name)
-            monkeypatch.setattr(
-                cf, name, lambda *a, name=name, original=original, **kw: built.append(name) or original(*a, **kw)
-            )
+        built = count_table_builds(monkeypatch)
         ctx = build_normalization(grid_routes, params)
         del built[:]
         solve_distributed(grid_routes, params, weight=0.5, context=ctx)
         assert built == []
         solve_global(grid_routes, params, weight=0.5, with_kkt=False)
-        assert sorted(set(built)) == sorted(["_mixture_nodes", *table])
+        assert sorted(set(built)) == sorted(["_mixture_totals", *table])
 
     @pytest.mark.parametrize("rate_cell, builds_tables", [(1.0, False), (0.3, True)])
     def test_global_builds_each_mixture_table_once(self, monkeypatch, params, grid_routes, rate_cell, builds_tables):
         # The envelope, the lockstep and the winner's reads share each mixed
-        # route's J(1) and E[max wait], one node pass per route, and, once a
-        # cap binds, its table, one more node pass per route, the tables
-        # straight into the stack's array.
+        # route's J(1) and E[max wait], one _mixture_totals call per route,
+        # and, once a cap binds, its table, whose node pass is the only one
+        # made, the tables straight into the stack's array.
         import v2xdelivery.closedform as cf
 
         params = dataclasses.replace(params, rate_cell=rate_cell)
-        built = {"_mixture_table": [], "_mixture_nodes": []}
-        for name, calls in built.items():
-            original = getattr(cf, name)
-            monkeypatch.setattr(
-                cf, name, lambda *a, calls=calls, original=original, **kw: calls.append(kw) or original(*a, **kw)
-            )
+        built = count_table_builds(monkeypatch)
+        outs = []
+        table = cf._mixture_table
+        monkeypatch.setattr(cf, "_mixture_table", lambda *a, **kw: outs.append(kw.get("out")) or table(*a, **kw))
         mixed = [r for r in grid_routes if len(r) > 1 and any(h.deg > 1 for h in r.hops)]
         assert len(mixed) > 1
         solve_global(grid_routes, params, weight=0.5)
-        assert len(built["_mixture_nodes"]) == len(mixed) * (2 if builds_tables else 1)
-        assert len(built["_mixture_table"]) == (len(mixed) if builds_tables else 0)
-        assert all(kw.get("out") is not None for kw in built["_mixture_table"])
+        tables = len(mixed) if builds_tables else 0
+        assert sorted(built) == sorted(["_mixture_totals"] * len(mixed) + ["_mixture_table", "_mixture_nodes"] * tables)
+        assert len(outs) == tables and all(out is not None for out in outs)
 
     def test_a_stock_4x4_solve_builds_no_mixture_table(self, monkeypatch):
-        # No cap binds at stock, so the 184-route solve makes one node pass
-        # per mixed route for its J(1) and E[max wait], computes each
-        # distinct arrival rate's factors once, and holds no (7, 4000)
-        # mixture table.
+        # No cap binds at stock, so the 184-route solve makes one
+        # _mixture_totals call per mixed route for its J(1) and E[max wait]
+        # and no node pass, computes each distinct arrival rate's factors
+        # once, and holds no (7, 4000) mixture table.
         import v2xdelivery.closedform as cf
 
         scenario = build_grid_scenario(rows=4, cols=4, seed=2)
         routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
-        tables, nodes, factors = [], [], []
-        original_table, original_nodes, original_factors = cf._mixture_table, cf._mixture_nodes, cf._hop_factors
-        monkeypatch.setattr(cf, "_mixture_table", lambda *a, **kw: tables.append(a) or original_table(*a, **kw))
-        monkeypatch.setattr(cf, "_mixture_nodes", lambda *a: nodes.append(a) or original_nodes(*a))
+        built = count_table_builds(monkeypatch)
+        factors = []
+        original_factors = cf._hop_factors
         monkeypatch.setattr(cf, "_hop_factors", lambda mu, wait: factors.append(float(mu)) or original_factors(mu, wait))
         tracemalloc.start()
         try:
@@ -922,10 +912,9 @@ class TestWorkCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tables == []
         mixed = [r for r in routes if len(r.hops) > 1 and any(h.deg > 1 for h in r.hops)]
         assert len(mixed) > 100
-        assert len(nodes) == len(mixed)
+        assert built == ["_mixture_totals"] * len(mixed)
         assert sorted(factors) == sorted({h.arrival_rate for r in mixed for h in r.hops})
         assert peak <= 16e6
 
