@@ -26,8 +26,8 @@ per-hop stage: :meth:`_RouteStack.read` serves every reading at given
 (route, window) cells, in bounded blocks, with its per-hop stage
 :meth:`_RouteStack.hops` as the first half; :meth:`_RouteStack.grid`, the
 envelope's read, takes every route over one shared window grid, runs the
-per-hop stage once per distinct hop, and builds each route's sums and
-products from those rows.
+per-hop stage once per distinct hop, folds those rows into routes
+(:meth:`_RouteStack.fold`), and reads the rate in (routes x windows) blocks.
 :class:`RouteEvaluator` is a view of one route of a stack: every reading of
 a view is a read of its stack at the view's column.
 The quadrature forms above are independent oracles: the runtime never calls
@@ -607,19 +607,18 @@ def _mixture_integral(table: np.ndarray, first: np.ndarray, c: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class _JointTables:
-    """Joint-outcome tables of a route stack, routes along the last axis;
-    routes without a mixture read none of them and hold zeros.
-
-    They hold what every mixed cell reads, J(1) and E[max wait] of each
-    route among them, both from one :func:`_mixture_totals` call; the
-    mixture tables themselves, read only where a cap binds below 1, are the
-    stack's separate ``_mixture``.
+    """Joint-outcome tables of a route stack, zeros where no mixed route
+    reads them.  The geometric-max tables depend on the hop count alone:
+    one column per hop count k, read at ``ks[cols]``.  J(1) and E[max wait]
+    hold one entry per route, both from one :func:`_mixture_totals` call per
+    mixed route; the mixture tables themselves, read only where a cap binds
+    below 1, are the stack's separate ``_mixture``.
     """
 
     support: np.ndarray  # (pieces,) trial counts x of the geometric-max table
-    pmf: np.ndarray  # (pieces, routes) P(max trial count = x)
-    xf_cum: np.ndarray  # (pieces + 1, routes) prefix sums of x * pmf
-    leftover: np.ndarray  # (max_trials(T) + 1, routes) mass of the max trial count beyond m
+    pmf: np.ndarray  # (pieces, k_max + 1) P(max of k trial counts = x)
+    xf_cum: np.ndarray  # (pieces + 1, k_max + 1) prefix sums of x * pmf
+    leftover: np.ndarray  # (max_trials(T) + 1, k_max + 1) mass of the max trial count beyond m
     exp_max_wait: np.ndarray  # (routes,) E[max] of the hops' exponential waits
     j1: np.ndarray  # (routes,) J(1), the integral of each route's fallback survival W
     first: np.ndarray  # (routes,) each route's first column in _RouteStack._mixture, 0 if it has none
@@ -658,7 +657,7 @@ class RouteEvaluator:
 
     # -- one-window readings: size-1 reads of the kernel ---------------------
     # The per-hop readings stop at the per-hop stage, so they build no
-    # joint-outcome tables and read routes of any length.
+    # joint-outcome tables.
 
     def hop_latencies(self, t: float) -> np.ndarray:
         return self._stack.hops(self._col, [t])[2]["hop_latency"][:, 0]
@@ -692,15 +691,16 @@ class RouteEvaluator:
 
 class _RouteStack:
     """Several routes read by one kernel, which owns every closed-form
-    coefficient and table of its routes.
+    coefficient and table of its routes, and their layout.
 
     The stack records its distinct hops by (arrival rate, deg), one
     coefficient column each (``distinct``), plus one padding column, and
     each route's column at every hop, ``at`` (k_max, routes); a route
-    shorter than k_max reads the padding column past its last hop.  Padded hops are neutral:
-    they add 0 to the latency sum, 1 to the survival products and +inf to
-    the minimum, and the sums and products run row by row in hop order, so
-    a padded route reads the same bits as its route alone.
+    shorter than k_max reads the padding column past its last hop.  Padded
+    hops are neutral: they add 0 to the latency sum, 1 to the survival
+    products and +inf to the minimum, and the sums and products run row by
+    row in hop order, so a padded route reads the same bits as its route
+    alone.  Other modules reach the layout through :meth:`fold` alone.
 
     There are two reads, and both run one per-hop stage (:meth:`_stage`) on
     coefficient columns.  :meth:`read` takes window i of route cols[i]: it
@@ -708,9 +708,8 @@ class _RouteStack:
     optimality checks, ``analyze`` and :meth:`RouteEvaluator.series`), and
     its per-hop stage :meth:`hops` is the first half of it.  :meth:`grid`
     takes every route over one shared window grid, for the envelope alone:
-    it runs the per-hop stage once on the stack's distinct hops, and each
-    route adds and multiplies its hops' rows.  A cell reads the same bits
-    in either.
+    it runs the per-hop stage once on the stack's distinct hops, and folds
+    their rows into routes.  A cell reads the same bits in either.
 
     The joint-outcome tables of every mixed route are built on the first
     read that needs them, straight into stacked arrays (see _JointTables),
@@ -753,8 +752,6 @@ class _RouteStack:
                 (params.rate_cell - params.rate_v2i) / (2.0 * T + mean_wait),  # ... and its slope
             ]
         )
-        pad = self.at == len(column)
-        self.pad = pad if pad.any() else None
         # All-forward routes carry at the cellular rate and a one-hop route
         # at its hop's mean; the rest read the joint-outcome mixture.
         self.forward = np.all((deg == 1)[self.at], axis=0)
@@ -764,9 +761,17 @@ class _RouteStack:
         """A view of every route, in order; each reads this stack's tables."""
         return [RouteEvaluator.__new__(RouteEvaluator)._bind(self, j) for j in range(len(self.routes))]
 
-    def _arrival_rates(self, j: int) -> np.ndarray:
-        """Route j's arrival rates, in hop order."""
-        return self.coef[0, self.at[: self.ks[j], j]]
+    def columns(self, j: int) -> np.ndarray:
+        """Route j's distinct-hop columns, in hop order."""
+        return self.at[: self.ks[j], j]
+
+    def fold(self, rows, op, pad, cols=None) -> np.ndarray:
+        """Rows of the distinct hops, (d, ...), folded by ``op`` along the
+        hops of every route, or of route cols[i], in hop order, with ``pad``
+        past a route's last hop (see _sum_rows): (routes, ...)."""
+        at = self.at if cols is None else self.at[: self.ks[cols].max(initial=1), cols]
+        rows = np.concatenate([rows, np.full_like(rows[:1], pad)])
+        return _sum_rows((rows[i] for i in at), op)
 
     @functools.cached_property
     def _tables(self) -> _JointTables:
@@ -782,24 +787,24 @@ class _RouteStack:
             hi = 1
         support = np.arange(1, hi + 1, dtype=float) if max_m >= 1 else np.empty(0)
         n = len(self.routes)
-        pmf = np.zeros((len(support), n))
-        xf_cum = np.zeros((len(support) + 1, n))
-        leftover = np.zeros((max_m + 1, n))
+        width = self.ks.max() + 1
+        pmf = np.zeros((len(support), width))
+        xf_cum = np.zeros((len(support) + 1, width))
+        leftover = np.zeros((max_m + 1, width))
         exp_max_wait = np.zeros(n)
         j1 = np.zeros(n)
         mixed = np.flatnonzero(self.mixed)
         # The tables of the geometric max depend on the hop count alone.
         for k in np.unique(self.ks[mixed]).tolist():
-            cols = mixed[self.ks[mixed] == k]
             f = geometric_max_pmf(support, k, params.decode_ok_pair)
-            pmf[:, cols] = f[:, None]
-            xf_cum[1:, cols] = np.cumsum(support * f)[:, None]
+            pmf[:, k] = f
+            xf_cum[1:, k] = np.cumsum(support * f)
             # Mass beyond every m the kernel takes, by Python's scalar **
             # (NumPy's array ** can differ in the last bit).
-            leftover[:, cols] = np.array([1.0 - (1.0 - trial_fail**m) ** k for m in range(max_m + 1)])[:, None]
+            leftover[:, k] = [1.0 - (1.0 - trial_fail**m) ** k for m in range(max_m + 1)]
         nodes, factors = _v_nodes(T), {}
         for j in mixed.tolist():
-            j1[j], exp_max_wait[j] = _mixture_totals(self._arrival_rates(j), T, nodes, factors)
+            j1[j], exp_max_wait[j] = _mixture_totals(self.coef[0, self.columns(j)], T, nodes, factors)
         return _JointTables(
             support=support,
             pmf=pmf,
@@ -819,7 +824,7 @@ class _RouteStack:
         tables = np.empty((_TABLE_COLUMNS, len(mixed), _TABLE_INTERVALS))
         factors = {}
         for r, j in enumerate(mixed.tolist()):
-            _mixture_table(self._arrival_rates(j), self.params.hop_dwell, out=tables[:, r], factors=factors)
+            _mixture_table(self.coef[0, self.columns(j)], self.params.hop_dwell, out=tables[:, r], factors=factors)
         return tables.reshape(_TABLE_COLUMNS, -1)
 
     def _stage(self, coef, ts, ms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -861,9 +866,10 @@ class _RouteStack:
         k = self.ks[cols].max(initial=1)  # every route has a hop; 1 serves an empty read
         if cols.size and (cols == cols[0]).all():
             cols = cols[:1]  # one route: its (k, 1) columns, gathered once, broadcast over the windows
-        hop_lat, success, failure, hop_rates = self._stage(self.coef[:, self.at[:k, cols]], ts, ms)
-        pad = None if self.pad is None else self.pad[:k, cols]
-        if pad is not None and pad.any():
+        at = self.at[:k, cols]
+        hop_lat, success, failure, hop_rates = self._stage(self.coef[:, at], ts, ms)
+        pad = at == len(self.distinct)
+        if pad.any():
             hop_lat[pad] = 0.0
             hop_rates[pad] = np.inf
             success[pad] = 1.0
@@ -917,14 +923,13 @@ class _RouteStack:
         """Every route of the stack over one shared window grid ``ts``: the
         envelope's read.
 
-        The per-hop stage runs once on the stack's coefficient columns,
-        one per distinct hop and the padding column, and their trial counts
-        once on the grid.  Each route then adds its hops' latency rows and
-        multiplies their success and failure rows in place, in hop order,
-        through ``at``, and each hop's rate row is reduced to its min and
-        max as it is computed.  The grid is taken in blocks of windows, so
-        each scratch array of a block holds about _BLOCK_CELLS cells; every
-        cell reads the bits of its own one-window ``read``.
+        The per-hop stage runs once on the stack's distinct hops, and their
+        trial counts once on the grid.  Each route folds its hops' latency
+        rows, and each mixed route their success and failure rows, and the
+        joint-outcome rate reads (mixed routes x windows) cells; each hop's
+        rate row is reduced to its min and max as it is computed.  The grid
+        is taken in blocks of windows, each scratch array of a block about
+        _BLOCK_CELLS cells; every cell reads the bits of its one-window ``read``.
 
         Returns (routes, len(ts)) arrays under ``latency`` and
         ``rate_closed``, and each route's lowest and highest hop rate over
@@ -932,10 +937,9 @@ class _RouteStack:
         """
         params = self.params
         ts, ms = _windows(ts, params)
-        coef = self.coef[:, :, None]
+        coef = self.coef[:, :-1, None]  # the distinct hops, without the padding column
         single = np.flatnonzero(~self.forward & (self.ks == 1))
         mixed = np.flatnonzero(self.mixed)
-        mixed_at = self.at[: self.ks[mixed].max(initial=1), mixed]
         if mixed.size:
             self._tables  # built, and its scratch freed, before the rows below exist
         n = len(ts)
@@ -950,75 +954,75 @@ class _RouteStack:
         for a in range(0, n, step):
             b = slice(a, a + step)
             hop_lat, success, failure, hop_rate = self._stage(coef, ts[b], ms[b])
-            hop_lat[-1], success[-1], failure[-1], hop_rate[-1] = 0.0, 1.0, 1.0, np.inf  # the padding row
-            np.minimum(low[:-1], hop_rate[:-1].min(axis=1), out=low[:-1])
-            np.maximum(high[:-1], hop_rate[:-1].max(axis=1), out=high[:-1])
-            latency[:, b] = _sum_rows(hop_lat[i] for i in self.at)
+            np.minimum(low, hop_rate.min(axis=1), out=low)
+            np.maximum(high, hop_rate.max(axis=1), out=high)
+            latency[:, b] = self.fold(hop_lat, np.add, 0.0)
             rate[single, b] = hop_rate[self.at[0, single]]
             if mixed.size:
-                p_as, p_af = (_sum_rows((p[i] for i in mixed_at), np.multiply) for p in (success, failure))
-                w = p_as.shape[1]
-                rate[mixed, b] = self._mixed_rate(
-                    np.repeat(mixed, w), np.tile(ts[b], len(mixed)), np.tile(ms[b], len(mixed)),
-                    p_as.ravel(), p_af.ravel(),
-                ).reshape(len(mixed), w)
+                p_as, p_af = (self.fold(p, np.multiply, 1.0, mixed) for p in (success, failure))
+                rate[mixed, b] = self._mixed_rate(mixed[:, None], ts[b], ms[b], p_as, p_af)
         return {
             "latency": latency,
             "rate_closed": rate,
-            "hop_rate_min": low[self.at].min(axis=0),
-            "hop_rate_max": high[self.at].max(axis=0),
+            "hop_rate_min": self.fold(low, np.minimum, np.inf),
+            "hop_rate_max": self.fold(high, np.maximum, -np.inf),
         }
 
     def _mixed_rate(self, cols, ts, ms, p_as, p_af) -> np.ndarray:
         """Joint-outcome rate of mixed route cols[i] at window ts[i], given
         the window's trial count and its route's success and failure
-        products."""
+        products.  ``cols`` broadcasts against the windows, a column of
+        routes against a row of windows for a block, and each term takes
+        the shape it depends on: the window terms are taken once a window."""
         params = self.params
         T = params.hop_dwell
         tables = self._tables
         p_mix = 1.0 - p_as - p_af
         # all-success term; mm is a window's last trial count the pmf table counts
         mm = np.minimum(ms, len(tables.support))
-        waits = tables.xf_cum[mm, cols] * params.trial_time
+        waits = tables.xf_cum[mm, self.ks[cols]] * params.trial_time
         c_as = (params.rate_v2v * (T - waits) + params.rate_cell * (T - ts)) / T
         c_as = np.where(ms >= 1, c_as, 0.0)
         # all-failure term
-        c_af = (params.rate_v2i * (T - ts) + params.rate_cell * ts) / (2.0 * T + tables.exp_max_wait[cols])
+        amount = params.rate_v2i * (T - ts) + params.rate_cell * ts
+        c_af = amount / (2.0 * T + tables.exp_max_wait[cols])
         # Mixture: row x of a cell caps the success bottleneck at x trials
         # and counts where x <= m; the last row caps the leftover mass.  The
-        # cells fall in three classes.  Where the fallback rate's supremum
-        # is zero the mixture rate is zero, and nothing divides by the
-        # supremum.  Where no cap binds (the cellular rate and the success
-        # rate at the last counted trial, the lowest of the counted rows,
-        # both reach the supremum) every row reads J(1), and the rows'
-        # weights, the pmf up to m and the leftover mass, add up to 1 (less
-        # the pmf table's dropped tail, at most k * 1e-15), so the cell
-        # reads J(1).  The rest read the mixture tables, every trial-count
-        # row of a cell in one table gather, in passes of at most
-        # _BLOCK_CELLS (row, cell) pairs, and a row capped at 1 reads J(1)
-        # as a free cell does.
-        c_mix = np.zeros_like(ts)
+        # windows fall in three classes, alike for every route of a block.
+        # Where the fallback rate's supremum is zero the mixture rate is
+        # zero, and nothing divides by the supremum.  Where no cap binds (the
+        # cellular rate and the success rate at the last counted trial, the
+        # lowest of the counted rows, both reach the supremum) every row
+        # reads J(1), and the rows' weights, the pmf up to m and the leftover
+        # mass, add up to 1 (less the pmf table's dropped tail, at most
+        # k * 1e-15), so each cell reads its route's J(1).  The cells of the
+        # rest read the mixture tables, every trial-count row of a cell in
+        # one table gather, in passes of at most _BLOCK_CELLS (row, cell)
+        # pairs, and a row capped at 1 reads J(1) as a free cell does.
         cap = params.rate_cell
-        amount = params.rate_v2i * (T - ts) + params.rate_cell * ts
         sup = amount / (2.0 * T)
         lowest = params.rate_v2v * (T - mm * params.trial_time) / T + params.rate_cell * (T - ts) / T
         live = sup > 0.0
         free = live & (cap >= sup) & ((mm == 0) | (lowest >= sup))
-        c_mix[free] = sup[free] * tables.j1[cols[free]]
-        bind = np.flatnonzero(live & ~free)
-        xs = tables.support[:, None]
-        step = max(1, _BLOCK_CELLS // (len(xs) + 1))
-        for a in range(0, bind.size, step):
-            cells = bind[a : a + step]
-            s, m = sup[cells], ms[cells]
-            owner = cols[cells]
-            s_rates = (
-                params.rate_v2v * (T - xs * params.trial_time) / T
-                + params.rate_cell * (T - ts[cells][None, :]) / T
-            )
-            caps = np.vstack([np.clip(np.minimum(s_rates, cap), 0.0, s) / s, np.minimum(cap / s, 1.0)])
-            integral = _mixture_integral(self._mixture, tables.first[owner], caps)
-            integral = np.where(caps == 1.0, tables.j1[owner], integral)
-            terms = np.where(xs <= m, tables.pmf[:, owner] * integral[:-1], 0.0)
-            c_mix[cells] = s * (_sum_rows(terms) + tables.leftover[m, owner] * integral[-1])
+        c_mix = np.where(free, sup * tables.j1[cols], 0.0)
+        bind = live & ~free
+        if bind.any():  # the cells of binding windows, flattened
+            bind = np.flatnonzero(np.broadcast_to(bind, c_mix.shape))
+            sup, ms, ts, cols = (np.broadcast_to(x, c_mix.shape).ravel() for x in (sup, ms, ts, cols))
+            flat = c_mix.reshape(-1)
+            xs = tables.support[:, None]
+            step = max(1, _BLOCK_CELLS // (len(xs) + 1))
+            for a in range(0, bind.size, step):
+                cells = bind[a : a + step]
+                s, m, owner = sup[cells], ms[cells], cols[cells]
+                k = self.ks[owner]
+                s_rates = (
+                    params.rate_v2v * (T - xs * params.trial_time) / T
+                    + params.rate_cell * (T - ts[cells][None, :]) / T
+                )
+                caps = np.vstack([np.clip(np.minimum(s_rates, cap), 0.0, s) / s, np.minimum(cap / s, 1.0)])
+                integral = _mixture_integral(self._mixture, tables.first[owner], caps)
+                integral = np.where(caps == 1.0, tables.j1[owner], integral)
+                terms = np.where(xs <= m, tables.pmf[:, k] * integral[:-1], 0.0)
+                flat[cells] = s * (_sum_rows(terms) + tables.leftover[m, k] * integral[-1])
         return p_as * c_as + p_af * c_af + p_mix * c_mix

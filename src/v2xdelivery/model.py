@@ -118,11 +118,17 @@ class Hop:
     rsu_id: str = ""
 
     def __post_init__(self) -> None:
-        if not 0 < self.arrival_rate < math.inf:
-            raise ValueError("arrival_rate must be positive and finite")
-        # bool is an int subclass: a YAML ``deg: true`` must not read as 1.
-        if not (isinstance(self.deg, int) and not isinstance(self.deg, bool) and self.deg >= 1):
-            raise ValueError("deg must be an integer >= 1")
+        # Stored as a float and an int; bool is an int subclass, so a YAML
+        # ``deg: true`` is named.  Exact types skip the slower ABC checks.
+        rate, deg = self.arrival_rate, self.deg
+        real = type(rate) is float or isinstance(rate, numbers.Real) and not isinstance(rate, bool)
+        if not (real and 0 < rate < math.inf):
+            raise ValueError(f"arrival_rate must be a positive, finite real number, got {rate!r}")
+        whole = type(deg) is int or isinstance(deg, numbers.Integral) and not isinstance(deg, bool)
+        if not (whole and deg >= 1):
+            raise ValueError(f"deg must be an integer >= 1, got {deg!r}")
+        object.__setattr__(self, "arrival_rate", float(rate))
+        object.__setattr__(self, "deg", int(deg))
 
 
 @dataclass(frozen=True)

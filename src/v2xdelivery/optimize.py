@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closedform import RouteEvaluator, _breakpoints, _RouteStack, _sum_rows
+from .closedform import RouteEvaluator, _breakpoints, _RouteStack
 from .model import _window, Route, SystemParams
 
 __all__ = [
@@ -56,7 +56,7 @@ _REL_T_TOL = 1e-9
 _REL_PROBE = 1e-4
 # Interior sample count per smooth piece in the scan grids.
 _PIECE_SAMPLES = 7
-# Objective values closer than this tie in the solvers' selection rules.
+# Objective values closer than this tie in the winner rule (see _winner).
 _TIE = 1e-15
 # Sample count per smooth piece in the concavity probe.
 _CONCAVITY_SAMPLES = 16
@@ -233,8 +233,9 @@ def _brackets(
     return lo[keep], hi[keep]
 
 
-def _winner(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float]:
-    """Window and value the tie-tolerant rule picks from candidates in order.
+def _winner(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float, int]:
+    """Window, value and index (-1 if none is above -inf) of the candidate
+    the tie-tolerant rule picks from candidates in order.
 
     The rule walks the candidates and moves to one that beats the best so
     far by more than _TIE, or ties it within _TIE at a smaller window.  It
@@ -260,13 +261,13 @@ def _winner(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float]
         clamped = np.where(ts[keep] < 0.0, 0.0, ts[keep])
         clamped = np.where(clamped > T, T, clamped)
         i = int(np.argmin(clamped))
-        return float(clamped[i]), float(kept[i])
-    best_t, best_val = 0.0, -math.inf
-    for t, v in zip(ts[keep].tolist(), kept.tolist()):
+        return float(clamped[i]), float(kept[i]), int(np.flatnonzero(keep)[i])
+    best_t, best_val, best_i = 0.0, -math.inf, -1
+    for i, t, v in zip(np.flatnonzero(keep).tolist(), ts[keep].tolist(), kept.tolist()):
         t = min(max(t, 0.0), T)
         if v > best_val + _TIE or (abs(v - best_val) <= _TIE and t < best_t):
-            best_val, best_t = v, t
-    return best_t, best_val
+            best_val, best_t, best_i = v, t, i
+    return best_t, best_val, best_i
 
 
 def _search(
@@ -326,7 +327,7 @@ def _search(
     peak_values = _objective(stack, cols, peaks, NormalizationContext(*bounds.T), weights)
     cut = np.searchsorted(owner, np.arange(len(tasks) + 1))
     return [
-        _winner(np.append(grid.ts, peaks[a:b]), np.append(grid_values(task), peak_values[a:b]), T)
+        _winner(np.append(grid.ts, peaks[a:b]), np.append(grid_values(task), peak_values[a:b]), T)[:2]
         for task, a, b in zip(tasks, cut[:-1], cut[1:])
     ]
 
@@ -386,15 +387,10 @@ def _solve_global(
     found = _search(stack, grid, reads, [(i, ctx, w) for w in weights for i in range(n)])
     del reads
     per_weight = [tuple(found[j * n : (j + 1) * n]) for j in range(len(weights))]
-    winners = []
-    for per_route in per_weight:
-        best = (-math.inf, math.inf, -1)  # value, window, index
-        for i, (t_i, val_i) in enumerate(per_route):
-            if val_i > best[0] + _TIE or (abs(val_i - best[0]) <= _TIE and (t_i, i) < (best[1], best[2])):
-                best = (val_i, t_i, i)
-        winners.append(best)
+    # Ties between routes go to the smaller window, then the lower index.
+    winners = [_winner(*np.array(per_route).T, params.hop_dwell) for per_route in per_weight]
     # One read of the stack gives every winner's latency and rate.
-    _, t_stars, cols = zip(*winners)
+    t_stars, _, cols = zip(*winners)
     out = stack.read(list(cols), list(t_stars))
     readings = zip(out["latency"].tolist(), out["rate_closed"].tolist())
     return [
@@ -408,7 +404,7 @@ def _solve_global(
             kkt=kkt_stationarity_check(evaluators[idx], t_star, ctx, w) if with_kkt else {},
             context=ctx,
         )
-        for w, per_route, (val, t_star, idx), (lat, rate) in zip(weights, per_weight, winners, readings)
+        for w, per_route, (t_star, val, idx), (lat, rate) in zip(weights, per_weight, winners, readings)
     ]
 
 
@@ -442,9 +438,9 @@ def _solve_distributed(
     The scan grid, the route envelope, the distinct hops and their envelope
     serve every weight; each (hop, weight) pair is one task of one lockstep
     search.  One read of the hop stack at every (hop, weight) window then
-    aggregates every route at every weight.  The route stack names the
-    distinct hops and indexes each route's hops into them; it is read only
-    for the envelope, when no context is given.
+    aggregates every route at every weight, folded along each route's
+    hops by the route stack, which names the distinct hops; the stack is
+    read only for the envelope, when no context is given.
     """
     _check_inputs(routes, weights)
     grid = _scan_grid(params)
@@ -458,22 +454,15 @@ def _solve_distributed(
     tasks = [(i, scale, w) for w in weights for i, scale in enumerate(scales)]
     found = np.array([t for t, _ in _search(hop_stack, grid, reads, tasks)]).reshape(len(weights), d)
     out = hop_stack.read(np.tile(np.arange(d), len(weights)), found.ravel())
-    # Route i reads its hops through the stack's columns at[:, i], in hop
-    # order; the padding column d is neutral (0 latency, +inf rate).  Sums
-    # add row by row.
-    at = stack.at
-    lat = np.vstack([out["latency"].reshape(found.shape).T, np.zeros(len(weights))])[at]
-    rate = np.vstack([out["rate_min_means"].reshape(found.shape).T, np.full(len(weights), np.inf)])[at]
-    lat, rate = _sum_rows(lat), rate.min(axis=0)  # (routes, weights)
+    # Each route sums its hops' latencies and takes its weakest hop's rate.
+    lat = stack.fold(out["latency"].reshape(found.shape).T, np.add, 0.0)  # (routes, weights)
+    rate = stack.fold(out["rate_min_means"].reshape(found.shape).T, np.minimum, np.inf)
     outcomes = []
     for j, w in enumerate(weights):
-        windows = [tuple(found[j, at[: len(r.hops), i]].tolist()) for i, r in enumerate(routes)]
-        values = _trade_off(rate[:, j], lat[:, j], context, w).tolist()
-        best = (-math.inf, -1)
-        for i, val in enumerate(values):
-            if val > best[0] + _TIE:
-                best = (val, i)
-        val, idx = best
+        windows = [tuple(found[j, stack.columns(i)].tolist()) for i in range(len(routes))]
+        values = _trade_off(rate[:, j], lat[:, j], context, w)
+        # The winner rule at one shared window: the first route of the top value.
+        _, val, idx = _winner(np.zeros(len(values)), values, params.hop_dwell)
         outcomes.append(
             DistributedOutcome(
                 windows=windows[idx],
@@ -481,7 +470,7 @@ def _solve_distributed(
                 route_index=idx,
                 latency=float(lat[idx, j]),
                 rate=float(rate[idx, j]),
-                per_route=tuple(zip(windows, values)),
+                per_route=tuple(zip(windows, values.tolist())),
             )
         )
     return outcomes

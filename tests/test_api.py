@@ -96,6 +96,30 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(v2xdelivery.__all__) - used) == []
 
 
+def _root_name(node: ast.AST) -> str | None:
+    """The name an attribute chain such as ``np.maximum.at`` starts from."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_only_closedform_reads_the_route_layout():
+    """A route stack's layout, its ``at`` columns and ``coef`` rows with
+    their padding (``pad``), is read inside ``closedform`` alone; every
+    other module folds rows into routes through ``_RouteStack.fold`` and
+    ``columns``.  NumPy's own attributes (``np.add.at``, ``np.pad``) are
+    not the layout."""
+    package = ROOT / "src" / "v2xdelivery"
+    readers = sorted(
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in package.glob("*.py")
+        if path.name != "closedform.py"
+        for node in ast.walk(ast.parse(_read(path)))
+        if isinstance(node, ast.Attribute) and node.attr in {"at", "pad", "coef"} and _root_name(node) != "np"
+    )
+    assert readers == []
+
+
 def test_public_surface_size():
     assert len(v2xdelivery.__all__) == len(set(v2xdelivery.__all__)) == 45
 

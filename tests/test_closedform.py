@@ -833,6 +833,45 @@ class TestRouteStack:
             ts = _scan_grid(params).ts
             assert repr(_envelope(stack, ts)[0]) == repr(per_route_envelope(stack, ts)), label
 
+    def test_a_fold_walks_each_route_in_hop_order(self, params):
+        # Row j of a fold is route j's hops' rows folded in hop order, the
+        # same bits with or without the routes' columns named.
+        routes = self._routes()
+        stack = _RouteStack(routes, params)
+        d = len(stack.distinct)
+        rows = np.random.default_rng(5).uniform(0.5, 2.0, size=(d, 3))
+        for op, pad in ((np.add, 0.0), (np.multiply, 1.0), (np.minimum, np.inf), (np.maximum, -np.inf)):
+            out = stack.fold(rows, op, pad)
+            assert out.shape == (len(routes), 3)
+            for j, route in enumerate(routes):
+                cols = stack.columns(j)
+                named = [(stack.distinct[i].arrival_rate, stack.distinct[i].deg) for i in cols]
+                assert named == [(h.arrival_rate, h.deg) for h in route.hops]
+                ref = rows[cols[0]].copy()
+                for i in cols[1:]:
+                    op(ref, rows[i], out=ref)
+                assert out[j].tobytes() == ref.tobytes(), (op, j)
+                assert stack.fold(rows, op, pad, [j])[0].tobytes() == ref.tobytes(), (op, j)
+
+    def test_the_joint_tables_are_kept_per_hop_count(self):
+        # The geometric-max tables depend on the hop count alone, so 4x4
+        # seed 2 at trial_time=0.005 (184 routes of 6 to 14 hops, 4000
+        # trials a window) keeps one column per hop count: under 1 MB, where
+        # one column per route kept 5.92 MB.
+        scenario = build_grid_scenario(rows=4, cols=4, seed=2)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        params = dataclasses.replace(scenario.params, trial_time=0.005)
+        stack = _RouteStack(routes, params)
+        _RouteStack(routes[:1], params)._tables  # whatever a first build imports is not kept by the tables
+        tracemalloc.start()
+        try:
+            tables = stack._tables
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(routes) == 184 and tables.leftover.shape == (4001, 15)
+        assert kept < 1 << 20
+
 
 class TestMixtureTable:
     """The Hermite table's J(c) = integral of W over [0, c] against adaptive

@@ -90,6 +90,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             Hop(arrival_rate=0.1, deg=deg)
 
+    # Each bad input is a ValueError naming its field, not a TypeError.
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"arrival_rate": True, "deg": 2}, "arrival_rate"),
+            ({"arrival_rate": "0.1", "deg": 2}, "arrival_rate"),
+            ({"arrival_rate": None, "deg": 2}, "arrival_rate"),
+            ({"arrival_rate": 0.1, "deg": "2"}, "deg"),
+            ({"arrival_rate": 0.1, "deg": 2.0}, "deg"),
+            ({"arrival_rate": 0.1, "deg": np.bool_(True)}, "deg"),
+        ],
+    )
+    def test_bad_hop_input_is_named(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            Hop(**kwargs)
+
+    def test_hop_stores_a_float_rate_and_an_int_degree(self):
+        hop = Hop(np.float32(0.25), np.int64(2))
+        assert type(hop.arrival_rate) is float and hop.arrival_rate == 0.25
+        assert type(hop.deg) is int and hop.deg == 2
+        assert hop == Hop(0.25, 2) and hash(hop) == hash(Hop(0.25, 2))
+        assert type(Hop(1, 3).arrival_rate) is float
+
     def test_empty_route_rejected(self):
         with pytest.raises(ValueError):
             Route(hops=())

@@ -335,13 +335,13 @@ def _scan_grid_per_piece(params):
 
 def _winner_sequential(ts, values, T):
     """The tie-tolerant winner rule over every candidate, in order."""
-    best_t, best_val = 0.0, -math.inf
-    for t, v in zip(ts, values):
+    best_t, best_val, best_i = 0.0, -math.inf, -1
+    for i, (t, v) in enumerate(zip(ts, values)):
         t = min(max(float(t), 0.0), T)
         v = float(v)
         if v > best_val + 1e-15 or (abs(v - best_val) <= 1e-15 and t < best_t):
-            best_val, best_t = v, t
-    return best_t, best_val
+            best_val, best_t, best_i = v, t, i
+    return best_t, best_val, best_i
 
 
 class TestBatchedScan:
@@ -522,7 +522,7 @@ def _maximize_scan(grid, values, objective, T):
             peaks.append(_bisect_sign_change(deriv, lo, hi, tol))
     if peaks:
         values = np.append(values, objective(np.array(peaks)))
-    return _winner(np.append(grid.ts, peaks), values, T)
+    return _winner(np.append(grid.ts, peaks), values, T)[:2]
 
 
 def _reference_search(stack, grid, reads, tasks):
@@ -739,22 +739,22 @@ class TestWorkCounts:
 
     def test_global_builds_one_grid_and_reads_it_once_per_route(self, counts, params, grid_routes):
         # One grid read of every route, whose per-hop stage runs once on the
-        # 16 distinct hops and the padding row, not once per hop of a route.
+        # 16 distinct hops, not once per hop of a route.
         assert self._distinct_hops(grid_routes) == 16
         solve_global(grid_routes, params, weight=0.5)
         assert len(counts["grids"]) == 1
         assert self._grid_reads(counts) == [len(grid_routes)]
-        assert self._grid_stages(counts) == [[16 + 1]]
+        assert self._grid_stages(counts) == [[16]]
 
     def test_a_4x4_solve_stages_each_distinct_hop_once(self, counts):
         # 184 routes hold 1912 hops but 36 distinct ones: the grid read's
-        # stage has 36 rows and the padding row, in every block.
+        # stage has 36 rows, in every block.
         scenario = build_grid_scenario(rows=4, cols=4, seed=2)
         routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
         assert (len(routes), sum(len(r) for r in routes), self._distinct_hops(routes)) == (184, 1912, 36)
         solve_global(routes, scenario.params, weight=0.5, with_kkt=False)
         assert self._grid_reads(counts) == [184]
-        assert self._grid_stages(counts) == [[36 + 1]]
+        assert self._grid_stages(counts) == [[36]]
 
     def test_distributed_without_context_reads_the_same(self, counts, params, grid_routes):
         # The global solve's one route read, plus one read of the distinct
@@ -764,7 +764,7 @@ class TestWorkCounts:
         solve_distributed(grid_routes, params, weight=0.5)
         assert len(counts["grids"]) == 1
         assert self._grid_reads(counts) == [len(grid_routes), d]
-        assert self._grid_stages(counts) == [[d + 1], [d + 1]]
+        assert self._grid_stages(counts) == [[d], [d]]
 
     def test_a_given_context_reads_no_envelope(self, counts, params, grid_routes):
         # No route read; the distinct hops are read once, for their searches.
@@ -773,7 +773,7 @@ class TestWorkCounts:
         solve_distributed(grid_routes, params, weight=0.5, context=ctx)
         assert len(counts["grids"]) == 1
         assert self._grid_reads(counts) == [d]
-        assert self._grid_stages(counts) == [[d + 1]]
+        assert self._grid_stages(counts) == [[d]]
 
     def test_compare_reads_each_route_once(self, counts, monkeypatch, capsys, grid_routes):
         # n routes in the coordinated solve, plus the SPR and GPSR routes
@@ -799,7 +799,7 @@ class TestWorkCounts:
         d = self._distinct_hops(grid_routes)
         assert run_command(["sweep", "--variable", "alpha", "--grid", "0,0.5,1"]) == 0
         assert self._grid_reads(counts) == [len(grid_routes), d]
-        assert self._grid_stages(counts) == [[d + 1], [d + 1]]
+        assert self._grid_stages(counts) == [[d], [d]]
         assert counts["build_normalization"] == 0
 
     @pytest.mark.parametrize("weights", [[0.5], [0.0, 0.5, 1.0], [i / 10 for i in range(11)]])
@@ -812,7 +812,7 @@ class TestWorkCounts:
         opt._solve_distributed(grid_routes, params, weights, ctx)
         assert counts["direct"] == [d * len(weights)]
         n = counts["grids"][0]
-        assert counts["reads"] == [(n, d, [d + 1])]
+        assert counts["reads"] == [(n, d, [d])]
         assert len(counts["stages"]) - counts["grid_stages"] == len(counts["searched"]) + 1
 
     def test_analyze_reads_every_route_in_one_kernel_read(self, counts, monkeypatch, capsys, grid_routes):
