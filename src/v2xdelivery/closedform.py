@@ -21,7 +21,10 @@ coefficient column per distinct hop, built with the stack; the mixed
 routes' geometric-max sums, and their J(1) and E[max wait], two node sums
 each (:func:`_mixture_totals`), built into stacked arrays on the first
 read that needs them; and their mixture tables, built only on the first
-read where a cap on the mixture binds.  It has two reads, which run one
+read where a cap on the mixture binds.  Both the sums and the tables read
+each route's rows on the v grid from one walk over the mixed routes in
+stack order (:func:`_node_walk`), which folds a hop prefix that routes
+share once.  It has two reads, which run one
 per-hop stage: :meth:`_RouteStack.read` serves every reading at given
 (route, window) cells, in bounded blocks, with its per-hop stage
 :meth:`_RouteStack.hops` as the first half; :meth:`_RouteStack.grid`, the
@@ -43,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -437,7 +440,7 @@ def _breakpoints(params: SystemParams) -> np.ndarray:
     js = np.minimum(js, T)
     if js[-1] < T:
         js = np.append(js, T)
-    return np.unique(js)
+    return js[np.concatenate([[True], js[1:] != js[:-1]])]  # sorted: each first of its run
 
 
 #: Most cells one array of a read's block, or of a binding mixture pass, holds.
@@ -448,12 +451,12 @@ _TABLE_INTERVALS = 4000
 _TABLE_COLUMNS = 7
 
 
-def _hop_factors(mu: float, wait: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One hop's factors of W, W' and W'' at the interior nodes of the v grid:
-    1 + a / mu, a and a (a + mu), with a = mu / expm1(mu w)."""
+def _hop_factors(mu: float, wait: np.ndarray) -> np.ndarray:
+    """One hop's factors of W, W' and W'' at the interior nodes of the v grid,
+    (3, nodes): 1 + a / mu, a and a (a + mu), with a = mu / expm1(mu w)."""
     with np.errstate(over="ignore"):  # expm1 overflows to inf where a hop's factor is 1
         a = mu / np.expm1(mu * wait)
-    return 1.0 + a / mu, a, a * (a + mu)  # 1 - exp(-x) = 1 / (1 + 1 / expm1(x))
+    return np.array([1.0 + a / mu, a, a * (a + mu)])  # 1 - exp(-x) = 1 / (1 + 1 / expm1(x))
 
 
 def _v_nodes(T: float) -> tuple[np.ndarray, ...]:
@@ -467,53 +470,68 @@ def _v_nodes(T: float) -> tuple[np.ndarray, ...]:
     return v, 2.0 * T * (1.0 - v) / v, dwait, dwait**2, 1.0 / i
 
 
-def _node_fold(lam: np.ndarray, T: float, nodes: tuple, factors: dict) -> tuple:
+def _fold_hop(before: np.ndarray, after: np.ndarray, factors: np.ndarray) -> None:
+    """One hop folded into a walk's state: ``after``, (3, nodes), takes the
+    W, A and B rows of ``before``, which it may be or which broadcast
+    against it, W divided by the hop's first factor and A and B plus the
+    other two (see :func:`_hop_factors`)."""
+    np.divide(before[0], factors[0], out=after[0])
+    np.add(before[1:], factors[1:], out=after[1:])
+
+
+def _node_walk(lams: Sequence[Sequence[float]], T: float, nodes: tuple) -> Iterator[tuple]:
     """W and its derivatives m and q, in each interval's unit coordinate
     s = n v, at the interior nodes of the v grid, and q at v = 1 (see
-    :func:`_mixture_table`): each hop's factors are folded in, in hop order.
+    :func:`_mixture_table`), of each route in turn, given as the arrival
+    rates ``lams`` of its hops.
 
-    ``nodes`` is :func:`_v_nodes` of T.  ``factors`` maps an arrival rate to
-    its :func:`_hop_factors`; a rate missing from it is computed and added,
-    so routes that share a rate share its factors.
+    W is the product of the hops' survival factors and A and B the sums of
+    their a and a (a + mu), each folded in hop order, one
+    :func:`_fold_hop` a hop.  A route folds only the hops past the
+    arrival-rate prefix it shares with the route before it, so routes in
+    depth-first order, as enumeration gives them, fold each node of their
+    prefix tree once.  The rows at a depth the next route resumes from keep
+    a buffer of their own, one per depth up to the longest shared prefix;
+    past that depth a route folds in place, in one scratch buffer.  A
+    rate's factors (:func:`_hop_factors`) are computed at its first fold
+    and dropped after the last route that holds it.  Every route's rows
+    take the IEEE operations of folding its hops alone, so any order of
+    routes reads the same bits; an order that is not depth first only
+    shares less.  The yielded rows are views of the buffers, valid until
+    the next route is taken.  ``nodes`` is :func:`_v_nodes` of T.
     """
     n = _TABLE_INTERVALS
     v, wait, dwait, dwait2, _ = nodes
-    W = np.ones(n - 1)
-    A = np.zeros(n - 1)
-    B = np.zeros(n - 1)
-    for mu in lam:
-        if mu not in factors:
-            factors[mu] = _hop_factors(mu, wait)
-        f, a, b = factors[mu]
-        W /= f
-        A += a
-        B += b
-    m = W * A * dwait / n
-    q = W * ((A * A - B) * dwait2 - 2.0 * A * dwait / v) / n**2
-    q_end = 8.0 * T * T * lam[0] * lam[1] / n**2 if len(lam) == 2 else 0.0
-    return W, m, q, q_end
+    shared = [0]  # hops each route shares with the one before it
+    for prev, lam in zip(lams, lams[1:]):
+        d = 0
+        while d < len(prev) and d < len(lam) and prev[d] == lam[d]:
+            d += 1
+        shared.append(d)
+    # Depth 0, no hop, broadcasts W = 1 and A = B = 0 over the nodes.
+    state = [np.array([[1.0], [0.0], [0.0]])] + [np.empty((3, n - 1)) for _ in range(max(shared) + 1)]
+    scratch = state[-1]
+    last = {mu: i for i, lam in enumerate(lams) for mu in lam}
+    expire = [[] for _ in lams]
+    for mu, i in last.items():
+        expire[i].append(mu)
+    factors = {}
+    for lam, start, keep, done in zip(lams, shared, shared[1:] + [0], expire):
+        top = max(start, keep)  # the route's rows to this depth have buffers of their own
+        for d in range(start, len(lam)):
+            if lam[d] not in factors:
+                factors[lam[d]] = _hop_factors(lam[d], wait)
+            _fold_hop(state[d] if d <= top else scratch, state[d + 1] if d < keep else scratch, factors[lam[d]])
+        for mu in done:
+            del factors[mu]
+        W, A, B = state[len(lam)] if len(lam) <= top else scratch
+        m = W * A * dwait / n
+        q = W * ((A * A - B) * dwait2 - 2.0 * A * dwait / v) / n**2
+        q_end = 8.0 * T * T * lam[0] * lam[1] / n**2 if len(lam) == 2 else 0.0
+        yield W, m, q, q_end
 
 
-def _mixture_nodes(lam: np.ndarray, T: float, factors: dict) -> tuple:
-    """What a mixture table is built from: W, m and q at every node of the
-    v grid (see :func:`_node_fold`), and J at every node, J(1) last: the
-    running sums of the Hermite interval areas in blocks of 80, offset by
-    the running sum of the block totals, so about 130 roundings lie on any
-    path, not 4000.  ``factors`` is as in :func:`_node_fold`."""
-    n = _TABLE_INTERVALS
-    W, m, q, q_end = _node_fold(lam, T, _v_nodes(T), factors)
-    W = np.concatenate([[1.0], W, [0.0]])
-    m = np.concatenate([[0.0], m, [0.0]])
-    q = np.concatenate([[0.0], q, [q_end]])
-    area = 0.5 * (W[:-1] + W[1:]) + (m[:-1] - m[1:]) / 10.0 + (q[:-1] + q[1:]) / 120.0
-    inside = np.cumsum((area / n).reshape(-1, 80), axis=1)
-    before = np.concatenate([[0.0], np.cumsum(inside[:-1, -1])])
-    J = np.zeros(n + 1)
-    J[1:] = (before[:, None] + inside).ravel()
-    return W, m, q, J
-
-
-def _mixture_totals(lam: np.ndarray, T: float, nodes: tuple, factors: dict) -> tuple[float, float]:
+def _mixture_totals(folded: tuple, T: float, nodes: tuple) -> tuple[float, float]:
     """J(1) and E[max wait] of a mixed route: the two totals of the quintic
     Hermite rule on the v grid, each one sum over the interior nodes.
 
@@ -536,11 +554,12 @@ def _mixture_totals(lam: np.ndarray, T: float, nodes: tuple, factors: dict) -> t
         E[max wait] = (sum_i (g_i + g_ss,i/60) + T + 0.4T/n - 2T(q_n - 6/n^2)/120) / n.
 
     Both need k >= 2 hops, which every mixed route has.  Each sum is one
-    pairwise ``ndarray.sum`` of a per-node value.  ``nodes`` is
-    :func:`_v_nodes` of T and ``factors`` is as in :func:`_node_fold`.
+    pairwise ``ndarray.sum`` of a per-node value.  ``folded`` is the
+    route's rows from :func:`_node_walk`, and ``nodes`` is :func:`_v_nodes`
+    of T.
     """
     n = _TABLE_INTERVALS
-    W, m, q, q_end = _node_fold(lam, T, nodes, factors)
+    W, m, q, q_end = folded
     j1 = (0.5 + (W + q / 60.0).sum() + q_end / 120.0) / n
     dwait, e = nodes[2], nodes[4]
     rest = 1.0 - W
@@ -549,9 +568,7 @@ def _mixture_totals(lam: np.ndarray, T: float, nodes: tuple, factors: dict) -> t
     return float(j1), float(wait_max)
 
 
-def _mixture_table(
-    lam: np.ndarray, T: float, out: np.ndarray | None = None, factors: dict | None = None
-) -> np.ndarray:
+def _mixture_table(folded: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Hermite table of J(c), the integral over [0, c] of the fallback survival W.
 
     W(v) = prod_h (1 - exp(-lam_h w)), w = 2T(1 - v)/v, is the survival of a
@@ -566,18 +583,28 @@ def _mixture_table(
 
     w' = -2T/v^2 and w'' = 4T/v^3.  At v = 0 both vanish; at v = 1, where
     W ~ prod_h lam_h w^k, so does W' (k >= 2 hops), and W'' = 8 T^2 lam_1
-    lam_2 for k = 2, 0 for more.  Column i holds J(v_i) and the coefficients
-    of J(v_i + s / _TABLE_INTERVALS) - J(v_i), a sextic in s in [0, 1] with
-    no constant term, lowest power first; :func:`_mixture_integral` reads
-    it.  ``out``, if given, receives the (_TABLE_COLUMNS, _TABLE_INTERVALS)
-    table; ``factors`` is as in :func:`_node_fold`.
+    lam_2 for k = 2, 0 for more.  J at every node is the running sum of the
+    Hermite interval areas in blocks of 80, offset by the running sum of
+    the block totals, so about 130 roundings lie on any path, not 4000.
+    Column i holds J(v_i) and the coefficients of
+    J(v_i + s / _TABLE_INTERVALS) - J(v_i), a sextic in s in [0, 1] with no
+    constant term, lowest power first; :func:`_mixture_integral` reads it.
+    ``folded`` is the route's rows from :func:`_node_walk`; ``out``, if
+    given, receives the (_TABLE_COLUMNS, _TABLE_INTERVALS) table.
     """
     out = np.empty((_TABLE_COLUMNS, _TABLE_INTERVALS)) if out is None else out
-    W, m, q, J = _mixture_nodes(lam, T, {} if factors is None else factors)
     n = _TABLE_INTERVALS
+    W, m, q, q_end = folded
+    W = np.concatenate([[1.0], W, [0.0]])
+    m = np.concatenate([[0.0], m, [0.0]])
+    q = np.concatenate([[0.0], q, [q_end]])
+    area = 0.5 * (W[:-1] + W[1:]) + (m[:-1] - m[1:]) / 10.0 + (q[:-1] + q[1:]) / 120.0
+    inside = np.cumsum((area / n).reshape(-1, 80), axis=1)
+    before = np.concatenate([[0.0], np.cumsum(inside[:-1, -1])])
     y0, y1, m0, m1, q0, q1 = W[:-1], W[1:], m[:-1], m[1:], q[:-1], q[1:]
     rise = y1 - y0
-    out[0] = J[:-1]
+    out[0, 0] = 0.0
+    out[0, 1:] = (before[:, None] + inside).ravel()[:-1]
     out[1] = y0 / n
     out[2] = m0 / (2 * n)
     out[3] = q0 / (6 * n)
@@ -610,9 +637,10 @@ class _JointTables:
     """Joint-outcome tables of a route stack, zeros where no mixed route
     reads them.  The geometric-max tables depend on the hop count alone:
     one column per hop count k, read at ``ks[cols]``.  J(1) and E[max wait]
-    hold one entry per route, both from one :func:`_mixture_totals` call per
-    mixed route; the mixture tables themselves, read only where a cap binds
-    below 1, are the stack's separate ``_mixture``.
+    hold one entry per route, both from one :func:`_mixture_totals` call on
+    each mixed route's rows of one node walk; the mixture tables themselves,
+    read only where a cap binds below 1, are the stack's separate
+    ``_mixture``.
     """
 
     support: np.ndarray  # (pieces,) trial counts x of the geometric-max table
@@ -713,12 +741,17 @@ class _RouteStack:
 
     The joint-outcome tables of every mixed route are built on the first
     read that needs them, straight into stacked arrays (see _JointTables),
-    sharing each distinct arrival rate's factors and the v grid's node
-    constants.  A window whose mixture caps do not bind, as every window
-    does at the stock rates, reads its route's J(1); the mixture tables
-    wait for the first window where a cap binds, and each of its
-    (trial-count row, window) cells then takes its coefficients through one
-    index, save a row capped at 1, which reads J(1) as a free window does.
+    from one walk over the mixed routes in stack order (:meth:`_walk`),
+    which folds each route's hops past the arrival-rate prefix it shares
+    with the route before it, and shares each distinct arrival rate's
+    factors and the v grid's node constants; routes in enumeration order
+    fold each node of their prefix tree once, and every route reads the
+    bits of its route alone.  A window whose mixture caps do not bind, as
+    every window does at the stock rates, reads its route's J(1); the
+    mixture tables wait for the first window where a cap binds, and each of
+    its (trial-count row, window) cells then takes its coefficients through
+    one index, save a row capped at 1, which reads J(1) as a free window
+    does.
     """
 
     def __init__(self, routes: Sequence[Route], params: SystemParams):
@@ -795,16 +828,16 @@ class _RouteStack:
         j1 = np.zeros(n)
         mixed = np.flatnonzero(self.mixed)
         # The tables of the geometric max depend on the hop count alone.
-        for k in np.unique(self.ks[mixed]).tolist():
+        for k in sorted(set(self.ks[mixed].tolist())):
             f = geometric_max_pmf(support, k, params.decode_ok_pair)
             pmf[:, k] = f
             xf_cum[1:, k] = np.cumsum(support * f)
             # Mass beyond every m the kernel takes, by Python's scalar **
             # (NumPy's array ** can differ in the last bit).
             leftover[:, k] = [1.0 - (1.0 - trial_fail**m) ** k for m in range(max_m + 1)]
-        nodes, factors = _v_nodes(T), {}
-        for j in mixed.tolist():
-            j1[j], exp_max_wait[j] = _mixture_totals(self.coef[0, self.columns(j)], T, nodes, factors)
+        nodes = _v_nodes(T)
+        for j, folded in zip(mixed.tolist(), self._walk(nodes)):
+            j1[j], exp_max_wait[j] = _mixture_totals(folded, T, nodes)
         return _JointTables(
             support=support,
             pmf=pmf,
@@ -820,12 +853,18 @@ class _RouteStack:
         """The mixed routes' :func:`_mixture_table` tables side by side,
         (_TABLE_COLUMNS, mixed * _TABLE_INTERVALS), built on the first read
         where a cap binds."""
-        mixed = np.flatnonzero(self.mixed)
-        tables = np.empty((_TABLE_COLUMNS, len(mixed), _TABLE_INTERVALS))
-        factors = {}
-        for r, j in enumerate(mixed.tolist()):
-            _mixture_table(self.coef[0, self.columns(j)], self.params.hop_dwell, out=tables[:, r], factors=factors)
+        tables = np.empty((_TABLE_COLUMNS, np.count_nonzero(self.mixed), _TABLE_INTERVALS))
+        for r, folded in enumerate(self._walk(_v_nodes(self.params.hop_dwell))):
+            _mixture_table(folded, out=tables[:, r])
         return tables.reshape(_TABLE_COLUMNS, -1)
+
+    def _walk(self, nodes: tuple) -> Iterator[tuple]:
+        """One :func:`_node_walk` over the mixed routes, in stack order, on
+        the v grid's ``nodes``; each distinct arrival rate's factors are
+        computed once a walk."""
+        lam = self.coef[0]
+        lams = [lam[self.columns(j)].tolist() for j in np.flatnonzero(self.mixed).tolist()]
+        return _node_walk(lams, self.params.hop_dwell, nodes)
 
     def _stage(self, coef, ts, ms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The per-hop algebra: each hop's latency, probabilities of discovery

@@ -20,7 +20,7 @@ the per-hop stage once per distinct hop; that read serves the envelope and
 the search alike.  None of that depends on the weight, so one solve serves
 many weights: a search task is a (route, scale, weight) triple, and every
 task reads the same grid read.  Derivative-sign changes are bracketed over all
-pieces in one array pass per task, and every bracket of every task is
+pieces in one array pass per block of tasks, and every bracket of every task is
 polished by one bisection in lockstep: a step reads the central-difference
 probes of all open brackets in one route-stacked kernel call, so a solve
 makes at most 81 such calls whatever its route and weight count.  Those
@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closedform import RouteEvaluator, _breakpoints, _RouteStack
+from .closedform import _BLOCK_CELLS, RouteEvaluator, _breakpoints, _RouteStack
 from .model import _window, Route, SystemParams
 
 __all__ = [
@@ -91,8 +91,12 @@ def _unit(value, low, high):
     """
     span = high - low
     if np.ndim(span):
-        return np.divide(value - low, span, out=np.zeros(np.shape(span)), where=span > 0.0)
-    if span <= 0.0:
+        shift = value - low
+        if (span > 0.0).all():  # the same bits without the slower masked divide
+            shift /= span
+            return shift
+        return np.divide(shift, span, out=np.zeros(shift.shape), where=span > 0.0)
+    if not span > 0.0:
         return np.zeros_like(value, dtype=float) if isinstance(value, np.ndarray) else 0.0
     return (value - low) / span
 
@@ -157,17 +161,17 @@ def _scan_grid(params: SystemParams) -> _ScanGrid:
 
 def _envelope(
     stack: _RouteStack, ts: np.ndarray
-) -> tuple[list[NormalizationContext], list[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[list[NormalizationContext], tuple[np.ndarray, np.ndarray]]:
     """The envelope over ``ts`` of each route of ``stack``, see
-    build_normalization, from one grid read, and each route's
-    (rate_closed, latency) rows, all a search keeps of that read."""
+    build_normalization, from one grid read, and the read's (routes x
+    windows) rate_closed and latency arrays, all a search keeps of it."""
     out = stack.grid(ts)
     rate, lat = out["rate_closed"], out["latency"]
     scales = [
         NormalizationContext(float(lt.min()), float(lt.max()), min(float(rt.min()), lo), max(float(rt.max()), hi))
         for lt, rt, lo, hi in zip(lat, rate, out["hop_rate_min"].tolist(), out["hop_rate_max"].tolist())
     ]
-    return scales, list(zip(rate, lat))
+    return scales, (rate, lat)
 
 
 def _hull(scales: Sequence[NormalizationContext]) -> NormalizationContext:
@@ -214,23 +218,33 @@ def _objective(stack: _RouteStack, cols, ts, context: NormalizationContext, weig
 
 
 def _brackets(
-    grid: _ScanGrid, rows: np.ndarray, values: np.ndarray, T: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets (lo, hi) of the interior maxima in one route's grid values.
+    grid: _ScanGrid, starts: np.ndarray, values: np.ndarray, T: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brackets (task, lo, hi) of the interior maxima in the grid values of
+    a block of tasks, (tasks, windows), task by task in window order.
 
     A bracket spans two first differences of a piece's samples, rising then
-    not rising; ``rows`` are the pieces holding every sample, all bracketed
-    in one array pass.  The bracket stays one probe inside the domain so the
-    central difference never reads past it; the raw samples already cover a
-    peak hiding in that sliver.
+    not rising.  A piece's samples are consecutive on the grid, so the
+    differences are taken along the grid, and ``starts`` are the samples
+    where a bracket of a piece holding every sample may begin, all
+    bracketed in one array pass.  The bracket stays one probe inside the
+    domain so the central difference never reads past it; the raw samples
+    already cover a peak hiding in that sliver.
     """
     h = grid.probe
-    d = np.diff(values[rows], axis=1)
-    r, i = np.nonzero((d[:, :-1] > 0.0) & (d[:, 1:] <= 0.0))
-    lo = np.maximum(grid.ts[rows[r, i]], h)
-    hi = np.minimum(grid.ts[rows[r, i + 2]], T - h)
+    d = np.diff(values, axis=1)
+    rise = ((d[:, :-1] > 0.0) & (d[:, 1:] <= 0.0))[:, starts]
+    task, i = np.divmod(np.flatnonzero(rise), len(starts))
+    lo = np.maximum(grid.ts[starts[i]], h)
+    hi = np.minimum(grid.ts[starts[i] + 2], T - h)
     keep = lo < hi
-    return lo[keep], hi[keep]
+    return task[keep], lo[keep], hi[keep]
+
+
+def _cut(top, count):
+    """The bar below which no value of ``count`` candidates topped by
+    ``top`` can win the tie-tolerant rule (see _winner); elementwise."""
+    return top - (count + 2) * (_TIE + 4 * np.spacing(abs(top) + 1.0))
 
 
 def _winner(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float, int]:
@@ -239,31 +253,38 @@ def _winner(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float,
 
     The rule walks the candidates and moves to one that beats the best so
     far by more than _TIE, or ties it within _TIE at a smaller window.  It
-    runs on the candidates within (N + 2)(_TIE + d) of the top value M alone,
-    N being the candidate count and d a few ulps at M that absorb rounding.
-    Exact: at most N kept values split that width into at most N spans, so
-    one span, wider than _TIE + d, holds no value inside.  Every value above
-    it beats every value below it, and none below ties or beats one above;
-    so both walks, once at their first value above it, move only among the
-    values above it, alike.  A NaN value or cut keeps every candidate.
+    runs on the candidates at or above the cut (N + 2)(_TIE + d) below the
+    top value M alone (:func:`_cut`), N being the candidate count and d a
+    few ulps at M that absorb rounding.  Exact: at most N kept values split
+    that width into at most N spans, so one span, wider than _TIE + d,
+    holds no value inside.  Every value above it beats every value below
+    it, and none below ties or beats one above; so both walks, once at
+    their first value above it, move only among the values above it,
+    alike.  A NaN value or cut keeps every candidate.
+    """
+    keep = np.flatnonzero(~(values < _cut(np.max(values), len(values))))
+    t, v, i = _tie_walk(ts[keep], values[keep], T)
+    return t, v, int(keep[i]) if i >= 0 else i
+
+
+def _tie_walk(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float, int]:
+    """Window, value and position (-1 if none is above -inf) of the
+    candidate that the tie-tolerant walk of :func:`_winner` picks from the
+    kept candidates, windows ``ts`` and ``values`` in order.
 
     When the kept values are all equal and finite (a hop that always
     forwards reads one value at every window) the walk moves only to a
     strictly smaller window, so it ends on the first candidate at the
     smallest clamped window, and that is read off without the walk.
     """
-    top = np.max(values)
-    cut = top - (len(values) + 2) * (_TIE + 4 * np.spacing(abs(top) + 1.0))
-    keep = ~(values < cut)
-    kept = values[keep]
-    if np.isfinite(kept[0]) and (kept == kept[0]).all():
+    if np.isfinite(values[0]) and (values == values[0]).all():
         # Clamped as the walk clamps: min(max(t, 0.0), T) keeps a -0.0 window.
-        clamped = np.where(ts[keep] < 0.0, 0.0, ts[keep])
+        clamped = np.where(ts < 0.0, 0.0, ts)
         clamped = np.where(clamped > T, T, clamped)
         i = int(np.argmin(clamped))
-        return float(clamped[i]), float(kept[i]), int(np.flatnonzero(keep)[i])
+        return float(clamped[i]), float(values[i]), i
     best_t, best_val, best_i = 0.0, -math.inf, -1
-    for i, t, v in zip(np.flatnonzero(keep).tolist(), ts[keep].tolist(), kept.tolist()):
+    for i, (t, v) in enumerate(zip(ts.tolist(), values.tolist())):
         t = min(max(t, 0.0), T)
         if v > best_val + _TIE or (abs(v - best_val) <= _TIE and t < best_t):
             best_val, best_t, best_i = v, t, i
@@ -273,42 +294,58 @@ def _winner(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float,
 def _search(
     stack: _RouteStack,
     grid: _ScanGrid,
-    reads: Sequence[tuple[np.ndarray, np.ndarray]],
+    reads: tuple[np.ndarray, np.ndarray],
     tasks: Sequence[tuple[int, NormalizationContext, float]],
 ) -> list[tuple[float, float]]:
     """Best (window, value) of every task (col, scale, weight): route col of
     ``stack`` scored on ``scale`` at ``weight``.
 
-    ``reads`` are the routes' (rate_closed, latency) grid rows, which every
-    task of a route shares.  Interior maxima are bracketed per task and
-    polished by one bisection over every bracket of every task in lockstep:
-    each step reads the derivative probes (mid - h, mid + h) of all brackets
-    still open in one stacked kernel call, and one more call reads every
-    peak, so a search makes at most 81 such calls whatever its route and
-    weight count.  A bracket closes once narrower than the window tolerance
-    or after 80 steps.
+    ``reads`` are the stack's (routes x windows) rate_closed and latency
+    grid arrays, which every task of a route shares.  The tasks are taken
+    in blocks of about _BLOCK_CELLS grid values: one array pass over a
+    block scores its grid and brackets its interior maxima.  Every bracket
+    of every task is then polished by one bisection in lockstep: each step
+    reads the derivative probes (mid - h, mid + h) of all brackets still
+    open in one stacked kernel call, and one more call reads every peak,
+    so a search makes at most 81 such calls whatever its route and weight
+    count.  A bracket closes once narrower than the window tolerance or
+    after 80 steps.  A second pass over the blocks scores each grid again
+    and takes every task's top value and the winner rule's cut (see
+    _winner) in one array pass; only the tie walk over the candidates a
+    task keeps runs task by task.
     """
     T = stack.params.hop_dwell
     h = grid.probe
     # Rows with an absent sample hold at most two, too few to bracket.
-    rows = grid.pieces[(grid.pieces >= 0).all(axis=1)]
+    starts = grid.pieces[(grid.pieces >= 0).all(axis=1), :-2].ravel()
+    rate, lat = reads
+    # Each task's route, scale and weight, which its grid values and its probes read.
+    cols = np.array([col for col, _, _ in tasks], dtype=np.intp)
+    bounds = np.array([(s.latency_min, s.latency_max, s.rate_min, s.rate_max) for _, s, _ in tasks])
+    weights = np.array([weight for _, _, weight in tasks], dtype=float)
+    # Blocks of at most `step` tasks, each on a run of consecutive routes,
+    # so that a block's grid rows are views of the reads, never copies.
+    step = max(1, _BLOCK_CELLS // len(grid.ts))
+    runs = np.concatenate([[0], np.flatnonzero(np.diff(cols) != 1) + 1, [len(tasks)]]).tolist()
+    blocks = [slice(a, min(a + step, z)) for s, z in zip(runs[:-1], runs[1:]) for a in range(s, z, step)]
 
-    def grid_values(task: tuple[int, NormalizationContext, float]) -> np.ndarray:
-        col, scale, weight = task
-        rate, lat = reads[col]
-        return _trade_off(rate, lat, scale, weight)
+    def grid_values(b: slice) -> np.ndarray:
+        # Computed again for the winners rather than kept: one row per task
+        # would hold (routes x weights x grid) floats through the search.
+        routes = slice(cols[b.start], cols[b.start] + b.stop - b.start)
+        scale = NormalizationContext(*bounds[b, :, None].transpose(1, 0, 2))
+        return _trade_off(rate[routes], lat[routes], scale, weights[b, None])
 
-    # Grid values are computed again for the winners rather than kept: one
-    # per task would hold (routes x weights x grid) floats through the search.
-    lo, hi = zip(*(_brackets(grid, rows, grid_values(task), T) for task in tasks))
-    owner = np.repeat(np.arange(len(tasks)), [len(a) for a in lo])
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    owner, lo, hi = [], [], []
+    for b in blocks:
+        task, a, z = _brackets(grid, starts, grid_values(b), T)
+        owner.append(task + b.start)
+        lo.append(a)
+        hi.append(z)
+    owner, lo, hi = (np.concatenate(x) for x in (owner, lo, hi))
 
     # Each bracket's route, scale and weight, which its probes read.
-    cols = np.array([col for col, _, _ in tasks])[owner]
-    bounds = np.array([(s.latency_min, s.latency_max, s.rate_min, s.rate_max) for _, s, _ in tasks])[owner]
-    weights = np.array([weight for _, _, weight in tasks], dtype=float)[owner]
-
+    at_cols, at_bounds, at_weights = cols[owner], bounds[owner], weights[owner]
     tol = _REL_T_TOL * T
     active = np.arange(len(lo))
     for _ in range(80):
@@ -318,18 +355,36 @@ def _search(
         mid = 0.5 * (lo[active] + hi[active])
         two = np.repeat(active, 2)
         probes = np.column_stack([mid - h, mid + h]).ravel()
-        f = _objective(stack, cols[two], probes, NormalizationContext(*bounds[two].T), weights[two])
+        f = _objective(stack, at_cols[two], probes, NormalizationContext(*at_bounds[two].T), at_weights[two])
         up = (f[1::2] - f[::2]) / (2 * h) > 0.0
         lo[active[up]] = mid[up]
         hi[active[~up]] = mid[~up]
     peaks = 0.5 * (lo + hi)
     # One read polishes them all; a window reads alike in any batch.
-    peak_values = _objective(stack, cols, peaks, NormalizationContext(*bounds.T), weights)
-    cut = np.searchsorted(owner, np.arange(len(tasks) + 1))
-    return [
-        _winner(np.append(grid.ts, peaks[a:b]), np.append(grid_values(task), peak_values[a:b]), T)[:2]
-        for task, a, b in zip(tasks, cut[:-1], cut[1:])
-    ]
+    peak_values = _objective(stack, at_cols, peaks, NormalizationContext(*at_bounds.T), at_weights)
+
+    # Task t's peaks are peaks[first[t] : first[t + 1]].
+    first = np.searchsorted(owner, np.arange(len(tasks) + 1))
+    best = []
+    for b in blocks:
+        values = grid_values(b)
+        own = first[b.start : b.stop + 1]
+        a, z = own[0], own[-1]
+        mine = owner[a:z] - b.start
+        top = values.max(axis=1)
+        np.maximum.at(top, mine, peak_values[a:z])
+        bar = _cut(top, values.shape[1] + np.diff(own))
+        # The kept candidates, each task's grid windows then its peaks.
+        flat = np.flatnonzero(~(values < bar[:, None]))
+        row, i = np.divmod(flat, values.shape[1])
+        j = a + np.flatnonzero(~(peak_values[a:z] < bar[mine]))
+        task = np.concatenate([row, owner[j] - b.start])
+        order = np.argsort(task, kind="stable")
+        kept_ts = np.concatenate([grid.ts[i], peaks[j]])[order]
+        kept = np.concatenate([values.ravel()[flat], peak_values[j]])[order]
+        split = np.searchsorted(task[order], np.arange(len(own))).tolist()
+        best += [_tie_walk(kept_ts[p:q], kept[p:q], T)[:2] for p, q in zip(split[:-1], split[1:])]
+    return best
 
 
 def _check_weight(weight: float) -> None:

@@ -71,6 +71,9 @@ class Topology:
     # segment, and each intersection's neighbors in ascending id order.
     _directed: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
     _adjacent: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    # The Hop of each directed edge, built on its first hop_for and shared
+    # by every route through the edge.
+    _hops: dict[tuple[int, int], Hop] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a, b in self.edges:
@@ -104,15 +107,19 @@ class Topology:
         """Hop along the directed edge (a, b).
 
         The branch degree counts the ways out of b other than turning back
-        toward a, floored at one so dead ends still forward.
+        toward a, floored at one so dead ends still forward.  One Hop is
+        built per edge and returned by every later call.
         """
-        if (a, b) not in self._directed:
-            raise ValueError(f"({a}, {b}) is not a road segment")
-        rate = self.arrival_rates.get((a, b))
-        if rate is None:
-            raise ValueError(f"no arrival rate for edge ({a}, {b})")
-        deg = max(1, self.degree(b) - 1)
-        return Hop(arrival_rate=rate, deg=deg, rsu_id=str(b))
+        hop = self._hops.get((a, b))
+        if hop is None:
+            if (a, b) not in self._directed:
+                raise ValueError(f"({a}, {b}) is not a road segment")
+            rate = self.arrival_rates.get((a, b))
+            if rate is None:
+                raise ValueError(f"no arrival rate for edge ({a}, {b})")
+            deg = max(1, self.degree(b) - 1)
+            hop = self._hops[a, b] = Hop(arrival_rate=rate, deg=deg, rsu_id=str(b))
+        return hop
 
     def path_route(self, nodes: Sequence[int]) -> Route:
         """Route following the given intersection sequence."""

@@ -56,19 +56,35 @@ def make_route(rng: np.random.Generator, k: int | None = None, degs=(2, 3)) -> R
 
 
 def count_table_builds(monkeypatch) -> list[str]:
-    """Names of the joint-outcome builders called, one entry a call:
-    ``_mixture_totals``, J(1) and E[max wait] of one mixed route, and
-    ``_mixture_table``, with the ``_mixture_nodes`` pass it makes.  A node
-    pass made anywhere but inside a table is entered as
-    "_mixture_nodes from <caller>", which no expected count holds."""
+    """Names of the joint-outcome work done, one entry a unit:
+    ``_node_walk``, one walk over a stack's mixed routes, ``_fold_hop``,
+    one hop folded into a walk's state, and ``_mixture_table``, one
+    route's mixture table."""
     built = []
-    for name in ("_mixture_totals", "_mixture_table", "_mixture_nodes"):
+    for name in ("_node_walk", "_fold_hop", "_mixture_table"):
         original = getattr(closedform, name)
 
         def spy(*args, name=name, original=original, **kwargs):
-            caller = sys._getframe(1).f_code.co_name
-            built.append(f"{name} from {caller}" if name == "_mixture_nodes" and caller != "_mixture_table" else name)
+            built.append(name)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(closedform, name, spy)
     return built
+
+
+def is_mixed(route: Route) -> bool:
+    """Whether a route reads the joint-outcome mixture: two hops or more,
+    not all of them forwarding."""
+    return len(route.hops) > 1 and any(h.deg > 1 for h in route.hops)
+
+
+def prefix_tree_nodes(routes) -> int:
+    """Nodes of the tree of the mixed routes' arrival-rate prefixes: the
+    hop folds of one node walk over routes in depth-first order."""
+    return len({tuple(h.arrival_rate for h in r.hops[:d]) for r in routes if is_mixed(r) for d in range(1, len(r) + 1)})
+
+
+def fold_alone(lam, T: float) -> tuple:
+    """The node walk's rows of one route alone, given its hops' arrival
+    rates ``lam``."""
+    return next(closedform._node_walk([np.asarray(lam, dtype=float).tolist()], T, closedform._v_nodes(T)))

@@ -142,6 +142,23 @@ def test_quick_start_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_solves_never_load_masked_arrays(tmp_path):
+    """No solve imports numpy.ma, which ``np.unique`` loads on first use,
+    so the first solve of a process does not pay for that import."""
+    code = (
+        "import sys\n"
+        "from v2xdelivery import build_grid_scenario, enumerate_routes, solve_distributed, solve_global\n"
+        "scenario = build_grid_scenario()\n"
+        "routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)\n"
+        "solve_global(routes, scenario.params)\n"
+        "solve_distributed(routes, scenario.params)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = _python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def _surface() -> dict:
     modules = {k: m for k, m in sys.modules.items() if k.split(".")[0] == "v2xdelivery"}
     snapshot = {key: dict(vars(module)) for key, module in modules.items()}

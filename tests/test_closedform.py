@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from support import count_table_builds, make_route, window_grid
+from support import count_table_builds, fold_alone, make_route, window_grid
 from v2xdelivery import (
     Hop,
     Route,
@@ -643,14 +643,14 @@ class TestRouteStack:
             assert np.all(out["hop_latency"][ev.k :, i] == 0.0)
             assert np.all(out["hop_rate"][ev.k :, i] == np.inf)
 
-    @pytest.mark.parametrize("rate_cell, table", [(1.0, []), (0.3, ["_mixture_table", "_mixture_nodes"])])
-    def test_per_hop_readers_build_no_joint_tables(self, monkeypatch, rate_cell, table):
+    @pytest.mark.parametrize("rate_cell, walks", [(1.0, 1), (0.3, 2)])
+    def test_per_hop_readers_build_no_joint_tables(self, monkeypatch, rate_cell, walks):
         # The joint-outcome tables wait for the first read that needs them;
         # all-forward and one-hop routes never need them.  A mixed route's
-        # J(1) and E[max wait] are one _mixture_totals call; the mixture
-        # table, with its node pass, waits for a read where a cap binds:
-        # none does at stock, and at rate_cell=0.3 the cellular cap binds at
-        # t = 8.
+        # J(1) and E[max wait] take one node walk, which folds its 4 hops;
+        # the mixture table, with a walk of its own, waits for a read where
+        # a cap binds: none does at stock, and at rate_cell=0.3 the cellular
+        # cap binds at t = 8.
         params = SystemParams(rate_cell=rate_cell)
         built = count_table_builds(monkeypatch)
         rng = np.random.default_rng(68)
@@ -659,7 +659,8 @@ class TestRouteStack:
         mixed.latency(8.0)
         assert built == []
         mixed.rate_closed(8.0)
-        assert sorted(built) == sorted(["_mixture_totals", *table])
+        walk = ["_node_walk", *["_fold_hop"] * 4]
+        assert built == walk + (walk + ["_mixture_table"]) * (walks - 1)
         del built[:]
         mixed.series(np.linspace(0.0, params.hop_dwell, 11))
         assert built == []
@@ -905,7 +906,7 @@ class TestMixtureTable:
         near_one = 1.0 - np.arange(1, 21) / (3 * n)  # where fast rates make W steep
         cs = np.unique(np.concatenate([[0.0, 1.0], nodes, mids, near_one, rng.uniform(0.0, 1.0, 40)]))
         assert len(cs) >= 200
-        got = _mixture_integral(_mixture_table(lam, T), np.zeros(1, dtype=np.intp), cs)
+        got = _mixture_integral(_mixture_table(fold_alone(lam, T)), np.zeros(1, dtype=np.intp), cs)
         # Quadrature piece by piece between consecutive points, summed exactly.
         W = self._survival(lam, T)
         pieces = [integrate.quad(W, a, b, epsabs=1e-15, epsrel=0.0, limit=200)[0] for a, b in zip(cs[:-1], cs[1:])]
@@ -921,28 +922,78 @@ class TestMixtureTable:
         lam = self._rates(rates, k, np.random.default_rng(73))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            j1, _ = _mixture_totals(lam, T, _v_nodes(T), {})
+            j1, _ = _mixture_totals(fold_alone(lam, T), T, _v_nodes(T))
         n = _TABLE_INTERVALS
         edges = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101), 1.0 - np.arange(1, 21) / (3 * n)]))
         W = self._survival(lam, T)
         pieces = [integrate.quad(W, a, b, epsabs=1e-15, epsrel=0.0, limit=200)[0] for a, b in zip(edges[:-1], edges[1:])]
         assert abs(j1 - math.fsum(pieces)) <= 1e-14
 
+    @staticmethod
+    def _reads_each_route_alone(routes, params):
+        # The stack's walk gives every route the bits of a stack of that
+        # route alone: J(1), E[max wait] and, where a cap binds, its table.
+        stack = _RouteStack(routes, params)
+        tables, mixture, n = stack._tables, stack._mixture, _TABLE_INTERVALS
+        alone = [_RouteStack([route], params) for route in routes]
+        for name in ("j1", "exp_max_wait"):
+            assert np.array_equal(getattr(tables, name), [getattr(a._tables, name)[0] for a in alone]), name
+        for j in np.flatnonzero(stack.mixed).tolist():
+            first = tables.first[j]
+            assert np.array_equal(mixture[:, first : first + n], alone[j]._mixture), j
+
+    @pytest.mark.parametrize("size, seed", [(3, 0), (4, 2)])
+    @pytest.mark.parametrize("order", ["enumeration", "reversed", "shuffled"])
+    def test_the_walk_reads_each_route_alone(self, size, seed, order):
+        # Any order of routes reads the same bits; depth-first order, as
+        # enumeration gives it, shares the most folds.
+        scenario = build_grid_scenario(rows=size, cols=size, seed=seed)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        if order == "reversed":
+            routes = routes[::-1]
+        elif order == "shuffled":
+            routes = [routes[i] for i in np.random.default_rng(74).permutation(len(routes))]
+        self._reads_each_route_alone(routes, dataclasses.replace(scenario.params, rate_cell=0.3))
+
+    def test_routes_sharing_rates_but_not_degrees_share_folds(self, monkeypatch):
+        # The walk keys on arrival rates alone: routes whose hops share a
+        # rate prefix but not their degrees share its folds, and a route
+        # whose rates repeat the route before it folds nothing, whether the
+        # route after it shares all of them or none.  An all-forward route
+        # and a one-hop route are not walked.
+        routes = [
+            Route(hops=(Hop(0.1, 2), Hop(0.2, 3), Hop(0.15, 2))),
+            Route(hops=(Hop(0.1, 3), Hop(0.2, 2), Hop(0.3, 2))),  # shares 2 rates: 1 fold
+            Route(hops=(Hop(0.1, 1), Hop(0.2, 1))),  # all forward
+            Route(hops=(Hop(0.1, 2), Hop(0.2, 2))),  # a prefix: no fold
+            Route(hops=(Hop(0.25, 3),)),  # one hop
+            Route(hops=(Hop(0.1, 3), Hop(0.2, 3))),  # the same rates again: no fold
+            Route(hops=(Hop(0.1, 2), Hop(0.2, 2), Hop(0.15, 3), Hop(0.25, 2))),  # 2 folds
+            Route(hops=(Hop(0.1, 3), Hop(0.2, 2), Hop(0.15, 2), Hop(0.25, 3))),  # the same rates, last
+        ]
+        params = SystemParams(rate_cell=0.3)
+        built = count_table_builds(monkeypatch)
+        _RouteStack(routes, params)._tables
+        assert built == ["_node_walk", *["_fold_hop"] * 6]
+        monkeypatch.undo()
+        self._reads_each_route_alone(routes, params)
+
     def test_table_rows_join_up(self, params):
         # Each row read at s = 1 lands on the next row's J.
-        table = _mixture_table(np.array([0.05, 0.3, 2.0]), params.hop_dwell)
+        table = _mixture_table(fold_alone([0.05, 0.3, 2.0], params.hop_dwell))
         ends = table[0] + table[1:].sum(axis=0)
         np.testing.assert_allclose(ends[:-1], table[0, 1:], rtol=0.0, atol=1e-15)
         assert table[0, 0] == 0.0
 
     @pytest.mark.parametrize("rate_cell, tables", [(1.0, 0), (0.3, 3)])
     def test_a_stack_holds_one_copy_its_routes_read(self, monkeypatch, rate_cell, tables):
-        # A stack computes its mixed routes' J(1) and E[max wait] once, one
-        # _mixture_totals call each, on the first read that needs them, and
-        # every view reads them.  The mixture tables wait for the first read
-        # where a cap binds (none does at stock; at rate_cell=0.3 the
-        # cellular cap binds at t = 8), and are then built once, side by
-        # side in one array, each with its one node pass.
+        # A stack computes its mixed routes' J(1) and E[max wait] once, in
+        # one node walk that folds their 2 + 5 + 9 hops (no two share a
+        # rate), on the first read that needs them, and every view reads
+        # them.  The mixture tables wait for the first read where a cap
+        # binds (none does at stock; at rate_cell=0.3 the cellular cap binds
+        # at t = 8), and are then built once, side by side in one array,
+        # from one more walk.
         params = SystemParams(rate_cell=rate_cell)
         rng = np.random.default_rng(70)
         routes = [make_route(rng, k=k) for k in (2, 5, 9)]
@@ -952,11 +1003,13 @@ class TestMixtureTable:
         stack = _RouteStack(routes, params)
         views = stack.evaluators()
         assert views[2].rate_closed(8.0) == before
-        want = ["_mixture_totals"] * 3 + ["_mixture_table", "_mixture_nodes"] * tables
-        assert sorted(built) == sorted(want)
+        want = ["_node_walk"] + ["_fold_hop"] * 16
+        if tables:  # each table is built as the walk reaches its route
+            want += ["_node_walk"] + [name for k in (2, 5, 9) for name in ["_fold_hop"] * k + ["_mixture_table"]]
+        assert built == want
         for view in views:
             view.series(np.linspace(0.0, params.hop_dwell, 11))
-        assert sorted(built) == sorted(want)
+        assert built == want
         assert ("_mixture" in vars(stack)) == (tables > 0)
         if tables:
             mixture = stack._mixture
@@ -964,7 +1017,7 @@ class TestMixtureTable:
             for row, j in enumerate((0, 2, 3)):
                 lam = np.array([h.arrival_rate for h in routes[j].hops])
                 part = mixture[:, row * _TABLE_INTERVALS : (row + 1) * _TABLE_INTERVALS]
-                assert part.tobytes() == _mixture_table(lam, params.hop_dwell).tobytes()
+                assert part.tobytes() == _mixture_table(fold_alone(lam, params.hop_dwell)).tobytes()
                 assert stack._tables.first[j] == row * _TABLE_INTERVALS
             assert stack._tables.first[1] == 0
 
@@ -1009,7 +1062,7 @@ class TestMixtureTable:
             # The table's running sum lands within a few ulp of the rule's total.
             lam = np.array([h.arrival_rate for h in route.hops])
             j1 = stack._tables.j1[j]
-            table = _mixture_integral(_mixture_table(lam, T), np.zeros(1, dtype=np.intp), np.ones(1))
+            table = _mixture_integral(_mixture_table(fold_alone(lam, T)), np.zeros(1, dtype=np.intp), np.ones(1))
             assert abs(table[0] - j1) <= 4 * np.spacing(j1), len(lam)
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from support import count_table_builds, make_route
+from support import count_table_builds, is_mixed, make_route, prefix_tree_nodes
 from v2xdelivery import (
     Hop,
     Route,
@@ -473,6 +473,15 @@ class TestManyWeights:
         routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
         self._check(routes, dataclasses.replace(scenario.params, trial_time=1.0), own_context=False)
 
+    @pytest.mark.parametrize("trial_time", [0.1, 1.0])
+    def test_eleven_weights_match_one_weight_solves(self, params, grid_routes, trial_time):
+        # The search takes its 11 x 12 tasks in blocks of up to 45 (1.0)
+        # or 4 (0.1) grid rows; every weight reads its one-weight solve.
+        params = dataclasses.replace(params, trial_time=trial_time)
+        weights = [i / 10 for i in range(11)]
+        many = opt._solve_global(grid_routes, params, weights, None, True)
+        assert [repr(g) for g in many] == [repr(solve_global(grid_routes, params, weight=w)) for w in weights]
+
     @pytest.mark.parametrize(
         "solve", [lambda *a: opt._solve_global(*a, False), lambda *a: opt._solve_distributed(*a)]
     )
@@ -530,7 +539,7 @@ def _reference_search(stack, grid, reads, tasks):
     read of its task's route alone."""
     best = []
     for col, scale, weight in tasks:
-        rate, lat = reads[col]
+        rate, lat = reads[0][col], reads[1][col]
 
         def objective(ts, col=col, scale=scale, weight=weight):
             return _objective(stack, col, ts, scale, weight)
@@ -857,13 +866,17 @@ class TestWorkCounts:
         assert run_command(["sweep", "--variable", "alpha", *grid]) == 0
         assert 2 < len(reads) <= 2 * 81
 
-    @pytest.mark.parametrize("rate_cell, table", [(1.0, []), (0.3, ["_mixture_table", "_mixture_nodes"])])
-    def test_distributed_with_a_context_builds_no_joint_tables(self, monkeypatch, params, grid_routes, rate_cell, table):
+    @pytest.mark.parametrize("rate_cell, walks", [(1.0, 1), (0.3, 2)])
+    def test_distributed_with_a_context_builds_no_joint_tables(
+        self, monkeypatch, params, grid_routes, rate_cell, walks
+    ):
         # With a context, solve_distributed reads only hop stages: it takes
         # no J(1) and E[max wait] and builds no mixture table.  solve_global
-        # builds the mixture tables, each with its node pass, only where a
-        # cap binds: nowhere at stock, and at rate_cell=0.3 wherever the
-        # cellular cap is below the fallback supremum.
+        # takes them in one node walk, which folds each node of the routes'
+        # arrival-rate prefix tree once, and builds the mixture tables, from
+        # one more walk, only where a cap binds: nowhere at stock, and at
+        # rate_cell=0.3 wherever the cellular cap is below the fallback
+        # supremum.
         params = dataclasses.replace(params, rate_cell=rate_cell)
         built = count_table_builds(monkeypatch)
         ctx = build_normalization(grid_routes, params)
@@ -871,14 +884,17 @@ class TestWorkCounts:
         solve_distributed(grid_routes, params, weight=0.5, context=ctx)
         assert built == []
         solve_global(grid_routes, params, weight=0.5, with_kkt=False)
-        assert sorted(set(built)) == sorted(["_mixture_totals", *table])
+        mixed = [r for r in grid_routes if is_mixed(r)]
+        assert built.count("_node_walk") == walks
+        assert built.count("_fold_hop") == walks * prefix_tree_nodes(grid_routes) < walks * sum(map(len, mixed))
+        assert built.count("_mixture_table") == (walks - 1) * len(mixed)
 
     @pytest.mark.parametrize("rate_cell, builds_tables", [(1.0, False), (0.3, True)])
     def test_global_builds_each_mixture_table_once(self, monkeypatch, params, grid_routes, rate_cell, builds_tables):
         # The envelope, the lockstep and the winner's reads share each mixed
-        # route's J(1) and E[max wait], one _mixture_totals call per route,
-        # and, once a cap binds, its table, whose node pass is the only one
-        # made, the tables straight into the stack's array.
+        # route's J(1) and E[max wait], from one node walk, and, once a cap
+        # binds, its table, from one more walk, the only other one made,
+        # the tables straight into the stack's array.
         import v2xdelivery.closedform as cf
 
         params = dataclasses.replace(params, rate_cell=rate_cell)
@@ -886,18 +902,20 @@ class TestWorkCounts:
         outs = []
         table = cf._mixture_table
         monkeypatch.setattr(cf, "_mixture_table", lambda *a, **kw: outs.append(kw.get("out")) or table(*a, **kw))
-        mixed = [r for r in grid_routes if len(r) > 1 and any(h.deg > 1 for h in r.hops)]
+        mixed = [r for r in grid_routes if is_mixed(r)]
         assert len(mixed) > 1
         solve_global(grid_routes, params, weight=0.5)
-        tables = len(mixed) if builds_tables else 0
-        assert sorted(built) == sorted(["_mixture_totals"] * len(mixed) + ["_mixture_table", "_mixture_nodes"] * tables)
-        assert len(outs) == tables and all(out is not None for out in outs)
+        walk = ["_node_walk", *["_fold_hop"] * prefix_tree_nodes(grid_routes)]
+        assert [name for name in built if name != "_mixture_table"] == walk * (1 + builds_tables)
+        assert built.count("_mixture_table") == len(outs) == (len(mixed) if builds_tables else 0)
+        assert all(out is not None for out in outs)
 
     def test_a_stock_4x4_solve_builds_no_mixture_table(self, monkeypatch):
-        # No cap binds at stock, so the 184-route solve makes one
-        # _mixture_totals call per mixed route for its J(1) and E[max wait]
-        # and no node pass, computes each distinct arrival rate's factors
-        # once, and holds no (7, 4000) mixture table.
+        # No cap binds at stock, so the 184-route solve takes its mixed
+        # routes' J(1) and E[max wait] from one node walk, which folds each
+        # of the 732 nodes of their arrival-rate prefix tree once (1912 hops
+        # in all), computes each distinct arrival rate's factors once, and
+        # holds no (7, 4000) mixture table.
         import v2xdelivery.closedform as cf
 
         scenario = build_grid_scenario(rows=4, cols=4, seed=2)
@@ -912,9 +930,10 @@ class TestWorkCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        mixed = [r for r in routes if len(r.hops) > 1 and any(h.deg > 1 for h in r.hops)]
-        assert len(mixed) > 100
-        assert built == ["_mixture_totals"] * len(mixed)
+        mixed = [r for r in routes if is_mixed(r)]
+        assert len(mixed) > 100 and sum(map(len, mixed)) == 1912
+        assert built == ["_node_walk", *["_fold_hop"] * 732]
+        assert prefix_tree_nodes(routes) == 732
         assert sorted(factors) == sorted({h.arrival_rate for r in mixed for h in r.hops})
         assert peak <= 16e6
 
@@ -932,6 +951,20 @@ class TestWorkCounts:
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+    def test_a_fine_trial_search_scores_a_block_at_a_time(self, params, grid_routes):
+        # The search scores its tasks' grid values in blocks of about
+        # _BLOCK_CELLS cells, one route's 36001 windows here, on views of
+        # the grid read, and keeps none of them between its passes: the
+        # solve peaks below 10 MB (9.3 MB when each task was scored alone).
+        params = dataclasses.replace(params, trial_time=0.005)
+        tracemalloc.start()
+        try:
+            solve_global(grid_routes, params, weight=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
 
     @pytest.mark.parametrize("t_star", [0.0, 0.05, 8.0, 12.34, 20.0])
     def test_stationarity_check_reads_the_kernel_once(self, counts, params, grid_routes, t_star):

@@ -121,6 +121,21 @@ class TestEnumerateRoutes:
             assert r.nodes[0] == 0 and r.nodes[-1] == 8
             assert len(set(r.nodes)) == len(r.nodes)
 
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_routes_share_one_hop_per_directed_edge(self, size):
+        # Every route through a directed edge holds the edge's one Hop, and
+        # each route equals the route built from its intersections.
+        scenario = build_grid_scenario(rows=size, cols=size, seed=2)
+        topo = scenario.topology
+        routes = enumerate_routes(topo, scenario.source, scenario.destination)
+        assert routes == [topo.path_route(r.nodes) for r in routes]
+        held = {}
+        for r in routes:
+            for edge, hop in zip(zip(r.nodes[:-1], r.nodes[1:]), r.hops):
+                held.setdefault(edge, set()).add(id(hop))
+        assert all(len(ids) == 1 for ids in held.values())
+        assert len({id(h) for r in routes for h in r.hops}) == len(held) < sum(map(len, routes))
+
     def test_hop_cap_prunes_long_routes(self, scenario):
         topo = scenario.topology
         assert len(enumerate_routes(topo, 0, 8, max_hops=4)) == 6
