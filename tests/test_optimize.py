@@ -495,27 +495,65 @@ class TestManyWeights:
             solve(grid_routes, params, [], None)
 
 
-def _bisect_sign_change(deriv, lo, hi, tol):
-    """One bracket's bisection, one derivative probe at a time: the
-    reference for the lockstep search.  Precondition: deriv(lo) > 0 >=
-    deriv(hi); the function is smooth here."""
-    for _ in range(80):
-        if hi - lo < tol:
+def _polish_sign_change(deriv, lo, hi, tol, noise):
+    """One bracket's polish, one derivative probe at a time: the reference
+    for the lockstep ``optimize._polish``, step for step.  Precondition:
+    the derivative changes sign in [lo, hi]; the function is smooth here."""
+    p, q, r = lo, hi, lo
+    fp = fq = fr = 0.0
+    first, smooth, reach = hi - lo, False, 1.0
+    for step in range(1, 81):
+        if abs(q - p) < tol:
             break
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        x = 0.5 * (p + q)
+        short = near_p = False
+        if step == 1:
+            fp, fq = deriv(p), deriv(q)
+            smooth = fp > noise and fq < -noise
+        elif smooth and abs(q - p) <= first * 2.0 ** (4 - step):
+            xi = (p - q) / (r - q)
+            phi = (fp - fq) / (fr - fq) if fr != fq else math.inf
+            if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                t = fp / (fq - fp) * fr / (fq - fr) + (r - p) / (q - p) * fp / (fr - fp) * fq / (fr - fq)
+                edge = min(0.5 * tol * reach / abs(q - p), 0.5)
+                short, near_p = t <= edge or t >= 1.0 - edge, t <= edge
+                x = p + min(max(t, edge), 1.0 - edge) * (q - p)
+        g = deriv(x)
+        same = (g > 0.0) == (p < q)
+        if short:
+            reach = 2.0 * reach if same == near_p else 1.0
+        r, fr = (p, fp) if same else (q, fq)
+        if not same:
+            q, fq = p, fp
+        p, fp = x, g
+    return 0.5 * (p + q)
+
+
+def _bisect_lockstep(deriv, lo, hi, tol, noise):
+    """Plain bisection of every bracket in lockstep, on the sign of the
+    derivative at its midpoint, one read a step: an oracle for
+    ``optimize._polish``, whose bits it gives where that never
+    interpolates."""
+    lo, hi = lo.copy(), hi.copy()
+    active = np.arange(len(lo))
+    for _ in range(80):
+        active = active[~(hi[active] - lo[active] < tol)]
+        if not active.size:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        up = deriv(active, mid) > 0.0
+        lo[active[up]] = mid[up]
+        hi[active[~up]] = mid[~up]
     return 0.5 * (lo + hi)
 
 
 def _maximize_scan(grid, values, objective, T):
-    """One route's best window from its grid values plus bisection of each
+    """One route's best window from its grid values plus the polish of each
     interior sign change, every central-difference probe a 2-point read of
     ``objective`` at (x - h, x + h): the reference for the lockstep search."""
     h = grid.probe
     tol = 1e-9 * T
+    noise = opt._NOISE / h
 
     def deriv(x):
         lo, hi = objective(np.array([x - h, x + h]))
@@ -528,7 +566,7 @@ def _maximize_scan(grid, values, objective, T):
         lo = max(float(grid.ts[rows[r, i]]), h)
         hi = min(float(grid.ts[rows[r, i + 2]]), T - h)
         if lo < hi:
-            peaks.append(_bisect_sign_change(deriv, lo, hi, tol))
+            peaks.append(_polish_sign_change(deriv, lo, hi, tol, noise))
     if peaks:
         values = np.append(values, objective(np.array(peaks)))
     return _winner(np.append(grid.ts, peaks), values, T)[:2]
@@ -644,6 +682,59 @@ class TestHopSearch:
                 ev = RouteEvaluator(route, params)
                 ref = _best_hop_windows_reference(ev, grid, ev._stack.hops(ev._col, grid.ts)[2], weight)
                 assert repr(windows) == repr(ref)
+
+
+class TestBisectionOracle:
+    """The interpolating polish against plain bisection, the polish it
+    replaced, on 3x3 seeds 0-3 at trial times 0.02 and 0.1 and 4x4 seeds
+    2-3 at 1: the same routes and optimality verdicts, windows within two
+    window tolerances, and never more lockstep reads.  At weight 0 every
+    bracket reads flat and bisects, so those outcomes keep their bits."""
+
+    MATRIX = [(3, seed, tt) for seed in range(4) for tt in (0.02, 0.1)] + [(4, seed, 1.0) for seed in (2, 3)]
+
+    @staticmethod
+    def _both(monkeypatch, reads, solve):
+        """The outcome and the lockstep read count of ``solve``, polished
+        and bisected; ``reads`` records the lockstep's reads."""
+        del reads[:]
+        polished = solve()
+        n = len(reads)
+        with monkeypatch.context() as m:
+            m.setattr(opt, "_polish", _bisect_lockstep)
+            bisected = solve()
+        return polished, bisected, n, len(reads) - n
+
+    @pytest.mark.parametrize("size, seed, trial_time", MATRIX)
+    def test_outcomes_match_bisection(self, monkeypatch, size, seed, trial_time):
+        scenario = build_grid_scenario(rows=size, cols=size, seed=seed)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        params = dataclasses.replace(scenario.params, trial_time=trial_time)
+        tol = 2 * opt._REL_T_TOL * params.hop_dwell
+        searched = _count_stack_reads(monkeypatch)["searched"]
+        for weight in (0.0, 0.5, 1.0):
+            g, b, reads, bisect_reads = self._both(
+                monkeypatch, searched, lambda: solve_global(routes, params, weight=weight)
+            )
+            assert reads <= bisect_reads
+            assert g.route_index == b.route_index
+            assert (g.kkt["kind"], g.kkt["ok"]) == (b.kkt["kind"], b.kkt["ok"])
+            assert abs(g.t_star - b.t_star) <= tol
+            assert max(abs(x - y) for (_, x), (_, y) in zip(g.per_route_best, b.per_route_best)) <= 1e-15
+            if weight == 0.0:
+                assert repr(g) == repr(b)
+            d, e, reads, bisect_reads = self._both(
+                monkeypatch, searched, lambda: solve_distributed(routes, params, weight=weight, context=g.context)
+            )
+            assert reads <= bisect_reads
+            assert d.route_index == e.route_index
+            windows = [(x, y) for (u, _), (v, _) in zip(d.per_route, e.per_route) for x, y in zip(u, v)]
+            assert max(abs(x - y) for x, y in windows) <= tol
+            # A hop window moved within the tolerance moves its routes'
+            # values to first order: at most 6.3e-11 on this matrix.
+            assert max(abs(x - y) for (_, x), (_, y) in zip(d.per_route, e.per_route)) <= 1e-9
+            if weight == 0.0:
+                assert repr(d) == repr(e)
 
 
 @contextlib.contextmanager
@@ -857,6 +948,19 @@ class TestWorkCounts:
         del reads[:]
         solve_distributed(routes, params, weight=0.5, context=outcome.context)
         assert 1 < len(reads) <= 81
+
+    @pytest.mark.parametrize("size, seed", [(3, 0), (4, 2)])
+    def test_a_stock_solve_makes_at_most_13_lockstep_reads(self, monkeypatch, size, seed):
+        # Bisection takes 21 steps here, and one more read of the peaks;
+        # the interpolating polish closes every bracket within 12 steps.
+        scenario = build_grid_scenario(rows=size, cols=size, seed=seed)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        reads = _count_stack_reads(monkeypatch)["searched"]
+        outcome = solve_global(routes, scenario.params, weight=0.5, with_kkt=False)
+        assert 1 < len(reads) <= 13
+        del reads[:]
+        solve_distributed(routes, scenario.params, weight=0.5, context=outcome.context)
+        assert 1 < len(reads) <= 13
 
     @pytest.mark.parametrize("grid", [["--grid", "0,0.5,1"], []])
     def test_alpha_sweep_makes_at_most_81_bisection_reads_per_solver(self, monkeypatch, capsys, grid):
