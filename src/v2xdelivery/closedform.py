@@ -308,13 +308,7 @@ def _success_support(k: int, m: int, t: float, params: SystemParams) -> tuple[np
         return np.empty(0), np.empty(0), 1.0
     p = params.decode_ok_pair
     q = 1.0 - p
-    # Drop support whose max-PMF tail mass is negligible.
-    if q > 0.0:
-        tail_cut = int(math.ceil(math.log(_PMF_TAIL_CUTOFF) / math.log(q))) + 1
-        hi = min(m, max(tail_cut, 1))
-    else:
-        hi = 1
-    xs = np.arange(1, hi + 1, dtype=float)
+    xs = np.arange(1, _pmf_rows(params, m) + 1, dtype=float)
     f = geometric_max_pmf(xs, k, p)
     # cdf of the max at m equals (1-q^m)^k; anything beyond is "no success".
     leftover = 1.0 - (1.0 - q**m) ** k
@@ -433,6 +427,51 @@ def _sum_rows(rows, op=np.add) -> np.ndarray:
     return total
 
 
+def _pmf_rows(params: SystemParams, m: int) -> int:
+    """Rows of the truncated geometric-max table for windows of up to m
+    whole trials: min(m, L), at least 1, where L is the first trial count
+    past which the tail mass of one hop's trial count, (1 - p)^(L - 1), is
+    below _PMF_TAIL_CUTOFF (1 if a trial never fails).  L is 7 at the stock
+    decode error, 53 at decode_error=0.3.  Past trial piece L the kernel's
+    readings move with the trial count only through (1 - p)^m."""
+    q = 1.0 - params.decode_ok_pair
+    tail = int(math.ceil(math.log(_PMF_TAIL_CUTOFF) / math.log(q))) + 1 if q > 0.0 else 1
+    return max(1, min(m, tail))
+
+
+def _rate_switches(params: SystemParams) -> np.ndarray:
+    """Windows in (0, T) where a cell of the joint-outcome rate switches
+    between its free and binding forms, or a binding cell's trial-count row
+    kinks, once the window holds more than L = _pmf_rows trials, so that
+    every row of the table counts.  With cap = rate_cell, the fallback
+    supremum sup(t) = (rate_v2i (T - t) + rate_cell t) / 2T and row x's
+    success rate s_x(t) = rate_v2v (T - x dt) / T + rate_cell (T - t) / T,
+    each is the root of a condition linear in t:
+
+    * sup = 0, cap = sup, or s_L = sup (the lowest row, x = L): a cell
+      switches between free and binding;
+    * s_x = cap or s_x = sup, x = 1..L: a row's cap kinks, kept only where
+      the cell binds, since a free cell reads no row.
+
+    Between two consecutive switches and trial edges the rate is smooth
+    (see _RouteStack._mixed_rate)."""
+    T, dt = params.hop_dwell, params.trial_time
+    v2v, v2i, cap = (np.float64(x) for x in (params.rate_v2v, params.rate_v2i, params.rate_cell))
+    L = _pmf_rows(params, max_trials(T, dt))
+    row = v2v * (T - np.arange(1, L + 1) * dt)  # T s_x(t) = row_x + cap (T - t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_cap = row / cap
+        at_sup = (2.0 * row + (2.0 * cap - v2i) * T) / (3.0 * cap - v2i)
+        cells = np.array([v2i * T / (v2i - cap), T * (2.0 * cap - v2i) / (cap - v2i), at_sup[-1]])
+        rows = np.concatenate([at_cap, at_sup[:-1]])
+        sup = (v2i * (T - rows) + cap * rows) / (2.0 * T)
+        lowest = (row[-1] + cap * (T - rows)) / T
+    binds = (sup > 0.0) & ((cap < sup) | (lowest < sup))
+    roots = np.concatenate([cells, rows[binds]])
+    roots = np.sort(roots[np.isfinite(roots) & (roots > 0.0) & (roots < T)])
+    return roots[np.concatenate([[True], roots[1:] != roots[:-1]])] if len(roots) else roots
+
+
 def _breakpoints(params: SystemParams) -> np.ndarray:
     """Window values where a new whole trial fits; includes 0 and T."""
     T = params.hop_dwell
@@ -462,12 +501,14 @@ def _hop_factors(mu: float, wait: np.ndarray) -> np.ndarray:
 def _v_nodes(T: float) -> tuple[np.ndarray, ...]:
     """Constants of the interior nodes v_i = i / n, 0 < i < n =
     _TABLE_INTERVALS, of the v grid, which depend on the dwell T alone: v,
-    the wait w = 2T(1 - v)/v, its derivative w' = -2T/v^2, w'^2, and
-    e = 1 / (n v)."""
+    the wait w = 2T(1 - v)/v, its derivative w' = -2T/v^2, w'^2, e =
+    1 / (n v), and the rows -w' and 6e that every mixed route's
+    E[max wait] reads (see :func:`_mixture_totals`)."""
     i = np.arange(1, _TABLE_INTERVALS)
     v = i / _TABLE_INTERVALS
     dwait = -2.0 * T / v**2
-    return v, 2.0 * T * (1.0 - v) / v, dwait, dwait**2, 1.0 / i
+    e = 1.0 / i
+    return v, 2.0 * T * (1.0 - v) / v, dwait, dwait**2, e, -dwait, 6.0 * e
 
 
 def _fold_hop(before: np.ndarray, after: np.ndarray, factors: np.ndarray) -> None:
@@ -501,7 +542,7 @@ def _node_walk(lams: Sequence[Sequence[float]], T: float, nodes: tuple) -> Itera
     the next route is taken.  ``nodes`` is :func:`_v_nodes` of T.
     """
     n = _TABLE_INTERVALS
-    v, wait, dwait, dwait2, _ = nodes
+    v, wait, dwait, dwait2 = nodes[:4]
     shared = [0]  # hops each route shares with the one before it
     for prev, lam in zip(lams, lams[1:]):
         d = 0
@@ -554,16 +595,17 @@ def _mixture_totals(folded: tuple, T: float, nodes: tuple) -> tuple[float, float
         E[max wait] = (sum_i (g_i + g_ss,i/60) + T + 0.4T/n - 2T(q_n - 6/n^2)/120) / n.
 
     Both need k >= 2 hops, which every mixed route has.  Each sum is one
-    pairwise ``ndarray.sum`` of a per-node value.  ``folded`` is the
+    pairwise ``ndarray.sum`` of a per-node value, whose route-independent
+    rows -w' and 6e are taken once per walk.  ``folded`` is the
     route's rows from :func:`_node_walk`, and ``nodes`` is :func:`_v_nodes`
     of T.
     """
     n = _TABLE_INTERVALS
     W, m, q, q_end = folded
     j1 = (0.5 + (W + q / 60.0).sum() + q_end / 120.0) / n
-    dwait, e = nodes[2], nodes[4]
+    dwait, e, neg_dwait, six_e = nodes[2], *nodes[4:]
     rest = 1.0 - W
-    g = -dwait * rest + dwait * (q - e * (6.0 * e * rest + 4.0 * m)) / 60.0
+    g = neg_dwait * rest + dwait * (q - e * (six_e * rest + 4.0 * m)) / 60.0
     wait_max = (g.sum() + T + 0.4 * T / n - 2.0 * T * (q_end - 6.0 / n**2) / 120.0) / n
     return float(j1), float(wait_max)
 
@@ -813,12 +855,7 @@ class _RouteStack:
         trial_fail = 1.0 - params.decode_ok_pair
         max_m = max_trials(T, params.trial_time)
         # Geometric-max table, truncated where the tail mass dies.
-        if trial_fail > 0.0:
-            tail = int(math.ceil(math.log(_PMF_TAIL_CUTOFF) / math.log(trial_fail))) + 1
-            hi = max(1, min(max_m, tail))
-        else:
-            hi = 1
-        support = np.arange(1, hi + 1, dtype=float) if max_m >= 1 else np.empty(0)
+        support = np.arange(1, _pmf_rows(params, max_m) + 1, dtype=float) if max_m >= 1 else np.empty(0)
         n = len(self.routes)
         width = self.ks.max() + 1
         pmf = np.zeros((len(support), width))
@@ -967,14 +1004,13 @@ class _RouteStack:
         The per-hop stage runs once on the stack's distinct hops, and their
         trial counts once on the grid.  Each route folds its hops' latency
         rows, and each mixed route their success and failure rows, and the
-        joint-outcome rate reads (mixed routes x windows) cells; each hop's
-        rate row is reduced to its min and max as it is computed.  The grid
+        joint-outcome rate reads (mixed routes x windows) cells.  The grid
         is taken in blocks of windows, each scratch array of a block about
         _BLOCK_CELLS cells; every cell reads the bits of its one-window ``read``.
 
         Returns (routes, len(ts)) arrays under ``latency`` and
-        ``rate_closed``, and each route's lowest and highest hop rate over
-        the grid under ``hop_rate_min`` and ``hop_rate_max``.
+        ``rate_closed``, and each distinct hop's (d, len(ts)) rate rows
+        under ``hop_rate``, in the order of ``distinct``.
         """
         params = self.params
         ts, ms = _windows(ts, params)
@@ -988,26 +1024,25 @@ class _RouteStack:
         latency = np.empty((routes, n))
         rate = np.empty((routes, n))
         rate[self.forward] = params.rate_cell
-        low = np.full(coef.shape[1], np.inf)
-        high = np.full(coef.shape[1], -np.inf)
+        hop_rates = np.empty((coef.shape[1], n))
         blocks = max(1, -(-n * max(coef.shape[1], routes) // _BLOCK_CELLS))
         step = max(1, -(-n // blocks))
         for a in range(0, n, step):
             b = slice(a, a + step)
             hop_lat, success, failure, hop_rate = self._stage(coef, ts[b], ms[b])
-            np.minimum(low, hop_rate.min(axis=1), out=low)
-            np.maximum(high, hop_rate.max(axis=1), out=high)
+            hop_rates[:, b] = hop_rate
             latency[:, b] = self.fold(hop_lat, np.add, 0.0)
             rate[single, b] = hop_rate[self.at[0, single]]
             if mixed.size:
                 p_as, p_af = (self.fold(p, np.multiply, 1.0, mixed) for p in (success, failure))
                 rate[mixed, b] = self._mixed_rate(mixed[:, None], ts[b], ms[b], p_as, p_af)
-        return {
-            "latency": latency,
-            "rate_closed": rate,
-            "hop_rate_min": self.fold(low, np.minimum, np.inf),
-            "hop_rate_max": self.fold(high, np.maximum, -np.inf),
-        }
+        return {"latency": latency, "rate_closed": rate, "hop_rate": hop_rates}
+
+    def hop_rate(self, hops, ts) -> np.ndarray:
+        """Mean rate of distinct hop hops[i] at window ts[i]: the per-hop
+        stage on its coefficient column, the bits of its ``grid`` row."""
+        ts, ms = _windows(ts, self.params)
+        return self._stage(self.coef[:, hops], ts, ms)[3]
 
     def _mixed_rate(self, cols, ts, ms, p_as, p_af) -> np.ndarray:
         """Joint-outcome rate of mixed route cols[i] at window ts[i], given

@@ -13,19 +13,27 @@ window.  There is one search: the distributed solve runs it over every
 distinct hop at once, each hop a one-hop route on its own scale.  The
 objective is piecewise smooth in t: every multiple of the trial time admits
 one more whole trial into the window, which moves probability mass between
-branches in a jump.  The pieces depend only on the parameters, so a solve
-builds one scan grid (piece edges, interiors, insets) for every route and
-reads all its routes over it in one grid read of their stack, which runs
-the per-hop stage once per distinct hop; that read serves the envelope and
-the search alike.  None of that depends on the weight, so one solve serves
-many weights: a search task is a (route, scale, weight) triple, and every
-task reads the same grid read.  Derivative-sign changes are bracketed over all
-pieces in one array pass per block of tasks, and every bracket of every task is
-polished in lockstep (:func:`_polish`), by safeguarded inverse-quadratic
+branches in a jump, but past trial L, the row count of the kernel's
+geometric-max table (7 at stock), a jump is below (1 - p)^L times the
+reading's sensitivity.  So the scan grid (:func:`_scan_grid`) holds per-trial
+rows (edge, interiors, inset) on trial pieces 0..L only, and Chebyshev-
+Lobatto nodes on the smooth tail past them, split where the joint-outcome
+rate switches form: 107 windows at stock whatever the trial time.  It
+depends only on the parameters, so a solve builds one grid for every route
+and reads all its routes over it in one grid read of their stack, which
+runs the per-hop stage once per distinct hop.  The read checks the tail's
+smoothness from the rows' Chebyshev coefficients and doubles the nodes of a
+piece they do not resolve, or falls back to its per-trial rows
+(:func:`_read`); that read serves the envelope (:func:`_envelope`) and the
+search alike.  None of that depends on the weight, so one solve serves many
+weights: a search task is a (route, scale, weight) triple, and every task
+reads the same grid read.  Derivative-sign changes are bracketed over all
+pieces in one array pass per block of tasks, and every bracket of every task
+is polished in lockstep (:func:`_polish`), by safeguarded inverse-quadratic
 interpolation on the central-difference derivative where the bracket reads
 a clear sign change and by bisection elsewhere: a step reads the probes of
 all open brackets in one route-stacked kernel call, so a solve makes at
-most 81 such calls whatever its route and weight count, and 5 to 9 on the
+most 81 such calls whatever its route and weight count, and 6 to 12 on the
 stock grids at weight 0.5.  Those probes, the optimality checks and
 ``sweep --variable t`` score given windows through one objective read of
 the stack (:func:`_objective`).
@@ -33,14 +41,15 @@ the stack (:func:`_objective`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .closedform import _BLOCK_CELLS, RouteEvaluator, _breakpoints, _RouteStack
-from .model import _window, Route, SystemParams
+from .closedform import _BLOCK_CELLS, RouteEvaluator, _breakpoints, _pmf_rows, _rate_switches, _RouteStack
+from .model import _window, max_trials, Route, SystemParams
 
 __all__ = [
     "NormalizationContext",
@@ -57,8 +66,16 @@ __all__ = [
 _REL_T_TOL = 1e-9
 # Step used by derivative probes, relative to the trial time.
 _REL_PROBE = 1e-4
-# Interior sample count per smooth piece in the scan grids.
+# Interior sample count per trial piece in the scan grids.
 _PIECE_SAMPLES = 7
+# Chebyshev-Lobatto intervals of a smooth tail piece at first, and the most
+# it doubles to before it falls back to per-trial rows.
+_TAIL_INTERVALS = 32
+_TAIL_MAX_INTERVALS = 256
+# A tail piece is resolved once the last quarter of each row's Chebyshev
+# coefficients there lies below this, relative to the row's largest: the
+# rounding floor is 1e-15 at 32 intervals and 7e-15 at 256.
+_TAIL_TOL = 1e-12
 # Objective values closer than this tie in the winner rule (see _winner).
 _TIE = 1e-15
 # Sample count per smooth piece in the concavity probe.
@@ -135,21 +152,22 @@ class DistributedOutcome:
 
 @dataclass(frozen=True)
 class _ScanGrid:
-    """Piecewise sample grid over [0, T]: edges, insets, interiors."""
+    """Sample grid over [0, T]: the windows ``ts``, ascending, in rows of
+    consecutive indices that never straddle a jump or a kink."""
 
     ts: np.ndarray
-    pieces: np.ndarray  # (pieces, _PIECE_SAMPLES + 2) indices, -1 where absent
+    pieces: np.ndarray  # (rows, _PIECE_SAMPLES + 2) indices into ts, -1 where absent
     probe: float
+    # Each smooth tail piece (a, b, n, nodes): n Chebyshev-Lobatto intervals
+    # on [a, b], read at ts[nodes]; n = 0, and no nodes, where the piece is
+    # sampled per trial piece instead.
+    tail: tuple[tuple[float, float, int, np.ndarray], ...] = ()
 
 
-def _scan_grid(params: SystemParams) -> _ScanGrid:
-    """Sample grid holding, per smooth piece [a, b): the left edge a, up to
-    _PIECE_SAMPLES interior points, and the inset b - probe standing in for
-    the left limit at b; plus the domain end T.  It depends only on the
-    parameters, so one grid serves every route of a solve."""
-    h = _REL_PROBE * params.trial_time
-    edges = _breakpoints(params)
-    a, b = edges[:-1], edges[1:]
+def _per_trial(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Samples and rows of the trial pieces [a, b): per piece its left edge
+    a, up to _PIECE_SAMPLES interior points, and the inset b - h standing
+    in for the left limit at b; rows index the samples, -1 where absent."""
     # Row = [edge, interiors..., inset] so sign-change bracketing sees the
     # whole piece; a peak between the edge and the first interior sample
     # would otherwise never produce a rising difference.
@@ -161,23 +179,214 @@ def _scan_grid(params: SystemParams) -> _ScanGrid:
     present = np.ones(samples.shape, dtype=bool)
     present[:, 1:-1] = wide[:, None]
     present[:, -1] = b - h > a
-    pieces = np.where(present, np.cumsum(present).reshape(present.shape) - 1, -1)
-    return _ScanGrid(ts=np.append(samples[present], params.hop_dwell), pieces=pieces, probe=h)
+    return samples[present], np.where(present, np.cumsum(present).reshape(present.shape) - 1, -1)
 
 
-def _envelope(
-    stack: _RouteStack, ts: np.ndarray
-) -> tuple[list[NormalizationContext], tuple[np.ndarray, np.ndarray]]:
-    """The envelope over ``ts`` of each route of ``stack``, see
-    build_normalization, from one grid read, and the read's (routes x
-    windows) rate_closed and latency arrays, all a search keeps of it."""
-    out = stack.grid(ts)
-    rate, lat = out["rate_closed"], out["latency"]
-    scales = [
-        NormalizationContext(float(lt.min()), float(lt.max()), min(float(rt.min()), lo), max(float(rt.max()), hi))
-        for lt, rt, lo, hi in zip(lat, rate, out["hop_rate_min"].tolist(), out["hop_rate_max"].tolist())
+def _lobatto(a: float, b: float, n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Samples of a smooth piece [a, b]: its n + 1 Chebyshev-Lobatto nodes,
+    node j of n intervals being node 2j of 2n bit for bit, and the insets
+    a + 2h and b - 2h where they fall inside the end intervals; rows of
+    _PIECE_SAMPLES + 2 consecutive samples, each overlapping the next by
+    two, the last one ending on b; and the nodes' positions among the
+    samples.  Every three consecutive samples start a row's bracket, and
+    the insets let a peak between an end and its neighbouring node read a
+    rising then falling difference, as a per-trial row's edge and inset do.
+    """
+    x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(n + 1) / n)
+    x[0], x[-1] = a, b
+    insets = np.array([a + 2 * h, b - 2 * h])
+    inside = (insets > x[[0, -2]]) & (insets < x[[1, -1]])
+    samples = np.sort(np.concatenate([x, insets[inside]]))
+    width = _PIECE_SAMPLES + 2
+    starts = np.append(np.arange(0, len(samples) - width, width - 2), len(samples) - width)
+    return samples, starts[:, None] + np.arange(width), np.searchsorted(samples, x)
+
+
+def _scan_grid(params: SystemParams) -> _ScanGrid:
+    """The scan grid, which depends only on the parameters, so one grid
+    serves every route of a solve.
+
+    Past trial piece L (7 at stock) the kernel jumps at a trial edge by at
+    most (1 - p)^L times its sensitivity to the all-fail chance, so the
+    window axis splits in two.  Trial pieces 0..L hold per-piece rows: the
+    edge, _PIECE_SAMPLES interior points and the inset (see _per_trial).
+    The tail [(L + 1) dt, T], split where the rate switches form, holds
+    _TAIL_INTERVALS + 1 Chebyshev-Lobatto nodes a piece and an inset at
+    each end (see _lobatto): 107 windows at stock whatever the trial time,
+    where one row per trial piece took 1801 at 0.1 and 36,001 at 0.005.
+    The tail's smoothness is checked on every grid read, not assumed (see
+    _read).  The domain end T is the last window.
+    """
+    T, dt = params.hop_dwell, params.trial_time
+    start = (_pmf_rows(params, max_trials(T, dt)) + 1) * dt
+    if not start < T:
+        return _layout(params, np.empty(0), [])
+    switches = _rate_switches(params)
+    edges = np.concatenate([[start], switches[switches > start], [T]])
+    return _layout(params, edges, [_TAIL_INTERVALS] * (len(edges) - 1))
+
+
+def _layout(params: SystemParams, edges: np.ndarray, intervals: Sequence[int]) -> _ScanGrid:
+    """The scan grid with tail piece [edges[i], edges[i + 1]] on
+    intervals[i] Chebyshev-Lobatto intervals, or per trial piece where
+    that is 0.  A piece whose first window is the last one before it
+    shares that sample."""
+    h = _REL_PROBE * params.trial_time
+    trials = _breakpoints(params)
+    head = trials if not len(edges) else trials[: np.searchsorted(trials, edges[0]) + 1]
+    parts = [(*_per_trial(head[:-1], head[1:], h), np.empty(0, dtype=np.intp))]
+    for a, b, n in zip(edges[:-1].tolist(), edges[1:].tolist(), intervals):
+        if n:
+            parts.append(_lobatto(a, b, n, h))
+        else:
+            cuts = np.concatenate([[a], trials[(trials > a) & (trials < b)], [b]])
+            parts.append((*_per_trial(cuts[:-1], cuts[1:], h), np.empty(0, dtype=np.intp)))
+    ts, rows, tail, size = [], [], [], 0
+    for i, (x, r, nodes) in enumerate(parts):
+        shift = size
+        if size and x[0] == ts[-1][-1]:
+            x, shift = x[1:], size - 1
+        if i:
+            tail.append((float(edges[i - 1]), float(edges[i]), int(intervals[i - 1]), nodes + shift))
+        ts.append(x)
+        rows.append(np.where(r >= 0, r + shift, -1))
+        size += len(x)
+    if ts[-1][-1] != params.hop_dwell:
+        ts.append([params.hop_dwell])
+    return _ScanGrid(np.concatenate(ts), np.concatenate(rows), h, tuple(tail))
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev(n: int) -> np.ndarray:
+    """(n + 1, n + 1) map from a row's values at the n + 1 Lobatto nodes of
+    a piece to its Chebyshev coefficients, up to their signs (Trefethen,
+    Approximation Theory and Approximation Practice, SIAM 2013, ch. 3)."""
+    j = np.arange(n + 1)
+    m = np.cos(np.pi * np.outer(j, j) / n) * (2.0 / n)
+    m[[0, -1]] *= 0.5
+    m[:, [0, -1]] *= 0.5
+    m.flags.writeable = False  # one copy serves every caller
+    return m
+
+
+def _refine(params: SystemParams, grid: _ScanGrid, rows: np.ndarray) -> _ScanGrid | None:
+    """The grid with each tail piece that ``rows`` (rows x windows) do not
+    resolve on twice its Chebyshev-Lobatto intervals, which keeps every
+    node it had, or with per-trial rows once that would pass
+    _TAIL_MAX_INTERVALS; None where every tail piece is resolved."""
+    intervals = [n for _, _, n, _ in grid.tail]
+    for i, (_, _, n, nodes) in enumerate(grid.tail):
+        if n:
+            c = np.abs(rows[:, nodes] @ _chebyshev(n))
+            if (c[:, 3 * n // 4 :].max(axis=1) > _TAIL_TOL * c.max(axis=1)).any():
+                intervals[i] = 2 * n if 2 * n <= _TAIL_MAX_INTERVALS else 0
+    if intervals == [n for _, _, n, _ in grid.tail]:
+        return None
+    return _layout(params, np.array([a for a, _, _, _ in grid.tail] + [grid.tail[-1][1]]), intervals)
+
+
+def _starts(grid: _ScanGrid) -> np.ndarray:
+    """Where a bracket of the grid may begin, each once, ascending: the
+    first _PIECE_SAMPLES samples of every row holding all its samples.
+    Rows with an absent sample hold at most two, too few to bracket."""
+    starts = np.sort(grid.pieces[(grid.pieces >= 0).all(axis=1), :-2], axis=None)
+    return starts[np.concatenate([[True], starts[1:] != starts[:-1]])]  # np.unique would load numpy.ma
+
+
+def _read(stack: _RouteStack, grid: _ScanGrid) -> tuple[dict[str, np.ndarray], _ScanGrid]:
+    """One grid read of every route and every distinct hop of ``stack``
+    (see _RouteStack.grid), and the grid it is read on.
+
+    The Chebyshev coefficients of each latency and rate row on each smooth
+    tail piece check that the piece's nodes resolve it; a piece that fails
+    is refined (:func:`_refine`) and only its new windows are read, until
+    every piece passes.  At stock every piece passes at once.
+    """
+    out = stack.grid(grid.ts)
+    while (finer := _refine(stack.params, grid, np.vstack(list(out.values())))) is not None:
+        # The windows already read keep their columns; one read takes the rest.
+        at = np.minimum(np.searchsorted(grid.ts, finer.ts), len(grid.ts) - 1)
+        known = grid.ts[at] == finer.ts
+        fresh = stack.grid(finer.ts[~known])
+        for name, rows in out.items():
+            out[name] = np.empty((len(rows), len(finer.ts)))
+            out[name][:, known] = rows[:, at[known]]
+            out[name][:, ~known] = fresh[name]
+        grid = finer
+    return out, grid
+
+
+def _envelope(stack: _RouteStack, out: dict[str, np.ndarray], grid: _ScanGrid) -> list[NormalizationContext]:
+    """The envelope of each route of ``stack``, see build_normalization,
+    from its grid read ``out`` over ``grid`` (see _read).
+
+    Latency falls with the window, so its extremes are the two ends.  Every
+    interior extremum of a mixed route's rate row and of a distinct hop's
+    rate row is bracketed on the grid and polished in one lockstep
+    (:func:`_polish`), the hops' through their per-hop stage alone; a
+    one-hop route's rate row is its hop's, and an all-forward route's is
+    flat.
+    """
+    T = stack.params.hop_dwell
+    lat, rate, hop = out["latency"], out["rate_closed"], out["hop_rate"]
+    # Within rounding: where no trial fits, a hop's miss chance reads 1 give or take an ulp.
+    assert not (np.diff(lat, axis=1) > _NOISE * lat[:, 1:]).any(), "latency rises with the window"
+
+    # Rows whose extremes are polished: the mixed routes', then the distinct hops'.
+    mixed = np.flatnonzero(stack.mixed)
+    rows = np.concatenate([mixed, len(stack.routes) + np.arange(len(hop))])
+    starts = _starts(grid)
+    step = max(1, _BLOCK_CELLS // len(grid.ts))
+    owner, sign, lo, hi = [], [], [], []
+    for values, base in ((rate[mixed], 0), (hop, len(mixed))):
+        for a in range(0, len(values), step):
+            for s in (1.0, -1.0):  # maxima, then minima
+                task, x, z = _brackets(grid, starts, s * values[a : a + step], T)
+                owner.append(task + base + a)
+                sign.append(np.full(len(task), s))
+                lo.append(x)
+                hi.append(z)
+    owner, sign, lo, hi = (np.concatenate(x) for x in (owner, sign, lo, hi))
+    row = rows[owner]
+    routes = row < len(stack.routes)
+
+    def rates(which: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # Rate rows row[which] at windows x: routes by a read, hops by their stage.
+        f = np.empty(len(x))
+        on = routes[which]
+        if on.any():
+            f[on] = stack.read(row[which[on]], x[on])["rate_closed"]
+        if not on.all():
+            f[~on] = stack.hop_rate(row[which[~on]] - len(stack.routes), x[~on])
+        return f
+
+    h = grid.probe
+
+    def deriv(which: np.ndarray, x: np.ndarray) -> np.ndarray:
+        two = np.repeat(which, 2)
+        f = rates(two, np.column_stack([x - h, x + h]).ravel()) * sign[two]
+        return (f[1::2] - f[::2]) / (2 * h)
+
+    peaks = _polish(deriv, lo, hi, _REL_T_TOL * T, _NOISE / h)
+    # Windows on a flat top read a few ulps apart, so a polished extremum
+    # is widened by the rounding noise of a reading: none there leaves it.
+    found = rates(np.arange(len(peaks)), peaks)
+    found += sign * _NOISE * np.abs(found)
+    # Each row's range over the grid, widened by its polished extrema.
+    high = np.concatenate([rate.max(axis=1), hop.max(axis=1)])
+    low = np.concatenate([rate.min(axis=1), hop.min(axis=1)])
+    up = sign > 0.0
+    np.maximum.at(high, row[up], found[up])
+    np.minimum.at(low, row[~up], found[~up])
+    n = len(stack.routes)
+    hop_low = stack.fold(low[n:], np.minimum, np.inf)
+    hop_high = stack.fold(high[n:], np.maximum, -np.inf)
+    return [
+        NormalizationContext(lt, lm, min(rl, hl), max(rh, hh))
+        for lt, lm, rl, rh, hl, hh in zip(
+            lat[:, -1].tolist(), lat[:, 0].tolist(), low[:n].tolist(), high[:n].tolist(), hop_low.tolist(), hop_high.tolist()
+        )
     ]
-    return scales, (rate, lat)
 
 
 def _hull(scales: Sequence[NormalizationContext]) -> NormalizationContext:
@@ -193,15 +402,20 @@ def _hull(scales: Sequence[NormalizationContext]) -> NormalizationContext:
 def build_normalization(routes: Sequence[Route], params: SystemParams) -> NormalizationContext:
     """Min-max envelopes over all candidate routes and the whole window range.
 
-    Latency extremes sit at the window ends, but the grid keeps every piece
-    edge anyway.  The rate envelope is widened to cover the per-hop
-    bottleneck readings as well, so distributed aggregates normalize into
-    the same [0, 1] box: no hop anywhere reads below the lower end or above
-    the upper end.
+    Latency falls as the window grows (checked on the grid read, to within
+    rounding), so its extremes are each route's readings at t = T and
+    t = 0.  The rate envelope covers every route's rate and every hop's
+    mean rate, so distributed aggregates normalize into the same [0, 1]
+    box: no hop anywhere reads below the lower end or above the upper end.
+    Its extremes are the grid's samples, which hold every piece edge and
+    the inset standing for the left limit at each trial edge, and every
+    interior extremum bracketed on the grid, polished to the window
+    tolerance and widened by the rounding noise of a reading.
     """
     if not routes:
         raise ValueError("need at least one route")
-    return _hull(_envelope(_RouteStack(routes, params), _scan_grid(params).ts)[0])
+    stack = _RouteStack(routes, params)
+    return _hull(_envelope(stack, *_read(stack, _scan_grid(params))))
 
 
 def _trade_off(rate, latency, context: NormalizationContext, weight):
@@ -382,8 +596,7 @@ def _search(
     """
     T = stack.params.hop_dwell
     h = grid.probe
-    # Rows with an absent sample hold at most two, too few to bracket.
-    starts = grid.pieces[(grid.pieces >= 0).all(axis=1), :-2].ravel()
+    starts = _starts(grid)
     rate, lat = reads
     # Each task's route, scale and weight, which its grid values and its probes read.
     cols = np.array([col for col, _, _ in tasks], dtype=np.intp)
@@ -496,9 +709,10 @@ def _solve_global(
     _check_inputs(routes, weights)
     stack = _RouteStack(routes, params)
     evaluators = stack.evaluators()
-    grid = _scan_grid(params)
-    scales, reads = _envelope(stack, grid.ts)
-    ctx = context or _hull(scales)
+    out, grid = _read(stack, _scan_grid(params))
+    ctx = context or _hull(_envelope(stack, out, grid))
+    reads = out["rate_closed"], out["latency"]
+    del out
     n = len(evaluators)
     found = _search(stack, grid, reads, [(i, ctx, w) for w in weights for i in range(n)])
     del reads
@@ -562,11 +776,12 @@ def _solve_distributed(
     grid = _scan_grid(params)
     stack = _RouteStack(routes, params)
     if context is None:
-        context = _hull(_envelope(stack, grid.ts)[0])
+        context = _hull(_envelope(stack, *_read(stack, grid)))
     # Every distinct hop is a one-hop route on its own scale.
     d = len(stack.distinct)
     hop_stack = _RouteStack([Route(hops=(hop,)) for hop in stack.distinct], params)
-    scales, reads = _envelope(hop_stack, grid.ts)
+    out, grid = _read(hop_stack, grid)
+    scales, reads = _envelope(hop_stack, out, grid), (out["rate_closed"], out["latency"])
     tasks = [(i, scale, w) for w in weights for i, scale in enumerate(scales)]
     found = np.array([t for t, _ in _search(hop_stack, grid, reads, tasks)]).reshape(len(weights), d)
     out = hop_stack.read(np.tile(np.arange(d), len(weights)), found.ravel())

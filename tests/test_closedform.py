@@ -52,7 +52,7 @@ from v2xdelivery.closedform import (
     expected_rate_mixture,
 )
 from v2xdelivery.model import expected_e2e_latency
-from v2xdelivery.optimize import NormalizationContext, _envelope, _scan_grid
+from v2xdelivery.optimize import _envelope, _read, _scan_grid
 
 
 class TestHopReformulation:
@@ -795,12 +795,16 @@ class TestRouteStack:
     def test_a_grid_read_holds_the_bits_of_per_window_reads(self):
         # Every cell of a grid read of all routes, and of each route's
         # ``series`` (one read at one route index), reads the bits of a
-        # per-window read of that route at that window; each route's
-        # hop-rate range is the range of its per-window hop rows.
+        # per-window read of that route at that window; each distinct hop's
+        # rate row holds its per-window hop rows, and its per-hop stage.
         for label, routes, params in self._grid_cases():
             stack = _RouteStack(routes, params)
             ts = _scan_grid(params).ts
             out = stack.grid(ts)
+            assert out["hop_rate"].shape == (len(stack.distinct), len(ts))
+            for c in range(len(stack.distinct)):
+                one = stack.hop_rate(np.full(len(ts), c), ts)
+                assert np.array_equal(out["hop_rate"][c], one), (label, c)
             for j, view in enumerate(stack.evaluators()):
                 ref = stack.read(np.full(len(ts), j), ts)
                 one = view.series(ts)
@@ -808,31 +812,35 @@ class TestRouteStack:
                     assert np.array_equal(out[name][j], ref[name]), (label, j, name)
                 for name in ("latency", "rate_closed", "rate_min_means", "hop_latency", "hop_rate"):
                     assert np.array_equal(one[name], ref[name]), (label, j, name)
-                assert out["hop_rate_min"][j] == ref["hop_rate"].min(), (label, j)
-                assert out["hop_rate_max"][j] == ref["hop_rate"].max(), (label, j)
+                hops = stack.columns(j)
+                assert np.array_equal(out["hop_rate"][hops], ref["hop_rate"][: len(hops)]), (label, j)
 
-    def test_the_envelope_matches_one_read_per_route(self):
-        # The reference is the envelope as one per-window read per route
-        # computed it; the grid read's scales must print the same.
-        def per_route_envelope(stack, ts):
-            scales = []
-            for j in range(len(stack.routes)):
-                out = stack.read(np.full(len(ts), j), ts)
-                lat, rate, hop_rate = out["latency"], out["rate_closed"], out["hop_rate"]
-                scales.append(
-                    NormalizationContext(
-                        float(lat.min()),
-                        float(lat.max()),
-                        min(float(rate.min()), float(hop_rate.min())),
-                        max(float(rate.max()), float(hop_rate.max())),
-                    )
-                )
-            return scales
-
+    def test_the_envelope_holds_every_per_window_read(self):
+        # The envelope of each route against one per-window read per route
+        # over the scan grid: latency at its ends, bit for bit, within an
+        # ulp of the grid's range; a rate range that holds the route's and
+        # its hops' readings there and on a 4001-window grid, and exceeds
+        # them only by what those samples miss of a peak.
         for label, routes, params in self._grid_cases():
             stack = _RouteStack(routes, params)
-            ts = _scan_grid(params).ts
-            assert repr(_envelope(stack, ts)[0]) == repr(per_route_envelope(stack, ts)), label
+            out, grid = _read(stack, _scan_grid(params))
+            ts = grid.ts
+            assert (ts[0], ts[-1]) == (0.0, params.hop_dwell)
+            dense = stack.grid(np.linspace(0.0, params.hop_dwell, 4001))
+            for j, scale in enumerate(_envelope(stack, out, grid)):
+                hops = stack.columns(j)
+                ref = stack.read(np.full(len(ts), j), ts)
+                lat = ref["latency"]
+                assert (scale.latency_min, scale.latency_max) == (lat[-1], lat[0]), (label, j)
+                assert scale.latency_min <= lat.min() and lat.max() <= scale.latency_max * (1 + 1e-15), (label, j)
+                rates = np.hstack(
+                    [
+                        np.vstack([ref["rate_closed"], ref["hop_rate"][: len(hops)]]),
+                        np.vstack([dense["rate_closed"][j], dense["hop_rate"][hops]]),
+                    ]
+                )
+                assert 0.0 <= rates.min() - scale.rate_min < 1e-6, (label, j)
+                assert 0.0 <= scale.rate_max - rates.max() < 1e-6, (label, j)
 
     def test_a_fold_walks_each_route_in_hop_order(self, params):
         # Row j of a fold is route j's hops' rows folded in hop order, the
@@ -872,6 +880,53 @@ class TestRouteStack:
             tracemalloc.stop()
         assert len(routes) == 184 and tables.leftover.shape == (4001, 15)
         assert kept < 1 << 20
+
+
+class TestTrialJumps:
+    """Past trial L, the row count of the geometric-max table, a reading
+    moves with the trial count m only through the all-fail chance
+    theta = (1 - p)^m, which drops by at most (1 - p)^L p at an edge.  Each
+    hop's miss chance z moves by (1 - exp(-lam t)) times that, so a route's
+    latency jumps by at most that times sum_h (1 - 1/deg)(T + 1/lam), and
+    its rate, whose joint-outcome weights and leftover mass each move by at
+    most k times it, by at most that times k (rate_v2v + rate_cell +
+    2 max(rate_v2i, rate_cell)); the scan grid's tail rests on that."""
+
+    @pytest.mark.parametrize(
+        "override, L",
+        [({}, 7), ({"decode_error": 0.3}, 53), ({"decode_error": 0.0}, 1), ({"trial_time": 0.005}, 7)],
+    )
+    def test_a_jump_past_L_stays_below_its_bound(self, monkeypatch, override, L):
+        scenario = build_grid_scenario(seed=0)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        routes += [Route(hops=(Hop(0.12, 3, rsu_id="solo"),)), Route(hops=(Hop(0.1, 1, "f0"), Hop(0.2, 1, "f1")))]
+        params = dataclasses.replace(scenario.params, **override)
+        T, dt = params.hop_dwell, params.trial_time
+        assert closedform._pmf_rows(params, max_trials(T, dt)) == L
+        edges = np.arange(L + 1, max_trials(T, dt) + 1) * dt
+        assert len(edges) > 100
+        stack = _RouteStack(routes, params)
+        right = stack.grid(edges)
+        # The left limit at an edge: the same window, one trial fewer.
+        windows = closedform._windows
+        with monkeypatch.context() as m:
+            m.setattr(closedform, "_windows", lambda ts, p: (lambda t, n: (t, n - 1))(*windows(ts, p)))
+            left = stack.grid(edges)
+        q = 1.0 - params.decode_ok_pair
+        lam, deg = (np.array(x) for x in zip(*[(h.arrival_rate, h.deg) for h in stack.distinct]))
+        ks = np.array([len(r.hops) for r in routes])
+        sensitivity = {
+            "latency": stack.fold((1.0 - 1.0 / deg) * (T + 1.0 / lam), np.add, 0.0),
+            "rate_closed": ks * (params.rate_v2v + params.rate_cell + 2.0 * max(params.rate_v2i, params.rate_cell)),
+            "hop_rate": np.full(len(lam), params.rate_v2v + params.rate_cell + 2.0 * max(params.rate_v2i, params.rate_cell)),
+        }
+        for name, scale in sensitivity.items():
+            jump = np.abs(right[name] - left[name])
+            # The reading's own rounding, four ulps, comes on top.
+            bound = q**L * scale[:, None] + 4.0 * np.spacing(np.abs(right[name]))
+            assert (jump <= bound).all(), name
+            if q == 0.0:
+                assert not jump.any(), name
 
 
 class TestMixtureTable:
@@ -928,6 +983,31 @@ class TestMixtureTable:
         W = self._survival(lam, T)
         pieces = [integrate.quad(W, a, b, epsabs=1e-15, epsrel=0.0, limit=200)[0] for a, b in zip(edges[:-1], edges[1:])]
         assert abs(j1 - math.fsum(pieces)) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_the_totals_keep_their_bits_with_node_rows_taken_once(self, seed):
+        # -w' and 6e are taken once a walk; each route's J(1) and E[max
+        # wait] read the bits of the sums that took them per route.
+        def totals_per_route(folded, T, nodes):
+            n = _TABLE_INTERVALS
+            W, m, q, q_end = folded
+            j1 = (0.5 + (W + q / 60.0).sum() + q_end / 120.0) / n
+            dwait, e = nodes[2], nodes[4]
+            rest = 1.0 - W
+            g = -dwait * rest + dwait * (q - e * (6.0 * e * rest + 4.0 * m)) / 60.0
+            wait_max = (g.sum() + T + 0.4 * T / n - 2.0 * T * (q_end - 6.0 / n**2) / 120.0) / n
+            return float(j1), float(wait_max)
+
+        scenario = build_grid_scenario(rows=4, cols=4, seed=seed)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        stack = _RouteStack(routes, scenario.params)
+        T = scenario.params.hop_dwell
+        nodes = _v_nodes(T)
+        mixed = np.flatnonzero(stack.mixed).tolist()
+        ref = np.array([totals_per_route(folded, T, nodes) for folded in stack._walk(nodes)])
+        assert len(mixed) > 100
+        assert stack._tables.j1[mixed].tobytes() == ref[:, 0].tobytes()
+        assert stack._tables.exp_max_wait[mixed].tobytes() == ref[:, 1].tobytes()
 
     @staticmethod
     def _reads_each_route_alone(routes, params):

@@ -25,7 +25,8 @@ from v2xdelivery import (
 )
 from v2xdelivery.cli import run_command
 import v2xdelivery.optimize as opt
-from v2xdelivery.closedform import _RouteStack
+from v2xdelivery.closedform import _pmf_rows, _RouteStack
+from v2xdelivery.model import max_trials
 from v2xdelivery.optimize import (
     NormalizationContext,
     _objective,
@@ -80,6 +81,47 @@ class TestBuildNormalization:
             for key in ("rate_closed", "hop_rate"):
                 assert out[key].min() >= ctx.rate_min - 1e-6 * rate_span
                 assert out[key].max() <= ctx.rate_max + 1e-6 * rate_span
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_rate_reading_leaves_the_box(self, seed):
+        # Every route's rate_closed and every hop's rate on a 1e4-window
+        # grid, and every hop's rate at its solve_distributed(weight=1)
+        # window, lie inside [rate_min, rate_max]: the sampled envelope
+        # missed interior peaks by up to 2.8e-5 at trial_time=1.
+        scenario = build_grid_scenario(seed=seed)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        for trial_time in (0.02, 0.1, 1.0):
+            params = dataclasses.replace(scenario.params, trial_time=trial_time)
+            ctx = build_normalization(routes, params)
+            out = _RouteStack(routes, params).grid(np.linspace(0.0, params.hop_dwell, 10_000))
+            for name in ("rate_closed", "hop_rate"):
+                assert ctx.rate_min <= out[name].min() and out[name].max() <= ctx.rate_max, (trial_time, name)
+            dist = solve_distributed(routes, params, weight=1.0, context=ctx)
+            rates = [
+                float(RouteEvaluator(route, params).hop_rates(t)[h])
+                for route, (windows, _) in zip(routes, dist.per_route)
+                for h, t in enumerate(windows)
+            ]
+            assert ctx.rate_min <= min(rates) and max(rates) <= ctx.rate_max, trial_time
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_peak_past_the_trial_rows_reads_alike_at_every_trial_time(self, seed):
+        # Where the highest rate reading lies past trial piece L at the
+        # coarsest trial time (8 s at 1 s trials), rate_max is the polished
+        # peak, the same within 1e-12 at trial times 0.02, 0.1 and 1.
+        scenario = build_grid_scenario(seed=seed)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        ts = np.linspace(0.0, scenario.params.hop_dwell, 10_000)
+        out = _RouteStack(routes, scenario.params).grid(ts)
+        top = np.maximum(out["rate_closed"].max(axis=0), out["hop_rate"].max(axis=0))
+        assert ts[np.argmax(top)] > 8.0
+        tops = [
+            build_normalization(routes, dataclasses.replace(scenario.params, trial_time=tt)).rate_max
+            for tt in (0.02, 0.1, 1.0)
+        ]
+        assert max(tops) - min(tops) <= 1e-12
+        if seed == 0:
+            assert tops == pytest.approx([1.63626477246519] * 3, abs=1e-13)
 
     def test_empty_route_list_rejected(self, params):
         with pytest.raises(ValueError):
@@ -311,7 +353,9 @@ class TestConcavityProbe:
 
 
 def _scan_grid_per_piece(params):
-    """The scan grid built one piece at a time: the reference for _scan_grid."""
+    """The scan grid built one trial piece at a time, as it was before the
+    tail went to Chebyshev nodes: the reference for the first L + 1 pieces
+    of _scan_grid, and the dense-grid oracle for the solvers."""
     T = params.hop_dwell
     h = 1e-4 * params.trial_time
     edges = RouteEvaluator(Route(hops=(Hop(0.1, 2, rsu_id="a"),)), params).breakpoints()
@@ -330,7 +374,7 @@ def _scan_grid_per_piece(params):
             ts.append(b - h)
         rows.append(row)
     ts.append(T)
-    return np.asarray(ts), np.asarray(rows, dtype=int)
+    return opt._ScanGrid(np.asarray(ts), np.asarray(rows, dtype=int), h)
 
 
 def _winner_sequential(ts, values, T):
@@ -358,12 +402,23 @@ class TestBatchedScan:
         ],
     )
     def test_scan_grid_matches_the_per_piece_construction(self, trial_time):
+        # Trial pieces 0..L keep their per-piece rows bit for bit; a grid
+        # whose trial pieces end there is the per-piece grid, T included.
         params = SystemParams(trial_time=trial_time)
         grid = _scan_grid(params)
-        ts, pieces = _scan_grid_per_piece(params)
-        assert grid.ts.tobytes() == ts.tobytes()
-        assert grid.pieces.dtype == pieces.dtype
-        assert np.array_equal(grid.pieces, pieces)
+        ref = _scan_grid_per_piece(params)
+        L = _pmf_rows(params, max_trials(params.hop_dwell, trial_time))
+        head = grid.pieces[: L + 1]
+        n = head.max() + 1
+        assert grid.ts[:n].tobytes() == ref.ts[:n].tobytes()
+        assert grid.pieces.dtype == ref.pieces.dtype
+        assert np.array_equal(head, ref.pieces[: L + 1])
+        if len(ref.pieces) <= L + 1:
+            assert grid.tail == ()
+            assert grid.ts.tobytes() == ref.ts.tobytes()
+            assert np.array_equal(grid.pieces, ref.pieces)
+        else:
+            assert grid.ts[n] == (L + 1) * trial_time == grid.tail[0][0]
         assert grid.probe == 1e-4 * trial_time
 
     def test_scan_grid_covers_the_narrow_last_pieces(self):
@@ -371,6 +426,43 @@ class TestBatchedScan:
         for trial_time, present in ((20.0 / (7 + 3e-4), 2), (20.0 / (7 + 0.5e-4), 1)):
             last = _scan_grid(SystemParams(trial_time=trial_time)).pieces[-1]
             assert np.count_nonzero(last >= 0) == present
+
+    @pytest.mark.parametrize("trial_time", [0.1, 0.02, 0.005, 1.0, 0.3])
+    def test_the_tail_holds_lobatto_nodes_and_every_triple_starts_a_bracket(self, trial_time):
+        params = SystemParams(trial_time=trial_time)
+        grid = _scan_grid(params)
+        T, h = params.hop_dwell, grid.probe
+        ((a, b, n, nodes),) = grid.tail
+        assert (b, n, len(nodes)) == (T, 32, 33)
+        want = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(n + 1) / n)
+        assert np.max(np.abs(grid.ts[nodes] - want)) <= 1e-13 * T
+        # The nodes, and an inset 2h inside each end: 35 windows, T last.
+        first = nodes[0]
+        assert len(grid.ts) - first == 35 and grid.ts[-1] == T
+        assert np.array_equal(grid.ts[[first, first + 1, -2, -1]], [a, a + 2 * h, b - 2 * h, b])
+        # Full rows of consecutive samples, the last ending on T, so that
+        # every three consecutive samples start a bracket, each once.
+        rows = grid.pieces[grid.pieces[:, 0] >= first]
+        assert (np.diff(rows, axis=1) == 1).all()
+        assert rows[-1, -1] == len(grid.ts) - 1
+        starts = opt._starts(grid)
+        assert np.array_equal(starts[starts >= first], np.arange(first, len(grid.ts) - 2))
+        assert np.all(np.diff(starts) > 0)
+
+    @pytest.mark.parametrize(
+        "override, switches",
+        [({}, []), ({"rate_cell": 0.6}, [20.0 / 3.0]), ({"rate_cell": 0.3}, [15.0]), ({"rate_cell": 2.5}, [])],
+    )
+    def test_the_tail_splits_where_the_rate_switches_form(self, override, switches):
+        # Tail pieces meet at each switch and share its node; no bracket
+        # straddles it.
+        params = SystemParams(**override)
+        grid = _scan_grid(params)
+        assert [b for _, b, _, _ in grid.tail[:-1]] == pytest.approx(switches, abs=1e-12)
+        starts = set(opt._starts(grid).tolist())
+        for (a, b, n, nodes), (c, _, _, after) in zip(grid.tail, grid.tail[1:]):
+            assert b == c == grid.ts[nodes[-1]] and nodes[-1] == after[0]
+            assert nodes[-1] - 1 not in starts
 
     @pytest.mark.parametrize("seed", range(40))
     def test_winner_matches_the_sequential_rule_on_near_tie_staircases(self, seed):
@@ -651,15 +743,13 @@ class TestLockstepSearch:
         assert repr(lockstep) == repr(reference)
 
 
-def _best_hop_windows_reference(evaluator, grid, read, weight):
-    """Per-hop window search inside the route: each hop normalizes over its
-    own rows of the route's hop-stage grid read and probes that stage."""
+def _best_hop_windows_reference(evaluator, grid, read, weight, scales):
+    """Per-hop window search inside the route: each hop normalizes on its
+    own scale, one of ``scales`` per hop, scores its rows of the route's
+    hop-stage grid read and probes that stage."""
     T = evaluator.params.hop_dwell
     windows = []
-    for hidx, (lats, rates) in enumerate(zip(read["hop_latency"], read["hop_rate"])):
-        ctx = NormalizationContext(
-            float(lats.min()), float(lats.max()), float(rates.min()), float(rates.max())
-        )
+    for hidx, (lats, rates, ctx) in enumerate(zip(read["hop_latency"], read["hop_rate"], scales)):
 
         def objective(ts, hidx=hidx, ctx=ctx):
             hop = evaluator._stack.hops(evaluator._col, ts)[2]
@@ -670,17 +760,123 @@ def _best_hop_windows_reference(evaluator, grid, read, weight):
     return tuple(windows)
 
 
+class TestDenseGridOracle:
+    """Both solvers on the scan grid against the same solvers on the
+    per-trial grid of every piece, patched in as ``_scan_grid``: the same
+    KKT kinds and verdicts, the coordinated per-route values within 1e-15,
+    and the same routes and windows within two window tolerances, save
+    across a tie: where the objective is flat to within the tie width the
+    tie rule's window is a property of the sampled windows, so two windows
+    further apart must read the same objective within twice that width.
+    A hop window moved within the tolerance moves its routes' aggregate
+    values to first order, so those are held to 1e-9, as in
+    TestBisectionOracle."""
+
+    OVERRIDES = {
+        "stock": {},
+        "cell0.3": {"rate_cell": 0.3},
+        "cell0.6": {"rate_cell": 0.6},
+        "cell2.5": {"rate_cell": 2.5},
+        "decode0.3": {"decode_error": 0.3},
+        "fast": {},  # arrival_interval=(2.0, 4.0)
+    }
+    WEIGHTS = (0.0, 0.5, 1.0)
+
+    @staticmethod
+    def _solve(routes, params, weights, context=None):
+        coordinated = opt._solve_global(routes, params, weights, context, True)
+        return coordinated, opt._solve_distributed(routes, params, weights, coordinated[0].context)
+
+    @staticmethod
+    def _tie(stack, cols, ts, scale, weight):
+        """Whether route cols[i] at window ts[i], every pair, reads one
+        objective on ``scale`` within twice the tie width."""
+        return np.ptp(_objective(stack, np.repeat(cols, len(ts)), np.tile(ts, len(cols)), scale, weight)) <= 2 * opt._TIE
+
+    @pytest.mark.parametrize("override", list(OVERRIDES))
+    @pytest.mark.parametrize("size, seed", [(3, seed) for seed in range(4)] + [(4, 2), (4, 3)])
+    def test_both_solvers_match_the_dense_grid(self, monkeypatch, size, seed, override):
+        interval = (2.0, 4.0) if override == "fast" else (0.05, 0.3)
+        scenario = build_grid_scenario(rows=size, cols=size, seed=seed, arrival_interval=interval)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        grids = []
+        read = opt._read
+
+        def recording_read(stack, grid):
+            out = read(stack, grid)
+            grids.append(out[1])
+            return out
+
+        monkeypatch.setattr(opt, "_read", recording_read)
+        for trial_time in (0.02, 0.1, 1.0):
+            params = dataclasses.replace(scenario.params, trial_time=trial_time, **self.OVERRIDES[override])
+            self._check(monkeypatch, routes, params)
+        # Fast traffic needs more than 33 Lobatto nodes on the tail.
+        if override == "fast":
+            assert any(n != opt._TAIL_INTERVALS for grid in grids for _, _, n, _ in grid.tail)
+
+    def test_a_piece_past_the_node_cap_falls_back_to_per_trial_rows(self, monkeypatch):
+        # Arrival rates in [5, 10] under a binding cellular cap: 257 nodes
+        # leave [0.8, 15] unresolved, so that piece reads the per-trial rows
+        # of the dense grid, and both solvers match the dense grid.
+        scenario = build_grid_scenario(seed=0, arrival_interval=(5.0, 10.0))
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        params = dataclasses.replace(scenario.params, rate_cell=0.3)
+        grid = opt._read(_RouteStack(routes, params), _scan_grid(params))[1]
+        assert [(a, b, n) for a, b, n, _ in grid.tail] == [(0.8, 15.0, 0), (15.0, 20.0, 32)]
+        ref = _scan_grid_per_piece(params)
+        last = max(t for t in opt._breakpoints(params) if t < 15.0)
+        assert grid.ts[(grid.ts >= 0.8) & (grid.ts < last)].tobytes() == ref.ts[(ref.ts >= 0.8) & (ref.ts < last)].tobytes()
+        self._check(monkeypatch, routes, params)
+
+    def _check(self, monkeypatch, routes, params):
+        tol = 2 * opt._REL_T_TOL * params.hop_dwell
+        sparse = self._solve(routes, params, self.WEIGHTS)
+        with monkeypatch.context() as m:
+            m.setattr(opt, "_scan_grid", _scan_grid_per_piece)
+            dense = self._solve(routes, params, self.WEIGHTS)
+        stack = _RouteStack(routes, params)
+        hops = _RouteStack([Route(hops=(hop,)) for hop in stack.distinct], params)
+        scales = opt._envelope(hops, *opt._read(hops, _scan_grid(params)))
+        for w, g, b in zip(self.WEIGHTS, *(outcomes[0] for outcomes in (sparse, dense))):
+            assert (g.kkt["kind"], g.kkt["ok"]) == (b.kkt["kind"], b.kkt["ok"])
+            assert max(abs(x - y) for (_, x), (_, y) in zip(g.per_route_best, b.per_route_best)) <= 1e-15
+            if g.route_index != b.route_index or abs(g.t_star - b.t_star) > tol:
+                assert self._tie(stack, [g.route_index, b.route_index], [g.t_star, b.t_star], g.context, w)
+        for w, d, e in zip(self.WEIGHTS, *(outcomes[1] for outcomes in (sparse, dense))):
+            assert d.route_index == e.route_index
+            assert max(abs(x - y) for (_, x), (_, y) in zip(d.per_route, e.per_route)) <= 1e-9
+            # Each hop window that moved, read on its hop's own scale.
+            moved = {
+                (c, s, t)
+                for i, ((u, _), (v, _)) in enumerate(zip(d.per_route, e.per_route))
+                for c, s, t in zip(stack.columns(i).tolist(), u, v)
+                if abs(s - t) > tol
+            }
+            if moved:
+                c, s, t = (np.array(x) for x in zip(*sorted(moved)))
+                bounds = np.array([dataclasses.astuple(scales[i]) for i in c]).T
+                f = _objective(hops, np.tile(c, 2), np.concatenate([s, t]), NormalizationContext(*np.tile(bounds, 2)), w)
+                assert np.max(np.abs(f[: len(c)] - f[len(c) :])) <= 2 * opt._TIE
+
+
 class TestHopSearch:
     @pytest.mark.parametrize("seed", range(4))
     def test_windows_match_the_per_hop_reference_bit_for_bit(self, params, seed):
+        # Each hop scores on its own exact envelope, the scale of its
+        # one-hop route, as the distributed solve takes it.
         scenario = build_grid_scenario(params=params, seed=seed)
         routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
-        grid = _scan_grid(params)
+        stack = _RouteStack(routes, params)
+        hops = _RouteStack([Route(hops=(hop,)) for hop in stack.distinct], params)
+        out, grid = opt._read(hops, _scan_grid(params))
+        scales = opt._envelope(hops, out, grid)
         for weight in (0.0, 0.5, 1.0):
             dist = solve_distributed(routes, params, weight=weight)
-            for route, (windows, _) in zip(routes, dist.per_route):
+            for j, (route, (windows, _)) in enumerate(zip(routes, dist.per_route)):
                 ev = RouteEvaluator(route, params)
-                ref = _best_hop_windows_reference(ev, grid, ev._stack.hops(ev._col, grid.ts)[2], weight)
+                own = [scales[c] for c in stack.columns(j)]
+                ref = _best_hop_windows_reference(ev, grid, ev._stack.hops(ev._col, grid.ts)[2], weight, own)
                 assert repr(windows) == repr(ref)
 
 
@@ -707,14 +903,18 @@ class TestBisectionOracle:
 
     @pytest.mark.parametrize("size, seed, trial_time", MATRIX)
     def test_outcomes_match_bisection(self, monkeypatch, size, seed, trial_time):
+        # The envelope polishes its rate extrema by _polish too; both
+        # solves score on the envelope's polished context, so that the
+        # search's polish alone differs.
         scenario = build_grid_scenario(rows=size, cols=size, seed=seed)
         routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
         params = dataclasses.replace(scenario.params, trial_time=trial_time)
         tol = 2 * opt._REL_T_TOL * params.hop_dwell
+        ctx = build_normalization(routes, params)
         searched = _count_stack_reads(monkeypatch)["searched"]
         for weight in (0.0, 0.5, 1.0):
             g, b, reads, bisect_reads = self._both(
-                monkeypatch, searched, lambda: solve_global(routes, params, weight=weight)
+                monkeypatch, searched, lambda: solve_global(routes, params, weight=weight, context=ctx)
             )
             assert reads <= bisect_reads
             assert g.route_index == b.route_index
@@ -773,10 +973,11 @@ class TestWorkCounts:
     def counts(self, monkeypatch):
         # reads: (windows, routes, stage rows) of each grid read; stages:
         # windows of each per-hop stage, and stage_rows its coefficient columns.
+        # envelope_stages: the per-hop stages of the envelope's polish.
         seen = {"grids": [], "reads": [], "stages": [], "stage_rows": [], "grid_stages": 0, "searched": [],
-                "direct": [], "__init__": 0, "build_normalization": 0}
+                "direct": [], "__init__": 0, "build_normalization": 0, "envelope_stages": 0}
         make_grid, grid, stage = opt._scan_grid, _RouteStack.grid, _RouteStack._stage
-        build = opt.build_normalization
+        build, envelope = opt.build_normalization, opt._envelope
 
         def tally(owner, name):
             original = getattr(owner, name)
@@ -812,8 +1013,14 @@ class TestWorkCounts:
         def counting_stage(self, coef, ts, ms):  # every reading passes through it
             seen["stages"].append(len(ts))
             seen["stage_rows"].append(coef.shape[1])
+            seen["envelope_stages"] += bool(seen.get("_envelope"))
             return stage(self, coef, ts, ms)
 
+        def counting_envelope(*args):
+            with _inside(seen, "_envelope"):
+                return envelope(*args)
+
+        monkeypatch.setattr(opt, "_envelope", counting_envelope)
         monkeypatch.setattr(opt, "_scan_grid", counting_grid)
         monkeypatch.setattr(_RouteStack, "grid", counting_grid_read)
         monkeypatch.setattr(_RouteStack, "_stage", counting_stage)
@@ -904,16 +1111,32 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("weights", [[0.5], [0.0, 0.5, 1.0], [i / 10 for i in range(11)]])
     def test_distributed_aggregates_every_route_in_one_read(self, counts, params, grid_routes, weights):
-        # Besides the one grid read of the d hops and the lockstep of the
-        # hop searches, one read of the hop stack at every (hop, weight)
-        # window aggregates every route; no route is read on its own.
+        # Besides the one grid read of the d hops, the polish of their rate
+        # extrema for their own scales (per-hop stages alone, in lockstep)
+        # and the lockstep of the hop searches, one read of the hop stack at
+        # every (hop, weight) window aggregates every route; no route is
+        # read on its own.
         d = self._distinct_hops(grid_routes)
         ctx = NormalizationContext(0.0, 1.0, 0.0, 1.0)
         opt._solve_distributed(grid_routes, params, weights, ctx)
         assert counts["direct"] == [d * len(weights)]
         n = counts["grids"][0]
         assert counts["reads"] == [(n, d, [d])]
-        assert len(counts["stages"]) - counts["grid_stages"] == len(counts["searched"]) + 1
+        assert 0 < counts["envelope_stages"] <= 81
+        searched = len(counts["stages"]) - counts["grid_stages"] - counts["envelope_stages"]
+        assert searched == len(counts["searched"]) + 1
+
+    def test_the_stock_grid_holds_the_same_windows_at_every_trial_time(self, counts, params, grid_routes):
+        # Per-trial rows on trial pieces 0..L, L = 7, and 33 Lobatto nodes
+        # plus two end insets on the tail, whatever the trial time; one
+        # grid read covers it, with no node doubled.
+        L = _pmf_rows(params, max_trials(params.hop_dwell, params.trial_time))
+        assert L == 7
+        for trial_time in (0.1, 0.02, 0.005):
+            solve_global(grid_routes, dataclasses.replace(params, trial_time=trial_time), weight=0.5)
+        assert counts["grids"] == [counts["grids"][0]] * 3
+        assert counts["grids"][0] <= (L + 1) * 9 + opt._TAIL_INTERVALS + 1 + 2
+        assert [size for size, _, _ in counts["reads"]] == counts["grids"]
 
     def test_analyze_reads_every_route_in_one_kernel_read(self, counts, monkeypatch, capsys, grid_routes):
         # One stack of all n routes, read once at the one window t, which
