@@ -24,15 +24,15 @@ read that needs them; and their mixture tables, built only on the first
 read where a cap on the mixture binds.  Both the sums and the tables read
 each route's rows on the v grid from one walk over the mixed routes in
 stack order (:func:`_node_walk`), which folds a hop prefix that routes
-share once.  It has two reads, which run one
-per-hop stage: :meth:`_RouteStack.read` serves every reading at given
-(route, window) cells, in bounded blocks, with its per-hop stage
-:meth:`_RouteStack.hops` as the first half; :meth:`_RouteStack.grid`, the
-envelope's read, takes every route over one shared window grid, runs the
-per-hop stage once per distinct hop, folds those rows into routes
-(:meth:`_RouteStack.fold`), and reads the rate in (routes x windows) blocks.
-:class:`RouteEvaluator` is a view of one route of a stack: every reading of
-a view is a read of its stack at the view's column.
+share once.  Its rows are its routes and a one-hop row per distinct hop.
+It has two reads, which run one per-hop stage: :meth:`_RouteStack.read`
+serves every reading at given (row, window) cells, in bounded blocks, with
+its per-hop stage :meth:`_RouteStack.hops` as the first half;
+:meth:`_RouteStack.grid`, the envelope's read, takes every row over one
+shared window grid, runs the per-hop stage once per distinct hop, and folds
+those rows into routes (:meth:`_RouteStack.fold`).  :class:`RouteEvaluator`
+is a view of one route of a stack: every reading of a view is a read of its
+stack at the view's column.
 The quadrature forms above are independent oracles: the runtime never calls
 them, and the test suite checks the kernel against them.  They alone need
 scipy, and import it on first call.  The kernel integrates on one v grid
@@ -764,21 +764,24 @@ class _RouteStack:
     coefficient and table of its routes, and their layout.
 
     The stack records its distinct hops by (arrival rate, deg), one
-    coefficient column each (``distinct``), plus one padding column, and
-    each route's column at every hop, ``at`` (k_max, routes); a route
-    shorter than k_max reads the padding column past its last hop.  Padded
-    hops are neutral: they add 0 to the latency sum, 1 to the survival
-    products and +inf to the minimum, and the sums and products run row by
-    row in hop order, so a padded route reads the same bits as its route
-    alone.  Other modules reach the layout through :meth:`fold` alone.
+    coefficient column each (``distinct``), plus one padding column.  Its
+    rows are its routes, then a one-hop row for each distinct hop that no
+    one-hop route reads, so every distinct hop has one one-hop row
+    (``hop_rows``); ``routes``, the views and :meth:`fold`, through which
+    other modules reach the layout, cover the routes alone.  ``at`` (k_max,
+    rows) holds each row's column at every hop; a row shorter than k_max
+    reads the padding column past its last hop.  Padded hops are neutral:
+    they add 0 to the latency sum, 1 to the survival products and +inf to
+    the minimum, and the sums and products run row by row in hop order, so
+    a padded row reads the same bits as its route alone.
 
     There are two reads, and both run one per-hop stage (:meth:`_stage`) on
-    coefficient columns.  :meth:`read` takes window i of route cols[i]: it
-    serves every reading at given windows (the lockstep search, the
+    coefficient columns.  :meth:`read` takes window i of row cols[i]: it
+    serves every reading at given windows (the lockstep searches, the
     optimality checks, ``analyze`` and :meth:`RouteEvaluator.series`), and
     its per-hop stage :meth:`hops` is the first half of it.  :meth:`grid`
-    takes every route over one shared window grid, for the envelope alone:
-    it runs the per-hop stage once on the stack's distinct hops, and folds
+    takes every row over one shared window grid, for the envelope alone: it
+    runs the per-hop stage once on the stack's distinct hops, and folds
     their rows into routes.  A cell reads the same bits in either.
 
     The joint-outcome tables of every mixed route are built on the first
@@ -800,16 +803,22 @@ class _RouteStack:
         self.routes = tuple(routes)
         self.params = params
         T = params.hop_dwell
-        self.ks = np.array([len(r.hops) for r in self.routes])
         first = {}
         for route in self.routes:
             for h in route.hops:
                 first.setdefault((h.arrival_rate, h.deg), h)
         self.distinct = list(first.values())
         column = {key: i for i, key in enumerate(first)}
-        self.at = np.full((self.ks.max(), len(self.ks)), len(column))
-        for j, route in enumerate(self.routes):
-            self.at[: self.ks[j], j] = [column[h.arrival_rate, h.deg] for h in route.hops]
+        rows = [[column[h.arrival_rate, h.deg] for h in route.hops] for route in self.routes]
+        # Each distinct hop's one-hop row: its first one-hop route, else a row after the routes.
+        single = {r[0]: j for j, r in reversed(list(enumerate(rows))) if len(r) == 1}
+        rows += [[c] for c in column.values() if c not in single]
+        single.update((r[0], j) for j, r in enumerate(rows[len(self.routes) :], len(self.routes)))
+        self.hop_rows = np.array([single[c] for c in column.values()])
+        self.ks = np.array([len(r) for r in rows])
+        self.at = np.full((self.ks.max(), len(rows)), len(column))
+        for j, r in enumerate(rows):
+            self.at[: len(r), j] = r
         # The padding column holds lam = deg = 1, finite rows that the reads override.
         lam, deg = np.array([*column, (1.0, 1)], dtype=float).T
         fwd = 1.0 / deg
@@ -842,9 +851,9 @@ class _RouteStack:
 
     def fold(self, rows, op, pad, cols=None) -> np.ndarray:
         """Rows of the distinct hops, (d, ...), folded by ``op`` along the
-        hops of every route, or of route cols[i], in hop order, with ``pad``
-        past a route's last hop (see _sum_rows): (routes, ...)."""
-        at = self.at if cols is None else self.at[: self.ks[cols].max(initial=1), cols]
+        hops of every route, or of row cols[i], in hop order, with ``pad``
+        past a row's last hop (see _sum_rows): (routes, ...) or (len(cols), ...)."""
+        at = self.at[:, : len(self.routes)] if cols is None else self.at[: self.ks[cols].max(initial=1), cols]
         rows = np.concatenate([rows, np.full_like(rows[:1], pad)])
         return _sum_rows((rows[i] for i in at), op)
 
@@ -856,7 +865,7 @@ class _RouteStack:
         max_m = max_trials(T, params.trial_time)
         # Geometric-max table, truncated where the tail mass dies.
         support = np.arange(1, _pmf_rows(params, max_m) + 1, dtype=float) if max_m >= 1 else np.empty(0)
-        n = len(self.routes)
+        n = len(self.routes)  # a one-hop row after the routes is never mixed
         width = self.ks.max() + 1
         pmf = np.zeros((len(support), width))
         xf_cum = np.zeros((len(support) + 1, width))
@@ -998,51 +1007,45 @@ class _RouteStack:
         return out
 
     def grid(self, ts) -> dict[str, np.ndarray]:
-        """Every route of the stack over one shared window grid ``ts``: the
+        """Every row of the stack over one shared window grid ``ts``: the
         envelope's read.
 
         The per-hop stage runs once on the stack's distinct hops, and their
-        trial counts once on the grid.  Each route folds its hops' latency
-        rows, and each mixed route their success and failure rows, and the
-        joint-outcome rate reads (mixed routes x windows) cells.  The grid
-        is taken in blocks of windows, each scratch array of a block about
-        _BLOCK_CELLS cells; every cell reads the bits of its one-window ``read``.
+        trial counts once on the grid.  A one-hop row takes its hop's rows;
+        every other route folds its hops' latency rows, and each mixed
+        route their success and failure rows, and the joint-outcome rate
+        reads (mixed routes x windows) cells.  The grid is taken in blocks
+        of windows, each scratch array of a block about _BLOCK_CELLS cells;
+        every cell reads the bits of its one-window ``read``.
 
-        Returns (routes, len(ts)) arrays under ``latency`` and
-        ``rate_closed``, and each distinct hop's (d, len(ts)) rate rows
-        under ``hop_rate``, in the order of ``distinct``.
+        Returns (rows, len(ts)) arrays under ``latency`` and ``rate_closed``,
+        the routes' rows first.
         """
         params = self.params
         ts, ms = _windows(ts, params)
         coef = self.coef[:, :-1, None]  # the distinct hops, without the padding column
-        single = np.flatnonzero(~self.forward & (self.ks == 1))
+        single, multi = np.flatnonzero(self.ks == 1), np.flatnonzero(self.ks > 1)
+        live = single[~self.forward[single]]
         mixed = np.flatnonzero(self.mixed)
         if mixed.size:
             self._tables  # built, and its scratch freed, before the rows below exist
         n = len(ts)
-        routes = len(self.routes)
-        latency = np.empty((routes, n))
-        rate = np.empty((routes, n))
+        rows = len(self.ks)
+        latency = np.empty((rows, n))
+        rate = np.empty((rows, n))
         rate[self.forward] = params.rate_cell
-        hop_rates = np.empty((coef.shape[1], n))
-        blocks = max(1, -(-n * max(coef.shape[1], routes) // _BLOCK_CELLS))
+        blocks = max(1, -(-n * max(coef.shape[1], rows) // _BLOCK_CELLS))
         step = max(1, -(-n // blocks))
         for a in range(0, n, step):
             b = slice(a, a + step)
             hop_lat, success, failure, hop_rate = self._stage(coef, ts[b], ms[b])
-            hop_rates[:, b] = hop_rate
-            latency[:, b] = self.fold(hop_lat, np.add, 0.0)
-            rate[single, b] = hop_rate[self.at[0, single]]
+            latency[single, b] = hop_lat[self.at[0, single]]
+            latency[multi, b] = self.fold(hop_lat, np.add, 0.0, multi)
+            rate[live, b] = hop_rate[self.at[0, live]]
             if mixed.size:
                 p_as, p_af = (self.fold(p, np.multiply, 1.0, mixed) for p in (success, failure))
                 rate[mixed, b] = self._mixed_rate(mixed[:, None], ts[b], ms[b], p_as, p_af)
-        return {"latency": latency, "rate_closed": rate, "hop_rate": hop_rates}
-
-    def hop_rate(self, hops, ts) -> np.ndarray:
-        """Mean rate of distinct hop hops[i] at window ts[i]: the per-hop
-        stage on its coefficient column, the bits of its ``grid`` row."""
-        ts, ms = _windows(ts, self.params)
-        return self._stage(self.coef[:, hops], ts, ms)[3]
+        return {"latency": latency, "rate_closed": rate}
 
     def _mixed_rate(self, cols, ts, ms, p_as, p_af) -> np.ndarray:
         """Joint-outcome rate of mixed route cols[i] at window ts[i], given

@@ -19,24 +19,23 @@ reading's sensitivity.  So the scan grid (:func:`_scan_grid`) holds per-trial
 rows (edge, interiors, inset) on trial pieces 0..L only, and Chebyshev-
 Lobatto nodes on the smooth tail past them, split where the joint-outcome
 rate switches form: 107 windows at stock whatever the trial time.  It
-depends only on the parameters, so a solve builds one grid for every route
-and reads all its routes over it in one grid read of their stack, which
-runs the per-hop stage once per distinct hop.  The read checks the tail's
-smoothness from the rows' Chebyshev coefficients and doubles the nodes of a
-piece they do not resolve, or falls back to its per-trial rows
-(:func:`_read`); that read serves the envelope (:func:`_envelope`) and the
-search alike.  None of that depends on the weight, so one solve serves many
-weights: a search task is a (route, scale, weight) triple, and every task
-reads the same grid read.  Derivative-sign changes are bracketed over all
-pieces in one array pass per block of tasks, and every bracket of every task
-is polished in lockstep (:func:`_polish`), by safeguarded inverse-quadratic
-interpolation on the central-difference derivative where the bracket reads
-a clear sign change and by bisection elsewhere: a step reads the probes of
-all open brackets in one route-stacked kernel call, so a solve makes at
-most 81 such calls whatever its route and weight count, and 6 to 12 on the
-stock grids at weight 0.5.  Those probes, the optimality checks and
-``sweep --variable t`` score given windows through one objective read of
-the stack (:func:`_objective`).
+depends only on the parameters, so a solve builds one grid and reads every
+row of its route stack over it at once: the routes, and each distinct hop as
+a one-hop row.  The read checks the tail's smoothness from the rows'
+Chebyshev coefficients and doubles the nodes of a piece they do not
+resolve, or falls back to its per-trial rows (:func:`_read`).  None of that
+depends on the weight, so one solve serves many weights: a search task is a
+(route, scale, weight) triple.  The envelope (:func:`_envelope`) and the
+search find their peaks alike (:func:`_peaks`): derivative-sign changes are
+bracketed over the grid in one array pass per block of tasks, and every
+bracket of every task is polished in lockstep (:func:`_polish`), by
+safeguarded inverse-quadratic interpolation on the central-difference
+derivative where the bracket reads a clear sign change and by bisection
+elsewhere: a step reads the probes of all open brackets in one stacked
+kernel call, so a lockstep makes at most 81 such calls whatever its task
+count, and a search 6 to 12 on the stock grids at weight 0.5.  Those probes,
+the optimality checks and ``sweep --variable t`` score given windows
+through one objective read of the stack (:func:`_objective`).
 """
 
 from __future__ import annotations
@@ -152,11 +151,13 @@ class DistributedOutcome:
 
 @dataclass(frozen=True)
 class _ScanGrid:
-    """Sample grid over [0, T]: the windows ``ts``, ascending, in rows of
-    consecutive indices that never straddle a jump or a kink."""
+    """Sample grid over [0, T], T its last window: the windows ``ts``,
+    ascending, and the ``starts``, ascending, of the runs of three
+    consecutive samples that may bracket a peak, none straddling a jump or
+    a kink."""
 
     ts: np.ndarray
-    pieces: np.ndarray  # (rows, _PIECE_SAMPLES + 2) indices into ts, -1 where absent
+    starts: np.ndarray  # indices into ts
     probe: float
     # Each smooth tail piece (a, b, n, nodes): n Chebyshev-Lobatto intervals
     # on [a, b], read at ts[nodes]; n = 0, and no nodes, where the piece is
@@ -165,10 +166,13 @@ class _ScanGrid:
 
 
 def _per_trial(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Samples and rows of the trial pieces [a, b): per piece its left edge
-    a, up to _PIECE_SAMPLES interior points, and the inset b - h standing
-    in for the left limit at b; rows index the samples, -1 where absent."""
-    # Row = [edge, interiors..., inset] so sign-change bracketing sees the
+    """Samples of the trial pieces [a, b): per piece its left edge a, up to
+    _PIECE_SAMPLES interior points, and the inset b - h standing in for the
+    left limit at b; and where a bracket may start, the first
+    _PIECE_SAMPLES samples of each piece that holds all of them.  A piece
+    too narrow for interiors holds at most two samples, too few to bracket.
+    """
+    # Edge, interiors and inset so that sign-change bracketing sees the
     # whole piece; a peak between the edge and the first interior sample
     # would otherwise never produce a rising difference.
     wide = b - a >= 6 * h
@@ -179,27 +183,26 @@ def _per_trial(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.n
     present = np.ones(samples.shape, dtype=bool)
     present[:, 1:-1] = wide[:, None]
     present[:, -1] = b - h > a
-    return samples[present], np.where(present, np.cumsum(present).reshape(present.shape) - 1, -1)
+    count = present.sum(axis=1)
+    edge = np.cumsum(count) - count  # each piece's edge among the samples
+    return samples[present], (edge[wide, None] + np.arange(_PIECE_SAMPLES)).ravel()
 
 
 def _lobatto(a: float, b: float, n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Samples of a smooth piece [a, b]: its n + 1 Chebyshev-Lobatto nodes,
     node j of n intervals being node 2j of 2n bit for bit, and the insets
-    a + 2h and b - 2h where they fall inside the end intervals; rows of
-    _PIECE_SAMPLES + 2 consecutive samples, each overlapping the next by
-    two, the last one ending on b; and the nodes' positions among the
-    samples.  Every three consecutive samples start a row's bracket, and
-    the insets let a peak between an end and its neighbouring node read a
-    rising then falling difference, as a per-trial row's edge and inset do.
+    a + 2h and b - 2h where they fall inside the end intervals; where a
+    bracket may start, every sample but the last two; and the nodes'
+    positions among the samples.  The insets let a peak between an end and
+    its neighbouring node read a rising then falling difference, as a
+    per-trial piece's edge and inset do.
     """
     x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(n + 1) / n)
     x[0], x[-1] = a, b
     insets = np.array([a + 2 * h, b - 2 * h])
     inside = (insets > x[[0, -2]]) & (insets < x[[1, -1]])
     samples = np.sort(np.concatenate([x, insets[inside]]))
-    width = _PIECE_SAMPLES + 2
-    starts = np.append(np.arange(0, len(samples) - width, width - 2), len(samples) - width)
-    return samples, starts[:, None] + np.arange(width), np.searchsorted(samples, x)
+    return samples, np.arange(len(samples) - 2), np.searchsorted(samples, x)
 
 
 def _scan_grid(params: SystemParams) -> _ScanGrid:
@@ -208,12 +211,11 @@ def _scan_grid(params: SystemParams) -> _ScanGrid:
 
     Past trial piece L (7 at stock) the kernel jumps at a trial edge by at
     most (1 - p)^L times its sensitivity to the all-fail chance, so the
-    window axis splits in two.  Trial pieces 0..L hold per-piece rows: the
-    edge, _PIECE_SAMPLES interior points and the inset (see _per_trial).
+    window axis splits in two.  Trial pieces 0..L hold their edge,
+    _PIECE_SAMPLES interior points and inset each (see _per_trial).
     The tail [(L + 1) dt, T], split where the rate switches form, holds
     _TAIL_INTERVALS + 1 Chebyshev-Lobatto nodes a piece and an inset at
-    each end (see _lobatto): 107 windows at stock whatever the trial time,
-    where one row per trial piece took 1801 at 0.1 and 36,001 at 0.005.
+    each end (see _lobatto): 107 windows at stock whatever the trial time.
     The tail's smoothness is checked on every grid read, not assumed (see
     _read).  The domain end T is the last window.
     """
@@ -241,19 +243,19 @@ def _layout(params: SystemParams, edges: np.ndarray, intervals: Sequence[int]) -
         else:
             cuts = np.concatenate([[a], trials[(trials > a) & (trials < b)], [b]])
             parts.append((*_per_trial(cuts[:-1], cuts[1:], h), np.empty(0, dtype=np.intp)))
-    ts, rows, tail, size = [], [], [], 0
-    for i, (x, r, nodes) in enumerate(parts):
+    ts, starts, tail, size = [], [], [], 0
+    for i, (x, first, nodes) in enumerate(parts):
         shift = size
         if size and x[0] == ts[-1][-1]:
             x, shift = x[1:], size - 1
         if i:
             tail.append((float(edges[i - 1]), float(edges[i]), int(intervals[i - 1]), nodes + shift))
         ts.append(x)
-        rows.append(np.where(r >= 0, r + shift, -1))
+        starts.append(first + shift)
         size += len(x)
     if ts[-1][-1] != params.hop_dwell:
         ts.append([params.hop_dwell])
-    return _ScanGrid(np.concatenate(ts), np.concatenate(rows), h, tuple(tail))
+    return _ScanGrid(np.concatenate(ts), np.concatenate(starts), h, tuple(tail))
 
 
 @functools.lru_cache(maxsize=None)
@@ -285,17 +287,9 @@ def _refine(params: SystemParams, grid: _ScanGrid, rows: np.ndarray) -> _ScanGri
     return _layout(params, np.array([a for a, _, _, _ in grid.tail] + [grid.tail[-1][1]]), intervals)
 
 
-def _starts(grid: _ScanGrid) -> np.ndarray:
-    """Where a bracket of the grid may begin, each once, ascending: the
-    first _PIECE_SAMPLES samples of every row holding all its samples.
-    Rows with an absent sample hold at most two, too few to bracket."""
-    starts = np.sort(grid.pieces[(grid.pieces >= 0).all(axis=1), :-2], axis=None)
-    return starts[np.concatenate([[True], starts[1:] != starts[:-1]])]  # np.unique would load numpy.ma
-
-
 def _read(stack: _RouteStack, grid: _ScanGrid) -> tuple[dict[str, np.ndarray], _ScanGrid]:
-    """One grid read of every route and every distinct hop of ``stack``
-    (see _RouteStack.grid), and the grid it is read on.
+    """One grid read of every row of ``stack`` (see _RouteStack.grid), and
+    the grid it is read on.
 
     The Chebyshev coefficients of each latency and rate row on each smooth
     tail piece check that the piece's nodes resolve it; a piece that fails
@@ -317,83 +311,50 @@ def _read(stack: _RouteStack, grid: _ScanGrid) -> tuple[dict[str, np.ndarray], _
 
 
 def _envelope(stack: _RouteStack, out: dict[str, np.ndarray], grid: _ScanGrid) -> list[NormalizationContext]:
-    """The envelope of each route of ``stack``, see build_normalization,
-    from its grid read ``out`` over ``grid`` (see _read).
+    """The envelope of each row of ``stack``, its routes then the rest of
+    its one-hop rows, from its grid read ``out`` over ``grid`` (see _read).
 
-    Latency falls with the window, so its extremes are the two ends.  Every
-    interior extremum of a mixed route's rate row and of a distinct hop's
-    rate row is bracketed on the grid and polished in one lockstep
-    (:func:`_polish`), the hops' through their per-hop stage alone; a
-    one-hop route's rate row is its hop's, and an all-forward route's is
-    flat.
+    Latency falls with the window, so its extremes are the two ends.  A
+    rate row's extremes are its grid samples and its interior extrema,
+    bracketed on the grid and polished in one lockstep of stack reads for
+    every row (:func:`_peaks`), then widened by the rounding noise of a
+    reading; an all-forward row's rate is flat.
     """
-    T = stack.params.hop_dwell
-    lat, rate, hop = out["latency"], out["rate_closed"], out["hop_rate"]
+    lat, rate = out["latency"], out["rate_closed"]
     # Within rounding: where no trial fits, a hop's miss chance reads 1 give or take an ulp.
     assert not (np.diff(lat, axis=1) > _NOISE * lat[:, 1:]).any(), "latency rises with the window"
 
-    # Rows whose extremes are polished: the mixed routes', then the distinct hops'.
-    mixed = np.flatnonzero(stack.mixed)
-    rows = np.concatenate([mixed, len(stack.routes) + np.arange(len(hop))])
-    starts = _starts(grid)
+    # Task i is the maximum of row rows[i], and task n + i its minimum.
+    live = np.flatnonzero(~stack.forward)
+    n = len(live)
+    rows = np.concatenate([live, live])
+    sign = np.repeat([1.0, -1.0], n)
     step = max(1, _BLOCK_CELLS // len(grid.ts))
-    owner, sign, lo, hi = [], [], [], []
-    for values, base in ((rate[mixed], 0), (hop, len(mixed))):
-        for a in range(0, len(values), step):
-            for s in (1.0, -1.0):  # maxima, then minima
-                task, x, z = _brackets(grid, starts, s * values[a : a + step], T)
-                owner.append(task + base + a)
-                sign.append(np.full(len(task), s))
-                lo.append(x)
-                hi.append(z)
-    owner, sign, lo, hi = (np.concatenate(x) for x in (owner, sign, lo, hi))
-    row = rows[owner]
-    routes = row < len(stack.routes)
-
-    def rates(which: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # Rate rows row[which] at windows x: routes by a read, hops by their stage.
-        f = np.empty(len(x))
-        on = routes[which]
-        if on.any():
-            f[on] = stack.read(row[which[on]], x[on])["rate_closed"]
-        if not on.all():
-            f[~on] = stack.hop_rate(row[which[~on]] - len(stack.routes), x[~on])
-        return f
-
-    h = grid.probe
-
-    def deriv(which: np.ndarray, x: np.ndarray) -> np.ndarray:
-        two = np.repeat(which, 2)
-        f = rates(two, np.column_stack([x - h, x + h]).ravel()) * sign[two]
-        return (f[1::2] - f[::2]) / (2 * h)
-
-    peaks = _polish(deriv, lo, hi, _REL_T_TOL * T, _NOISE / h)
+    blocks = ((a + base, s * rate[live[a : a + step]]) for a in range(0, n, step) for base, s in ((0, 1.0), (n, -1.0)))
+    owner, _, found = _peaks(grid, blocks, lambda tasks, x: sign[tasks] * stack.read(rows[tasks], x)["rate_closed"])
     # Windows on a flat top read a few ulps apart, so a polished extremum
     # is widened by the rounding noise of a reading: none there leaves it.
-    found = rates(np.arange(len(peaks)), peaks)
-    found += sign * _NOISE * np.abs(found)
-    # Each row's range over the grid, widened by its polished extrema.
-    high = np.concatenate([rate.max(axis=1), hop.max(axis=1)])
-    low = np.concatenate([rate.min(axis=1), hop.min(axis=1)])
-    up = sign > 0.0
-    np.maximum.at(high, row[up], found[up])
-    np.minimum.at(low, row[~up], found[~up])
-    n = len(stack.routes)
-    hop_low = stack.fold(low[n:], np.minimum, np.inf)
-    hop_high = stack.fold(high[n:], np.maximum, -np.inf)
+    found *= sign[owner]
+    found += sign[owner] * _NOISE * np.abs(found)
+    high, low = rate.max(axis=1), rate.min(axis=1)
+    up = owner < n
+    np.maximum.at(high, rows[owner[up]], found[up])
+    np.minimum.at(low, rows[owner[~up]], found[~up])
     return [
-        NormalizationContext(lt, lm, min(rl, hl), max(rh, hh))
-        for lt, lm, rl, rh, hl, hh in zip(
-            lat[:, -1].tolist(), lat[:, 0].tolist(), low[:n].tolist(), high[:n].tolist(), hop_low.tolist(), hop_high.tolist()
-        )
+        NormalizationContext(*bounds)
+        for bounds in zip(lat[:, -1].tolist(), lat[:, 0].tolist(), low.tolist(), high.tolist())
     ]
 
 
-def _hull(scales: Sequence[NormalizationContext]) -> NormalizationContext:
-    """The smallest envelope holding every one of ``scales``."""
+def _shared_context(stack: _RouteStack, out: dict[str, np.ndarray], grid: _ScanGrid) -> NormalizationContext:
+    """The one scale every route of ``stack`` is scored on, from its grid
+    read (see _envelope): the latency range of its routes and the rate
+    range of every row, each distinct hop's one-hop row included."""
+    scales = _envelope(stack, out, grid)
+    routes = scales[: len(stack.routes)]
     return NormalizationContext(
-        min(s.latency_min for s in scales),
-        max(s.latency_max for s in scales),
+        min(s.latency_min for s in routes),
+        max(s.latency_max for s in routes),
         min(s.rate_min for s in scales),
         max(s.rate_max for s in scales),
     )
@@ -405,17 +366,18 @@ def build_normalization(routes: Sequence[Route], params: SystemParams) -> Normal
     Latency falls as the window grows (checked on the grid read, to within
     rounding), so its extremes are each route's readings at t = T and
     t = 0.  The rate envelope covers every route's rate and every hop's
-    mean rate, so distributed aggregates normalize into the same [0, 1]
-    box: no hop anywhere reads below the lower end or above the upper end.
-    Its extremes are the grid's samples, which hold every piece edge and
-    the inset standing for the left limit at each trial edge, and every
-    interior extremum bracketed on the grid, polished to the window
-    tolerance and widened by the rounding noise of a reading.
+    mean rate, the rate of its one-hop row, so distributed aggregates
+    normalize into the same [0, 1] box: no hop anywhere reads below the
+    lower end or above the upper end.  Its extremes are the grid's samples,
+    which hold every piece edge and the inset standing for the left limit
+    at each trial edge, and every interior extremum bracketed on the grid,
+    polished to the window tolerance and widened by the rounding noise of a
+    reading.
     """
     if not routes:
         raise ValueError("need at least one route")
     stack = _RouteStack(routes, params)
-    return _hull(_envelope(stack, *_read(stack, _scan_grid(params))))
+    return _shared_context(stack, *_read(stack, _scan_grid(params)))
 
 
 def _trade_off(rate, latency, context: NormalizationContext, weight):
@@ -437,28 +399,54 @@ def _objective(stack: _RouteStack, cols, ts, context: NormalizationContext, weig
     return _trade_off(out["rate_closed"], out["latency"], context, weight)
 
 
-def _brackets(
-    grid: _ScanGrid, starts: np.ndarray, values: np.ndarray, T: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _brackets(grid: _ScanGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brackets (task, lo, hi) of the interior maxima in the grid values of
     a block of tasks, (tasks, windows), task by task in window order.
 
-    A bracket spans two first differences of a piece's samples, rising then
-    not rising.  A piece's samples are consecutive on the grid, so the
-    differences are taken along the grid, and ``starts`` are the samples
-    where a bracket of a piece holding every sample may begin, all
-    bracketed in one array pass.  The bracket stays one probe inside the
-    domain so the central difference never reads past it; the raw samples
-    already cover a peak hiding in that sliver.
+    A bracket spans two first differences of consecutive samples, rising
+    then not rising, that start at one of the grid's ``starts``; the
+    differences are taken along the grid, all bracketed in one array pass.
+    The bracket stays one probe inside the domain so the central difference
+    never reads past it; the raw samples already cover a peak hiding in that
+    sliver.
     """
-    h = grid.probe
+    h, starts = grid.probe, grid.starts
     d = np.diff(values, axis=1)
     rise = ((d[:, :-1] > 0.0) & (d[:, 1:] <= 0.0))[:, starts]
     task, i = np.divmod(np.flatnonzero(rise), len(starts))
     lo = np.maximum(grid.ts[starts[i]], h)
-    hi = np.minimum(grid.ts[starts[i] + 2], T - h)
+    hi = np.minimum(grid.ts[starts[i] + 2], grid.ts[-1] - h)
     keep = lo < hi
     return task[keep], lo[keep], hi[keep]
+
+
+def _peaks(grid: _ScanGrid, blocks, read) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The interior maxima of many tasks over ``grid``: each bracket's task,
+    its polished peak, and the task's value there.
+
+    ``blocks`` yields (first, values), the (tasks, windows) grid values of
+    tasks first, first + 1, ..., each block bracketed in one array pass
+    (:func:`_brackets`); ``read(tasks, x)`` is the value of task tasks[i] at
+    window x[i].  Every bracket of every task is polished in lockstep
+    (:func:`_polish`): each step reads the derivative probes (x - h, x + h)
+    of all brackets still open in one call of ``read``, and one more call
+    reads every peak, so at most 81 calls whatever the task count.
+    """
+    owner, lo, hi = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
+    for first, values in blocks:
+        task, a, z = _brackets(grid, values)
+        owner.append(task + first)
+        lo.append(a)
+        hi.append(z)
+    owner, lo, hi = (np.concatenate(x) for x in (owner, lo, hi))
+    h = grid.probe
+
+    def deriv(which: np.ndarray, x: np.ndarray) -> np.ndarray:
+        f = read(owner[np.repeat(which, 2)], np.column_stack([x - h, x + h]).ravel())
+        return (f[1::2] - f[::2]) / (2 * h)
+
+    peaks = _polish(deriv, lo, hi, _REL_T_TOL * grid.ts[-1], _NOISE / h)
+    return owner, peaks, read(owner, peaks)
 
 
 def _cut(top, count):
@@ -580,23 +568,18 @@ def _search(
     """Best (window, value) of every task (col, scale, weight): route col of
     ``stack`` scored on ``scale`` at ``weight``.
 
-    ``reads`` are the stack's (routes x windows) rate_closed and latency
+    ``reads`` are the stack's (rows x windows) rate_closed and latency
     grid arrays, which every task of a route shares.  The tasks are taken
     in blocks of about _BLOCK_CELLS grid values: one array pass over a
-    block scores its grid and brackets its interior maxima.  Every bracket
-    of every task is then polished in lockstep (:func:`_polish`): each step
-    reads the derivative probes (x - h, x + h) of all brackets still open
-    in one stacked kernel call, and one more call reads every peak, so a
-    search makes at most 81 such calls whatever its route and weight
-    count.  A bracket closes once narrower than the window tolerance or
-    after 80 steps.  A second pass over the blocks scores each grid again
-    and takes every task's top value and the winner rule's cut (see
-    _winner) in one array pass; only the tie walk over the candidates a
-    task keeps runs task by task.
+    block scores its grid and brackets its interior maxima, and every
+    bracket of every task is polished in one lockstep (:func:`_peaks`)
+    whose reads are stacked kernel calls, so a search makes at most 81 of
+    them whatever its route and weight count.  A second pass over the
+    blocks scores each grid again and takes every task's top value and the
+    winner rule's cut (see _winner) in one array pass; only the tie walk
+    over the candidates a task keeps runs task by task.
     """
     T = stack.params.hop_dwell
-    h = grid.probe
-    starts = _starts(grid)
     rate, lat = reads
     # Each task's route, scale and weight, which its grid values and its probes read.
     cols = np.array([col for col, _, _ in tasks], dtype=np.intp)
@@ -615,27 +598,11 @@ def _search(
         scale = NormalizationContext(*bounds[b, :, None].transpose(1, 0, 2))
         return _trade_off(rate[routes], lat[routes], scale, weights[b, None])
 
-    owner, lo, hi = [], [], []
-    for b in blocks:
-        task, a, z = _brackets(grid, starts, grid_values(b), T)
-        owner.append(task + b.start)
-        lo.append(a)
-        hi.append(z)
-    owner, lo, hi = (np.concatenate(x) for x in (owner, lo, hi))
+    def read(which: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # Objectives of tasks ``which`` at ``x``: one read; a window reads alike in any batch.
+        return _objective(stack, cols[which], x, NormalizationContext(*bounds[which].T), weights[which])
 
-    # Each bracket's route, scale and weight, which its probes read.
-    at_cols, at_bounds, at_weights = cols[owner], bounds[owner], weights[owner]
-
-    def deriv(which: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # Central differences of brackets ``which`` at ``x``: one read.
-        two = np.repeat(which, 2)
-        probes = np.column_stack([x - h, x + h]).ravel()
-        f = _objective(stack, at_cols[two], probes, NormalizationContext(*at_bounds[two].T), at_weights[two])
-        return (f[1::2] - f[::2]) / (2 * h)
-
-    peaks = _polish(deriv, lo, hi, _REL_T_TOL * T, _NOISE / h)
-    # One read polishes them all; a window reads alike in any batch.
-    peak_values = _objective(stack, at_cols, peaks, NormalizationContext(*at_bounds.T), at_weights)
+    owner, peaks, peak_values = _peaks(grid, ((b.start, grid_values(b)) for b in blocks), read)
 
     # Task t's peaks are peaks[first[t] : first[t + 1]].
     first = np.searchsorted(owner, np.arange(len(tasks) + 1))
@@ -710,7 +677,7 @@ def _solve_global(
     stack = _RouteStack(routes, params)
     evaluators = stack.evaluators()
     out, grid = _read(stack, _scan_grid(params))
-    ctx = context or _hull(_envelope(stack, out, grid))
+    ctx = context or _shared_context(stack, out, grid)
     reads = out["rate_closed"], out["latency"]
     del out
     n = len(evaluators)
@@ -776,7 +743,7 @@ def _solve_distributed(
     grid = _scan_grid(params)
     stack = _RouteStack(routes, params)
     if context is None:
-        context = _hull(_envelope(stack, *_read(stack, grid)))
+        context = _shared_context(stack, *_read(stack, grid))
     # Every distinct hop is a one-hop route on its own scale.
     d = len(stack.distinct)
     hop_stack = _RouteStack([Route(hops=(hop,)) for hop in stack.distinct], params)

@@ -793,54 +793,57 @@ class TestRouteStack:
                 yield f"{size}x{size} seed {seed} trial {trial_time} {override}", routes, params
 
     def test_a_grid_read_holds_the_bits_of_per_window_reads(self):
-        # Every cell of a grid read of all routes, and of each route's
-        # ``series`` (one read at one route index), reads the bits of a
-        # per-window read of that route at that window; each distinct hop's
-        # rate row holds its per-window hop rows, and its per-hop stage.
+        # Every cell of a grid read of all rows, routes and one-hop rows,
+        # and of each route's ``series`` (one read at one route index),
+        # reads the bits of a per-window read of that row at that window;
+        # each distinct hop's one-hop row holds its per-window hop rows.
         for label, routes, params in self._grid_cases():
             stack = _RouteStack(routes, params)
             ts = _scan_grid(params).ts
             out = stack.grid(ts)
-            assert out["hop_rate"].shape == (len(stack.distinct), len(ts))
-            for c in range(len(stack.distinct)):
-                one = stack.hop_rate(np.full(len(ts), c), ts)
-                assert np.array_equal(out["hop_rate"][c], one), (label, c)
+            assert out.keys() == {"latency", "rate_closed"}
+            rows = len(out["latency"])
+            assert out["rate_closed"].shape == (rows, len(ts)) and rows >= len(routes)
+            for j in range(rows):
+                ref = stack.read(np.full(len(ts), j), ts)
+                for name in ("latency", "rate_closed"):
+                    assert np.array_equal(out[name][j], ref[name]), (label, j, name)
             for j, view in enumerate(stack.evaluators()):
                 ref = stack.read(np.full(len(ts), j), ts)
                 one = view.series(ts)
-                for name in ("latency", "rate_closed"):
-                    assert np.array_equal(out[name][j], ref[name]), (label, j, name)
                 for name in ("latency", "rate_closed", "rate_min_means", "hop_latency", "hop_rate"):
                     assert np.array_equal(one[name], ref[name]), (label, j, name)
-                hops = stack.columns(j)
-                assert np.array_equal(out["hop_rate"][hops], ref["hop_rate"][: len(hops)]), (label, j)
+                hops = stack.hop_rows[stack.columns(j)]
+                assert np.array_equal(out["latency"][hops], ref["hop_latency"][: len(hops)]), (label, j)
+                assert np.array_equal(out["rate_closed"][hops], ref["hop_rate"][: len(hops)]), (label, j)
 
     def test_the_envelope_holds_every_per_window_read(self):
-        # The envelope of each route against one per-window read per route
-        # over the scan grid: latency at its ends, bit for bit, within an
-        # ulp of the grid's range; a rate range that holds the route's and
-        # its hops' readings there and on a 4001-window grid, and exceeds
-        # them only by what those samples miss of a peak.
+        # The envelope of each row, routes and one-hop rows, against one
+        # per-window read per row over the scan grid: latency at its ends,
+        # bit for bit, within an ulp of the grid's range; a rate range that
+        # holds the row's readings there and on a 4001-window grid, and
+        # exceeds them only by what those samples miss of a peak.  A
+        # route's hops read their rates inside their one-hop rows' ranges.
         for label, routes, params in self._grid_cases():
             stack = _RouteStack(routes, params)
             out, grid = _read(stack, _scan_grid(params))
             ts = grid.ts
             assert (ts[0], ts[-1]) == (0.0, params.hop_dwell)
             dense = stack.grid(np.linspace(0.0, params.hop_dwell, 4001))
-            for j, scale in enumerate(_envelope(stack, out, grid)):
-                hops = stack.columns(j)
+            scales = _envelope(stack, out, grid)
+            assert len(scales) == len(out["latency"])
+            for j, scale in enumerate(scales):
                 ref = stack.read(np.full(len(ts), j), ts)
                 lat = ref["latency"]
                 assert (scale.latency_min, scale.latency_max) == (lat[-1], lat[0]), (label, j)
                 assert scale.latency_min <= lat.min() and lat.max() <= scale.latency_max * (1 + 1e-15), (label, j)
-                rates = np.hstack(
-                    [
-                        np.vstack([ref["rate_closed"], ref["hop_rate"][: len(hops)]]),
-                        np.vstack([dense["rate_closed"][j], dense["hop_rate"][hops]]),
-                    ]
-                )
+                rates = np.concatenate([ref["rate_closed"], dense["rate_closed"][j]])
                 assert 0.0 <= rates.min() - scale.rate_min < 1e-6, (label, j)
                 assert 0.0 <= scale.rate_max - rates.max() < 1e-6, (label, j)
+                if j < len(routes):
+                    for c, rates in zip(stack.columns(j), ref["hop_rate"]):
+                        own = scales[stack.hop_rows[c]]
+                        assert own.rate_min <= rates.min() and rates.max() <= own.rate_max, (label, j, c)
 
     def test_a_fold_walks_each_route_in_hop_order(self, params):
         # Row j of a fold is route j's hops' rows folded in hop order, the
@@ -907,6 +910,9 @@ class TestTrialJumps:
         assert len(edges) > 100
         stack = _RouteStack(routes, params)
         right = stack.grid(edges)
+        # Routes, then the one-hop rows of the hops that no one-hop route reads.
+        rows = len(right["latency"])
+        ks = np.array([len(r.hops) for r in routes] + [1] * (rows - len(routes)))
         # The left limit at an edge: the same window, one trial fewer.
         windows = closedform._windows
         with monkeypatch.context() as m:
@@ -914,12 +920,11 @@ class TestTrialJumps:
             left = stack.grid(edges)
         q = 1.0 - params.decode_ok_pair
         lam, deg = (np.array(x) for x in zip(*[(h.arrival_rate, h.deg) for h in stack.distinct]))
-        ks = np.array([len(r.hops) for r in routes])
         sensitivity = {
-            "latency": stack.fold((1.0 - 1.0 / deg) * (T + 1.0 / lam), np.add, 0.0),
+            "latency": stack.fold((1.0 - 1.0 / deg) * (T + 1.0 / lam), np.add, 0.0, np.arange(rows)),
             "rate_closed": ks * (params.rate_v2v + params.rate_cell + 2.0 * max(params.rate_v2i, params.rate_cell)),
-            "hop_rate": np.full(len(lam), params.rate_v2v + params.rate_cell + 2.0 * max(params.rate_v2i, params.rate_cell)),
         }
+        assert sorted(set(stack.hop_rows.tolist()) | set(range(len(routes)))) == list(range(rows))
         for name, scale in sensitivity.items():
             jump = np.abs(right[name] - left[name])
             # The reading's own rounding, four ulps, comes on top.

@@ -22,6 +22,9 @@ from v2xdelivery.cli import run_command
 
 GOLDEN = Path(__file__).parent / "golden"
 RECIPE = "recipe.yaml"  # trial_time 0.05, route_filter 6
+# Recipes where the scan grid refines or the search meets other shapes:
+# a binding cellular cap, fast traffic, and a 4x4 grid at one-second trials.
+RECIPES = {"cap": "recipe_cap.yaml", "fast": "recipe_fast.yaml", "4x4": "recipe_4x4.yaml"}
 
 CASES = {
     "analyze": ["analyze", "--out", "analyze.csv"],
@@ -50,11 +53,21 @@ CASES = {
     "recipe_global": ["optimize-global", "--scenario", RECIPE, "--out", "recipe_global.csv"],
     "recipe_compare": ["compare", "--scenario", RECIPE, "--alpha", "0.25", "--out", "recipe_compare.csv"],
 }
+for _tag, _recipe in RECIPES.items():
+    CASES[f"{_tag}_global"] = ["optimize-global", "--scenario", _recipe, "--out", f"{_tag}_global.csv"]
+    CASES[f"{_tag}_distributed"] = [
+        "optimize-distributed", "--scenario", _recipe, "--out", f"{_tag}_distributed.csv",
+    ]
+    CASES[f"{_tag}_sweep_alpha"] = [
+        "sweep", "--variable", "alpha", "--grid", "0,0.5,1", "--scenario", _recipe,
+        "--out", f"{_tag}_sweep_alpha.csv",
+    ]
 
 
 def _run(name: str, workdir: Path) -> tuple[int, str, str, bytes]:
     """Run one case in ``workdir``; return exit code, stdout, stderr, CSV."""
-    shutil.copy(GOLDEN / RECIPE, workdir / RECIPE)
+    for recipe in (RECIPE, *RECIPES.values()):
+        shutil.copy(GOLDEN / recipe, workdir / recipe)
     argv = CASES[name]
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()

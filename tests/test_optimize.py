@@ -93,9 +93,10 @@ class TestBuildNormalization:
         for trial_time in (0.02, 0.1, 1.0):
             params = dataclasses.replace(scenario.params, trial_time=trial_time)
             ctx = build_normalization(routes, params)
-            out = _RouteStack(routes, params).grid(np.linspace(0.0, params.hop_dwell, 10_000))
-            for name in ("rate_closed", "hop_rate"):
-                assert ctx.rate_min <= out[name].min() and out[name].max() <= ctx.rate_max, (trial_time, name)
+            stack = _RouteStack(routes, params)
+            rate = stack.grid(np.linspace(0.0, params.hop_dwell, 10_000))["rate_closed"]
+            for name, rows in (("routes", rate[: len(routes)]), ("hops", rate[stack.hop_rows])):
+                assert ctx.rate_min <= rows.min() and rows.max() <= ctx.rate_max, (trial_time, name)
             dist = solve_distributed(routes, params, weight=1.0, context=ctx)
             rates = [
                 float(RouteEvaluator(route, params).hop_rates(t)[h])
@@ -112,8 +113,9 @@ class TestBuildNormalization:
         scenario = build_grid_scenario(seed=seed)
         routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
         ts = np.linspace(0.0, scenario.params.hop_dwell, 10_000)
-        out = _RouteStack(routes, scenario.params).grid(ts)
-        top = np.maximum(out["rate_closed"].max(axis=0), out["hop_rate"].max(axis=0))
+        stack = _RouteStack(routes, scenario.params)
+        rate = stack.grid(ts)["rate_closed"]
+        top = np.maximum(rate[: len(routes)].max(axis=0), rate[stack.hop_rows].max(axis=0))
         assert ts[np.argmax(top)] > 8.0
         tops = [
             build_normalization(routes, dataclasses.replace(scenario.params, trial_time=tt)).rate_max
@@ -355,26 +357,24 @@ class TestConcavityProbe:
 def _scan_grid_per_piece(params):
     """The scan grid built one trial piece at a time, as it was before the
     tail went to Chebyshev nodes: the reference for the first L + 1 pieces
-    of _scan_grid, and the dense-grid oracle for the solvers."""
+    of _scan_grid, and the dense-grid oracle for the solvers.  A piece
+    holding its edge, 7 interiors and its inset starts a bracket at each of
+    its first 7 samples."""
     T = params.hop_dwell
     h = 1e-4 * params.trial_time
     edges = RouteEvaluator(Route(hops=(Hop(0.1, 2, rsu_id="a"),)), params).breakpoints()
-    ts, rows = [], []
+    ts, starts = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         a, b = float(a), float(b)
-        row = [-1] * 9
-        row[0] = len(ts)
         ts.append(a)
         if b - a >= 6 * h:
-            for i, x in enumerate(np.linspace(a + 2 * h, b - 2 * h, 7)):
-                row[1 + i] = len(ts)
+            starts.extend(range(len(ts) - 1, len(ts) + 6))
+            for x in np.linspace(a + 2 * h, b - 2 * h, 7):
                 ts.append(float(x))
         if b - h > a:
-            row[-1] = len(ts)
             ts.append(b - h)
-        rows.append(row)
     ts.append(T)
-    return opt._ScanGrid(np.asarray(ts), np.asarray(rows, dtype=int), h)
+    return opt._ScanGrid(np.asarray(ts), np.asarray(starts, dtype=int), h)
 
 
 def _winner_sequential(ts, values, T):
@@ -408,24 +408,29 @@ class TestBatchedScan:
         grid = _scan_grid(params)
         ref = _scan_grid_per_piece(params)
         L = _pmf_rows(params, max_trials(params.hop_dwell, trial_time))
-        head = grid.pieces[: L + 1]
-        n = head.max() + 1
-        assert grid.ts[:n].tobytes() == ref.ts[:n].tobytes()
-        assert grid.pieces.dtype == ref.pieces.dtype
-        assert np.array_equal(head, ref.pieces[: L + 1])
-        if len(ref.pieces) <= L + 1:
+        edges = opt._breakpoints(params)
+        assert grid.starts.dtype == ref.starts.dtype
+        if len(edges) - 1 <= L + 1:
             assert grid.tail == ()
             assert grid.ts.tobytes() == ref.ts.tobytes()
-            assert np.array_equal(grid.pieces, ref.pieces)
+            assert np.array_equal(grid.starts, ref.starts)
         else:
+            n = np.searchsorted(ref.ts, edges[L + 1])  # the samples of pieces 0..L
+            assert grid.ts[:n].tobytes() == ref.ts[:n].tobytes()
+            assert np.array_equal(grid.starts[grid.starts < n], ref.starts[ref.starts < n])
             assert grid.ts[n] == (L + 1) * trial_time == grid.tail[0][0]
         assert grid.probe == 1e-4 * trial_time
 
     def test_scan_grid_covers_the_narrow_last_pieces(self):
-        # The parametrized cases above do reach the narrow branches.
+        # The parametrized cases above do reach the narrow branches: the
+        # last piece holds its edge and inset, or its edge alone, and starts
+        # no bracket.
         for trial_time, present in ((20.0 / (7 + 3e-4), 2), (20.0 / (7 + 0.5e-4), 1)):
-            last = _scan_grid(SystemParams(trial_time=trial_time)).pieces[-1]
-            assert np.count_nonzero(last >= 0) == present
+            params = SystemParams(trial_time=trial_time)
+            grid = _scan_grid(params)
+            last = opt._breakpoints(params)[-2]
+            assert np.count_nonzero((grid.ts >= last) & (grid.ts < params.hop_dwell)) == present
+            assert grid.ts[grid.starts + 2].max() < last
 
     @pytest.mark.parametrize("trial_time", [0.1, 0.02, 0.005, 1.0, 0.3])
     def test_the_tail_holds_lobatto_nodes_and_every_triple_starts_a_bracket(self, trial_time):
@@ -440,12 +445,9 @@ class TestBatchedScan:
         first = nodes[0]
         assert len(grid.ts) - first == 35 and grid.ts[-1] == T
         assert np.array_equal(grid.ts[[first, first + 1, -2, -1]], [a, a + 2 * h, b - 2 * h, b])
-        # Full rows of consecutive samples, the last ending on T, so that
-        # every three consecutive samples start a bracket, each once.
-        rows = grid.pieces[grid.pieces[:, 0] >= first]
-        assert (np.diff(rows, axis=1) == 1).all()
-        assert rows[-1, -1] == len(grid.ts) - 1
-        starts = opt._starts(grid)
+        # Every three consecutive samples start a bracket, each once, the
+        # last ending on T.
+        starts = grid.starts
         assert np.array_equal(starts[starts >= first], np.arange(first, len(grid.ts) - 2))
         assert np.all(np.diff(starts) > 0)
 
@@ -459,7 +461,8 @@ class TestBatchedScan:
         params = SystemParams(**override)
         grid = _scan_grid(params)
         assert [b for _, b, _, _ in grid.tail[:-1]] == pytest.approx(switches, abs=1e-12)
-        starts = set(opt._starts(grid).tolist())
+        assert np.all(np.diff(grid.starts) > 0)  # each start once, where pieces share a node too
+        starts = set(grid.starts.tolist())
         for (a, b, n, nodes), (c, _, _, after) in zip(grid.tail, grid.tail[1:]):
             assert b == c == grid.ts[nodes[-1]] and nodes[-1] == after[0]
             assert nodes[-1] - 1 not in starts
@@ -651,12 +654,12 @@ def _maximize_scan(grid, values, objective, T):
         lo, hi = objective(np.array([x - h, x + h]))
         return (hi - lo) / (2 * h)
 
-    rows = grid.pieces[(grid.pieces >= 0).all(axis=1)]
-    d = np.diff(values[rows], axis=1)
+    d = np.diff(values)
+    s = grid.starts
     peaks = []
-    for r, i in zip(*np.nonzero((d[:, :-1] > 0.0) & (d[:, 1:] <= 0.0))):
-        lo = max(float(grid.ts[rows[r, i]]), h)
-        hi = min(float(grid.ts[rows[r, i + 2]]), T - h)
+    for i in s[(d[s] > 0.0) & (d[s + 1] <= 0.0)]:
+        lo = max(float(grid.ts[i]), h)
+        hi = min(float(grid.ts[i + 2]), T - h)
         if lo < hi:
             peaks.append(_polish_sign_change(deriv, lo, hi, tol, noise))
     if peaks:
@@ -860,6 +863,76 @@ class TestDenseGridOracle:
                 assert np.max(np.abs(f[: len(c)] - f[len(c) :])) <= 2 * opt._TIE
 
 
+class TestRowModel:
+    """Each distinct hop of a route stack has one one-hop row: the first
+    one-hop route over it, else a row after the routes, which the grid
+    read and the envelope read as any other row."""
+
+    @staticmethod
+    def _cases():
+        """(label, routes, params): 3x3 seed 0, also under a binding cap,
+        4x4 seed 2, and routes holding one-hop routes, one of them a
+        forwarding hop and one a hop that a later one-hop route repeats."""
+        for size, seed, override in ((3, 0, {}), (3, 0, {"rate_cell": 0.3}), (4, 2, {"trial_time": 1.0})):
+            scenario = build_grid_scenario(rows=size, cols=size, seed=seed)
+            routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+            yield f"{size}x{size} seed {seed} {override}", routes, dataclasses.replace(scenario.params, **override)
+        scenario = build_grid_scenario(seed=0)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        first = routes[0].hops[1]
+        solo = [Route(hops=(first,)), Route(hops=(Hop(0.12, 3, rsu_id="solo"),)), Route(hops=(Hop(0.2, 1, "fwd"),))]
+        routes = [routes[0], *solo, *routes[1:4], Route(hops=(Hop(first.arrival_rate, first.deg, "again"),))]
+        yield "with one-hop routes", routes, scenario.params
+
+    def test_every_distinct_hop_has_exactly_one_one_hop_row(self):
+        for label, routes, params in self._cases():
+            stack = _RouteStack(routes, params)
+            d = len(stack.distinct)
+            assert len(stack.hop_rows) == d and len(set(stack.hop_rows.tolist())) == d, label
+            one_hop = {}
+            for j, route in enumerate(routes):
+                if len(route.hops) == 1:
+                    one_hop.setdefault((route.hops[0].arrival_rate, route.hops[0].deg), j)
+            extra = [c for c, h in enumerate(stack.distinct) if (h.arrival_rate, h.deg) not in one_hop]
+            rows = len(stack.grid([0.0, params.hop_dwell])["latency"])
+            assert rows == len(routes) + len(extra), label
+            for c, (hop, row) in enumerate(zip(stack.distinct, stack.hop_rows.tolist())):
+                key = (hop.arrival_rate, hop.deg)
+                assert row == (one_hop[key] if key in one_hop else len(routes) + extra.index(c)), (label, c)
+                assert stack.columns(row).tolist() == [c], (label, c)
+            # The routes alone have views and folds.
+            assert len(stack.evaluators()) == len(routes)
+            assert stack.fold(np.ones(d), np.add, 0.0).tolist() == [float(len(r.hops)) for r in routes]
+        assert "with one-hop routes" in label and len(extra) < d  # some hop's row is a route
+
+    def test_one_hop_rows_read_as_a_one_hop_stack(self):
+        # A stack's one-hop rows read the bits of a stack of the one-hop
+        # routes alone, on the grid read's windows, and take the same
+        # envelopes.
+        for label, routes, params in self._cases():
+            stack = _RouteStack(routes, params)
+            hops = _RouteStack([Route(hops=(hop,)) for hop in stack.distinct], params)
+            out, grid = opt._read(stack, _scan_grid(params))
+            ref = hops.grid(grid.ts)
+            for name in ("latency", "rate_closed"):
+                assert np.array_equal(out[name][stack.hop_rows], ref[name]), (label, name)
+            scales = opt._envelope(stack, out, grid)
+            assert repr([scales[r] for r in stack.hop_rows.tolist()]) == repr(opt._envelope(hops, ref, grid)), label
+
+    def test_an_envelope_makes_one_polish(self, monkeypatch, params, grid_routes):
+        # Every row's maxima and minima share one lockstep; a solve without
+        # a context makes one more, for its search.
+        calls = []
+        polish = opt._polish
+        monkeypatch.setattr(opt, "_polish", lambda deriv, lo, *a: calls.append(len(lo)) or polish(deriv, lo, *a))
+        stack = _RouteStack(grid_routes, params)
+        opt._envelope(stack, *opt._read(stack, _scan_grid(params)))
+        assert len(calls) == 1 and calls[0] > 0
+        del calls[:]
+        solve_global(grid_routes, params, weight=0.5, with_kkt=False)
+        assert len(calls) == 2
+
+
 class TestHopSearch:
     @pytest.mark.parametrize("seed", range(4))
     def test_windows_match_the_per_hop_reference_bit_for_bit(self, params, seed):
@@ -949,12 +1022,14 @@ def _inside(seen: dict, where: str):
 
 def _count_stack_reads(monkeypatch, seen: dict | None = None) -> dict:
     """Sizes of the route-stack reads made by the lockstep search
-    (``searched``) and of those made outside it (``direct``)."""
-    seen = {"searched": [], "direct": []} if seen is None else seen
+    (``searched``), by an envelope where one is marked (``enveloped``, see
+    TestWorkCounts.counts) and of those made outside both (``direct``)."""
+    seen = {"searched": [], "enveloped": [], "direct": []} if seen is None else seen
     read, search = _RouteStack.read, opt._search
 
     def counting_read(self, cols, ts):  # records each read's cell count
-        seen["searched" if seen.get("_search") else "direct"].append(np.broadcast(cols, ts).size)
+        where = "searched" if seen.get("_search") else "enveloped" if seen.get("_envelope") else "direct"
+        seen[where].append(np.broadcast(cols, ts).size)
         return read(self, cols, ts)
 
     def counting_search(*args):
@@ -975,7 +1050,7 @@ class TestWorkCounts:
         # windows of each per-hop stage, and stage_rows its coefficient columns.
         # envelope_stages: the per-hop stages of the envelope's polish.
         seen = {"grids": [], "reads": [], "stages": [], "stage_rows": [], "grid_stages": 0, "searched": [],
-                "direct": [], "__init__": 0, "build_normalization": 0, "envelope_stages": 0}
+                "enveloped": [], "direct": [], "__init__": 0, "build_normalization": 0, "envelope_stages": 0}
         make_grid, grid, stage = opt._scan_grid, _RouteStack.grid, _RouteStack._stage
         build, envelope = opt.build_normalization, opt._envelope
 
@@ -1112,17 +1187,17 @@ class TestWorkCounts:
     @pytest.mark.parametrize("weights", [[0.5], [0.0, 0.5, 1.0], [i / 10 for i in range(11)]])
     def test_distributed_aggregates_every_route_in_one_read(self, counts, params, grid_routes, weights):
         # Besides the one grid read of the d hops, the polish of their rate
-        # extrema for their own scales (per-hop stages alone, in lockstep)
-        # and the lockstep of the hop searches, one read of the hop stack at
-        # every (hop, weight) window aggregates every route; no route is
-        # read on its own.
+        # extrema for their own scales (one lockstep of one-hop reads, one
+        # per-hop stage each) and the lockstep of the hop searches, one
+        # read of the hop stack at every (hop, weight) window aggregates
+        # every route; no route is read on its own.
         d = self._distinct_hops(grid_routes)
         ctx = NormalizationContext(0.0, 1.0, 0.0, 1.0)
         opt._solve_distributed(grid_routes, params, weights, ctx)
         assert counts["direct"] == [d * len(weights)]
         n = counts["grids"][0]
         assert counts["reads"] == [(n, d, [d])]
-        assert 0 < counts["envelope_stages"] <= 81
+        assert 0 < counts["envelope_stages"] == len(counts["enveloped"]) <= 81
         searched = len(counts["stages"]) - counts["grid_stages"] - counts["envelope_stages"]
         assert searched == len(counts["searched"]) + 1
 

@@ -14,7 +14,7 @@ from support import child_env
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["study-3x3", "select-4x4", "fine-trials"])
+@pytest.mark.parametrize("workload", ["study-3x3", "select-4x4", "fine-trials", "mc-validate"])
 def test_a_short_run_answers_every_call_correctly(workload, tmp_path):
     done = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "0"],
