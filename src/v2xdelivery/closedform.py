@@ -24,7 +24,11 @@ read that needs them; and their mixture tables, built only on the first
 read where a cap on the mixture binds.  Both the sums and the tables read
 each route's rows on the v grid from one walk over the mixed routes in
 stack order (:func:`_node_walk`), which folds a hop prefix that routes
-share once.  Its rows are its routes and a one-hop row per distinct hop.
+share once.  J(1) and E[max wait] depend on the dwell and the route's
+arrival rates alone, so they are kept across stacks (:func:`_route_totals`),
+and a stack walks for them only the rate sequences that the last stack
+which walked did not hold.  Its rows are its routes and a one-hop row per
+distinct hop.
 It has two reads, which run one per-hop stage: :meth:`_RouteStack.read`
 serves every reading at given (row, window) cells, in bounded blocks, with
 its per-hop stage :meth:`_RouteStack.hops` as the first half;
@@ -610,6 +614,37 @@ def _mixture_totals(folded: tuple, T: float, nodes: tuple) -> tuple[float, float
     return float(j1), float(wait_max)
 
 
+#: J(1) and E[max wait] by (dwell T, a mixed route's arrival rates in hop
+#: order), as the last table build that walked left them: that build's own
+#: distinct sequences, no more.  Filled in place, never rebound.
+_TOTALS: dict[tuple[float, tuple[float, ...]], tuple[float, float]] = {}
+
+
+def _route_totals(lams: Sequence[tuple[float, ...]], T: float) -> list[tuple[float, float]]:
+    """J(1) and E[max wait] of each mixed route in turn, given as the
+    arrival rates ``lams`` of its hops, at dwell T.
+
+    Totals depend on T and the rate sequence alone, so solves that share
+    routes and dwell, whatever their trial time, decode error, rates or
+    weight, share them through :data:`_TOTALS`.  Only the sequences it does
+    not hold are walked, once each and in the order given, so they still
+    share their hop prefixes; a walk reads the bits of each route alone
+    (see :func:`_node_walk`), so a kept total is the float a fresh walk
+    gives.  A build that walks leaves :data:`_TOTALS` holding exactly its own
+    sequences, and one that does not leaves it as it was, so it never holds
+    more than the largest stack built.
+    """
+    totals = {(T, lam): _TOTALS.get((T, lam)) for lam in lams}
+    misses = [key for key, kept in totals.items() if kept is None]
+    if misses:
+        nodes = _v_nodes(T)
+        walk = _node_walk([lam for _, lam in misses], T, nodes)
+        totals.update((key, _mixture_totals(folded, T, nodes)) for key, folded in zip(misses, walk))
+        _TOTALS.clear()
+        _TOTALS.update(totals)
+    return [totals[T, lam] for lam in lams]
+
+
 def _mixture_table(folded: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Hermite table of J(c), the integral over [0, c] of the fallback survival W.
 
@@ -679,10 +714,10 @@ class _JointTables:
     """Joint-outcome tables of a route stack, zeros where no mixed route
     reads them.  The geometric-max tables depend on the hop count alone:
     one column per hop count k, read at ``ks[cols]``.  J(1) and E[max wait]
-    hold one entry per route, both from one :func:`_mixture_totals` call on
-    each mixed route's rows of one node walk; the mixture tables themselves,
-    read only where a cap binds below 1, are the stack's separate
-    ``_mixture``.
+    hold one entry per route, both from :func:`_route_totals`, which walks
+    only the mixed routes whose totals it does not keep; the mixture
+    tables themselves, read only where a cap binds below 1, are the
+    stack's separate ``_mixture``.
     """
 
     support: np.ndarray  # (pieces,) trial counts x of the geometric-max table
@@ -786,17 +821,18 @@ class _RouteStack:
 
     The joint-outcome tables of every mixed route are built on the first
     read that needs them, straight into stacked arrays (see _JointTables),
-    from one walk over the mixed routes in stack order (:meth:`_walk`),
-    which folds each route's hops past the arrival-rate prefix it shares
-    with the route before it, and shares each distinct arrival rate's
-    factors and the v grid's node constants; routes in enumeration order
-    fold each node of their prefix tree once, and every route reads the
-    bits of its route alone.  A window whose mixture caps do not bind, as
-    every window does at the stock rates, reads its route's J(1); the
-    mixture tables wait for the first window where a cap binds, and each of
-    its (trial-count row, window) cells then takes its coefficients through
-    one index, save a row capped at 1, which reads J(1) as a free window
-    does.
+    from one walk over the mixed routes in stack order (:meth:`_walk`, or
+    for J(1) and E[max wait] one over the routes whose totals are not kept,
+    see :func:`_route_totals`), which folds each route's hops past the
+    arrival-rate prefix it shares with the route before it, and shares each
+    distinct arrival rate's factors and the v grid's node constants; routes
+    in enumeration order fold each node of their prefix tree once, and
+    every route reads the bits of its route alone.  A window whose mixture
+    caps do not bind, as every window does at the stock rates, reads its
+    route's J(1); the mixture tables wait for the first window where a cap
+    binds, and each of its (trial-count row, window) cells then takes its
+    coefficients through one index, save a row capped at 1, which reads
+    J(1) as a free window does.
     """
 
     def __init__(self, routes: Sequence[Route], params: SystemParams):
@@ -883,9 +919,8 @@ class _RouteStack:
             pmf[:, k] = f
             xf_cum[1:, k] = np.cumsum(support * f)
             leftover[:, k] = [1.0 - w**k for w in within]
-        nodes = _v_nodes(T)
-        for j, folded in zip(mixed.tolist(), self._walk(nodes)):
-            j1[j], exp_max_wait[j] = _mixture_totals(folded, T, nodes)
+        for j, totals in zip(mixed.tolist(), _route_totals(self._rates(), T)):
+            j1[j], exp_max_wait[j] = totals
         return _JointTables(
             support=support,
             pmf=pmf,
@@ -906,13 +941,19 @@ class _RouteStack:
             _mixture_table(folded, out=tables[:, r])
         return tables.reshape(_TABLE_COLUMNS, -1)
 
+    def _rates(self) -> list[tuple[float, ...]]:
+        """Each mixed route's arrival rates in hop order, in stack order;
+        routes share the float objects of their distinct hops' rates."""
+        lam = self.coef[0].tolist()
+        mixed = np.flatnonzero(self.mixed)
+        at, ks = self.at[:, mixed].T.tolist(), self.ks[mixed].tolist()
+        return [tuple(lam[c] for c in cols[:k]) for cols, k in zip(at, ks)]
+
     def _walk(self, nodes: tuple) -> Iterator[tuple]:
         """One :func:`_node_walk` over the mixed routes, in stack order, on
         the v grid's ``nodes``; each distinct arrival rate's factors are
         computed once a walk."""
-        lam = self.coef[0]
-        lams = [lam[self.columns(j)].tolist() for j in np.flatnonzero(self.mixed).tolist()]
-        return _node_walk(lams, self.params.hop_dwell, nodes)
+        return _node_walk(self._rates(), self.params.hop_dwell, nodes)
 
     def _stage(self, coef, ts, ms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The per-hop algebra: each hop's latency, probabilities of discovery
@@ -962,7 +1003,7 @@ class _RouteStack:
             success[pad] = 1.0
             failure[pad] = 1.0
         return (ts, ms), (success, failure), {
-            "latency": _sum_rows(hop_lat),
+            "latency": np.add.accumulate(hop_lat)[-1],  # row by row, in hop order
             "rate_min_means": hop_rates.min(axis=0),
             "hop_latency": hop_lat,
             "hop_rate": hop_rates,
@@ -976,14 +1017,18 @@ class _RouteStack:
         index reads every window and one window every route.  Per-hop
         arrays are (k, len(ts)), k the longest route read, and include its
         padded hops.  The cells are taken in blocks of about _BLOCK_CELLS
-        per-hop entries, each written into the outputs, so a read holds
-        little beyond what it returns.
+        per-hop entries, so a read holds little beyond what it returns; a
+        read of one block returns that block's arrays, and a longer one
+        writes each block into its outputs.
         """
         cols, ts = np.broadcast_arrays(
             np.atleast_1d(np.asarray(cols, dtype=np.intp)), np.atleast_1d(np.asarray(ts, dtype=float))
         )
         n = len(ts)
         k = self.ks[cols].max(initial=1)
+        step = max(1, _BLOCK_CELLS // k)
+        if n <= step:
+            return self._block(cols, ts)
         out = {
             "latency": np.empty(n),
             "rate_min_means": np.empty(n),
@@ -991,20 +1036,22 @@ class _RouteStack:
             "hop_rate": np.full((k, n), np.inf),  # ... and +inf rate
             "rate_closed": np.empty(n),
         }
-        step = max(1, _BLOCK_CELLS // k)
         for a in range(0, n, step):
             b = slice(a, a + step)
-            c = cols[b]
-            (t, m), (success, failure), block = self.hops(c, ts[b])
-            for name, values in block.items():
+            for name, values in self._block(cols[b], ts[b]).items():
                 out[name][..., b][: len(values)] = values  # a hop array takes the block's k rows
-            rate = out["rate_closed"][b]
-            rate[:] = np.where(self.forward[c], self.params.rate_cell, block["hop_rate"][0])
-            sel = np.flatnonzero(self.mixed[c])
-            if sel.size:
-                p_as, p_af = (_sum_rows(p[:, sel], np.multiply) for p in (success, failure))
-                rate[sel] = self._mixed_rate(c[sel], t[sel], m[sel], p_as, p_af)
         return out
+
+    def _block(self, cols, ts) -> dict[str, np.ndarray]:
+        """One block of :meth:`read`: the per-hop stage, then the route rate."""
+        (t, m), (success, failure), block = self.hops(cols, ts)
+        rate = np.where(self.forward[cols], self.params.rate_cell, block["hop_rate"][0])
+        sel = np.flatnonzero(self.mixed[cols])
+        if sel.size:
+            p_as, p_af = (np.multiply.accumulate(p[:, sel])[-1] for p in (success, failure))
+            rate[sel] = self._mixed_rate(cols[sel], t[sel], m[sel], p_as, p_af)
+        block["rate_closed"] = rate
+        return block
 
     def grid(self, ts) -> dict[str, np.ndarray]:
         """Every row of the stack over one shared window grid ``ts``: the

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from support import count_table_builds, fold_alone, make_route, window_grid
+from support import count_table_builds, fold_alone, is_mixed, make_route, window_grid
 from v2xdelivery import (
     Hop,
     Route,
@@ -1149,6 +1149,59 @@ class TestMixtureTable:
             j1 = stack._tables.j1[j]
             table = _mixture_integral(_mixture_table(fold_alone(lam, T)), np.zeros(1, dtype=np.intp), np.ones(1))
             assert abs(table[0] - j1) <= 4 * np.spacing(j1), len(lam)
+
+
+class TestKeptTotals:
+    """J(1) and E[max wait] are kept by (dwell, hop-ordered arrival rates)
+    in ``closedform._TOTALS``: a table build walks only the sequences it
+    does not hold, and leaves it holding exactly its own."""
+
+    @staticmethod
+    def _sequences(routes, T):
+        return {(T, tuple(h.arrival_rate for h in r.hops)) for r in routes if is_mixed(r)}
+
+    def test_a_new_dwell_or_reversed_rates_walk_again(self, monkeypatch, params):
+        # The key is the dwell and the rates in hop order: the same rates
+        # again fold nothing, even on other degrees, and a new dwell or the
+        # rates reversed walk again.  Every total is the float of a cold walk.
+        lam = (0.1, 0.2, 0.15, 0.25)
+        route = Route(hops=tuple(Hop(mu, 2) for mu in lam))
+        built = count_table_builds(monkeypatch)
+        first = _RouteStack([route], params)._tables
+        assert built == ["_node_walk", *["_fold_hop"] * 4]
+        del built[:]
+        again = _RouteStack([Route(hops=tuple(Hop(mu, 3) for mu in lam))], params)._tables
+        assert built == []
+        assert (again.j1.tobytes(), again.exp_max_wait.tobytes()) == (first.j1.tobytes(), first.exp_max_wait.tobytes())
+        longer = dataclasses.replace(params, hop_dwell=25.0)
+        cases = [(route, longer, lam), (Route(hops=route.hops[::-1]), params, lam[::-1])]
+        for other, other_params, rates in cases:
+            del built[:]
+            tables = _RouteStack([other], other_params)._tables
+            assert built == ["_node_walk", *["_fold_hop"] * 4]
+            T = other_params.hop_dwell
+            cold = _mixture_totals(fold_alone(rates, T), T, _v_nodes(T))
+            assert (tables.j1[0], tables.exp_max_wait[0]) == cold
+
+    def test_the_dict_holds_exactly_the_last_walking_builds_sequences(self, monkeypatch, params, grid_routes):
+        # A build that walks leaves its own distinct sequences, and one that
+        # walks nothing leaves the dict as it was; the dict is filled in
+        # place, never rebound.
+        kept = closedform._TOTALS
+        built = count_table_builds(monkeypatch)
+        T = params.hop_dwell
+        _RouteStack(grid_routes, params)._tables
+        assert kept.keys() == self._sequences(grid_routes, T)
+        before = dict(kept)
+        del built[:]
+        _RouteStack(grid_routes[3:7], params)._tables  # every sequence held: no walk
+        assert built == [] and kept == before
+        rng = np.random.default_rng(75)
+        fresh = [make_route(rng, k=3), grid_routes[5], make_route(rng, k=2), grid_routes[5]]
+        _RouteStack(fresh, params)._tables
+        assert built.count("_node_walk") == 1
+        assert kept.keys() == self._sequences(fresh, T) and len(kept) == 3
+        assert closedform._TOTALS is kept
 
 
 def test_joint_rate_sits_below_the_bottleneck_of_means(params, grid_routes):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from v2xdelivery import closedform
 from v2xdelivery.cli import run_command
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,10 +84,15 @@ def _run(name: str, workdir: Path) -> tuple[int, str, str, bytes]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_artifacts_match_golden_files(name, tmp_path):
-    code, stdout, stderr, csv = _run(name, tmp_path)
-    assert (code, stderr) == (0, "")
-    assert stdout == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
-    assert csv == (GOLDEN / f"{name}.csv").read_bytes()
+    # Once on whatever joint-outcome totals earlier runs kept, and once from
+    # none kept, so that no case passes only on state an earlier one left.
+    for start in ("kept", "empty"):
+        if start == "empty":
+            closedform._TOTALS.clear()
+        code, stdout, stderr, csv = _run(name, tmp_path)
+        assert (code, stderr) == (0, ""), start
+        assert stdout == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8"), start
+        assert csv == (GOLDEN / f"{name}.csv").read_bytes(), start
 
 
 if __name__ == "__main__":

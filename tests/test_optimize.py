@@ -23,6 +23,7 @@ from v2xdelivery import (
     solve_global,
     verify_concavity,
 )
+from v2xdelivery import cli
 from v2xdelivery.cli import run_command
 import v2xdelivery.optimize as opt
 from v2xdelivery.closedform import _pmf_rows, _RouteStack
@@ -1280,9 +1281,8 @@ class TestWorkCounts:
         # rate_cell=0.3 wherever the cellular cap is below the fallback
         # supremum.
         params = dataclasses.replace(params, rate_cell=rate_cell)
-        built = count_table_builds(monkeypatch)
         ctx = build_normalization(grid_routes, params)
-        del built[:]
+        built = count_table_builds(monkeypatch)
         solve_distributed(grid_routes, params, weight=0.5, context=ctx)
         assert built == []
         solve_global(grid_routes, params, weight=0.5, with_kkt=False)
@@ -1290,6 +1290,50 @@ class TestWorkCounts:
         assert built.count("_node_walk") == walks
         assert built.count("_fold_hop") == walks * prefix_tree_nodes(grid_routes) < walks * sum(map(len, mixed))
         assert built.count("_mixture_table") == (walks - 1) * len(mixed)
+
+    @pytest.mark.parametrize("change", [{"trial_time": 0.05}, {"decode_error": 0.3}, {"rate_cell": 0.3}])
+    def test_solves_after_a_parameter_change_take_no_totals_walk(self, monkeypatch, params, grid_routes, change):
+        # J(1) and E[max wait] depend on the dwell and the routes' arrival
+        # rates alone, so once a stock solve has taken them, both solvers
+        # and analyze's one read of every route, on the same routes after a
+        # change of another parameter, take them from the kept totals and
+        # read what each reads from an empty dict, field for field.  Only
+        # the mixture tables, where a cap binds, take walks of their own:
+        # at rate_cell=0.3, one for each of the three stacks.
+        import v2xdelivery.closedform as cf
+
+        changed = dataclasses.replace(params, **change)
+        cols = np.arange(len(grid_routes))
+        solves = [
+            lambda: solve_global(grid_routes, changed, weight=0.5),
+            lambda: solve_distributed(grid_routes, changed, weight=0.5),
+            lambda: {k: v.tobytes() for k, v in _RouteStack(grid_routes, changed).read(cols, 10.0).items()},
+        ]
+        built = count_table_builds(monkeypatch)
+        cold = [cf._TOTALS.clear() or solve() for solve in solves]
+        cf._TOTALS.clear()
+        solve_global(grid_routes, params, weight=0.5)
+        del built[:]
+        totals = []
+        original = cf._mixture_totals
+        monkeypatch.setattr(cf, "_mixture_totals", lambda *a: totals.append(a) or original(*a))
+        warm = [solve() for solve in solves]
+        assert warm == cold and repr(warm) == repr(cold)
+        assert totals == []
+        mixed = [r for r in grid_routes if is_mixed(r)]
+        walks = built.count("_node_walk")
+        assert built.count("_mixture_table") == walks * len(mixed)
+        assert walks == (len(solves) if "rate_cell" in change else 0)  # one table walk a stack where a cap binds
+
+    def test_a_scheme_beams_sweep_walks_its_routes_once(self, monkeypatch, capsys):
+        # Its 25 solves differ in trial time alone: the first takes every
+        # J(1) and E[max wait] in one node walk, and the other 24 read them
+        # kept.
+        built = count_table_builds(monkeypatch)
+        solves = []
+        monkeypatch.setattr(cli, "solve_global", lambda *a, **kw: solves.append(a) or solve_global(*a, **kw))
+        assert run_command(["sweep", "--variable", "scheme_beams"]) == 0
+        assert len(solves) == 25 and built.count("_node_walk") == 1
 
     @pytest.mark.parametrize("rate_cell, builds_tables", [(1.0, False), (0.3, True)])
     def test_global_builds_each_mixture_table_once(self, monkeypatch, params, grid_routes, rate_cell, builds_tables):
