@@ -38,10 +38,11 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .closedform import RouteEvaluator, _RouteStack
+from .closedform import _RouteStack
 from .model import _windows, Route
 from .optimize import (
     _objective,
+    _Scan,
     _solve_distributed,
     _solve_global,
     solve_distributed,
@@ -227,12 +228,13 @@ def _cmd_simulate(args) -> Output:
     scenario = _load(args)
     params = scenario.params
     routes = _routes(scenario, args)
-    outcome = solve_global(routes, params, with_kkt=False)
+    scan = _Scan(routes, params)  # its stack reads the winner again
+    outcome = _solve_global(routes, params, [params.weight], None, False, scan)[0]
     route = routes[outcome.route_index]
     t = outcome.t_star if args.t is None else args.t
     config = SimConfig(snapshots=args.snapshots, seed=args.seed, mode=args.mode)
     result = simulate_route(route, t, params, config, backhaul=_backhaul(args))
-    out = RouteEvaluator(route, params).series([t])
+    out = scan.stack.read(outcome.route_index, [t])
     lat_closed, rate_closed, rate_mm = (float(out[name][0]) for name in ("latency", "rate_closed", "rate_min_means"))
     # No relative error against an analytic reading of 0: JSON has no infinity.
     rel = lambda emp, ana: abs(emp - ana) / abs(ana) if ana != 0 else None
@@ -309,11 +311,12 @@ def _sweep_t(args, scenario: Scenario) -> tuple[list[str], list[list], dict]:
     # Read by the window rule before the solve, so a bad grid fails early.
     grid, _ = _windows(_parse_grid(args, np.linspace(0.0, T, points)), params)
     routes = _routes(scenario, args)
-    outcome = solve_global(routes, params, with_kkt=False)
+    scan = _Scan(routes, params)  # its stack scores the winner again
+    outcome = _solve_global(routes, params, [params.weight], None, False, scan)[0]
     route = routes[outcome.route_index]
     config = SimConfig(snapshots=snapshots, seed=seed, mode=args.mode or "physical")
     results = sweep_windows(route, [float(t) for t in grid], params, config, backhaul=_backhaul(args))
-    objectives = _objective(_RouteStack([route], params), 0, grid, outcome.context, params.weight).tolist()
+    objectives = _objective(scan.stack, outcome.route_index, grid, outcome.context, params.weight).tolist()
     rows = [[*_sim_row(float(t), res), objective] for t, res, objective in zip(grid, results, objectives)]
     best = max(rows, key=lambda r: r[-1])
     return [*_SIM_COLUMNS, "objective"], rows, {"nodes": _nodes_label(route), "argmax_objective_t": best[0]}
@@ -326,10 +329,11 @@ def _sweep_alpha(args, scenario: Scenario) -> tuple[list[str], list[list], dict]
         raise ValueError("alpha grid must lie within [0, 1]")
     routes = _routes(scenario, args)
     weights = [float(alpha) for alpha in grid]
-    # Each solver runs once for every weight: the grid reads, envelopes and
-    # tables do not depend on the weight.
-    coordinated = _solve_global(routes, params, weights, None, with_kkt=False)
-    distributed = _solve_distributed(routes, params, weights, coordinated[0].context)
+    # Each solver runs once for every weight, both on one scan: neither its
+    # grid read nor its envelopes depend on the weight or the solver.
+    scan = _Scan(routes, params)
+    coordinated = _solve_global(routes, params, weights, None, False, scan)
+    distributed = _solve_distributed(routes, params, weights, None, scan)
     rows = [
         [alpha, g.t_star, g.objective, g.latency, g.rate, d.objective, d.latency, d.rate]
         for alpha, g, d in zip(weights, coordinated, distributed)

@@ -10,32 +10,31 @@ where both readings are min-max normalized over a shared context so the
 trade-off weight is meaningful across routes.  F is written once, as a
 vectorized function of the readings, whether for a whole scan grid or one
 window.  There is one search: the distributed solve runs it over every
-distinct hop at once, each hop a one-hop route on its own scale.  The
-objective is piecewise smooth in t: every multiple of the trial time admits
-one more whole trial into the window, which moves probability mass between
-branches in a jump, but past trial L, the row count of the kernel's
-geometric-max table (7 at stock), a jump is below (1 - p)^L times the
-reading's sensitivity.  So the scan grid (:func:`_scan_grid`) holds per-trial
-rows (edge, interiors, inset) on trial pieces 0..L only, and Chebyshev-
-Lobatto nodes on the smooth tail past them, split where the joint-outcome
-rate switches form: 107 windows at stock whatever the trial time.  It
-depends only on the parameters, so a solve builds one grid and reads every
-row of its route stack over it at once: the routes, and each distinct hop as
-a one-hop row.  The read checks the tail's smoothness from the rows'
-Chebyshev coefficients and doubles the nodes of a piece they do not
-resolve, or falls back to its per-trial rows (:func:`_read`).  None of that
-depends on the weight, so one solve serves many weights: a search task is a
-(route, scale, weight) triple.  The envelope (:func:`_envelope`) and the
-search find their peaks alike (:func:`_peaks`): derivative-sign changes are
-bracketed over the grid in one array pass per block of tasks, and every
-bracket of every task is polished in lockstep (:func:`_polish`), by
-safeguarded inverse-quadratic interpolation on the central-difference
-derivative where the bracket reads a clear sign change and by bisection
-elsewhere: a step reads the probes of all open brackets in one stacked
-kernel call, so a lockstep makes at most 81 such calls whatever its task
-count, and a search 6 to 12 on the stock grids at weight 0.5.  Those probes,
-the optimality checks and ``sweep --variable t`` score given windows
-through one objective read of the stack (:func:`_objective`).
+distinct hop at once, each hop its one-hop row of the route stack on that
+row's own envelope.  The objective is piecewise smooth in t: every multiple
+of the trial time admits one more whole trial into the window, which moves
+probability mass between branches in a jump, but past trial L, the row
+count of the kernel's geometric-max table (7 at stock), a jump is below
+(1 - p)^L times the reading's sensitivity.  So the scan grid
+(:func:`_scan_grid`) holds per-trial rows (edge, interiors, inset) on trial
+pieces 0..L only, and Chebyshev-Lobatto nodes on the smooth tail past them,
+split where the joint-outcome rate switches form: 107 windows at stock
+whatever the trial time.  It depends only on the parameters, so one scan of
+a route set (:class:`_Scan`) builds one grid and reads every row of its
+route stack over it at once: the routes, and each distinct hop as a one-hop
+row.  The read checks the tail's smoothness from the rows' Chebyshev
+coefficients and doubles the nodes of a piece they do not resolve, or falls
+back to its per-trial rows (:func:`_read`).  None of that depends on the
+weight or the solver, so one scan serves both solvers at many weights: a
+search task is a (row, scale, weight) triple.  The envelope
+(:func:`_envelope`) and the search find their peaks alike (:func:`_peaks`):
+derivative-sign changes are bracketed over the grid in one array pass per
+block of tasks, and every bracket of every task is polished in lockstep
+(:func:`_polish`): a step reads the probes of all open brackets in one
+stacked kernel call, so a lockstep makes at most 81 such calls whatever its
+task count, and a search 6 to 12 on the stock grids at weight 0.5.  Those
+probes, the optimality checks and ``sweep --variable t`` score given
+windows through one objective read of the stack (:func:`_objective`).
 """
 
 from __future__ import annotations
@@ -346,38 +345,39 @@ def _envelope(stack: _RouteStack, out: dict[str, np.ndarray], grid: _ScanGrid) -
     ]
 
 
-def _shared_context(stack: _RouteStack, out: dict[str, np.ndarray], grid: _ScanGrid) -> NormalizationContext:
-    """The one scale every route of ``stack`` is scored on, from its grid
-    read (see _envelope): the latency range of its routes and the rate
-    range of every row, each distinct hop's one-hop row included."""
-    scales = _envelope(stack, out, grid)
-    routes = scales[: len(stack.routes)]
-    return NormalizationContext(
-        min(s.latency_min for s in routes),
-        max(s.latency_max for s in routes),
-        min(s.rate_min for s in scales),
-        max(s.rate_max for s in scales),
-    )
+class _Scan:
+    """A route set read on the scan grid: its route ``stack``, the stack's
+    grid read ``out`` and the ``grid`` it is read on (see _read), and, taken
+    on first use, every row's envelope (``scales``, see _envelope) and the
+    ``context``: the routes' latency range and every row's rate range."""
+
+    def __init__(self, routes: Sequence[Route], params: SystemParams):
+        self.stack = _RouteStack(routes, params)
+        self.out, self.grid = _read(self.stack, _scan_grid(params))
+
+    @functools.cached_property
+    def scales(self) -> list[NormalizationContext]:
+        return _envelope(self.stack, self.out, self.grid)
+
+    @functools.cached_property
+    def context(self) -> NormalizationContext:
+        routes, rows = self.scales[: len(self.stack.routes)], self.scales
+        low, high = min(s.latency_min for s in routes), max(s.latency_max for s in routes)
+        return NormalizationContext(low, high, min(s.rate_min for s in rows), max(s.rate_max for s in rows))
 
 
 def build_normalization(routes: Sequence[Route], params: SystemParams) -> NormalizationContext:
     """Min-max envelopes over all candidate routes and the whole window range.
 
-    Latency falls as the window grows (checked on the grid read, to within
-    rounding), so its extremes are each route's readings at t = T and
-    t = 0.  The rate envelope covers every route's rate and every hop's
-    mean rate, the rate of its one-hop row, so distributed aggregates
-    normalize into the same [0, 1] box: no hop anywhere reads below the
-    lower end or above the upper end.  Its extremes are the grid's samples,
-    which hold every piece edge and the inset standing for the left limit
-    at each trial edge, and every interior extremum bracketed on the grid,
-    polished to the window tolerance and widened by the rounding noise of a
-    reading.
+    The latency envelope is the routes' readings at t = T and t = 0.  The
+    rate envelope covers every route's rate and every hop's mean rate, the
+    rate of its one-hop row, so distributed aggregates normalize into the
+    same [0, 1] box.  Its extremes are the grid's samples and every interior
+    extremum polished to the window tolerance (see _envelope).
     """
     if not routes:
         raise ValueError("need at least one route")
-    stack = _RouteStack(routes, params)
-    return _shared_context(stack, *_read(stack, _scan_grid(params)))
+    return _Scan(routes, params).context
 
 
 def _trade_off(rate, latency, context: NormalizationContext, weight):
@@ -665,24 +665,21 @@ def _solve_global(
     weights: Sequence[float],
     context: NormalizationContext | None,
     with_kkt: bool,
+    scan: _Scan | None = None,
 ) -> list[OptimizationOutcome]:
     """:func:`solve_global` at each of ``weights``, one outcome per weight.
 
-    The route stack, its tables, the scan grid and the route envelope
-    serve every weight; each (route, weight) pair is one task of one
-    lockstep search.  The grid read, the lockstep and the one read of all
-    the winners read the stack, so each mixed route's tables are built once.
+    One scan of the routes (``scan``, or a new one; see _Scan) serves
+    every weight; each (route, weight) pair is one task of one lockstep
+    search.  The grid read, the lockstep and the one read of all the
+    winners read its stack, so each mixed route's tables are built once,
+    and only the winners are bound as views, for their optimality checks.
     """
     _check_inputs(routes, weights)
-    stack = _RouteStack(routes, params)
-    evaluators = stack.evaluators()
-    out, grid = _read(stack, _scan_grid(params))
-    ctx = context or _shared_context(stack, out, grid)
-    reads = out["rate_closed"], out["latency"]
-    del out
-    n = len(evaluators)
-    found = _search(stack, grid, reads, [(i, ctx, w) for w in weights for i in range(n)])
-    del reads
+    scan = scan or _Scan(routes, params)
+    stack, ctx, n = scan.stack, context or scan.context, len(routes)
+    reads = scan.out["rate_closed"], scan.out["latency"]
+    found = _search(stack, scan.grid, reads, [(i, ctx, w) for w in weights for i in range(n)])
     per_weight = [tuple(found[j * n : (j + 1) * n]) for j in range(len(weights))]
     # Ties between routes go to the smaller window, then the lower index.
     winners = [_winner(*np.array(per_route).T, params.hop_dwell) for per_route in per_weight]
@@ -690,6 +687,7 @@ def _solve_global(
     t_stars, _, cols = zip(*winners)
     out = stack.read(list(cols), list(t_stars))
     readings = zip(out["latency"].tolist(), out["rate_closed"].tolist())
+    view = lambda col: RouteEvaluator.__new__(RouteEvaluator)._bind(stack, col)  # a winner's, for its check
     return [
         OptimizationOutcome(
             t_star=t_star,
@@ -698,7 +696,7 @@ def _solve_global(
             latency=lat,
             rate=rate,
             per_route_best=per_route,
-            kkt=kkt_stationarity_check(evaluators[idx], t_star, ctx, w) if with_kkt else {},
+            kkt=kkt_stationarity_check(view(idx), t_star, ctx, w) if with_kkt else {},
             context=ctx,
         )
         for w, per_route, (t_star, val, idx), (lat, rate) in zip(weights, per_weight, winners, readings)
@@ -715,7 +713,7 @@ def solve_distributed(
 
     A hop knows nothing of the rest of its route, so its window is the
     coordinated search on that hop alone, as a one-hop route on its own
-    scale; each distinct hop is searched once.  The route-level outcome
+    envelope; each distinct hop is searched once.  The route-level outcome
     aggregates the hops' choices (latency sums, rate is the weakest hop's
     mean reading) and is scored on the shared context, so it can be
     compared with the coordinated solution.
@@ -729,29 +727,24 @@ def _solve_distributed(
     params: SystemParams,
     weights: Sequence[float],
     context: NormalizationContext | None,
+    scan: _Scan | None = None,
 ) -> list[DistributedOutcome]:
     """:func:`solve_distributed` at each of ``weights``, one outcome per weight.
 
-    The scan grid, the route envelope, the distinct hops and their envelope
-    serve every weight; each (hop, weight) pair is one task of one lockstep
-    search.  One read of the hop stack at every (hop, weight) window then
-    aggregates every route at every weight, folded along each route's
-    hops by the route stack, which names the distinct hops; the stack is
-    read only for the envelope, when no context is given.
+    One scan of the routes (``scan``, or a new one; see _Scan) serves
+    every weight.  Each distinct hop is its one-hop row of the scan's
+    stack (``hop_rows``), searched over the scan's grid read on that row's
+    envelope, and each (hop, weight) pair is one task of one lockstep
+    search.  One read of the stack at every (hop row, weight) window then
+    aggregates every route at every weight, folded along each route's hops.
     """
     _check_inputs(routes, weights)
-    grid = _scan_grid(params)
-    stack = _RouteStack(routes, params)
-    if context is None:
-        context = _shared_context(stack, *_read(stack, grid))
-    # Every distinct hop is a one-hop route on its own scale.
-    d = len(stack.distinct)
-    hop_stack = _RouteStack([Route(hops=(hop,)) for hop in stack.distinct], params)
-    out, grid = _read(hop_stack, grid)
-    scales, reads = _envelope(hop_stack, out, grid), (out["rate_closed"], out["latency"])
-    tasks = [(i, scale, w) for w in weights for i, scale in enumerate(scales)]
-    found = np.array([t for t, _ in _search(hop_stack, grid, reads, tasks)]).reshape(len(weights), d)
-    out = hop_stack.read(np.tile(np.arange(d), len(weights)), found.ravel())
+    scan = scan or _Scan(routes, params)
+    stack, context, rows = scan.stack, context or scan.context, scan.stack.hop_rows
+    tasks = [(row, scan.scales[row], w) for w in weights for row in rows.tolist()]
+    reads = scan.out["rate_closed"], scan.out["latency"]
+    found = np.array([t for t, _ in _search(stack, scan.grid, reads, tasks)]).reshape(len(weights), len(rows))
+    out = stack.read(np.tile(rows, len(weights)), found.ravel())
     # Each route sums its hops' latencies and takes its weakest hop's rate.
     lat = stack.fold(out["latency"].reshape(found.shape).T, np.add, 0.0)  # (routes, weights)
     rate = stack.fold(out["rate_min_means"].reshape(found.shape).T, np.minimum, np.inf)

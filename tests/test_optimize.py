@@ -524,11 +524,18 @@ class TestBatchedScan:
             values = np.array(values)
             assert _winner(ts, values, 20.0) == _winner_sequential(ts, values, 20.0)
 
+    @pytest.mark.parametrize("regime", ["stock", "cell0.3", "fast"])
     @pytest.mark.parametrize("weight", [0.0, 0.5, 0.8])
-    def test_distributed_with_its_own_context_is_unchanged(self, params, grid_routes, weight):
-        ctx = build_normalization(grid_routes, params)
-        with_ctx = solve_distributed(grid_routes, params, weight=weight, context=ctx)
-        without = solve_distributed(grid_routes, params, weight=weight)
+    def test_distributed_with_its_own_context_is_unchanged(self, weight, regime):
+        # Also where the route rows refine the scan grid's tail: under a
+        # binding cellular cap, and with arrival rates in [2, 4].
+        interval = (2.0, 4.0) if regime == "fast" else (0.05, 0.3)
+        scenario = build_grid_scenario(seed=0, arrival_interval=interval)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        params = dataclasses.replace(scenario.params, rate_cell=0.3) if regime == "cell0.3" else scenario.params
+        ctx = build_normalization(routes, params)
+        with_ctx = solve_distributed(routes, params, weight=weight, context=ctx)
+        without = solve_distributed(routes, params, weight=weight)
         assert with_ctx == without
         assert repr(with_ctx) == repr(without)
 
@@ -935,23 +942,51 @@ class TestRowModel:
 
 
 class TestHopSearch:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_windows_match_the_per_hop_reference_bit_for_bit(self, params, seed):
-        # Each hop scores on its own exact envelope, the scale of its
-        # one-hop route, as the distributed solve takes it.
+    @staticmethod
+    def _context_read(routes, params):
+        """The route stack, the grid its read is taken on and every row's
+        envelope: the read that forms the shared context."""
+        stack = _RouteStack(routes, params)
+        out, grid = opt._read(stack, _scan_grid(params))
+        return stack, grid, opt._envelope(stack, out, grid)
+
+    @pytest.mark.parametrize("seed, rate_cell", [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0), (0, 0.3)])
+    def test_windows_match_the_per_hop_reference_bit_for_bit(self, params, seed, rate_cell):
+        # Each hop scores on its own exact envelope, that of its one-hop row
+        # of the route stack, over the grid the stack's read refines (at
+        # rate_cell=0.3 the route rows refine its tail), as the distributed
+        # solve takes it.
+        params = dataclasses.replace(params, rate_cell=rate_cell)
         scenario = build_grid_scenario(params=params, seed=seed)
         routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
-        stack = _RouteStack(routes, params)
-        hops = _RouteStack([Route(hops=(hop,)) for hop in stack.distinct], params)
-        out, grid = opt._read(hops, _scan_grid(params))
-        scales = opt._envelope(hops, out, grid)
+        stack, grid, scales = self._context_read(routes, params)
+        assert (rate_cell == 1.0) == (grid.ts.tobytes() == _scan_grid(params).ts.tobytes())
         for weight in (0.0, 0.5, 1.0):
             dist = solve_distributed(routes, params, weight=weight)
             for j, (route, (windows, _)) in enumerate(zip(routes, dist.per_route)):
                 ev = RouteEvaluator(route, params)
-                own = [scales[c] for c in stack.columns(j)]
+                own = [scales[stack.hop_rows[c]] for c in stack.columns(j)]
                 ref = _best_hop_windows_reference(ev, grid, ev._stack.hops(ev._col, grid.ts)[2], weight, own)
                 assert repr(windows) == repr(ref)
+
+    def test_hops_are_searched_on_the_envelopes_of_the_context_read(self, monkeypatch):
+        # The scales a distributed solve searches its hops on are the hop
+        # rows' envelopes from the one read that also forms the shared
+        # context, and its search reads that read's grid: under a binding
+        # cap the route rows refine the grid, and a read of the hops alone
+        # would give some hops other scales.
+        scenario = build_grid_scenario(seed=0)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        params = dataclasses.replace(scenario.params, rate_cell=0.3)
+        stack, grid, scales = self._context_read(routes, params)
+        searched = []
+        search = opt._search
+        monkeypatch.setattr(opt, "_search", lambda *a: searched.append(a) or search(*a))
+        solve_distributed(routes, params, weight=0.5)
+        ((_, search_grid, _, tasks),) = searched
+        assert search_grid.ts.tobytes() == grid.ts.tobytes()
+        assert [row for row, _, _ in tasks] == stack.hop_rows.tolist()
+        assert repr([scale for _, scale, _ in tasks]) == repr([scales[row] for row in stack.hop_rows.tolist()])
 
 
 class TestBisectionOracle:
@@ -1049,11 +1084,13 @@ class TestWorkCounts:
     def counts(self, monkeypatch):
         # reads: (windows, routes, stage rows) of each grid read; stages:
         # windows of each per-hop stage, and stage_rows its coefficient columns.
-        # envelope_stages: the per-hop stages of the envelope's polish.
+        # envelope_stages: the per-hop stages of the envelope's polish;
+        # envelopes: the envelope calls; stacks: each route stack's route count.
         seen = {"grids": [], "reads": [], "stages": [], "stage_rows": [], "grid_stages": 0, "searched": [],
-                "enveloped": [], "direct": [], "__init__": 0, "build_normalization": 0, "envelope_stages": 0}
+                "enveloped": [], "direct": [], "__init__": 0, "build_normalization": 0, "envelope_stages": 0,
+                "envelopes": 0, "stacks": []}
         make_grid, grid, stage = opt._scan_grid, _RouteStack.grid, _RouteStack._stage
-        build, envelope = opt.build_normalization, opt._envelope
+        build, envelope, init = opt.build_normalization, opt._envelope, _RouteStack.__init__
 
         def tally(owner, name):
             original = getattr(owner, name)
@@ -1093,10 +1130,16 @@ class TestWorkCounts:
             return stage(self, coef, ts, ms)
 
         def counting_envelope(*args):
+            seen["envelopes"] += 1
             with _inside(seen, "_envelope"):
                 return envelope(*args)
 
+        def counting_init(self, routes, p):
+            seen["stacks"].append(len(routes))
+            init(self, routes, p)
+
         monkeypatch.setattr(opt, "_envelope", counting_envelope)
+        monkeypatch.setattr(_RouteStack, "__init__", counting_init)
         monkeypatch.setattr(opt, "_scan_grid", counting_grid)
         monkeypatch.setattr(_RouteStack, "grid", counting_grid_read)
         monkeypatch.setattr(_RouteStack, "_stage", counting_stage)
@@ -1140,23 +1183,33 @@ class TestWorkCounts:
         assert self._grid_stages(counts) == [[36]]
 
     def test_distributed_without_context_reads_the_same(self, counts, params, grid_routes):
-        # The global solve's one route read, plus one read of the distinct
-        # hops for their searches; each stage runs once per distinct hop.
+        # The global solve's one stack and one grid read, whose rows hold
+        # every distinct hop, serve the hop searches too, and one envelope
+        # gives both the shared context and the hops' own scales; each
+        # stage runs once per distinct hop.
         d = self._distinct_hops(grid_routes)
         assert d == 16
         solve_distributed(grid_routes, params, weight=0.5)
+        assert counts["stacks"] == [len(grid_routes)]
         assert len(counts["grids"]) == 1
-        assert self._grid_reads(counts) == [len(grid_routes), d]
-        assert self._grid_stages(counts) == [[d], [d]]
+        assert self._grid_reads(counts) == [len(grid_routes)]
+        assert self._grid_stages(counts) == [[d]]
+        assert counts["envelopes"] == 1
 
     def test_a_given_context_reads_no_envelope(self, counts, params, grid_routes):
-        # No route read; the distinct hops are read once, for their searches.
+        # The coordinated solve takes no envelope from a given context.  The
+        # distributed one still takes one, for its hops' own scales, from the
+        # one read of the stack, which its hop searches read too.
         d = self._distinct_hops(grid_routes)
         ctx = NormalizationContext(0.0, 1.0, 0.0, 1.0)
+        solve_global(grid_routes, params, weight=0.5, context=ctx, with_kkt=False)
+        assert counts["envelopes"] == 0
         solve_distributed(grid_routes, params, weight=0.5, context=ctx)
-        assert len(counts["grids"]) == 1
-        assert self._grid_reads(counts) == [d]
-        assert self._grid_stages(counts) == [[d]]
+        assert counts["envelopes"] == 1
+        assert counts["stacks"] == [len(grid_routes)] * 2
+        assert len(counts["grids"]) == 2
+        assert self._grid_reads(counts) == [len(grid_routes)] * 2
+        assert self._grid_stages(counts) == [[d]] * 2
 
     def test_compare_reads_each_route_once(self, counts, monkeypatch, capsys, grid_routes):
         # n routes in the coordinated solve, plus the SPR and GPSR routes
@@ -1176,28 +1229,48 @@ class TestWorkCounts:
         assert self._grid_reads(counts) == [len(grid_routes), 1, 1]
 
     def test_alpha_sweep_reads_each_route_once(self, counts, capsys, grid_routes):
-        # One solve per solver serves every weight: one read of the n routes
-        # for the coordinated solve, one of the d distinct hops for the
-        # distributed one, and no other per-hop stage of the whole grid.
+        # One solve per solver serves every weight, and both solvers read one
+        # scan: one stack of the n routes, one grid read of it, whose one
+        # per-hop stage covers the d distinct hops, and one envelope.
         d = self._distinct_hops(grid_routes)
         assert run_command(["sweep", "--variable", "alpha", "--grid", "0,0.5,1"]) == 0
-        assert self._grid_reads(counts) == [len(grid_routes), d]
-        assert self._grid_stages(counts) == [[d], [d]]
+        assert counts["stacks"] == [len(grid_routes)]
+        assert self._grid_reads(counts) == [len(grid_routes)]
+        assert self._grid_stages(counts) == [[d]]
+        assert counts["envelopes"] == 1
         assert counts["build_normalization"] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--snapshots", "200"],
+            ["sweep", "--variable", "t", "--points", "3", "--snapshots", "100"],
+        ],
+    )
+    def test_simulate_and_sweep_t_stack_their_routes_once(self, counts, capsys, grid_routes, argv):
+        # The winner is read again from the stack its solve read: one stack
+        # of the n routes, and no evaluator or one-route stack.
+        assert run_command(argv) == 0
+        assert counts["stacks"] == [len(grid_routes)]
+        assert counts["__init__"] == 0
+        assert self._grid_reads(counts) == [len(grid_routes)]
 
     @pytest.mark.parametrize("weights", [[0.5], [0.0, 0.5, 1.0], [i / 10 for i in range(11)]])
     def test_distributed_aggregates_every_route_in_one_read(self, counts, params, grid_routes, weights):
-        # Besides the one grid read of the d hops, the polish of their rate
-        # extrema for their own scales (one lockstep of one-hop reads, one
-        # per-hop stage each) and the lockstep of the hop searches, one
-        # read of the hop stack at every (hop, weight) window aggregates
-        # every route; no route is read on its own.
+        # Besides the one grid read of the stack (its routes and the d hops'
+        # one-hop rows, one per-hop stage of the d hops), the polish of
+        # every row's rate extrema for the hops' own scales (one lockstep of
+        # stack reads, one per-hop stage each) and the lockstep of the hop
+        # searches, one read of the hop rows at every (hop, weight) window
+        # aggregates every route; no route is read on its own.
         d = self._distinct_hops(grid_routes)
         ctx = NormalizationContext(0.0, 1.0, 0.0, 1.0)
         opt._solve_distributed(grid_routes, params, weights, ctx)
+        assert counts["stacks"] == [len(grid_routes)]
         assert counts["direct"] == [d * len(weights)]
         n = counts["grids"][0]
-        assert counts["reads"] == [(n, d, [d])]
+        assert counts["reads"] == [(n, len(grid_routes), [d])]
+        assert counts["envelopes"] == 1
         assert 0 < counts["envelope_stages"] == len(counts["enveloped"]) <= 81
         searched = len(counts["stages"]) - counts["grid_stages"] - counts["envelope_stages"]
         assert searched == len(counts["searched"]) + 1
@@ -1273,23 +1346,30 @@ class TestWorkCounts:
     def test_distributed_with_a_context_builds_no_joint_tables(
         self, monkeypatch, params, grid_routes, rate_cell, walks
     ):
-        # With a context, solve_distributed reads only hop stages: it takes
-        # no J(1) and E[max wait] and builds no mixture table.  solve_global
-        # takes them in one node walk, which folds each node of the routes'
-        # arrival-rate prefix tree once, and builds the mixture tables, from
-        # one more walk, only where a cap binds: nowhere at stock, and at
+        # With a context, solve_distributed still reads its route stack on
+        # the grid, whose route rows decide the grid its hops are searched
+        # on, so it builds the joint tables as solve_global does: J(1) and
+        # E[max wait] in one node walk, which folds each node of the routes'
+        # arrival-rate prefix tree once, and the mixture tables, from one
+        # more walk, only where a cap binds: nowhere at stock, and at
         # rate_cell=0.3 wherever the cellular cap is below the fallback
-        # supremum.
+        # supremum.  The aggregate and the hop searches read hop stages alone.
+        import v2xdelivery.closedform as cf
+
         params = dataclasses.replace(params, rate_cell=rate_cell)
         ctx = build_normalization(grid_routes, params)
-        built = count_table_builds(monkeypatch)
-        solve_distributed(grid_routes, params, weight=0.5, context=ctx)
-        assert built == []
-        solve_global(grid_routes, params, weight=0.5, with_kkt=False)
         mixed = [r for r in grid_routes if is_mixed(r)]
-        assert built.count("_node_walk") == walks
-        assert built.count("_fold_hop") == walks * prefix_tree_nodes(grid_routes) < walks * sum(map(len, mixed))
-        assert built.count("_mixture_table") == (walks - 1) * len(mixed)
+        built = count_table_builds(monkeypatch)
+        for solve in (
+            lambda: solve_distributed(grid_routes, params, weight=0.5, context=ctx),
+            lambda: solve_global(grid_routes, params, weight=0.5, with_kkt=False),
+        ):
+            del built[:]
+            cf._TOTALS.clear()  # each solve walks as the process's first would
+            solve()
+            assert built.count("_node_walk") == walks
+            assert built.count("_fold_hop") == walks * prefix_tree_nodes(grid_routes) < walks * sum(map(len, mixed))
+            assert built.count("_mixture_table") == (walks - 1) * len(mixed)
 
     @pytest.mark.parametrize("change", [{"trial_time": 0.05}, {"decode_error": 0.3}, {"rate_cell": 0.3}])
     def test_solves_after_a_parameter_change_take_no_totals_walk(self, monkeypatch, params, grid_routes, change):
