@@ -16,33 +16,28 @@ directly:
 
 The one runtime implementation of the per-hop and joint-outcome algebra is
 a route stack (:class:`_RouteStack`), which reads many routes in one array
-pass.  It owns every coefficient and table of its routes: one per-hop
-coefficient column per distinct hop, built with the stack; the mixed
-routes' geometric-max sums, and their J(1) and E[max wait], two node sums
-each (:func:`_mixture_totals`), built into stacked arrays on the first
-read that needs them; and their mixture tables, built only on the first
-read where a cap on the mixture binds.  Both the sums and the tables read
-each route's rows on the v grid from one walk over the mixed routes in
-stack order (:func:`_node_walk`), which folds a hop prefix that routes
-share once.  J(1) and E[max wait] depend on the dwell and the route's
-arrival rates alone, so they are kept across stacks (:func:`_route_totals`),
-and a stack walks for them only the rate sequences that the last stack
-which walked did not hold.  Its rows are its routes and a one-hop row per
-distinct hop.
-It has two reads, which run one per-hop stage: :meth:`_RouteStack.read`
-serves every reading at given (row, window) cells, in bounded blocks, with
-its per-hop stage :meth:`_RouteStack.hops` as the first half;
-:meth:`_RouteStack.grid`, the envelope's read, takes every row over one
-shared window grid, runs the per-hop stage once per distinct hop, and folds
-those rows into routes (:meth:`_RouteStack.fold`).  :class:`RouteEvaluator`
-is a view of one route of a stack: every reading of a view is a read of its
+pass.  Its rows are its routes and a one-hop row per distinct hop.  It owns
+every coefficient and table of its routes: one per-hop coefficient column
+per distinct hop, built with the stack; the mixed routes' geometric-max
+sums and their J(1) and E[max wait], built on the first read that needs
+them; and their mixture tables, built on the first read where a cap on the
+mixture binds.  Both read each route's rows on the v grid from one walk
+over the mixed routes in stack order (:func:`_node_walk`), which folds a
+hop prefix that routes share once.  J(1) and E[max wait] depend on the
+dwell and the route's arrival rates alone, so they are kept across stacks
+(:func:`_route_totals`).  The stack has two reads, which run one per-hop
+stage: :meth:`_RouteStack.read` serves every reading at given (row, window)
+cells, in bounded blocks; :meth:`_RouteStack.grid`, the envelope's read,
+takes every row over one shared window grid.  :class:`RouteEvaluator` is a
+view of one route of a stack: every reading of a view is a read of its
 stack at the view's column.
 The quadrature forms above are independent oracles: the runtime never calls
 them, and the test suite checks the kernel against them.  They alone need
-scipy, and import it on first call.  The kernel integrates on one v grid
-by one quintic Hermite rule: E[max wait] and the mixture integral, which is
-J(1), the rule's total, where no cap binds or a row's cap is 1, and read
-from a table of its running integral (:func:`_mixture_table`) elsewhere.
+scipy, and import it on first call.  The kernel integrates on one v grid:
+J(1) and E[max wait] by the trapezoid rule with closed-form Euler-Maclaurin
+end terms at v = 1 (:func:`_mixture_totals`), and the mixture integral where
+a cap binds below 1 from a quintic Hermite table of its running integral
+(:func:`_mixture_table`).
 """
 
 from __future__ import annotations
@@ -492,43 +487,43 @@ _BLOCK_CELLS = 1 << 13
 _TABLE_INTERVALS = 4000
 #: Rows of a mixture table: J at each interval's left node, six coefficients.
 _TABLE_COLUMNS = 7
+#: Taylor coefficients at v = 1, u^0 to u^9, that the totals' end terms read,
+#: and the trapezoid rule's Euler-Maclaurin weights B_2j / 2j of c_1, c_3, ..., c_9.
+_END_TERMS = 10
+_EM_WEIGHTS = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132)
 
 
-def _hop_factors(mu: float, wait: np.ndarray) -> np.ndarray:
+def _hop_factors(mu: float, wait: np.ndarray, rows: int) -> np.ndarray:
     """One hop's factors of W, W' and W'' at the interior nodes of the v grid,
-    (3, nodes): 1 + a / mu, a and a (a + mu), with a = mu / expm1(mu w)."""
+    (rows, nodes): the first ``rows`` of 1 + a / mu, a and a (a + mu), with
+    a = mu / expm1(mu w)."""
     with np.errstate(over="ignore"):  # expm1 overflows to inf where a hop's factor is 1
         a = mu / np.expm1(mu * wait)
-    return np.array([1.0 + a / mu, a, a * (a + mu)])  # 1 - exp(-x) = 1 / (1 + 1 / expm1(x))
+    survival = 1.0 + a / mu  # 1 - exp(-x) = 1 / (1 + 1 / expm1(x))
+    return survival[None] if rows == 1 else np.array([survival, a, a * (a + mu)])
 
 
-def _v_nodes(T: float) -> tuple[np.ndarray, ...]:
-    """Constants of the interior nodes v_i = i / n, 0 < i < n =
-    _TABLE_INTERVALS, of the v grid, which depend on the dwell T alone: v,
-    the wait w = 2T(1 - v)/v, its derivative w' = -2T/v^2, w'^2, e =
-    1 / (n v), and the rows -w' and 6e that every mixed route's
-    E[max wait] reads (see :func:`_mixture_totals`)."""
-    i = np.arange(1, _TABLE_INTERVALS)
-    v = i / _TABLE_INTERVALS
-    dwait = -2.0 * T / v**2
-    e = 1.0 / i
-    return v, 2.0 * T * (1.0 - v) / v, dwait, dwait**2, e, -dwait, 6.0 * e
+def _v_nodes(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The interior nodes v_i = i / n, 0 < i < n = _TABLE_INTERVALS, of the
+    v grid, the wait w = 2T(1 - v)/v there and its derivative w' = -2T/v^2."""
+    v = np.arange(1, _TABLE_INTERVALS) / _TABLE_INTERVALS
+    return v, 2.0 * T * (1.0 - v) / v, -2.0 * T / v**2
 
 
 def _fold_hop(before: np.ndarray, after: np.ndarray, factors: np.ndarray) -> None:
-    """One hop folded into a walk's state: ``after``, (3, nodes), takes the
-    W, A and B rows of ``before``, which it may be or which broadcast
-    against it, W divided by the hop's first factor and A and B plus the
-    other two (see :func:`_hop_factors`)."""
+    """One hop folded into a walk's state: ``after``, (rows, nodes), takes the
+    rows of ``before``, which it may be or which broadcast against it, W over
+    the hop's first factor and A and B, if folded, plus the other two."""
     np.divide(before[0], factors[0], out=after[0])
-    np.add(before[1:], factors[1:], out=after[1:])
+    if len(after) > 1:
+        np.add(before[1:], factors[1:], out=after[1:])
 
 
-def _node_walk(lams: Sequence[Sequence[float]], T: float, nodes: tuple) -> Iterator[tuple]:
-    """W and its derivatives m and q, in each interval's unit coordinate
-    s = n v, at the interior nodes of the v grid, and q at v = 1 (see
-    :func:`_mixture_table`), of each route in turn, given as the arrival
-    rates ``lams`` of its hops.
+def _node_walk(lams: Sequence[Sequence[float]], wait: np.ndarray, rows: int) -> Iterator[np.ndarray]:
+    """The first ``rows`` of W, A and B on the v grid's interior nodes, (rows,
+    nodes), of each route in turn, given as the arrival rates ``lams`` of its
+    hops: W alone for J(1) and E[max wait] (:func:`_route_totals`), all three
+    for a mixture table (:func:`_mixture_table`), on ``wait``, :func:`_v_nodes`'s.
 
     W is the product of the hops' survival factors and A and B the sums of
     their a and a (a + mu), each folded in hop order, one
@@ -543,10 +538,8 @@ def _node_walk(lams: Sequence[Sequence[float]], T: float, nodes: tuple) -> Itera
     take the IEEE operations of folding its hops alone, so any order of
     routes reads the same bits; an order that is not depth first only
     shares less.  The yielded rows are views of the buffers, valid until
-    the next route is taken.  ``nodes`` is :func:`_v_nodes` of T.
+    the next route is taken.
     """
-    n = _TABLE_INTERVALS
-    v, wait, dwait, dwait2 = nodes[:4]
     shared = [0]  # hops each route shares with the one before it
     for prev, lam in zip(lams, lams[1:]):
         d = 0
@@ -554,7 +547,7 @@ def _node_walk(lams: Sequence[Sequence[float]], T: float, nodes: tuple) -> Itera
             d += 1
         shared.append(d)
     # Depth 0, no hop, broadcasts W = 1 and A = B = 0 over the nodes.
-    state = [np.array([[1.0], [0.0], [0.0]])] + [np.empty((3, n - 1)) for _ in range(max(shared) + 1)]
+    state = [np.array([[1.0], [0.0], [0.0]])[:rows]] + [np.empty((rows, wait.size)) for _ in range(max(shared) + 1)]
     scratch = state[-1]
     last = {mu: i for i, lam in enumerate(lams) for mu in lam}
     expire = [[] for _ in lams]
@@ -565,53 +558,65 @@ def _node_walk(lams: Sequence[Sequence[float]], T: float, nodes: tuple) -> Itera
         top = max(start, keep)  # the route's rows to this depth have buffers of their own
         for d in range(start, len(lam)):
             if lam[d] not in factors:
-                factors[lam[d]] = _hop_factors(lam[d], wait)
+                factors[lam[d]] = _hop_factors(lam[d], wait, rows)
             _fold_hop(state[d] if d <= top else scratch, state[d + 1] if d < keep else scratch, factors[lam[d]])
         for mu in done:
             del factors[mu]
-        W, A, B = state[len(lam)] if len(lam) <= top else scratch
-        m = W * A * dwait / n
-        q = W * ((A * A - B) * dwait2 - 2.0 * A * dwait / v) / n**2
-        q_end = 8.0 * T * T * lam[0] * lam[1] / n**2 if len(lam) == 2 else 0.0
-        yield W, m, q, q_end
+        yield state[len(lam)] if len(lam) <= top else scratch
 
 
-def _mixture_totals(folded: tuple, T: float, nodes: tuple) -> tuple[float, float]:
-    """J(1) and E[max wait] of a mixed route: the two totals of the quintic
-    Hermite rule on the v grid, each one sum over the interior nodes.
+def _end_terms(lams: Sequence[Sequence[float]], T: float) -> np.ndarray:
+    """The Euler-Maclaurin end terms over h of J(1) and E[max wait],
+    (2, routes), of each route given as the arrival rates ``lams`` of its
+    hops (see :func:`_mixture_totals`): the sum over j of _EM_WEIGHTS[j]
+    h^(2j + 1) c_(2j + 1), c_i the u^i Taylor coefficient at v = 1.  Hop h's
+    factor of W, 1 - exp(-a u/(1 - u)) with a = 2T lam_h, has coefficients
+    -L_i^(-1)(a) past u^0, Laguerre polynomials (Abramowitz and Stegun
+    22.9.15) by their recurrence.  W is O(u^k), zero to u^9 past 9 hops;
+    the rest take the product of their factors, one pass a hop for all.
+    g's series is 2T(1 - W(u))/(1 - u)^2.  Each route reads its bits alone.
+    """
+    n, N = _TABLE_INTERVALS, _END_TERMS
+    short = [j for j, lam in enumerate(lams) if len(lam) < N]
+    index = {mu: i for i, mu in enumerate(dict.fromkeys(mu for j in short for mu in lams[j]))}
+    a = 2.0 * T * np.array(list(index), dtype=float)
+    L = [np.ones_like(a), -a]
+    for i in range(1, N - 1):
+        L.append(((2 * i - a) * L[i] - (i - 1) * L[i - 1]) / (i + 1))
+    one = np.eye(N)[0]
+    factor = np.vstack([one - np.array(L).T, one])  # the series 1 pads a route past its last hop
+    W, series = np.zeros((len(lams), N)), np.tile(one, (len(short), 1))
+    for d in range(max((len(lams[j]) for j in short), default=0)):
+        s, before = factor[[index[lams[j][d]] if d < len(lams[j]) else -1 for j in short]], series
+        series = np.zeros_like(before)
+        for i in range(N):
+            series[:, i:] += before[:, i : i + 1] * s[:, : N - i]
+    W[short] = series
+    g = 2.0 * T * np.cumsum(np.cumsum(one - W, axis=1), axis=1)
+    ends = np.zeros((2, len(lams)))
+    for j, weight in zip(range(N - 1, 0, -2), _EM_WEIGHTS[::-1]):
+        ends = ends / (n * n) + weight * np.array([W[:, j], g[:, j]])
+    return ends / n
 
-    The rule's total of y is the sum over intervals of
-    [(y_i + y_i+1)/2 + (m_i - m_i+1)/10 + (q_i + q_i+1)/120] / n, in which
-    the m terms telescope to (m_0 - m_n)/10.  With W(0) = 1, W(1) = 0 and
-    W's m and q zero at v = 0, and m zero at v = 1 (see :func:`_mixture_table`),
 
-        J(1) = (1/2 + sum_i (W_i + q_i/60) + q_n/120) / n.
+def _mixture_totals(W: np.ndarray, ends: np.ndarray, T: float, dwait: np.ndarray) -> tuple[float, float]:
+    """J(1) and E[max wait] of a mixed route by the trapezoid rule on the v
+    grid, one sum over the interior nodes each, plus closed-form end terms
+    at v = 1 (Euler-Maclaurin; Davis and Rabinowitz, Methods of Numerical
+    Integration, 2nd ed., 1984).  With h = 1/n, f's derivatives zero at
+    v = 0 and c_j its u^j Taylor coefficient at v = 1 (u = 1 - v),
 
+        int_0^1 f = h (f(0)/2 + sum_i f(v_i) + f(1)/2) + h^2 c_1/12 - h^4 c_3/120 + ... + h^10 c_9/132,
+
+    the next term in h^12.  J(1) integrates W, with W(0) = 1, W(1) = 0, and
     E[max wait], the integral over w > 0 of 1 - prod_h (1 - exp(-lam_h w)),
-    is in v the integral over [0, 1] of g = -w'(1 - W) = 2T(1 - W)/v^2,
-    taken by the same rule.  In s, with e = 1/(n v),
-
-        g_s = w'(2e(1 - W) + m),   g_ss = w'(q - e(6e(1 - W) + 4m)).
-
-    g and both derivatives vanish at v = 0; at v = 1, where W = m = 0, they
-    are 2T, -4T/n and -2T(q_n - 6/n^2), so
-
-        E[max wait] = (sum_i (g_i + g_ss,i/60) + T + 0.4T/n - 2T(q_n - 6/n^2)/120) / n.
-
-    Both need k >= 2 hops, which every mixed route has.  Each sum is one
-    pairwise ``ndarray.sum`` of a per-node value, whose route-independent
-    rows -w' and 6e are taken once per walk.  ``folded`` is the
-    route's rows from :func:`_node_walk`, and ``nodes`` is :func:`_v_nodes`
-    of T.
+    is in v the integral of g = -w'(1 - W) = 2T(1 - W)/v^2, with g(0) = 0,
+    g(1) = 2T.  ``W`` is the route's row from :func:`_node_walk`, ``ends``
+    its :func:`_end_terms` and ``dwait`` the w' row of :func:`_v_nodes`.
     """
     n = _TABLE_INTERVALS
-    W, m, q, q_end = folded
-    j1 = (0.5 + (W + q / 60.0).sum() + q_end / 120.0) / n
-    dwait, e, neg_dwait, six_e = nodes[2], *nodes[4:]
-    rest = 1.0 - W
-    g = neg_dwait * rest + dwait * (q - e * (six_e * rest + 4.0 * m)) / 60.0
-    wait_max = (g.sum() + T + 0.4 * T / n - 2.0 * T * (q_end - 6.0 / n**2) / 120.0) / n
-    return float(j1), float(wait_max)
+    g = (W - 1.0) * dwait  # bit for bit -w'(1 - W)
+    return float((0.5 + W.sum() + ends[0]) / n), float((g.sum() + T + ends[1]) / n)
 
 
 #: J(1) and E[max wait] by (dwell T, a mixed route's arrival rates in hop
@@ -622,30 +627,32 @@ _TOTALS: dict[tuple[float, tuple[float, ...]], tuple[float, float]] = {}
 
 def _route_totals(lams: Sequence[tuple[float, ...]], T: float) -> list[tuple[float, float]]:
     """J(1) and E[max wait] of each mixed route in turn, given as the
-    arrival rates ``lams`` of its hops, at dwell T.
+    arrival rates ``lams`` of its hops, at dwell T (see :func:`_mixture_totals`).
 
     Totals depend on T and the rate sequence alone, so solves that share
     routes and dwell, whatever their trial time, decode error, rates or
     weight, share them through :data:`_TOTALS`.  Only the sequences it does
     not hold are walked, once each and in the order given, so they still
-    share their hop prefixes; a walk reads the bits of each route alone
-    (see :func:`_node_walk`), so a kept total is the float a fresh walk
-    gives.  A build that walks leaves :data:`_TOTALS` holding exactly its own
+    share their hop prefixes; the walk folds W alone, and it and the end
+    terms read the bits of each route alone (see :func:`_node_walk` and
+    :func:`_end_terms`), so a kept total is the float a fresh walk gives.
+    A build that walks leaves :data:`_TOTALS` holding exactly its own
     sequences, and one that does not leaves it as it was, so it never holds
     more than the largest stack built.
     """
     totals = {(T, lam): _TOTALS.get((T, lam)) for lam in lams}
     misses = [key for key, kept in totals.items() if kept is None]
     if misses:
-        nodes = _v_nodes(T)
-        walk = _node_walk([lam for _, lam in misses], T, nodes)
-        totals.update((key, _mixture_totals(folded, T, nodes)) for key, folded in zip(misses, walk))
+        _, wait, dwait = _v_nodes(T)
+        walked = [lam for _, lam in misses]
+        walk = zip(misses, _node_walk(walked, wait, 1), _end_terms(walked, T).T)
+        totals.update((key, _mixture_totals(W, ends, T, dwait)) for key, (W,), ends in walk)
         _TOTALS.clear()
         _TOTALS.update(totals)
     return [totals[T, lam] for lam in lams]
 
 
-def _mixture_table(folded: tuple, out: np.ndarray | None = None) -> np.ndarray:
+def _mixture_table(folded: np.ndarray, lam: Sequence[float], T: float, nodes: tuple, out=None) -> np.ndarray:
     """Hermite table of J(c), the integral over [0, c] of the fallback survival W.
 
     W(v) = prod_h (1 - exp(-lam_h w)), w = 2T(1 - v)/v, is the survival of a
@@ -653,25 +660,30 @@ def _mixture_table(folded: tuple, out: np.ndarray | None = None) -> np.ndarray:
     where it does not depend on the window.  J integrates W's quintic
     Hermite interpolant on the v grid, which matches W, W' and W'' at every
     node.  Both derivatives are analytic, so no linear solve is needed (de
-    Boor, A Practical Guide to Splines, 1978): with a_h = lam_h / expm1(lam_h w)
-    and A = sum_h a_h,
+    Boor, A Practical Guide to Splines, 1978): with a_h = lam_h / expm1(lam_h w),
 
-        W' = W A w',   W'' = W ((A^2 - sum_h a_h (a_h + lam_h)) w'^2 + A w''),
+        W' = W A w',   W'' = W ((A^2 - B) w'^2 + A w''),   A = sum_h a_h,   B = sum_h a_h (a_h + lam_h),
 
-    w' = -2T/v^2 and w'' = 4T/v^3.  At v = 0 both vanish; at v = 1, where
-    W ~ prod_h lam_h w^k, so does W' (k >= 2 hops), and W'' = 8 T^2 lam_1
-    lam_2 for k = 2, 0 for more.  J at every node is the running sum of the
+    w' = -2T/v^2 and w'' = 4T/v^3, taken in the unit coordinate s = n v of
+    an interval as m and q.  At v = 0 both vanish; at v = 1, where W ~
+    prod_h lam_h w^k, so does W' (k >= 2 hops), and W'' = 8 T^2 lam_1 lam_2
+    for k = 2, 0 for more.  J at every node is the running sum of the
     Hermite interval areas in blocks of 80, offset by the running sum of
     the block totals, so about 130 roundings lie on any path, not 4000.
     Column i holds J(v_i) and the coefficients of
     J(v_i + s / _TABLE_INTERVALS) - J(v_i), a sextic in s in [0, 1] with no
     constant term, lowest power first; :func:`_mixture_integral` reads it.
-    ``folded`` is the route's rows from :func:`_node_walk`; ``out``, if
-    given, receives the (_TABLE_COLUMNS, _TABLE_INTERVALS) table.
+    ``folded`` is the route's W, A and B rows from :func:`_node_walk`,
+    ``lam`` its hops' arrival rates, ``nodes`` :func:`_v_nodes` of T, and
+    ``out``, if given, receives the (_TABLE_COLUMNS, _TABLE_INTERVALS) table.
     """
     out = np.empty((_TABLE_COLUMNS, _TABLE_INTERVALS)) if out is None else out
     n = _TABLE_INTERVALS
-    W, m, q, q_end = folded
+    v, _, dwait = nodes
+    W, A, B = folded
+    m = W * A * dwait / n
+    q = W * ((A * A - B) * dwait**2 - 2.0 * A * dwait / v) / n**2
+    q_end = 8.0 * T * T * lam[0] * lam[1] / n**2 if len(lam) == 2 else 0.0
     W = np.concatenate([[1.0], W, [0.0]])
     m = np.concatenate([[0.0], m, [0.0]])
     q = np.concatenate([[0.0], q, [q_end]])
@@ -734,11 +746,11 @@ class RouteEvaluator:
 
     An evaluator is a view of one route of a :class:`_RouteStack`, which
     owns every coefficient and table the view reads.  Built alone, it is
-    the one route of its own stack; a solve reads the views of one stack of
-    all its routes (:meth:`_RouteStack.evaluators`), so a route's grid
-    reads, its stacked reads and its one-window reads share one copy of its
-    tables.  :meth:`series` is one read of the stack at the view's column
-    (see :class:`_RouteStack`), and the one-window readings (:meth:`latency`,
+    the one route of its own stack; a solve binds views of the stack of
+    all its routes to its winners, so a route's grid reads, its stacked
+    reads and its one-window reads share one copy of its tables.
+    :meth:`series` is one read of the stack at the view's column (see
+    :class:`_RouteStack`), and the one-window readings (:meth:`latency`,
     :meth:`rate_closed`, ...) are one-window reads of it.  Agreement with
     the direct quadrature forms is pinned by tests.
     """
@@ -821,18 +833,13 @@ class _RouteStack:
 
     The joint-outcome tables of every mixed route are built on the first
     read that needs them, straight into stacked arrays (see _JointTables),
-    from one walk over the mixed routes in stack order (:meth:`_walk`, or
-    for J(1) and E[max wait] one over the routes whose totals are not kept,
-    see :func:`_route_totals`), which folds each route's hops past the
-    arrival-rate prefix it shares with the route before it, and shares each
-    distinct arrival rate's factors and the v grid's node constants; routes
-    in enumeration order fold each node of their prefix tree once, and
-    every route reads the bits of its route alone.  A window whose mixture
-    caps do not bind, as every window does at the stock rates, reads its
-    route's J(1); the mixture tables wait for the first window where a cap
-    binds, and each of its (trial-count row, window) cells then takes its
-    coefficients through one index, save a row capped at 1, which reads
-    J(1) as a free window does.
+    each from one :func:`_node_walk` over the mixed routes in stack order,
+    which folds each node of their arrival-rate prefix tree once and reads
+    the bits of each route alone.  A window whose mixture caps do not bind,
+    as every window does at the stock rates, reads its route's J(1); the
+    mixture tables wait for the first window where a cap binds, and each of
+    its (trial-count row, window) cells then takes its coefficients through
+    one index, save a row capped at 1, which reads J(1) as a free window does.
     """
 
     def __init__(self, routes: Sequence[Route], params: SystemParams):
@@ -876,10 +883,6 @@ class _RouteStack:
         # at its hop's mean; the rest read the joint-outcome mixture.
         self.forward = np.all((deg == 1)[self.at], axis=0)
         self.mixed = ~self.forward & (self.ks > 1)
-
-    def evaluators(self) -> list[RouteEvaluator]:
-        """A view of every route, in order; each reads this stack's tables."""
-        return [RouteEvaluator.__new__(RouteEvaluator)._bind(self, j) for j in range(len(self.routes))]
 
     def columns(self, j: int) -> np.ndarray:
         """Route j's distinct-hop columns, in hop order."""
@@ -936,9 +939,11 @@ class _RouteStack:
         """The mixed routes' :func:`_mixture_table` tables side by side,
         (_TABLE_COLUMNS, mixed * _TABLE_INTERVALS), built on the first read
         where a cap binds."""
-        tables = np.empty((_TABLE_COLUMNS, np.count_nonzero(self.mixed), _TABLE_INTERVALS))
-        for r, folded in enumerate(self._walk(_v_nodes(self.params.hop_dwell))):
-            _mixture_table(folded, out=tables[:, r])
+        T = self.params.hop_dwell
+        nodes, lams = _v_nodes(T), self._rates()
+        tables = np.empty((_TABLE_COLUMNS, len(lams), _TABLE_INTERVALS))
+        for r, (lam, folded) in enumerate(zip(lams, _node_walk(lams, nodes[1], 3))):
+            _mixture_table(folded, lam, T, nodes, out=tables[:, r])
         return tables.reshape(_TABLE_COLUMNS, -1)
 
     def _rates(self) -> list[tuple[float, ...]]:
@@ -948,12 +953,6 @@ class _RouteStack:
         mixed = np.flatnonzero(self.mixed)
         at, ks = self.at[:, mixed].T.tolist(), self.ks[mixed].tolist()
         return [tuple(lam[c] for c in cols[:k]) for cols, k in zip(at, ks)]
-
-    def _walk(self, nodes: tuple) -> Iterator[tuple]:
-        """One :func:`_node_walk` over the mixed routes, in stack order, on
-        the v grid's ``nodes``; each distinct arrival rate's factors are
-        computed once a walk."""
-        return _node_walk(self._rates(), self.params.hop_dwell, nodes)
 
     def _stage(self, coef, ts, ms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The per-hop algebra: each hop's latency, probabilities of discovery

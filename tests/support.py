@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import v2xdelivery
-from v2xdelivery import Hop, Route, SystemParams
+from v2xdelivery import Hop, Route, RouteEvaluator, SystemParams
 from v2xdelivery import closedform
 
 
@@ -87,7 +87,27 @@ def prefix_tree_nodes(routes) -> int:
     return len({tuple(h.arrival_rate for h in r.hops[:d]) for r in routes if is_mixed(r) for d in range(1, len(r) + 1)})
 
 
-def fold_alone(lam, T: float) -> tuple:
-    """The node walk's rows of one route alone, given its hops' arrival
-    rates ``lam``."""
-    return next(closedform._node_walk([np.asarray(lam, dtype=float).tolist()], T, closedform._v_nodes(T)))
+def fold_alone(lam, T: float, rows: int = 3) -> np.ndarray:
+    """The node walk's first ``rows`` of W, A and B of one route alone,
+    given its hops' arrival rates ``lam``."""
+    return next(closedform._node_walk([np.asarray(lam, dtype=float).tolist()], closedform._v_nodes(T)[1], rows))
+
+
+def table_alone(lam, T: float) -> np.ndarray:
+    """The mixture table of one route alone, given its hops' arrival rates ``lam``."""
+    lam = np.asarray(lam, dtype=float).tolist()
+    return closedform._mixture_table(fold_alone(lam, T), lam, T, closedform._v_nodes(T))
+
+
+def totals_alone(lam, T: float) -> tuple[float, float]:
+    """J(1) and E[max wait] of one route alone, given its hops' arrival
+    rates ``lam``, as a walk that keeps none computes them."""
+    lam = np.asarray(lam, dtype=float).tolist()
+    (W,) = fold_alone(lam, T, 1)
+    ends = closedform._end_terms([lam], T)[:, 0]
+    return closedform._mixture_totals(W, ends, T, closedform._v_nodes(T)[2])
+
+
+def evaluators(stack) -> list[RouteEvaluator]:
+    """A view of every route of a route stack, in order; each reads the stack's tables."""
+    return [RouteEvaluator.__new__(RouteEvaluator)._bind(stack, j) for j in range(len(stack.routes))]

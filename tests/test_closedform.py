@@ -7,15 +7,27 @@ branch-weighted scalars and the quadrature forms vs. the evaluator's kernel).
 """
 
 import dataclasses
+import functools
+import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from support import count_table_builds, fold_alone, is_mixed, make_route, window_grid
+from support import (
+    count_table_builds,
+    evaluators,
+    fold_alone,
+    is_mixed,
+    make_route,
+    table_alone,
+    totals_alone,
+    window_grid,
+)
 from v2xdelivery import (
     Hop,
     Route,
@@ -42,10 +54,7 @@ from v2xdelivery.closedform import (
     _TABLE_COLUMNS,
     _TABLE_INTERVALS,
     _mixture_integral,
-    _mixture_table,
-    _mixture_totals,
     _RouteStack,
-    _v_nodes,
     expectation_from_survival,
     expected_rate_all_failure,
     expected_rate_all_success,
@@ -188,6 +197,18 @@ def _subset_loop_expected_max(rates) -> float:
         for mu in members:
             s += mu
         total += (1.0 if len(members) % 2 else -1.0) / s
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_expected_max(rates: tuple[float, ...]) -> Fraction:
+    """E[max] of independent exponentials by inclusion-exclusion, exactly,
+    in rationals: each subset's term as a Fraction of the float rates."""
+    rates = [Fraction(mu) for mu in rates]
+    total = Fraction(0)
+    for r in range(1, len(rates) + 1):
+        sign = 1 if r % 2 else -1
+        total += sum((Fraction(sign) / sum(subset) for subset in itertools.combinations(rates, r)), Fraction(0))
     return total
 
 
@@ -609,7 +630,7 @@ class TestRouteStack:
         params = SystemParams(**override)
         T = params.hop_dwell
         routes = self._routes()
-        evaluators = [RouteEvaluator(r, params) for r in routes]
+        singles = [RouteEvaluator(r, params) for r in routes]
         rng = np.random.default_rng(67)
         edges = RouteEvaluator(routes[0], params).breakpoints()
         # Both window ends, piece edges and their insets, and random windows.
@@ -624,16 +645,16 @@ class TestRouteStack:
         # Each view of the stack reads its route's bits, its first read
         # building every route's tables at once.
         grid = np.unique(ts)
-        for view, ev in zip(stack.evaluators(), evaluators):
+        for view, ev in zip(evaluators(stack), singles):
             alone, stacked = ev.series(grid), view.series(grid)
             assert stacked.keys() == alone.keys()
             for name, values in alone.items():
                 assert stacked[name].tobytes() == values.tobytes(), (name, ev.k)
         out = stack.read(cols, ts)
-        k_max = max(ev.k for ev in evaluators)
+        k_max = max(ev.k for ev in singles)
         assert out["hop_latency"].shape == out["hop_rate"].shape == (k_max, len(ts))
         for i, (c, t) in enumerate(zip(cols.tolist(), ts.tolist())):
-            ev = evaluators[c]
+            ev = singles[c]
             one = ev.series([t])
             for name in ("latency", "rate_closed", "rate_min_means"):
                 assert out[name][i].tobytes() == one[name][0].tobytes(), (name, c, t)
@@ -691,7 +712,7 @@ class TestRouteStack:
             monkeypatch.setattr(_RouteStack, name, counted)
         stage = _RouteStack._stage
         monkeypatch.setattr(_RouteStack, "_stage", lambda *a: calls.append("_stage") or stage(*a))
-        view = _RouteStack(self._routes(), params).evaluators()[4]
+        view = evaluators(_RouteStack(self._routes(), params))[4]
         t = 8.0
         readings = {
             "series": lambda: view.series([t]),
@@ -808,7 +829,7 @@ class TestRouteStack:
                 ref = stack.read(np.full(len(ts), j), ts)
                 for name in ("latency", "rate_closed"):
                     assert np.array_equal(out[name][j], ref[name]), (label, j, name)
-            for j, view in enumerate(stack.evaluators()):
+            for j, view in enumerate(evaluators(stack)):
                 ref = stack.read(np.full(len(ts), j), ts)
                 one = view.series(ts)
                 for name in ("latency", "rate_closed", "rate_min_means", "hop_latency", "hop_rate"):
@@ -966,7 +987,7 @@ class TestMixtureTable:
         near_one = 1.0 - np.arange(1, 21) / (3 * n)  # where fast rates make W steep
         cs = np.unique(np.concatenate([[0.0, 1.0], nodes, mids, near_one, rng.uniform(0.0, 1.0, 40)]))
         assert len(cs) >= 200
-        got = _mixture_integral(_mixture_table(fold_alone(lam, T)), np.zeros(1, dtype=np.intp), cs)
+        got = _mixture_integral(table_alone(lam, T), np.zeros(1, dtype=np.intp), cs)
         # Quadrature piece by piece between consecutive points, summed exactly.
         W = self._survival(lam, T)
         pieces = [integrate.quad(W, a, b, epsabs=1e-15, epsrel=0.0, limit=200)[0] for a, b in zip(cs[:-1], cs[1:])]
@@ -982,35 +1003,101 @@ class TestMixtureTable:
         lam = self._rates(rates, k, np.random.default_rng(73))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            j1, _ = _mixture_totals(fold_alone(lam, T), T, _v_nodes(T))
+            j1, _ = totals_alone(lam, T)
         n = _TABLE_INTERVALS
         edges = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101), 1.0 - np.arange(1, 21) / (3 * n)]))
         W = self._survival(lam, T)
         pieces = [integrate.quad(W, a, b, epsabs=1e-15, epsrel=0.0, limit=200)[0] for a, b in zip(edges[:-1], edges[1:])]
         assert abs(j1 - math.fsum(pieces)) <= 1e-14
 
+    @pytest.mark.parametrize("T", [5.0, 20.0])
+    @pytest.mark.parametrize("rates", ["slow", "fast", "spread", "random"])
+    def test_totals_read_exp_max_wait_within_8_ulps_of_inclusion_exclusion(self, T, rates):
+        # E[max wait] by the trapezoid rule and its end terms, against the
+        # exact mean in rationals, sum over nonempty hop sets S of
+        # (-1)^(|S|+1) / sum_S lam, for 2 to 12 hops.
+        lams = [self._rates(rates, k, np.random.default_rng(76 + k)) for k in range(2, 13)]
+        assert max(self._exp_max_ulps(lams, T)) <= 8.0
+
+    @pytest.mark.parametrize("T, interval", [(20.0, (2.0, 4.0)), (60.0, (0.01, 2.0)), (60.0, (2.0, 2.0))])
+    def test_totals_read_exp_max_wait_within_16_ulps_in_fast_traffic(self, T, interval):
+        # Where 2T lam reaches 160 to 240, the end terms in h^8 and h^10
+        # count: without them the totals of 6 to 9 hops drift by hundreds
+        # to thousands of ulps.
+        lams = [np.random.default_rng(78 + k).uniform(*interval, k) for k in range(2, 13)]
+        assert max(self._exp_max_ulps(lams, T)) <= 16.0
+
+    @staticmethod
+    def _exp_max_ulps(lams, T) -> list[float]:
+        """Each route's E[max wait] off its exact mean, in ulps of the mean."""
+        ulps = []
+        for lam in lams:
+            _, wait_max = totals_alone(lam, T)
+            exact = _exact_expected_max(tuple(lam.tolist()))
+            ulps.append(float(abs(Fraction(wait_max) - exact) / Fraction(np.spacing(float(exact)))))
+        return ulps
+
+    @pytest.mark.parametrize("k", [2, 14])
+    @pytest.mark.parametrize("interval", [(0.05, 0.3), (2.0, 4.0)])
+    def test_tables_keep_the_bits_of_the_walk_that_took_m_and_q(self, params, k, interval):
+        # The mixture table of a stock and a fast route against a reference
+        # that folds W, A and B hop by hop, takes m and q from them at the
+        # nodes as the walk took them before the totals moved to their own
+        # rule, and assembles the Hermite table: byte for byte.
+        T, n = params.hop_dwell, _TABLE_INTERVALS
+        lam = np.random.default_rng(77).uniform(*interval, k).tolist()
+        v = np.arange(1, n) / n
+        wait, dwait = 2.0 * T * (1.0 - v) / v, -2.0 * T / v**2
+        W, A, B = np.ones(n - 1), np.zeros(n - 1), np.zeros(n - 1)
+        for mu in lam:
+            with np.errstate(over="ignore"):
+                a = mu / np.expm1(mu * wait)
+            W, A, B = W / (1.0 + a / mu), A + a, B + a * (a + mu)
+        m = W * A * dwait / n
+        q = W * ((A * A - B) * dwait**2 - 2.0 * A * dwait / v) / n**2
+        q_end = 8.0 * T * T * lam[0] * lam[1] / n**2 if k == 2 else 0.0
+        W = np.concatenate([[1.0], W, [0.0]])
+        m = np.concatenate([[0.0], m, [0.0]])
+        q = np.concatenate([[0.0], q, [q_end]])
+        area = 0.5 * (W[:-1] + W[1:]) + (m[:-1] - m[1:]) / 10.0 + (q[:-1] + q[1:]) / 120.0
+        inside = np.cumsum((area / n).reshape(-1, 80), axis=1)
+        before = np.concatenate([[0.0], np.cumsum(inside[:-1, -1])])
+        y0, y1, m0, m1, q0, q1 = W[:-1], W[1:], m[:-1], m[1:], q[:-1], q[1:]
+        rise = y1 - y0
+        want = np.array(
+            [
+                np.concatenate([[0.0], (before[:, None] + inside).ravel()[:-1]]),
+                y0 / n,
+                m0 / (2 * n),
+                q0 / (6 * n),
+                (10.0 * rise - 6.0 * m0 - 4.0 * m1 - 1.5 * q0 + 0.5 * q1) / (4 * n),
+                (-15.0 * rise + 8.0 * m0 + 7.0 * m1 + 1.5 * q0 - q1) / (5 * n),
+                (6.0 * rise - 3.0 * m0 - 3.0 * m1 - 0.5 * q0 + 0.5 * q1) / (6 * n),
+            ]
+        )
+        assert table_alone(lam, T).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed", [2, 3])
     def test_the_totals_keep_their_bits_with_node_rows_taken_once(self, seed):
-        # -w' and 6e are taken once a walk; each route's J(1) and E[max
-        # wait] read the bits of the sums that took them per route.
-        def totals_per_route(folded, T, nodes):
+        # The w' row is taken once a walk, and the end terms once for every
+        # route walked; each route's J(1) and E[max wait] read the bits of
+        # the trapezoid sums over its own W row, folded alone, with g =
+        # 2T(1 - W)/v^2 taken per route, plus its own end terms alone.
+        def totals_per_route(lam, T):
             n = _TABLE_INTERVALS
-            W, m, q, q_end = folded
-            j1 = (0.5 + (W + q / 60.0).sum() + q_end / 120.0) / n
-            dwait, e = nodes[2], nodes[4]
-            rest = 1.0 - W
-            g = -dwait * rest + dwait * (q - e * (6.0 * e * rest + 4.0 * m)) / 60.0
-            wait_max = (g.sum() + T + 0.4 * T / n - 2.0 * T * (q_end - 6.0 / n**2) / 120.0) / n
-            return float(j1), float(wait_max)
+            (W,) = fold_alone(lam, T, 1)
+            v = np.arange(1, n) / n
+            g = 2.0 * T / v**2 * (1.0 - W)
+            ends = closedform._end_terms([lam], T)[:, 0]
+            return float((0.5 + W.sum() + ends[0]) / n), float((g.sum() + T + ends[1]) / n)
 
         scenario = build_grid_scenario(rows=4, cols=4, seed=seed)
         routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
         stack = _RouteStack(routes, scenario.params)
         T = scenario.params.hop_dwell
-        nodes = _v_nodes(T)
         mixed = np.flatnonzero(stack.mixed).tolist()
-        ref = np.array([totals_per_route(folded, T, nodes) for folded in stack._walk(nodes)])
-        assert len(mixed) > 100
+        ref = np.array([totals_per_route([h.arrival_rate for h in routes[j].hops], T) for j in mixed])
+        assert len(mixed) > 100 and min(len(routes[j].hops) for j in mixed) < closedform._END_TERMS
         assert stack._tables.j1[mixed].tobytes() == ref[:, 0].tobytes()
         assert stack._tables.exp_max_wait[mixed].tobytes() == ref[:, 1].tobytes()
 
@@ -1065,7 +1152,7 @@ class TestMixtureTable:
 
     def test_table_rows_join_up(self, params):
         # Each row read at s = 1 lands on the next row's J.
-        table = _mixture_table(fold_alone([0.05, 0.3, 2.0], params.hop_dwell))
+        table = table_alone([0.05, 0.3, 2.0], params.hop_dwell)
         ends = table[0] + table[1:].sum(axis=0)
         np.testing.assert_allclose(ends[:-1], table[0, 1:], rtol=0.0, atol=1e-15)
         assert table[0, 0] == 0.0
@@ -1086,7 +1173,7 @@ class TestMixtureTable:
         before = RouteEvaluator(routes[2], params).rate_closed(8.0)  # its own stack's tables
         built = count_table_builds(monkeypatch)
         stack = _RouteStack(routes, params)
-        views = stack.evaluators()
+        views = evaluators(stack)
         assert views[2].rate_closed(8.0) == before
         want = ["_node_walk"] + ["_fold_hop"] * 16
         if tables:  # each table is built as the walk reaches its route
@@ -1102,7 +1189,7 @@ class TestMixtureTable:
             for row, j in enumerate((0, 2, 3)):
                 lam = np.array([h.arrival_rate for h in routes[j].hops])
                 part = mixture[:, row * _TABLE_INTERVALS : (row + 1) * _TABLE_INTERVALS]
-                assert part.tobytes() == _mixture_table(fold_alone(lam, params.hop_dwell)).tobytes()
+                assert part.tobytes() == table_alone(lam, params.hop_dwell).tobytes()
                 assert stack._tables.first[j] == row * _TABLE_INTERVALS
             assert stack._tables.first[1] == 0
 
@@ -1147,7 +1234,7 @@ class TestMixtureTable:
             # The table's running sum lands within a few ulp of the rule's total.
             lam = np.array([h.arrival_rate for h in route.hops])
             j1 = stack._tables.j1[j]
-            table = _mixture_integral(_mixture_table(fold_alone(lam, T)), np.zeros(1, dtype=np.intp), np.ones(1))
+            table = _mixture_integral(table_alone(lam, T), np.zeros(1, dtype=np.intp), np.ones(1))
             assert abs(table[0] - j1) <= 4 * np.spacing(j1), len(lam)
 
 
@@ -1180,7 +1267,7 @@ class TestKeptTotals:
             tables = _RouteStack([other], other_params)._tables
             assert built == ["_node_walk", *["_fold_hop"] * 4]
             T = other_params.hop_dwell
-            cold = _mixture_totals(fold_alone(rates, T), T, _v_nodes(T))
+            cold = totals_alone(rates, T)
             assert (tables.j1[0], tables.exp_max_wait[0]) == cold
 
     def test_the_dict_holds_exactly_the_last_walking_builds_sequences(self, monkeypatch, params, grid_routes):

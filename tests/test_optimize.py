@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from support import count_table_builds, is_mixed, make_route, prefix_tree_nodes
+from support import count_table_builds, evaluators, is_mixed, make_route, prefix_tree_nodes
 from v2xdelivery import (
     Hop,
     Route,
@@ -909,7 +909,7 @@ class TestRowModel:
                 assert row == (one_hop[key] if key in one_hop else len(routes) + extra.index(c)), (label, c)
                 assert stack.columns(row).tolist() == [c], (label, c)
             # The routes alone have views and folds.
-            assert len(stack.evaluators()) == len(routes)
+            assert len(evaluators(stack)) == len(routes)
             assert stack.fold(np.ones(d), np.add, 0.0).tolist() == [float(len(r.hops)) for r in routes]
         assert "with one-hop routes" in label and len(extra) < d  # some hop's row is a route
 
@@ -1449,7 +1449,7 @@ class TestWorkCounts:
         built = count_table_builds(monkeypatch)
         factors = []
         original_factors = cf._hop_factors
-        monkeypatch.setattr(cf, "_hop_factors", lambda mu, wait: factors.append(float(mu)) or original_factors(mu, wait))
+        monkeypatch.setattr(cf, "_hop_factors", lambda mu, *rest: factors.append(float(mu)) or original_factors(mu, *rest))
         tracemalloc.start()
         try:
             solve_global(routes, scenario.params, weight=0.5, with_kkt=False)
