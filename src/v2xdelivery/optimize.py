@@ -34,7 +34,10 @@ block of tasks, and every bracket of every task is polished in lockstep
 stacked kernel call, so a lockstep makes at most 81 such calls whatever its
 task count, and a search 6 to 12 on the stock grids at weight 0.5.  Those
 probes, the optimality checks and ``sweep --variable t`` score given
-windows through one objective read of the stack (:func:`_objective`).
+windows through one objective read of the stack (:func:`_objective`).  One
+tie-tolerant winner rule (:func:`_winners`) picks every answer, each row
+of candidates in one array walk: a task's window from its grid windows and
+peaks, and each solver's route, one row per weight.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ _TAIL_MAX_INTERVALS = 256
 # coefficients there lies below this, relative to the row's largest: the
 # rounding floor is 1e-15 at 32 intervals and 7e-15 at 256.
 _TAIL_TOL = 1e-12
-# Objective values closer than this tie in the winner rule (see _winner).
+# Objective values closer than this tie in the winner rule (see _winners).
 _TIE = 1e-15
 # Sample count per smooth piece in the concavity probe.
 _CONCAVITY_SAMPLES = 16
@@ -449,54 +452,61 @@ def _peaks(grid: _ScanGrid, blocks, read) -> tuple[np.ndarray, np.ndarray, np.nd
     return owner, peaks, read(owner, peaks)
 
 
-def _cut(top, count):
-    """The bar below which no value of ``count`` candidates topped by
-    ``top`` can win the tie-tolerant rule (see _winner); elementwise."""
-    return top - (count + 2) * (_TIE + 4 * np.spacing(abs(top) + 1.0))
+def _pack(row: np.ndarray, n: int, entries, pad) -> tuple[np.ndarray, np.ndarray]:
+    """``entries`` (fields x entries), listed by ascending ``row``, packed
+    to the front of ``n`` rows, empty slots holding ``pad`` (one per field);
+    and each row's entry count."""
+    count = np.bincount(row, minlength=n)
+    packed = np.full((len(pad), n, count.max(initial=0)), np.reshape(pad, (-1, 1, 1)))
+    packed[:, row, np.arange(len(row)) - (np.cumsum(count) - count)[row]] = entries
+    return packed, count
 
 
-def _winner(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float, int]:
-    """Window, value and index (-1 if none is above -inf) of the candidate
-    the tie-tolerant rule picks from candidates in order.
+def _winners(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window, value and column (-1 if none is above -inf) of the candidate
+    the tie-tolerant rule picks in each row of ``values``, (rows x
+    candidates), at windows ``ts``, which broadcast against it.
 
-    The rule walks the candidates and moves to one that beats the best so
-    far by more than _TIE, or ties it within _TIE at a smaller window.  It
-    runs on the candidates at or above the cut (N + 2)(_TIE + d) below the
-    top value M alone (:func:`_cut`), N being the candidate count and d a
-    few ulps at M that absorb rounding.  Exact: at most N kept values split
-    that width into at most N spans, so one span, wider than _TIE + d,
-    holds no value inside.  Every value above it beats every value below
-    it, and none below ties or beats one above; so both walks, once at
-    their first value above it, move only among the values above it,
-    alike.  A NaN value or cut keeps every candidate.
+    The rule walks a row's candidates in order and moves to one that beats
+    the best so far by more than _TIE, or ties it within _TIE at a smaller
+    window, clamped to [0, T].  It runs on the candidates at or above the
+    cut (N + 2)(_TIE + d) below the row's top value M alone, N being the
+    row's candidate count and d a few ulps at M that absorb rounding.
+    Exact: at most N kept values split that width into at most N spans, so
+    one span, wider than _TIE + d, holds no value inside.  Every value above
+    it beats every value below it, and none below ties or beats one above;
+    so both walks, once at their first value above it, move only among the
+    values above it, alike.  Any N at least the true count will do, so a
+    row padded with -inf past its candidates reads the same winner.  A NaN
+    top keeps every candidate, and no NaN is ever picked.
+
+    Each row's kept candidates are packed to its front, and the walk takes
+    one column of every row per step.  When a row's kept values all equal
+    one finite value (a hop that always forwards reads one value at every
+    window) the walk moves only to a strictly smaller window, so it ends on
+    the first candidate at the smallest clamped window; the row keeps that
+    one alone, so the walk runs only as wide as the other rows keep.
     """
-    keep = np.flatnonzero(~(values < _cut(np.max(values), len(values))))
-    t, v, i = _tie_walk(ts[keep], values[keep], T)
-    return t, v, int(keep[i]) if i >= 0 else i
-
-
-def _tie_walk(ts: np.ndarray, values: np.ndarray, T: float) -> tuple[float, float, int]:
-    """Window, value and position (-1 if none is above -inf) of the
-    candidate that the tie-tolerant walk of :func:`_winner` picks from the
-    kept candidates, windows ``ts`` and ``values`` in order.
-
-    When the kept values are all equal and finite (a hop that always
-    forwards reads one value at every window) the walk moves only to a
-    strictly smaller window, so it ends on the first candidate at the
-    smallest clamped window, and that is read off without the walk.
-    """
-    if np.isfinite(values[0]) and (values == values[0]).all():
-        # Clamped as the walk clamps: min(max(t, 0.0), T) keeps a -0.0 window.
-        clamped = np.where(ts < 0.0, 0.0, ts)
-        clamped = np.where(clamped > T, T, clamped)
-        i = int(np.argmin(clamped))
-        return float(clamped[i]), float(values[i]), i
-    best_t, best_val, best_i = 0.0, -math.inf, -1
-    for i, (t, v) in enumerate(zip(ts.tolist(), values.tolist())):
-        t = min(max(t, 0.0), T)
-        if v > best_val + _TIE or (abs(v - best_val) <= _TIE and t < best_t):
-            best_val, best_t, best_i = v, t, i
-    return best_t, best_val, best_i
+    # Clamped as min(max(t, 0.0), T) clamps: a -0.0 window stays -0.0.
+    ts = np.where(ts < 0.0, 0.0, ts)
+    ts = np.broadcast_to(np.where(ts > T, T, ts), values.shape)
+    top = values.max(axis=1, keepdims=True)
+    cut = top - (values.shape[1] + 2) * (_TIE + 4 * np.spacing(abs(top) + 1.0))
+    row, col = np.nonzero(~(values < cut))
+    # (window, value, column) of each row's kept candidates, in order; an
+    # empty slot is never picked, nor the smallest window.
+    kept, count = _pack(row, len(values), (ts[row, col], values[row, col], col), (math.inf, -math.inf, -1.0))
+    v = kept[1]
+    flat = np.flatnonzero(np.isfinite(v[:, 0]) & (np.count_nonzero(v == v[:, :1], axis=1) == count))
+    # A flat row keeps its winner alone, at its front.
+    kept[:, flat, 0] = kept[:, flat, np.argmin(kept[0, flat], axis=1)]
+    v[flat, 1:], count[flat] = -math.inf, 1
+    best = np.repeat([[0.0], [-math.inf], [-1.0]], len(values), axis=1)  # the walk's start
+    with np.errstate(invalid="ignore"):  # -inf - -inf
+        for step in kept[:, :, : count.max()].transpose(2, 0, 1):
+            move = (step[1] > best[1] + _TIE) | ((np.abs(step[1] - best[1]) <= _TIE) & (step[0] < best[0]))
+            best[:, move] = step[:, move]
+    return best[0], best[1], best[2].astype(np.intp)
 
 
 def _polish(deriv, lo: np.ndarray, hi: np.ndarray, tol: float, noise: float) -> np.ndarray:
@@ -575,9 +585,9 @@ def _search(
     bracket of every task is polished in one lockstep (:func:`_peaks`)
     whose reads are stacked kernel calls, so a search makes at most 81 of
     them whatever its route and weight count.  A second pass over the
-    blocks scores each grid again and takes every task's top value and the
-    winner rule's cut (see _winner) in one array pass; only the tie walk
-    over the candidates a task keeps runs task by task.
+    blocks scores each grid again, and one call of the winner rule per
+    block (:func:`_winners`) picks from every task's row: its grid windows,
+    then its peaks, padded with -inf to the most any task has.
     """
     T = stack.params.hop_dwell
     rate, lat = reads
@@ -603,29 +613,14 @@ def _search(
         return _objective(stack, cols[which], x, NormalizationContext(*bounds[which].T), weights[which])
 
     owner, peaks, peak_values = _peaks(grid, ((b.start, grid_values(b)) for b in blocks), read)
-
-    # Task t's peaks are peaks[first[t] : first[t + 1]].
-    first = np.searchsorted(owner, np.arange(len(tasks) + 1))
-    best = []
+    # Each task's candidates are its grid windows, then its peaks, padded with -inf.
+    (task_peaks, task_values), _ = _pack(owner, len(tasks), (peaks, peak_values), (0.0, -math.inf))
+    best_t, best_v = np.empty(len(tasks)), np.empty(len(tasks))
     for b in blocks:
         values = grid_values(b)
-        own = first[b.start : b.stop + 1]
-        a, z = own[0], own[-1]
-        mine = owner[a:z] - b.start
-        top = values.max(axis=1)
-        np.maximum.at(top, mine, peak_values[a:z])
-        bar = _cut(top, values.shape[1] + np.diff(own))
-        # The kept candidates, each task's grid windows then its peaks.
-        flat = np.flatnonzero(~(values < bar[:, None]))
-        row, i = np.divmod(flat, values.shape[1])
-        j = a + np.flatnonzero(~(peak_values[a:z] < bar[mine]))
-        task = np.concatenate([row, owner[j] - b.start])
-        order = np.argsort(task, kind="stable")
-        kept_ts = np.concatenate([grid.ts[i], peaks[j]])[order]
-        kept = np.concatenate([values.ravel()[flat], peak_values[j]])[order]
-        split = np.searchsorted(task[order], np.arange(len(own))).tolist()
-        best += [_tie_walk(kept_ts[p:q], kept[p:q], T)[:2] for p, q in zip(split[:-1], split[1:])]
-    return best
+        ts = np.concatenate([np.broadcast_to(grid.ts, values.shape), task_peaks[b]], axis=1)
+        best_t[b], best_v[b], _ = _winners(ts, np.concatenate([values, task_values[b]], axis=1), T)
+    return list(zip(best_t.tolist(), best_v.tolist()))
 
 
 def _check_weight(weight: float) -> None:
@@ -682,10 +677,11 @@ def _solve_global(
     found = _search(stack, scan.grid, reads, [(i, ctx, w) for w in weights for i in range(n)])
     per_weight = [tuple(found[j * n : (j + 1) * n]) for j in range(len(weights))]
     # Ties between routes go to the smaller window, then the lower index.
-    winners = [_winner(*np.array(per_route).T, params.hop_dwell) for per_route in per_weight]
+    ts, values = np.array(found).reshape(len(weights), n, 2).transpose(2, 0, 1)
+    t_stars, vals, cols = _winners(ts, values, params.hop_dwell)
     # One read of the stack gives every winner's latency and rate.
-    t_stars, _, cols = zip(*winners)
-    out = stack.read(list(cols), list(t_stars))
+    out = stack.read(cols, t_stars)
+    winners = zip(t_stars.tolist(), vals.tolist(), cols.tolist())
     readings = zip(out["latency"].tolist(), out["rate_closed"].tolist())
     view = lambda col: RouteEvaluator.__new__(RouteEvaluator)._bind(stack, col)  # a winner's, for its check
     return [
@@ -748,12 +744,12 @@ def _solve_distributed(
     # Each route sums its hops' latencies and takes its weakest hop's rate.
     lat = stack.fold(out["latency"].reshape(found.shape).T, np.add, 0.0)  # (routes, weights)
     rate = stack.fold(out["rate_min_means"].reshape(found.shape).T, np.minimum, np.inf)
+    values = _trade_off(rate, lat, context, np.array(weights)).T  # (weights, routes)
+    # The winner rule at one shared window: the first route of the top value.
+    _, vals, idxs = _winners(np.zeros(1), values, params.hop_dwell)
     outcomes = []
-    for j, w in enumerate(weights):
+    for j, (val, idx) in enumerate(zip(vals.tolist(), idxs.tolist())):
         windows = [tuple(found[j, stack.columns(i)].tolist()) for i in range(len(routes))]
-        values = _trade_off(rate[:, j], lat[:, j], context, w)
-        # The winner rule at one shared window: the first route of the top value.
-        _, val, idx = _winner(np.zeros(len(values)), values, params.hop_dwell)
         outcomes.append(
             DistributedOutcome(
                 windows=windows[idx],
@@ -761,7 +757,7 @@ def _solve_distributed(
                 route_index=idx,
                 latency=float(lat[idx, j]),
                 rate=float(rate[idx, j]),
-                per_route=tuple(zip(windows, values.tolist())),
+                per_route=tuple(zip(windows, values[j].tolist())),
             )
         )
     return outcomes

@@ -33,7 +33,7 @@ from v2xdelivery.optimize import (
     _objective,
     _scan_grid,
     _trade_off,
-    _winner,
+    _winners,
 )
 
 
@@ -389,6 +389,12 @@ def _winner_sequential(ts, values, T):
     return best_t, best_val, best_i
 
 
+def _winner_row(ts, values, T):
+    """``_winners`` on one row of candidates, as the sequential rule reports."""
+    t, v, i = _winners(np.asarray(ts)[None], np.asarray(values)[None], T)
+    return t.tolist()[0], v.tolist()[0], i.tolist()[0]
+
+
 class TestBatchedScan:
     @pytest.mark.parametrize(
         "trial_time",
@@ -483,7 +489,7 @@ class TestBatchedScan:
         values[rng.random(n) < 0.05] = top - 1.0
         ts = rng.uniform(-1e-9, T + 1e-9, size=n)
         ts[rng.random(n) < 0.3] = rng.choice(ts, size=1)
-        assert _winner(ts, values, T) == _winner_sequential(ts, values, T)
+        assert _winner_row(ts, values, T) == _winner_sequential(ts, values, T)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_winner_matches_the_sequential_rule_on_tie_ladders(self, seed):
@@ -495,7 +501,7 @@ class TestBatchedScan:
         n = int(rng.integers(3, 600))
         values = float(rng.choice([0.0, -2e-13, 5e-14])) + np.arange(n) * 0.999e-15
         ts = np.sort(rng.uniform(0.0, 20.0, size=n))
-        assert _winner(ts, values, 20.0) == _winner_sequential(ts, values, 20.0)
+        assert _winner_row(ts, values, 20.0) == _winner_sequential(ts, values, 20.0)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_winner_matches_the_sequential_rule_on_flat_runs(self, seed):
@@ -516,13 +522,42 @@ class TestBatchedScan:
             values[odd] = math.nan
         elif seed % 3 == 2:
             values[odd] = -math.inf
-        assert repr(_winner(ts, values, 20.0)) == repr(_winner_sequential(ts, values, 20.0))
+        assert repr(_winner_row(ts, values, 20.0)) == repr(_winner_sequential(ts, values, 20.0))
 
     def test_winner_keeps_nan_and_flat_candidates(self):
         ts = np.array([3.0, 2.0, 1.0, 0.5])
         for values in ([0.5, 0.5, 0.5, 0.5], [0.5, math.nan, 0.4, 0.5], [-math.inf] * 4):
             values = np.array(values)
-            assert _winner(ts, values, 20.0) == _winner_sequential(ts, values, 20.0)
+            assert _winner_row(ts, values, 20.0) == _winner_sequential(ts, values, 20.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_winners_walk_rows_of_every_kind_at_once(self, seed):
+        # Staircases, ladders, flat runs, NaN and -inf rows share one call,
+        # each row padded with -inf past its own candidates; a padded row
+        # reads the winner its candidates alone read.
+        rng = np.random.default_rng(seed)
+        T, n = 20.0, 300
+        ts = rng.uniform(-1e-9, T + 1e-9, size=(7, n))
+        values = np.stack(
+            [
+                0.37 + np.cumsum(rng.uniform(0.3e-15, 1.7e-15, size=n) * rng.choice([-1.0, 1.0])),
+                np.arange(n) * 0.999e-15,
+                np.full(n, 0.5),
+                np.where(rng.random(n) < 0.5, 0.0, -0.0),
+                np.where(rng.random(n) < 0.1, math.nan, rng.choice([0.2, 0.2 + 1e-15], size=n)),
+                np.full(n, -math.inf),
+                rng.choice([0.1, 0.1 - 1e-15, 0.1 - 3e-15, -math.inf], size=n),
+            ]
+        )
+        ts[1] = np.sort(ts[1])
+        ts[3, rng.random(n) < 0.3] = rng.choice([0.0, -0.0, T])
+        own = rng.integers(1, n + 1, size=len(values))  # each row's own candidate count
+        values[np.arange(n) >= own[:, None]] = -math.inf
+        picked = list(zip(*(x.tolist() for x in _winners(ts, values, T))))
+        for row in range(len(values)):
+            want = _winner_sequential(ts[row], values[row], T)
+            assert repr(picked[row]) == repr(want)
+            assert repr(_winner_row(ts[row, : own[row]], values[row, : own[row]], T)) == repr(want)
 
     @pytest.mark.parametrize("regime", ["stock", "cell0.3", "fast"])
     @pytest.mark.parametrize("weight", [0.0, 0.5, 0.8])
@@ -672,7 +707,7 @@ def _maximize_scan(grid, values, objective, T):
             peaks.append(_polish_sign_change(deriv, lo, hi, tol, noise))
     if peaks:
         values = np.append(values, objective(np.array(peaks)))
-    return _winner(np.append(grid.ts, peaks), values, T)[:2]
+    return _winner_sequential(np.append(grid.ts, peaks), values, T)[:2]
 
 
 def _reference_search(stack, grid, reads, tasks):
