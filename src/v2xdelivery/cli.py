@@ -31,7 +31,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -316,7 +316,7 @@ def _sweep_t(args, scenario: Scenario) -> tuple[list[str], list[list], dict]:
     route = routes[outcome.route_index]
     config = SimConfig(snapshots=snapshots, seed=seed, mode=args.mode or "physical")
     results = sweep_windows(route, [float(t) for t in grid], params, config, backhaul=_backhaul(args))
-    objectives = _objective(scan.stack, outcome.route_index, grid, outcome.context, params.weight).tolist()
+    objectives = _objective(scan.stack, outcome.route_index, grid, astuple(outcome.context), params.weight).tolist()
     rows = [[*_sim_row(float(t), res), objective] for t, res, objective in zip(grid, results, objectives)]
     best = max(rows, key=lambda r: r[-1])
     return [*_SIM_COLUMNS, "objective"], rows, {"nodes": _nodes_label(route), "argmax_objective_t": best[0]}

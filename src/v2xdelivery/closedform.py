@@ -814,13 +814,13 @@ class _RouteStack:
     coefficient column each (``distinct``), plus one padding column.  Its
     rows are its routes, then a one-hop row for each distinct hop that no
     one-hop route reads, so every distinct hop has one one-hop row
-    (``hop_rows``); ``routes``, the views and :meth:`fold`, through which
-    other modules reach the layout, cover the routes alone.  ``at`` (k_max,
-    rows) holds each row's column at every hop; a row shorter than k_max
-    reads the padding column past its last hop.  Padded hops are neutral:
-    they add 0 to the latency sum, 1 to the survival products and +inf to
-    the minimum, and the sums and products run row by row in hop order, so
-    a padded row reads the same bits as its route alone.
+    (``hop_rows``); ``routes``, the views, :meth:`gather` and :meth:`fold`,
+    through which other modules reach the layout, cover the routes alone.
+    ``at`` (k_max, rows) holds each row's column at every hop; a row
+    shorter than k_max reads the padding column past its last hop.  Padded
+    hops are neutral: they add 0 to the latency sum, 1 to the survival
+    products and +inf to the minimum, and the sums and products run row by
+    row in hop order, so a padded row reads the same bits as its route alone.
 
     There are two reads, and both run one per-hop stage (:meth:`_stage`) on
     coefficient columns.  :meth:`read` takes window i of row cols[i]: it
@@ -884,9 +884,11 @@ class _RouteStack:
         self.forward = np.all((deg == 1)[self.at], axis=0)
         self.mixed = ~self.forward & (self.ks > 1)
 
-    def columns(self, j: int) -> np.ndarray:
-        """Route j's distinct-hop columns, in hop order."""
-        return self.at[: self.ks[j], j]
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """Rows of the distinct hops, (d, ...), taken along every route's hops
+        in hop order, route after route: (the routes' hop count, ...)."""
+        n = len(self.routes)
+        return rows[self.at[:, :n].T[np.arange(len(self.at)) < self.ks[:n, None]]]
 
     def fold(self, rows, op, pad, cols=None) -> np.ndarray:
         """Rows of the distinct hops, (d, ...), folded by ``op`` along the

@@ -25,9 +25,10 @@ route stack over it at once: the routes, and each distinct hop as a one-hop
 row.  The read checks the tail's smoothness from the rows' Chebyshev
 coefficients and doubles the nodes of a piece they do not resolve, or falls
 back to its per-trial rows (:func:`_read`).  None of that depends on the
-weight or the solver, so one scan serves both solvers at many weights: a
-search task is a (row, scale, weight) triple.  The envelope
-(:func:`_envelope`) and the search find their peaks alike (:func:`_peaks`):
+weight or the solver, so one scan serves both solvers at many weights: the
+envelope (:func:`_envelope`) is one array of every row's bounds, and a
+search takes each task's row, bounds and weight as arrays.  The envelope
+and the search find their peaks alike (:func:`_peaks`):
 derivative-sign changes are bracketed over the grid in one array pass per
 block of tasks, and every bracket of every task is polished in lockstep
 (:func:`_polish`): a step reads the probes of all open brackets in one
@@ -42,8 +43,10 @@ peaks, and each solver's route, one row per weight.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -92,13 +95,20 @@ class NormalizationContext:
 
     Built once from the candidate routes and reused for every evaluation so
     objective values stay comparable.  Degenerate envelopes (max == min)
-    normalize to zero.
+    normalize to zero.  Each bound must be a finite real number, and each
+    min at most its max: a ValueError otherwise.
     """
 
     latency_min: float
     latency_max: float
     rate_min: float
     rate_max: float
+
+    def __post_init__(self) -> None:
+        bounds = dataclasses.astuple(self)
+        finite = all(isinstance(b, numbers.Real) and math.isfinite(b) for b in bounds)
+        if not (finite and self.latency_min <= self.latency_max and self.rate_min <= self.rate_max):
+            raise ValueError(f"normalization bounds must be finite reals, each min at most its max: {bounds!r}")
 
     def latency_norm(self, value):
         return _unit(value, self.latency_min, self.latency_max)
@@ -108,21 +118,13 @@ class NormalizationContext:
 
 
 def _unit(value, low, high):
-    """(value - low) / (high - low), or 0 where that span is not positive.
-
-    The bounds may be arrays, one pair per value: a lockstep search scores
-    each probe on its own route's scale.
-    """
-    span = high - low
-    if np.ndim(span):
-        shift = value - low
-        if (span > 0.0).all():  # the same bits without the slower masked divide
-            shift /= span
-            return shift
-        return np.divide(shift, span, out=np.zeros(shift.shape), where=span > 0.0)
-    if not span > 0.0:
-        return np.zeros_like(value, dtype=float) if isinstance(value, np.ndarray) else 0.0
-    return (value - low) / span
+    """(value - low) / (high - low), or 0 where that span is not positive,
+    elementwise: the bounds may be arrays, one pair per value."""
+    span, shift = high - low, value - low
+    if np.all(span > 0.0):  # the same bits without the slower masked divide
+        shift /= span
+        return shift
+    return np.divide(shift, span, out=np.zeros(np.broadcast(shift, span).shape), where=span > 0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -312,9 +314,10 @@ def _read(stack: _RouteStack, grid: _ScanGrid) -> tuple[dict[str, np.ndarray], _
     return out, grid
 
 
-def _envelope(stack: _RouteStack, out: dict[str, np.ndarray], grid: _ScanGrid) -> list[NormalizationContext]:
+def _envelope(stack: _RouteStack, out: dict[str, np.ndarray], grid: _ScanGrid) -> np.ndarray:
     """The envelope of each row of ``stack``, its routes then the rest of
-    its one-hop rows, from its grid read ``out`` over ``grid`` (see _read).
+    its one-hop rows, from its grid read ``out`` over ``grid`` (see _read):
+    (rows, 4) bounds, each row's in NormalizationContext's field order.
 
     Latency falls with the window, so its extremes are the two ends.  A
     rate row's extremes are its grid samples and its interior extrema,
@@ -338,20 +341,17 @@ def _envelope(stack: _RouteStack, out: dict[str, np.ndarray], grid: _ScanGrid) -
     # is widened by the rounding noise of a reading: none there leaves it.
     found *= sign[owner]
     found += sign[owner] * _NOISE * np.abs(found)
-    high, low = rate.max(axis=1), rate.min(axis=1)
+    bounds = np.column_stack([lat[:, -1], lat[:, 0], rate.min(axis=1), rate.max(axis=1)])
     up = owner < n
-    np.maximum.at(high, rows[owner[up]], found[up])
-    np.minimum.at(low, rows[owner[~up]], found[~up])
-    return [
-        NormalizationContext(*bounds)
-        for bounds in zip(lat[:, -1].tolist(), lat[:, 0].tolist(), low.tolist(), high.tolist())
-    ]
+    np.maximum.at(bounds[:, 3], rows[owner[up]], found[up])
+    np.minimum.at(bounds[:, 2], rows[owner[~up]], found[~up])
+    return bounds
 
 
 class _Scan:
     """A route set read on the scan grid: its route ``stack``, the stack's
     grid read ``out`` and the ``grid`` it is read on (see _read), and, taken
-    on first use, every row's envelope (``scales``, see _envelope) and the
+    on first use, every row's bounds (``scales``, see _envelope) and the
     ``context``: the routes' latency range and every row's rate range."""
 
     def __init__(self, routes: Sequence[Route], params: SystemParams):
@@ -359,14 +359,13 @@ class _Scan:
         self.out, self.grid = _read(self.stack, _scan_grid(params))
 
     @functools.cached_property
-    def scales(self) -> list[NormalizationContext]:
+    def scales(self) -> np.ndarray:
         return _envelope(self.stack, self.out, self.grid)
 
     @functools.cached_property
     def context(self) -> NormalizationContext:
-        routes, rows = self.scales[: len(self.stack.routes)], self.scales
-        low, high = min(s.latency_min for s in routes), max(s.latency_max for s in routes)
-        return NormalizationContext(low, high, min(s.rate_min for s in rows), max(s.rate_max for s in rows))
+        s, n = self.scales, len(self.stack.routes)
+        return NormalizationContext(*np.array([s[:n, 0].min(), s[:n, 1].max(), s[:, 2].min(), s[:, 3].max()]).tolist())
 
 
 def build_normalization(routes: Sequence[Route], params: SystemParams) -> NormalizationContext:
@@ -383,23 +382,24 @@ def build_normalization(routes: Sequence[Route], params: SystemParams) -> Normal
     return _Scan(routes, params).context
 
 
-def _trade_off(rate, latency, context: NormalizationContext, weight):
-    """F = weight * rate_norm - (1 - weight) * latency_norm, elementwise.
+def _trade_off(rate, latency, bounds, weight):
+    """F = weight * rate_norm - (1 - weight) * latency_norm, elementwise, on
+    ``bounds``: four in NormalizationContext's field order, as ``astuple``
+    gives a context's.  Each bound and ``weight`` may be an array, one per
+    value: the same IEEE operations as one for all, so a probe reads alike
+    either way."""
+    lat_min, lat_max, rate_min, rate_max = bounds
+    return weight * _unit(rate, rate_min, rate_max) - (1.0 - weight) * _unit(latency, lat_min, lat_max)
 
-    ``weight`` may be an array, one per value: the same IEEE operations
-    as one weight for all, so a probe reads alike either way.
-    """
-    return weight * context.rate_norm(rate) - (1.0 - weight) * context.latency_norm(latency)
 
-
-def _objective(stack: _RouteStack, cols, ts, context: NormalizationContext, weight) -> np.ndarray:
+def _objective(stack: _RouteStack, cols, ts, bounds, weight) -> np.ndarray:
     """Objective of route cols[i] of ``stack`` at window ts[i]: one read.
 
     ``cols`` and ``ts`` broadcast as :meth:`_RouteStack.read` takes them;
-    ``context`` and ``weight`` as :func:`_trade_off` takes them.
+    ``bounds`` and ``weight`` as :func:`_trade_off` takes them.
     """
     out = stack.read(cols, ts)
-    return _trade_off(out["rate_closed"], out["latency"], context, weight)
+    return _trade_off(out["rate_closed"], out["latency"], bounds, weight)
 
 
 def _brackets(grid: _ScanGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -570,57 +570,49 @@ def _polish(deriv, lo: np.ndarray, hi: np.ndarray, tol: float, noise: float) -> 
 
 
 def _search(
-    stack: _RouteStack,
-    grid: _ScanGrid,
-    reads: tuple[np.ndarray, np.ndarray],
-    tasks: Sequence[tuple[int, NormalizationContext, float]],
-) -> list[tuple[float, float]]:
-    """Best (window, value) of every task (col, scale, weight): route col of
-    ``stack`` scored on ``scale`` at ``weight``.
+    stack: _RouteStack, grid: _ScanGrid, reads: tuple[np.ndarray, np.ndarray], cols, bounds, weights
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best windows and values of every task i: row cols[i] of ``stack``
+    scored on bounds[i] ((tasks, 4), see _trade_off) at weights[i].
 
     ``reads`` are the stack's (rows x windows) rate_closed and latency
-    grid arrays, which every task of a route shares.  The tasks are taken
+    grid arrays, which every task of a row shares.  The tasks are taken
     in blocks of about _BLOCK_CELLS grid values: one array pass over a
     block scores its grid and brackets its interior maxima, and every
     bracket of every task is polished in one lockstep (:func:`_peaks`)
     whose reads are stacked kernel calls, so a search makes at most 81 of
-    them whatever its route and weight count.  A second pass over the
-    blocks scores each grid again, and one call of the winner rule per
-    block (:func:`_winners`) picks from every task's row: its grid windows,
+    them whatever its task count.  A second pass over the blocks scores
+    each grid again, and one call of the winner rule per block
+    (:func:`_winners`) picks from every task's row: its grid windows,
     then its peaks, padded with -inf to the most any task has.
     """
     T = stack.params.hop_dwell
     rate, lat = reads
-    # Each task's route, scale and weight, which its grid values and its probes read.
-    cols = np.array([col for col, _, _ in tasks], dtype=np.intp)
-    bounds = np.array([(s.latency_min, s.latency_max, s.rate_min, s.rate_max) for _, s, _ in tasks])
-    weights = np.array([weight for _, _, weight in tasks], dtype=float)
-    # Blocks of at most `step` tasks, each on a run of consecutive routes,
+    # Blocks of at most `step` tasks, each on a run of consecutive rows,
     # so that a block's grid rows are views of the reads, never copies.
     step = max(1, _BLOCK_CELLS // len(grid.ts))
-    runs = np.concatenate([[0], np.flatnonzero(np.diff(cols) != 1) + 1, [len(tasks)]]).tolist()
+    runs = np.concatenate([[0], np.flatnonzero(np.diff(cols) != 1) + 1, [len(cols)]]).tolist()
     blocks = [slice(a, min(a + step, z)) for s, z in zip(runs[:-1], runs[1:]) for a in range(s, z, step)]
 
     def grid_values(b: slice) -> np.ndarray:
         # Computed again for the winners rather than kept: one row per task
-        # would hold (routes x weights x grid) floats through the search.
-        routes = slice(cols[b.start], cols[b.start] + b.stop - b.start)
-        scale = NormalizationContext(*bounds[b, :, None].transpose(1, 0, 2))
-        return _trade_off(rate[routes], lat[routes], scale, weights[b, None])
+        # would hold (tasks x grid) floats through the search.
+        rows = slice(cols[b.start], cols[b.start] + b.stop - b.start)
+        return _trade_off(rate[rows], lat[rows], bounds[b].T[:, :, None], weights[b, None])
 
     def read(which: np.ndarray, x: np.ndarray) -> np.ndarray:
         # Objectives of tasks ``which`` at ``x``: one read; a window reads alike in any batch.
-        return _objective(stack, cols[which], x, NormalizationContext(*bounds[which].T), weights[which])
+        return _objective(stack, cols[which], x, bounds[which].T, weights[which])
 
     owner, peaks, peak_values = _peaks(grid, ((b.start, grid_values(b)) for b in blocks), read)
     # Each task's candidates are its grid windows, then its peaks, padded with -inf.
-    (task_peaks, task_values), _ = _pack(owner, len(tasks), (peaks, peak_values), (0.0, -math.inf))
-    best_t, best_v = np.empty(len(tasks)), np.empty(len(tasks))
+    (task_peaks, task_values), _ = _pack(owner, len(cols), (peaks, peak_values), (0.0, -math.inf))
+    best_t, best_v = np.empty(len(cols)), np.empty(len(cols))
     for b in blocks:
         values = grid_values(b)
         ts = np.concatenate([np.broadcast_to(grid.ts, values.shape), task_peaks[b]], axis=1)
         best_t[b], best_v[b], _ = _winners(ts, np.concatenate([values, task_values[b]], axis=1), T)
-    return list(zip(best_t.tolist(), best_v.tolist()))
+    return best_t, best_v
 
 
 def _check_weight(weight: float) -> None:
@@ -672,12 +664,13 @@ def _solve_global(
     """
     _check_inputs(routes, weights)
     scan = scan or _Scan(routes, params)
-    stack, ctx, n = scan.stack, context or scan.context, len(routes)
+    stack, ctx, n, m = scan.stack, context or scan.context, len(routes), len(weights)
     reads = scan.out["rate_closed"], scan.out["latency"]
-    found = _search(stack, scan.grid, reads, [(i, ctx, w) for w in weights for i in range(n)])
-    per_weight = [tuple(found[j * n : (j + 1) * n]) for j in range(len(weights))]
+    # Task j * n + i is route i at weight j, on the one context's bounds.
+    tasks = np.tile(np.arange(n), m), np.broadcast_to(dataclasses.astuple(ctx), (m * n, 4)), np.repeat(weights, n)
+    ts, values = (x.reshape(m, n) for x in _search(stack, scan.grid, reads, *tasks))
+    per_weight = [tuple(zip(t, v)) for t, v in zip(ts.tolist(), values.tolist())]
     # Ties between routes go to the smaller window, then the lower index.
-    ts, values = np.array(found).reshape(len(weights), n, 2).transpose(2, 0, 1)
     t_stars, vals, cols = _winners(ts, values, params.hop_dwell)
     # One read of the stack gives every winner's latency and rate.
     out = stack.read(cols, t_stars)
@@ -736,31 +729,33 @@ def _solve_distributed(
     """
     _check_inputs(routes, weights)
     scan = scan or _Scan(routes, params)
-    stack, context, rows = scan.stack, context or scan.context, scan.stack.hop_rows
-    tasks = [(row, scan.scales[row], w) for w in weights for row in rows.tolist()]
+    stack, context, rows, m = scan.stack, context or scan.context, scan.stack.hop_rows, len(weights)
     reads = scan.out["rate_closed"], scan.out["latency"]
-    found = np.array([t for t, _ in _search(stack, scan.grid, reads, tasks)]).reshape(len(weights), len(rows))
-    out = stack.read(np.tile(rows, len(weights)), found.ravel())
+    # Task j * len(rows) + i is hop row rows[i] at weight j, on that row's envelope.
+    tasks = np.tile(rows, m), np.tile(scan.scales[rows], (m, 1)), np.repeat(weights, len(rows))
+    found = _search(stack, scan.grid, reads, *tasks)[0].reshape(m, len(rows))
+    out = stack.read(tasks[0], found.ravel())
     # Each route sums its hops' latencies and takes its weakest hop's rate.
     lat = stack.fold(out["latency"].reshape(found.shape).T, np.add, 0.0)  # (routes, weights)
     rate = stack.fold(out["rate_min_means"].reshape(found.shape).T, np.minimum, np.inf)
-    values = _trade_off(rate, lat, context, np.array(weights)).T  # (weights, routes)
+    values = _trade_off(rate, lat, dataclasses.astuple(context), np.array(weights)).T  # (weights, routes)
     # The winner rule at one shared window: the first route of the top value.
     _, vals, idxs = _winners(np.zeros(1), values, params.hop_dwell)
-    outcomes = []
-    for j, (val, idx) in enumerate(zip(vals.tolist(), idxs.tolist())):
-        windows = [tuple(found[j, stack.columns(i)].tolist()) for i in range(len(routes))]
-        outcomes.append(
-            DistributedOutcome(
-                windows=windows[idx],
-                objective=val,
-                route_index=idx,
-                latency=float(lat[idx, j]),
-                rate=float(rate[idx, j]),
-                per_route=tuple(zip(windows, values[j].tolist())),
-            )
+    # Every route's hop windows at every weight, from one gather: route i's
+    # end at entry ends[i] of a weight's row.
+    ends = np.cumsum(stack.ks[: len(routes)]).tolist()
+    per_weight = ([tuple(row[a:b]) for a, b in zip([0, *ends], ends)] for row in stack.gather(found.T).T.tolist())
+    return [
+        DistributedOutcome(
+            windows=windows[idx],
+            objective=val,
+            route_index=idx,
+            latency=float(lat[idx, j]),
+            rate=float(rate[idx, j]),
+            per_route=tuple(zip(windows, v)),
         )
-    return outcomes
+        for j, (val, idx, windows, v) in enumerate(zip(vals.tolist(), idxs.tolist(), per_weight, values.tolist()))
+    ]
 
 
 def kkt_stationarity_check(
@@ -795,7 +790,8 @@ def kkt_stationarity_check(
     # probes F(t* - h), F(t*), F(t* + h), clamped into the domain.
     sweep = np.linspace(2 * h, T - 2 * h, 64)
     probes = [min(max(t, 0.0), T) for t in (t_star - h, t_star, t_star + h)]
-    values = _objective(evaluator._stack, evaluator._col, np.concatenate([sweep - h, sweep + h, probes]), context, w)
+    ts = np.concatenate([sweep - h, sweep + h, probes])
+    values = _objective(evaluator._stack, evaluator._col, ts, dataclasses.astuple(context), w)
     lo, hi = values[:64], values[64:128]
     f_left, f_mid, f_right = values[128:].tolist()
     scale = float(np.max(np.abs((hi - lo) / (2 * h))))
@@ -865,7 +861,7 @@ def verify_concavity(
     x = np.concatenate(xs)
     # One read of the three probe rows; a window reads alike in any batch.
     probes = np.concatenate([x - h, x, x + h])
-    f0, f1, f2 = _objective(evaluator._stack, evaluator._col, probes, ctx, w).reshape(3, -1)
+    f0, f1, f2 = _objective(evaluator._stack, evaluator._col, probes, dataclasses.astuple(ctx), w).reshape(3, -1)
     second = f2 - 2 * f1 + f0
     i = int(np.argmax(second))
     fraction = float(np.mean(second <= 1e-9))

@@ -111,3 +111,8 @@ def totals_alone(lam, T: float) -> tuple[float, float]:
 def evaluators(stack) -> list[RouteEvaluator]:
     """A view of every route of a route stack, in order; each reads the stack's tables."""
     return [RouteEvaluator.__new__(RouteEvaluator)._bind(stack, j) for j in range(len(stack.routes))]
+
+
+def columns(stack, j: int) -> np.ndarray:
+    """Row j's distinct-hop columns of a route stack, in hop order."""
+    return stack.at[: stack.ks[j], j]

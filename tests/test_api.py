@@ -106,8 +106,8 @@ def _root_name(node: ast.AST) -> str | None:
 def test_only_closedform_reads_the_route_layout():
     """A route stack's layout, its ``at`` columns and ``coef`` rows with
     their padding (``pad``), is read inside ``closedform`` alone; every
-    other module folds rows into routes through ``_RouteStack.fold`` and
-    ``columns``.  NumPy's own attributes (``np.add.at``, ``np.pad``) are
+    other module takes rows along routes through ``_RouteStack.fold`` and
+    ``gather``.  NumPy's own attributes (``np.add.at``, ``np.pad``) are
     not the layout."""
     package = ROOT / "src" / "v2xdelivery"
     readers = sorted(

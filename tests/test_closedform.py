@@ -19,6 +19,7 @@ import pytest
 from scipy import integrate
 
 from support import (
+    columns,
     count_table_builds,
     evaluators,
     fold_alone,
@@ -834,7 +835,7 @@ class TestRouteStack:
                 one = view.series(ts)
                 for name in ("latency", "rate_closed", "rate_min_means", "hop_latency", "hop_rate"):
                     assert np.array_equal(one[name], ref[name]), (label, j, name)
-                hops = stack.hop_rows[stack.columns(j)]
+                hops = stack.hop_rows[columns(stack, j)]
                 assert np.array_equal(out["latency"][hops], ref["hop_latency"][: len(hops)]), (label, j)
                 assert np.array_equal(out["rate_closed"][hops], ref["hop_rate"][: len(hops)]), (label, j)
 
@@ -852,19 +853,19 @@ class TestRouteStack:
             assert (ts[0], ts[-1]) == (0.0, params.hop_dwell)
             dense = stack.grid(np.linspace(0.0, params.hop_dwell, 4001))
             scales = _envelope(stack, out, grid)
-            assert len(scales) == len(out["latency"])
-            for j, scale in enumerate(scales):
+            assert scales.shape == (len(out["latency"]), 4)
+            for j, (lat_min, lat_max, rate_min, rate_max) in enumerate(scales.tolist()):
                 ref = stack.read(np.full(len(ts), j), ts)
                 lat = ref["latency"]
-                assert (scale.latency_min, scale.latency_max) == (lat[-1], lat[0]), (label, j)
-                assert scale.latency_min <= lat.min() and lat.max() <= scale.latency_max * (1 + 1e-15), (label, j)
+                assert (lat_min, lat_max) == (lat[-1], lat[0]), (label, j)
+                assert lat_min <= lat.min() and lat.max() <= lat_max * (1 + 1e-15), (label, j)
                 rates = np.concatenate([ref["rate_closed"], dense["rate_closed"][j]])
-                assert 0.0 <= rates.min() - scale.rate_min < 1e-6, (label, j)
-                assert 0.0 <= scale.rate_max - rates.max() < 1e-6, (label, j)
+                assert 0.0 <= rates.min() - rate_min < 1e-6, (label, j)
+                assert 0.0 <= rate_max - rates.max() < 1e-6, (label, j)
                 if j < len(routes):
-                    for c, rates in zip(stack.columns(j), ref["hop_rate"]):
-                        own = scales[stack.hop_rows[c]]
-                        assert own.rate_min <= rates.min() and rates.max() <= own.rate_max, (label, j, c)
+                    for c, rates in zip(columns(stack, j), ref["hop_rate"]):
+                        _, _, own_min, own_max = scales[stack.hop_rows[c]]
+                        assert own_min <= rates.min() and rates.max() <= own_max, (label, j, c)
 
     def test_a_fold_walks_each_route_in_hop_order(self, params):
         # Row j of a fold is route j's hops' rows folded in hop order, the
@@ -877,7 +878,7 @@ class TestRouteStack:
             out = stack.fold(rows, op, pad)
             assert out.shape == (len(routes), 3)
             for j, route in enumerate(routes):
-                cols = stack.columns(j)
+                cols = columns(stack, j)
                 named = [(stack.distinct[i].arrival_rate, stack.distinct[i].deg) for i in cols]
                 assert named == [(h.arrival_rate, h.deg) for h in route.hops]
                 ref = rows[cols[0]].copy()
@@ -885,6 +886,14 @@ class TestRouteStack:
                     op(ref, rows[i], out=ref)
                 assert out[j].tobytes() == ref.tobytes(), (op, j)
                 assert stack.fold(rows, op, pad, [j])[0].tobytes() == ref.tobytes(), (op, j)
+
+    def test_a_gather_lays_each_route_end_to_end_in_hop_order(self, params):
+        routes = self._routes()
+        stack = _RouteStack(routes, params)
+        rows = np.random.default_rng(6).uniform(0.5, 2.0, size=(len(stack.distinct), 3))
+        out = stack.gather(rows)
+        ref = np.concatenate([rows[columns(stack, j)] for j in range(len(routes))])
+        assert out.shape == (sum(len(r.hops) for r in routes), 3) and out.tobytes() == ref.tobytes()
 
     def test_the_joint_tables_are_kept_per_hop_count(self):
         # The geometric-max tables depend on the hop count alone, so 4x4

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from support import count_table_builds, evaluators, is_mixed, make_route, prefix_tree_nodes
+from support import columns, count_table_builds, evaluators, is_mixed, make_route, prefix_tree_nodes
 from v2xdelivery import (
     Hop,
     Route,
@@ -41,7 +41,7 @@ def _objective_grid(routes, params, weight, context, n=10_000):
     """Objective readings of every route over a uniform window grid."""
     ts = np.linspace(0.0, params.hop_dwell, n)
     rows = [
-        _objective(_RouteStack([r], params), 0, ts, context, weight)
+        _objective(_RouteStack([r], params), 0, ts, dataclasses.astuple(context), weight)
         for r in routes
     ]
     return ts, np.vstack(rows)
@@ -61,6 +61,31 @@ class TestNormalizationContext:
         assert ctx.rate_norm(1.0) == 0.0
         arr = ctx.rate_norm(np.array([0.0, 1.0, 2.0]))
         assert np.all(arr == 0.0)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (math.nan, 150.0, 0.0, 2.0),
+            (50.0, math.inf, 0.0, 2.0),
+            (150.0, 50.0, 0.0, 2.0),
+            (50.0, 150.0, 0.0, math.nan),
+            (50.0, 150.0, -math.inf, 2.0),
+            (50.0, 150.0, 2.0, 0.0),
+            (50.0, 150.0, np.array([0.0, 1.0]), 2.0),
+            (50.0, "150", 0.0, 2.0),
+        ],
+    )
+    def test_malformed_bounds_are_rejected(self, params, grid_routes, bounds):
+        # A NaN, infinite or inverted bound would silently drop its term
+        # from every objective, so such a context is never built: a solve
+        # asked to score on one raises.
+        with pytest.raises(ValueError):
+            solve_global(grid_routes, params, weight=0.5, context=NormalizationContext(*bounds))
+        with pytest.raises(ValueError):
+            solve_distributed(grid_routes, params, weight=0.5, context=NormalizationContext(*bounds))
+
+    def test_equal_and_integer_bounds_are_legal(self):
+        assert NormalizationContext(5, 5, np.float64(1.0), 1.0).latency_norm(5.0) == 0.0
 
     def test_weighted_arithmetic(self):
         # A context spanning [0, 1] passes readings through unchanged.
@@ -135,7 +160,7 @@ class TestBuildNormalization:
         ctx = build_normalization([route], params)
         ev = RouteEvaluator(route, params)
         for t in (0.0, 8.0, 20.0):
-            assert _objective(ev._stack, ev._col, t, ctx, 0.7)[0] == 0.0
+            assert _objective(ev._stack, ev._col, t, dataclasses.astuple(ctx), 0.7)[0] == 0.0
 
 
 class TestWeightedObjective:
@@ -146,12 +171,12 @@ class TestWeightedObjective:
             expected = w * ctx.rate_norm(ev.rate_closed(t)) - (1.0 - w) * ctx.latency_norm(
                 ev.latency(t)
             )
-            assert _objective(ev._stack, ev._col, t, ctx, w)[0] == pytest.approx(expected, abs=1e-15)
+            assert _objective(ev._stack, ev._col, t, dataclasses.astuple(ctx), w)[0] == pytest.approx(expected, abs=1e-15)
 
     def test_pure_latency_weight_ignores_rate(self, params, grid_routes):
         ctx = build_normalization(grid_routes, params)
         ev = RouteEvaluator(grid_routes[0], params)
-        assert _objective(ev._stack, ev._col, 8.0, ctx, 0.0)[0] == pytest.approx(
+        assert _objective(ev._stack, ev._col, 8.0, dataclasses.astuple(ctx), 0.0)[0] == pytest.approx(
             -ctx.latency_norm(ev.latency(8.0)), abs=1e-15
         )
 
@@ -710,11 +735,11 @@ def _maximize_scan(grid, values, objective, T):
     return _winner_sequential(np.append(grid.ts, peaks), values, T)[:2]
 
 
-def _reference_search(stack, grid, reads, tasks):
+def _reference_search(stack, grid, reads, cols, bounds, weights):
     """``optimize._search`` task by task and probe by probe, each probe a
-    read of its task's route alone."""
+    read of its task's row alone."""
     best = []
-    for col, scale, weight in tasks:
+    for col, scale, weight in zip(cols.tolist(), bounds.tolist(), weights.tolist()):
         rate, lat = reads[0][col], reads[1][col]
 
         def objective(ts, col=col, scale=scale, weight=weight):
@@ -722,7 +747,7 @@ def _reference_search(stack, grid, reads, tasks):
 
         values = _trade_off(rate, lat, scale, weight)
         best.append(_maximize_scan(grid, values, objective, stack.params.hop_dwell))
-    return best
+    return tuple(np.array(x, dtype=float) for x in zip(*best))
 
 
 class TestLockstepSearch:
@@ -788,6 +813,27 @@ class TestLockstepSearch:
         lockstep, reference = self._both(monkeypatch, lambda: opt._solve_distributed(routes, params, weights, ctx))
         assert repr(lockstep) == repr(reference)
 
+    def test_tasks_in_any_row_order_match_the_reference(self):
+        # One search over tasks whose rows are not consecutive: descending,
+        # repeated at other weights and bounds, and route rows mixed with
+        # the one-hop rows after the routes.
+        scenario = build_grid_scenario(seed=1)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        scan = opt._Scan(routes, dataclasses.replace(scenario.params, trial_time=0.3))
+        n, rows = len(routes), len(scan.stack.ks)
+        assert rows > n + 1
+        cols = np.array([rows - 1, 5, 4, 3, n, 2, 2, n + 1, 0, rows - 1, n, 3, 3])
+        weights = np.array([0.5, 0.0, 1.0, 0.3, 0.8, 0.5, 0.7, 0.2, 1.0, 0.9, 0.1, 0.3, 0.3])
+        own = scan.scales[cols]
+        shared = np.broadcast_to(dataclasses.astuple(scan.context), own.shape)
+        bounds = np.where((np.arange(len(cols)) % 3 == 0)[:, None], shared, own)
+        reads = scan.out["rate_closed"], scan.out["latency"]
+        args = (scan.stack, scan.grid, reads, cols, bounds, weights)
+        found, reference = opt._search(*args), _reference_search(*args)
+        assert repr([x.tolist() for x in found]) == repr([x.tolist() for x in reference])
+        # Task 12 repeats task 3, and reads alike; task 11 differs in its bounds alone.
+        assert [x[12] for x in found] == [x[3] for x in found] != [x[11] for x in found]
+
 
 def _best_hop_windows_reference(evaluator, grid, read, weight, scales):
     """Per-hop window search inside the route: each hop normalizes on its
@@ -834,10 +880,11 @@ class TestDenseGridOracle:
         return coordinated, opt._solve_distributed(routes, params, weights, coordinated[0].context)
 
     @staticmethod
-    def _tie(stack, cols, ts, scale, weight):
+    def _tie(stack, cols, ts, context, weight):
         """Whether route cols[i] at window ts[i], every pair, reads one
-        objective on ``scale`` within twice the tie width."""
-        return np.ptp(_objective(stack, np.repeat(cols, len(ts)), np.tile(ts, len(cols)), scale, weight)) <= 2 * opt._TIE
+        objective on ``context`` within twice the tie width."""
+        bounds = dataclasses.astuple(context)
+        return np.ptp(_objective(stack, np.repeat(cols, len(ts)), np.tile(ts, len(cols)), bounds, weight)) <= 2 * opt._TIE
 
     @pytest.mark.parametrize("override", list(OVERRIDES))
     @pytest.mark.parametrize("size, seed", [(3, seed) for seed in range(4)] + [(4, 2), (4, 3)])
@@ -896,13 +943,12 @@ class TestDenseGridOracle:
             moved = {
                 (c, s, t)
                 for i, ((u, _), (v, _)) in enumerate(zip(d.per_route, e.per_route))
-                for c, s, t in zip(stack.columns(i).tolist(), u, v)
+                for c, s, t in zip(columns(stack, i).tolist(), u, v)
                 if abs(s - t) > tol
             }
             if moved:
                 c, s, t = (np.array(x) for x in zip(*sorted(moved)))
-                bounds = np.array([dataclasses.astuple(scales[i]) for i in c]).T
-                f = _objective(hops, np.tile(c, 2), np.concatenate([s, t]), NormalizationContext(*np.tile(bounds, 2)), w)
+                f = _objective(hops, np.tile(c, 2), np.concatenate([s, t]), np.tile(scales[c], (2, 1)).T, w)
                 assert np.max(np.abs(f[: len(c)] - f[len(c) :])) <= 2 * opt._TIE
 
 
@@ -942,7 +988,7 @@ class TestRowModel:
             for c, (hop, row) in enumerate(zip(stack.distinct, stack.hop_rows.tolist())):
                 key = (hop.arrival_rate, hop.deg)
                 assert row == (one_hop[key] if key in one_hop else len(routes) + extra.index(c)), (label, c)
-                assert stack.columns(row).tolist() == [c], (label, c)
+                assert columns(stack, row).tolist() == [c], (label, c)
             # The routes alone have views and folds.
             assert len(evaluators(stack)) == len(routes)
             assert stack.fold(np.ones(d), np.add, 0.0).tolist() == [float(len(r.hops)) for r in routes]
@@ -960,7 +1006,7 @@ class TestRowModel:
             for name in ("latency", "rate_closed"):
                 assert np.array_equal(out[name][stack.hop_rows], ref[name]), (label, name)
             scales = opt._envelope(stack, out, grid)
-            assert repr([scales[r] for r in stack.hop_rows.tolist()]) == repr(opt._envelope(hops, ref, grid)), label
+            assert repr(scales[stack.hop_rows].tolist()) == repr(opt._envelope(hops, ref, grid).tolist()), label
 
     def test_an_envelope_makes_one_polish(self, monkeypatch, params, grid_routes):
         # Every row's maxima and minima share one lockstep; a solve without
@@ -1000,7 +1046,7 @@ class TestHopSearch:
             dist = solve_distributed(routes, params, weight=weight)
             for j, (route, (windows, _)) in enumerate(zip(routes, dist.per_route)):
                 ev = RouteEvaluator(route, params)
-                own = [scales[stack.hop_rows[c]] for c in stack.columns(j)]
+                own = scales[stack.hop_rows[columns(stack, j)]].tolist()
                 ref = _best_hop_windows_reference(ev, grid, ev._stack.hops(ev._col, grid.ts)[2], weight, own)
                 assert repr(windows) == repr(ref)
 
@@ -1018,10 +1064,10 @@ class TestHopSearch:
         search = opt._search
         monkeypatch.setattr(opt, "_search", lambda *a: searched.append(a) or search(*a))
         solve_distributed(routes, params, weight=0.5)
-        ((_, search_grid, _, tasks),) = searched
+        ((_, search_grid, _, rows, bounds, _),) = searched
         assert search_grid.ts.tobytes() == grid.ts.tobytes()
-        assert [row for row, _, _ in tasks] == stack.hop_rows.tolist()
-        assert repr([scale for _, scale, _ in tasks]) == repr([scales[row] for row in stack.hop_rows.tolist()])
+        assert rows.tolist() == stack.hop_rows.tolist()
+        assert repr(bounds.tolist()) == repr(scales[stack.hop_rows].tolist())
 
 
 class TestBisectionOracle:
