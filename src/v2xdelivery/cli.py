@@ -41,6 +41,7 @@ import yaml
 from .closedform import _RouteStack
 from .model import _windows, Route
 from .optimize import (
+    _baseline,
     _objective,
     _Scan,
     _solve_distributed,
@@ -267,11 +268,12 @@ def _cmd_compare(args) -> Output:
     scenario = _load(args)
     params = scenario.params
     routes = _routes(scenario, args)
-    outcome = solve_global(routes, params, with_kkt=False)
+    scan = _Scan(routes, params)  # a baseline among the routes reads its search
+    outcome = _solve_global(routes, params, [params.weight], None, False, scan)[0]
     entries = [("global", routes[outcome.route_index], outcome)]
     for name, pick in (("spr", spr_route), ("gpsr", gpsr_route)):
         route = pick(scenario.topology, scenario.source, scenario.destination)
-        entries.append((name, route, solve_global([route], params, context=outcome.context, with_kkt=False)))
+        entries.append((name, route, _baseline(scan, outcome, route)))
     records = [
         {
             "strategy": name,

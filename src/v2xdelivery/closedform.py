@@ -884,6 +884,12 @@ class _RouteStack:
         self.forward = np.all((deg == 1)[self.at], axis=0)
         self.mixed = ~self.forward & (self.ks > 1)
 
+    @functools.cached_property
+    def layout(self) -> tuple:
+        """The bits of ``at`` and ``coef``: two stacks on the same parameters
+        that share them read every row alike, whatever their routes' names."""
+        return self.at.shape, self.at.tobytes(), self.coef.tobytes()
+
     def gather(self, rows: np.ndarray) -> np.ndarray:
         """Rows of the distinct hops, (d, ...), taken along every route's hops
         in hop order, route after route: (the routes' hop count, ...)."""

@@ -27,7 +27,11 @@ coefficients and doubles the nodes of a piece they do not resolve, or falls
 back to its per-trial rows (:func:`_read`).  None of that depends on the
 weight or the solver, so one scan serves both solvers at many weights: the
 envelope (:func:`_envelope`) is one array of every row's bounds, and a
-search takes each task's row, bounds and weight as arrays.  The envelope
+search takes each task's row, bounds and weight as arrays.  Nor does it
+depend on more than the parameters bar the weight, the route count and the
+stack's layout, so the last scan's grid read, bounds and solved tasks
+outlive it under that key, and a later scan of the same routes and
+parameters reads no grid and searches only the tasks not solved yet.  The envelope
 and the search find their peaks alike (:func:`_peaks`):
 derivative-sign changes are bracketed over the grid in one array pass per
 block of tasks, and every bracket of every task is polished in lockstep
@@ -348,24 +352,102 @@ def _envelope(stack: _RouteStack, out: dict[str, np.ndarray], grid: _ScanGrid) -
     return bounds
 
 
+# A search task's bits, (row, four bounds, weight) as six floats, as one item.
+_TASK = np.dtype((np.void, 6 * 8))
+
+
+@dataclass
+class _Kept:
+    """What a scan leaves for the next scan on its key (see _Scan): the
+    grid read ``out``, the ``grid`` it is read on, every row's bounds
+    (``scales``) once taken, and every task solved, in sorted order
+    (``tasks``, see _TASK), with its (window, value) (``found``).  Its
+    arrays are read-only."""
+
+    out: dict[str, np.ndarray]
+    grid: _ScanGrid
+    scales: np.ndarray | None = None
+    tasks: np.ndarray = field(default_factory=lambda: np.empty(0, _TASK))
+    found: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
+
+
+#: The last scan's _Kept under its key (see _Scan), as the only entry; a
+#: scan on another key drops it before it reads its grid.  Filled in place,
+#: never rebound.
+_KEPT: dict[tuple, _Kept] = {}
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class _Scan:
     """A route set read on the scan grid: its route ``stack``, the stack's
     grid read ``out`` and the ``grid`` it is read on (see _read), and, taken
     on first use, every row's bounds (``scales``, see _envelope) and the
-    ``context``: the routes' latency range and every row's rate range."""
+    ``context``: the routes' latency range and every row's rate range.
+
+    All of it but the stack depends on the key alone: the parameters bar
+    the weight, the route count and the stack's layout (see
+    _RouteStack.layout).  So does each task a search solves, whose window
+    and value do not depend on the tasks searched with it.  So the last
+    scan keeps all but its stack, with its solved tasks, in ``_KEPT`` (see
+    _Kept), and a scan on the same key reads no grid, takes no envelope
+    and searches only the tasks not solved yet (:meth:`search`): every
+    outcome has the bits a new scan gives.
+    """
 
     def __init__(self, routes: Sequence[Route], params: SystemParams):
         self.stack = _RouteStack(routes, params)
-        self.out, self.grid = _read(self.stack, _scan_grid(params))
+        unweighted = np.array([x for name, x in vars(params).items() if name != "weight"]).tobytes()
+        key = unweighted, len(self.stack.routes), self.stack.layout
+        if key not in _KEPT:
+            _KEPT.clear()
+            out, grid = _read(self.stack, _scan_grid(params))
+            for a in (*out.values(), grid.ts, grid.starts, *(nodes for *_, nodes in grid.tail)):
+                _frozen(a)
+            _KEPT[key] = _Kept(out, grid)
+        self.kept = _KEPT[key]
+        self.out, self.grid = self.kept.out, self.kept.grid
 
-    @functools.cached_property
+    @property
     def scales(self) -> np.ndarray:
-        return _envelope(self.stack, self.out, self.grid)
+        if self.kept.scales is None:
+            self.kept.scales = _frozen(_envelope(self.stack, self.out, self.grid))
+        return self.kept.scales
 
     @functools.cached_property
     def context(self) -> NormalizationContext:
         s, n = self.scales, len(self.stack.routes)
         return NormalizationContext(*np.array([s[:n, 0].min(), s[:n, 1].max(), s[:, 2].min(), s[:, 3].max()]).tolist())
+
+    def search(self, cols: np.ndarray, bounds: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Best windows and values of every task, as :func:`_search` gives
+        them; it searches only the tasks that no scan on this key has
+        solved, in the order given, and after the key's first search each
+        of those once."""
+        kept, n = self.kept, len(self.kept.tasks)
+        keys = np.ascontiguousarray(np.column_stack([cols, bounds, weights]), dtype=float).view(_TASK).ravel()
+        reads = self.out["rate_closed"], self.out["latency"]
+        if not n:  # the key's first search: every task is new
+            found = np.column_stack(_search(self.stack, self.grid, reads, cols, bounds, weights))
+            order = np.argsort(keys)
+            kept.tasks, kept.found = _frozen(keys[order]), _frozen(found[order])
+            return found[:, 0], found[:, 1]
+        every = np.concatenate([kept.tasks, keys])
+        order = np.argsort(every, kind="stable")
+        # The first of each run of equal tasks, in sorted order: a kept
+        # task, or one new to this key at its first place in ``keys``.
+        first = order[np.concatenate([[True], every[order[1:]] != every[order[:-1]]])]
+        new = np.sort(first[first >= n]) - n
+        if new.size:
+            found = np.concatenate([kept.found, np.empty((len(keys), 2))])
+            searched = _search(self.stack, self.grid, reads, cols[new], bounds[new], weights[new])
+            found[n + new] = np.column_stack(searched)
+            kept.tasks, kept.found = _frozen(every[first]), _frozen(found[first])
+        at = np.searchsorted(kept.tasks, keys)
+        return kept.found[at, 0], kept.found[at, 1]
 
 
 def build_normalization(routes: Sequence[Route], params: SystemParams) -> NormalizationContext:
@@ -658,17 +740,18 @@ def _solve_global(
 
     One scan of the routes (``scan``, or a new one; see _Scan) serves
     every weight; each (route, weight) pair is one task of one lockstep
-    search.  The grid read, the lockstep and the one read of all the
-    winners read its stack, so each mixed route's tables are built once,
-    and only the winners are bound as views, for their optimality checks.
+    search, which takes only the tasks that no scan on the same key has
+    solved (:meth:`_Scan.search`).  The grid read, the lockstep and the
+    one read of all the winners read its stack, so each mixed route's
+    tables are built once, and only the winners are bound as views, for
+    their optimality checks.
     """
     _check_inputs(routes, weights)
     scan = scan or _Scan(routes, params)
     stack, ctx, n, m = scan.stack, context or scan.context, len(routes), len(weights)
-    reads = scan.out["rate_closed"], scan.out["latency"]
     # Task j * n + i is route i at weight j, on the one context's bounds.
     tasks = np.tile(np.arange(n), m), np.broadcast_to(dataclasses.astuple(ctx), (m * n, 4)), np.repeat(weights, n)
-    ts, values = (x.reshape(m, n) for x in _search(stack, scan.grid, reads, *tasks))
+    ts, values = (x.reshape(m, n) for x in scan.search(*tasks))
     per_weight = [tuple(zip(t, v)) for t, v in zip(ts.tolist(), values.tolist())]
     # Ties between routes go to the smaller window, then the lower index.
     t_stars, vals, cols = _winners(ts, values, params.hop_dwell)
@@ -690,6 +773,27 @@ def _solve_global(
         )
         for w, per_route, (t_star, val, idx), (lat, rate) in zip(weights, per_weight, winners, readings)
     ]
+
+
+def _baseline(scan: _Scan, outcome: OptimizationOutcome, route: Route) -> OptimizationOutcome:
+    """``solve_global([route], params, context=outcome.context,
+    with_kkt=False)`` next to ``outcome``, the coordinated solve of the
+    scan's routes at the parameters' weight.
+
+    Where ``route`` is one of those routes and no tail piece of the scan's
+    grid was refined, a solve of it alone reads the same grid (its rows
+    are rows of the scan's stack, bit for bit, so none of them refines
+    it), and its task gives the same window and value in any batch: its
+    ``per_route_best`` entry and one read of the scan's stack answer.
+    """
+    routes, params = scan.stack.routes, scan.stack.params
+    if route not in routes or any(n != _TAIL_INTERVALS for _, _, n, _ in scan.grid.tail):
+        return solve_global([route], params, context=outcome.context, with_kkt=False)
+    i = routes.index(route)
+    t, value = best = outcome.per_route_best[i]
+    out = scan.stack.read(i, [t])
+    latency, rate = float(out["latency"][0]), float(out["rate_closed"][0])
+    return OptimizationOutcome(t, value, 0, latency, rate, (best,), context=outcome.context)
 
 
 def solve_distributed(
@@ -724,16 +828,17 @@ def _solve_distributed(
     every weight.  Each distinct hop is its one-hop row of the scan's
     stack (``hop_rows``), searched over the scan's grid read on that row's
     envelope, and each (hop, weight) pair is one task of one lockstep
-    search.  One read of the stack at every (hop row, weight) window then
-    aggregates every route at every weight, folded along each route's hops.
+    search, which takes only the tasks that no scan on the same key has
+    solved (:meth:`_Scan.search`).  One read of the stack at every (hop
+    row, weight) window then aggregates every route at every weight,
+    folded along each route's hops.
     """
     _check_inputs(routes, weights)
     scan = scan or _Scan(routes, params)
     stack, context, rows, m = scan.stack, context or scan.context, scan.stack.hop_rows, len(weights)
-    reads = scan.out["rate_closed"], scan.out["latency"]
     # Task j * len(rows) + i is hop row rows[i] at weight j, on that row's envelope.
     tasks = np.tile(rows, m), np.tile(scan.scales[rows], (m, 1)), np.repeat(weights, len(rows))
-    found = _search(stack, scan.grid, reads, *tasks)[0].reshape(m, len(rows))
+    found = scan.search(*tasks)[0].reshape(m, len(rows))
     out = stack.read(tasks[0], found.ravel())
     # Each route sums its hops' latencies and takes its weakest hop's rate.
     lat = stack.fold(out["latency"].reshape(found.shape).T, np.add, 0.0)  # (routes, weights)

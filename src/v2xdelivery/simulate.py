@@ -102,8 +102,9 @@ class BackhaulConfig:
     so it never uses the wire.
 
     Attributes:
-        links: directed (rsu_a, rsu_b) pairs that are wired; None wires
-            every consecutive pair of the simulated route.
+        links: directed (rsu_a, rsu_b) pairs that are wired, any iterable
+            of 2-item pairs, kept as a frozenset of tuples; None wires every
+            consecutive pair of the simulated route.
         rate: wire throughput, positive and finite; None defaults to four
             times the V2I rate.
     """
@@ -112,6 +113,20 @@ class BackhaulConfig:
     rate: float | None = None
 
     def __post_init__(self):
+        if self.links is not None:
+            # Stored as a frozenset of 2-tuples, so that a list of lists wires
+            # the pairs it names; a string, a pair of another length or
+            # anything not iterable is an error.
+            try:
+                if isinstance(self.links, str):
+                    raise TypeError
+                pairs = [None if isinstance(p, str) else tuple(p) for p in self.links]
+                if any(p is None or len(p) != 2 for p in pairs):
+                    raise TypeError
+                links = frozenset(pairs)
+            except TypeError:
+                raise ValueError(f"links must be an iterable of (rsu_a, rsu_b) pairs, got {self.links!r}") from None
+            object.__setattr__(self, "links", links)
         if self.rate is not None and not 0.0 < self.rate < math.inf:
             raise ValueError(f"wire rate must be positive and finite, got {self.rate!r}")
 

@@ -10,7 +10,7 @@ import numpy as np
 
 import v2xdelivery
 from v2xdelivery import Hop, Route, RouteEvaluator, SystemParams
-from v2xdelivery import closedform
+from v2xdelivery import closedform, optimize
 
 
 def child_env(**overrides: str) -> dict[str, str]:
@@ -53,6 +53,15 @@ def make_route(rng: np.random.Generator, k: int | None = None, degs=(2, 3)) -> R
     )
     nodes = tuple(str(i) for i in range(k + 1))
     return Route(hops=hops, source=nodes[0], destination=nodes[-1], nodes=nodes)
+
+
+def start_cold() -> None:
+    """Empty both process memos, the joint-outcome totals
+    (``closedform._TOTALS``) and the kept scan (``optimize._KEPT``), so
+    that the next solve does all of its work, as a new process's first
+    solve would."""
+    closedform._TOTALS.clear()
+    optimize._KEPT.clear()
 
 
 def count_table_builds(monkeypatch) -> list[str]:

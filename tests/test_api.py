@@ -144,7 +144,8 @@ def test_quick_start_runs_without_scipy(tmp_path):
 
 def test_solves_never_load_masked_arrays(tmp_path):
     """No solve imports numpy.ma, which ``np.unique`` loads on first use,
-    so the first solve of a process does not pay for that import."""
+    so the first solve of a process does not pay for that import; nor does
+    a solve that looks up the tasks a kept scan holds."""
     code = (
         "import sys\n"
         "from v2xdelivery import build_grid_scenario, enumerate_routes, solve_distributed, solve_global\n"
@@ -152,6 +153,7 @@ def test_solves_never_load_masked_arrays(tmp_path):
         "routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)\n"
         "solve_global(routes, scenario.params)\n"
         "solve_distributed(routes, scenario.params)\n"
+        "solve_global(routes, scenario.params, weight=0.3)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     proc = _python(code, tmp_path)

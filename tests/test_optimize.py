@@ -2,14 +2,16 @@
 
 import contextlib
 import dataclasses
+import gc
 import math
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
-from support import columns, count_table_builds, evaluators, is_mixed, make_route, prefix_tree_nodes
+from support import columns, count_table_builds, evaluators, is_mixed, make_route, prefix_tree_nodes, start_cold
 from v2xdelivery import (
     Hop,
     Route,
@@ -18,9 +20,11 @@ from v2xdelivery import (
     build_grid_scenario,
     build_normalization,
     enumerate_routes,
+    gpsr_route,
     kkt_stationarity_check,
     solve_distributed,
     solve_global,
+    spr_route,
     verify_concavity,
 )
 from v2xdelivery import cli
@@ -756,10 +760,14 @@ class TestLockstepSearch:
 
     @staticmethod
     def _both(monkeypatch, solve):
+        # Each side starts cold, so that each searches every task, and the
+        # reference's tasks are not kept.
         lockstep = solve()
+        start_cold()
         with monkeypatch.context() as m:
             m.setattr(opt, "_search", _reference_search)
             reference = solve()
+        start_cold()
         return lockstep, reference
 
     @pytest.mark.parametrize("trial_time", [0.02, 0.3, 1.0, 20.0])
@@ -925,9 +933,11 @@ class TestDenseGridOracle:
     def _check(self, monkeypatch, routes, params):
         tol = 2 * opt._REL_T_TOL * params.hop_dwell
         sparse = self._solve(routes, params, self.WEIGHTS)
+        start_cold()  # the dense solve keeps its own scan, dropped after it
         with monkeypatch.context() as m:
             m.setattr(opt, "_scan_grid", _scan_grid_per_piece)
             dense = self._solve(routes, params, self.WEIGHTS)
+        start_cold()
         stack = _RouteStack(routes, params)
         hops = _RouteStack([Route(hops=(hop,)) for hop in stack.distinct], params)
         scales = opt._envelope(hops, *opt._read(hops, _scan_grid(params)))
@@ -1063,6 +1073,7 @@ class TestHopSearch:
         searched = []
         search = opt._search
         monkeypatch.setattr(opt, "_search", lambda *a: searched.append(a) or search(*a))
+        start_cold()  # a kept scan would hold these tasks solved
         solve_distributed(routes, params, weight=0.5)
         ((_, search_grid, _, rows, bounds, _),) = searched
         assert search_grid.ts.tobytes() == grid.ts.tobytes()
@@ -1086,9 +1097,11 @@ class TestBisectionOracle:
         del reads[:]
         polished = solve()
         n = len(reads)
+        start_cold()  # or the bisected solve would take the polished tasks kept
         with monkeypatch.context() as m:
             m.setattr(opt, "_polish", _bisect_lockstep)
             bisected = solve()
+        start_cold()  # and the next polished solve the bisected ones
         return polished, bisected, n, len(reads) - n
 
     @pytest.mark.parametrize("size, seed, trial_time", MATRIX)
@@ -1140,7 +1153,9 @@ def _inside(seen: dict, where: str):
 def _count_stack_reads(monkeypatch, seen: dict | None = None) -> dict:
     """Sizes of the route-stack reads made by the lockstep search
     (``searched``), by an envelope where one is marked (``enveloped``, see
-    TestWorkCounts.counts) and of those made outside both (``direct``)."""
+    TestWorkCounts.counts) and of those made outside both (``direct``),
+    from a cold start (see start_cold)."""
+    start_cold()
     seen = {"searched": [], "enveloped": [], "direct": []} if seen is None else seen
     read, search = _RouteStack.read, opt._search
 
@@ -1280,7 +1295,8 @@ class TestWorkCounts:
     def test_a_given_context_reads_no_envelope(self, counts, params, grid_routes):
         # The coordinated solve takes no envelope from a given context.  The
         # distributed one still takes one, for its hops' own scales, from the
-        # one read of the stack, which its hop searches read too.
+        # grid read the coordinated solve kept, which its hop searches read
+        # too: it builds its own stack but reads no grid.
         d = self._distinct_hops(grid_routes)
         ctx = NormalizationContext(0.0, 1.0, 0.0, 1.0)
         solve_global(grid_routes, params, weight=0.5, context=ctx, with_kkt=False)
@@ -1288,13 +1304,14 @@ class TestWorkCounts:
         solve_distributed(grid_routes, params, weight=0.5, context=ctx)
         assert counts["envelopes"] == 1
         assert counts["stacks"] == [len(grid_routes)] * 2
-        assert len(counts["grids"]) == 2
-        assert self._grid_reads(counts) == [len(grid_routes)] * 2
-        assert self._grid_stages(counts) == [[d]] * 2
+        assert len(counts["grids"]) == 1
+        assert self._grid_reads(counts) == [len(grid_routes)]
+        assert self._grid_stages(counts) == [[d]]
 
     def test_compare_reads_each_route_once(self, counts, monkeypatch, capsys, grid_routes):
         # n routes in the coordinated solve, plus the SPR and GPSR routes
-        # scored on its scale: each route is stacked once, and a solve's
+        # scored on its scale: both are among the n routes, so their rows
+        # are read from its search, and no other stack is built.  A solve's
         # routes are views of its stack, so no evaluator is built alone.
         stacked = []
         init = _RouteStack.__init__
@@ -1305,9 +1322,9 @@ class TestWorkCounts:
 
         monkeypatch.setattr(_RouteStack, "__init__", counting_init)
         assert run_command(["compare"]) == 0
-        assert stacked == [len(grid_routes), 1, 1]
+        assert stacked == [len(grid_routes)]
         assert counts["__init__"] == 0
-        assert self._grid_reads(counts) == [len(grid_routes), 1, 1]
+        assert self._grid_reads(counts) == [len(grid_routes)]
 
     def test_alpha_sweep_reads_each_route_once(self, counts, capsys, grid_routes):
         # One solve per solver serves every weight, and both solvers read one
@@ -1446,7 +1463,7 @@ class TestWorkCounts:
             lambda: solve_global(grid_routes, params, weight=0.5, with_kkt=False),
         ):
             del built[:]
-            cf._TOTALS.clear()  # each solve walks as the process's first would
+            start_cold()  # each solve walks as the process's first would
             solve()
             assert built.count("_node_walk") == walks
             assert built.count("_fold_hop") == walks * prefix_tree_nodes(grid_routes) < walks * sum(map(len, mixed))
@@ -1460,7 +1477,9 @@ class TestWorkCounts:
         # change of another parameter, take them from the kept totals and
         # read what each reads from an empty dict, field for field.  Only
         # the mixture tables, where a cap binds, take walks of their own:
-        # at rate_cell=0.3, one for each of the three stacks.
+        # at rate_cell=0.3, one for each stack that reads a mixed route,
+        # the coordinated solve's and analyze's.  The distributed solve
+        # reads the scan the coordinated one kept, and hop rows alone.
         import v2xdelivery.closedform as cf
 
         changed = dataclasses.replace(params, **change)
@@ -1471,8 +1490,8 @@ class TestWorkCounts:
             lambda: {k: v.tobytes() for k, v in _RouteStack(grid_routes, changed).read(cols, 10.0).items()},
         ]
         built = count_table_builds(monkeypatch)
-        cold = [cf._TOTALS.clear() or solve() for solve in solves]
-        cf._TOTALS.clear()
+        cold = [start_cold() or solve() for solve in solves]
+        start_cold()
         solve_global(grid_routes, params, weight=0.5)
         del built[:]
         totals = []
@@ -1484,7 +1503,7 @@ class TestWorkCounts:
         mixed = [r for r in grid_routes if is_mixed(r)]
         walks = built.count("_node_walk")
         assert built.count("_mixture_table") == walks * len(mixed)
-        assert walks == (len(solves) if "rate_cell" in change else 0)  # one table walk a stack where a cap binds
+        assert walks == (2 if "rate_cell" in change else 0)  # one table walk a stack that reads a binding cap
 
     def test_a_scheme_beams_sweep_walks_its_routes_once(self, monkeypatch, capsys):
         # Its 25 solves differ in trial time alone: the first takes every
@@ -1591,3 +1610,201 @@ class TestWorkCounts:
         report = verify_concavity(ev, weight=0.5, context=ctx)
         assert counts["reads"] == []
         assert counts["direct"] == [sum(counts["stages"])] == [3 * report["points"]]
+
+
+def _reachable(root) -> list:
+    """Every object ``root`` holds, directly or through containers and
+    instances, not looking into classes, modules or functions."""
+    seen, todo = {}, [root]
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            if not isinstance(x, (type, types.ModuleType, types.FunctionType)):
+                todo.extend(gc.get_referents(x))
+    return list(seen.values())
+
+
+class TestKeptScan:
+    """The last scan's grid read, bounds and solved tasks, kept under the
+    parameters bar the weight, the route count and the stack's layout,
+    serve later solves on the same key with the bits of a cold solve."""
+
+    CASES = [(3, 0), (3, 1), (4, 2)]
+    OVERRIDES = {
+        "stock": {},
+        "trial0.02": {"trial_time": 0.02},
+        "decode0.3": {"decode_error": 0.3},
+        "cell2.5-trial1": {"rate_cell": 2.5, "trial_time": 1.0},
+    }
+
+    @staticmethod
+    def _routes(size, seed, override):
+        scenario = build_grid_scenario(rows=size, cols=size, seed=seed)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        return scenario, routes, dataclasses.replace(scenario.params, **override)
+
+    @staticmethod
+    def _counting(monkeypatch) -> dict:
+        """Grid reads, envelopes and lockstep reads, counted from a cold start."""
+        seen = _count_stack_reads(monkeypatch)
+        seen.update(grids=[], envelopes=[])
+        grid, envelope = _RouteStack.grid, opt._envelope
+        monkeypatch.setattr(_RouteStack, "grid", lambda self, ts: seen["grids"].append(len(ts)) or grid(self, ts))
+        monkeypatch.setattr(opt, "_envelope", lambda *a: seen["envelopes"].append(a) or envelope(*a))
+        return seen
+
+    @staticmethod
+    def _work(seen) -> tuple[int, int, int]:
+        return len(seen["grids"]), len(seen["envelopes"]), len(seen["searched"])
+
+    @pytest.mark.parametrize("override", list(OVERRIDES))
+    @pytest.mark.parametrize("size, seed", CASES)
+    def test_kept_solves_read_as_cold_ones(self, size, seed, override):
+        # Both solvers at weights 0, 0.5 and 1, without a context and on
+        # another route set's: one after another on the scan the first
+        # kept, then all again from the kept tasks alone, each as a solve
+        # from a cold start reads it.
+        _, routes, params = self._routes(size, seed, self.OVERRIDES[override])
+        other = build_normalization(routes[:2], params)
+        solves = [
+            (lambda w=w, c=c: solve_global(routes, params, weight=w, context=c))
+            if solver == "global"
+            else (lambda w=w, c=c: solve_distributed(routes, params, weight=w, context=c))
+            for solver in ("global", "distributed")
+            for w in (0.0, 0.5, 1.0)
+            for c in (None, other)
+        ]
+        start_cold()
+        kept = [solve() for solve in solves]
+        again = [solve() for solve in solves]
+        cold = [start_cold() or solve() for solve in solves]
+        assert repr(kept) == repr(again) == repr(cold)
+
+    @pytest.mark.parametrize("size, seed", CASES)
+    def test_a_repeated_solve_reads_no_grid_envelope_or_lockstep(self, monkeypatch, size, seed):
+        _, routes, params = self._routes(size, seed, {})
+        seen = self._counting(monkeypatch)
+        first = solve_global(routes, params, weight=0.5), solve_distributed(routes, params, weight=0.5)
+        assert self._work(seen)[0] == self._work(seen)[1] == 1 and self._work(seen)[2] > 2
+        for key in ("grids", "envelopes", "searched"):
+            del seen[key][:]
+        again = solve_global(routes, params, weight=0.5), solve_distributed(routes, params, weight=0.5)
+        assert self._work(seen) == (0, 0, 0)
+        assert repr(again) == repr(first)
+
+    def test_a_key_change_misses_and_a_weight_change_hits(self, monkeypatch, params, grid_routes):
+        # Each step solves on the scan the step before it kept: a step that
+        # changes the trial time, one hop's arrival rate or the route count
+        # reads a grid, and one that changes the weight alone does not.
+        # Either way it reads as a solve from a cold start.
+        seen = self._counting(monkeypatch)
+        first = grid_routes[0].hops[0]
+        faster_hop = dataclasses.replace(first, arrival_rate=1.5 * first.arrival_rate)
+        faster = Route(hops=(faster_hop, *grid_routes[0].hops[1:]))
+        # A one-hop route over a hop takes the place of that hop's own row
+        # after the routes: the layout stays, and the route count changes.
+        solo = [*grid_routes, Route(hops=(first,))]
+        assert _RouteStack(solo, params).layout == _RouteStack(grid_routes, params).layout
+        steps = [
+            (grid_routes, params, 0.5, 1),
+            (grid_routes, params, 0.3, 0),
+            (grid_routes, dataclasses.replace(params, weight=0.9), None, 0),
+            (grid_routes, dataclasses.replace(params, trial_time=0.05), 0.5, 1),
+            (grid_routes, params, 0.5, 1),
+            ([faster, *grid_routes[1:]], params, 0.5, 1),
+            (grid_routes[:-1], params, 0.5, 1),
+            (grid_routes, params, 0.5, 1),
+            (solo, params, 0.5, 1),
+        ]
+        for routes, p, weight, grids in steps:
+            del seen["grids"][:]
+            outcome = solve_global(routes, p, weight=weight, with_kkt=False)
+            assert len(seen["grids"]) == grids and len(opt._KEPT) == 1
+            start_cold()
+            assert repr(solve_global(routes, p, weight=weight, with_kkt=False)) == repr(outcome)
+
+    def test_the_kept_entry_holds_no_route_stack(self, params, grid_routes):
+        start_cold()
+        solve_global(grid_routes, params, weight=0.5)
+        solve_distributed(grid_routes, params, weight=0.5)
+        (kept,) = opt._KEPT.values()
+        held = _reachable(opt._KEPT)
+        hop_rows = _RouteStack(grid_routes, params).hop_rows
+        assert kept.scales is not None and len(kept.tasks) == len(grid_routes) + len(hop_rows)
+        assert not any(isinstance(x, (_RouteStack, RouteEvaluator)) for x in held)
+        arrays = [x for x in held if isinstance(x, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize(
+        "seed, interval, override, refined, moved",
+        [
+            (0, (0.05, 0.3), {}, False, False),
+            (1, (0.05, 0.3), {"trial_time": 0.02}, False, False),
+            (2, (0.05, 0.3), {"decode_error": 0.3}, False, False),
+            (0, (0.05, 0.3), {"rate_cell": 0.3}, True, False),
+            (0, (2.0, 4.0), {"rate_cell": 0.6}, True, True),
+            (2, (2.0, 4.0), {"rate_cell": 0.6}, True, True),
+        ],
+    )
+    def test_baselines_read_as_solved_alone(self, seed, interval, override, refined, moved):
+        # The SPR and GPSR routes are among the enumerated ones.  Where the
+        # set's grid read refines a tail piece, a route alone may read a
+        # coarser grid and another window (``moved``), so each is solved alone.
+        scenario = build_grid_scenario(seed=seed, arrival_interval=interval)
+        routes = enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        params = dataclasses.replace(scenario.params, **override)
+        start_cold()
+        scan = opt._Scan(routes, params)
+        outcome = opt._solve_global(routes, params, [params.weight], None, False, scan)[0]
+        assert any(n != opt._TAIL_INTERVALS for _, _, n, _ in scan.grid.tail) == refined
+        rows = []
+        for pick in (spr_route, gpsr_route):
+            route = pick(scenario.topology, scenario.source, scenario.destination)
+            alone = solve_global([route], params, context=outcome.context, with_kkt=False)
+            assert repr(opt._baseline(scan, outcome, route)) == repr(alone)
+            rows.append(outcome.per_route_best[routes.index(route)] != alone.per_route_best[0])
+        assert any(rows) == moved
+
+    def test_compare_reads_its_baselines_from_the_route_set(self, monkeypatch, scenario, grid_routes):
+        stacked = []
+        init = _RouteStack.__init__
+        monkeypatch.setattr(_RouteStack, "__init__", lambda self, r, p: stacked.append(len(r)) or init(self, r, p))
+        start_cold()
+        strategies = self._compare()
+        assert stacked == [len(grid_routes)]
+        self._check_baselines(scenario, strategies)
+
+    def test_a_baseline_outside_the_route_set_is_solved_alone(self, monkeypatch, scenario, grid_routes):
+        # With the SPR route left out of the enumeration, it is solved on
+        # its own stack, as it always was, and GPSR still reads the set's.
+        spr = spr_route(scenario.topology, scenario.source, scenario.destination)
+        enumerate_all = cli.enumerate_routes
+        monkeypatch.setattr(cli, "enumerate_routes", lambda *a: [r for r in enumerate_all(*a) if r != spr])
+        stacked = []
+        init = _RouteStack.__init__
+        monkeypatch.setattr(_RouteStack, "__init__", lambda self, r, p: stacked.append(len(r)) or init(self, r, p))
+        start_cold()
+        strategies = self._compare()
+        assert stacked == [len(grid_routes) - 1, 1]
+        self._check_baselines(scenario, strategies, [r for r in grid_routes if r != spr])
+
+    @staticmethod
+    def _compare() -> list[dict]:
+        """The strategies of ``compare``'s record, unrounded."""
+        args = cli._parser().parse_args(["compare"])
+        return args.func(args)[0]["strategies"]
+
+    @staticmethod
+    def _check_baselines(scenario, strategies, routes=None):
+        """The SPR and GPSR rows of ``compare``'s record, field for field,
+        as solve_global on each route alone, on the coordinated context."""
+        params = scenario.params
+        routes = routes or enumerate_routes(scenario.topology, scenario.source, scenario.destination)
+        start_cold()
+        context = solve_global(routes, params, with_kkt=False).context
+        for record, pick in zip(strategies[1:], (spr_route, gpsr_route)):
+            route = pick(scenario.topology, scenario.source, scenario.destination)
+            alone = solve_global([route], params, context=context, with_kkt=False)
+            fields = ("t_star", "objective", "latency", "rate")
+            assert repr([record[f] for f in fields]) == repr([getattr(alone, f) for f in fields])
