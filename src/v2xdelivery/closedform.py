@@ -883,12 +883,14 @@ class _RouteStack:
         # at its hop's mean; the rest read the joint-outcome mixture.
         self.forward = np.all((deg == 1)[self.at], axis=0)
         self.mixed = ~self.forward & (self.ks > 1)
+        self.at.flags.writeable = self.coef.flags.writeable = False
 
-    @functools.cached_property
-    def layout(self) -> tuple:
-        """The bits of ``at`` and ``coef``: two stacks on the same parameters
-        that share them read every row alike, whatever their routes' names."""
-        return self.at.shape, self.at.tobytes(), self.coef.tobytes()
+    @property
+    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """``at`` and ``coef``, read-only: two stacks on the same parameters
+        whose layouts hold the same bits read every row alike, whatever
+        their routes' names."""
+        return self.at, self.coef
 
     def gather(self, rows: np.ndarray) -> np.ndarray:
         """Rows of the distinct hops, (d, ...), taken along every route's hops

@@ -356,30 +356,37 @@ def _envelope(stack: _RouteStack, out: dict[str, np.ndarray], grid: _ScanGrid) -
 _TASK = np.dtype((np.void, 6 * 8))
 
 
-@dataclass
-class _Kept:
-    """What a scan leaves for the next scan on its key (see _Scan): the
-    grid read ``out``, the ``grid`` it is read on, every row's bounds
-    (``scales``) once taken, and every task solved, in sorted order
-    (``tasks``, see _TASK), with its (window, value) (``found``).  Its
-    arrays are read-only."""
-
-    out: dict[str, np.ndarray]
-    grid: _ScanGrid
-    scales: np.ndarray | None = None
-    tasks: np.ndarray = field(default_factory=lambda: np.empty(0, _TASK))
-    found: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
-
-
-#: The last scan's _Kept under its key (see _Scan), as the only entry; a
-#: scan on another key drops it before it reads its grid.  Filled in place,
-#: never rebound.
-_KEPT: dict[tuple, _Kept] = {}
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+@dataclass
+class _Kept:
+    """What a scan leaves for the next scan on its key (see _Scan): the
+    ``key`` bar the layout, the ``layout`` (see _RouteStack.layout), the
+    grid read ``out``, the ``grid`` it is read on, every row's bounds
+    (``scales``) once taken, and ``solved``: every task solved, in sorted
+    order (see _TASK), and its (window, value), one pair that a search
+    replaces in one store.  Its arrays are read-only."""
+
+    key: tuple
+    layout: tuple[np.ndarray, np.ndarray]
+    out: dict[str, np.ndarray]
+    grid: _ScanGrid
+    scales: np.ndarray | None = None
+    solved: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (_frozen(np.empty(0, _TASK)), _frozen(np.empty((0, 2))))
+    )
+
+
+#: The last scan's _Kept (see _Scan), as the only item; a scan on another
+#: key empties it before it reads its grid.  Filled in place, never rebound.
+_KEPT: list[_Kept] = []
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class _Scan:
@@ -395,21 +402,23 @@ class _Scan:
     scan keeps all but its stack, with its solved tasks, in ``_KEPT`` (see
     _Kept), and a scan on the same key reads no grid, takes no envelope
     and searches only the tasks not solved yet (:meth:`search`): every
-    outcome has the bits a new scan gives.
+    outcome has the bits a new scan gives.  Solves in several threads at
+    once read the same bits; at worst one solve's tasks are not kept.
     """
 
     def __init__(self, routes: Sequence[Route], params: SystemParams):
         self.stack = _RouteStack(routes, params)
-        unweighted = np.array([x for name, x in vars(params).items() if name != "weight"]).tobytes()
-        key = unweighted, len(self.stack.routes), self.stack.layout
-        if key not in _KEPT:
-            _KEPT.clear()
+        key = np.array([x for name, x in vars(params).items() if name != "weight"]).tobytes(), len(self.stack.routes)
+        layout = self.stack.layout
+        kept = next((k for k in _KEPT if k.key == key and all(map(_same_bits, k.layout, layout))), None)
+        if kept is None:
+            _KEPT.clear()  # before the read, so that two reads are never held
             out, grid = _read(self.stack, _scan_grid(params))
             for a in (*out.values(), grid.ts, grid.starts, *(nodes for *_, nodes in grid.tail)):
                 _frozen(a)
-            _KEPT[key] = _Kept(out, grid)
-        self.kept = _KEPT[key]
-        self.out, self.grid = self.kept.out, self.kept.grid
+            kept = _Kept(key, layout, out, grid)
+            _KEPT[:] = [kept]
+        self.kept, self.out, self.grid = kept, kept.out, kept.grid
 
     @property
     def scales(self) -> np.ndarray:
@@ -424,30 +433,25 @@ class _Scan:
 
     def search(self, cols: np.ndarray, bounds: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Best windows and values of every task, as :func:`_search` gives
-        them; it searches only the tasks that no scan on this key has
-        solved, in the order given, and after the key's first search each
-        of those once."""
-        kept, n = self.kept, len(self.kept.tasks)
+        them; it searches each task that no scan on this key has solved
+        once, in the order given."""
+        tasks, found = self.kept.solved
         keys = np.ascontiguousarray(np.column_stack([cols, bounds, weights]), dtype=float).view(_TASK).ravel()
-        reads = self.out["rate_closed"], self.out["latency"]
-        if not n:  # the key's first search: every task is new
-            found = np.column_stack(_search(self.stack, self.grid, reads, cols, bounds, weights))
-            order = np.argsort(keys)
-            kept.tasks, kept.found = _frozen(keys[order]), _frozen(found[order])
-            return found[:, 0], found[:, 1]
-        every = np.concatenate([kept.tasks, keys])
-        order = np.argsort(every, kind="stable")
-        # The first of each run of equal tasks, in sorted order: a kept
-        # task, or one new to this key at its first place in ``keys``.
-        first = order[np.concatenate([[True], every[order[1:]] != every[order[:-1]]])]
-        new = np.sort(first[first >= n]) - n
+        # Where each distinct task, sorted, is first found: a kept task, or
+        # one new to this key at its first place in ``keys``.  Only these
+        # indices are held through the search; the tasks are gathered after.
+        first = np.unique(np.concatenate([tasks, keys]), return_index=True)[1]
+        new = np.sort(first[first >= len(tasks)]) - len(tasks)
         if new.size:
-            found = np.concatenate([kept.found, np.empty((len(keys), 2))])
-            searched = _search(self.stack, self.grid, reads, cols[new], bounds[new], weights[new])
-            found[n + new] = np.column_stack(searched)
-            kept.tasks, kept.found = _frozen(every[first]), _frozen(found[first])
-        at = np.searchsorted(kept.tasks, keys)
-        return kept.found[at, 0], kept.found[at, 1]
+            reads = self.out["rate_closed"], self.out["latency"]
+            pick = new if len(new) < len(keys) else slice(None)  # all new: no copies
+            searched = _search(self.stack, self.grid, reads, cols[pick], bounds[pick], weights[pick])
+            found = np.concatenate([found, np.empty((len(keys), 2))])
+            found[len(tasks) + new] = np.column_stack(searched)
+            tasks, found = _frozen(np.concatenate([tasks, keys])[first]), _frozen(found[first])
+            self.kept.solved = tasks, found
+        at = np.searchsorted(tasks, keys)
+        return found[at, 0], found[at, 1]
 
 
 def build_normalization(routes: Sequence[Route], params: SystemParams) -> NormalizationContext:

@@ -1,8 +1,17 @@
-"""Shared fixtures: stock parameters, the default scenario, and its routes."""
+"""Shared fixtures: stock parameters, the default scenario, and its routes;
+and a cold start for every test."""
 
 import pytest
 
+from support import start_cold
 from v2xdelivery import SystemParams, default_scenario, enumerate_routes
+
+
+@pytest.fixture(autouse=True)
+def _cold():
+    # Every test starts with neither process memo filled, so that what it
+    # counts or compares does not depend on the tests run before it.
+    start_cold()
 
 
 @pytest.fixture(scope="session")

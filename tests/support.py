@@ -68,10 +68,10 @@ def count_table_builds(monkeypatch) -> list[str]:
     """Names of the joint-outcome work done, one entry a unit:
     ``_node_walk``, one walk over a stack's mixed routes, ``_fold_hop``,
     one hop folded into a walk's state, and ``_mixture_table``, one
-    route's mixture table.  The count starts from no kept totals
-    (``closedform._TOTALS`` emptied), so every stack's first table build
-    walks as if it were the process's first."""
-    closedform._TOTALS.clear()
+    route's mixture table.  The count starts cold (see start_cold), so
+    every stack's first table build walks as if it were the process's
+    first."""
+    start_cold()
     built = []
     for name in ("_node_walk", "_fold_hop", "_mixture_table"):
         original = getattr(closedform, name)

