@@ -16,7 +16,7 @@ the normalization's.  Each case prints its label and the sha256 of that
 outcome, and the last line is the sha256 of all the case lines.  Each
 case starts cold (see ``support.start_cold``), so its line does not
 depend on the cases before it, and its solves after the first read the
-scan the first kept.  The matrix takes about 23 s on a shared 2-vCPU
+scan the first kept.  The matrix takes about 24 s on a shared 2-vCPU
 machine, against 69 s when no solve kept a scan for the next.  Pytest
 does not collect this file.
 

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import math
 import sys
+import threading
 import tracemalloc
 import types
 
@@ -1721,6 +1722,37 @@ class TestKeptScan:
             assert len(seen["grids"]) == grids and len(opt._KEPT) == 1
             start_cold()
             assert repr(solve_global(routes, p, weight=weight, with_kkt=False)) == repr(outcome)
+
+    def test_solves_in_threads_read_as_cold_ones(self, params, grid_routes):
+        # Four threads solve on one kept key at once, each at weights of
+        # its own, so their searches merge into the same kept pair of
+        # tasks and results.  Each search reads the pair it took and
+        # stores a whole one, so a store may drop another thread's tasks
+        # but no outcome reads another task's window.
+        solves = [(solver, w) for solver in (solve_global, solve_distributed) for w in np.linspace(0.0, 1.0, 6)]
+        cold = [repr(start_cold() or solver(grid_routes, params, weight=w)) for solver, w in solves]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                start_cold()
+                solve_global(grid_routes, params, weight=0.05)  # one kept entry, shared from the start
+                got = [None] * len(solves)
+
+                def run(k):
+                    for i in range(k, len(solves), 4):
+                        solver, w = solves[i]
+                        got[i] = repr(solver(grid_routes, params, weight=w))
+
+                threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert got == cold
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_the_kept_entry_holds_no_route_stack(self, params, grid_routes):
         solve_global(grid_routes, params, weight=0.5)
